@@ -6,11 +6,7 @@ import (
 	"time"
 
 	"crest/internal/bench"
-	"crest/internal/causality"
-	"crest/internal/flight"
-	"crest/internal/metrics"
 	"crest/internal/sim"
-	"crest/internal/trace"
 	"crest/internal/workload"
 	"crest/internal/workload/smallbank"
 	"crest/internal/workload/tpcc"
@@ -209,55 +205,14 @@ func RunBenchmark(cfg BenchmarkConfig) (BenchmarkResult, error) {
 		Warmup:       sim.Duration(cfg.Warmup),
 		Workers:      cfg.Workers,
 	}
-	var rec *trace.Recorder
-	if cfg.Trace {
-		rec = trace.NewRecorder(cfg.TraceCapacity)
-		bc.Trace = rec
-	}
-	var reg *metrics.Registry
-	if cfg.Metrics {
-		window := metrics.DefaultWindow
-		if cfg.MetricsWindow > 0 {
-			window = sim.Duration(cfg.MetricsWindow)
-		}
-		reg = metrics.NewRegistry(metrics.Options{Window: window})
-		bc.Metrics = reg
-	}
-	var why *causality.Recorder
-	if cfg.Why {
-		why = causality.NewRecorder(causality.Options{Capacity: cfg.WhyCapacity})
-		bc.Why = why
-	}
-	var fl *flight.Recorder
-	if cfg.Flight {
-		fl = flight.NewRecorder(flight.Options{TxnCapacity: cfg.FlightCapacity})
-		bc.Flight = fl
-	}
+	obs := observerOptions{cfg.Trace, cfg.TraceCapacity, cfg.Metrics, cfg.MetricsWindow,
+		cfg.Why, cfg.WhyCapacity, cfg.Flight, cfg.FlightCapacity}.recorders()
+	bc.Trace, bc.Metrics, bc.Why, bc.Flight = obs.Trace, obs.Metrics, obs.Why, obs.Flight
 	res, err := bench.Run(bc)
 	if err != nil {
 		return BenchmarkResult{}, err
 	}
-	var snap *TraceSnapshot
-	if rec != nil {
-		snap = rec.Snapshot()
-	}
-	var msnap *MetricsSnapshot
-	if reg != nil {
-		msnap = reg.Snapshot()
-	}
-	var wsnap *WhySnapshot
-	if why != nil {
-		wsnap = why.Snapshot()
-	}
-	var fsnap *FlightSnapshot
-	if fl != nil {
-		fsnap = fl.Snapshot()
-	}
-	return BenchmarkResult{
-		Trace:          snap,
-		Metrics:        msnap,
-		Why:            wsnap,
-		Flight:         fsnap,
+	out := BenchmarkResult{
 		System:         System(res.System),
 		Workload:       name,
 		Coordinators:   res.Coordinators,
@@ -278,7 +233,9 @@ func RunBenchmark(cfg BenchmarkConfig) (BenchmarkResult, error) {
 		EventsPerSec:   eventsPerSec(res.Events, res.WallMS),
 		ScenarioPhases: res.ScenarioPhases,
 		Runtime:        newRuntimeStats(res.Runtime, res.WallMS, res.Events),
-	}, nil
+	}
+	out.Trace, out.Metrics, out.Why, out.Flight = snapshots(obs)
+	return out, nil
 }
 
 func eventsPerSec(events uint64, wallMS float64) float64 {

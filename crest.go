@@ -215,10 +215,7 @@ type Cluster struct {
 	finalized bool
 	coords    []engine.Coordinator
 	next      int
-	trace     *trace.Recorder     // nil unless Config.Trace
-	metrics   *metrics.Registry   // nil unless Config.Metrics
-	why       *causality.Recorder // nil unless Config.Why
-	flight    *flight.Recorder    // nil unless Config.Flight
+	obs       engine.Observers // each recorder nil unless its Config flag is set
 }
 
 // NewCluster builds a cluster. Tables must be created and loaded
@@ -234,27 +231,8 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		params.RTT = sim.Duration(cfg.RTT)
 	}
 	c.fabric = rdma.NewFabric(c.env, params)
-	if cfg.Trace {
-		c.trace = trace.NewRecorder(cfg.TraceCapacity)
-		c.env.SetObserver(c.trace)
-		c.fabric.SetRecorder(c.trace)
-	}
-	if cfg.Metrics {
-		window := metrics.DefaultWindow
-		if cfg.MetricsWindow > 0 {
-			window = sim.Duration(cfg.MetricsWindow)
-		}
-		c.metrics = metrics.NewRegistry(metrics.Options{Window: window})
-		c.metrics.BindEnv(c.env)
-		c.fabric.SetMetrics(c.metrics)
-	}
-	if cfg.Why {
-		c.why = causality.NewRecorder(causality.Options{Capacity: cfg.WhyCapacity})
-	}
-	if cfg.Flight {
-		c.flight = flight.NewRecorder(flight.Options{TxnCapacity: cfg.FlightCapacity})
-		c.fabric.SetFlight(c.flight)
-	}
+	c.obs = observerOptions{cfg.Trace, cfg.TraceCapacity, cfg.Metrics, cfg.MetricsWindow,
+		cfg.Why, cfg.WhyCapacity, cfg.Flight, cfg.FlightCapacity}.recorders()
 	return c, nil
 }
 
@@ -310,12 +288,7 @@ func (c *Cluster) ensureSystem() error {
 	}
 	c.pool = pool
 	c.db = engine.NewDB(c.pool)
-	c.db.Trace = c.trace
-	c.db.Why = c.why
-	c.db.Flight = c.flight
-	if c.metrics != nil {
-		c.db.SetMetrics(c.metrics)
-	}
+	c.db.Attach(c.obs, c.env, 0)
 	sys, err := bench.NewSystem(bench.SystemKind(c.cfg.System), c.db)
 	if err != nil {
 		return err
@@ -528,7 +501,7 @@ type TraceSnapshot = trace.Snapshot
 // TraceSnapshot copies the trace recorded so far (empty unless the
 // cluster was built with Config.Trace). Render it with
 // WriteChromeTrace, WriteSpanSummary or WriteHotKeys.
-func (c *Cluster) TraceSnapshot() *TraceSnapshot { return c.trace.Snapshot() }
+func (c *Cluster) TraceSnapshot() *TraceSnapshot { return c.obs.Trace.Snapshot() }
 
 // WriteChromeTrace renders a trace snapshot as Chrome trace_event JSON
 // (opens directly in Perfetto or chrome://tracing).
@@ -549,7 +522,7 @@ type MetricsSnapshot = metrics.Snapshot
 // cluster was built with Config.Metrics). Render it with
 // WriteMetricsPrometheus, WriteMetricsCSV, WriteMetricsJSON or
 // WriteMetricsSparklines.
-func (c *Cluster) MetricsSnapshot() *MetricsSnapshot { return c.metrics.Snapshot() }
+func (c *Cluster) MetricsSnapshot() *MetricsSnapshot { return c.obs.Metrics.Snapshot() }
 
 // WriteMetricsPrometheus renders end-of-run instrument values in the
 // Prometheus text exposition format (a valid scrape file).
@@ -582,7 +555,7 @@ type WhySnapshot = causality.Snapshot
 // cluster was built with Config.Why). Explain a single abort with
 // WriteWhyBlame, or export the aggregate contention graph with
 // WriteWhyDOT / WriteWhyJSON.
-func (c *Cluster) WhySnapshot() *WhySnapshot { return c.why.Snapshot() }
+func (c *Cluster) WhySnapshot() *WhySnapshot { return c.obs.Why.Snapshot() }
 
 // WriteWhyBlame renders the blame chain for one transaction: the
 // abort cause, the transaction it lost to, and who that transaction
@@ -610,7 +583,7 @@ type FlightSnapshot = flight.Snapshot
 // cluster was built with Config.Flight). Render the aggregate tail
 // decomposition with WriteFlightTail, one transaction's critical path
 // with WriteFlightCritPath, or export it with WriteFlightJSON.
-func (c *Cluster) FlightSnapshot() *FlightSnapshot { return c.flight.Snapshot() }
+func (c *Cluster) FlightSnapshot() *FlightSnapshot { return c.obs.Flight.Snapshot() }
 
 // WriteFlightTail renders the aggregate latency budget report: p50,
 // p99 and p99.9 cohort decompositions per component, the tail-vs-

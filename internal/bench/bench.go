@@ -113,6 +113,11 @@ type Config struct {
 	Workers int
 }
 
+// observers bundles the run's recorders for engine.DB.Attach.
+func (c Config) observers() engine.Observers {
+	return engine.Observers{Trace: c.Trace, Metrics: c.Metrics, Why: c.Why, Flight: c.Flight}
+}
+
 // Partitioned reports whether the run executes on the partitioned
 // parallel scheduler (sim.World): one partition per shard group. It
 // requires a sharded topology and a partition-safe workload generator.
@@ -377,45 +382,9 @@ func Run(cfg Config) (Result, error) {
 		return Result{}, err
 	}
 	db := engine.NewDB(pool)
-	// Observers attach per partition: each partition's scheduler,
-	// fabric lane and engine view record into its own shard of the root
-	// recorder/registry, written lock-free by the owning worker and
-	// merged deterministically at snapshot time.
-	if cfg.Trace != nil {
-		if world != nil {
-			for i := 0; i < world.Parts(); i++ {
-				world.Env(i).SetObserver(cfg.Trace.Shard(i, world.Parts()))
-			}
-		} else {
-			env.SetObserver(cfg.Trace)
-		}
-		fabric.SetRecorder(cfg.Trace)
-		db.Trace = cfg.Trace
-	}
-	if cfg.Metrics != nil {
-		if world != nil {
-			// Each partition shard binds its own scheduler, so the sim
-			// gauges (runnable/live procs, dispatches) cover the whole
-			// world after the merge, not just partition 0.
-			for i := 0; i < world.Parts(); i++ {
-				cfg.Metrics.Shard(i, world.Parts()).BindEnv(world.Env(i))
-			}
-		} else {
-			cfg.Metrics.BindEnv(env)
-		}
-		fabric.SetMetrics(cfg.Metrics)
-		db.SetMetrics(cfg.Metrics)
-		if world != nil {
-			registerWorldProbes(cfg.Metrics, world, fabric)
-		}
-	}
-	if cfg.Why != nil {
-		db.Why = cfg.Why
-	}
-	if cfg.Flight != nil {
-		cfg.Flight.SetWarmup(sim.Time(cfg.Warmup))
-		fabric.SetFlight(cfg.Flight)
-		db.Flight = cfg.Flight
+	db.Attach(cfg.observers(), env, cfg.Warmup)
+	if cfg.Metrics != nil && world != nil {
+		registerWorldProbes(cfg.Metrics, world, fabric)
 	}
 	if cfg.CheckHistory {
 		db.History = engine.NewHistory()

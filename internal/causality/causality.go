@@ -21,10 +21,10 @@ package causality
 
 import (
 	"fmt"
-	"sort"
 
 	"crest/internal/layout"
 	"crest/internal/sim"
+	"crest/internal/trace"
 )
 
 // Kind classifies one wait-for / conflict edge.
@@ -196,30 +196,19 @@ type recState struct {
 // is unusable; a nil *Recorder is the disabled state and every method
 // tolerates it.
 type Recorder struct {
-	cap     int
-	edges   []Edge
-	head    int // index of the oldest edge when full
-	full    bool
-	seq     uint64
-	dropped uint64
+	edges trace.Ring[Edge]
+	seq   uint64
 
-	txnCap   int
-	txns     []*Txn
-	thead    int
-	tfull    bool
-	tdropped uint64
-	nextID   uint64
+	txns   trace.Ring[*Txn]
+	nextID uint64
 
 	recs map[recKey]*recState
 
-	// Partitioned mode (see Shard). Children are each written by
-	// exactly one partition; txn ids and edge seqs stride by the
-	// partition count so the merged Snapshot stays collision-free
+	// Partitioned mode (Shard, see trace.Family). Children are each
+	// written by exactly one partition; txn ids and edge seqs stride by
+	// the partition count so the merged Snapshot stays collision-free
 	// without remapping Cause references.
-	part   int
-	stride int
-	shards []*Recorder
-	root   *Recorder
+	fam trace.Family[Recorder]
 }
 
 // Default ring capacities when the caller passes none.
@@ -245,42 +234,31 @@ func NewRecorder(opt Options) *Recorder {
 	if opt.TxnCapacity <= 0 {
 		opt.TxnCapacity = DefaultTxnCapacity
 	}
-	return &Recorder{cap: opt.Capacity, txnCap: opt.TxnCapacity, recs: map[recKey]*recState{}}
+	return newRecorder(opt.Capacity, opt.TxnCapacity, trace.Family[Recorder]{})
 }
 
 // Enabled reports whether the recorder collects edges.
 func (r *Recorder) Enabled() bool { return r != nil }
 
-// Shard returns the per-partition child recorder for part out of parts,
-// creating the full child set on first use. Each child must be written
-// by exactly one partition (one sim.Env), which keeps every emission
-// lock-free under the parallel window executor; Snapshot on the root
-// merges all children deterministically. With parts <= 1 (or a nil
-// recorder) Shard returns the receiver, so single-partition wiring is
-// byte-identical to an unsharded recorder. Children stride their txn
-// ids and edge seqs by the partition count, so ids stay globally unique
-// and CauseSeq references survive the merge without remapping.
+func newRecorder(edgeCap, txnCap int, fam trace.Family[Recorder]) *Recorder {
+	return &Recorder{edges: trace.NewRing[Edge](edgeCap, false), txns: trace.NewRing[*Txn](txnCap, false),
+		recs: map[recKey]*recState{}, fam: fam}
+}
+
+// Shard returns the per-partition child recorder for part out of parts
+// (see trace.Family.Shard). Each child must be written by exactly one
+// partition (one sim.Env); Snapshot on the root merges all children
+// deterministically. With parts <= 1 (or a nil recorder) Shard returns
+// the receiver. Children stride their txn ids and edge seqs by the
+// partition count, so ids stay globally unique and CauseSeq references
+// survive the merge without remapping.
 func (r *Recorder) Shard(part, parts int) *Recorder {
-	if r == nil || parts <= 1 {
-		return r
+	if r == nil {
+		return nil
 	}
-	if r.stride > 0 {
-		panic("causality: Shard of a partition child")
-	}
-	if r.shards == nil {
-		r.shards = make([]*Recorder, parts)
-		for i := range r.shards {
-			r.shards[i] = &Recorder{cap: r.cap, txnCap: r.txnCap,
-				recs: map[recKey]*recState{}, part: i, stride: parts, root: r}
-		}
-	}
-	if parts != len(r.shards) {
-		panic(fmt.Sprintf("causality: Shard with %d parts after %d", parts, len(r.shards)))
-	}
-	if part < 0 || part >= parts {
-		panic(fmt.Sprintf("causality: Shard part %d out of range [0,%d)", part, parts))
-	}
-	return r.shards[part]
+	return r.fam.Shard("causality", r, part, parts, func(f trace.Family[Recorder]) *Recorder {
+		return newRecorder(r.edges.Cap(), r.txns.Cap(), f)
+	})
 }
 
 // Dropped reports how many edges were evicted from the edge ring,
@@ -289,11 +267,7 @@ func (r *Recorder) Dropped() uint64 {
 	if r == nil {
 		return 0
 	}
-	d := r.dropped
-	for _, c := range r.shards {
-		d += c.dropped
-	}
-	return d
+	return r.fam.Sum(r, func(m *Recorder) uint64 { return m.edges.Dropped() })
 }
 
 // Len reports the number of buffered edges, summed across partition
@@ -302,29 +276,15 @@ func (r *Recorder) Len() int {
 	if r == nil {
 		return 0
 	}
-	n := len(r.edges)
-	for _, c := range r.shards {
-		n += len(c.edges)
-	}
-	return n
+	return int(r.fam.Sum(r, func(m *Recorder) uint64 { return uint64(m.edges.Len()) }))
 }
 
 // emit appends one edge to the ring, evicting the oldest on overflow.
 // It returns the edge's sequence number (strided on partition children).
 func (r *Recorder) emit(e Edge) uint64 {
 	r.seq++
-	e.Seq = r.seq
-	if r.stride > 1 {
-		e.Seq = uint64(r.part) + uint64(r.stride)*(r.seq-1) + 1
-	}
-	if len(r.edges) < r.cap {
-		r.edges = append(r.edges, e)
-		return e.Seq
-	}
-	r.edges[r.head] = e
-	r.head = (r.head + 1) % r.cap
-	r.full = true
-	r.dropped++
+	e.Seq = r.fam.StrideID(r.seq)
+	r.edges.Push(e)
 	return e.Seq
 }
 
@@ -352,20 +312,9 @@ func (r *Recorder) Begin(p *sim.Proc, coord uint64, label string, txnKey any) *T
 		return prev
 	}
 	r.nextID++
-	id := r.nextID
-	if r.stride > 1 {
-		id = uint64(r.part) + uint64(r.stride)*(r.nextID-1) + 1
-	}
-	t := &Txn{ID: id, Label: label, Coord: coord, Attempt: 1, Start: p.Now(), txnKey: txnKey}
+	t := &Txn{ID: r.fam.StrideID(r.nextID), Label: label, Coord: coord, Attempt: 1, Start: p.Now(), txnKey: txnKey}
 	p.SetWhyCtx(t)
-	if len(r.txns) < r.txnCap {
-		r.txns = append(r.txns, t)
-		return t
-	}
-	r.txns[r.thead] = t
-	r.thead = (r.thead + 1) % r.txnCap
-	r.tfull = true
-	r.tdropped++
+	r.txns.Push(t)
 	return t
 }
 
@@ -601,112 +550,46 @@ type Snapshot struct {
 
 // Snapshot copies the rings (oldest to newest). A nil recorder yields
 // an empty snapshot. A partitioned recorder (see Shard) merges every
-// child deterministically: edges order by (virtual time, partition,
-// seq) — mirroring the window executor's mailbox merge — and
-// transaction nodes by (start time, partition, id). Strided seqs and
-// ids are kept as emitted so Cause references remain valid.
+// child deterministically (trace.MergeByTime): edges order by (virtual
+// time, partition, seq) and transaction nodes by (start time,
+// partition, id). Strided seqs and ids are kept as emitted so Cause
+// references remain valid.
 func (r *Recorder) Snapshot() *Snapshot {
 	if r == nil {
 		return &Snapshot{}
 	}
-	if r.shards == nil {
-		return r.snapshotLocal()
+	if !r.fam.Sharded() {
+		return &Snapshot{Edges: r.edges.AppendTo(make([]Edge, 0, r.edges.Len())), Txns: r.txnInfos(),
+			Dropped: r.edges.Dropped(), TxnsDropped: r.txns.Dropped()}
 	}
-	type tagEdge struct {
-		part int
-		Edge
-	}
-	type tagTxn struct {
-		part int
-		TxnInfo
-	}
-	locals := make([]*Snapshot, 0, 1+len(r.shards))
-	pids := make([]int, 0, 1+len(r.shards))
-	locals = append(locals, r.snapshotLocal())
-	pids = append(pids, -1)
-	for i, c := range r.shards {
-		locals = append(locals, c.snapshotLocal())
-		pids = append(pids, i)
-	}
+	members := r.fam.Members(r)
+	edges := make([][]Edge, len(members))
+	txns := make([][]TxnInfo, len(members))
 	out := &Snapshot{}
-	var edges []tagEdge
-	var txns []tagTxn
-	for k, s := range locals {
-		out.Dropped += s.Dropped
-		out.TxnsDropped += s.TxnsDropped
-		for _, e := range s.Edges {
-			edges = append(edges, tagEdge{pids[k], e})
-		}
-		for _, t := range s.Txns {
-			txns = append(txns, tagTxn{pids[k], t})
-		}
+	for i, m := range members {
+		edges[i] = m.edges.AppendTo(nil)
+		txns[i] = m.txnInfos()
+		out.Dropped += m.edges.Dropped()
+		out.TxnsDropped += m.txns.Dropped()
 	}
-	sort.Slice(edges, func(i, j int) bool {
-		a, b := &edges[i], &edges[j]
-		if a.At != b.At {
-			return a.At < b.At
-		}
-		if a.part != b.part {
-			return a.part < b.part
-		}
-		return a.Seq < b.Seq
-	})
-	sort.Slice(txns, func(i, j int) bool {
-		a, b := &txns[i], &txns[j]
-		if a.Start != b.Start {
-			return a.Start < b.Start
-		}
-		if a.part != b.part {
-			return a.part < b.part
-		}
-		return a.ID < b.ID
-	})
-	out.Edges = make([]Edge, len(edges))
-	for i := range edges {
-		out.Edges[i] = edges[i].Edge
-	}
-	out.Txns = make([]TxnInfo, len(txns))
-	for i := range txns {
-		out.Txns[i] = txns[i].TxnInfo
-	}
+	out.Edges = trace.MergeByTime(edges, func(e *Edge) (sim.Time, uint64) { return e.At, e.Seq })
+	out.Txns = trace.MergeByTime(txns, func(t *TxnInfo) (sim.Time, uint64) { return t.Start, t.ID })
 	return out
 }
 
-// snapshotLocal copies one recorder's own rings, oldest to newest.
-func (r *Recorder) snapshotLocal() *Snapshot {
-	s := &Snapshot{}
-	s.Dropped = r.dropped
-	s.TxnsDropped = r.tdropped
-	s.Edges = make([]Edge, 0, len(r.edges))
-	if r.full {
-		s.Edges = append(s.Edges, r.edges[r.head:]...)
-		s.Edges = append(s.Edges, r.edges[:r.head]...)
-	} else {
-		s.Edges = append(s.Edges, r.edges...)
-	}
-	s.Txns = make([]TxnInfo, 0, len(r.txns))
-	appendTxn := func(t *Txn) {
+// txnInfos copies one recorder's own transaction nodes, oldest to newest.
+func (r *Recorder) txnInfos() []TxnInfo {
+	out := make([]TxnInfo, 0, r.txns.Len())
+	for _, t := range r.txns.AppendTo(nil) {
 		ti := TxnInfo{ID: t.ID, Label: t.Label, Coord: t.Coord, Attempt: t.Attempt,
 			Start: t.Start, End: t.End, State: t.State, Reason: t.Reason, Aborts: t.Aborts}
 		if t.CauseSeq != 0 {
 			ti.Cause = &CauseInfo{Seq: t.CauseSeq, Kind: t.CauseKind,
 				Table: t.CauseTable, Key: t.CauseKey, Mask: t.CauseMask, Holder: t.Holder}
 		}
-		s.Txns = append(s.Txns, ti)
+		out = append(out, ti)
 	}
-	if r.tfull {
-		for _, t := range r.txns[r.thead:] {
-			appendTxn(t)
-		}
-		for _, t := range r.txns[:r.thead] {
-			appendTxn(t)
-		}
-	} else {
-		for _, t := range r.txns {
-			appendTxn(t)
-		}
-	}
-	return s
+	return out
 }
 
 // Txn looks up a node by id (nil when unknown or evicted).

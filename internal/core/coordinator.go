@@ -176,13 +176,12 @@ func (c *Coordinator) executeLocalized(p *sim.Proc, t *engine.Txn) engine.Attemp
 				// The lock-wait depth gauge counts coordinators about to
 				// park behind a held local lock; an uncontended Lock
 				// never parks and stays off the gauge.
-				db.Met.LockWaiters.Inc()
+				db.Obs.LockWaiters(1)
 				holder := acc.obj.whyOwner
 				t0 := p.Now()
 				acc.obj.mu.Lock(p)
-				db.Met.LockWaiters.Dec()
-				db.Why.LocalWait(p, acc.rk.table, acc.key, holder, p.Now().Sub(t0))
-				db.Flight.Wait(p, holder, p.Now().Sub(t0))
+				db.Obs.LockWaiters(-1)
+				db.Obs.WaitedLocal(p, acc.rk.table, acc.key, holder, p.Now().Sub(t0))
 			} else {
 				acc.obj.mu.Lock(p)
 			}
@@ -220,8 +219,7 @@ func (c *Coordinator) executeLocalized(p *sim.Proc, t *engine.Txn) engine.Attemp
 		t0 := p.Now()
 		dep.await(p)
 		if waited {
-			db.Why.DependencyWait(p, dep.whyID, p.Now().Sub(t0))
-			db.Flight.Wait(p, dep.whyID, p.Now().Sub(t0))
+			db.Obs.WaitedDependency(p, dep.whyID, p.Now().Sub(t0))
 		}
 		if dep.status == txnAborted {
 			return abortTxn(engine.AbortDependency, false)
@@ -401,8 +399,7 @@ func (c *Coordinator) admit(p *sim.Proc, sc *execScratch, blockAccs []*access) (
 			holder := waitObj.whyOwner
 			t0 := p.Now()
 			waitObj.stateQ.Wait(p)
-			db.Why.LocalWait(p, waitObj.table, waitObj.key, holder, p.Now().Sub(t0))
-			db.Flight.Wait(p, holder, p.Now().Sub(t0))
+			db.Obs.WaitedLocal(p, waitObj.table, waitObj.key, holder, p.Now().Sub(t0))
 			continue
 		}
 		if len(sc.fetches) == 0 && len(sc.locks) == 0 {
@@ -417,8 +414,7 @@ func (c *Coordinator) admit(p *sim.Proc, sc *execScratch, blockAccs []*access) (
 					// streak > 0 means an earlier local txn already
 					// counted against these locks: this one piggybacks.
 					if obj.streak > 0 && obj.remoteLocks != 0 {
-						db.Trace.LockPiggyback(p.Now(), trace.SpanOf(p), obj.table, obj.key, obj.remoteLocks)
-						db.Met.Piggybacks.Inc()
+						db.Obs.Piggybacked(p, obj.table, obj.key, obj.remoteLocks)
 					}
 					obj.streak++
 					if k := opts.MaxPiggyback; k > 0 && obj.streak >= k && obj.remoteLocks != 0 {
@@ -490,15 +486,11 @@ func (c *Coordinator) admit(p *sim.Proc, sc *execScratch, blockAccs []*access) (
 				if results[bi][pd.casIdx].OK {
 					obj.remoteLocks |= pd.bits
 					obj.streak = 0 // fresh acquisition opens a new window
-					db.Trace.LockAcquire(p.Now(), trace.SpanOf(p), obj.table, obj.key, pd.bits)
-					db.Why.OnLock(p, obj.table, obj.key, pd.bits)
-					db.Met.LockAcquires.Inc()
+					db.Obs.LockAcquired(p, obj.table, obj.key, pd.bits)
 				} else {
 					conflict = true
 					conflictMask |= db.Tracker.HolderCells(obj.table, obj.key)
-					db.Trace.Conflict(p.Now(), trace.SpanOf(p), obj.table, obj.key, pd.bits)
-					db.Why.LockFail(p, obj.table, obj.key, pd.bits)
-					db.Met.LockConflicts.Inc()
+					db.Obs.LockConflict(p, obj.table, obj.key, pd.bits)
 				}
 			}
 			if pd.readIdx >= 0 {
@@ -519,9 +511,7 @@ func (c *Coordinator) admit(p *sim.Proc, sc *execScratch, blockAccs []*access) (
 					obj.admitted = false
 					conflict = true
 					conflictMask |= db.Tracker.HolderCells(obj.table, obj.key)
-					db.Trace.Conflict(p.Now(), trace.SpanOf(p), obj.table, obj.key, readMask)
-					db.Why.LockFail(p, obj.table, obj.key, readMask)
-					db.Met.LockConflicts.Inc()
+					db.Obs.LockConflict(p, obj.table, obj.key, readMask)
 				case !obj.admitted:
 					copy(obj.epochs, h.EN[:obj.lay.NumCells()])
 					obj.base = vals
@@ -561,7 +551,7 @@ func (c *Coordinator) admit(p *sim.Proc, sc *execScratch, blockAccs []*access) (
 		}
 		back := opts.LockBackoff + sim.Duration(p.Rand().Int63n(int64(opts.LockBackoff)))
 		p.Sleep(back)
-		db.Flight.Backoff(p, back)
+		db.Obs.BackedOff(p, back)
 	}
 }
 
@@ -785,9 +775,7 @@ func (c *Coordinator) validateRemote(p *sim.Proc, sc *execScratch, accs []*acces
 					conflicting |= db.Tracker.HolderCells(acc.rk.table, acc.key)
 				}
 				myMask := accessMaskFor(acc.op)
-				db.Trace.Conflict(p.Now(), trace.SpanOf(p), acc.rk.table, acc.key, bit)
-				db.Why.ValidationFail(p, acc.rk.table, acc.key, bit, wantTS)
-				db.Met.LockConflicts.Inc()
+				db.Obs.ValidationConflict(p, acc.rk.table, acc.key, bit, wantTS)
 				return engine.AbortValidation, engine.IsFalseConflict(myMask, conflicting)
 			}
 		}
@@ -941,8 +929,7 @@ func (c *Coordinator) applyRelease(p *sim.Proc, sc *execScratch, accs []*access)
 				holder := obj.whyOwner
 				t0 := p.Now()
 				obj.stateQ.Wait(p)
-				db.Why.LocalWait(p, obj.table, obj.key, holder, p.Now().Sub(t0))
-				db.Flight.Wait(p, holder, p.Now().Sub(t0))
+				db.Obs.WaitedLocal(p, obj.table, obj.key, holder, p.Now().Sub(t0))
 				break
 			}
 		}
@@ -991,17 +978,16 @@ func (c *Coordinator) applyRelease(p *sim.Proc, sc *execScratch, accs []*access)
 		obj := f.obj
 		for _, plan := range f.plans {
 			db.Tracker.OnUpdate(obj.table, obj.key, plan.ts, 1<<uint(plan.cell))
-			db.Why.OnUpdate(plan.why, obj.table, obj.key, plan.ts, 1<<uint(plan.cell))
+			db.Obs.Updated(plan.why, obj.table, obj.key, plan.ts, 1<<uint(plan.cell))
 			// A fold of more than 65536 epochs — or one landing exactly
 			// on the wrap — silently reuses epoch numbers; validation
 			// correctness then rests on the EN-threshold fallback, so
 			// the rollover is worth a trace event.
 			if before := plan.en - uint16(plan.bumps); plan.en < before {
-				db.Trace.ENOverflow(p.Now(), trace.SpanOf(p), obj.table, obj.key, plan.cell)
+				db.Obs.ENOverflow(p, obj.table, obj.key, plan.cell)
 			}
 		}
-		db.Trace.LockRelease(p.Now(), trace.SpanOf(p), obj.table, obj.key, obj.remoteLocks)
-		db.Why.OnUnlock(obj.table, obj.key, obj.remoteLocks)
+		db.Obs.LockReleased(p, obj.table, obj.key, obj.remoteLocks)
 		obj.remoteLocks = 0
 		obj.streak = 0
 		if obj.drainPending {

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"crest/internal/causality"
 	"crest/internal/engine"
 	"crest/internal/layout"
 	"crest/internal/memnode"
@@ -177,18 +176,13 @@ func (c *Coordinator) dFetch(p *sim.Proc, sc *execScratch, ws []*dwork) (engine.
 					w.lockBits |= want
 					db.Tracker.OnLock(w.table(), w.key, accessMaskFor(w.op))
 					w.tracked = true
-					db.Trace.LockAcquire(p.Now(), trace.SpanOf(p), w.table(), w.key, want)
-					db.Why.OnLock(p, w.table(), w.key, want)
-					db.Met.LockAcquires.Inc()
+					db.Obs.LockAcquired(p, w.table(), w.key, want)
 				} else {
 					// No-wait on write locks: the attempt aborts.
 					lockFailed = true
 					conflictMask |= db.Tracker.HolderCells(w.table(), w.key)
 					myMask |= accessMaskFor(w.op)
-					db.Trace.Conflict(p.Now(), trace.SpanOf(p), w.table(), w.key,
-						c.cn.sys.lockMaskFor(w.lay, w.op)&^w.lockBits)
-					db.Why.LockFail(p, w.table(), w.key, c.cn.sys.lockMaskFor(w.lay, w.op)&^w.lockBits)
-					db.Met.LockConflicts.Inc()
+					db.Obs.LockConflict(p, w.table(), w.key, c.cn.sys.lockMaskFor(w.lay, w.op)&^w.lockBits)
 					continue
 				}
 			}
@@ -198,9 +192,7 @@ func (c *Coordinator) dFetch(p *sim.Proc, sc *execScratch, ws []*dwork) (engine.
 				retry = append(retry, w)
 				conflictMask |= db.Tracker.HolderCells(w.table(), w.key)
 				myMask |= accessMaskFor(w.op)
-				db.Trace.Conflict(p.Now(), trace.SpanOf(p), w.table(), w.key, readMask)
-				db.Why.LockFail(p, w.table(), w.key, readMask)
-				db.Met.LockConflicts.Inc()
+				db.Obs.LockConflict(p, w.table(), w.key, readMask)
 				continue
 			}
 			w.hdr, w.vals, w.vers = h, vals, vers
@@ -225,7 +217,7 @@ func (c *Coordinator) dFetch(p *sim.Proc, sc *execScratch, ws []*dwork) (engine.
 		todo = retry
 		back := opts.LockBackoff + sim.Duration(p.Rand().Int63n(int64(opts.LockBackoff)))
 		p.Sleep(back)
-		db.Flight.Backoff(p, back)
+		db.Obs.BackedOff(p, back)
 	}
 }
 
@@ -304,9 +296,7 @@ func (c *Coordinator) dValidate(p *sim.Proc, sc *execScratch, ws []*dwork, attem
 				if otherLocks&bit != 0 {
 					conflicting |= db.Tracker.HolderCells(w.table(), w.key)
 				}
-				db.Trace.Conflict(p.Now(), trace.SpanOf(p), w.table(), w.key, bit)
-				db.Why.ValidationFail(p, w.table(), w.key, bit, ck.ts)
-				db.Met.LockConflicts.Inc()
+				db.Obs.ValidationConflict(p, w.table(), w.key, bit, ck.ts)
 				return engine.AbortValidation, engine.IsFalseConflict(accessMaskFor(w.op), conflicting)
 			}
 		}
@@ -334,8 +324,7 @@ func (c *Coordinator) dRelease(p *sim.Proc, sc *execScratch, ws []*dwork) {
 			db.Tracker.OnUnlock(w.table(), w.key, accessMaskFor(w.op))
 			w.tracked = false
 		}
-		db.Trace.LockRelease(p.Now(), trace.SpanOf(p), w.table(), w.key, w.lockBits)
-		db.Why.OnUnlock(w.table(), w.key, w.lockBits)
+		db.Obs.LockReleased(p, w.table(), w.key, w.lockBits)
 		w.lockBits = 0
 	}
 	batches := sc.bat.Batches()
@@ -413,7 +402,7 @@ func (c *Coordinator) dInstall(p *sim.Proc, sc *execScratch, ws []*dwork, ts uin
 			for _, cell := range w.op.WriteCells {
 				en := w.hdr.EN[cell] + 1
 				if en == 0 { // 16-bit epoch wrapped
-					db.Trace.ENOverflow(p.Now(), trace.SpanOf(p), w.table(), w.key, cell)
+					db.Obs.ENOverflow(p, w.table(), w.key, cell)
 				}
 				slot := sc.bytes(layout.CellVersionSize + len(w.vals[cell]))
 				layout.PutCellVersion(slot, layout.CellVersion{EN: en, TS: ts})
@@ -449,9 +438,7 @@ func (c *Coordinator) dInstall(p *sim.Proc, sc *execScratch, ws []*dwork, ts uin
 			w.tracked = false
 		}
 		db.Tracker.OnUpdate(w.table(), w.key, ts, layout.LockMask(w.op.WriteCells))
-		db.Why.OnUpdate(causality.IDOf(p), w.table(), w.key, ts, layout.LockMask(w.op.WriteCells))
-		db.Trace.LockRelease(p.Now(), trace.SpanOf(p), w.table(), w.key, w.lockBits)
-		db.Why.OnUnlock(w.table(), w.key, w.lockBits)
+		db.Obs.CommitReleased(p, w.table(), w.key, ts, layout.LockMask(w.op.WriteCells), w.lockBits)
 		w.lockBits = 0
 	}
 }

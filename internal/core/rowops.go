@@ -109,7 +109,7 @@ func (c *Coordinator) DeleteRow(p *sim.Proc, table layout.TableID, key layout.Ke
 			return fmt.Errorf("core: delete of contended row %d/%d timed out", table, key)
 		}
 		p.Sleep(opts.LockBackoff)
-		db.Flight.Backoff(p, opts.LockBackoff)
+		db.Obs.BackedOff(p, opts.LockBackoff)
 	}
 	// Mark deleted on every replica: the delete bit goes up, the cell
 	// locks go down, in one masked operation per node.

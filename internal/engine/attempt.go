@@ -46,13 +46,14 @@ type AttemptTimer struct {
 // trace span.
 func BeginAttempt(db *DB, p *sim.Proc, coord uint64, home int, t *Txn) AttemptTimer {
 	at := AttemptTimer{db: db, p: p, verbs0: db.VerbStats(), start: p.Now(), mark: p.Now(), cur: trace.PhaseExec, shard: home}
-	if db.Trace != nil {
-		at.span = db.Trace.StartSpan(p, coord, t.Label, t)
-		db.Trace.EnterPhase(at.mark, at.span, trace.PhaseExec)
+	o := &db.Obs
+	if o.Trace != nil {
+		at.span = o.Trace.StartSpan(p, coord, t.Label, t)
+		o.Trace.EnterPhase(at.mark, at.span, trace.PhaseExec)
 	}
-	at.why = db.Why.Begin(p, coord, t.Label, t)
-	db.Flight.Begin(p, coord, home, t.Label, t)
-	db.Met.beginAttempt(home)
+	at.why = o.Why.Begin(p, coord, t.Label, t)
+	o.Flight.Begin(p, coord, home, t.Label, t)
+	o.met.beginAttempt(home)
 	return at
 }
 
@@ -64,7 +65,7 @@ func (at *AttemptTimer) MarkCrossShard() {
 		return
 	}
 	at.cross = true
-	at.db.Met.crossShard()
+	at.db.Obs.met.crossShard()
 }
 
 // CrossShard reports whether MarkCrossShard was called this attempt.
@@ -88,8 +89,8 @@ func (at *AttemptTimer) Phase(ph trace.Phase) {
 	at.dur[at.cur] += now.Sub(at.mark)
 	at.mark = now
 	at.cur = ph
-	at.db.Trace.EnterPhase(now, at.span, ph)
-	at.db.Flight.Phase(at.p, ph)
+	at.db.Obs.Trace.EnterPhase(now, at.span, ph)
+	at.db.Obs.Flight.Phase(at.p, ph)
 }
 
 // Fail marks the attempt aborted: the failing phase's duration is
@@ -104,13 +105,14 @@ func (at *AttemptTimer) Fail(reason AbortReason, falseConflict bool) {
 	at.failed = true
 	at.reason = reason
 	at.falseC = falseConflict
-	if at.db.Trace != nil {
-		at.db.Trace.Abort(now, at.span, reason.String(), falseConflict)
-		at.db.Trace.EnterPhase(now, at.span, trace.PhaseRelease)
+	o := &at.db.Obs
+	if o.Trace != nil {
+		o.Trace.Abort(now, at.span, reason.String(), falseConflict)
+		o.Trace.EnterPhase(now, at.span, trace.PhaseRelease)
 	}
-	at.db.Why.Abort(now, at.why, reason.String())
-	at.db.Flight.Fail(at.p, reason.String(), reason == AbortWait)
-	at.db.Met.fail(reason, falseConflict, at.cross)
+	o.Why.Abort(now, at.why, reason.String())
+	o.Flight.Fail(at.p, reason.String(), reason == AbortWait)
+	o.met.fail(reason, falseConflict, at.cross)
 }
 
 // Done closes the attempt and returns its outcome. The verb diff is
@@ -118,16 +120,17 @@ func (at *AttemptTimer) Fail(reason AbortReason, falseConflict bool) {
 // always attributed release traffic to the attempt.
 func (at *AttemptTimer) Done() Attempt {
 	now := at.p.Now()
+	o := &at.db.Obs
 	if !at.failed {
 		at.dur[at.cur] += now.Sub(at.mark)
-		at.db.Trace.Commit(now, at.span)
-		at.db.Why.Commit(now, at.why)
+		o.Trace.Commit(now, at.span)
+		o.Why.Commit(now, at.why)
 	}
 	// Flight keeps charging past a Fail (release time stays in the
 	// budget, which must sum to elapsed virtual time), so it closes on
 	// every path.
-	at.db.Flight.Done(at.p, !at.failed)
-	at.db.Met.done(!at.failed, now.Sub(at.start), at.shard)
+	o.Flight.Done(at.p, !at.failed)
+	o.met.done(!at.failed, now.Sub(at.start), at.shard)
 	return Attempt{
 		Committed:     !at.failed,
 		Reason:        at.reason,

@@ -7,12 +7,12 @@ import (
 	"crest/internal/sim"
 )
 
-// Metrics is the engine-level instrument bundle. It is a value struct of
-// nil-safe instrument handles: on a DB without metrics every field is
-// nil and every call through it is a no-op, so protocol code uses
-// db.Met unconditionally. All three engines share the bundle because
-// they share the attempt timer and the abort-reason vocabulary.
-type Metrics struct {
+// instruments is the engine-level instrument bundle of an Observers
+// value. It is a value struct of nil-safe instrument handles: without a
+// metrics registry every field is nil and every call through it is a
+// no-op. All three engines share the bundle because they share the
+// attempt timer, the hook vocabulary and the abort-reason vocabulary.
+type instruments struct {
 	// Active tracks transaction attempts currently executing (between
 	// BeginAttempt and Done).
 	Active *metrics.Gauge
@@ -57,16 +57,14 @@ type Metrics struct {
 	ShardCommits []*metrics.Counter
 }
 
-// SetMetrics registers the engine instruments in r and installs the
-// bundle on the DB. A nil registry leaves the disabled (zero) bundle in
-// place; calling it twice re-registers idempotently.
-func (db *DB) SetMetrics(r *metrics.Registry) {
-	db.Metrics = r
+// newInstruments registers the engine instruments in r for a pool of
+// the given shard-group count. A nil registry yields the disabled
+// (zero) bundle; registering twice is idempotent.
+func newInstruments(r *metrics.Registry, shards int) instruments {
 	if r == nil {
-		db.Met = Metrics{}
-		return
+		return instruments{}
 	}
-	m := Metrics{
+	m := instruments{
 		Active: r.Gauge("crest_txn_active", "",
 			"Transaction attempts currently executing."),
 		LockWaiters: r.Gauge("crest_txn_lock_waiters", "",
@@ -97,8 +95,8 @@ func (db *DB) SetMetrics(r *metrics.Registry) {
 		"Write attempts whose records span shard groups.")
 	m.CrossShardAborts = r.Counter("crest_txn_cross_shard_aborts_total", "",
 		"Cross-shard write attempts that aborted.")
-	if db.Pool != nil && db.Pool.Shards() > 1 {
-		for g := 0; g < db.Pool.Shards(); g++ {
+	if shards > 1 {
+		for g := 0; g < shards; g++ {
 			label := `shard="` + strconv.Itoa(g) + `"`
 			m.ShardActive = append(m.ShardActive, r.Gauge(
 				"crest_shard_txn_active", label,
@@ -108,11 +106,11 @@ func (db *DB) SetMetrics(r *metrics.Registry) {
 				"Committed attempts, by home shard group."))
 		}
 	}
-	db.Met = m
+	return m
 }
 
 // beginAttempt records an attempt starting on home shard group.
-func (m *Metrics) beginAttempt(shard int) {
+func (m *instruments) beginAttempt(shard int) {
 	m.Active.Inc()
 	m.Attempts.Inc()
 	if shard >= 0 && shard < len(m.ShardActive) {
@@ -121,12 +119,12 @@ func (m *Metrics) beginAttempt(shard int) {
 }
 
 // crossShard records an attempt discovering it spans shard groups.
-func (m *Metrics) crossShard() {
+func (m *instruments) crossShard() {
 	m.CrossShardTxns.Inc()
 }
 
 // fail records an attempt aborting for reason.
-func (m *Metrics) fail(reason AbortReason, falseConflict, crossShard bool) {
+func (m *instruments) fail(reason AbortReason, falseConflict, crossShard bool) {
 	m.Retries.Inc()
 	if reason >= AbortNone && int(reason) < len(m.Aborts) {
 		m.Aborts[reason].Inc()
@@ -141,7 +139,7 @@ func (m *Metrics) fail(reason AbortReason, falseConflict, crossShard bool) {
 
 // done records an attempt finishing; committed attempts contribute
 // their latency and their home shard group's commit counter.
-func (m *Metrics) done(committed bool, latency sim.Duration, shard int) {
+func (m *instruments) done(committed bool, latency sim.Duration, shard int) {
 	m.Active.Dec()
 	if shard >= 0 && shard < len(m.ShardActive) {
 		m.ShardActive[shard].Dec()

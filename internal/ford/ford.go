@@ -19,7 +19,6 @@ import (
 	"encoding/binary"
 	"fmt"
 
-	"crest/internal/causality"
 	"crest/internal/engine"
 	"crest/internal/hashindex"
 	"crest/internal/layout"
@@ -337,18 +336,14 @@ func (c *Coordinator) fetchBlock(p *sim.Proc, sc *execScratch, ws []*work) (engi
 				if results[bi][ri].OK {
 					w.locked = true
 					db.Tracker.OnLock(w.table(), w.key, w.cells)
-					db.Trace.LockAcquire(p.Now(), trace.SpanOf(p), w.table(), w.key, w.cells)
-					db.Why.OnLock(p, w.table(), w.key, w.cells)
-					db.Met.LockAcquires.Inc()
+					db.Obs.LockAcquired(p, w.table(), w.key, w.cells)
 				} else {
 					if abort == engine.AbortNone {
 						abort = engine.AbortLockFail
 						holder := db.Tracker.HolderCells(w.table(), w.key)
 						falseConflict = engine.IsFalseConflict(w.cells, holder)
 					}
-					db.Trace.Conflict(p.Now(), trace.SpanOf(p), w.table(), w.key, w.cells)
-					db.Why.LockFail(p, w.table(), w.key, w.cells)
-					db.Met.LockConflicts.Inc()
+					db.Obs.LockConflict(p, w.table(), w.key, w.cells)
 				}
 				ri++
 			}
@@ -435,9 +430,7 @@ func (c *Coordinator) validate(p *sim.Proc, sc *execScratch, ws []*work) (engine
 			if ver != w.readVer {
 				conflicting |= db.Tracker.ChangedSince(w.table(), w.key, w.readVer)
 			}
-			db.Trace.Conflict(p.Now(), trace.SpanOf(p), w.table(), w.key, w.cells)
-			db.Why.ValidationFail(p, w.table(), w.key, w.cells, w.readVer)
-			db.Met.LockConflicts.Inc()
+			db.Obs.ValidationConflict(p, w.table(), w.key, w.cells, w.readVer)
 			return engine.AbortValidation, engine.IsFalseConflict(w.cells, conflicting)
 		}
 	}
@@ -461,8 +454,7 @@ func (c *Coordinator) releaseLocks(p *sim.Proc, sc *execScratch, ws []*work) {
 			Swap:    0,
 		})
 		db.Tracker.OnUnlock(w.table(), w.key, w.cells)
-		db.Trace.LockRelease(p.Now(), trace.SpanOf(p), w.table(), w.key, w.cells)
-		db.Why.OnUnlock(w.table(), w.key, w.cells)
+		db.Obs.LockReleased(p, w.table(), w.key, w.cells)
 		w.locked = false
 	}
 	batches := sc.bat.Batches()
@@ -577,9 +569,7 @@ func (c *Coordinator) install(p *sim.Proc, sc *execScratch, ws []*work, ts uint6
 		}
 		db.Tracker.OnUnlock(w.table(), w.key, w.cells)
 		db.Tracker.OnUpdate(w.table(), w.key, ts, layout.LockMask(w.op.WriteCells))
-		db.Trace.LockRelease(p.Now(), trace.SpanOf(p), w.table(), w.key, w.cells)
-		db.Why.OnUpdate(causality.IDOf(p), w.table(), w.key, ts, layout.LockMask(w.op.WriteCells))
-		db.Why.OnUnlock(w.table(), w.key, w.cells)
+		db.Obs.CommitReleased(p, w.table(), w.key, ts, layout.LockMask(w.op.WriteCells), w.cells)
 		w.locked = false
 	}
 }

@@ -202,36 +202,37 @@ type Fabric struct {
 // running in the lane's partition touches it, so attached probes stay
 // lock-free under the parallel window executor.
 type lane struct {
-	env     *sim.Env
-	stats   Stats
-	cross   Stats // verbs this lane posted that applied in other partitions
-	rec     *trace.Recorder
-	fl      *flight.Recorder
-	met     *fabricMetrics
-	free    []*pending  // recycled in-flight descriptors
-	subFree []*applySub // recycled cross-partition apply descriptors
+	env      *sim.Env
+	stats    Stats
+	cross    Stats // verbs this lane posted that applied in other partitions
+	rec      *trace.Recorder
+	fl       *flight.Recorder
+	met      *fabricMetrics
+	observed bool        // any of rec / fl / met attached: the one check a post pays
+	free     []*pending  // recycled in-flight descriptors
+	subFree  []*applySub // recycled cross-partition apply descriptors
 }
 
-// SetRecorder attaches a trace recorder; every subsequent verb emits
-// issue/complete events and every batch an RTT event. A nil recorder
-// disables emission. On a partitioned fabric each lane records into its
-// own partition shard of the recorder (trace.Recorder.Shard), so
-// emission stays partition-local and the run may execute on any number
-// of workers; the recorder merges deterministically at snapshot time.
-func (f *Fabric) SetRecorder(rec *trace.Recorder) {
+// SetObservers attaches the fabric's observers (each may be nil): with
+// a trace recorder every verb emits issue/complete events and every
+// batch an RTT event; with a metrics registry every post moves the
+// fabric gauges and counters (regions registered before or after the
+// call both get per-node instruments); with a flight recorder every
+// post charges its park time, classified by verb, to the transaction
+// running on the posting process. Observers consume no virtual time.
+// On a partitioned fabric each lane records into its own partition
+// shard (Shard(i, lanes)), so emission stays partition-local and
+// lock-free at any worker count; the roots merge deterministically at
+// snapshot time.
+func (f *Fabric) SetObservers(rec *trace.Recorder, reg *metrics.Registry, fl *flight.Recorder) {
 	for i, l := range f.lanes {
 		l.rec = rec.Shard(i, len(f.lanes))
-	}
-}
-
-// SetFlight attaches a flight recorder; every subsequent post charges
-// its park time (one round-trip per post, classified by verb) to the
-// transaction running on the posting process. Like SetRecorder, each
-// lane records into its own partition shard so the run may execute on
-// any number of workers.
-func (f *Fabric) SetFlight(fl *flight.Recorder) {
-	for i, l := range f.lanes {
 		l.fl = fl.Shard(i, len(f.lanes))
+		l.met = nil
+		if reg != nil {
+			l.met = newFabricMetrics(reg.Shard(i, len(f.lanes)), f.regions)
+		}
+		l.observed = rec != nil || reg != nil || fl != nil
 	}
 }
 
@@ -290,25 +291,6 @@ type fabricMetrics struct {
 	batchBytes *metrics.Histogram
 	nodeVerbs  []*metrics.Counter // indexed by region id
 	nodeBytes  []*metrics.Counter
-}
-
-// SetMetrics attaches a metrics registry: every subsequent post moves
-// the fabric gauges and counters. Regions registered before or after
-// the call both get per-node instruments. Metrics consume no virtual
-// time; a nil registry disables the bundle. On a partitioned fabric
-// each lane counts into its own partition shard of the registry
-// (metrics.Registry.Shard) — lock-free under parallel execution, summed
-// deterministically at snapshot time.
-func (f *Fabric) SetMetrics(m *metrics.Registry) {
-	if m == nil {
-		for _, l := range f.lanes {
-			l.met = nil
-		}
-		return
-	}
-	for i, l := range f.lanes {
-		l.met = newFabricMetrics(m.Shard(i, len(f.lanes)), f.regions)
-	}
 }
 
 // newFabricMetrics registers the fabric instrument bundle on reg.
@@ -555,24 +537,57 @@ func opBytes(op *Op) int {
 	return 8
 }
 
-// emitIssue records per-verb issue events for one batch on the issuing
-// lane's recorder shard. Callers guard with l.rec != nil so a disabled
-// recorder costs one pointer check.
-func (l *lane) emitIssue(p *sim.Proc, qp *QP, ops []Op) {
-	s := trace.SpanOf(p)
-	for i := range ops {
-		l.rec.VerbIssue(p.Now(), s, ops[i].Kind.String(), qp.id, qp.region.id, opBytes(&ops[i]))
+// posted is the issue-side probe of one post: per-verb issue events and
+// the metrics post counters, batch by batch. Callers guard with
+// l.observed, so an unobserved fabric pays one check per post.
+func (l *lane) posted(p *sim.Proc, d *pending) {
+	if d.qp != nil {
+		l.postedBatch(p, d.qp, d.ops)
+		return
+	}
+	for _, b := range d.batches {
+		l.postedBatch(p, b.QP, b.Ops)
 	}
 }
 
-// emitComplete records the batch's round-trip and per-verb completions,
-// each charged the whole batch latency (doorbell batching amortizes the
-// round-trip across the verbs, not the other way around).
-func (l *lane) emitComplete(p *sim.Proc, qp *QP, ops []Op, lat sim.Duration) {
-	s := trace.SpanOf(p)
-	l.rec.RTT(p.Now(), s, qp.id, qp.region.id, len(ops), batchPayload(ops), lat)
-	for i := range ops {
-		l.rec.VerbComplete(p.Now(), s, ops[i].Kind.String(), qp.id, qp.region.id, opBytes(&ops[i]), lat)
+func (l *lane) postedBatch(p *sim.Proc, qp *QP, ops []Op) {
+	if l.rec != nil {
+		s := trace.SpanOf(p)
+		for i := range ops {
+			l.rec.VerbIssue(p.Now(), s, ops[i].Kind.String(), qp.id, qp.region.id, opBytes(&ops[i]))
+		}
+	}
+	if l.met != nil {
+		l.met.post(qp, ops)
+	}
+}
+
+// completed is the completion-side probe of one post, which parked for
+// lat: each batch's round-trip and per-verb completions, each charged
+// the whole latency (doorbell batching amortizes the round-trip across
+// the verbs, not the other way around), and one flight wire charge —
+// one park, one charge: a multi-batch post costs its slowest batch.
+func (l *lane) completed(p *sim.Proc, d *pending, lat sim.Duration) {
+	if d.qp != nil {
+		l.completedBatch(p, d.qp, d.ops, lat)
+	} else {
+		for _, b := range d.batches {
+			l.completedBatch(p, b.QP, b.Ops, lat)
+		}
+	}
+	l.fl.Wire(p, d.wireClass(), lat)
+}
+
+func (l *lane) completedBatch(p *sim.Proc, qp *QP, ops []Op, lat sim.Duration) {
+	if l.rec != nil {
+		s := trace.SpanOf(p)
+		l.rec.RTT(p.Now(), s, qp.id, qp.region.id, len(ops), batchPayload(ops), lat)
+		for i := range ops {
+			l.rec.VerbComplete(p.Now(), s, ops[i].Kind.String(), qp.id, qp.region.id, opBytes(&ops[i]), lat)
+		}
+	}
+	if l.met != nil {
+		l.met.complete(ops)
 	}
 }
 
@@ -807,26 +822,17 @@ func (qp *QP) postWith(p *sim.Proc, d *pending, ops []Op) ([]Result, error) {
 	}
 	lane := d.lane
 	lat := f.latency(lane.env.Rand(), batchPayload(ops), len(ops))
-	if lane.rec != nil {
-		lane.emitIssue(p, qp, ops)
-	}
-	if lane.met != nil {
-		lane.met.post(qp, ops)
-	}
 	d.proc, d.qp, d.ops = p, qp, ops
+	if lane.observed {
+		lane.posted(p, d)
+	}
 	now := p.Now()
 	d.resumeAt = now.Add(lat)
 	lane.env.CallAt(now.Add(lat/2), d.fire)
 	p.Suspend()
 	res, err := d.res, d.err
-	if lane.rec != nil {
-		lane.emitComplete(p, qp, ops, lat)
-	}
-	if lane.fl != nil {
-		lane.fl.Wire(p, classOfOps(ops), lat)
-	}
-	if lane.met != nil {
-		lane.met.complete(ops)
+	if lane.observed {
+		lane.completed(p, d, lat)
 	}
 	lane.putPending(d)
 	return res, err
@@ -852,11 +858,9 @@ func (qp *QP) postWith(p *sim.Proc, d *pending, ops []Op) ([]Result, error) {
 //
 // The issuing process parks exactly once, like a local post.
 //
-// Trace and metrics, when attached, are emitted from the issuing
-// partition exactly as on the local path, into the issuing lane's
-// partition shard — so emission stays lock-free at any worker count;
-// without probes the hot path stays probe-free behind one pointer
-// check.
+// Observers, when attached, are probed from the issuing partition
+// exactly as on the local path, into the issuing lane's partition
+// shard — so emission stays lock-free at any worker count.
 func (d *pending) crossPost(p *sim.Proc) ([]Result, [][]Result, error) {
 	f := d.f
 	lane := d.lane
@@ -906,8 +910,8 @@ func (d *pending) crossPost(p *sim.Proc) ([]Result, [][]Result, error) {
 			d.out[i] = out
 		}
 	}
-	if lane.rec != nil || lane.met != nil {
-		d.emitPost(p)
+	if lane.observed {
+		lane.posted(p, d)
 	}
 	d.proc = p
 	now := p.Now()
@@ -919,13 +923,8 @@ func (d *pending) crossPost(p *sim.Proc) ([]Result, [][]Result, error) {
 	}
 	lane.env.CallAt(d.resumeAt, d.wake)
 	p.Suspend()
-	if lane.rec != nil || lane.met != nil {
-		d.emitDone(p, maxLat)
-	}
-	if lane.fl != nil {
-		// One park, one charge: a multi-batch post costs its slowest
-		// batch, so flight charges maxLat once (not per batch).
-		lane.fl.Wire(p, d.wireClass(), maxLat)
+	if lane.observed {
+		lane.completed(p, d, maxLat)
 	}
 	for _, sub := range d.subs {
 		lane.stats = lane.stats.Add(sub.stats)
@@ -947,52 +946,6 @@ func (d *pending) crossPost(p *sim.Proc) ([]Result, [][]Result, error) {
 	res, out, err := d.res, d.out, d.err
 	lane.putPending(d)
 	return res, out, err
-}
-
-// emitPost records issue-side trace events and metrics for every batch
-// of a cross-partition post. Called only when a probe is attached.
-func (d *pending) emitPost(p *sim.Proc) {
-	l := d.lane
-	if d.qp != nil {
-		if l.rec != nil {
-			l.emitIssue(p, d.qp, d.ops)
-		}
-		if l.met != nil {
-			l.met.post(d.qp, d.ops)
-		}
-		return
-	}
-	for _, b := range d.batches {
-		if l.rec != nil {
-			l.emitIssue(p, b.QP, b.Ops)
-		}
-		if l.met != nil {
-			l.met.post(b.QP, b.Ops)
-		}
-	}
-}
-
-// emitDone records completion-side trace events and metrics for every
-// batch of a cross-partition post.
-func (d *pending) emitDone(p *sim.Proc, lat sim.Duration) {
-	l := d.lane
-	if d.qp != nil {
-		if l.rec != nil {
-			l.emitComplete(p, d.qp, d.ops, lat)
-		}
-		if l.met != nil {
-			l.met.complete(d.ops)
-		}
-		return
-	}
-	for _, b := range d.batches {
-		if l.rec != nil {
-			l.emitComplete(p, b.QP, b.Ops, lat)
-		}
-		if l.met != nil {
-			l.met.complete(b.Ops)
-		}
-	}
 }
 
 // subFor returns the post's applySub for target partition part,
@@ -1178,18 +1131,11 @@ func PostMulti(p *sim.Proc, batches []Batch) ([][]Result, error) {
 			maxLat = lat
 		}
 	}
-	if lane.rec != nil {
-		for _, b := range batches {
-			lane.emitIssue(p, b.QP, b.Ops)
-		}
-	}
-	if lane.met != nil {
-		for _, b := range batches {
-			lane.met.post(b.QP, b.Ops)
-		}
-	}
 	d := lane.getPending(f)
 	d.proc, d.batches = p, batches
+	if lane.observed {
+		lane.posted(p, d)
+	}
 	if cap(d.out) < len(batches) {
 		d.out = make([][]Result, len(batches))
 	}
@@ -1199,19 +1145,8 @@ func PostMulti(p *sim.Proc, batches []Batch) ([][]Result, error) {
 	lane.env.CallAt(now.Add(maxLat/2), d.fire)
 	p.Suspend()
 	out, err := d.out, d.err
-	if lane.rec != nil {
-		for _, b := range batches {
-			lane.emitComplete(p, b.QP, b.Ops, maxLat)
-		}
-	}
-	if lane.fl != nil {
-		// One park for the whole multi-post: charge its cost once.
-		lane.fl.Wire(p, d.wireClass(), maxLat)
-	}
-	if lane.met != nil {
-		for _, b := range batches {
-			lane.met.complete(b.Ops)
-		}
+	if lane.observed {
+		lane.completed(p, d, maxLat)
 	}
 	lane.putPending(d)
 	return out, err

@@ -228,28 +228,18 @@ type HotCell struct {
 // emissions, so no locking is needed. The zero Recorder is unusable;
 // a nil *Recorder is the disabled state and every method tolerates it.
 type Recorder struct {
-	cap     int
-	buf     []Event
-	head    int // index of the oldest event when full
-	full    bool
-	seq     uint64
-	dropped uint64
+	ring Ring[Event]
+	seq  uint64
 
 	nextSpan uint64
 	hot      map[hotKey]*HotCell
 
-	// Partition-recorder mode (Shard): a root recorder hands each
-	// simulation partition its own child, written lock-free by the
-	// owning worker, and merges the children deterministically at
-	// snapshot time. part/stride make every child's span ids a strided
-	// sequence (part+1, part+1+stride, …) so ids stay unique across the
-	// family without coordination; root points a child back at its
-	// parent for the ProcEvents flag. stride is 0 on a classic
-	// (unsharded) recorder.
-	part   int
-	stride int
-	shards []*Recorder
-	root   *Recorder
+	// Partition-recorder mode (Shard, see Family): a root recorder
+	// hands each simulation partition its own child and merges the
+	// children deterministically at snapshot time. root points a child
+	// back at its parent for the ProcEvents flag.
+	fam  Family[Recorder]
+	root *Recorder
 
 	// ProcEvents enables simulator scheduling events (spawn / block /
 	// wake / finish). They are voluminous under contention, so they are
@@ -266,39 +256,24 @@ func NewRecorder(capacity int) *Recorder {
 	if capacity <= 0 {
 		capacity = DefaultCapacity
 	}
-	return &Recorder{cap: capacity, hot: map[hotKey]*HotCell{}}
+	return &Recorder{ring: NewRing[Event](capacity, false), hot: map[hotKey]*HotCell{}}
 }
 
 // Enabled reports whether the recorder collects events.
 func (r *Recorder) Enabled() bool { return r != nil }
 
-// Shard returns the child recorder owned by partition part of parts.
-// The whole family is created on the first call, so every caller that
-// shards with the same partition count gets the same children. Each
-// child is written only by its partition's worker — no locking — and
-// the root's Snapshot merges the children into one deterministic
-// stream (see Snapshot). A nil recorder or parts <= 1 returns the
-// receiver unchanged, so single-partition runs keep the classic
-// recorder byte-for-byte.
+// Shard returns the child recorder owned by partition part of parts
+// (see Family.Shard). Each child is written only by its partition's
+// worker — no locking — and the root's Snapshot merges the children
+// into one deterministic stream. A nil recorder or parts <= 1 returns
+// the receiver unchanged.
 func (r *Recorder) Shard(part, parts int) *Recorder {
-	if r == nil || parts <= 1 {
-		return r
+	if r == nil {
+		return nil
 	}
-	if r.stride > 0 {
-		panic("trace: Shard of a partition child")
-	}
-	if r.shards == nil {
-		r.shards = make([]*Recorder, parts)
-		for i := range r.shards {
-			r.shards[i] = &Recorder{cap: r.cap, hot: map[hotKey]*HotCell{},
-				part: i, stride: parts, root: r}
-		}
-	}
-	if len(r.shards) != parts || part < 0 || part >= parts {
-		panic(fmt.Sprintf("trace: Shard(%d, %d) of a recorder sharded %d ways",
-			part, parts, len(r.shards)))
-	}
-	return r.shards[part]
+	return r.fam.Shard("trace", r, part, parts, func(f Family[Recorder]) *Recorder {
+		return &Recorder{ring: NewRing[Event](r.ring.Cap(), false), hot: map[hotKey]*HotCell{}, fam: f, root: r}
+	})
 }
 
 // procEvents resolves the ProcEvents flag: children defer to the root
@@ -314,14 +289,7 @@ func (r *Recorder) procEvents() bool {
 func (r *Recorder) emit(e Event) {
 	r.seq++
 	e.Seq = r.seq
-	if len(r.buf) < r.cap {
-		r.buf = append(r.buf, e)
-		return
-	}
-	r.buf[r.head] = e
-	r.head = (r.head + 1) % r.cap
-	r.full = true
-	r.dropped++
+	r.ring.Push(e)
 }
 
 // Dropped reports how many events were evicted from the ring (summed
@@ -330,11 +298,7 @@ func (r *Recorder) Dropped() uint64 {
 	if r == nil {
 		return 0
 	}
-	n := r.dropped
-	for _, c := range r.shards {
-		n += c.dropped
-	}
-	return n
+	return r.fam.Sum(r, func(m *Recorder) uint64 { return m.ring.Dropped() })
 }
 
 // Len reports the number of buffered events (summed over the partition
@@ -343,11 +307,7 @@ func (r *Recorder) Len() int {
 	if r == nil {
 		return 0
 	}
-	n := len(r.buf)
-	for _, c := range r.shards {
-		n += len(c.buf)
-	}
-	return n
+	return int(r.fam.Sum(r, func(m *Recorder) uint64 { return uint64(m.ring.Len()) }))
 }
 
 // StartSpan begins (or resumes, for a retry of the same transaction)
@@ -365,13 +325,7 @@ func (r *Recorder) StartSpan(p *sim.Proc, coord uint64, label string, txnKey any
 		return prev
 	}
 	r.nextSpan++
-	id := r.nextSpan
-	if r.stride > 1 {
-		// Partition child: stride the id sequence so span ids stay
-		// unique across the whole recorder family.
-		id = uint64(r.part) + uint64(r.stride)*(r.nextSpan-1) + 1
-	}
-	s := &Span{Coord: coord, ID: id, Label: label, Attempt: 1, txnKey: txnKey}
+	s := &Span{Coord: coord, ID: r.fam.StrideID(r.nextSpan), Label: label, Attempt: 1, txnKey: txnKey}
 	p.SetTraceCtx(s)
 	r.emit(Event{At: p.Now(), Kind: KindTxnBegin, Coord: coord, Span: s.ID,
 		Attempt: 1, Label: label})
@@ -586,78 +540,34 @@ type Snapshot struct {
 	Hot     []HotCell // sorted: most conflicted first
 }
 
-// unroll appends the ring's events, oldest to newest, to dst.
-func (r *Recorder) unroll(dst []Event) []Event {
-	if r.full {
-		dst = append(dst, r.buf[r.head:]...)
-		dst = append(dst, r.buf[:r.head]...)
-	} else {
-		dst = append(dst, r.buf...)
-	}
-	return dst
-}
-
 // Snapshot copies the ring (oldest to newest) and the hot-key profile.
 // A nil recorder yields an empty snapshot.
 //
 // On a sharded recorder the snapshot is the deterministic merge of the
-// root and every partition child: events sort by (virtual time,
-// partition, per-partition emission order) — the same key the
-// partitioned scheduler merges cross-partition mailboxes by — then
-// Seq renumbers in merged order, hot-cell profiles sum per cell, and
-// Dropped sums the family's evictions. The merged order is a pure
-// function of the simulation, never of the worker count.
+// root and every partition child (MergeByTime), then Seq renumbers in
+// merged order, hot-cell profiles sum per cell, and Dropped sums the
+// family's evictions.
 func (r *Recorder) Snapshot() *Snapshot {
 	s := &Snapshot{}
 	if r == nil {
 		return s
 	}
-	if r.shards == nil {
-		s.Dropped = r.dropped
-		s.Events = r.unroll(make([]Event, 0, len(r.buf)))
+	s.Dropped = r.Dropped()
+	if !r.fam.Sharded() {
+		s.Events = r.ring.AppendTo(make([]Event, 0, r.ring.Len()))
 		s.Hot = sortedHot(r.hot)
 		return s
 	}
-
-	type tagged struct {
-		part int // -1 for the root's own events
-		ev   Event
-	}
-	total := len(r.buf)
-	s.Dropped = r.dropped
-	for _, c := range r.shards {
-		total += len(c.buf)
-		s.Dropped += c.dropped
-	}
-	all := make([]tagged, 0, total)
-	for _, ev := range r.unroll(nil) {
-		all = append(all, tagged{part: -1, ev: ev})
-	}
-	for _, c := range r.shards {
-		for _, ev := range c.unroll(nil) {
-			all = append(all, tagged{part: c.part, ev: ev})
-		}
-	}
-	sort.Slice(all, func(i, j int) bool {
-		a, b := &all[i], &all[j]
-		if a.ev.At != b.ev.At {
-			return a.ev.At < b.ev.At
-		}
-		if a.part != b.part {
-			return a.part < b.part
-		}
-		return a.ev.Seq < b.ev.Seq
-	})
-	s.Events = make([]Event, len(all))
-	for i := range all {
-		s.Events[i] = all[i].ev
-		s.Events[i].Seq = s.Dropped + uint64(i) + 1
-	}
-
+	members := r.fam.Members(r)
+	streams := make([][]Event, len(members))
 	merged := make(map[hotKey]*HotCell, len(r.hot))
-	foldHot(merged, r.hot)
-	for _, c := range r.shards {
-		foldHot(merged, c.hot)
+	for i, m := range members {
+		streams[i] = m.ring.AppendTo(nil)
+		foldHot(merged, m.hot)
+	}
+	s.Events = MergeByTime(streams, func(e *Event) (sim.Time, uint64) { return e.At, e.Seq })
+	for i := range s.Events {
+		s.Events[i].Seq = s.Dropped + uint64(i) + 1
 	}
 	s.Hot = sortedHot(merged)
 	return s
