@@ -63,18 +63,17 @@ func (db *DB) Attach(obs Observers, env *sim.Env, warmup sim.Duration) {
 
 // shard returns the bundle partition part of parts records into: that
 // partition's shard of every recorder, with the engine instruments
-// rebuilt on the shard registry so counts accrue partition-locally.
+// registered on the shard registry so counts accrue partition-locally
+// (registration is idempotent, so below two partitions this is the
+// receiver's own bundle again).
 func (o Observers) shard(part, parts, shardGroups int) Observers {
 	s := Observers{
 		Trace:   o.Trace.Shard(part, parts),
 		Metrics: o.Metrics.Shard(part, parts),
 		Why:     o.Why.Shard(part, parts),
 		Flight:  o.Flight.Shard(part, parts),
-		met:     o.met,
 	}
-	if s.Metrics != o.Metrics {
-		s.met = newInstruments(s.Metrics, shardGroups)
-	}
+	s.met = newInstruments(s.Metrics, shardGroups)
 	return s
 }
 

@@ -1,0 +1,205 @@
+package engine
+
+import (
+	"reflect"
+	"testing"
+
+	"crest/internal/causality"
+	"crest/internal/flight"
+	"crest/internal/layout"
+	"crest/internal/metrics"
+	"crest/internal/sim"
+	"crest/internal/trace"
+)
+
+// observed is everything the four recorders captured.
+type observed struct {
+	Trace   *trace.Snapshot
+	Metrics *metrics.Snapshot
+	Why     *causality.Snapshot
+	Flight  *flight.Snapshot
+}
+
+// runObserved opens one transaction on all four recorders, lets emit
+// report one protocol event in the middle of it, then probes the why
+// recorder's holder/updater attribution (so state-only hooks show up as
+// edges) and commits.
+func runObserved(t *testing.T, emit func(o *Observers, p *sim.Proc)) observed {
+	t.Helper()
+	env := sim.NewEnv(1)
+	o := &Observers{
+		Trace:   trace.NewRecorder(64),
+		Metrics: metrics.NewRegistry(metrics.Options{Window: sim.Microsecond}),
+		Why:     causality.NewRecorder(causality.Options{}),
+		Flight:  flight.NewRecorder(flight.Options{}),
+	}
+	o.Metrics.BindEnv(env)
+	o.met = newInstruments(o.Metrics, 1)
+	env.Spawn("txn", func(p *sim.Proc) {
+		key := new(int)
+		span := o.Trace.StartSpan(p, 3, "t", key)
+		why := o.Why.Begin(p, 3, "t", key)
+		o.Flight.Begin(p, 3, 0, "t", key)
+		p.Sleep(2 * sim.Microsecond)
+		emit(o, p)
+		o.Why.LockFail(p, 1, 7, 0b110)
+		o.Why.ValidationFail(p, 1, 7, 0b110, 1)
+		p.Sleep(sim.Microsecond)
+		o.Trace.Commit(p.Now(), span)
+		o.Why.Commit(p.Now(), why)
+		o.Flight.Done(p, true)
+	})
+	if err := env.Run(); err != nil {
+		t.Fatal(err)
+	}
+	return observed{o.Trace.Snapshot(), o.Metrics.Snapshot(), o.Why.Snapshot(), o.Flight.Snapshot()}
+}
+
+// Each semantic hook must record exactly what the hand-written fan-out
+// it replaced recorded at that site: the same trace event, the same
+// metric increment, the same why edge or attribution state, the same
+// flight charge. The "by hand" column is that old fan-out, kept here as
+// the reference.
+func TestHooksMatchHandWrittenFanOut(t *testing.T) {
+	const (
+		table = layout.TableID(1)
+		key   = layout.Key(7)
+		mask  = uint64(0b010)
+		wait  = 2 * sim.Microsecond
+	)
+	cases := []struct {
+		name string
+		hook func(o *Observers, p *sim.Proc)
+		hand func(o *Observers, p *sim.Proc)
+	}{
+		{"LockAcquired",
+			func(o *Observers, p *sim.Proc) { o.LockAcquired(p, table, key, mask) },
+			func(o *Observers, p *sim.Proc) {
+				o.Trace.LockAcquire(p.Now(), trace.SpanOf(p), table, key, mask)
+				o.Why.OnLock(p, table, key, mask)
+				o.met.LockAcquires.Inc()
+			}},
+		{"LockConflict",
+			func(o *Observers, p *sim.Proc) { o.LockConflict(p, table, key, mask) },
+			func(o *Observers, p *sim.Proc) {
+				o.Trace.Conflict(p.Now(), trace.SpanOf(p), table, key, mask)
+				o.Why.LockFail(p, table, key, mask)
+				o.met.LockConflicts.Inc()
+			}},
+		{"ValidationConflict",
+			func(o *Observers, p *sim.Proc) { o.ValidationConflict(p, table, key, mask, 5) },
+			func(o *Observers, p *sim.Proc) {
+				o.Trace.Conflict(p.Now(), trace.SpanOf(p), table, key, mask)
+				o.Why.ValidationFail(p, table, key, mask, 5)
+				o.met.LockConflicts.Inc()
+			}},
+		{"LockReleased",
+			func(o *Observers, p *sim.Proc) {
+				o.LockAcquired(p, table, key, mask)
+				o.LockReleased(p, table, key, mask)
+			},
+			func(o *Observers, p *sim.Proc) {
+				o.LockAcquired(p, table, key, mask)
+				o.Trace.LockRelease(p.Now(), trace.SpanOf(p), table, key, mask)
+				o.Why.OnUnlock(table, key, mask)
+			}},
+		{"Updated",
+			func(o *Observers, p *sim.Proc) { o.Updated(42, table, key, 9, mask) },
+			func(o *Observers, p *sim.Proc) { o.Why.OnUpdate(42, table, key, 9, mask) }},
+		{"CommitReleased",
+			func(o *Observers, p *sim.Proc) {
+				o.LockAcquired(p, table, key, mask)
+				o.CommitReleased(p, table, key, 9, mask, mask)
+			},
+			func(o *Observers, p *sim.Proc) {
+				o.LockAcquired(p, table, key, mask)
+				o.Trace.LockRelease(p.Now(), trace.SpanOf(p), table, key, mask)
+				o.Why.OnUpdate(causality.IDOf(p), table, key, 9, mask)
+				o.Why.OnUnlock(table, key, mask)
+			}},
+		{"Piggybacked",
+			func(o *Observers, p *sim.Proc) { o.Piggybacked(p, table, key, mask) },
+			func(o *Observers, p *sim.Proc) {
+				o.Trace.LockPiggyback(p.Now(), trace.SpanOf(p), table, key, mask)
+				o.met.Piggybacks.Inc()
+			}},
+		{"ENOverflow",
+			func(o *Observers, p *sim.Proc) { o.ENOverflow(p, table, key, 1) },
+			func(o *Observers, p *sim.Proc) { o.Trace.ENOverflow(p.Now(), trace.SpanOf(p), table, key, 1) }},
+		{"LockWaiters+WaitedLocal",
+			func(o *Observers, p *sim.Proc) {
+				o.LockWaiters(1)
+				o.LockWaiters(1)
+				o.LockWaiters(-1)
+				o.WaitedLocal(p, table, key, 42, wait)
+			},
+			func(o *Observers, p *sim.Proc) {
+				o.met.LockWaiters.Inc()
+				o.met.LockWaiters.Inc()
+				o.met.LockWaiters.Dec()
+				o.Why.LocalWait(p, table, key, 42, wait)
+				o.Flight.Wait(p, 42, wait)
+			}},
+		{"WaitedDependency",
+			func(o *Observers, p *sim.Proc) { o.WaitedDependency(p, 42, wait) },
+			func(o *Observers, p *sim.Proc) {
+				o.Why.DependencyWait(p, 42, wait)
+				o.Flight.Wait(p, 42, wait)
+			}},
+		{"BackedOff",
+			func(o *Observers, p *sim.Proc) { o.BackedOff(p, wait) },
+			func(o *Observers, p *sim.Proc) { o.Flight.Backoff(p, wait) }},
+	}
+	quiet := runObserved(t, func(*Observers, *sim.Proc) {})
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			got, want := runObserved(t, tc.hook), runObserved(t, tc.hand)
+			if !reflect.DeepEqual(got.Trace, want.Trace) {
+				t.Errorf("trace differs:\n got %+v\nwant %+v", got.Trace.Events, want.Trace.Events)
+			}
+			if !reflect.DeepEqual(got.Metrics, want.Metrics) {
+				t.Errorf("metrics differ:\n got %+v\nwant %+v", got.Metrics.Series, want.Metrics.Series)
+			}
+			if !reflect.DeepEqual(got.Why, want.Why) {
+				t.Errorf("why differs:\n got %+v\nwant %+v", got.Why.Edges, want.Why.Edges)
+			}
+			if !reflect.DeepEqual(got.Flight, want.Flight) {
+				t.Errorf("flight differs:\n got %+v\nwant %+v", got.Flight.Txns, want.Flight.Txns)
+			}
+			if reflect.DeepEqual(got, quiet) {
+				t.Error("the hook recorded nothing: the comparison is vacuous")
+			}
+		})
+	}
+}
+
+// On the zero Observers every hook is a no-op that allocates nothing —
+// the price an unobserved run pays at each emission site.
+func TestHooksNoOpWhenDisabled(t *testing.T) {
+	env := sim.NewEnv(1)
+	env.Spawn("txn", func(p *sim.Proc) {
+		var o Observers
+		if avg := testing.AllocsPerRun(100, func() {
+			o.LockAcquired(p, 1, 7, 1)
+			o.LockConflict(p, 1, 7, 1)
+			o.ValidationConflict(p, 1, 7, 1, 5)
+			o.LockReleased(p, 1, 7, 1)
+			o.Updated(42, 1, 7, 9, 1)
+			o.CommitReleased(p, 1, 7, 9, 1, 1)
+			o.Piggybacked(p, 1, 7, 1)
+			o.ENOverflow(p, 1, 7, 0)
+			o.LockWaiters(1)
+			o.WaitedLocal(p, 1, 7, 42, sim.Microsecond)
+			o.WaitedDependency(p, 42, sim.Microsecond)
+			o.BackedOff(p, sim.Microsecond)
+		}); avg != 0 {
+			t.Errorf("disabled hooks allocate %v/run, want 0", avg)
+		}
+		if !reflect.DeepEqual(o, Observers{}) {
+			t.Errorf("disabled hooks changed the zero Observers: %+v", o)
+		}
+	})
+	if err := env.Run(); err != nil {
+		t.Fatal(err)
+	}
+}

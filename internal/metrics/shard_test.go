@@ -7,43 +7,6 @@ import (
 	"crest/internal/sim"
 )
 
-func mustPanic(t *testing.T, what string, fn func()) {
-	t.Helper()
-	defer func() {
-		if recover() == nil {
-			t.Fatalf("%s did not panic", what)
-		}
-	}()
-	fn()
-}
-
-// Shard is a no-op below two partitions and yields one stable child per
-// partition above; misuse (re-sharding a child, inconsistent partition
-// counts) is a programming error and panics.
-func TestShardIdentityAndMisuse(t *testing.T) {
-	var nilR *Registry
-	if nilR.Shard(0, 4) != nil {
-		t.Fatal("nil registry shard is not nil")
-	}
-	r := NewRegistry(Options{Window: 10 * sim.Microsecond})
-	if r.Shard(0, 1) != r {
-		t.Fatal("parts=1 must return the receiver")
-	}
-	s1 := r.Shard(1, 3)
-	if s1 == r {
-		t.Fatal("parts=3 returned the root")
-	}
-	if r.Shard(1, 3) != s1 {
-		t.Fatal("children are not stable across calls")
-	}
-	if s1.Window() != r.Window() {
-		t.Fatalf("child window %v != root %v", s1.Window(), r.Window())
-	}
-	mustPanic(t, "Shard of a child", func() { s1.Shard(0, 3) })
-	mustPanic(t, "inconsistent parts", func() { r.Shard(0, 2) })
-	mustPanic(t, "part out of range", func() { r.Shard(3, 3) })
-}
-
 // The merged snapshot is the per-identity sum of the family: series
 // registered on several partitions fold their totals and per-window
 // samples, shard-local series ride along, and shorter members zero-pad
@@ -51,6 +14,9 @@ func TestShardIdentityAndMisuse(t *testing.T) {
 func TestShardMergeSumsAcrossPartitions(t *testing.T) {
 	r := NewRegistry(Options{Window: 10 * sim.Microsecond})
 	s0, s1 := r.Shard(0, 2), r.Shard(1, 2)
+	if s1.Window() != r.Window() {
+		t.Fatalf("child window %v != root %v", s1.Window(), r.Window())
+	}
 	now0, now1 := fakeClock(s0), fakeClock(s1)
 
 	c0 := s0.Counter("ops_total", "", "ops")

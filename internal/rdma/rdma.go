@@ -575,7 +575,9 @@ func (l *lane) completed(p *sim.Proc, d *pending, lat sim.Duration) {
 			l.completedBatch(p, b.QP, b.Ops, lat)
 		}
 	}
-	l.fl.Wire(p, d.wireClass(), lat)
+	if l.fl != nil {
+		l.fl.Wire(p, d.wireClass(), lat)
+	}
 }
 
 func (l *lane) completedBatch(p *sim.Proc, qp *QP, ops []Op, lat sim.Duration) {

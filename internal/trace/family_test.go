@@ -1,0 +1,206 @@
+package trace_test
+
+import (
+	"reflect"
+	"testing"
+
+	"crest/internal/causality"
+	"crest/internal/flight"
+	"crest/internal/metrics"
+	"crest/internal/sim"
+	"crest/internal/trace"
+)
+
+// member is a minimal observer built on the shared helpers, the way the
+// four real ones are: it embeds a Family and issues strided ids.
+type member struct {
+	fam  trace.Family[member]
+	next uint64
+}
+
+func (m *member) Shard(part, parts int) *member {
+	if m == nil {
+		return nil
+	}
+	return m.fam.Shard("member", m, part, parts, func(f trace.Family[member]) *member {
+		return &member{fam: f}
+	})
+}
+
+func (m *member) id() uint64 {
+	m.next++
+	return m.fam.StrideID(m.next)
+}
+
+// shardFn is one observer's Shard with the receiver bound and the
+// result boxed, so observers of different types share one table.
+type shardFn = func(part, parts int) any
+
+// contractCase is one observer type under TestFamilyContract.
+type contractCase struct {
+	name string
+	nilS shardFn               // Shard on the nil observer
+	root func() (any, shardFn) // a fresh root and its Shard
+	kid  func(child any) shardFn
+}
+
+func caseOf[T any](name string, mk func() *T, shard func(*T, int, int) *T) contractCase {
+	bind := func(r *T) shardFn { return func(p, n int) any { return shard(r, p, n) } }
+	return contractCase{
+		name: name,
+		nilS: bind(nil),
+		root: func() (any, shardFn) { r := mk(); return r, bind(r) },
+		kid:  func(c any) shardFn { return bind(c.(*T)) },
+	}
+}
+
+// TestFamilyContract is the Shard(part, parts) contract, checked once
+// on the shared helper and on each recorder that delegates to it: a nil
+// observer and a partition count below two return the receiver; above,
+// every partition gets one stable child distinct from the root; and
+// re-sharding a child, an out-of-range part and a changed partition
+// count all panic.
+func TestFamilyContract(t *testing.T) {
+	cases := []contractCase{
+		caseOf("helper", func() *member { return &member{} }, (*member).Shard),
+		caseOf("trace", func() *trace.Recorder { return trace.NewRecorder(16) }, (*trace.Recorder).Shard),
+		caseOf("metrics", func() *metrics.Registry {
+			return metrics.NewRegistry(metrics.Options{Window: 10 * sim.Microsecond})
+		}, (*metrics.Registry).Shard),
+		caseOf("causality", func() *causality.Recorder {
+			return causality.NewRecorder(causality.Options{Capacity: 16})
+		}, (*causality.Recorder).Shard),
+		caseOf("flight", func() *flight.Recorder {
+			return flight.NewRecorder(flight.Options{TxnCapacity: 16})
+		}, (*flight.Recorder).Shard),
+	}
+	mustPanic := func(t *testing.T, what string, fn func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s did not panic", what)
+			}
+		}()
+		fn()
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			for _, parts := range []int{1, 4} {
+				if got := tc.nilS(0, parts); !reflect.ValueOf(got).IsNil() {
+					t.Errorf("Shard(0, %d) on a nil observer = %v, want nil", parts, got)
+				}
+			}
+			root, shard := tc.root()
+			for _, parts := range []int{-1, 0, 1} {
+				if shard(0, parts) != root {
+					t.Errorf("Shard(0, %d) did not return the receiver", parts)
+				}
+			}
+			kids := map[any]bool{}
+			for part := 0; part < 3; part++ {
+				c := shard(part, 3)
+				if c == root || kids[c] {
+					t.Fatalf("Shard(%d, 3) is the root or another partition's child", part)
+				}
+				if shard(part, 3) != c {
+					t.Errorf("Shard(%d, 3) is not stable across calls", part)
+				}
+				kids[c] = true
+			}
+			mustPanic(t, "Shard of a child", func() { tc.kid(shard(1, 3))(0, 3) })
+			mustPanic(t, "part below range", func() { shard(-1, 3) })
+			mustPanic(t, "part above range", func() { shard(3, 3) })
+			mustPanic(t, "changed partition count", func() { shard(0, 2) })
+		})
+	}
+}
+
+// Strided ids never collide across a family, and a classic (unsharded)
+// observer numbers 1, 2, 3, ….
+func TestStrideIDsCollisionFree(t *testing.T) {
+	classic := &member{}
+	for want := uint64(1); want <= 5; want++ {
+		if got := classic.id(); got != want {
+			t.Fatalf("classic id = %d, want %d", got, want)
+		}
+	}
+	for _, parts := range []int{2, 3, 7} {
+		root := &member{}
+		seen := map[uint64]int{}
+		for part := 0; part < parts; part++ {
+			c := root.Shard(part, parts)
+			for i := 0; i < 50; i++ {
+				id := c.id()
+				if id == 0 {
+					t.Fatalf("parts=%d part=%d issued id 0 (reserved for unattributed)", parts, part)
+				}
+				if prev, dup := seen[id]; dup {
+					t.Fatalf("parts=%d: id %d issued by partitions %d and %d", parts, id, prev, part)
+				}
+				seen[id] = part
+			}
+		}
+	}
+}
+
+// MergeByTime orders by (at, part, seq) with the root's stream tagged
+// partition -1, whatever order the members emitted in.
+func TestMergeByTimeOrder(t *testing.T) {
+	type ev struct {
+		at   sim.Time
+		seq  uint64
+		from string
+	}
+	streams := [][]ev{
+		{{at: 5, seq: 9, from: "root"}, {at: 1, seq: 2, from: "root"}},                          // root: partition -1
+		{{at: 5, seq: 2, from: "p0"}, {at: 5, seq: 1, from: "p0"}, {at: 0, seq: 3, from: "p0"}}, // partition 0
+		{{at: 1, seq: 1, from: "p1"}, {at: 5, seq: 0, from: "p1"}},                              // partition 1
+		nil,
+	}
+	got := trace.MergeByTime(streams, func(e *ev) (sim.Time, uint64) { return e.at, e.seq })
+	want := []ev{
+		{0, 3, "p0"},
+		{1, 2, "root"}, {1, 1, "p1"},
+		{5, 9, "root"}, {5, 1, "p0"}, {5, 2, "p0"}, {5, 0, "p1"},
+	}
+	if len(got) != len(want) {
+		t.Fatalf("merged %d elements, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("position %d: got %+v, want %+v", i, got[i], want[i])
+		}
+	}
+	if out := trace.MergeByTime[ev](nil, nil); out == nil || len(out) != 0 {
+		t.Errorf("merge of no streams = %v, want empty non-nil", out)
+	}
+}
+
+// The ring keeps the newest capacity elements in push order, counts
+// evictions, and — preallocated — never allocates on push.
+func TestRingEvictsOldest(t *testing.T) {
+	r := trace.NewRing[int](4, false)
+	for i := 1; i <= 3; i++ {
+		r.Push(i)
+	}
+	if got := r.AppendTo(nil); len(got) != 3 || got[0] != 1 || got[2] != 3 || r.Dropped() != 0 {
+		t.Fatalf("before wrap: %v dropped %d", got, r.Dropped())
+	}
+	for i := 4; i <= 10; i++ {
+		r.Push(i)
+	}
+	got := r.AppendTo([]int{0})
+	want := []int{0, 7, 8, 9, 10}
+	if len(got) != len(want) || r.Len() != 4 || r.Cap() != 4 || r.Dropped() != 6 {
+		t.Fatalf("after wrap: %v len %d dropped %d", got, r.Len(), r.Dropped())
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("after wrap: %v, want %v", got, want)
+		}
+	}
+	pre := trace.NewRing[int](8, true)
+	if avg := testing.AllocsPerRun(100, func() { pre.Push(1) }); avg != 0 {
+		t.Errorf("preallocated ring allocates %v/push, want 0", avg)
+	}
+}

@@ -7,35 +7,6 @@ import (
 	"crest/internal/sim"
 )
 
-func mustPanic(t *testing.T, what string, fn func()) {
-	t.Helper()
-	defer func() {
-		if recover() == nil {
-			t.Fatalf("%s did not panic", what)
-		}
-	}()
-	fn()
-}
-
-// Shard is a no-op below two partitions and yields one stable child per
-// partition above; misuse panics.
-func TestShardIdentityAndMisuse(t *testing.T) {
-	var nilR *Recorder
-	if nilR.Shard(0, 4) != nil {
-		t.Fatal("nil recorder shard is not nil")
-	}
-	r := NewRecorder(16)
-	if r.Shard(0, 1) != r {
-		t.Fatal("parts=1 must return the receiver")
-	}
-	s1 := r.Shard(1, 3)
-	if s1 == r || r.Shard(1, 3) != s1 {
-		t.Fatal("children missing or not stable")
-	}
-	mustPanic(t, "Shard of a child", func() { s1.Shard(0, 3) })
-	mustPanic(t, "inconsistent parts", func() { r.Shard(0, 2) })
-}
-
 // The merged snapshot interleaves the partition streams by virtual
 // time with partition order breaking ties — the same order the window
 // executor's mailbox merge imposes on cross-partition messages — and
