@@ -43,11 +43,9 @@ import (
 	"crest/internal/core"
 	"crest/internal/engine"
 	"crest/internal/flight"
-	"crest/internal/ford"
 	"crest/internal/layout"
 	"crest/internal/memnode"
 	"crest/internal/metrics"
-	"crest/internal/motor"
 	"crest/internal/placement"
 	"crest/internal/rdma"
 	"crest/internal/sim"
@@ -651,9 +649,3 @@ func GetU64(b []byte) uint64 { return workload.GetU64(b) }
 
 // PutU64 returns a copy of the cell with its leading integer replaced.
 func PutU64(b []byte, v uint64) []byte { return workload.PutU64(b, v) }
-
-// Compile-time checks that the internal engines stay interchangeable.
-var (
-	_ = ford.New
-	_ = motor.New
-)

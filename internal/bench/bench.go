@@ -5,8 +5,7 @@
 //
 // Every table and figure of the paper's evaluation is a set of
 // bench.Run calls with different knobs; see the experiment definitions
-// in package benchdef (exp.go) and the per-experiment index in
-// DESIGN.md.
+// in experiments.go and the per-experiment index in DESIGN.md.
 package bench
 
 import (
@@ -244,9 +243,9 @@ type RuntimeInfo struct {
 	Workers int
 }
 
-// System is the engine-facing surface the three implementations share.
-// (Each package returns concrete compute-node types; these adapters
-// unify them.)
+// System is the engine-facing surface the implementations share. The
+// strict engines (ford, motor) return it as is; CREST's concrete
+// compute-node and coordinator types go through the adapters below.
 type System interface {
 	Name() string
 	CreateTable(layout.Schema, int)
@@ -256,10 +255,7 @@ type System interface {
 }
 
 // ComputeNode creates coordinators.
-type ComputeNode interface {
-	WarmCache()
-	NewCoordinator(id int) engine.Coordinator
-}
+type ComputeNode = engine.ComputeNode
 
 // PartitionedSystem is the capability a system adapter needs for
 // partitioned runs: compute nodes bound to a partition view of the
@@ -282,30 +278,6 @@ type crestCN struct{ *core.ComputeNode }
 
 func (c crestCN) NewCoordinator(id int) engine.Coordinator { return c.ComputeNode.NewCoordinator(id) }
 
-type fordSys struct{ *ford.System }
-
-func (s fordSys) NewComputeNode(id int) ComputeNode { return fordCN{s.System.NewComputeNode(id)} }
-
-func (s fordSys) NewPartitionComputeNode(id int, db *engine.DB, _, _ int) ComputeNode {
-	return fordCN{s.System.NewPartitionComputeNode(id, db)}
-}
-
-type fordCN struct{ *ford.ComputeNode }
-
-func (c fordCN) NewCoordinator(id int) engine.Coordinator { return c.ComputeNode.NewCoordinator(id) }
-
-type motorSys struct{ *motor.System }
-
-func (s motorSys) NewComputeNode(id int) ComputeNode { return motorCN{s.System.NewComputeNode(id)} }
-
-func (s motorSys) NewPartitionComputeNode(id int, db *engine.DB, _, _ int) ComputeNode {
-	return motorCN{s.System.NewPartitionComputeNode(id, db)}
-}
-
-type motorCN struct{ *motor.ComputeNode }
-
-func (c motorCN) NewCoordinator(id int) engine.Coordinator { return c.ComputeNode.NewCoordinator(id) }
-
 // NewSystem builds the configured system over db.
 func NewSystem(kind SystemKind, db *engine.DB) (System, error) {
 	switch kind {
@@ -316,9 +288,9 @@ func NewSystem(kind SystemKind, db *engine.DB) (System, error) {
 	case CRESTBase:
 		return crestSys{core.New(db, core.BaseOptions())}, nil
 	case FORD:
-		return fordSys{ford.New(db)}, nil
+		return ford.New(db), nil
 	case Motor:
-		return motorSys{motor.New(db)}, nil
+		return motor.New(db), nil
 	}
 	return nil, fmt.Errorf("bench: unknown system %q", kind)
 }

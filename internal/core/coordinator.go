@@ -5,7 +5,6 @@ import (
 
 	"crest/internal/engine"
 	"crest/internal/layout"
-	"crest/internal/memnode"
 	"crest/internal/rdma"
 	"crest/internal/sim"
 	"crest/internal/trace"
@@ -14,44 +13,23 @@ import (
 // Coordinator executes CREST transactions. Each coordinator belongs to
 // one compute node and one simulated process.
 type Coordinator struct {
-	cn   *ComputeNode
-	gid  uint64
-	qps  *engine.QPCache
-	log  *memnode.LogSegment
-	logN []*memnode.Node
-	home int // shard group holding the log (commit decision)
-	// scFree recycles attempt scratch (see execScratch).
-	scFree []*execScratch
+	engine.Coord
+	cn *ComputeNode
+	// strict runs the attempts of a system that is not localized (the
+	// Base and +Cell variants) over the same log segment.
+	strict *engine.Strict[drec]
+	scFree engine.FreeList[execScratch]
 }
 
 // NewCoordinator creates coordinator id (globally unique across
 // compute nodes).
 func (cn *ComputeNode) NewCoordinator(id int) *Coordinator {
-	db := cn.db
-	pool := db.Pool
-	c := &Coordinator{
-		cn:  cn,
-		gid: uint64(id) + 1,
-		qps: engine.NewQPCache(db.Fabric),
-		log: pool.AllocLog(logSegmentSize),
+	c := &Coordinator{Coord: engine.NewCoord(cn.db, cn.cache, id), cn: cn}
+	if !cn.sys.opts.Localized {
+		c.strict = engine.NewStrict(c.Coord, format{cn.sys})
 	}
-	c.qps.Warm(pool)
-	c.logN = pool.LogNodes(id, pool.Replicas()+1)
-	c.home = pool.ShardOfNode(c.logN[0].ID)
-	cn.sys.logs = append(cn.sys.logs, recoveryLog{seg: c.log, nodes: c.logN})
+	cn.sys.logs = append(cn.sys.logs, recoveryLog{seg: c.Log, nodes: c.LogN})
 	return c
-}
-
-// writeShardsAccs returns the shard groups of every written record.
-func (c *Coordinator) writeShardsAccs(accs []*access) engine.ShardSet {
-	pool := c.cn.db.Pool
-	var parts engine.ShardSet
-	for _, acc := range accs {
-		if acc.intentWrite {
-			parts.Add(pool.ShardOfNode(acc.obj.primary.ID))
-		}
-	}
-	return parts
 }
 
 // valCheck is one cell read that must be validated against the memory
@@ -80,17 +58,13 @@ type valCheck struct {
 
 // access is the per-record state of one attempt.
 type access struct {
-	op            *engine.Op
-	key           layout.Key
-	rk            recKey
+	engine.RecBase
 	lay           *layout.Record
 	obj           *object
 	intentWrite   bool
 	registered    bool // reference counted on obj
 	tracked       bool // access mask registered with the conflict tracker
 	streakCounted bool // counted toward the object's piggyback streak
-	readVals      [][]byte
-	writeVals     [][]byte
 	checks        []valCheck
 }
 
@@ -112,8 +86,8 @@ func (d *depSet) add(t *txnState) {
 
 // Execute runs one attempt of t; the caller owns retry and backoff.
 func (c *Coordinator) Execute(p *sim.Proc, t *engine.Txn) engine.Attempt {
-	if !c.cn.sys.opts.Localized {
-		return c.executeDirect(p, t)
+	if c.strict != nil {
+		return c.strict.Execute(p, t)
 	}
 	return c.executeLocalized(p, t)
 }
@@ -122,9 +96,13 @@ func (c *Coordinator) Execute(p *sim.Proc, t *engine.Txn) engine.Attempt {
 // execution, dependency tracking and parallel commits.
 func (c *Coordinator) executeLocalized(p *sim.Proc, t *engine.Txn) engine.Attempt {
 	db := c.cn.db
-	at := engine.BeginAttempt(db, p, c.gid, c.home, t)
-	sc := c.getScratch()
-	defer c.putScratch(sc)
+	at := engine.BeginAttempt(db, p, c.GID, c.Home, t)
+	sc := c.scFree.Get()
+	if sc == nil {
+		sc = &execScratch{Scratch: c.NewScratch()}
+	}
+	sc.reset()
+	defer c.scFree.Put(sc)
 
 	me := &txnState{id: c.cn.nextTxnID(), whyID: at.WhyID()}
 	at.Span().SetTxn(me.id)
@@ -146,7 +124,7 @@ func (c *Coordinator) executeLocalized(p *sim.Proc, t *engine.Txn) engine.Attemp
 		if gated := c.prepare(p, t, blk, sc); gated {
 			return abortTxn(engine.AbortWait, false)
 		}
-		if db.Pool.Shards() > 1 && c.writeShardsAccs(sc.accs).Beyond(c.home) {
+		if db.Pool.Shards() > 1 && engine.WriteShards(db.Pool, sc.accs).Beyond(c.Home) {
 			at.MarkCrossShard()
 		}
 		at.Phase(trace.PhaseLock)
@@ -170,7 +148,7 @@ func (c *Coordinator) executeLocalized(p *sim.Proc, t *engine.Txn) engine.Attemp
 		// time), so the locks only order concurrent accessors.
 		locked := append(sc.lockOrder[:0], sc.blockAccs...)
 		sc.lockOrder = locked
-		sortAccs(locked)
+		engine.SortRecs(locked)
 		for _, acc := range locked {
 			if acc.obj.mu.Held() {
 				// The lock-wait depth gauge counts coordinators about to
@@ -181,7 +159,7 @@ func (c *Coordinator) executeLocalized(p *sim.Proc, t *engine.Txn) engine.Attemp
 				t0 := p.Now()
 				acc.obj.mu.Lock(p)
 				db.Obs.LockWaiters(-1)
-				db.Obs.WaitedLocal(p, acc.rk.table, acc.key, holder, p.Now().Sub(t0))
+				db.Obs.WaitedLocal(p, acc.Table, acc.Key, holder, p.Now().Sub(t0))
 			} else {
 				acc.obj.mu.Lock(p)
 			}
@@ -195,7 +173,7 @@ func (c *Coordinator) executeLocalized(p *sim.Proc, t *engine.Txn) engine.Attemp
 		reason := engine.AbortNone
 		for oi := range blk.Ops {
 			op := &blk.Ops[oi]
-			acc := findAcc(sc.accs, recKey{op.Table, op.ResolveKey(t.State)})
+			acc := engine.FindRec(sc.accs, engine.RecKey{Table: op.Table, Key: op.ResolveKey(t.State)})
 			if reason = c.execOp(p, t, me, acc, deps); reason != engine.AbortNone {
 				break
 			}
@@ -240,7 +218,9 @@ func (c *Coordinator) executeLocalized(p *sim.Proc, t *engine.Txn) engine.Attemp
 	me.resolve(txnCommitted, ts)
 	at.Phase(trace.PhaseApply)
 	c.applyRelease(p, sc, sc.accs)
-	c.recordHistory(t, sc.accs, ts)
+	if h := db.History; h.Recording() {
+		engine.CommitRecs(h, engine.HTxn{TS: ts, Label: fmt.Sprintf("%s cn%d", t.Label, c.cn.id)}, sc.accs)
+	}
 	return at.Done()
 }
 
@@ -255,18 +235,16 @@ func (c *Coordinator) prepare(p *sim.Proc, t *engine.Txn, blk *engine.Block, sc 
 	sc.blockAccs = sc.blockAccs[:0]
 	for oi := range blk.Ops {
 		op := &blk.Ops[oi]
-		key := op.ResolveKey(t.State)
-		rk := recKey{op.Table, key}
-		if findAcc(sc.accs, rk) != nil || findAcc(sc.blockAccs, rk) != nil {
-			panic(fmt.Sprintf("core: record %v accessed by two ops of one transaction", rk))
+		rk := engine.RecKey{Table: op.Table, Key: op.ResolveKey(t.State)}
+		if engine.FindRec(sc.accs, rk) != nil || engine.FindRec(sc.blockAccs, rk) != nil {
+			panic(engine.DuplicateRecord(rk))
 		}
 		acc := sc.newAccess()
-		acc.op = op
-		acc.key = key
-		acc.rk = rk
+		acc.Op, acc.RecKey = op, rk
 		acc.lay = c.cn.sys.layouts[op.Table]
 		acc.intentWrite = op.IsWrite()
 		acc.obj = c.getOrCreate(p, rk, acc.lay)
+		acc.Primary = acc.obj.primary
 		sc.blockAccs = append(sc.blockAccs, acc)
 	}
 	// Pass 2: sit out release windows on every write target. Waiting
@@ -307,42 +285,14 @@ func (c *Coordinator) prepare(p *sim.Proc, t *engine.Txn, blk *engine.Block, sc 
 	return false
 }
 
-// sortAccs orders accesses by (TableID, Key). The order is total
-// (duplicate records panic in prepare), so a plain insertion sort is
-// equivalent to the previous sort.Slice and avoids its closure and
-// interface boxing on a path taken once per block.
-func sortAccs(accs []*access) {
-	for i := 1; i < len(accs); i++ {
-		a := accs[i]
-		j := i - 1
-		for j >= 0 && accLess(a, accs[j]) {
-			accs[j+1] = accs[j]
-			j--
-		}
-		accs[j+1] = a
-	}
-}
-
-func accLess(a, b *access) bool {
-	if a.rk.table != b.rk.table {
-		return a.rk.table < b.rk.table
-	}
-	return a.rk.key < b.rk.key
-}
-
 // getOrCreate returns the record's local object, creating it (and
 // resolving its pool address) on first access.
-func (c *Coordinator) getOrCreate(p *sim.Proc, rk recKey, lay *layout.Record) *object {
+func (c *Coordinator) getOrCreate(p *sim.Proc, rk engine.RecKey, lay *layout.Record) *object {
 	if obj, ok := c.cn.objs[rk]; ok {
 		return obj
 	}
-	db := c.cn.db
-	primary := db.Pool.PrimaryOf(rk.table, rk.key)
-	off, err := db.ResolveAddr(p, c.cn.cache, c.qps.Get(primary.Region), rk.table, rk.key)
-	if err != nil {
-		panic(err)
-	}
-	obj := newObject(rk.table, rk.key, off, lay, primary)
+	primary, off := c.Resolve(p, rk)
+	obj := newObject(rk.Table, rk.Key, off, lay, primary)
 	c.cn.objs[rk] = obj
 	return obj
 }
@@ -370,7 +320,7 @@ func (c *Coordinator) admit(p *sim.Proc, sc *execScratch, blockAccs []*access) (
 				// of serializing behind the in-flight refresh. Lock
 				// acquirers and cold readers need the admission slot.
 				if !obj.admitted || (acc.intentWrite &&
-					c.cn.sys.lockMaskFor(acc.lay, acc.op)&^obj.remoteLocks != 0) {
+					c.cn.sys.lockMaskFor(acc.lay, acc.Op)&^obj.remoteLocks != 0) {
 					waitObj = obj
 					break
 				}
@@ -386,7 +336,7 @@ func (c *Coordinator) admit(p *sim.Proc, sc *execScratch, blockAccs []*access) (
 			if !obj.admitted {
 				sc.fetches = append(sc.fetches, acc)
 			}
-			if want := c.cn.sys.lockMaskFor(acc.lay, acc.op) &^ obj.remoteLocks; acc.intentWrite && want != 0 {
+			if want := c.cn.sys.lockMaskFor(acc.lay, acc.Op) &^ obj.remoteLocks; acc.intentWrite && want != 0 {
 				sc.locks = append(sc.locks, acc)
 			}
 		}
@@ -432,7 +382,7 @@ func (c *Coordinator) admit(p *sim.Proc, sc *execScratch, blockAccs []*access) (
 		// locked until now — their cached values may predate another
 		// compute node's commits, and locked cells skip validation.
 		sc.pend = sc.pend[:0]
-		sc.bat.Begin()
+		sc.Bat.Begin()
 		add := func(acc *access) int {
 			obj := acc.obj
 			for i := range sc.pend {
@@ -447,9 +397,9 @@ func (c *Coordinator) admit(p *sim.Proc, sc *execScratch, blockAccs []*access) (
 		for _, acc := range sc.locks {
 			pi := add(acc)
 			obj := acc.obj
-			bits := c.cn.sys.lockMaskFor(acc.lay, acc.op) &^ obj.remoteLocks
-			bi := sc.bat.Batch(obj.primary.Region)
-			ci := sc.bat.Append(bi, rdma.Op{
+			bits := c.cn.sys.lockMaskFor(acc.lay, acc.Op) &^ obj.remoteLocks
+			bi := sc.Bat.Batch(obj.primary.Region)
+			ci := sc.Bat.Append(bi, rdma.Op{
 				Kind: rdma.OpMaskedCAS,
 				Off:  obj.off + layout.OffLock,
 				Swap: bits, Mask: bits,
@@ -465,14 +415,14 @@ func (c *Coordinator) admit(p *sim.Proc, sc *execScratch, blockAccs []*access) (
 		}
 		for i := range sc.pend {
 			pd := &sc.pend[i]
-			bi := sc.bat.Batch(pd.obj.primary.Region)
-			pd.readIdx = sc.bat.Append(bi, rdma.Op{
+			bi := sc.Bat.Batch(pd.obj.primary.Region)
+			pd.readIdx = sc.Bat.Append(bi, rdma.Op{
 				Kind: rdma.OpRead,
 				Off:  pd.obj.off,
 				Len:  pd.acc.lay.Size(),
 			})
 		}
-		results, err := rdma.PostMulti(p, sc.bat.Batches())
+		results, err := rdma.PostMulti(p, sc.Bat.Batches())
 		if err != nil {
 			panic(err)
 		}
@@ -481,7 +431,7 @@ func (c *Coordinator) admit(p *sim.Proc, sc *execScratch, blockAccs []*access) (
 		for i := range sc.pend {
 			pd := &sc.pend[i]
 			obj := pd.obj
-			bi := sc.bat.Lookup(obj.primary.Region)
+			bi := sc.Bat.Lookup(obj.primary.Region)
 			if pd.casIdx >= 0 {
 				if results[bi][pd.casIdx].OK {
 					obj.remoteLocks |= pd.bits
@@ -494,14 +444,15 @@ func (c *Coordinator) admit(p *sim.Proc, sc *execScratch, blockAccs []*access) (
 				}
 			}
 			if pd.readIdx >= 0 {
-				h, vals, vers := decodeRecord(pd.acc.lay, results[bi][pd.readIdx].Data)
-				readMask := layout.LockMask(pd.acc.op.ReadCells) &^ obj.remoteLocks
+				data := results[bi][pd.readIdx].Data
+				h, vals, vers := decodeRecord(pd.acc.lay, data)
+				readMask := layout.LockMask(pd.acc.Op.ReadCells) &^ obj.remoteLocks
 				switch {
 				case h.Lock&layout.DeleteMask != 0:
 					obj.admitting = false
 					obj.stateQ.WakeAll()
 					return engine.AbortValidation, false
-				case !snapshotConsistent(h, vers, readMask, obj.remoteLocks):
+				case !snapshotConsistent(pd.acc.lay, data, readMask, obj.remoteLocks):
 					// Read cells locked by another compute node, or a
 					// torn snapshot (§4.3): back off and refetch. The
 					// object must be marked unadmitted — a lock CAS in
@@ -545,7 +496,7 @@ func (c *Coordinator) admit(p *sim.Proc, sc *execScratch, blockAccs []*access) (
 		if tries > opts.LockRetries {
 			var myMask uint64
 			for _, acc := range blockAccs {
-				myMask |= accessMaskFor(acc.op)
+				myMask |= acc.Op.CellMask()
 			}
 			return engine.AbortLockFail, engine.IsFalseConflict(myMask, conflictMask)
 		}
@@ -562,7 +513,7 @@ func (c *Coordinator) track(acc *access) {
 		return
 	}
 	acc.tracked = true
-	c.cn.db.Tracker.OnLock(acc.rk.table, acc.rk.key, accessMaskFor(acc.op))
+	c.cn.db.Tracker.OnLock(acc.Table, acc.Key, acc.Op.CellMask())
 }
 
 // execOp runs one op against the record cache under the block's local
@@ -571,10 +522,10 @@ func (c *Coordinator) track(acc *access) {
 // abort (§5.2).
 func (c *Coordinator) execOp(p *sim.Proc, t *engine.Txn, me *txnState, acc *access, deps *depSet) engine.AbortReason {
 	obj := acc.obj
-	op := acc.op
+	op := acc.Op
 
 	myLocks := c.cn.sys.lockMaskFor(acc.lay, op)
-	read := acc.readVals[:0]
+	read := acc.ReadVals[:0]
 	for _, cell := range op.ReadCells {
 		v, val := obj.latest(cell)
 		cs := &obj.cells[cell]
@@ -601,18 +552,12 @@ func (c *Coordinator) execOp(p *sim.Proc, t *engine.Txn, me *txnState, acc *acce
 		}
 		read = append(read, val)
 	}
-	acc.readVals = read
+	acc.ReadVals = read
 
-	written := op.Hook(t.State, read)
-	if len(written) != len(op.WriteCells) {
-		panic(fmt.Sprintf("core: hook returned %d values for %d write cells", len(written), len(op.WriteCells)))
-	}
-	acc.writeVals = written
+	written := op.RunHook(c.cn.sys.Name(), t.State, read, acc.lay.Schema.CellSizes)
+	acc.WriteVals = written
 
 	for i, cell := range op.WriteCells {
-		if len(written[i]) != acc.lay.CellSize(cell) {
-			panic("core: hook wrote wrong cell size")
-		}
 		cs := &obj.cells[cell]
 		if cs.maxReadTS > me.tsExec {
 			// A later transaction already read this cell; our write
@@ -710,7 +655,7 @@ func (c *Coordinator) validateLocal(accs []*access) bool {
 func (c *Coordinator) validateRemote(p *sim.Proc, sc *execScratch, accs []*access, attemptStart sim.Time) (engine.AbortReason, bool) {
 	db := c.cn.db
 	fallback := p.Now().Sub(attemptStart) > c.cn.sys.opts.ENThreshold
-	sc.bat.Begin()
+	sc.Bat.Begin()
 	for i := range sc.batchAccs {
 		sc.batchAccs[i] = sc.batchAccs[i][:0]
 	}
@@ -719,7 +664,7 @@ func (c *Coordinator) validateRemote(p *sim.Proc, sc *execScratch, accs []*acces
 			continue
 		}
 		obj := acc.obj
-		bi := sc.bat.Batch(obj.primary.Region)
+		bi := sc.Bat.Batch(obj.primary.Region)
 		for bi >= len(sc.batchAccs) {
 			sc.batchAccs = append(sc.batchAccs, nil)
 		}
@@ -727,10 +672,10 @@ func (c *Coordinator) validateRemote(p *sim.Proc, sc *execScratch, accs []*acces
 		if fallback {
 			n = acc.lay.Size()
 		}
-		sc.bat.Append(bi, rdma.Op{Kind: rdma.OpRead, Off: obj.off, Len: n})
+		sc.Bat.Append(bi, rdma.Op{Kind: rdma.OpRead, Off: obj.off, Len: n})
 		sc.batchAccs[bi] = append(sc.batchAccs[bi], acc)
 	}
-	batches := sc.bat.Batches()
+	batches := sc.Bat.Batches()
 	if len(batches) == 0 {
 		return engine.AbortNone, false
 	}
@@ -770,12 +715,12 @@ func (c *Coordinator) validateRemote(p *sim.Proc, sc *execScratch, accs []*acces
 					p.Now().Sub(obj.firstFetch) > c.cn.sys.opts.FetchTTL {
 					obj.admitted = false
 				}
-				conflicting := db.Tracker.ChangedSince(acc.rk.table, acc.key, wantTS)
+				conflicting := db.Tracker.ChangedSince(acc.Table, acc.Key, wantTS)
 				if otherLocks&bit != 0 {
-					conflicting |= db.Tracker.HolderCells(acc.rk.table, acc.key)
+					conflicting |= db.Tracker.HolderCells(acc.Table, acc.Key)
 				}
-				myMask := accessMaskFor(acc.op)
-				db.Obs.ValidationConflict(p, acc.rk.table, acc.key, bit, wantTS)
+				myMask := acc.Op.CellMask()
+				db.Obs.ValidationConflict(p, acc.Table, acc.Key, bit, wantTS)
 				return engine.AbortValidation, engine.IsFalseConflict(myMask, conflicting)
 			}
 		}
@@ -784,78 +729,24 @@ func (c *Coordinator) validateRemote(p *sim.Proc, sc *execScratch, accs []*acces
 }
 
 // writeRedoLog persists the dependency-tracking redo-log entry to the
-// coordinator's log replicas in one round-trip (§6). Transactions that
-// wrote nothing skip the log.
+// coordinator's log replicas (§6). Transactions that wrote nothing skip
+// the log.
 func (c *Coordinator) writeRedoLog(p *sim.Proc, sc *execScratch, me *txnState, ts uint64, accs []*access, deps *depSet) {
-	nr := 0
-	for _, acc := range accs {
-		if len(acc.op.WriteCells) == 0 {
-			continue
-		}
-		if nr == len(sc.recs) {
-			sc.recs = append(sc.recs, logRecord{})
-		}
-		r := &sc.recs[nr]
-		nr++
-		r.Table, r.Key, r.Mask = acc.rk.table, acc.key, layout.LockMask(acc.op.WriteCells)
-		r.Vals = r.Vals[:0]
-		// Values must be in ascending cell order to match the mask.
-		sc.idx = sc.idx[:0]
-		for i := range acc.op.WriteCells {
-			sc.idx = append(sc.idx, i)
-		}
-		sortByCell(sc.idx, acc.op.WriteCells)
-		for _, i := range sc.idx {
-			r.Vals = append(r.Vals, acc.writeVals[i])
-		}
-	}
-	if nr == 0 {
-		return
-	}
 	sc.depIDs = sc.depIDs[:0]
 	for _, d := range deps.list {
 		sc.depIDs = append(sc.depIDs, d.id)
 	}
-	entry := appendLogEntry(sc.logBuf[:0], me.id, ts, sc.depIDs, sc.recs[:nr])
-	sc.logBuf = entry
-	off := c.log.Reserve(len(entry))
-	// Cross-shard commits pay a prepare round first: the entry lands
-	// on every other participating group's log mirrors before the
-	// home group's decision write.
-	if parts := c.writeShardsAccs(accs); parts.Beyond(c.home) {
-		engine.PrepareCrossShard(p, c.cn.db, c.qps, c.logN, c.home, parts, off, entry)
-	}
-	c.postLog(p, sc, off, entry)
-}
-
-// postLog writes one encoded entry to every log replica in one
-// round-trip, through the scratch's persistent batch slice.
-func (c *Coordinator) postLog(p *sim.Proc, sc *execScratch, off uint64, entry []byte) {
-	if cap(sc.logBatches) < len(c.logN) {
-		sc.logBatches = make([]rdma.Batch, len(c.logN))
-	}
-	sc.logBatches = sc.logBatches[:len(c.logN)]
-	for i, n := range c.logN {
-		sc.logBatches[i].QP = c.qps.Get(n.Region)
-		sc.logBatches[i].Ops = append(sc.logBatches[i].Ops[:0], rdma.Op{Kind: rdma.OpWrite, Off: off, Data: entry})
-	}
-	if _, err := rdma.PostMulti(p, sc.logBatches); err != nil {
-		panic(err)
-	}
-}
-
-// sortByCell insertion-sorts idx so cells[idx] ascends; cell lists
-// are tiny and duplicate-free.
-func sortByCell(idx []int, cells []int) {
-	for i := 1; i < len(idx); i++ {
-		x := idx[i]
-		j := i - 1
-		for j >= 0 && cells[x] < cells[idx[j]] {
-			idx[j+1] = idx[j]
-			j--
+	e := beginLogEntry(sc.LogBuf[:0], me.id, ts, sc.depIDs)
+	for _, acc := range accs {
+		if len(acc.Op.WriteCells) > 0 {
+			e.written(&acc.RecBase)
 		}
-		idx[j+1] = x
 	}
+	if e.recs == 0 {
+		return
+	}
+	sc.LogBuf = e.end()
+	c.WriteLog(p, &sc.Scratch, engine.WriteShards(c.cn.db.Pool, accs), sc.LogBuf)
 }
 
 // applyRelease ends the transaction's participation in its objects:
@@ -876,7 +767,7 @@ func (c *Coordinator) applyRelease(p *sim.Proc, sc *execScratch, accs []*access)
 		}
 		if acc.tracked {
 			acc.tracked = false
-			db.Tracker.OnUnlock(acc.rk.table, acc.rk.key, accessMaskFor(acc.op))
+			db.Tracker.OnUnlock(acc.Table, acc.Key, acc.Op.CellMask())
 		}
 	}
 
@@ -947,7 +838,7 @@ func (c *Coordinator) applyRelease(p *sim.Proc, sc *execScratch, accs []*access)
 			}
 		}
 	}()
-	sc.bat.Begin()
+	sc.Bat.Begin()
 	sc.fins = sc.fins[:0]
 	for _, obj := range work {
 		if obj.writers > 0 {
@@ -968,7 +859,7 @@ func (c *Coordinator) applyRelease(p *sim.Proc, sc *execScratch, accs []*access)
 		sc.fins = append(sc.fins, fin{obj: obj, plans: obj.collectFlush(), release: true, unlock: obj.remoteLocks})
 		c.buildFlushOps(sc, &sc.fins[len(sc.fins)-1])
 	}
-	if batches := sc.bat.Batches(); len(batches) > 0 {
+	if batches := sc.Bat.Batches(); len(batches) > 0 {
 		if _, err := rdma.PostMulti(p, batches); err != nil {
 			panic(err)
 		}
@@ -1002,7 +893,7 @@ func (c *Coordinator) applyRelease(p *sim.Proc, sc *execScratch, accs []*access)
 	}
 }
 
-func (o *object) rkKey() recKey { return recKey{o.table, o.key} }
+func (o *object) rkKey() engine.RecKey { return engine.RecKey{Table: o.table, Key: o.key} }
 
 // fin is one object's pending write-back during applyRelease.
 type fin struct {
@@ -1019,23 +910,20 @@ type fin struct {
 // the data writes; the lock lives on the primary.
 func (c *Coordinator) buildFlushOps(sc *execScratch, f *fin) {
 	obj := f.obj
-	db := c.cn.db
-	for _, n := range db.Pool.ReplicaNodes(obj.table, obj.key) {
+	writes := sc.ops[:0]
+	for _, plan := range f.plans {
+		writes = appendCellWrite(writes, &sc.Arena, obj.lay, obj.off, plan.cell, layout.CellVersion{EN: plan.en, TS: plan.ts}, plan.value)
+	}
+	sc.ops = writes
+	for _, n := range c.cn.db.Pool.ReplicaNodes(obj.table, obj.key) {
 		release := f.release && n == obj.primary && f.unlock != 0
 		if len(f.plans) > 0 || release {
-			bi := sc.bat.Batch(n.Region)
-			for _, plan := range f.plans {
-				slot := sc.bytes(layout.CellVersionSize + len(plan.value))
-				layout.PutCellVersion(slot, layout.CellVersion{EN: plan.en, TS: plan.ts})
-				copy(slot[layout.CellVersionSize:], plan.value)
-				enb := sc.bytes(2)
-				enb[0] = byte(plan.en)
-				enb[1] = byte(plan.en >> 8)
-				sc.bat.Append(bi, rdma.Op{Kind: rdma.OpWrite, Off: obj.off + uint64(obj.lay.CellOff(plan.cell)), Data: slot})
-				sc.bat.Append(bi, rdma.Op{Kind: rdma.OpWrite, Off: obj.off + uint64(obj.lay.ENOff(plan.cell)), Data: enb})
+			bi := sc.Bat.Batch(n.Region)
+			for _, op := range writes {
+				sc.Bat.Append(bi, op)
 			}
 			if release {
-				sc.bat.Append(bi, rdma.Op{
+				sc.Bat.Append(bi, rdma.Op{
 					Kind:    rdma.OpMaskedCAS,
 					Off:     obj.off + layout.OffLock,
 					Compare: f.unlock,
@@ -1049,29 +937,4 @@ func (c *Coordinator) buildFlushOps(sc *execScratch, f *fin) {
 			break
 		}
 	}
-}
-
-// recordHistory feeds the committed transaction into the history
-// checker.
-func (c *Coordinator) recordHistory(t *engine.Txn, accs []*access, ts uint64) {
-	h := c.cn.db.History
-	if h == nil || !h.On {
-		return
-	}
-	ht := engine.HTxn{TS: ts, Label: fmt.Sprintf("%s cn%d", t.Label, c.cn.id)}
-	for _, acc := range accs {
-		for i, cell := range acc.op.ReadCells {
-			ht.Reads = append(ht.Reads, engine.HRead{
-				Cell: engine.CellID{Table: acc.rk.table, Key: acc.key, Cell: cell},
-				Hash: engine.HashValue(acc.readVals[i]),
-			})
-		}
-		for i, cell := range acc.op.WriteCells {
-			ht.Writes = append(ht.Writes, engine.HWrite{
-				Cell: engine.CellID{Table: acc.rk.table, Key: acc.key, Cell: cell},
-				Hash: engine.HashValue(acc.writeVals[i]),
-			})
-		}
-	}
-	h.Commit(ht)
 }

@@ -23,15 +23,14 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
+	"slices"
 
 	"crest/internal/engine"
 	"crest/internal/hashindex"
 	"crest/internal/layout"
 	"crest/internal/sim"
 )
-
-// logSegmentSize is each coordinator's redo-log ring.
-const logSegmentSize = 64 << 10
 
 // Options selects protocol features, mirroring the paper's factor
 // analysis (§8.4, Exp#5).
@@ -157,31 +156,12 @@ func (s *System) Layout(table layout.TableID) *layout.Record { return s.layouts[
 
 // CreateTable registers a table with the CREST record structure.
 func (s *System) CreateTable(sc layout.Schema, capacity int) {
-	sc = sc.Normalize()
-	lay := layout.NewRecord(sc)
-	s.layouts[sc.ID] = lay
-	s.db.CreateTable(sc, lay.Size(), capacity)
+	s.db.CreateTableAs(format{s}, sc, capacity)
 }
 
 // Load writes a record's initial cell values host-side (pre-load).
 func (s *System) Load(table layout.TableID, key layout.Key, cells [][]byte) {
-	lay := s.layouts[table]
-	t := s.db.Table(table)
-	s.db.LoadRecord(t, key, func(buf []byte) {
-		layout.EncodeHeader(buf, layout.Header{Key: key, TableID: table})
-		for i, v := range cells {
-			if len(v) != lay.Schema.CellSizes[i] {
-				panic(fmt.Sprintf("core: cell %d size %d, schema wants %d", i, len(v), lay.Schema.CellSizes[i]))
-			}
-			layout.PutCellVersion(buf[lay.CellOff(i):], layout.CellVersion{})
-			copy(buf[lay.CellValueOff(i):], v)
-		}
-	})
-	if h := s.db.History; h != nil && h.On {
-		for i, v := range cells {
-			h.SetInitial(engine.CellID{Table: table, Key: key, Cell: i}, v)
-		}
-	}
+	s.db.Load(format{s}, table, key, cells)
 }
 
 // FinishLoad publishes the hash indexes.
@@ -198,7 +178,7 @@ type ComputeNode struct {
 	db        *engine.DB
 	id        int
 	cache     *hashindex.AddrCache
-	objs      map[recKey]*object
+	objs      map[engine.RecKey]*object
 	tsExecCtr uint64
 	// scanGen stamps objects during applyRelease's dedup scan,
 	// replacing a per-attempt map.
@@ -211,11 +191,6 @@ type ComputeNode struct {
 	txnStride uint64
 }
 
-type recKey struct {
-	table layout.TableID
-	key   layout.Key
-}
-
 // NewComputeNode creates compute node state.
 func (s *System) NewComputeNode(id int) *ComputeNode {
 	cn := &ComputeNode{
@@ -223,7 +198,7 @@ func (s *System) NewComputeNode(id int) *ComputeNode {
 		db:    s.db,
 		id:    id,
 		cache: hashindex.NewAddrCache(),
-		objs:  map[recKey]*object{},
+		objs:  map[engine.RecKey]*object{},
 	}
 	s.cns = append(s.cns, cn)
 	return cn
@@ -294,12 +269,6 @@ func (s *System) recordLevel(table layout.TableID) bool {
 	return false
 }
 
-// accessMaskFor returns the cells an op touches, for conflict
-// classification (always the true cells, independent of granularity).
-func accessMaskFor(op *engine.Op) uint64 {
-	return layout.LockMask(op.ReadCells) | layout.LockMask(op.WriteCells)
-}
-
 // decodeRecord parses a fetched CREST record into header, cell values
 // and cell versions.
 func decodeRecord(lay *layout.Record, data []byte) (layout.Header, [][]byte, []layout.CellVersion) {
@@ -317,16 +286,15 @@ func decodeRecord(lay *layout.Record, data []byte) (layout.Header, [][]byte, []l
 // fetched record: every read cell's epoch number in the header must
 // match the epoch in the cell's own version word, and no read cell may
 // be locked by another holder.
-func snapshotConsistent(h layout.Header, vers []layout.CellVersion, readMask, ownLocks uint64) bool {
+func snapshotConsistent(lay *layout.Record, data []byte, readMask, ownLocks uint64) bool {
+	h := layout.DecodeHeader(data)
 	otherLocks := h.Lock &^ ownLocks &^ layout.DeleteMask
 	if readMask&otherLocks != 0 {
 		return false
 	}
-	for c := 0; c < len(vers); c++ {
-		if readMask&(1<<uint(c)) == 0 {
-			continue
-		}
-		if h.EN[c] != vers[c].EN {
+	for m := readMask; m != 0; m &= m - 1 {
+		c := bits.TrailingZeros64(m)
+		if h.EN[c] != layout.GetCellVersion(data[lay.CellOff(c):]).EN {
 			return false
 		}
 	}
@@ -341,19 +309,18 @@ type logRecord struct {
 	Vals  [][]byte
 }
 
-// encodeLogEntry builds the dependency-tracking redo-log entry (§6):
-// transaction id, commit timestamp, dependent transaction ids, and the
-// new cell values. The leading length word lets recovery walk the
-// segment.
-func encodeLogEntry(txnID, ts uint64, deps []uint64, recs []logRecord) []byte {
-	return appendLogEntry(make([]byte, 0, 128), txnID, ts, deps, recs)
+// logEncoder builds one dependency-tracking redo-log entry (§6) in a
+// caller-owned buffer: transaction id, commit timestamp, dependent
+// transaction ids, and the new cell values. The leading length word
+// lets recovery walk the segment.
+type logEncoder struct {
+	buf          []byte
+	start, count int // offsets of the length and record-count words
+	recs         uint32
 }
 
-// appendLogEntry is encodeLogEntry appending into a caller-owned
-// buffer, so the commit path can reuse one encoding buffer per
-// attempt.
-func appendLogEntry(buf []byte, txnID, ts uint64, deps []uint64, recs []logRecord) []byte {
-	start := len(buf)
+func beginLogEntry(buf []byte, txnID, ts uint64, deps []uint64) logEncoder {
+	e := logEncoder{start: len(buf)}
 	buf = append(buf, 0, 0, 0, 0)
 	buf = binary.LittleEndian.AppendUint64(buf, txnID)
 	buf = binary.LittleEndian.AppendUint64(buf, ts)
@@ -361,18 +328,52 @@ func appendLogEntry(buf []byte, txnID, ts uint64, deps []uint64, recs []logRecor
 	for _, d := range deps {
 		buf = binary.LittleEndian.AppendUint64(buf, d)
 	}
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(recs)))
+	e.count = len(buf)
+	e.buf = append(buf, 0, 0, 0, 0)
+	return e
+}
+
+// record starts a record's modifications: mask names the written cells,
+// whose values follow in ascending cell order.
+func (e *logEncoder) record(k engine.RecKey, mask uint64) {
+	e.recs++
+	e.buf = binary.LittleEndian.AppendUint32(e.buf, uint32(k.Table))
+	e.buf = binary.LittleEndian.AppendUint64(e.buf, uint64(k.Key))
+	e.buf = binary.LittleEndian.AppendUint64(e.buf, mask)
+}
+
+func (e *logEncoder) value(v []byte) {
+	e.buf = binary.LittleEndian.AppendUint32(e.buf, uint32(len(v)))
+	e.buf = append(e.buf, v...)
+}
+
+// written logs what b's hook wrote.
+func (e *logEncoder) written(b *engine.RecBase) {
+	cells := b.Op.WriteCells
+	mask := layout.LockMask(cells)
+	e.record(b.RecKey, mask)
+	for m := mask; m != 0; m &= m - 1 {
+		e.value(b.WriteVals[slices.Index(cells, bits.TrailingZeros64(m))])
+	}
+}
+
+// end seals the entry and returns the buffer.
+func (e *logEncoder) end() []byte {
+	binary.LittleEndian.PutUint32(e.buf[e.count:], e.recs)
+	binary.LittleEndian.PutUint32(e.buf[e.start:], uint32(len(e.buf)-e.start))
+	return e.buf
+}
+
+// encodeLogEntry builds a whole entry from decoded records.
+func encodeLogEntry(txnID, ts uint64, deps []uint64, recs []logRecord) []byte {
+	e := beginLogEntry(make([]byte, 0, 128), txnID, ts, deps)
 	for _, r := range recs {
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(r.Table))
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(r.Key))
-		buf = binary.LittleEndian.AppendUint64(buf, r.Mask)
+		e.record(engine.RecKey{Table: r.Table, Key: r.Key}, r.Mask)
 		for _, v := range r.Vals {
-			buf = binary.LittleEndian.AppendUint32(buf, uint32(len(v)))
-			buf = append(buf, v...)
+			e.value(v)
 		}
 	}
-	binary.LittleEndian.PutUint32(buf[start:], uint32(len(buf)-start))
-	return buf
+	return e.end()
 }
 
 // decodeLogEntry parses one entry, returning its total length.

@@ -238,60 +238,6 @@ func TestCellLevelAllowsDisjointWritesAcrossCNs(t *testing.T) {
 	}
 }
 
-func TestRecordLevelBaseConflictsOnDisjointCells(t *testing.T) {
-	f := newFixture(t, BaseOptions(), 1, 2, 0, 2, false)
-	c1 := f.cns[0].NewCoordinator(0)
-	c2 := f.cns[1].NewCoordinator(1)
-	outcomes := make([]engine.Attempt, 2)
-	// Make c1 slow so the lock overlap is certain.
-	f.env.Spawn("c1", func(p *sim.Proc) {
-		txn := incTxn(0, 0, 1)
-		txn.Blocks[0].Ops[0].Hook = func(_ any, read [][]byte) [][]byte {
-			p.Sleep(100 * sim.Microsecond)
-			return [][]byte{word(binary.LittleEndian.Uint64(read[0]) + 1)}
-		}
-		outcomes[0] = c1.Execute(p, txn)
-	})
-	f.env.Spawn("c2", func(p *sim.Proc) {
-		p.Sleep(10 * sim.Microsecond)
-		outcomes[1] = c2.Execute(p, incTxn(0, 2, 1))
-	})
-	run(t, f)
-	if !outcomes[0].Committed {
-		t.Fatalf("c1 aborted: %v", outcomes[0].Reason)
-	}
-	if outcomes[1].Committed {
-		t.Fatal("record-level base let disjoint cells through")
-	}
-	if !outcomes[1].FalseConflict {
-		t.Fatal("disjoint-cell abort not classified as false conflict")
-	}
-}
-
-func TestCellVariantAvoidsThatFalseConflict(t *testing.T) {
-	f := newFixture(t, CellOptions(), 1, 2, 0, 2, false)
-	c1 := f.cns[0].NewCoordinator(0)
-	c2 := f.cns[1].NewCoordinator(1)
-	outcomes := make([]engine.Attempt, 2)
-	f.env.Spawn("c1", func(p *sim.Proc) {
-		txn := incTxn(0, 0, 1)
-		txn.Blocks[0].Ops[0].Hook = func(_ any, read [][]byte) [][]byte {
-			p.Sleep(100 * sim.Microsecond)
-			return [][]byte{word(binary.LittleEndian.Uint64(read[0]) + 1)}
-		}
-		outcomes[0] = c1.Execute(p, txn)
-	})
-	f.env.Spawn("c2", func(p *sim.Proc) {
-		p.Sleep(10 * sim.Microsecond)
-		outcomes[1] = c2.Execute(p, incTxn(0, 2, 1))
-	})
-	run(t, f)
-	if !outcomes[0].Committed || !outcomes[1].Committed {
-		t.Fatalf("cell-level variant aborted disjoint writes: %v %v",
-			outcomes[0].Reason, outcomes[1].Reason)
-	}
-}
-
 func TestLocalWritersSameCellLastWriterWins(t *testing.T) {
 	f := newFixture(t, DefaultOptions(), 2, 1, 1, 2, true)
 	const workers, incs = 6, 8
@@ -577,41 +523,6 @@ func TestReverseOrderDetected(t *testing.T) {
 	}
 	if a1.Reason != engine.AbortReverse {
 		t.Fatalf("T1 reason = %v, want reverse-order", a1.Reason)
-	}
-}
-
-func TestDirectVariantsSerializable(t *testing.T) {
-	for _, opts := range []Options{BaseOptions(), CellOptions()} {
-		opts := opts
-		name := "base"
-		if opts.CellLevel {
-			name = "cell"
-		}
-		t.Run(name, func(t *testing.T) {
-			f := newFixture(t, opts, 2, 2, 1, 4, true)
-			for i := 0; i < 6; i++ {
-				coord := f.cns[i%2].NewCoordinator(i)
-				f.env.Spawn("w", func(p *sim.Proc) {
-					for j := 0; j < 8; j++ {
-						retryUntilCommit(p, coord, incTxn(layout.Key(j%2), j%3, 1))
-					}
-				})
-			}
-			run(t, f)
-			if err := f.sys.db.History.Check(); err != nil {
-				t.Fatalf("history not serializable: %v", err)
-			}
-			total := uint64(0)
-			for k := layout.Key(0); k < 2; k++ {
-				primary := f.sys.db.Pool.PrimaryOf(1, k)
-				for cell := 0; cell < 3; cell++ {
-					total += f.poolCell(primary, k, cell) - uint64(k)
-				}
-			}
-			if total != 48 {
-				t.Fatalf("total increments %d, want 48", total)
-			}
-		})
 	}
 }
 

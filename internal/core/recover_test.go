@@ -95,7 +95,7 @@ func TestRecoverDropsOrphanedDependents(t *testing.T) {
 	entry := encodeLogEntry(2, 50, []uint64{1}, []logRecord{
 		{Table: 1, Key: 0, Mask: 1, Vals: [][]byte{word(999)}},
 	})
-	off := coord.log.Reserve(len(entry))
+	off := coord.Log.Reserve(len(entry))
 	buf := f.sys.db.Pool.Nodes()[0].Region.Bytes()
 	copy(buf[off:], entry)
 	rep, err := f.sys.Recover()
@@ -118,9 +118,9 @@ func TestRecoverAppliesDependencyChain(t *testing.T) {
 	e1 := encodeLogEntry(1, 10, nil, []logRecord{{Table: 1, Key: 0, Mask: 0b10, Vals: [][]byte{word(7)}}})
 	e2 := encodeLogEntry(2, 20, []uint64{1}, []logRecord{{Table: 1, Key: 0, Mask: 0b10, Vals: [][]byte{word(8)}}})
 	buf := f.sys.db.Pool.Nodes()[0].Region.Bytes()
-	off1 := coord.log.Reserve(len(e1))
+	off1 := coord.Log.Reserve(len(e1))
 	copy(buf[off1:], e1)
-	off2 := coord.log.Reserve(len(e2))
+	off2 := coord.Log.Reserve(len(e2))
 	copy(buf[off2:], e2)
 	rep, err := f.sys.Recover()
 	if err != nil {
@@ -146,8 +146,8 @@ func TestRecoverSurvivesOneLogReplicaFailure(t *testing.T) {
 	})
 	run(t, f)
 	// Fail the first log replica; the backup still has the entry.
-	coord.logN[0].Region.Fail()
-	defer coord.logN[0].Region.Recover()
+	coord.LogN[0].Region.Fail()
+	defer coord.LogN[0].Region.Recover()
 	rep, err := f.sys.Recover()
 	if err != nil {
 		t.Fatal(err)

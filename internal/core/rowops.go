@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"crest/internal/engine"
 	"crest/internal/layout"
 	"crest/internal/rdma"
 	"crest/internal/sim"
@@ -57,7 +58,7 @@ func (c *Coordinator) InsertRow(p *sim.Proc, table layout.TableID, key layout.Ke
 		}
 		layout.EncodeHeader(buf, hdr)
 		batches = append(batches, rdma.Batch{
-			QP:  c.qps.Get(n.Region),
+			QP:  c.QPs.Get(n.Region),
 			Ops: []rdma.Op{{Kind: rdma.OpWrite, Off: off, Data: append([]byte(nil), buf...)}},
 		})
 	}
@@ -70,7 +71,7 @@ func (c *Coordinator) InsertRow(p *sim.Proc, table layout.TableID, key layout.Ke
 	}
 	c.cn.cache.Put(table, key, off)
 	primary := db.Pool.PrimaryOf(table, key)
-	if _, _, err := c.qps.Get(primary.Region).MaskedCAS(p, off+layout.OffLock, mask, 0, mask); err != nil {
+	if _, _, err := c.QPs.Get(primary.Region).MaskedCAS(p, off+layout.OffLock, mask, 0, mask); err != nil {
 		return err
 	}
 	return nil
@@ -93,7 +94,7 @@ func (c *Coordinator) DeleteRow(p *sim.Proc, table layout.TableID, key layout.Ke
 	}
 	mask := layout.AllCellsMask(lay.NumCells())
 	primary := db.Pool.PrimaryOf(table, key)
-	qp := c.qps.Get(primary.Region)
+	qp := c.QPs.Get(primary.Region)
 
 	// Acquire every cell lock (retry briefly like any other writer).
 	opts := c.cn.sys.opts
@@ -116,7 +117,7 @@ func (c *Coordinator) DeleteRow(p *sim.Proc, table layout.TableID, key layout.Ke
 	var batches []rdma.Batch
 	for _, n := range db.Pool.ReplicaNodes(table, key) {
 		batches = append(batches, rdma.Batch{
-			QP: c.qps.Get(n.Region),
+			QP: c.QPs.Get(n.Region),
 			Ops: []rdma.Op{{
 				Kind:    rdma.OpMaskedCAS,
 				Off:     off + layout.OffLock,
@@ -132,12 +133,12 @@ func (c *Coordinator) DeleteRow(p *sim.Proc, table layout.TableID, key layout.Ke
 	// Tombstone the mirrored index on the owning shard group (only its
 	// nodes carry the entry).
 	for _, n := range db.Pool.GroupNodes(db.Pool.ShardOf(table, key)) {
-		if err := tab.Index.Delete(p, c.qps.Get(n.Region), key); err != nil {
+		if err := tab.Index.Delete(p, c.QPs.Get(n.Region), key); err != nil {
 			return err
 		}
 	}
 	// Evict any local object so the cache does not serve the ghost.
-	delete(c.cn.objs, recKey{table, key})
+	delete(c.cn.objs, engine.RecKey{Table: table, Key: key})
 	return nil
 }
 

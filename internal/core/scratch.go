@@ -5,24 +5,16 @@ import (
 	"crest/internal/rdma"
 )
 
-// execScratch is the attempt-scoped working memory of one Execute
-// call: access/work slabs, batch builders, log encoding buffers and a
-// byte arena for write-back payloads. Coordinators are shared by
-// round-robin across transaction processes, so attempts on one
-// coordinator can overlap in virtual time; each attempt therefore
-// checks a scratch out of the coordinator's free list for its whole
-// duration and returns it at the end, which keeps the steady-state
-// hot path allocation-free without any cross-attempt aliasing.
-//
-// Nothing allocated from a scratch may outlive the attempt. Values
-// that escape the attempt — txnState, version, object contents, log
-// bytes in the memory pool — are allocated normally.
+// execScratch is the localized path's attempt scratch: the shared
+// batch builder, arena and log buffer (engine.Scratch, which also says
+// why attempts check scratch out instead of owning it), plus the access
+// slab and the lists admission, local locking and release reuse.
+// Values that escape the attempt — txnState, version, object contents,
+// log bytes in the memory pool — are allocated normally.
 type execScratch struct {
-	bat *engine.Batcher
+	engine.Scratch
 
-	// localized path
-	accSlab   []access
-	accN      int
+	slab      engine.Slab[access]
 	accs      []*access
 	blockAccs []*access
 	lockOrder []*access
@@ -34,26 +26,8 @@ type execScratch struct {
 	objs      []*object
 	work      []*object
 	fins      []fin
-
-	// direct path
-	dSlab   []dwork
-	dN      int
-	dWs     []*dwork
-	dBlock  []*dwork
-	dTodo   []*dwork
-	dRetry  []*dwork
-	dSlots  []dslot
-	dBatchW [][]*dwork
-
-	// redo log and write-back
-	recs       []logRecord
-	depIDs     []uint64
-	idx        []int
-	logBuf     []byte
-	logBatches []rdma.Batch
-
-	arena    []byte
-	arenaOff int
+	depIDs    []uint64
+	ops       []rdma.Op // one object's write-back WRITEs
 }
 
 // admitPend is one object's slots in an admission round-trip.
@@ -66,95 +40,18 @@ type admitPend struct {
 	preLocks uint64 // lock bits held before this admission
 }
 
-// dslot is one record's slots in a direct-path fetch round-trip.
-type dslot struct {
-	w      *dwork
-	casIdx int
-	rdIdx  int
-}
-
-func (c *Coordinator) getScratch() *execScratch {
-	if n := len(c.scFree); n > 0 {
-		sc := c.scFree[n-1]
-		c.scFree = c.scFree[:n-1]
-		sc.reset()
-		return sc
-	}
-	return &execScratch{bat: engine.NewBatcher(c.qps)}
-}
-
-func (c *Coordinator) putScratch(sc *execScratch) { c.scFree = append(c.scFree, sc) }
-
+// reset readies a recycled scratch for its next attempt.
 func (sc *execScratch) reset() {
-	sc.accN = 0
+	sc.slab.Reset()
+	sc.Arena.Reset()
 	sc.accs = sc.accs[:0]
 	sc.deps.list = sc.deps.list[:0]
-	sc.dN = 0
-	sc.dWs = sc.dWs[:0]
-	sc.arenaOff = 0
 }
 
 // newAccess hands out a zeroed access from the slab, keeping the
-// recycled entry's checks/readVals backing arrays.
+// recycled entry's checks/ReadVals backing arrays.
 func (sc *execScratch) newAccess() *access {
-	if sc.accN == len(sc.accSlab) {
-		sc.accSlab = append(sc.accSlab, access{})
-	}
-	a := &sc.accSlab[sc.accN]
-	sc.accN++
-	checks, readVals := a.checks[:0], a.readVals[:0]
-	*a = access{checks: checks, readVals: readVals}
+	a := sc.slab.Next()
+	*a = access{RecBase: engine.RecBase{ReadVals: a.ReadVals[:0]}, checks: a.checks[:0]}
 	return a
-}
-
-// newDwork is the direct path's slab twin of newAccess.
-func (sc *execScratch) newDwork() *dwork {
-	if sc.dN == len(sc.dSlab) {
-		sc.dSlab = append(sc.dSlab, dwork{})
-	}
-	w := &sc.dSlab[sc.dN]
-	sc.dN++
-	checks, readVals := w.checks[:0], w.readVals[:0]
-	*w = dwork{checks: checks, readVals: readVals}
-	return w
-}
-
-// bytes carves n bytes out of the attempt arena. Slices stay valid
-// even when the arena grows (a full chunk is abandoned to the
-// garbage collector, not reallocated) but only until the attempt
-// ends.
-func (sc *execScratch) bytes(n int) []byte {
-	if sc.arenaOff+n > len(sc.arena) {
-		sz := 32 << 10
-		if n > sz {
-			sz = n
-		}
-		sc.arena = make([]byte, sz)
-		sc.arenaOff = 0
-	}
-	b := sc.arena[sc.arenaOff : sc.arenaOff+n : sc.arenaOff+n]
-	sc.arenaOff += n
-	return b
-}
-
-// findAcc returns the access covering rk, or nil. Transactions touch
-// a handful of records, so a linear scan beats a map both in time
-// and in allocation.
-func findAcc(list []*access, rk recKey) *access {
-	for _, a := range list {
-		if a.rk == rk {
-			return a
-		}
-	}
-	return nil
-}
-
-// findDwork is findAcc for the direct path.
-func findDwork(list []*dwork, rk recKey) *dwork {
-	for _, w := range list {
-		if w.rk == rk {
-			return w
-		}
-	}
-	return nil
 }

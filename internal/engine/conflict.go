@@ -14,12 +14,7 @@ import (
 // purely so the record-level baselines can report how many of their
 // aborts a cell-level protocol would have avoided.
 type ConflictTracker struct {
-	recs map[recKey]*recConflictState
-}
-
-type recKey struct {
-	table layout.TableID
-	key   layout.Key
+	recs map[RecKey]*recConflictState
 }
 
 type recConflictState struct {
@@ -39,11 +34,11 @@ const conflictHistoryLen = 16
 
 // NewConflictTracker returns an empty tracker.
 func NewConflictTracker() *ConflictTracker {
-	return &ConflictTracker{recs: map[recKey]*recConflictState{}}
+	return &ConflictTracker{recs: map[RecKey]*recConflictState{}}
 }
 
 func (c *ConflictTracker) rec(table layout.TableID, key layout.Key) *recConflictState {
-	k := recKey{table, key}
+	k := RecKey{table, key}
 	r := c.recs[k]
 	if r == nil {
 		r = &recConflictState{}

@@ -159,6 +159,38 @@ func (db *DB) CreateTable(s layout.Schema, recSize, capacity int) *Table {
 	return t
 }
 
+// RecordLayout is the load side of an engine's record format: how much
+// room a table's records take and what a freshly loaded one holds.
+type RecordLayout interface {
+	// AddTable registers a (normalized) schema and returns its record
+	// footprint in bytes.
+	AddTable(sc layout.Schema) (recSize int)
+	// Encode writes a record's load-time image into buf, which is zeroed
+	// and of that footprint.
+	Encode(buf []byte, table layout.TableID, key layout.Key, cells [][]byte)
+}
+
+// CreateTableAs registers a table laid out by l.
+func (db *DB) CreateTableAs(l RecordLayout, sc layout.Schema, capacity int) {
+	sc = sc.Normalize()
+	db.CreateTable(sc, l.AddTable(sc), capacity)
+}
+
+// Load writes a record's initial cell values in l's layout host-side
+// (the benchmark pre-load) and tells the history checker about them.
+func (db *DB) Load(l RecordLayout, table layout.TableID, key layout.Key, cells [][]byte) {
+	t := db.Table(table)
+	for i, v := range cells {
+		if len(v) != t.Schema.CellSizes[i] {
+			panic(fmt.Sprintf("engine: table %q cell %d size %d, schema wants %d", t.Schema.Name, i, len(v), t.Schema.CellSizes[i]))
+		}
+	}
+	db.LoadRecord(t, key, func(buf []byte) { l.Encode(buf, table, key, cells) })
+	for i, v := range cells {
+		db.History.SetInitial(CellID{Table: table, Key: key, Cell: i}, v)
+	}
+}
+
 // Table returns the table with the given id.
 func (db *DB) Table(id layout.TableID) *Table {
 	t := db.Tables[id]

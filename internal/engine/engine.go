@@ -52,6 +52,29 @@ func (o *Op) ResolveKey(state any) layout.Key {
 // IsWrite reports whether the op updates the record.
 func (o *Op) IsWrite() bool { return len(o.WriteCells) > 0 || o.Insert }
 
+// CellMask returns the cells the op touches, for conflict
+// classification (always the true cells, whatever the lock covers).
+func (o *Op) CellMask() uint64 {
+	return layout.LockMask(o.ReadCells) | layout.LockMask(o.WriteCells)
+}
+
+// RunHook runs the op's hook on read and holds its output to the
+// declaration: one value per write cell, each of the cell's size in
+// sizes (the table's Schema.CellSizes). who names the engine in the
+// panic.
+func (o *Op) RunHook(who string, state any, read [][]byte, sizes []int) [][]byte {
+	written := o.Hook(state, read)
+	if len(written) != len(o.WriteCells) {
+		panic(fmt.Sprintf("%s: hook returned %d values for %d write cells", who, len(written), len(o.WriteCells)))
+	}
+	for i, cell := range o.WriteCells {
+		if len(written[i]) != sizes[cell] {
+			panic(fmt.Sprintf("%s: hook wrote %d bytes to cell %d of size %d", who, len(written[i]), cell, sizes[cell]))
+		}
+	}
+	return written
+}
+
 // Block is a pipeline stage of a transaction (§5.2): ops whose keys
 // are mutually resolvable once the block starts. CREST releases local
 // locks at block boundaries; the record-level baselines use blocks

@@ -65,9 +65,13 @@ func HashValue(b []byte) uint64 {
 	return h.Sum64()
 }
 
+// Recording reports whether commits are being recorded (a nil history
+// records nothing).
+func (h *History) Recording() bool { return h != nil && h.On }
+
 // SetInitial records the pre-load value of a cell.
 func (h *History) SetInitial(c CellID, value []byte) {
-	if h == nil || !h.On {
+	if !h.Recording() {
 		return
 	}
 	h.Init[c] = HashValue(value)
@@ -78,7 +82,7 @@ func (h *History) SetInitial(c CellID, value []byte) {
 // parallel partitions never contend on one slice. Forking a nil or
 // disabled history returns h itself (commits no-op everywhere).
 func (h *History) Fork() *History {
-	if h == nil || !h.On {
+	if !h.Recording() {
 		return h
 	}
 	return &History{On: true, Init: h.Init, label: h.label}
@@ -89,7 +93,7 @@ func (h *History) Fork() *History {
 // by serial position regardless; the order matters only for
 // byte-stable dumps).
 func (h *History) Absorb(sub *History) {
-	if h == nil || !h.On || sub == nil || sub == h {
+	if !h.Recording() || sub == nil || sub == h {
 		return
 	}
 	h.Txns = append(h.Txns, sub.Txns...)
@@ -97,7 +101,7 @@ func (h *History) Absorb(sub *History) {
 
 // Commit appends a committed transaction.
 func (h *History) Commit(t HTxn) {
-	if h == nil || !h.On {
+	if !h.Recording() {
 		return
 	}
 	h.Txns = append(h.Txns, t)

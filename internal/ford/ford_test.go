@@ -15,8 +15,8 @@ import (
 // cells per record, keys 0..n-1, both cells initialized to the key.
 type fixture struct {
 	env *sim.Env
-	sys *System
-	cns []*ComputeNode
+	sys *engine.StrictSystem[rec]
+	cns []engine.ComputeNode
 }
 
 func newFixture(t *testing.T, mns, cnCount, replicas, records int, history bool) *fixture {
@@ -86,54 +86,13 @@ func readTxn(key layout.Key, out *[2]uint64) *engine.Txn {
 
 // poolCell reads a cell value directly from a node's region.
 func (f *fixture) poolCell(node *memnode.Node, key layout.Key, cell int) uint64 {
-	tab := f.sys.db.Table(1)
+	tab := f.sys.DB().Table(1)
 	off, ok := tab.AddrOf(key)
 	if !ok {
 		panic("key not loaded")
 	}
-	lay := f.sys.layouts[1]
+	lay := layout.NewFORDRecord(tab.Schema)
 	return binary.LittleEndian.Uint64(node.Region.Bytes()[off+uint64(lay.CellValueOff(cell)):])
-}
-
-func TestSingleWriteCommits(t *testing.T) {
-	f := newFixture(t, 2, 1, 0, 4, false)
-	coord := f.cns[0].NewCoordinator(0)
-	var att engine.Attempt
-	f.env.Spawn("c", func(p *sim.Proc) {
-		att = coord.Execute(p, incTxn(2, 0, 100))
-	})
-	if err := f.env.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if !att.Committed {
-		t.Fatalf("attempt aborted: %v", att.Reason)
-	}
-	primary := f.sys.db.Pool.PrimaryOf(1, 2)
-	if got := f.poolCell(primary, 2, 0); got != 102 {
-		t.Fatalf("cell = %d, want 102", got)
-	}
-	// Cell 1 untouched.
-	if got := f.poolCell(primary, 2, 1); got != 2 {
-		t.Fatalf("cell 1 = %d, want 2", got)
-	}
-}
-
-func TestReplicasUpdatedSynchronously(t *testing.T) {
-	f := newFixture(t, 3, 1, 2, 4, false)
-	coord := f.cns[0].NewCoordinator(0)
-	f.env.Spawn("c", func(p *sim.Proc) {
-		if a := coord.Execute(p, incTxn(1, 1, 5)); !a.Committed {
-			t.Errorf("abort: %v", a.Reason)
-		}
-	})
-	if err := f.env.Run(); err != nil {
-		t.Fatal(err)
-	}
-	for _, n := range f.sys.db.Pool.ReplicaNodes(1, 1) {
-		if got := f.poolCell(n, 1, 1); got != 6 {
-			t.Fatalf("node %d cell = %d, want 6", n.ID, got)
-		}
-	}
 }
 
 func TestVerbCountsMatchTable2(t *testing.T) {
@@ -169,125 +128,6 @@ func TestVerbCountsMatchTable2(t *testing.T) {
 	}
 	if v.Writes != 2 {
 		t.Errorf("WRITEs = %d, want 2 (log + record)", v.Writes)
-	}
-}
-
-func TestWriteConflictAborts(t *testing.T) {
-	f := newFixture(t, 1, 1, 0, 2, false)
-	c1 := f.cns[0].NewCoordinator(0)
-	c2 := f.cns[0].NewCoordinator(1)
-	outcomes := make([]engine.Attempt, 2)
-	f.env.Spawn("c1", func(p *sim.Proc) { outcomes[0] = c1.Execute(p, incTxn(0, 0, 1)) })
-	f.env.Spawn("c2", func(p *sim.Proc) { outcomes[1] = c2.Execute(p, incTxn(0, 0, 1)) })
-	if err := f.env.Run(); err != nil {
-		t.Fatal(err)
-	}
-	committed, aborted := 0, 0
-	for _, a := range outcomes {
-		if a.Committed {
-			committed++
-		} else {
-			aborted++
-			if a.Reason != engine.AbortLockFail {
-				t.Errorf("abort reason %v, want lock-conflict", a.Reason)
-			}
-			if a.FalseConflict {
-				t.Error("same-cell conflict classified as false")
-			}
-		}
-	}
-	if committed != 1 || aborted != 1 {
-		t.Fatalf("committed=%d aborted=%d", committed, aborted)
-	}
-}
-
-func TestDisjointCellConflictIsFalse(t *testing.T) {
-	f := newFixture(t, 1, 1, 0, 2, false)
-	c1 := f.cns[0].NewCoordinator(0)
-	c2 := f.cns[0].NewCoordinator(1)
-	outcomes := make([]engine.Attempt, 2)
-	f.env.Spawn("c1", func(p *sim.Proc) { outcomes[0] = c1.Execute(p, incTxn(0, 0, 1)) })
-	f.env.Spawn("c2", func(p *sim.Proc) { outcomes[1] = c2.Execute(p, incTxn(0, 1, 1)) })
-	if err := f.env.Run(); err != nil {
-		t.Fatal(err)
-	}
-	for _, a := range outcomes {
-		if a.Committed {
-			continue
-		}
-		if !a.FalseConflict {
-			t.Fatalf("disjoint-cell record conflict not classified false (reason %v)", a.Reason)
-		}
-	}
-}
-
-func TestValidationCatchesStaleRead(t *testing.T) {
-	// A slow reader fetches key 0, then a writer commits to it before
-	// the reader validates.
-	f := newFixture(t, 1, 1, 0, 2, false)
-	reader := f.cns[0].NewCoordinator(0)
-	writer := f.cns[0].NewCoordinator(1)
-	var readAtt engine.Attempt
-	f.env.Spawn("reader", func(p *sim.Proc) {
-		txn := &engine.Txn{Label: "slow-read", ReadOnly: true}
-		txn.Blocks = []engine.Block{
-			{Ops: []engine.Op{{
-				Table: 1, Key: 0, ReadCells: []int{0},
-				Hook: func(_ any, _ [][]byte) [][]byte { return nil },
-			}}},
-			// A second block whose fetch gives the writer time to
-			// commit between our read and our validation.
-			{Ops: []engine.Op{{
-				Table: 1, Key: 1, ReadCells: []int{0},
-				Hook: func(_ any, _ [][]byte) [][]byte { p.Sleep(50 * sim.Microsecond); return nil },
-			}}},
-		}
-		readAtt = reader.Execute(p, txn)
-	})
-	f.env.Spawn("writer", func(p *sim.Proc) {
-		p.Sleep(10 * sim.Microsecond)
-		if a := writer.Execute(p, incTxn(0, 0, 7)); !a.Committed {
-			t.Errorf("writer aborted: %v", a.Reason)
-		}
-	})
-	if err := f.env.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if readAtt.Committed {
-		t.Fatal("stale read committed")
-	}
-	if readAtt.Reason != engine.AbortValidation {
-		t.Fatalf("reason = %v, want validation", readAtt.Reason)
-	}
-}
-
-func TestConcurrentIncrementsSerializable(t *testing.T) {
-	f := newFixture(t, 2, 2, 1, 4, true)
-	const workers, incs = 8, 10
-	retry := engine.DefaultRetryPolicy()
-	for i := 0; i < workers; i++ {
-		cn := f.cns[i%len(f.cns)]
-		coord := cn.NewCoordinator(i)
-		f.env.Spawn("w", func(p *sim.Proc) {
-			for j := 0; j < incs; j++ {
-				for attempt := 1; ; attempt++ {
-					if a := coord.Execute(p, incTxn(0, 0, 1)); a.Committed {
-						break
-					}
-					p.Sleep(retry.Backoff(attempt, p.Rand()))
-				}
-			}
-		})
-	}
-	if err := f.env.Run(); err != nil {
-		t.Fatal(err)
-	}
-	primary := f.sys.db.Pool.PrimaryOf(1, 0)
-	if got := f.poolCell(primary, 0, 0); got != workers*incs {
-		t.Fatalf("final counter = %d, want %d", got, workers*incs)
-	}
-	if err := f.sys.db.History.Check(); err != nil {
-		t.Fatalf("history not serializable: %v", err)
 	}
 }
 
@@ -330,90 +170,7 @@ func TestReadersSeeConsistentPairs(t *testing.T) {
 	if err := f.env.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if err := f.sys.db.History.Check(); err != nil {
+	if err := f.sys.DB().History.Check(); err != nil {
 		t.Fatalf("history not serializable: %v", err)
-	}
-}
-
-func TestKeyDependencyAcrossBlocks(t *testing.T) {
-	// Block 1 reads key 0's cell 0, block 2 increments the key that
-	// value names.
-	f := newFixture(t, 2, 1, 0, 8, false)
-	coord := f.cns[0].NewCoordinator(0)
-	type st struct{ next uint64 }
-	f.env.Spawn("c", func(p *sim.Proc) {
-		s := &st{}
-		txn := &engine.Txn{Label: "chain", State: s}
-		txn.Blocks = []engine.Block{
-			{Ops: []engine.Op{{
-				Table: 1, Key: 3, ReadCells: []int{0},
-				Hook: func(state any, read [][]byte) [][]byte {
-					state.(*st).next = binary.LittleEndian.Uint64(read[0]) + 1
-					return nil
-				},
-			}}},
-			{Ops: []engine.Op{{
-				Table:      1,
-				KeyFn:      func(state any) layout.Key { return layout.Key(state.(*st).next) },
-				ReadCells:  []int{1},
-				WriteCells: []int{1},
-				Hook: func(_ any, read [][]byte) [][]byte {
-					return [][]byte{word(binary.LittleEndian.Uint64(read[0]) + 1000)}
-				},
-			}}},
-		}
-		if a := coord.Execute(p, txn); !a.Committed {
-			t.Errorf("abort: %v", a.Reason)
-		}
-	})
-	if err := f.env.Run(); err != nil {
-		t.Fatal(err)
-	}
-	// Key 3's cell 0 holds 3, so the dependent key is 4: cell 1 of
-	// key 4 becomes 4+1000.
-	primary := f.sys.db.Pool.PrimaryOf(1, 4)
-	if got := f.poolCell(primary, 4, 1); got != 1004 {
-		t.Fatalf("dependent record cell = %d, want 1004", got)
-	}
-}
-
-func TestAbortReleasesLocks(t *testing.T) {
-	// A txn that locks key 0 then aborts on key 1's lock must release
-	// key 0 so a later txn can lock it.
-	f := newFixture(t, 1, 1, 0, 2, false)
-	blocker := f.cns[0].NewCoordinator(0)
-	victim := f.cns[0].NewCoordinator(1)
-	after := f.cns[0].NewCoordinator(2)
-
-	// blocker holds key 1 for a long time by sleeping inside its hook.
-	f.env.Spawn("blocker", func(p *sim.Proc) {
-		txn := incTxn(1, 0, 1)
-		txn.Blocks[0].Ops[0].Hook = func(_ any, read [][]byte) [][]byte {
-			p.Sleep(100 * sim.Microsecond)
-			return [][]byte{word(binary.LittleEndian.Uint64(read[0]) + 1)}
-		}
-		if a := blocker.Execute(p, txn); !a.Committed {
-			t.Errorf("blocker aborted: %v", a.Reason)
-		}
-	})
-	f.env.Spawn("victim", func(p *sim.Proc) {
-		p.Sleep(10 * sim.Microsecond)
-		txn := &engine.Txn{Label: "two"}
-		txn.Blocks = []engine.Block{{Ops: []engine.Op{
-			incTxn(0, 0, 1).Blocks[0].Ops[0],
-			incTxn(1, 0, 1).Blocks[0].Ops[0],
-		}}}
-		if a := victim.Execute(p, txn); a.Committed {
-			t.Error("victim committed against held lock")
-		}
-	})
-	f.env.Spawn("after", func(p *sim.Proc) {
-		p.Sleep(40 * sim.Microsecond)
-		if a := after.Execute(p, incTxn(0, 0, 1)); !a.Committed {
-			t.Errorf("lock on key 0 leaked: %v", a.Reason)
-		}
-	})
-	if err := f.env.Run(); err != nil {
-		t.Fatal(err)
 	}
 }

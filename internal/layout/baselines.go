@@ -54,8 +54,9 @@ func UnpackVersionWord(w uint64) (locked bool, version uint64) {
 // FORDRecord is the FORD baseline layout: a 24-byte header followed by
 // the raw cell values, with no per-cell metadata.
 type FORDRecord struct {
-	Schema Schema
-	size   int
+	Schema  Schema
+	size    int
+	cellOff []int // offset of each cell within the value bytes
 }
 
 // NewFORDRecord builds the FORD layout for s.
@@ -63,7 +64,19 @@ func NewFORDRecord(s Schema) *FORDRecord {
 	if err := s.Validate(); err != nil {
 		panic(err)
 	}
-	return &FORDRecord{Schema: s, size: BaselineHeaderSize + s.DataBytes()}
+	return &FORDRecord{Schema: s, size: BaselineHeaderSize + s.DataBytes(), cellOff: dataOffsets(s)}
+}
+
+// dataOffsets returns each cell's offset within a record's value
+// bytes, which the baselines store back to back.
+func dataOffsets(s Schema) []int {
+	offs := make([]int, len(s.CellSizes))
+	off := 0
+	for i, c := range s.CellSizes {
+		offs[i] = off
+		off += c
+	}
+	return offs
 }
 
 // Size returns the unpadded record size.
@@ -77,13 +90,7 @@ func (r *FORDRecord) DataOff() int { return BaselineHeaderSize }
 
 // CellValueOff returns the offset of cell i's value bytes (values are
 // stored back to back).
-func (r *FORDRecord) CellValueOff(i int) int {
-	off := BaselineHeaderSize
-	for j := 0; j < i; j++ {
-		off += r.Schema.CellSizes[j]
-	}
-	return off
-}
+func (r *FORDRecord) CellValueOff(i int) int { return BaselineHeaderSize + r.cellOff[i] }
 
 // MotorRecord is the Motor baseline layout: a 24-byte header, a
 // consecutive table of MotorSlots version-metadata words, then
@@ -91,8 +98,9 @@ func (r *FORDRecord) CellValueOff(i int) int {
 // consecutively is Motor's key layout idea: one READ fetches every
 // version without chain traversal.
 type MotorRecord struct {
-	Schema Schema
-	size   int
+	Schema  Schema
+	size    int
+	cellOff []int // offset of each cell within one version's data
 }
 
 // NewMotorRecord builds the Motor layout for s.
@@ -101,7 +109,7 @@ func NewMotorRecord(s Schema) *MotorRecord {
 		panic(err)
 	}
 	size := BaselineHeaderSize + MotorSlots*MotorSlotMetaSize + MotorSlots*s.DataBytes()
-	return &MotorRecord{Schema: s, size: size}
+	return &MotorRecord{Schema: s, size: size, cellOff: dataOffsets(s)}
 }
 
 // Size returns the unpadded record size.
@@ -120,14 +128,11 @@ func (r *MotorRecord) SlotDataOff(i int) int {
 	return BaselineHeaderSize + MotorSlots*MotorSlotMetaSize + i*r.Schema.DataBytes()
 }
 
+// DataCellOff returns the offset of cell c within one version's data.
+func (r *MotorRecord) DataCellOff(c int) int { return r.cellOff[c] }
+
 // SlotCellOff returns the offset of cell c inside version slot i.
-func (r *MotorRecord) SlotCellOff(i, c int) int {
-	off := r.SlotDataOff(i)
-	for j := 0; j < c; j++ {
-		off += r.Schema.CellSizes[j]
-	}
-	return off
-}
+func (r *MotorRecord) SlotCellOff(i, c int) int { return r.SlotDataOff(i) + r.cellOff[c] }
 
 // PackSlotMeta encodes a Motor version slot's metadata: valid flag and
 // 48-bit commit timestamp.

@@ -13,8 +13,8 @@ import (
 
 type fixture struct {
 	env *sim.Env
-	sys *System
-	cns []*ComputeNode
+	sys *engine.StrictSystem[rec]
+	cns []engine.ComputeNode
 }
 
 func newFixture(t *testing.T, mns, cnCount, replicas, records int, history bool) *fixture {
@@ -83,9 +83,9 @@ func readTxn(keys []layout.Key, out *[]uint64) *engine.Txn {
 
 // newestVersion scans a record's version table host-side.
 func (f *fixture) newestVersion(node *memnode.Node, key layout.Key) (ts, val uint64) {
-	tab := f.sys.db.Table(1)
+	tab := f.sys.DB().Table(1)
 	off, _ := tab.AddrOf(key)
-	lay := f.sys.layouts[1]
+	lay := layout.NewMotorRecord(tab.Schema)
 	buf := node.Region.Bytes()
 	best := -1
 	for i := 0; i < layout.MotorSlots; i++ {
@@ -109,7 +109,7 @@ func TestWriteCreatesNewVersion(t *testing.T) {
 	if err := f.env.Run(); err != nil {
 		t.Fatal(err)
 	}
-	primary := f.sys.db.Pool.PrimaryOf(1, 2)
+	primary := f.sys.DB().Pool.PrimaryOf(1, 2)
 	ts, val := f.newestVersion(primary, 2)
 	if val != 102 {
 		t.Fatalf("newest version value = %d, want 102", val)
@@ -118,9 +118,9 @@ func TestWriteCreatesNewVersion(t *testing.T) {
 		t.Fatal("commit did not advance version timestamp")
 	}
 	// The original version must survive in another slot (MVCC).
-	tab := f.sys.db.Table(1)
+	tab := f.sys.DB().Table(1)
 	off, _ := tab.AddrOf(2)
-	lay := f.sys.layouts[1]
+	lay := layout.NewMotorRecord(tab.Schema)
 	buf := primary.Region.Bytes()
 	foundOld := false
 	for i := 0; i < layout.MotorSlots; i++ {
@@ -149,7 +149,7 @@ func TestVersionTableRecyclesOldest(t *testing.T) {
 	if err := f.env.Run(); err != nil {
 		t.Fatal(err)
 	}
-	primary := f.sys.db.Pool.PrimaryOf(1, 0)
+	primary := f.sys.DB().Pool.PrimaryOf(1, 0)
 	_, val := f.newestVersion(primary, 0)
 	if val != uint64(layout.MotorSlots+3) {
 		t.Fatalf("final value %d, want %d", val, layout.MotorSlots+3)
@@ -215,66 +215,12 @@ func TestReadersDoNotAbortAgainstCommittedWriters(t *testing.T) {
 	if committed < 8 {
 		t.Fatalf("only %d of 10 snapshot reads committed", committed)
 	}
-	if err := f.sys.db.History.Check(); err != nil {
+	if err := f.sys.DB().History.Check(); err != nil {
 		t.Fatalf("history not serializable: %v", err)
 	}
 }
 
 func time2() sim.Duration { return 5 * sim.Microsecond }
-
-func TestWriteConflictAborts(t *testing.T) {
-	f := newFixture(t, 1, 1, 0, 2, false)
-	c1 := f.cns[0].NewCoordinator(0)
-	c2 := f.cns[0].NewCoordinator(1)
-	outcomes := make([]engine.Attempt, 2)
-	f.env.Spawn("c1", func(p *sim.Proc) { outcomes[0] = c1.Execute(p, incTxn(0, 0, 1)) })
-	f.env.Spawn("c2", func(p *sim.Proc) { outcomes[1] = c2.Execute(p, incTxn(0, 0, 1)) })
-	if err := f.env.Run(); err != nil {
-		t.Fatal(err)
-	}
-	committed := 0
-	for _, a := range outcomes {
-		if a.Committed {
-			committed++
-		} else if a.Reason != engine.AbortLockFail {
-			t.Errorf("abort reason %v", a.Reason)
-		}
-	}
-	if committed != 1 {
-		t.Fatalf("%d committed, want 1", committed)
-	}
-}
-
-func TestConcurrentIncrementsSerializable(t *testing.T) {
-	f := newFixture(t, 2, 2, 1, 4, true)
-	const workers, incs = 8, 10
-	retry := engine.DefaultRetryPolicy()
-	for i := 0; i < workers; i++ {
-		cn := f.cns[i%len(f.cns)]
-		coord := cn.NewCoordinator(i)
-		f.env.Spawn("w", func(p *sim.Proc) {
-			for j := 0; j < incs; j++ {
-				for attempt := 1; ; attempt++ {
-					if a := coord.Execute(p, incTxn(0, 0, 1)); a.Committed {
-						break
-					}
-					p.Sleep(retry.Backoff(attempt, p.Rand()))
-				}
-			}
-		})
-	}
-	if err := f.env.Run(); err != nil {
-		t.Fatal(err)
-	}
-	for _, n := range f.sys.db.Pool.ReplicaNodes(1, 0) {
-		if _, val := f.newestVersion(n, 0); val != workers*incs {
-			t.Fatalf("node %d counter = %d, want %d", n.ID, val, workers*incs)
-		}
-	}
-	if err := f.sys.db.History.Check(); err != nil {
-		t.Fatalf("history not serializable: %v", err)
-	}
-}
 
 func TestMixedReadersAndWritersSerializable(t *testing.T) {
 	f := newFixture(t, 2, 2, 0, 8, true)
@@ -306,7 +252,7 @@ func TestMixedReadersAndWritersSerializable(t *testing.T) {
 	if err := f.env.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if err := f.sys.db.History.Check(); err != nil {
+	if err := f.sys.DB().History.Check(); err != nil {
 		t.Fatalf("history not serializable: %v", err)
 	}
 }
