@@ -171,9 +171,7 @@ func (c *Coordinator) executeLocalized(p *sim.Proc, t *engine.Txn) engine.Attemp
 			me.tsExec = c.cn.nextTSExec()
 		}
 		reason := engine.AbortNone
-		for oi := range blk.Ops {
-			op := &blk.Ops[oi]
-			acc := engine.FindRec(sc.accs, engine.RecKey{Table: op.Table, Key: op.ResolveKey(t.State)})
+		for _, acc := range sc.blockAccs { // program order
 			if reason = c.execOp(p, t, me, acc, deps); reason != engine.AbortNone {
 				break
 			}
@@ -239,10 +237,14 @@ func (c *Coordinator) prepare(p *sim.Proc, t *engine.Txn, blk *engine.Block, sc 
 		if engine.FindRec(sc.accs, rk) != nil || engine.FindRec(sc.blockAccs, rk) != nil {
 			panic(engine.DuplicateRecord(rk))
 		}
-		acc := sc.newAccess()
-		acc.Op, acc.RecKey = op, rk
-		acc.lay = c.cn.sys.layouts[op.Table]
-		acc.intentWrite = op.IsWrite()
+		// The recycled entry keeps its ReadVals / checks backing arrays.
+		acc := sc.slab.Next()
+		*acc = access{
+			RecBase:     engine.RecBase{Op: op, RecKey: rk, ReadVals: acc.ReadVals[:0]},
+			lay:         c.cn.sys.layouts[op.Table],
+			intentWrite: op.IsWrite(),
+			checks:      acc.checks[:0],
+		}
 		acc.obj = c.getOrCreate(p, rk, acc.lay)
 		acc.Primary = acc.obj.primary
 		sc.blockAccs = append(sc.blockAccs, acc)

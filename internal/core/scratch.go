@@ -47,11 +47,3 @@ func (sc *execScratch) reset() {
 	sc.accs = sc.accs[:0]
 	sc.deps.list = sc.deps.list[:0]
 }
-
-// newAccess hands out a zeroed access from the slab, keeping the
-// recycled entry's checks/ReadVals backing arrays.
-func (sc *execScratch) newAccess() *access {
-	a := sc.slab.Next()
-	*a = access{RecBase: engine.RecBase{ReadVals: a.ReadVals[:0]}, checks: a.checks[:0]}
-	return a
-}

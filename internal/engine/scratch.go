@@ -44,9 +44,9 @@ type Rec interface{ Base() *RecBase }
 // once per block).
 func SortRecs[T Rec](rs []T) {
 	for i := 1; i < len(rs); i++ {
-		r := rs[i]
+		r, k := rs[i], rs[i].Base().RecKey
 		j := i - 1
-		for j >= 0 && recLess(r.Base(), rs[j].Base()) {
+		for j >= 0 && k.less(rs[j].Base().RecKey) {
 			rs[j+1] = rs[j]
 			j--
 		}
@@ -54,11 +54,11 @@ func SortRecs[T Rec](rs []T) {
 	}
 }
 
-func recLess(a, b *RecBase) bool {
-	if a.Table != b.Table {
-		return a.Table < b.Table
+func (k RecKey) less(o RecKey) bool {
+	if k.Table != o.Table {
+		return k.Table < o.Table
 	}
-	return a.Key < b.Key
+	return k.Key < o.Key
 }
 
 // FindRec returns the entry covering k, or the zero T; the handful of
@@ -66,7 +66,8 @@ func recLess(a, b *RecBase) bool {
 // allocation.
 func FindRec[T Rec](rs []T, k RecKey) T {
 	for _, r := range rs {
-		if r.Base().RecKey == k {
+		// Field by field: RecKey has padding, so == is a function call.
+		if b := r.Base(); b.Key == k.Key && b.Table == k.Table {
 			return r
 		}
 	}

@@ -195,12 +195,13 @@ func NewStrict[X any](c Coord, f Format[X]) *Strict[X] { return &Strict[X]{Coord
 type strictScratch[X any] struct {
 	Scratch
 	slab   Slab[Work[X]]
-	ws     []*Work[X] // every record of the attempt, block by block
-	block  []*Work[X] // the current block's records in (table, key) order
+	ws     []*Work[X] // every record of the attempt: block by block, (table, key) order within a block
+	order  []*Work[X] // the current block's records in program order
 	todo   []*Work[X] // records the current fetch round reads
 	again  []*Work[X] // records it must read again
 	slots  []fetchSlot[X]
-	batchW [][]*Work[X] // validation: the works behind each batch's READs
+	byNode []fetchSlot[X] // slots regrouped node batch by node batch
+	batchW [][]*Work[X]   // validation: the works behind each batch's READs
 	ops    []rdma.Op
 }
 
@@ -232,9 +233,7 @@ func (c *Strict[X]) Execute(p *sim.Proc, t *Txn) Attempt {
 	// Execution phase: per block, fetch (and lock) the records not seen
 	// yet, then run every op of the block in program order.
 	for bi := range t.Blocks {
-		blk := &t.Blocks[bi]
-		block := c.prepare(p, t, blk, sc)
-		sc.ws = append(sc.ws, block...)
+		block := c.prepare(p, t, &t.Blocks[bi], sc)
 		if db.Pool.Shards() > 1 && WriteShards(db.Pool, sc.ws).Beyond(c.Home) {
 			at.MarkCrossShard()
 		}
@@ -244,9 +243,8 @@ func (c *Strict[X]) Execute(p *sim.Proc, t *Txn) Attempt {
 		if reason != AbortNone {
 			return c.abort(p, sc, &at, reason, falseC)
 		}
-		for oi := range blk.Ops {
-			op := &blk.Ops[oi]
-			c.apply(p, t, sc, FindRec(sc.ws, RecKey{op.Table, op.ResolveKey(t.State)}))
+		for _, w := range sc.order {
+			c.apply(p, t, sc, w)
 		}
 	}
 
@@ -283,14 +281,16 @@ func (c *Strict[X]) abort(p *sim.Proc, sc *strictScratch[X], at *AttemptTimer, r
 	return at.Done()
 }
 
-// prepare resolves the block's keys into work entries in (table, key)
-// order, for deterministic batching.
+// prepare resolves the block's keys into work entries and returns them:
+// appended to sc.ws in (table, key) order, for deterministic batching,
+// and kept in program order, for the hooks, in sc.order.
 func (c *Strict[X]) prepare(p *sim.Proc, t *Txn, blk *Block, sc *strictScratch[X]) []*Work[X] {
-	sc.block = sc.block[:0]
+	start := len(sc.ws)
+	sc.order = sc.order[:0]
 	for oi := range blk.Ops {
 		op := &blk.Ops[oi]
 		k := RecKey{op.Table, op.ResolveKey(t.State)}
-		if FindRec(sc.ws, k) != nil || FindRec(sc.block, k) != nil {
+		if FindRec(sc.ws, k) != nil {
 			panic(DuplicateRecord(k))
 		}
 		primary, off := c.Resolve(p, k)
@@ -302,10 +302,11 @@ func (c *Strict[X]) prepare(p *sim.Proc, t *Txn, blk *Block, sc *strictScratch[X
 			Data:    w.Data[:0],
 		}
 		c.fmt.Bind(w)
-		sc.block = append(sc.block, w)
+		sc.ws = append(sc.ws, w)
+		sc.order = append(sc.order, w)
 	}
-	SortRecs(sc.block)
-	return sc.block
+	SortRecs(sc.ws[start:])
+	return sc.ws[start:]
 }
 
 // DuplicateRecord is the panic for a transaction naming one record in
@@ -341,8 +342,10 @@ func (c *Strict[X]) fetch(p *sim.Proc, sc *strictScratch[X], ws []*Work[X], snap
 			sc.slots = append(sc.slots, s)
 		}
 		results := post(p, sc.Bat.Batches())
+		slots := sc.slots
 		if nodeMajor {
-			byBatch(sc.slots)
+			sc.byNode = byBatch(sc.byNode[:0], slots, len(results))
+			slots = sc.byNode
 		}
 		again := sc.again[:0]
 		lockFailed, stale := false, false
@@ -350,8 +353,8 @@ func (c *Strict[X]) fetch(p *sim.Proc, sc *strictScratch[X], ws []*Work[X], snap
 		// Every lock result is consumed before any abort return: a
 		// sibling lock verb of the round may have succeeded, and it must
 		// be recorded for the abort path to release it.
-		for i := range sc.slots {
-			s := &sc.slots[i]
+		for i := range slots {
+			s := &slots[i]
 			w := s.w
 			if s.cas >= 0 {
 				if !results[s.bi][s.cas].OK {
@@ -403,17 +406,17 @@ func (c *Strict[X]) fetch(p *sim.Proc, sc *strictScratch[X], ws []*Work[X], snap
 	}
 }
 
-// byBatch stably reorders a round's slots node batch by node batch.
-func byBatch[X any](slots []fetchSlot[X]) {
-	for i := 1; i < len(slots); i++ {
-		s := slots[i]
-		j := i - 1
-		for j >= 0 && s.bi < slots[j].bi {
-			slots[j+1] = slots[j]
-			j--
+// byBatch appends a round's slots to dst node batch by node batch,
+// keeping their order within each of the batches.
+func byBatch[X any](dst, slots []fetchSlot[X], batches int) []fetchSlot[X] {
+	for bi := 0; bi < batches; bi++ {
+		for _, s := range slots {
+			if s.bi == bi {
+				dst = append(dst, s)
+			}
 		}
-		slots[j+1] = s
 	}
+	return dst
 }
 
 // apply runs w's hook against the working copy. Read copies live in the
