@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"crest/internal/memnode"
 	"crest/internal/rdma"
 	"crest/internal/sim"
 )
@@ -19,7 +18,7 @@ func (s ShardSet) Beyond(home int) bool {
 	return s&^(1<<uint(home)) != 0
 }
 
-// PrepareCrossShard is the cross-shard commit's prepare round: it
+// prepareCrossShard is the cross-shard commit's prepare round: it
 // writes the already-encoded log entry at the same symmetric offset
 // onto the mirrors of the coordinator's log-replica nodes in every
 // participating group other than home, as one round-trip (one batch
@@ -27,29 +26,25 @@ func (s ShardSet) Beyond(home int) bool {
 // replica). The home group's decision write follows in its own
 // round-trip, so a cross-shard commit pays exactly one extra RTT and
 // holds its locks that much longer — the cost the crossover
-// experiment measures. Single-group topologies never call this.
+// experiment measures.
 //
 // Prepares are durability fan-out only: recovery replays decision
 // logs, so an entry that reached a remote group but whose home
 // decision write never landed is ignored (a documented
 // simplification of the 2PC durability rules).
-func PrepareCrossShard(p *sim.Proc, db *DB, qps *QPCache, logN []*memnode.Node, home int, parts ShardSet, off uint64, entry []byte) {
+func (c *Coord) prepareCrossShard(p *sim.Proc, parts ShardSet, off uint64, entry []byte) {
+	pool := c.DB.Pool
 	var batches []rdma.Batch
-	for g := 0; g < db.Pool.Shards(); g++ {
-		if g == home || parts&(1<<uint(g)) == 0 {
+	for g := 0; g < pool.Shards(); g++ {
+		if g == c.Home || parts&(1<<uint(g)) == 0 {
 			continue
 		}
-		for _, n := range db.Pool.MirrorNodes(logN, g) {
+		for _, n := range pool.MirrorNodes(c.LogN, g) {
 			batches = append(batches, rdma.Batch{
-				QP:  qps.Get(n.Region),
+				QP:  c.QPs.Get(n.Region),
 				Ops: []rdma.Op{{Kind: rdma.OpWrite, Off: off, Data: entry}},
 			})
 		}
 	}
-	if len(batches) == 0 {
-		return
-	}
-	if _, err := rdma.PostMulti(p, batches); err != nil {
-		panic(err)
-	}
+	post(p, batches)
 }

@@ -248,7 +248,7 @@ func (c *Coord) Resolve(p *sim.Proc, k RecKey) (*memnode.Node, uint64) {
 func (c *Coord) WriteLog(p *sim.Proc, sc *Scratch, parts ShardSet, entry []byte) {
 	off := c.Log.Reserve(len(entry))
 	if parts.Beyond(c.Home) {
-		PrepareCrossShard(p, c.DB, c.QPs, c.LogN, c.Home, parts, off, entry)
+		c.prepareCrossShard(p, parts, off, entry)
 	}
 	if cap(sc.logBatches) < len(c.LogN) {
 		sc.logBatches = make([]rdma.Batch, len(c.LogN))
