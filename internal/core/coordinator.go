@@ -454,7 +454,7 @@ func (c *Coordinator) admit(p *sim.Proc, sc *execScratch, blockAccs []*access) (
 					obj.admitting = false
 					obj.stateQ.WakeAll()
 					return engine.AbortValidation, false
-				case !snapshotConsistent(pd.acc.lay, data, readMask, obj.remoteLocks):
+				case !snapshotConsistent(pd.acc.lay, h, data, readMask, obj.remoteLocks):
 					// Read cells locked by another compute node, or a
 					// torn snapshot (§4.3): back off and refetch. The
 					// object must be marked unadmitted — a lock CAS in
@@ -912,11 +912,11 @@ type fin struct {
 // the data writes; the lock lives on the primary.
 func (c *Coordinator) buildFlushOps(sc *execScratch, f *fin) {
 	obj := f.obj
-	writes := sc.ops[:0]
+	writes := sc.Ops[:0]
 	for _, plan := range f.plans {
 		writes = appendCellWrite(writes, &sc.Arena, obj.lay, obj.off, plan.cell, layout.CellVersion{EN: plan.en, TS: plan.ts}, plan.value)
 	}
-	sc.ops = writes
+	sc.Ops = writes
 	for _, n := range c.cn.db.Pool.ReplicaNodes(obj.table, obj.key) {
 		release := f.release && n == obj.primary && f.unlock != 0
 		if len(f.plans) > 0 || release {

@@ -283,11 +283,10 @@ func decodeRecord(lay *layout.Record, data []byte) (layout.Header, [][]byte, []l
 }
 
 // snapshotConsistent applies the paper's §4.3 inter-cell check to a
-// fetched record: every read cell's epoch number in the header must
-// match the epoch in the cell's own version word, and no read cell may
-// be locked by another holder.
-func snapshotConsistent(lay *layout.Record, data []byte, readMask, ownLocks uint64) bool {
-	h := layout.DecodeHeader(data)
+// fetched record (data, with its header decoded into h): every read
+// cell's epoch number in the header must match the epoch in the cell's
+// own version word, and no read cell may be locked by another holder.
+func snapshotConsistent(lay *layout.Record, h layout.Header, data []byte, readMask, ownLocks uint64) bool {
 	otherLocks := h.Lock &^ ownLocks &^ layout.DeleteMask
 	if readMask&otherLocks != 0 {
 		return false

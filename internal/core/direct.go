@@ -72,7 +72,7 @@ func unlockedReads(w *dwork) uint64 { return layout.LockMask(w.Op.ReadCells) &^ 
 // again (§4.3).
 func (format) Parse(w *dwork, data []byte, _ engine.Snapshot) (engine.FetchStatus, uint64) {
 	readMask := unlockedReads(w)
-	if !snapshotConsistent(w.X.lay, data, readMask, held(w)) {
+	if !snapshotConsistent(w.X.lay, layout.DecodeHeader(data), data, readMask, held(w)) {
 		return engine.FetchRetry, readMask
 	}
 	w.Data = append(w.Data[:0], data...)

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"crest/internal/engine"
-	"crest/internal/rdma"
-)
+import "crest/internal/engine"
 
 // execScratch is the localized path's attempt scratch: the shared
 // batch builder, arena and log buffer (engine.Scratch, which also says
@@ -27,7 +24,6 @@ type execScratch struct {
 	work      []*object
 	fins      []fin
 	depIDs    []uint64
-	ops       []rdma.Op // one object's write-back WRITEs
 }
 
 // admitPend is one object's slots in an admission round-trip.

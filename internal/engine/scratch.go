@@ -156,8 +156,8 @@ func (a *Arena) Bytes(n int) []byte {
 }
 
 // Scratch is the attempt-scoped working memory every execution path
-// needs: the per-node batch builder, the byte arena, and the log
-// encoding buffer with its persistent per-replica batches. Paths embed
+// needs: the per-node batch builder, the byte arena, a verb list, and
+// the log encoding buffer with its persistent per-replica batches. Paths embed
 // it in their own scratch beside their record slabs and lists.
 //
 // Coordinators are shared round-robin across transaction processes, so
@@ -170,6 +170,7 @@ type Scratch struct {
 	Bat *Batcher
 	Arena
 	LogBuf     []byte
+	Ops        []rdma.Op // one record's install or write-back WRITEs, before they fan out to the replicas
 	logBatches []rdma.Batch
 }
 

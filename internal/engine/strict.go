@@ -202,7 +202,6 @@ type strictScratch[X any] struct {
 	slots  []fetchSlot[X]
 	byNode []fetchSlot[X] // slots regrouped node batch by node batch
 	batchW [][]*Work[X]   // validation: the works behind each batch's READs
-	ops    []rdma.Op
 }
 
 // fetchSlot maps one record of a fetch round to its results.
@@ -518,10 +517,10 @@ func (c *Strict[X]) install(p *sim.Proc, sc *strictScratch[X], ts uint64) {
 		if !w.Locked {
 			continue
 		}
-		sc.ops = c.fmt.Install(p, &c.Coord, w, ts, &sc.Arena, sc.ops[:0])
+		sc.Ops = c.fmt.Install(p, &c.Coord, w, ts, &sc.Arena, sc.Ops[:0])
 		for _, n := range db.Pool.ReplicaNodes(w.Table, w.Key) {
 			bi := sc.Bat.Batch(n.Region)
-			for _, op := range sc.ops {
+			for _, op := range sc.Ops {
 				sc.Bat.Append(bi, op)
 			}
 			if n == w.Primary {
