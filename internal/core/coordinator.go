@@ -104,7 +104,7 @@ func (c *Coordinator) executeLocalized(p *sim.Proc, t *engine.Txn) engine.Attemp
 	sc.reset()
 	defer c.scFree.Put(sc)
 
-	me := &txnState{id: c.cn.nextTxnID(), whyID: at.WhyID()}
+	me := newTxnState(c.cn.nextTxnID(), at.WhyID())
 	at.Span().SetTxn(me.id)
 	// deps are the creators of versions this transaction read or
 	// overwrote (§5.1): it commits only after they commit, and aborts
@@ -343,8 +343,6 @@ func (c *Coordinator) admit(p *sim.Proc, sc *execScratch, blockAccs []*access) (
 			}
 		}
 		if waitObj != nil {
-			waitObj.stateQ.SetName(fmt.Sprintf("obj %d/%d admitting=%v flushing=%v locks=%b w=%d r=%d",
-				waitObj.table, waitObj.key, waitObj.admitting, waitObj.flushing, waitObj.remoteLocks, waitObj.writers, waitObj.readers))
 			// The admission/flush blocker is whichever coordinator is
 			// inside the object's critical section; attribute the wait
 			// to it when known.

@@ -38,8 +38,19 @@ type txnState struct {
 	waitQ      sim.WaitQueue
 }
 
-func (t *txnState) label() string {
-	return fmt.Sprintf("txn%d(tsExec=%d,status=%d)", t.id, t.tsExec, t.status)
+func newTxnState(id, whyID uint64) *txnState {
+	t := &txnState{id: id, whyID: whyID}
+	t.waitQ.SetLabel((*awaitLabel)(t))
+	return t
+}
+
+// awaitLabel is the transaction seen as the label of its waitQ. The
+// simulator calls String only when an observer is attached or a
+// deadlock report is built, never on an unreported wait.
+type awaitLabel txnState
+
+func (t *awaitLabel) String() string {
+	return fmt.Sprintf("await txn%d(tsExec=%d,status=%d)", t.id, t.tsExec, t.status)
 }
 
 // resolve publishes the outcome and wakes every dependent.
@@ -52,7 +63,6 @@ func (t *txnState) resolve(status txnStatus, tsCommit uint64) {
 // await blocks p until the transaction resolves.
 func (t *txnState) await(p *sim.Proc) {
 	for t.status == txnPending {
-		t.waitQ.SetName("await " + t.label())
 		t.waitQ.Wait(p)
 	}
 }
@@ -93,7 +103,7 @@ type object struct {
 	lay     *layout.Record
 	primary *memnode.Node
 
-	mu *sim.Mutex // local 2PL lock (one per object, §5.2)
+	mu sim.Mutex // local 2PL lock (one per object, §5.2)
 
 	readers int // reference counter: local txns reading the record
 	writers int // reference counter: local txns updating the record
@@ -139,19 +149,35 @@ type object struct {
 
 func newObject(table layout.TableID, key layout.Key, off uint64, lay *layout.Record, primary *memnode.Node) *object {
 	n := lay.NumCells()
-	return &object{
+	o := &object{
 		table:   table,
 		key:     key,
 		off:     off,
 		lay:     lay,
 		primary: primary,
-		mu:      sim.NewMutex(fmt.Sprintf("obj %d/%d", table, key)),
 		epochs:  make([]uint16, n),
 		base:    make([][]byte, n),
 		baseVer: make([]layout.CellVersion, n),
 		cells:   make([]cellState, n),
-		stateQ:  sim.WaitQueue{},
 	}
+	o.mu.SetLabel((*objMuLabel)(o))
+	o.stateQ.SetLabel((*objStateLabel)(o))
+	return o
+}
+
+// objMuLabel and objStateLabel are the object seen as the label of its
+// mutex and of its admission queue, lazy like awaitLabel: the state
+// label describes the object as it is when someone asks.
+type (
+	objMuLabel    object
+	objStateLabel object
+)
+
+func (o *objMuLabel) String() string { return fmt.Sprintf("mutex obj %d/%d", o.table, o.key) }
+
+func (o *objStateLabel) String() string {
+	return fmt.Sprintf("obj %d/%d admitting=%v flushing=%v locks=%b w=%d r=%d",
+		o.table, o.key, o.admitting, o.flushing, o.remoteLocks, o.writers, o.readers)
 }
 
 // refTotal is the object's total reference count.

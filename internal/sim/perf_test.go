@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 )
 
@@ -178,5 +179,99 @@ func TestDispatchSequenceDeterminism(t *testing.T) {
 		if same {
 			t.Fatal("different seeds produced identical schedules; rng is not feeding the schedule")
 		}
+	}
+}
+
+// pingPong runs two processes that take turns under one mutex: every
+// Unlock hands the lock to the other, parked in Lock. The returned
+// function advances the pair by 100 handoffs.
+func pingPong(tb testing.TB, e *Env, m *Mutex) (step func()) {
+	for i := 0; i < 2; i++ {
+		e.Spawn(fmt.Sprintf("pp%d", i), func(p *Proc) {
+			for {
+				m.Lock(p)
+				p.Sleep(Microsecond)
+				m.Unlock()
+			}
+		})
+	}
+	deadline := Time(0)
+	return func() {
+		deadline += Time(100 * Microsecond)
+		if err := e.RunUntil(deadline); err != nil {
+			tb.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkWaitWake measures one contended mutex handoff: a Wait that
+// parks, the Wake that schedules it, and the two dispatches between.
+func BenchmarkWaitWake(b *testing.B) {
+	e := NewEnv(1)
+	step := pingPong(b, e, NewMutex("pp"))
+	step()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i += 100 {
+		step()
+	}
+}
+
+// countingLabel is a lazy labeler that counts how often it is asked.
+type countingLabel struct{ calls int }
+
+func (l *countingLabel) String() string {
+	l.calls++
+	return fmt.Sprintf("lazy label #%d", l.calls)
+}
+
+// blockLog is an Observer that keeps the ProcBlock queue strings.
+type blockLog struct {
+	nopObserver
+	queues []string
+}
+
+func (o *blockLog) ProcBlock(_, queue string, _ Time) { o.queues = append(o.queues, queue) }
+
+// TestLabelIsLazy pins the label contract. Unobserved, Wait and Lock
+// never build the label and a contended handoff allocates nothing;
+// observed, every Wait reports the label as it reads at that instant;
+// a deadlock report reads it when the report is built.
+func TestLabelIsLazy(t *testing.T) {
+	lbl := &countingLabel{}
+	e := NewEnv(1)
+	m := new(Mutex)
+	m.SetLabel(lbl)
+	step := pingPong(t, e, m)
+	step()
+	if avg := testing.AllocsPerRun(20, step); avg != 0 {
+		t.Errorf("contended Mutex handoff allocates %.1f objects per 100 handoffs, want 0", avg)
+	}
+	if lbl.calls != 0 {
+		t.Errorf("labeler called %d times with no observer attached", lbl.calls)
+	}
+
+	obs := &blockLog{}
+	e.SetObserver(obs)
+	step()
+	if len(obs.queues) == 0 || lbl.calls != len(obs.queues) {
+		t.Fatalf("observed: %d ProcBlock callbacks, %d labeler calls", len(obs.queues), lbl.calls)
+	}
+	for i, q := range obs.queues {
+		if want := fmt.Sprintf("lazy label #%d", i+1); q != want {
+			t.Fatalf("ProcBlock %d got queue %q, want %q", i, q, want)
+		}
+	}
+
+	lbl.calls = 0
+	d := NewEnv(1)
+	q := NewWaitQueue("replaced")
+	q.SetLabel(lbl)
+	d.Spawn("stuck", func(p *Proc) { q.Wait(p) })
+	d.Spawn("idle", func(p *Proc) { p.Suspend() })
+	err := d.Run()
+	want := "[idle @ suspended stuck @ lazy label #1]"
+	if err == nil || !strings.HasSuffix(err.Error(), want) || lbl.calls != 1 {
+		t.Fatalf("deadlock report %q after %d labeler calls, want suffix %q after 1", err, lbl.calls, want)
 	}
 }

@@ -1,3 +1,8 @@
+// iter.Pull needs Go 1.23; the module's go line stays at 1.22 to match
+// benchmarks/go.mod, so this file says so itself (go vet reads it).
+//
+//go:build go1.23
+
 // Package sim implements a deterministic cooperative discrete-event
 // simulator. All protocol code in this repository runs inside sim
 // processes: virtual time advances only when every process is blocked,
@@ -15,12 +20,17 @@
 // Proc itself rather than in side maps, finished Proc shells are
 // pooled for reuse by later Spawns, and deferred calls (CallAt) let
 // I/O models apply side effects at an exact virtual instant without
-// waking the issuing process twice. Dispatched events are counted so
-// harnesses can report events/sec.
+// waking the issuing process twice. Each process is a runtime
+// coroutine (iter.Pull): dispatching one and parking it again are two
+// direct switches on the scheduler's own thread, with no run queue, no
+// channel and never a second runnable goroutine. Wait-queue labels are
+// built only for an attached Observer or a deadlock report. Dispatched
+// events are counted so harnesses can report events/sec.
 package sim
 
 import (
 	"fmt"
+	"iter"
 	"math/rand"
 	"runtime"
 	"sort"
@@ -151,7 +161,6 @@ type Env struct {
 	now        Time
 	events     eventHeap
 	seq        uint64
-	ack        chan struct{}
 	rng        *rand.Rand
 	live       int // processes spawned and not yet finished
 	waiting    int // processes parked with no pending wake event
@@ -191,12 +200,10 @@ func (e *Env) SetObserver(obs Observer) { e.obs = obs }
 // NewEnv returns an empty environment whose random source is seeded
 // with seed.
 func NewEnv(seed int64) *Env {
-	e := &Env{
-		ack:    make(chan struct{}),
+	return &Env{
 		rng:    rand.New(rand.NewSource(seed)),
 		events: make(eventHeap, 0, 64),
 	}
-	return e
 }
 
 // Now returns the current virtual time.
@@ -222,28 +229,28 @@ func (e *Env) Waiting() int { return e.waiting }
 // events/sec measurement.
 func (e *Env) Dispatched() uint64 { return e.dispatched }
 
-// Proc is a simulated process. Its function runs on a dedicated
-// goroutine but only while the scheduler has handed it control;
-// everything it does between two blocking calls is atomic in virtual
-// time.
+// Proc is a simulated process. Its function runs as a coroutine of
+// the scheduler: the dispatch loop switches into it with next, it
+// switches back with yield when it parks, and everything it does
+// between two blocking calls is atomic in virtual time.
 //
-// Finished Proc shells (struct and resume channel) are pooled and
-// reused by later Spawns; gen disambiguates incarnations so a stale
-// queued event can never wake a reused shell.
+// Finished Proc shells are pooled and reused by later Spawns (each
+// incarnation gets a fresh coroutine); gen disambiguates incarnations
+// so a stale queued event can never wake a reused shell.
 type Proc struct {
-	env    *Env
-	name   string
-	resume chan struct{}
-	done   bool
-	fn     func(*Proc)
-	gen    uint32
+	env   *Env
+	name  string
+	next  func() (struct{}, bool) // scheduler side: run until the next park
+	yield func(struct{}) bool     // process side: park
+	done  bool
+	fn    func(*Proc)
+	gen   uint32
 
-	// waiting/waitQ are the Proc-resident wait bookkeeping: set while
-	// the process is parked on a WaitQueue (or suspended awaiting a
-	// deferred resume), with the queue label for deadlock reports.
-	// Keeping them here avoids a map mutation on every Wait/Wake.
-	waiting bool
-	waitQ   string
+	// waitQ is the Proc-resident wait bookkeeping: the queue the
+	// process is parked on (suspendedQ while it awaits a deferred
+	// resume), nil when runnable. Deadlock reports read the label
+	// through it; keeping it here avoids a map mutation per Wait/Wake.
+	waitQ *WaitQueue
 
 	// traceCtx carries an opaque per-process tracing context (the
 	// current transaction span). It lives here so lower layers (the
@@ -293,26 +300,22 @@ func (p *Proc) Now() Time { return p.env.now }
 // environment.
 func (p *Proc) Rand() *rand.Rand { return p.env.rng }
 
-// newProc returns a ready Proc shell: pooled if one is free, freshly
-// allocated otherwise. The caller schedules it and starts its
-// goroutine.
+// newProc returns a Proc shell with its coroutine created but not yet
+// started: pooled if one is free, freshly allocated otherwise. The
+// caller schedules it.
 func (e *Env) newProc(name string, fn func(*Proc)) *Proc {
+	var p *Proc
 	if n := len(e.free); n > 0 {
-		p := e.free[n-1]
+		p = e.free[n-1]
 		e.free[n-1] = nil
 		e.free = e.free[:n-1]
-		p.name, p.fn = name, fn
-		p.done = false
-		p.waiting = false
-		p.waitQ = ""
-		p.traceCtx = nil
-		p.whyCtx = nil
-		p.flightCtx = nil
-		p.gen++
-		return p
+		*p = Proc{env: e, gen: p.gen + 1}
+	} else {
+		p = &Proc{env: e}
+		e.procs = append(e.procs, p)
 	}
-	p := &Proc{env: e, name: name, resume: make(chan struct{}), fn: fn}
-	e.procs = append(e.procs, p)
+	p.name, p.fn = name, fn
+	p.next, _ = iter.Pull(p.run)
 	return p
 }
 
@@ -326,7 +329,6 @@ func (e *Env) Spawn(name string, fn func(*Proc)) *Proc {
 	if e.obs != nil {
 		e.obs.ProcSpawn(name, e.now)
 	}
-	go p.run()
 	return p
 }
 
@@ -342,7 +344,6 @@ func (e *Env) SpawnAt(name string, at Time, fn func(*Proc)) *Proc {
 	if e.obs != nil {
 		e.obs.ProcSpawn(name, at)
 	}
-	go p.run()
 	return p
 }
 
@@ -361,8 +362,8 @@ func (e *Env) schedule(p *Proc, at Time) {
 //
 // CallAt exists for I/O models: the RDMA fabric applies a verb batch
 // at the round-trip midpoint via CallAt while the issuing process
-// stays parked until the completion instant, halving the goroutine
-// context switches per round-trip.
+// stays parked until the completion instant, halving the coroutine
+// switches per round-trip.
 func (e *Env) CallAt(at Time, fn func()) {
 	if at < e.now {
 		panic(fmt.Sprintf("sim: CallAt(%v) in the past (now %v)", at, e.now))
@@ -377,8 +378,7 @@ func (e *Env) CallAt(at Time, fn func()) {
 // "suspended". Suspend is the single-park primitive beneath the
 // fabric's round-trip model.
 func (p *Proc) Suspend() {
-	p.waiting = true
-	p.waitQ = "suspended"
+	p.waitQ = suspendedQ
 	p.env.waiting++
 	p.park()
 }
@@ -390,17 +390,18 @@ func (e *Env) Resume(p *Proc, at Time) {
 	if at < e.now {
 		panic(fmt.Sprintf("sim: Resume(%v) in the past (now %v)", at, e.now))
 	}
-	if !p.waiting {
+	if p.waitQ == nil {
 		panic(fmt.Sprintf("sim: Resume of process %q that is not suspended", p.name))
 	}
-	p.waiting = false
-	p.waitQ = ""
+	p.waitQ = nil
 	e.waiting--
 	e.schedule(p, at)
 }
 
-func (p *Proc) run() {
-	<-p.resume // wait for first dispatch
+// run is the coroutine body: the first next() enters it, and returning
+// from it ends the coroutine and returns control to the scheduler.
+func (p *Proc) run(yield func(struct{}) bool) {
+	p.yield = yield
 	defer func() {
 		if r := recover(); r != nil {
 			buf := make([]byte, 16<<10)
@@ -413,20 +414,15 @@ func (p *Proc) run() {
 			p.env.obs.ProcFinish(p.name, p.env.now)
 		}
 		// Return the shell to the pool before handing control back:
-		// the scheduler is blocked on ack, so no Spawn can race the
-		// reuse, and this goroutine touches p no further.
+		// the scheduler is suspended inside next, so no Spawn can race
+		// the reuse, and this coroutine touches p no further.
 		p.env.free = append(p.env.free, p)
-		p.env.ack <- struct{}{}
 	}()
 	p.fn(p)
 }
 
-// park yields control back to the scheduler and blocks until the next
-// dispatch.
-func (p *Proc) park() {
-	p.env.ack <- struct{}{}
-	<-p.resume
-}
+// park switches back to the scheduler and returns at the next dispatch.
+func (p *Proc) park() { p.yield(struct{}{}) }
 
 // Sleep suspends the process for d of virtual time. A non-positive d
 // yields the processor: the process is rescheduled at the current time
@@ -453,11 +449,25 @@ func (e *Env) Run() error { return e.RunUntil(Time(1<<62 - 1)) }
 // event (or the deadline if nothing ran past it).
 func (e *Env) RunUntil(deadline Time) error {
 	e.stopped = false
-	for len(e.events) > 0 && !e.stopped {
-		if e.events[0].at > deadline {
-			e.now = deadline
-			return e.failure
-		}
+	e.dispatch(deadline)
+	switch {
+	case e.failure != nil:
+		return e.failure
+	case e.stopped: // clock and parked processes stay as Stop found them
+	case len(e.events) > 0: // the rest lies beyond the deadline
+		e.now = deadline
+	case e.waiting > 0:
+		return fmt.Errorf("sim: deadlock at %v: %d process(es) parked forever: %v",
+			e.now, e.waiting, e.waiterNames())
+	}
+	return nil
+}
+
+// dispatch is the scheduler's one event loop, shared by RunUntil and
+// the World's window executor: it runs queued events with time ≤ limit
+// until none remain, Stop is called or a process panics.
+func (e *Env) dispatch(limit Time) {
+	for len(e.events) > 0 && !e.stopped && e.events[0].at <= limit {
 		ev := e.events.pop()
 		if ev.fn == nil && (ev.proc.done || ev.proc.gen != ev.gen) {
 			continue // stale wakeup for a finished or reused process
@@ -476,21 +486,12 @@ func (e *Env) RunUntil(deadline Time) error {
 			continue
 		}
 		e.current = ev.proc
-		ev.proc.resume <- struct{}{}
-		<-e.ack
+		ev.proc.next() // returns when the process parks or finishes
 		e.current = nil
 		if e.failure != nil {
-			return e.failure
+			return
 		}
 	}
-	if e.failure != nil {
-		return e.failure
-	}
-	if !e.stopped && e.waiting > 0 {
-		return fmt.Errorf("sim: deadlock at %v: %d process(es) parked forever: %v",
-			e.now, e.waiting, e.waiterNames())
-	}
-	return nil
 }
 
 // maxWaiterNames bounds how many parked processes a deadlock or
@@ -507,11 +508,11 @@ func (e *Env) waiterNames() []string {
 	names := make([]string, 0, min(e.waiting, maxWaiterNames))
 	total := 0
 	for _, p := range e.procs {
-		if !p.waiting {
+		if p.waitQ == nil {
 			continue
 		}
 		total++
-		name := p.name + " @ " + p.waitQ
+		name := p.name + " @ " + p.waitQ.label()
 		i := sort.SearchStrings(names, name)
 		switch {
 		case len(names) < maxWaiterNames:
@@ -530,8 +531,9 @@ func (e *Env) waiterNames() []string {
 }
 
 // Stop makes Run return after the current event completes. Parked
-// processes are abandoned (their goroutines stay blocked until the
-// process exits, which is fine for one-shot simulations).
+// processes are abandoned: their coroutines stay suspended where they
+// parked, never resumed or unwound (none of their deferred calls run),
+// stacks held until the OS process exits — fine for one-shot runs.
 //
 // Stop must be called from inside a running process (or a CallAt
 // function); calling it from outside the scheduler would race the run
@@ -551,13 +553,38 @@ func (e *Env) Stopped() bool { return e.stopped }
 // Wait and are released, in order, by Wake or WakeAll. It is the
 // primitive beneath Mutex and Cond.
 type WaitQueue struct {
-	name string
-	ps   []*Proc
+	labeler fmt.Stringer
+	ps      []*Proc
 }
+
+// fixedLabel is the eager labeler: a name known up front.
+type fixedLabel string
+
+func (l fixedLabel) String() string { return string(l) }
+
+// suspendedQ is the queue a Suspended process is recorded as parked
+// on; nothing ever enters it.
+var suspendedQ = NewWaitQueue("suspended")
 
 // NewWaitQueue returns a queue labelled name (used in deadlock
 // reports).
-func NewWaitQueue(name string) *WaitQueue { return &WaitQueue{name: name} }
+func NewWaitQueue(name string) *WaitQueue { return &WaitQueue{labeler: fixedLabel(name)} }
+
+// SetName labels the queue for deadlock and diagnostic reports.
+func (q *WaitQueue) SetName(name string) { q.labeler = fixedLabel(name) }
+
+// SetLabel makes l the queue's label. l.String is called only when an
+// Observer is attached (at each Wait) or a deadlock or diagnostic
+// report is built, so a label that describes the owner's current state
+// costs nothing on the Wait/Wake path.
+func (q *WaitQueue) SetLabel(l fmt.Stringer) { q.labeler = l }
+
+func (q *WaitQueue) label() string {
+	if q.labeler == nil {
+		return ""
+	}
+	return q.labeler.String()
+}
 
 // Len reports the number of parked processes.
 func (q *WaitQueue) Len() int { return len(q.ps) }
@@ -566,11 +593,10 @@ func (q *WaitQueue) Len() int { return len(q.ps) }
 // the waker's current virtual time.
 func (q *WaitQueue) Wait(p *Proc) {
 	q.ps = append(q.ps, p)
-	p.waiting = true
-	p.waitQ = q.name
+	p.waitQ = q
 	p.env.waiting++
 	if p.env.obs != nil {
-		p.env.obs.ProcBlock(p.name, q.name, p.env.now)
+		p.env.obs.ProcBlock(p.name, q.label(), p.env.now)
 	}
 	p.park()
 }
@@ -584,8 +610,7 @@ func (q *WaitQueue) Wake(n int) int {
 	}
 	for i := 0; i < n; i++ {
 		p := q.ps[i]
-		p.waiting = false
-		p.waitQ = ""
+		p.waitQ = nil
 		p.env.waiting--
 		p.env.schedule(p, p.env.now)
 		if p.env.obs != nil {
@@ -606,7 +631,11 @@ type Mutex struct {
 }
 
 // NewMutex returns an unlocked mutex labelled name.
-func NewMutex(name string) *Mutex { return &Mutex{q: WaitQueue{name: "mutex " + name}} }
+func NewMutex(name string) *Mutex { return &Mutex{q: *NewWaitQueue("mutex " + name)} }
+
+// SetLabel makes l the label of the mutex's wait queue, as
+// WaitQueue.SetLabel; l supplies the whole label, "mutex " included.
+func (m *Mutex) SetLabel(l fmt.Stringer) { m.q.SetLabel(l) }
 
 // Lock blocks p until the mutex is available, granting it in FIFO
 // order.
@@ -641,6 +670,3 @@ func (m *Mutex) Held() bool { return m.held }
 // WaitingProcs lists processes parked on wait queues right now, with
 // their queue labels (diagnostics).
 func (e *Env) WaitingProcs() []string { return e.waiterNames() }
-
-// SetName labels the queue for deadlock and diagnostic reports.
-func (q *WaitQueue) SetName(name string) { q.name = name }

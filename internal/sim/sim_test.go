@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -129,11 +131,141 @@ func TestDeadlockDetected(t *testing.T) {
 	}
 }
 
+// kaboom panics two frames below the process function, after a park,
+// so the captured stack has to be the process's own.
+func kaboom(p *Proc) {
+	p.Sleep(Microsecond)
+	panic("kaboom")
+}
+
+// TestPanicPropagates: a panic inside a process ends that process
+// only. Run reports it with the process name and the panicking stack,
+// and the environment stays consistent: the process counts as
+// finished, its shell is back in the pool, and a later Run neither
+// hangs nor loses the error.
 func TestPanicPropagates(t *testing.T) {
 	e := NewEnv(1)
-	e.Spawn("boom", func(p *Proc) { panic("kaboom") })
-	if err := e.Run(); err == nil {
+	e.Spawn("boom", kaboom)
+	bystander := 0
+	e.Spawn("bystander", func(p *Proc) {
+		for ; bystander < 3; bystander++ {
+			p.Sleep(Microsecond)
+		}
+	})
+	err := e.Run()
+	if err == nil {
 		t.Fatal("expected panic to surface as error")
+	}
+	for _, want := range []string{`process "boom" panicked: kaboom`, "sim.kaboom("} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error misses %q:\n%v", want, err)
+		}
+	}
+	if e.Live() != 1 || len(e.free) != 1 {
+		t.Fatalf("after the panic: %d live, %d pooled shells; want 1 and 1", e.Live(), len(e.free))
+	}
+	// The failure is sticky, but each further Run still dispatches: the
+	// bystander makes progress and finishes.
+	for i := 0; i < 8 && e.Live() > 0; i++ {
+		if again := e.Run(); again == nil || again.Error() != err.Error() {
+			t.Fatalf("Run %d after the panic returned %v", i, again)
+		}
+	}
+	if e.Live() != 0 || bystander != 3 {
+		t.Fatalf("bystander stuck: live=%d, progress=%d", e.Live(), bystander)
+	}
+}
+
+// TestSpawnFromProcessAndCallAt: a coroutine can be created while
+// another is running, and from the scheduler's own context between
+// dispatches; both start at the requested instant in schedule order.
+func TestSpawnFromProcessAndCallAt(t *testing.T) {
+	e := NewEnv(1)
+	var order []string
+	mark := func(s string) func(*Proc) {
+		return func(p *Proc) { order = append(order, fmt.Sprintf("%s@%d", s, p.Now())) }
+	}
+	e.Spawn("parent", func(p *Proc) {
+		e.Spawn("child", func(c *Proc) {
+			mark("child")(c)
+			e.Spawn("grandchild", mark("grandchild"))
+			c.Sleep(Microsecond)
+			mark("child-resumed")(c)
+		})
+		e.SpawnAt("late", p.Now().Add(3*Microsecond), mark("late"))
+		mark("parent")(p)
+	})
+	e.CallAt(Time(2*Microsecond), func() { e.Spawn("from-call", mark("from-call")) })
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	want := "parent@0 child@0 grandchild@0 child-resumed@1000 from-call@2000 late@3000"
+	if got := strings.Join(order, " "); got != want {
+		t.Fatalf("order %q, want %q", got, want)
+	}
+	if e.Live() != 0 {
+		t.Fatalf("%d processes still live", e.Live())
+	}
+}
+
+// TestStaleEventNeverWakesReusedShell pins the gen guard: a wake event
+// queued for a process that finishes before the event fires must not
+// dispatch the next process to reuse its shell.
+func TestStaleEventNeverWakesReusedShell(t *testing.T) {
+	e := NewEnv(1)
+	var first *Proc
+	first = e.Spawn("first", func(p *Proc) {
+		// Leave a wakeup for this incarnation queued at 5µs, then
+		// finish without consuming it.
+		e.schedule(p, Time(5*Microsecond))
+	})
+	var trace []string
+	e.CallAt(Time(Microsecond), func() {
+		second := e.Spawn("second", func(p *Proc) {
+			trace = append(trace, fmt.Sprintf("start@%d", p.Now()))
+			p.Sleep(10 * Microsecond)
+			trace = append(trace, fmt.Sprintf("woke@%d", p.Now()))
+		})
+		if second != first {
+			t.Errorf("second spawn did not reuse the finished shell")
+		}
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.Join(trace, " "); got != "start@1000 woke@11000" {
+		t.Fatalf("reused shell ran %q: the stale 5µs event woke it", got)
+	}
+}
+
+// TestNoGoroutineLeftAfterRun: a process that returns ends its
+// coroutine, so once every process has finished the runtime is back to
+// the goroutines it had before the first Spawn. (Comparisons are
+// one-sided because a helper goroutine of an earlier World test may
+// still be exiting.)
+func TestNoGoroutineLeftAfterRun(t *testing.T) {
+	before := runtime.NumGoroutine()
+	e := NewEnv(1)
+	m := NewMutex("m")
+	for i := 0; i < 50; i++ {
+		e.Spawn("p", func(p *Proc) {
+			p.Sleep(Duration(p.Rand().Int63n(100)))
+			m.Lock(p)
+			p.Sleep(Microsecond)
+			m.Unlock()
+			e.Spawn("child", func(c *Proc) { c.Yield() })
+		})
+	}
+	spawned := runtime.NumGoroutine()
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	after := runtime.NumGoroutine()
+	if spawned-after < 50 {
+		t.Fatalf("50 unstarted processes held %d goroutines; the count below proves nothing", spawned-after)
+	}
+	if after > before {
+		t.Fatalf("%d goroutines after Run, %d before Spawn", after, before)
 	}
 }
 

@@ -387,41 +387,14 @@ func (w *World) runWindow(bound Time) {
 }
 
 // runWindow dispatches this partition's events with time ≤ bound and
-// leaves the clock at bound. It is RunUntil's dispatch loop without
-// the deadlock check (an idle partition here may simply be waiting for
-// a cross-partition message; the world checks for global deadlock at
-// the barrier).
+// leaves the clock at bound. It is RunUntil without the deadlock check
+// (an idle partition here may simply be waiting for a cross-partition
+// message; the world checks for global deadlock at the barrier). The
+// worker that runs it resumes the partition's coroutines on its own
+// thread; a different worker may do so in the next window.
 func (e *Env) runWindow(bound Time) {
-	for len(e.events) > 0 && !e.stopped {
-		if e.events[0].at > bound {
-			break
-		}
-		ev := e.events.pop()
-		if ev.fn == nil && (ev.proc.done || ev.proc.gen != ev.gen) {
-			continue // stale wakeup for a finished or reused process
-		}
-		if ev.at > e.now {
-			e.now = ev.at
-		}
-		e.dispatched++
-		if e.dispatchHook != nil {
-			e.dispatchHook(ev.at, ev.seq, ev.proc)
-		}
-		if ev.fn != nil {
-			e.inCall = true
-			ev.fn()
-			e.inCall = false
-			continue
-		}
-		e.current = ev.proc
-		ev.proc.resume <- struct{}{}
-		<-e.ack
-		e.current = nil
-		if e.failure != nil {
-			return
-		}
-	}
-	if e.now < bound {
+	e.dispatch(bound)
+	if e.failure == nil && e.now < bound {
 		e.now = bound
 	}
 }

@@ -2,8 +2,10 @@ package sim
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 )
 
 // ringWorld builds a world of parts partitions where each partition
@@ -32,6 +34,29 @@ func ringWorld(seed int64, parts, procs, rounds int, lookahead Duration) (*World
 	return w, counters
 }
 
+// logDispatches hooks every partition of w and returns a function that
+// renders what was dispatched since: one line per event (partition,
+// time, sequence number, process name), partition by partition.
+func logDispatches(w *World) func() string {
+	logs := make([]strings.Builder, w.Parts())
+	for i := range logs {
+		w.Env(i).dispatchHook = func(at Time, seq uint64, p *Proc) {
+			name := "call"
+			if p != nil {
+				name = p.name
+			}
+			fmt.Fprintf(&logs[i], "%d@%d/%d:%s\n", i, int64(at), seq, name)
+		}
+	}
+	return func() string {
+		var all strings.Builder
+		for i := range logs {
+			all.WriteString(logs[i].String())
+		}
+		return all.String()
+	}
+}
+
 // TestWorldByteIdenticalAcrossWorkers is the sim-level half of the
 // determinism contract: the complete dispatch sequence of every
 // partition — times, sequence numbers and process names — must be
@@ -39,29 +64,12 @@ func ringWorld(seed int64, parts, procs, rounds int, lookahead Duration) (*World
 func TestWorldByteIdenticalAcrossWorkers(t *testing.T) {
 	run := func(workers int) (string, []int, uint64) {
 		w, counters := ringWorld(7, 4, 3, 40, 2*Microsecond)
-		logs := make([][]string, w.Parts())
-		for i := 0; i < w.Parts(); i++ {
-			i := i
-			w.Env(i).dispatchHook = func(at Time, seq uint64, p *Proc) {
-				name := "call"
-				if p != nil {
-					name = p.name
-				}
-				logs[i] = append(logs[i], fmt.Sprintf("%d@%d/%d:%s", i, int64(at), seq, name))
-			}
-		}
+		log := logDispatches(w)
 		w.SetWorkers(workers)
 		if err := w.Run(); err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		var sb strings.Builder
-		for _, l := range logs {
-			for _, s := range l {
-				sb.WriteString(s)
-				sb.WriteByte('\n')
-			}
-		}
-		return sb.String(), counters, w.Dispatched()
+		return log(), counters, w.Dispatched()
 	}
 	base, baseCounters, baseEvents := run(1)
 	if baseEvents == 0 {
@@ -163,6 +171,68 @@ func TestWorldFailurePropagates(t *testing.T) {
 	err := w.Run()
 	if err == nil || !strings.Contains(err.Error(), "kaboom") {
 		t.Fatalf("want propagated panic, got %v", err)
+	}
+}
+
+// workerID names the goroutine it is called on: the number in the
+// first line of its stack trace.
+func workerID() string {
+	buf := make([]byte, 64)
+	return strings.Fields(string(buf[:runtime.Stack(buf, false)]))[1]
+}
+
+// TestWorldProcessesMigrateBetweenWorkers: a parked process is resumed
+// by whichever worker claims its partition in that window, so over a
+// run its coroutine is switched into from several goroutines. The
+// dispatch sequence must not depend on it. A per-window call in every
+// partition records the claiming worker; in window k partition k mod
+// parts also stalls its worker for a moment of real time, which hands
+// the remaining partitions to the other workers and so rotates the
+// assignment at any GOMAXPROCS.
+func TestWorldProcessesMigrateBetweenWorkers(t *testing.T) {
+	const parts, windows = 4, 60
+	lookahead := 2 * Microsecond
+	run := func(workers int) (string, int) {
+		w, _ := ringWorld(7, parts, 3, windows/2, lookahead)
+		log := logDispatches(w)
+		seen := make([]map[string]bool, parts)
+		for i := 0; i < parts; i++ {
+			i, e := i, w.Env(i)
+			seen[i] = map[string]bool{}
+			for k := 0; k < windows; k++ {
+				stall := k%parts == i
+				e.CallAt(Time(k)*Time(lookahead), func() {
+					seen[i][workerID()] = true
+					if stall {
+						time.Sleep(20 * time.Microsecond)
+					}
+				})
+			}
+		}
+		w.SetWorkers(workers)
+		if err := w.Run(); err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		migrated := 0
+		for _, workers := range seen {
+			if len(workers) > 1 {
+				migrated++
+			}
+		}
+		return log(), migrated
+	}
+	base, migrated := run(1)
+	if migrated != 0 {
+		t.Fatalf("workers=1: %d partitions saw more than one worker", migrated)
+	}
+	for _, workers := range []int{2, 4} {
+		got, migrated := run(workers)
+		if got != base {
+			t.Errorf("workers=%d dispatch sequence differs from workers=1", workers)
+		}
+		if migrated == 0 {
+			t.Errorf("workers=%d: every partition stayed on one worker; nothing migrated", workers)
+		}
 	}
 }
 
