@@ -99,6 +99,29 @@ func TestVerbSteadyStateZeroAlloc(t *testing.T) {
 	if err := env.Run(); err != nil {
 		t.Fatal(err)
 	}
+
+	// The same contract across the partition seam: a post with a local
+	// and a remote batch, once its descriptor, apply subs and the
+	// mailbox have been sized.
+	w := sim.NewWorld(1, 2, noJitter().Lookahead())
+	f = NewFabric(w.Env(0), noJitter())
+	cross := []Batch{
+		{QP: f.Connect(f.RegisterAt("mn0", 4096, 0)), Ops: []Op{{Kind: OpCAS, Off: 0, Compare: 0, Swap: 0}, {Kind: OpRead, Off: 0, Len: 64}}},
+		{QP: f.Connect(f.RegisterAt("mn1", 4096, 1)), Ops: []Op{{Kind: OpWrite, Off: 128, Data: payload}, {Kind: OpRead, Off: 0, Len: 64}}},
+	}
+	w.Env(0).Spawn("probe", func(p *sim.Proc) {
+		fn := func() {
+			PostMulti(p, cross)
+			cross[1].QP.Read(p, 0, 64)
+		}
+		fn()
+		if avg := testing.AllocsPerRun(20, fn); avg > 0 {
+			t.Errorf("steady-state cross-partition post allocates %.1f objects per post, want 0", avg)
+		}
+	})
+	if err := w.Run(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestWriteAppliesAtMidpoint pins the single-park timing contract:
