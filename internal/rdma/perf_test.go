@@ -61,6 +61,40 @@ func BenchmarkFabricCASBatch(b *testing.B) {
 	}
 }
 
+// BenchmarkFabricPostMulti measures the post every engine sends: one
+// batch to each of two regions in one round-trip. "local" keeps both in
+// the issuer's partition; "cross" puts the second in another partition
+// of a 2-partition world, so the post takes the mailbox seam.
+func BenchmarkFabricPostMulti(b *testing.B) {
+	for _, parts := range []int{1, 2} {
+		name := "local"
+		if parts == 2 {
+			name = "cross"
+		}
+		b.Run(name, func(b *testing.B) {
+			w := sim.NewWorld(1, parts, noJitter().Lookahead())
+			f := NewFabric(w.Env(0), noJitter())
+			payload := make([]byte, 64)
+			batches := []Batch{
+				{QP: f.Connect(f.RegisterAt("mn0", 4096, 0)), Ops: []Op{{Kind: OpRead, Len: 64}, {Kind: OpWrite, Off: 64, Data: payload}}},
+				{QP: f.Connect(f.RegisterAt("mn1", 4096, parts-1)), Ops: []Op{{Kind: OpWrite, Off: 64, Data: payload}}},
+			}
+			w.Env(0).Spawn("bench", func(p *sim.Proc) {
+				for i := 0; i < b.N; i++ {
+					if _, err := PostMulti(p, batches); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+			b.ReportAllocs()
+			b.ResetTimer()
+			if err := w.Run(); err != nil {
+				b.Fatal(err)
+			}
+		})
+	}
+}
+
 // TestVerbSteadyStateZeroAlloc pins the per-verb allocation contract:
 // after the first round-trip sizes the descriptor scratch, READ,
 // WRITE, CAS and multi-batch posts allocate nothing.
@@ -177,8 +211,8 @@ func TestWriteAppliesAtMidpoint(t *testing.T) {
 }
 
 // TestReadScratchReusedAcrossPosts pins the documented READ lifetime:
-// without CopyResults, Result.Data is descriptor scratch that the next
-// post on the same QP may overwrite — callers must consume it first.
+// Result.Data is descriptor scratch that the next post on the same QP
+// may overwrite — callers must consume it first.
 func TestReadScratchReusedAcrossPosts(t *testing.T) {
 	runOne(t, noJitter(), func(p *sim.Proc, f *Fabric) {
 		r := f.Register("mn0", 1024)
@@ -208,35 +242,6 @@ func TestReadScratchReusedAcrossPosts(t *testing.T) {
 		}
 		if &first[0] != &second[0] {
 			t.Fatal("same-shape reads did not reuse descriptor scratch; the zero-alloc contract is broken")
-		}
-	})
-}
-
-// TestCopyResultsDetachesPayloads is the opt-out: with CopyResults
-// set, READ payloads are private copies that survive later posts.
-func TestCopyResultsDetachesPayloads(t *testing.T) {
-	params := noJitter()
-	params.CopyResults = true
-	runOne(t, params, func(p *sim.Proc, f *Fabric) {
-		r := f.Register("mn0", 1024)
-		qp := f.Connect(r)
-		if err := qp.Write(p, 0, []byte{1, 1, 1, 1}); err != nil {
-			t.Fatal(err)
-		}
-		if err := qp.Write(p, 512, []byte{2, 2, 2, 2}); err != nil {
-			t.Fatal(err)
-		}
-		first, err := qp.Read(p, 0, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < 4; i++ {
-			if _, err := qp.Read(p, 512, 4); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if !bytes.Equal(first, []byte{1, 1, 1, 1}) {
-			t.Fatalf("CopyResults payload corrupted by later posts: %v", first)
 		}
 	})
 }

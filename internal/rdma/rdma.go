@@ -16,12 +16,18 @@
 //   - doorbell batching: a batch of verbs to one node costs a single
 //     round-trip.
 //
-// Each round-trip parks the issuing process exactly once: the verbs
-// apply at the virtual midpoint of the round-trip via a deferred call
-// (sim.Env.CallAt) while the process stays parked until the completion
-// instant. The apply instant, posted order, atomicity and tie-breaking
-// against other processes are identical to parking twice — only the
-// goroutine context switches are halved.
+// There is one post path. A post is a list of batches, one per queue
+// pair (Post and the single-verb wrappers send a one-element list held
+// in the post's own descriptor), and (*pending).post is the one place a
+// round-trip is issued, applied and completed: it draws one latency per
+// batch and charges the slowest, carves every batch's result slots and
+// READ arena from the descriptor's scratch, probes the observers,
+// schedules the apply for the virtual midpoint, parks the issuing
+// process exactly once until the completion instant, probes again and
+// folds the batches' errors. Its only branch is whether any batch
+// targets a region owned by another partition of a sim.World, and that
+// decides only how the apply is scheduled and when the counters land —
+// see post.
 //
 // Every verb and round-trip is counted, which is how the Table 2
 // experiment (RDMA operations per transaction) is regenerated.
@@ -59,14 +65,6 @@ type Params struct {
 	// from running in lockstep; it is drawn from the environment's
 	// seeded source, so runs stay reproducible.
 	JitterPct float64
-	// CopyResults, if true, makes every READ completion allocate a
-	// private copy of the fetched bytes, the behaviour real verbs give
-	// a caller that owns its receive buffers. When false (the default,
-	// and what every engine in this repository assumes) READ payloads
-	// are served from a reused scratch arena: callers must parse or
-	// copy Result.Data before posting again or parking. Set it for
-	// code that retains fetched buffers across round-trips.
-	CopyResults bool
 }
 
 // DefaultParams matches the paper's testbed figures: 2µs RTT on a
@@ -125,10 +123,9 @@ type Op struct {
 
 // Result is the completion of one Op.
 type Result struct {
-	// Data holds a READ's fetched bytes. Unless Params.CopyResults is
-	// set it aliases a reused scratch arena: it is valid until the
-	// issuing process posts again or parks, so parse or copy it
-	// immediately.
+	// Data holds a READ's fetched bytes. It aliases the post's reused
+	// scratch arena: it is valid until the issuing process posts again
+	// or parks, so parse or copy it immediately.
 	Data []byte
 	Old  uint64 // CAS/masked-CAS: the prior word value
 	OK   bool   // CAS/masked-CAS: whether the swap applied
@@ -186,11 +183,10 @@ func (s Stats) Add(t Stats) Stats {
 // own partition at the completion instant. Every per-post mutable
 // resource (verb counters, descriptor pools) is striped into per-
 // partition lanes so partitions share nothing on the hot path; a
-// single-partition fabric has exactly one lane and behaves bit-for-bit
-// like the pre-partitioned implementation.
+// sequential fabric is the one-lane case, where no region is ever
+// owned by another partition.
 type Fabric struct {
 	env     *sim.Env
-	world   *sim.World // nil when env is standalone
 	params  Params
 	regions []*Region
 	lanes   []*lane
@@ -208,9 +204,8 @@ type lane struct {
 	rec      *trace.Recorder
 	fl       *flight.Recorder
 	met      *fabricMetrics
-	observed bool        // any of rec / fl / met attached: the one check a post pays
-	free     []*pending  // recycled in-flight descriptors
-	subFree  []*applySub // recycled cross-partition apply descriptors
+	observed bool       // any of rec / fl / met attached: the one check a post pays
+	free     []*pending // recycled in-flight descriptors
 }
 
 // SetObservers attaches the fabric's observers (each may be nil): with
@@ -262,11 +257,8 @@ func classOfOps(ops []Op) flight.VerbClass {
 	return c
 }
 
-// wireClass classifies a whole post (single batch or multi-batch).
+// wireClass classifies a whole post.
 func (d *pending) wireClass() flight.VerbClass {
-	if d.qp != nil {
-		return classOfOps(d.ops)
-	}
 	c := classOfOps(d.batches[0].Ops)
 	for _, b := range d.batches[1:] {
 		if classOfOps(b.Ops) != c {
@@ -372,7 +364,6 @@ func NewFabric(env *sim.Env, params Params) *Fabric {
 			panic(fmt.Sprintf("rdma: world lookahead %v exceeds fabric one-way minimum %v",
 				w.Lookahead(), params.Lookahead()))
 		}
-		f.world = w
 		f.lanes = make([]*lane, w.Parts())
 		for i := range f.lanes {
 			f.lanes[i] = &lane{env: w.Env(i)}
@@ -541,24 +532,16 @@ func opBytes(op *Op) int {
 // the metrics post counters, batch by batch. Callers guard with
 // l.observed, so an unobserved fabric pays one check per post.
 func (l *lane) posted(p *sim.Proc, d *pending) {
-	if d.qp != nil {
-		l.postedBatch(p, d.qp, d.ops)
-		return
-	}
 	for _, b := range d.batches {
-		l.postedBatch(p, b.QP, b.Ops)
-	}
-}
-
-func (l *lane) postedBatch(p *sim.Proc, qp *QP, ops []Op) {
-	if l.rec != nil {
-		s := trace.SpanOf(p)
-		for i := range ops {
-			l.rec.VerbIssue(p.Now(), s, ops[i].Kind.String(), qp.id, qp.region.id, opBytes(&ops[i]))
+		if l.rec != nil {
+			s := trace.SpanOf(p)
+			for i := range b.Ops {
+				l.rec.VerbIssue(p.Now(), s, b.Ops[i].Kind.String(), b.QP.id, b.QP.region.id, opBytes(&b.Ops[i]))
+			}
 		}
-	}
-	if l.met != nil {
-		l.met.post(qp, ops)
+		if l.met != nil {
+			l.met.post(b.QP, b.Ops)
+		}
 	}
 }
 
@@ -568,28 +551,20 @@ func (l *lane) postedBatch(p *sim.Proc, qp *QP, ops []Op) {
 // the verbs, not the other way around), and one flight wire charge —
 // one park, one charge: a multi-batch post costs its slowest batch.
 func (l *lane) completed(p *sim.Proc, d *pending, lat sim.Duration) {
-	if d.qp != nil {
-		l.completedBatch(p, d.qp, d.ops, lat)
-	} else {
-		for _, b := range d.batches {
-			l.completedBatch(p, b.QP, b.Ops, lat)
+	for _, b := range d.batches {
+		if l.rec != nil {
+			s := trace.SpanOf(p)
+			l.rec.RTT(p.Now(), s, b.QP.id, b.QP.region.id, len(b.Ops), batchPayload(b.Ops), lat)
+			for i := range b.Ops {
+				l.rec.VerbComplete(p.Now(), s, b.Ops[i].Kind.String(), b.QP.id, b.QP.region.id, opBytes(&b.Ops[i]), lat)
+			}
+		}
+		if l.met != nil {
+			l.met.complete(b.Ops)
 		}
 	}
 	if l.fl != nil {
 		l.fl.Wire(p, d.wireClass(), lat)
-	}
-}
-
-func (l *lane) completedBatch(p *sim.Proc, qp *QP, ops []Op, lat sim.Duration) {
-	if l.rec != nil {
-		s := trace.SpanOf(p)
-		l.rec.RTT(p.Now(), s, qp.id, qp.region.id, len(ops), batchPayload(ops), lat)
-		for i := range ops {
-			l.rec.VerbComplete(p.Now(), s, ops[i].Kind.String(), qp.id, qp.region.id, opBytes(&ops[i]), lat)
-		}
-	}
-	if l.met != nil {
-		l.met.complete(ops)
 	}
 }
 
@@ -608,72 +583,66 @@ func batchPayload(ops []Op) int {
 	return n
 }
 
-// pending is one in-flight round-trip: the state its deferred midpoint
-// call needs to apply the verbs and resume the issuing process, plus
-// the scratch that backs the post's results. The descriptor is owned
-// exclusively by one post from issue until completion, so results stay
-// intact even when several processes share a queue pair; they are
-// reused only after the issuer has had a chance to consume them (it
-// must do so before posting again or parking). Descriptors are
-// recycled through Fabric.free — the cooperative scheduler runs one
-// process at a time, so the freelist needs no locking, and fire is
-// bound once so a post allocates no closure.
+// Batch pairs a queue pair with the ops to post on it.
+type Batch struct {
+	QP  *QP
+	Ops []Op
+}
+
+// pending is one in-flight post: the batches, the scratch that backs
+// their results, and what the deferred calls need to apply the verbs
+// and resume the issuing process. The descriptor is owned exclusively
+// by one post from issue until completion, so results stay intact even
+// when several processes share a queue pair; they are reused only
+// after the issuer has had a chance to consume them (it must do so
+// before posting again or parking). Descriptors are recycled through
+// their lane's freelist — the cooperative scheduler runs one process of
+// a partition at a time, so it needs no locking — and the deferred
+// calls are bound once, so a post allocates no closure.
 type pending struct {
 	f        *Fabric
 	lane     *lane // issuing partition's lane (owns the descriptor)
 	proc     *sim.Proc
-	qp       *QP  // single-batch post (nil for PostMulti)
-	ops      []Op // single-batch post
-	batches  []Batch
-	res      []Result
-	err      error
+	batches  []Batch // the post: the caller's list, or one[:1]
 	resumeAt sim.Time
-	fire     func() // pre-bound (*pending).run
-	wake     func() // pre-bound (*pending).resume, for cross-partition posts
+	fire     func() // pre-bound (*pending).run: a local post's midpoint
+	wake     func() // pre-bound (*pending).resume: a cross post's completion
 
-	op1      [1]Op      // single-verb scratch for the convenience wrappers
-	out      [][]Result // PostMulti result scratch, reused
-	resBuf   []Result   // Result scratch carved by the apply step, reused
-	arena    []byte     // READ payload scratch, reused
-	resLen   int
-	arenaLen int
+	one [1]Batch // a single-batch post's list (Post, the verb wrappers)
+	op1 [1]Op    // a verb wrapper's op
 
-	// Cross-partition post state: one applySub per distinct target
-	// partition, and a per-batch error slot filled by the subs.
-	subs      []*applySub
-	batchErrs []error
+	// Per-batch outcome, cut from the reused scratch below by carve:
+	// out[i] is batch i's result slots (where the apply writes and what
+	// the caller gets back), slots[i] its READ arena and its error.
+	out    [][]Result
+	slots  []slot
+	resBuf []Result
+	arena  []byte
+
+	// A cross post's apply, one sub per target partition; subs[nsub:]
+	// are spares kept from earlier posts.
+	subs []*applySub
+	nsub int
 }
 
-// applySub is the target-partition half of one cross-partition post:
-// the batches owned by one partition, with pre-carved result and arena
-// destinations, applied at the round-trip midpoint by the target's
-// scheduler. Stats accrue locally in the sub and are folded into the
-// issuing lane at the completion instant — one window later, after the
-// barrier — so no counter is ever touched by two partitions at once.
-type applySub struct {
-	stats   Stats
-	batches []subBatch
-	fire    func() // pre-bound (*applySub).run
-}
-
-type subBatch struct {
-	qp    *QP
-	ops   []Op
-	out   []Result
+type slot struct {
 	arena []byte
-	errp  *error
+	err   error
 }
 
-func (s *applySub) run() {
-	for i := range s.batches {
-		b := &s.batches[i]
-		copyRes := b.qp.fabric.params.CopyResults
-		if _, err := applyOps(b.qp.region, b.ops, b.out, b.arena, copyRes, &s.stats); err != nil {
-			*b.errp = err
-		}
-		s.stats.RTTs++
-	}
+// applySub is one target partition's share of a cross post: that
+// partition's scheduler runs it at the round-trip midpoint. The verbs
+// it applies are counted here and folded into the issuing lane at the
+// completion instant — one window later, after the barrier — so no
+// counter is ever touched by two partitions at once.
+type applySub struct {
+	d     *pending
+	part  int
+	stats Stats
+	fire  func() // pre-bound (*applySub).run
 }
+
+func (s *applySub) run() { s.d.apply(s.part, &s.stats) }
 
 func (l *lane) getPending(f *Fabric) *pending {
 	if n := len(l.free); n > 0 {
@@ -689,41 +658,32 @@ func (l *lane) getPending(f *Fabric) *pending {
 }
 
 func (l *lane) putPending(d *pending) {
-	d.proc, d.qp, d.ops, d.batches = nil, nil, nil, nil
-	d.res, d.err = nil, nil
-	for i := range d.subs {
-		sub := d.subs[i]
-		sub.batches = sub.batches[:0]
-		sub.stats = Stats{}
-		l.subFree = append(l.subFree, sub)
-		d.subs[i] = nil
-	}
-	d.subs = d.subs[:0]
-	// The out/resBuf/arena/batchErrs backing arrays are kept for reuse.
+	// The scratch and the subs are kept for reuse.
+	d.proc, d.batches, d.one[0], d.nsub = nil, nil, Batch{}, 0
 	l.free = append(l.free, d)
 }
 
-func (l *lane) getSub() *applySub {
-	if n := len(l.subFree); n > 0 {
-		s := l.subFree[n-1]
-		l.subFree[n-1] = nil
-		l.subFree = l.subFree[:n-1]
-		return s
+// subFor returns the post's sub for target partition part, and whether
+// this call added it (from the spares, or new).
+func (d *pending) subFor(part int) (*applySub, bool) {
+	for _, s := range d.subs[:d.nsub] {
+		if s.part == part {
+			return s, false
+		}
 	}
-	s := &applySub{}
-	s.fire = s.run
-	return s
+	if d.nsub == len(d.subs) {
+		s := &applySub{d: d}
+		s.fire = s.run
+		d.subs = append(d.subs, s)
+	}
+	s := d.subs[d.nsub]
+	d.nsub++
+	s.part, s.stats = part, Stats{}
+	return s, true
 }
 
-// resume wakes the issuing process at the completion instant of a
-// cross-partition post. It runs in the issuing partition, scheduled at
-// post time, so the target partition never touches this scheduler.
-func (d *pending) resume() {
-	d.lane.env.Resume(d.proc, d.resumeAt)
-}
-
-// readBytes totals the payload bytes the batch's READs will occupy in
-// the descriptor arena.
+// readBytes totals the payload bytes the batch's READs occupy in the
+// descriptor arena.
 func readBytes(ops []Op) int {
 	n := 0
 	for i := range ops {
@@ -734,68 +694,144 @@ func readBytes(ops []Op) int {
 	return n
 }
 
-// run executes at the virtual midpoint of the round-trip: it applies
-// the posted verbs against their regions and schedules the issuing
-// process's resume at the completion instant. Scheduling the resume
-// here — not at post time — consumes a sequence number at the midpoint,
-// exactly when the old second Sleep did, so tie-breaking against other
-// processes is bit-identical to the two-sleep implementation.
-func (d *pending) run() {
-	// Size the descriptor scratch once, for the whole post, before any
-	// carving: carved sub-slices must never be moved by a later grow.
-	d.sizeScratch()
-	if d.qp != nil {
-		d.res, d.err = d.applyBatch(d.qp, d.ops)
-		d.lane.stats.RTTs++
-	} else {
-		for i, b := range d.batches {
-			res, err := d.applyBatch(b.QP, b.Ops)
-			d.lane.stats.RTTs++
-			if err != nil && d.err == nil {
-				d.err = err
-			}
-			d.out[i] = res
-		}
+// carve sizes the descriptor scratch for the whole post — first, so no
+// later grow moves a slice already cut — and cuts every batch's result
+// slots and READ arena from it. Batches therefore never share a byte,
+// whichever partition applies them.
+func (d *pending) carve() {
+	n, nops, nbytes := len(d.batches), 0, 0
+	for _, b := range d.batches {
+		nops += len(b.Ops)
+		nbytes += readBytes(b.Ops)
 	}
-	d.lane.env.Resume(d.proc, d.resumeAt)
-}
-
-// sizeScratch grows the descriptor's result and arena buffers to the
-// whole post's footprint, so later carving never moves a live slice.
-func (d *pending) sizeScratch() {
-	nops, nbytes := 0, 0
-	if d.qp != nil {
-		nops, nbytes = len(d.ops), readBytes(d.ops)
-	} else {
-		for _, b := range d.batches {
-			nops += len(b.Ops)
-			nbytes += readBytes(b.Ops)
-		}
+	if cap(d.out) < n {
+		d.out, d.slots = make([][]Result, n), make([]slot, n)
 	}
 	if cap(d.resBuf) < nops {
 		d.resBuf = make([]Result, nops)
 	}
-	if !d.f.params.CopyResults && cap(d.arena) < nbytes {
+	if cap(d.arena) < nbytes {
 		d.arena = make([]byte, nbytes)
 	}
-	d.resLen, d.arenaLen = 0, 0
+	d.out, d.slots = d.out[:n], d.slots[:n]
+	res, arena := d.resBuf[:nops], d.arena[:nbytes]
+	for i, b := range d.batches {
+		d.out[i], res = res[:len(b.Ops)], res[len(b.Ops):]
+		nb := readBytes(b.Ops)
+		d.slots[i], arena = slot{arena: arena[:nb]}, arena[nb:]
+	}
 }
 
-// applyBatch carves the batch's destinations out of the descriptor
-// scratch and applies the verbs, charging the issuing lane's counters.
-func (d *pending) applyBatch(qp *QP, ops []Op) ([]Result, error) {
-	out := d.resBuf[d.resLen : d.resLen+len(ops)]
-	d.resLen += len(ops)
-	var arena []byte
-	if !d.f.params.CopyResults {
-		arena = d.arena[d.arenaLen:]
+// apply runs in partition part at the round-trip midpoint: it applies,
+// in batch order, the batches whose regions that partition owns, each
+// atomically, and counts their verbs into st — a location only that
+// partition touches until the post completes.
+func (d *pending) apply(part int, st *Stats) {
+	for i, b := range d.batches {
+		if b.QP.region.part != part {
+			continue
+		}
+		d.slots[i].err = applyOps(b.QP.region, b.Ops, d.out[i], d.slots[i].arena, st)
+		st.RTTs++
 	}
-	used, err := applyOps(qp.region, ops, out, arena, d.f.params.CopyResults, &d.lane.stats)
-	d.arenaLen += used
-	if err != nil {
-		return nil, err
+}
+
+// run is a local post's midpoint: every batch applies here, into the
+// issuing lane's counters, and the issuer's resume is scheduled for the
+// completion instant. Scheduling it here — not at post time — consumes
+// a sequence number at the midpoint, exactly when a process sleeping
+// out the two halves of the round-trip would, so ties against other
+// processes break as they would for one.
+func (d *pending) run() {
+	d.apply(d.lane.env.Part(), &d.lane.stats)
+	d.lane.env.Resume(d.proc, d.resumeAt)
+}
+
+// resume is a cross post's completion: it wakes the issuer. It runs in
+// the issuing partition, scheduled at post time, so no target partition
+// ever touches this scheduler.
+func (d *pending) resume() {
+	d.lane.env.Resume(d.proc, d.resumeAt)
+}
+
+// post runs the round-trip of d.batches for process p and returns one
+// result list per batch. All verbs land on their memory nodes halfway
+// through the round-trip (so other coordinators can interleave before
+// and after the apply instant), every batch applies in posted order at
+// that one instant, and p parks exactly once, until the slowest batch's
+// completion instant. A failed batch leaves its list nil; the error is
+// the first in batch order.
+//
+// The one branch is whether any batch targets a region owned by another
+// partition. If none does, a deferred call at the midpoint applies the
+// batches into the lane's counters and schedules the wake-up (run). If
+// one does, nothing here may touch another partition's state directly:
+// each target partition — the issuer's own included — gets its share as
+// an applySub through the mailbox seam (sim.Env.Send), in order of
+// first appearance, the wake-up is scheduled at post time, and the
+// subs' counters are folded into the lane once p is awake again (the
+// midpoint lies at least one window earlier, so the barrier ordered
+// those writes).
+//
+// Observers are probed from the issuing partition, into the issuing
+// lane's shard, so emission stays lock-free at any worker count.
+func (d *pending) post(p *sim.Proc) ([][]Result, error) {
+	f, lane := d.f, d.lane
+	part := lane.env.Part()
+	var lat sim.Duration
+	cross := false
+	for _, b := range d.batches {
+		if l := f.latency(lane.env.Rand(), batchPayload(b.Ops), len(b.Ops)); l > lat {
+			lat = l
+		}
+		cross = cross || b.QP.region.part != part
 	}
-	return out, nil
+	d.carve()
+	if lane.observed {
+		lane.posted(p, d)
+	}
+	d.proc = p
+	now := p.Now()
+	mid := now.Add(lat / 2)
+	d.resumeAt = now.Add(lat)
+	if !cross {
+		lane.env.CallAt(mid, d.fire)
+	} else {
+		for _, b := range d.batches {
+			if sub, added := d.subFor(b.QP.region.part); added {
+				lane.env.Send(f.lanes[sub.part].env, mid, sub.fire)
+			}
+		}
+		lane.env.CallAt(d.resumeAt, d.wake)
+	}
+	p.Suspend()
+	if lane.observed {
+		lane.completed(p, d, lat)
+	}
+	for _, sub := range d.subs[:d.nsub] {
+		lane.stats = lane.stats.Add(sub.stats)
+		lane.cross = lane.cross.Add(sub.stats)
+	}
+	var err error
+	for i := range d.slots {
+		if e := d.slots[i].err; e != nil {
+			if err == nil {
+				err = e
+			}
+			d.out[i] = nil
+		}
+	}
+	out := d.out
+	lane.putPending(d)
+	return out, err
+}
+
+// postBatch runs a single-batch post, the batch held in the descriptor.
+func (d *pending) postBatch(p *sim.Proc, qp *QP, ops []Op) ([]Result, error) {
+	d.one[0] = Batch{QP: qp, Ops: ops}
+	d.batches = d.one[:1]
+	out, err := d.post(p)
+	return out[0], err
 }
 
 // Post issues a doorbell batch: all ops execute against the target
@@ -806,198 +842,58 @@ func (qp *QP) Post(p *sim.Proc, ops []Op) ([]Result, error) {
 	if len(ops) == 0 {
 		return nil, nil
 	}
-	return qp.postWith(p, qp.fabric.laneOf(p).getPending(qp.fabric), ops)
+	return qp.fabric.laneOf(p).getPending(qp.fabric).postBatch(p, qp, ops)
 }
 
-// postWith runs one single-batch round-trip on descriptor d: the verbs
-// land on the memory node halfway through the round-trip (so other
-// coordinators can interleave before and after the apply instant) and
-// the issuing process parks once, until the completion instant. A
-// batch whose region lives in another partition takes the cross-
-// partition seam instead.
-func (qp *QP) postWith(p *sim.Proc, d *pending, ops []Op) ([]Result, error) {
-	f := qp.fabric
-	if f.world != nil && qp.region.part != p.Env().Part() {
-		d.qp, d.ops = qp, ops
-		res, _, err := d.crossPost(p)
-		return res, err
-	}
-	lane := d.lane
-	lat := f.latency(lane.env.Rand(), batchPayload(ops), len(ops))
-	d.proc, d.qp, d.ops = p, qp, ops
-	if lane.observed {
-		lane.posted(p, d)
-	}
-	now := p.Now()
-	d.resumeAt = now.Add(lat)
-	lane.env.CallAt(now.Add(lat/2), d.fire)
-	p.Suspend()
-	res, err := d.res, d.err
-	if lane.observed {
-		lane.completed(p, d, lat)
-	}
-	lane.putPending(d)
-	return res, err
-}
-
-// crossPost runs a post (single-batch or multi-batch) whose targets
-// include regions owned by other partitions. The protocol:
+// PostMulti issues one batch per queue pair concurrently (as a real
+// NIC would with doorbells to several QPs) and waits for all of them:
+// the verbs of every batch apply in order at the same instant and the
+// caller is charged the slowest batch's round-trip, not the sum. This
+// is how synchronous (f+1)-replication writes all replicas in one
+// round-trip of latency.
 //
-//   - at post time, in the issuing partition: draw the latency (local
-//     random stream), size and pre-carve every batch's result and
-//     arena destinations from the descriptor scratch, group batches by
-//     target partition into pooled applySubs, hand each remote sub to
-//     its target via the mailbox seam (sim.Env.Send) for the midpoint
-//     instant, schedule the local wakeup at the completion instant,
-//     and park;
-//   - at the midpoint, in each target partition: the sub applies its
-//     batches into the pre-carved destinations and counts verbs into
-//     its own scratch — disjoint memory per target, no shared writes;
-//   - at the completion instant, back in the issuing partition: fold
-//     the subs' counters into the lane (the midpoint lies at least one
-//     window earlier, so the barrier ordered those writes), surface
-//     the first error in batch order, and recycle everything.
-//
-// The issuing process parks exactly once, like a local post.
-//
-// Observers, when attached, are probed from the issuing partition
-// exactly as on the local path, into the issuing lane's partition
-// shard — so emission stays lock-free at any worker count.
-func (d *pending) crossPost(p *sim.Proc) ([]Result, [][]Result, error) {
-	f := d.f
-	lane := d.lane
-	single := d.qp != nil
-	var maxLat sim.Duration
-	if single {
-		maxLat = f.latency(lane.env.Rand(), batchPayload(d.ops), len(d.ops))
-	} else {
-		for _, b := range d.batches {
-			if lat := f.latency(lane.env.Rand(), batchPayload(b.Ops), len(b.Ops)); lat > maxLat {
-				maxLat = lat
-			}
+// The returned slice (and any READ payloads inside it) is scratch
+// reused by a later post: consume it before the issuing process posts
+// again or parks.
+func PostMulti(p *sim.Proc, batches []Batch) ([][]Result, error) {
+	if len(batches) == 0 {
+		return nil, nil
+	}
+	f := batches[0].QP.fabric
+	for _, b := range batches[1:] {
+		if b.QP.fabric != f {
+			panic("rdma: PostMulti across fabrics")
 		}
 	}
-	d.sizeScratch()
-	nb := 1
-	if !single {
-		nb = len(d.batches)
-	}
-	if cap(d.batchErrs) < nb {
-		d.batchErrs = make([]error, nb)
-	}
-	d.batchErrs = d.batchErrs[:nb]
-	for i := range d.batchErrs {
-		d.batchErrs[i] = nil
-	}
-	for i := 0; i < nb; i++ {
-		qp, ops := d.qp, d.ops
-		if !single {
-			qp, ops = d.batches[i].QP, d.batches[i].Ops
-		}
-		out := d.resBuf[d.resLen : d.resLen+len(ops)]
-		d.resLen += len(ops)
-		var arena []byte
-		if !f.params.CopyResults {
-			n := readBytes(ops)
-			arena = d.arena[d.arenaLen : d.arenaLen+n]
-			d.arenaLen += n
-		}
-		sub := d.subFor(qp.region.part)
-		sub.batches = append(sub.batches, subBatch{
-			qp: qp, ops: ops, out: out, arena: arena, errp: &d.batchErrs[i],
-		})
-		if single {
-			d.res = out
-		} else {
-			d.out[i] = out
-		}
-	}
-	if lane.observed {
-		lane.posted(p, d)
-	}
-	d.proc = p
-	now := p.Now()
-	mid := now.Add(maxLat / 2)
-	d.resumeAt = now.Add(maxLat)
-	for _, sub := range d.subs {
-		target := f.lanes[sub.batches[0].qp.region.part].env
-		lane.env.Send(target, mid, sub.fire)
-	}
-	lane.env.CallAt(d.resumeAt, d.wake)
-	p.Suspend()
-	if lane.observed {
-		lane.completed(p, d, maxLat)
-	}
-	for _, sub := range d.subs {
-		lane.stats = lane.stats.Add(sub.stats)
-		lane.cross = lane.cross.Add(sub.stats)
-	}
-	for i := 0; i < nb; i++ {
-		if d.batchErrs[i] == nil {
-			continue
-		}
-		if d.err == nil {
-			d.err = d.batchErrs[i]
-		}
-		if single {
-			d.res = nil
-		} else {
-			d.out[i] = nil
-		}
-	}
-	res, out, err := d.res, d.out, d.err
-	lane.putPending(d)
-	return res, out, err
-}
-
-// subFor returns the post's applySub for target partition part,
-// creating it from the lane pool on first use.
-func (d *pending) subFor(part int) *applySub {
-	for _, s := range d.subs {
-		if s.batches[0].qp.region.part == part {
-			return s
-		}
-	}
-	s := d.lane.getSub()
-	d.subs = append(d.subs, s)
-	return s
+	d := f.laneOf(p).getPending(f)
+	d.batches = batches
+	return d.post(p)
 }
 
 // applyOps executes ops against region r at one instant of virtual
 // time (it runs inside a midpoint call, without yielding, so the batch
-// is atomic), writing completions into out and carving READ payloads
-// from the front of arena unless copyResults. It returns the arena
-// bytes consumed. st receives the verb counters as ops apply — always
-// a location owned by the partition the apply runs in (the issuing
-// lane for local posts, the sub's fold-later scratch for cross-
-// partition posts).
-func applyOps(r *Region, ops []Op, out []Result, arena []byte, copyResults bool, st *Stats) (int, error) {
+// is atomic), writing completions into out and READ payloads into
+// arena, front to back. st receives the verb counters as ops apply.
+func applyOps(r *Region, ops []Op, out []Result, arena []byte, st *Stats) error {
 	if r.failed {
-		return 0, fmt.Errorf("rdma: region %q (node %d) unreachable", r.name, r.id)
+		return fmt.Errorf("rdma: region %q (node %d) unreachable", r.name, r.id)
 	}
-	used := 0
 	for i := range ops {
 		op := &ops[i]
 		switch op.Kind {
 		case OpRead:
 			if err := r.check(op.Off, op.Len); err != nil {
-				return used, err
+				return err
 			}
-			var data []byte
-			if copyResults {
-				data = make([]byte, op.Len)
-			} else {
-				end := used + op.Len
-				data = arena[used:end:end]
-				used = end
-			}
+			data := arena[:op.Len:op.Len]
+			arena = arena[op.Len:]
 			copy(data, r.buf[op.Off:])
 			out[i] = Result{Data: data}
 			st.Reads++
 			st.BytesRead += uint64(op.Len)
 		case OpWrite:
 			if err := r.check(op.Off, len(op.Data)); err != nil {
-				return used, err
+				return err
 			}
 			copy(r.buf[op.Off:], op.Data)
 			out[i] = Result{}
@@ -1005,7 +901,7 @@ func applyOps(r *Region, ops []Op, out []Result, arena []byte, copyResults bool,
 			st.BytesWrite += uint64(len(op.Data))
 		case OpCAS:
 			if err := r.checkAtomic(op.Off); err != nil {
-				return used, err
+				return err
 			}
 			cur := binary.LittleEndian.Uint64(r.buf[op.Off:])
 			ok := cur == op.Compare
@@ -1016,7 +912,7 @@ func applyOps(r *Region, ops []Op, out []Result, arena []byte, copyResults bool,
 			st.CASes++
 		case OpMaskedCAS:
 			if err := r.checkAtomic(op.Off); err != nil {
-				return used, err
+				return err
 			}
 			cur := binary.LittleEndian.Uint64(r.buf[op.Off:])
 			ok := cur&op.Mask == op.Compare&op.Mask
@@ -1027,10 +923,10 @@ func applyOps(r *Region, ops []Op, out []Result, arena []byte, copyResults bool,
 			out[i] = Result{Old: cur, OK: ok}
 			st.MaskedCASes++
 		default:
-			return used, fmt.Errorf("rdma: unknown op kind %d", op.Kind)
+			return fmt.Errorf("rdma: unknown op kind %d", op.Kind)
 		}
 	}
-	return used, nil
+	return nil
 }
 
 func (r *Region) check(off uint64, n int) error {
@@ -1048,22 +944,23 @@ func (r *Region) checkAtomic(off uint64) error {
 	return r.check(off, 8)
 }
 
-// post1 issues a single-verb batch with the op held in the post's own
-// descriptor, so the convenience wrappers allocate nothing.
-func (qp *QP) post1(p *sim.Proc, op Op) ([]Result, error) {
+// post1 posts op alone, held in the post's own descriptor, so the
+// single-verb wrappers allocate nothing.
+func (qp *QP) post1(p *sim.Proc, op Op) (Result, error) {
 	d := qp.fabric.laneOf(p).getPending(qp.fabric)
 	d.op1[0] = op
-	return qp.postWith(p, d, d.op1[:1])
+	res, err := d.postBatch(p, qp, d.op1[:1])
+	if err != nil {
+		return Result{}, err
+	}
+	return res[0], nil
 }
 
 // Read fetches n bytes at off in a single round-trip. The returned
 // bytes follow Result.Data's lifetime rules.
 func (qp *QP) Read(p *sim.Proc, off uint64, n int) ([]byte, error) {
-	res, err := qp.post1(p, Op{Kind: OpRead, Off: off, Len: n})
-	if err != nil {
-		return nil, err
-	}
-	return res[0].Data, nil
+	r, err := qp.post1(p, Op{Kind: OpRead, Off: off, Len: n})
+	return r.Data, err
 }
 
 // Write stores data at off in a single round-trip.
@@ -1074,88 +971,13 @@ func (qp *QP) Write(p *sim.Proc, off uint64, data []byte) error {
 
 // CAS compares-and-swaps the 8-byte word at off.
 func (qp *QP) CAS(p *sim.Proc, off, compare, swap uint64) (old uint64, ok bool, err error) {
-	res, err := qp.post1(p, Op{Kind: OpCAS, Off: off, Compare: compare, Swap: swap})
-	if err != nil {
-		return 0, false, err
-	}
-	return res[0].Old, res[0].OK, nil
+	r, err := qp.post1(p, Op{Kind: OpCAS, Off: off, Compare: compare, Swap: swap})
+	return r.Old, r.OK, err
 }
 
 // MaskedCAS compares-and-swaps only the bits of mask within the 8-byte
 // word at off.
 func (qp *QP) MaskedCAS(p *sim.Proc, off, compare, swap, mask uint64) (old uint64, ok bool, err error) {
-	res, err := qp.post1(p, Op{Kind: OpMaskedCAS, Off: off, Compare: compare, Swap: swap, Mask: mask})
-	if err != nil {
-		return 0, false, err
-	}
-	return res[0].Old, res[0].OK, nil
-}
-
-// PostMulti issues one batch per queue pair concurrently (as a real
-// NIC would with doorbells to several QPs) and waits for all of them:
-// the verbs of every batch apply in order at the same instant and the
-// caller is charged the slowest batch's round-trip, not the sum. This
-// is how synchronous (f+1)-replication writes all replicas in one
-// round-trip of latency.
-//
-// The returned slice (and any READ payloads inside it, unless
-// CopyResults is set) is scratch reused by a later post: consume it
-// before the issuing process posts again or parks.
-func PostMulti(p *sim.Proc, batches []Batch) ([][]Result, error) {
-	if len(batches) == 0 {
-		return nil, nil
-	}
-	f := batches[0].QP.fabric
-	part := p.Env().Part()
-	cross := false
-	for _, b := range batches {
-		if b.QP.fabric != f {
-			panic("rdma: PostMulti across fabrics")
-		}
-		if f.world != nil && b.QP.region.part != part {
-			cross = true
-		}
-	}
-	lane := f.lanes[part]
-	if cross {
-		d := lane.getPending(f)
-		d.batches = batches
-		if cap(d.out) < len(batches) {
-			d.out = make([][]Result, len(batches))
-		}
-		d.out = d.out[:len(batches)]
-		_, out, err := d.crossPost(p)
-		return out, err
-	}
-	var maxLat sim.Duration
-	for _, b := range batches {
-		if lat := f.latency(lane.env.Rand(), batchPayload(b.Ops), len(b.Ops)); lat > maxLat {
-			maxLat = lat
-		}
-	}
-	d := lane.getPending(f)
-	d.proc, d.batches = p, batches
-	if lane.observed {
-		lane.posted(p, d)
-	}
-	if cap(d.out) < len(batches) {
-		d.out = make([][]Result, len(batches))
-	}
-	d.out = d.out[:len(batches)]
-	now := p.Now()
-	d.resumeAt = now.Add(maxLat)
-	lane.env.CallAt(now.Add(maxLat/2), d.fire)
-	p.Suspend()
-	out, err := d.out, d.err
-	if lane.observed {
-		lane.completed(p, d, maxLat)
-	}
-	lane.putPending(d)
-	return out, err
-}
-
-// Batch pairs a queue pair with the ops to post on it, for PostMulti.
-type Batch struct {
-	QP  *QP
-	Ops []Op
+	r, err := qp.post1(p, Op{Kind: OpMaskedCAS, Off: off, Compare: compare, Swap: swap, Mask: mask})
+	return r.Old, r.OK, err
 }
