@@ -259,19 +259,17 @@ type ComputeNode = engine.ComputeNode
 
 // PartitionedSystem is the capability a system adapter needs for
 // partitioned runs: compute nodes bound to a partition view of the
-// database (engine.DB.PartitionView). part/parts let engines with
-// system-wide counters (CREST's transaction ids) switch to strided
-// partition-local sequences.
+// database (engine.DB.PartitionView).
 type PartitionedSystem interface {
-	NewPartitionComputeNode(id int, db *engine.DB, part, parts int) ComputeNode
+	NewPartitionComputeNode(id int, db *engine.DB) ComputeNode
 }
 
 type crestSys struct{ *core.System }
 
 func (s crestSys) NewComputeNode(id int) ComputeNode { return crestCN{s.System.NewComputeNode(id)} }
 
-func (s crestSys) NewPartitionComputeNode(id int, db *engine.DB, part, parts int) ComputeNode {
-	return crestCN{s.System.NewPartitionComputeNode(id, db, part, parts)}
+func (s crestSys) NewPartitionComputeNode(id int, db *engine.DB) ComputeNode {
+	return crestCN{s.System.NewPartitionComputeNode(id, db)}
 }
 
 type crestCN struct{ *core.ComputeNode }
@@ -444,7 +442,7 @@ func Run(cfg Config) (Result, error) {
 			// partition, so compute-node state (record caches, address
 			// caches) stays single-threaded.
 			part = cn % parts
-			node = psys.NewPartitionComputeNode(cn, views[part], part, parts)
+			node = psys.NewPartitionComputeNode(cn, views[part])
 			penv = world.Env(part)
 		} else {
 			node = sys.NewComputeNode(cn)

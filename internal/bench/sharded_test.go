@@ -6,6 +6,7 @@ import (
 
 	"crest/internal/metrics"
 	"crest/internal/sim"
+	"crest/internal/trace"
 )
 
 func shardedCfg(system SystemKind, shards int, pl string) Config {
@@ -141,5 +142,29 @@ func TestRunSpecKeyTopologySegments(t *testing.T) {
 	polOnly.Placement = "range"
 	if got := polOnly.Key(); got != want+"|sh1|plrange" {
 		t.Fatalf("placement-only key = %s", got)
+	}
+}
+
+// Transaction ids are unique system-wide even when a partition holds
+// several compute nodes (here 3 compute nodes on 2 shard groups): they
+// key the recovery log and every trace span.
+func TestPartitionedTxnIDsUniqueAcrossCoordinators(t *testing.T) {
+	cfg := shardedCfg(CREST, 2, "modulo")
+	cfg.Trace = trace.NewRecorder(0)
+	if _, err := Run(cfg); err != nil {
+		t.Fatal(err)
+	}
+	owner := map[uint64]uint64{}
+	for _, e := range cfg.Trace.Snapshot().Events {
+		if e.Txn == 0 {
+			continue
+		}
+		if c, seen := owner[e.Txn]; seen && c != e.Coord {
+			t.Fatalf("txn id %d drawn by coordinators %d and %d", e.Txn, c, e.Coord)
+		}
+		owner[e.Txn] = e.Coord
+	}
+	if len(owner) == 0 {
+		t.Fatal("trace carries no transaction ids")
 	}
 }

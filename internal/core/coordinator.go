@@ -104,7 +104,7 @@ func (c *Coordinator) executeLocalized(p *sim.Proc, t *engine.Txn) engine.Attemp
 	sc.reset()
 	defer c.scFree.Put(sc)
 
-	me := newTxnState(c.cn.nextTxnID(), at.WhyID())
+	me := newTxnState(c.cn.db.NextTxnID(), at.WhyID())
 	at.Span().SetTxn(me.id)
 	// deps are the creators of versions this transaction read or
 	// overwrote (§5.1): it commits only after they commit, and aborts

@@ -114,12 +114,11 @@ func CellOptions() Options {
 
 // System is a CREST instance over a shared DB.
 type System struct {
-	db        *engine.DB
-	opts      Options
-	layouts   map[layout.TableID]*layout.Record
-	nextTxnID uint64
-	logs      []recoveryLog // every coordinator's log segment, for Recover
-	cns       []*ComputeNode
+	db      *engine.DB
+	opts    Options
+	layouts map[layout.TableID]*layout.Record
+	logs    []recoveryLog // every coordinator's log segment, for Recover
+	cns     []*ComputeNode
 }
 
 // New creates a CREST system on db.
@@ -183,12 +182,6 @@ type ComputeNode struct {
 	// scanGen stamps objects during applyRelease's dedup scan,
 	// replacing a per-attempt map.
 	scanGen uint64
-	// txnSeq/txnStride allocate transaction ids partition-locally on
-	// partitioned runs (stride = partition count, so ids never collide
-	// across partitions); stride 0 falls back to the system-wide
-	// counter.
-	txnSeq    uint64
-	txnStride uint64
 }
 
 // NewComputeNode creates compute node state.
@@ -205,26 +198,13 @@ func (s *System) NewComputeNode(id int) *ComputeNode {
 }
 
 // NewPartitionComputeNode creates compute node state bound to a
-// partition view of the database, drawing transaction ids from the
-// strided partition-local sequence part+1, part+1+parts, … so ids stay
-// system-wide unique without shared state.
-func (s *System) NewPartitionComputeNode(id int, db *engine.DB, part, parts int) *ComputeNode {
+// partition view of the database; its transaction ids come from the
+// view (engine.DB.NextTxnID), like those of the partition's other
+// compute nodes.
+func (s *System) NewPartitionComputeNode(id int, db *engine.DB) *ComputeNode {
 	cn := s.NewComputeNode(id)
 	cn.db = db
-	cn.txnSeq = uint64(part) + 1
-	cn.txnStride = uint64(parts)
 	return cn
-}
-
-// nextTxnID draws a transaction id: partition-local strided ids on
-// partition-bound nodes, the system-wide counter otherwise.
-func (cn *ComputeNode) nextTxnID() uint64 {
-	if cn.txnStride == 0 {
-		return cn.sys.nextTxn()
-	}
-	id := cn.txnSeq
-	cn.txnSeq += cn.txnStride
-	return id
 }
 
 // WarmCache preloads the address cache with every record.
@@ -239,12 +219,6 @@ func (cn *ComputeNode) CachedObjects() int { return len(cn.objs) }
 func (cn *ComputeNode) nextTSExec() uint64 {
 	cn.tsExecCtr++
 	return cn.tsExecCtr
-}
-
-// nextTxnID draws a system-wide unique transaction id.
-func (s *System) nextTxn() uint64 {
-	s.nextTxnID++
-	return s.nextTxnID
 }
 
 // lockMaskFor returns the lock bits an op's writes require under the

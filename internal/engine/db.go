@@ -82,6 +82,12 @@ type DB struct {
 	// lane is the fabric lane (simulation partition) this DB's verbs
 	// are counted in: 0 except on partition views.
 	lane int
+
+	// txnNext/txnStride allocate transaction ids for the engines that
+	// need them (CREST): 1, 2, 3, … on the root DB; part+1, part+1+parts,
+	// … on a partition view, drawn by every compute node of the
+	// partition, so ids are unique system-wide without shared state.
+	txnNext, txnStride uint64
 }
 
 // NewDB wraps a pool.
@@ -93,7 +99,18 @@ func NewDB(pool *memnode.Pool) *DB {
 		TSO:     &TSO{},
 		Tracker: NewConflictTracker(),
 		Cost:    DefaultCostModel(),
+
+		txnNext:   1,
+		txnStride: 1,
 	}
+}
+
+// NextTxnID draws a transaction id, unique across the root DB and all
+// of its partition views.
+func (db *DB) NextTxnID() uint64 {
+	id := db.txnNext
+	db.txnNext += db.txnStride
+	return id
 }
 
 // VerbStats returns the fabric verb counters attributable to this DB's
@@ -130,6 +147,9 @@ func (db *DB) PartitionView(env *sim.Env, part int) *DB {
 		Cost:    db.Cost,
 		Obs:     db.Obs.shard(part, parts, db.Pool.Shards()),
 		lane:    part,
+
+		txnNext:   uint64(part) + 1,
+		txnStride: uint64(parts),
 	}
 }
 

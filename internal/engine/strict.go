@@ -150,12 +150,12 @@ func (s *StrictSystem[X]) FinishLoad() error { return s.db.FinishLoad() }
 
 // NewComputeNode creates compute node state on the root database.
 func (s *StrictSystem[X]) NewComputeNode(id int) ComputeNode {
-	return s.NewPartitionComputeNode(id, s.db, 0, 1)
+	return s.NewPartitionComputeNode(id, s.db)
 }
 
 // NewPartitionComputeNode creates compute node state bound to a
 // partition view of the database.
-func (s *StrictSystem[X]) NewPartitionComputeNode(_ int, db *DB, _, _ int) ComputeNode {
+func (s *StrictSystem[X]) NewPartitionComputeNode(_ int, db *DB) ComputeNode {
 	return &strictNode[X]{fmt: s.fmt, db: db, cache: hashindex.NewAddrCache()}
 }
 
