@@ -108,14 +108,14 @@ func TestPostContract(t *testing.T) {
 		// Events the post adds to the issuing partition's scheduler, the
 		// issuer's one resume included, and to partition 1's.
 		issuerEvents, targetEvents uint64
-		// Batches CrossLaneStats must count (-1: not pinned yet).
-		crossed int
+		// Batches CrossLaneStats must count: those applied elsewhere.
+		crossed uint64
 	}{
-		{"Post/local", true, []postTarget{a0}, 2, 0, 0},                // midpoint call + resume
-		{"Post/remote", true, []postTarget{a1}, 2, 1, 1},               // wake call + resume | apply
-		{"PostMulti/local", false, []postTarget{a0, b0}, 2, 0, 0},      // midpoint call + resume
-		{"PostMulti/remote", false, []postTarget{a1, b1}, 2, 1, 2},     // wake call + resume | one apply for both
-		{"PostMulti/mixed", false, []postTarget{a0, a1, b0}, 3, 1, -1}, // local apply + wake call + resume | apply
+		{"Post/local", true, []postTarget{a0}, 2, 0, 0},               // midpoint call + resume
+		{"Post/remote", true, []postTarget{a1}, 2, 1, 1},              // wake call + resume | apply
+		{"PostMulti/local", false, []postTarget{a0, b0}, 2, 0, 0},     // midpoint call + resume
+		{"PostMulti/remote", false, []postTarget{a1, b1}, 2, 1, 2},    // wake call + resume | one apply for both
+		{"PostMulti/mixed", false, []postTarget{a0, a1, b0}, 3, 1, 1}, // local apply + wake call + resume | apply
 	}
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
@@ -156,11 +156,10 @@ func TestPostContract(t *testing.T) {
 				if got := g.f.LaneStats(1); got != (Stats{}) {
 					t.Errorf("target lane counted %+v, want nothing: verbs count where they were posted", got)
 				}
-				if c := uint64(row.crossed); row.crossed >= 0 {
-					wantCross := Stats{RTTs: c, CASes: c, Reads: 2 * c, Writes: c, BytesRead: 64 * c, BytesWrite: 3 * c}
-					if got := g.f.CrossLaneStats(0); got != wantCross {
-						t.Errorf("CrossLaneStats = %+v, want %d batches: %+v", got, c, wantCross)
-					}
+				c := row.crossed
+				wantCross := Stats{RTTs: c, CASes: c, Reads: 2 * c, Writes: c, BytesRead: 64 * c, BytesWrite: 3 * c}
+				if got := g.f.CrossLaneStats(0); got != wantCross {
+					t.Errorf("CrossLaneStats = %+v, want %d batches: %+v", got, c, wantCross)
 				}
 
 				// READ payloads of one post never overlap: stamp each with its

@@ -810,7 +810,9 @@ func (d *pending) post(p *sim.Proc) ([][]Result, error) {
 	}
 	for _, sub := range d.subs[:d.nsub] {
 		lane.stats = lane.stats.Add(sub.stats)
-		lane.cross = lane.cross.Add(sub.stats)
+		if sub.part != part {
+			lane.cross = lane.cross.Add(sub.stats)
+		}
 	}
 	var err error
 	for i := range d.slots {
