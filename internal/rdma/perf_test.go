@@ -66,11 +66,8 @@ func BenchmarkFabricCASBatch(b *testing.B) {
 // the issuer's partition; "cross" puts the second in another partition
 // of a 2-partition world, so the post takes the mailbox seam.
 func BenchmarkFabricPostMulti(b *testing.B) {
-	for _, parts := range []int{1, 2} {
-		name := "local"
-		if parts == 2 {
-			name = "cross"
-		}
+	for i, name := range []string{"local", "cross"} {
+		parts := i + 1
 		b.Run(name, func(b *testing.B) {
 			w := sim.NewWorld(1, parts, noJitter().Lookahead())
 			f := NewFabric(w.Env(0), noJitter())

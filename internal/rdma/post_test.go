@@ -121,10 +121,7 @@ func TestPostContract(t *testing.T) {
 		t.Run(row.name, func(t *testing.T) {
 			g := newPostRig(7)
 			n := uint64(len(row.targets))
-			cross := false
-			for _, tg := range row.targets {
-				cross = cross || g.regions[tg].part != 0
-			}
+			cross := row.crossed > 0
 			env := g.w.Env(0)
 			env.Spawn("issuer", func(p *sim.Proc) {
 				// 1. A clean post: slots, latency, events, counters.

@@ -744,12 +744,13 @@ func (d *pending) apply(part int, st *Stats) {
 // processes break as they would for one.
 func (d *pending) run() {
 	d.apply(d.lane.env.Part(), &d.lane.stats)
-	d.lane.env.Resume(d.proc, d.resumeAt)
+	d.resume()
 }
 
-// resume is a cross post's completion: it wakes the issuer. It runs in
-// the issuing partition, scheduled at post time, so no target partition
-// ever touches this scheduler.
+// resume schedules the issuer's wake-up for the completion instant. A
+// cross post runs it as a deferred call at that instant, scheduled at
+// post time in the issuing partition, so no target partition ever
+// touches this scheduler.
 func (d *pending) resume() {
 	d.lane.env.Resume(d.proc, d.resumeAt)
 }
