@@ -65,8 +65,8 @@ type BenchmarkConfig struct {
 	Replicas            int
 	Seed                int64
 
-	// Duration is the measured virtual-time window; Warmup precedes
-	// it and is excluded.
+	// Duration is the run's total virtual time, warmup included: the
+	// measured window is the Duration − Warmup that follows Warmup.
 	Duration time.Duration
 	Warmup   time.Duration
 

@@ -135,7 +135,7 @@ var cliDigests = map[string]string{
 	"sharded/workers":           "f08eaefb1ee4ae25",
 	"seed":                      "5ae127c49976069e",
 	"list":                      "712d0647287aec7f",
-	"help":                      "e4b3d4120207860f",
+	"help":                      "650378de1ef38236",
 }
 
 func digest(b []byte) string {

@@ -86,7 +86,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		theta    = fs.Float64("theta", 0.99, "Zipfian constant (smallbank/ycsb)")
 		writes   = fs.Float64("writes", 0.5, "YCSB write ratio")
 		perTxn   = fs.Int("n", 4, "YCSB records per transaction")
-		duration = fs.Duration("duration", 20*time.Millisecond, "measured virtual time")
+		duration = fs.Duration("duration", 20*time.Millisecond, "total virtual time of the run, warmup included")
 		warmup   = fs.Duration("warmup", 4*time.Millisecond, "virtual warmup excluded from measurement")
 		seed     = fs.Int64("seed", 1, "simulation seed")
 		quick    = fs.Bool("quick", false, "use CI-scale table sizes")

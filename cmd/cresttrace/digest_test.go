@@ -82,13 +82,13 @@ var cliDigests = map[string]string{
 	"tail/in":                 "ae2f80a88640f2ca",
 	"critpath/fresh":          "c21526e8fdd6194d",
 	"critpath/in":             "c1aaf9802cfb9175",
-	"help/trace":              "3647e4e333e3e671",
-	"help/trace-explicit":     "3647e4e333e3e671",
-	"help/why":                "9bfd4507e7ec9662",
-	"help/graph":              "033af8ba16ae7edb",
-	"help/windows":            "8ccd0f09e05434c1",
-	"help/tail":               "b8972a491320c25a",
-	"help/critpath":           "eab988e5073f995b",
+	"help/trace":              "329c532555f28558",
+	"help/trace-explicit":     "329c532555f28558",
+	"help/why":                "a6447b6586d6a780",
+	"help/graph":              "e32cbd2e4557a108",
+	"help/windows":            "cf76b75224becd5e",
+	"help/tail":               "15ca802c176352b2",
+	"help/critpath":           "2a422e6cfd95bda7",
 }
 
 // runtimeFixture writes a crest-runtime JSON export of a two-partition

@@ -131,11 +131,11 @@ func addBenchFlags(fs *flag.FlagSet) *benchFlags {
 		workload: fs.String("workload", "smallbank", "workload: tpcc, smallbank, ycsb"),
 		coords:   fs.Int("coords", 12, "total coordinators (across 3 compute nodes)"),
 		wh:       fs.Int("warehouses", 8, "TPC-C warehouses"),
-		theta:    fs.Float64("theta", 0, "Zipfian constant (0 = workload default)"),
-		duration: fs.Duration("duration", 2*time.Millisecond, "recorded virtual time"),
-		warmup:   fs.Duration("warmup", 200*time.Microsecond, "virtual warmup before the recorded window"),
+		theta:    fs.Float64("theta", 0.99, "Zipfian constant (smallbank/ycsb)"),
+		duration: fs.Duration("duration", 2*time.Millisecond, "total virtual time of the run, warmup included"),
+		warmup:   fs.Duration("warmup", 200*time.Microsecond, "virtual warmup excluded from measurement"),
 		seed:     fs.Int64("seed", 1, "simulation seed"),
-		shards:   fs.Int("shards", 1, "shard groups of independent memory nodes"),
+		shards:   fs.Int("shards", 1, "shard groups of independent memory nodes (1 = the classic single-group topology)"),
 		place:    fs.String("placement", "hash", "data placement policy: "+strings.Join(crest.PlacementPolicies(), ", ")),
 		workers:  fs.Int("workers", 1, "scheduler threads executing shard-group partitions concurrently (output is byte-identical at any count; 1 = sequential)"),
 	}

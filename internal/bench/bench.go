@@ -74,10 +74,12 @@ type Config struct {
 	Coordinators int
 	Replicas     int // f backups per record
 	Seed         int64
-	// Duration is the measured window of virtual time. Coordinators
-	// run transactions back to back until it elapses, then drain.
+	// Duration is the run's total virtual time, warmup included.
+	// Coordinators run transactions back to back until it elapses,
+	// then drain.
 	Duration sim.Duration
-	// Warmup excludes the ramp-up from the measurements.
+	// Warmup excludes the ramp-up from the measurements: the measured
+	// window is the Duration − Warmup that follows it.
 	Warmup sim.Duration
 	// Params overrides the fabric latency model (zero value = default).
 	Params rdma.Params
