@@ -149,18 +149,18 @@ func (bf *benchFlags) validate() error {
 
 func (bf *benchFlags) config() crest.BenchmarkConfig {
 	return crest.BenchmarkConfig{
-		System:              crest.System(strings.ToLower(*bf.system)),
-		Workload:            strings.ToLower(*bf.workload),
-		Warehouses:          *bf.wh,
-		Theta:               *bf.theta,
-		CoordinatorsPerNode: (*bf.coords + 2) / 3,
-		Shards:              *bf.shards,
-		Placement:           strings.ToLower(*bf.place),
-		Duration:            *bf.duration,
-		Warmup:              *bf.warmup,
-		Seed:                *bf.seed,
-		Quick:               true,
-		Workers:             *bf.workers,
+		System:       crest.System(strings.ToLower(*bf.system)),
+		Workload:     strings.ToLower(*bf.workload),
+		Warehouses:   *bf.wh,
+		Theta:        *bf.theta,
+		Coordinators: *bf.coords,
+		Shards:       *bf.shards,
+		Placement:    strings.ToLower(*bf.place),
+		Duration:     *bf.duration,
+		Warmup:       *bf.warmup,
+		Seed:         *bf.seed,
+		Quick:        true,
+		Workers:      *bf.workers,
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -285,5 +286,22 @@ func TestGraphRendersDOTFromExport(t *testing.T) {
 	}
 	if !strings.Contains(stdout, `"schema": "crest-why/v1"`) {
 		t.Fatalf("missing schema header:\n%s", stdout)
+	}
+}
+
+// -coords is the total coordinator count, spread exactly as crestbench
+// spreads it: a total that does not divide the three compute nodes is
+// not rounded up to the next multiple.
+func TestCoordsRunsExactTotal(t *testing.T) {
+	code, stdout, stderr := dispatch("-coords", "10", "-format", "spans")
+	if code != 0 {
+		t.Fatalf("exit %d, stderr:\n%s", code, stderr)
+	}
+	coords := map[string]bool{}
+	for _, m := range regexp.MustCompile(`(?m)^span \d+ (coord \d+) `).FindAllStringSubmatch(stdout, -1) {
+		coords[m[1]] = true
+	}
+	if len(coords) != 10 {
+		t.Fatalf("-coords 10 ran %d coordinators", len(coords))
 	}
 }
