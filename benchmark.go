@@ -3,102 +3,46 @@ package crest
 import (
 	"fmt"
 	"io"
-	"time"
 
 	"crest/internal/bench"
-	"crest/internal/sim"
-	"crest/internal/workload"
 	"crest/internal/workload/smallbank"
 	"crest/internal/workload/tpcc"
 	"crest/internal/workload/ycsb"
 )
 
-// Workload names accepted by BenchmarkConfig.
+// Workload kinds a WorkloadSpec can name.
 const (
-	WorkloadTPCC      = "tpcc"
-	WorkloadSmallBank = "smallbank"
-	WorkloadYCSB      = "ycsb"
+	WorkloadTPCC      = bench.WLTPCC
+	WorkloadSmallBank = bench.WLSmallBank
+	WorkloadYCSB      = bench.WLYCSB
 )
 
-// BenchmarkConfig describes one measured run, mirroring the paper's
-// §8.2 methodology. Zero values take the evaluation defaults.
+// WorkloadSpec is the workload section of a RunSpec: a kind plus the
+// knobs the paper sweeps (warehouses, theta, write ratio, records per
+// transaction).
+type WorkloadSpec = bench.WorkloadSpec
+
+// DefaultRun returns the evaluation-default run description (what
+// `crestbench -run` runs with no other flag, mirroring the paper's
+// §8.2 methodology).
+func DefaultRun() RunSpec { return bench.DefaultRun() }
+
+// BenchmarkConfig is one measured run: its description plus what must
+// never enter a run key.
 type BenchmarkConfig struct {
-	System   System
-	Workload string // tpcc, smallbank or ycsb
+	// RunSpec describes the run: system, workload, topology, duration,
+	// seed, table-scale profile, and (Scenario) an optional declarative
+	// scenario that replaces the workload and modulates load and
+	// hotspot placement over virtual time. Zero fields take DefaultRun's
+	// values; a Workload that names only its Kind takes that workload's
+	// default knobs, while one with any knob set is taken literally
+	// (so Theta 0 then means uniform). Same spec, byte-identical run.
+	RunSpec
 
-	// Scenario, when set, drives the run from a declarative scenario
-	// (see ParseScenario / ParseScenarioFile): the spec's workload
-	// section replaces Workload and the workload knobs below, and its
-	// traffic timeline modulates load and hotspot placement over
-	// virtual time. Determinism is unchanged — same seed, same spec,
-	// byte-identical run.
-	Scenario *ScenarioSpec
-
-	// TPC-C contention knob (the paper sweeps 100 → 20 warehouses).
-	Warehouses int
-	// Zipfian constant for SmallBank and YCSB (0 = uniform).
-	Theta float64
-	// YCSB write ratio and records-per-transaction.
-	WriteRatio   float64
-	RecordsPerTx int
-
-	// MemoryNodes is the number of memory nodes per shard group.
-	MemoryNodes  int
-	ComputeNodes int
-	// Shards is the number of independent shard groups (default 1, the
-	// classic single-group topology; 1 with hash placement is
-	// byte-identical to the pre-sharding harness).
-	Shards int
-	// Placement names the data-placement policy routing records to
-	// shard groups and nodes ("" = "hash"; see PlacementPolicies).
-	// The "hotspot" policy seeds itself from PlacementHotKeys, or —
-	// when none are given — from a short deterministic contention
-	// probe of the same workload under modulo placement.
-	Placement        string
+	// PlacementHotKeys seeds the "hotspot" placement policy. When none
+	// are given the policy seeds itself from a short deterministic
+	// contention probe of the same workload under modulo placement.
 	PlacementHotKeys []PlacementHotKey
-	// Coordinators is the total coordinator count across compute
-	// nodes; totals that do not divide the node count are spread by
-	// giving the first nodes one extra coordinator, so exactly this
-	// many run. It takes precedence over CoordinatorsPerNode.
-	Coordinators        int
-	CoordinatorsPerNode int
-	Replicas            int
-	Seed                int64
-
-	// Duration is the run's total virtual time, warmup included: the
-	// measured window is the Duration − Warmup that follows Warmup.
-	Duration time.Duration
-	Warmup   time.Duration
-
-	// Scale shrinks table cardinalities for fast runs: records,
-	// accounts and TPC-C rings use the quick profile when true.
-	Quick bool
-
-	// Trace records the run's deterministic event trace; the snapshot
-	// comes back in BenchmarkResult.Trace.
-	Trace bool
-	// TraceCapacity bounds the trace ring buffer (0 = default).
-	TraceCapacity int
-
-	// Metrics records the run's windowed metrics time-series; the
-	// snapshot comes back in BenchmarkResult.Metrics.
-	Metrics bool
-	// MetricsWindow is the sampling period in virtual time (default
-	// 100µs of virtual time; ignored unless Metrics is set).
-	MetricsWindow time.Duration
-
-	// Why records wait-for and conflict edges for abort forensics; the
-	// snapshot comes back in BenchmarkResult.Why.
-	Why bool
-	// WhyCapacity bounds the causality edge ring buffer (0 = default).
-	WhyCapacity int
-
-	// Flight records every transaction's additive latency budget and
-	// the tail outliers' full per-attempt timelines; the snapshot comes
-	// back in BenchmarkResult.Flight.
-	Flight bool
-	// FlightCapacity bounds the flight summary ring buffer (0 = default).
-	FlightCapacity int
 
 	// Workers is how many OS threads execute the simulation's
 	// shard-group partitions concurrently (sharded topologies with a
@@ -110,6 +54,10 @@ type BenchmarkConfig struct {
 	// EventsPerSec, the nondeterministic RuntimeStats fields) change.
 	// 0 means 1.
 	Workers int
+
+	// ObserverOptions selects the observers recording the run; each
+	// snapshot comes back in the BenchmarkResult field of its name.
+	ObserverOptions
 }
 
 // BenchmarkResult aggregates a run, in the paper's units.
@@ -182,39 +130,23 @@ func (r BenchmarkResult) String() string {
 		r.AvgLatencyUs, r.P99LatencyUs, r.P999LatencyUs)
 }
 
-// RunBenchmark executes one measured run and returns its metrics.
+// RunBenchmark executes one measured run and returns its metrics. A
+// run description RunSpec.Validate rejects is an error, not a panic.
 func RunBenchmark(cfg BenchmarkConfig) (BenchmarkResult, error) {
-	profile := benchProfileFor(cfg.Quick)
-	gen, name, err := benchWorkload(cfg, profile)
+	bc, err := cfg.RunSpec.Config()
 	if err != nil {
-		return BenchmarkResult{}, err
+		return BenchmarkResult{}, fmt.Errorf("crest: %w", err)
 	}
-	bc := bench.Config{
-		System:       bench.SystemKind(withDefault(string(cfg.System), string(SystemCREST))),
-		Workload:     gen,
-		MemNodes:     cfg.MemoryNodes,
-		CompNodes:    cfg.ComputeNodes,
-		Shards:       cfg.Shards,
-		Placement:    cfg.Placement,
-		HotKeys:      cfg.PlacementHotKeys,
-		Coordinators: cfg.Coordinators,
-		CoordsPerCN:  cfg.CoordinatorsPerNode,
-		Replicas:     cfg.Replicas,
-		Seed:         cfg.Seed,
-		Duration:     sim.Duration(cfg.Duration),
-		Warmup:       sim.Duration(cfg.Warmup),
-		Workers:      cfg.Workers,
-	}
-	obs := observerOptions{cfg.Trace, cfg.TraceCapacity, cfg.Metrics, cfg.MetricsWindow,
-		cfg.Why, cfg.WhyCapacity, cfg.Flight, cfg.FlightCapacity}.recorders()
+	bc.HotKeys, bc.Workers = cfg.PlacementHotKeys, cfg.Workers
+	obs := cfg.recorders()
 	bc.Trace, bc.Metrics, bc.Why, bc.Flight = obs.Trace, obs.Metrics, obs.Why, obs.Flight
 	res, err := bench.Run(bc)
 	if err != nil {
 		return BenchmarkResult{}, err
 	}
 	out := BenchmarkResult{
-		System:         System(res.System),
-		Workload:       name,
+		System:         res.System,
+		Workload:       res.Workload,
 		Coordinators:   res.Coordinators,
 		ThroughputKOPS: res.ThroughputKOPS(),
 		Committed:      res.Committed,
@@ -243,51 +175,6 @@ func eventsPerSec(events uint64, wallMS float64) float64 {
 		return 0
 	}
 	return float64(events) / (wallMS / 1e3)
-}
-
-func withDefault(v, d string) string {
-	if v == "" {
-		return d
-	}
-	return v
-}
-
-func benchWorkload(cfg BenchmarkConfig, p bench.Profile) (func() workload.Generator, string, error) {
-	if cfg.Scenario != nil {
-		gen, err := p.ScenarioWorkload(cfg.Scenario)
-		if err != nil {
-			return nil, "", err
-		}
-		return gen, "scenario:" + cfg.Scenario.Name, nil
-	}
-	theta := cfg.Theta
-	switch withDefault(cfg.Workload, WorkloadTPCC) {
-	case WorkloadTPCC:
-		wh := cfg.Warehouses
-		if wh == 0 {
-			wh = 40
-		}
-		return p.TPCC(wh), WorkloadTPCC, nil
-	case WorkloadSmallBank:
-		if theta == 0 {
-			theta = smallbank.DefaultConfig().Theta
-		}
-		return p.SmallBank(theta), WorkloadSmallBank, nil
-	case WorkloadYCSB:
-		if theta == 0 {
-			theta = ycsb.DefaultConfig().Theta
-		}
-		ratio := cfg.WriteRatio
-		if ratio == 0 {
-			ratio = 0.5
-		}
-		n := cfg.RecordsPerTx
-		if n == 0 {
-			n = 4
-		}
-		return p.YCSB(theta, ratio, n), WorkloadYCSB, nil
-	}
-	return nil, "", fmt.Errorf("crest: unknown workload %q", cfg.Workload)
 }
 
 // ExperimentTable is one regenerated artifact of the paper (a table or

@@ -35,6 +35,7 @@ import (
 	"runtime/debug"
 	"runtime/pprof"
 	rttrace "runtime/trace"
+	"slices"
 	"strings"
 	"time"
 
@@ -45,19 +46,34 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-// validSystems and validWorkloads are the values -run accepts; they
-// are checked up front so a typo fails with usage instead of deep in
-// the harness.
-var validSystems = []string{"crest", "crest-cell", "crest-base", "ford", "motor"}
-var validWorkloads = []string{"tpcc", "smallbank", "ycsb"}
+// runKeys are the run-description flags of -run, registered from the
+// RunSpec key table (crest.RunSpec.Flags) with crest.DefaultRun as the
+// preset.
+var runKeys = []string{"system", "workload", "coords", "shards", "placement", "warehouses",
+	"theta", "writes", "n", "duration", "warmup", "seed", "quick"}
 
-func oneOf(v string, valid []string) bool {
-	for _, s := range valid {
-		if v == s {
-			return true
-		}
-	}
-	return false
+// runOutputs are the other flags only -run consumes.
+var runOutputs = []string{"spec", "big", "trace", "metrics", "why", "flight", "runtime-stats", "metrics-window"}
+
+// bigRun is the -big preset, the million-transaction topology: 10³
+// coordinators on 4 shard groups, long enough to commit ~10⁶
+// transactions. Explicit flags override any part of it, so CI can run a
+// scaled-down smoke with -big -duration 3ms.
+func bigRun() crest.RunSpec {
+	s := crest.DefaultRun()
+	s.Workload.Kind = crest.WorkloadSmallBank
+	// Moderate skew: the profile measures scheduler throughput at scale,
+	// not contention collapse — θ=0.99 at 10³ coordinators aborts ~95%
+	// of attempts and commits almost nothing.
+	s.Workload.Theta = 0.5
+	s.Coordinators = 1000
+	// The coordinator count wants more compute nodes than the default
+	// testbed shape, and every shard group should home at least one of
+	// them (coordinators land on groups round-robin by compute node).
+	s.CompNodes = 8
+	s.Shards, s.Placement = 4, "modulo"
+	s.Duration, s.Warmup = 25*time.Millisecond, 2*time.Millisecond
+	return s
 }
 
 // run executes one invocation and returns the process exit code. It
@@ -74,22 +90,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		cacheDir = fs.String("cache", "", "with -exp: on-disk result cache directory for incremental re-runs")
 		list     = fs.Bool("list", false, "list experiment ids and exit")
 		runOne   = fs.Bool("run", false, "run a single benchmark configuration")
-		system   = fs.String("system", "crest", "system: crest, crest-cell, crest-base, ford, motor")
-		workload = fs.String("workload", "tpcc", "workload: tpcc, smallbank, ycsb")
 		specPath = fs.String("spec", "", "with -run: drive the run from a declarative scenario .spec file (overrides -workload and its knobs)")
-		coords   = fs.Int("coords", 240, "total coordinators (across 3 compute nodes)")
-		shards   = fs.Int("shards", 1, "shard groups of independent memory nodes (1 = the classic single-group topology)")
 		workers  = fs.Int("workers", 1, "scheduler threads executing shard-group partitions concurrently (results are byte-identical at any count; 1 = sequential)")
 		big      = fs.Bool("big", false, "with -run: the million-transaction profile (1000 coordinators, 4 shard groups, 8 compute nodes, smallbank θ=0.5; explicit flags override)")
-		placePol = fs.String("placement", "hash", "data placement policy: "+strings.Join(crest.PlacementPolicies(), ", "))
-		wh       = fs.Int("warehouses", 40, "TPC-C warehouses")
-		theta    = fs.Float64("theta", 0.99, "Zipfian constant (smallbank/ycsb)")
-		writes   = fs.Float64("writes", 0.5, "YCSB write ratio")
-		perTxn   = fs.Int("n", 4, "YCSB records per transaction")
-		duration = fs.Duration("duration", 20*time.Millisecond, "total virtual time of the run, warmup included")
-		warmup   = fs.Duration("warmup", 4*time.Millisecond, "virtual warmup excluded from measurement")
-		seed     = fs.Int64("seed", 1, "simulation seed")
-		quick    = fs.Bool("quick", false, "use CI-scale table sizes")
 		traceOut = fs.String("trace", "", "with -run: write a Chrome trace_event JSON of the run to this file")
 		metOut   = fs.String("metrics", "", "with -run: write the run's windowed metrics to this file (.csv, .json or .prom by extension)")
 		whyOut   = fs.String("why", "", "with -run: write the run's contention graph for abort forensics to this file (.dot or crest-why .json by extension)")
@@ -100,6 +103,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		memProf  = fs.String("memprofile", "", "write a pprof heap profile (taken at exit) to this file")
 		rtTrace  = fs.String("runtimetrace", "", "write a Go runtime execution trace to this file")
 	)
+	crest.DefaultRun().Flags(fs, runKeys...)
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -114,52 +118,21 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	// The -big profile is a flag preset: the million-transaction
-	// topology (10³ coordinators on 4 shard groups, long enough to
-	// commit ~10⁶ transactions). Explicit flags override any part of
-	// it, so CI can run a scaled-down smoke with -big -duration 3ms.
-	// Only -run consumes the preset; -exp rejects -big below.
-	if *big && *runOne {
-		if !flagSet(fs, "workload") {
-			*workload = "smallbank"
-		}
-		if !flagSet(fs, "shards") {
-			*shards = 4
-		}
-		if !flagSet(fs, "placement") {
-			*placePol = "modulo"
-		}
-		if !flagSet(fs, "coords") {
-			*coords = 1000
-		}
-		// Moderate skew: the profile measures scheduler throughput at
-		// scale, not contention collapse — θ=0.99 at 10³ coordinators
-		// aborts ~95% of attempts and commits almost nothing.
-		if !flagSet(fs, "theta") {
-			*theta = 0.5
-		}
-		if !flagSet(fs, "duration") {
-			*duration = 25 * time.Millisecond
-		}
-		if !flagSet(fs, "warmup") {
-			*warmup = 2 * time.Millisecond
-		}
-	}
-
-	// Topology flags are validated up front so a typo fails with usage
-	// instead of deep in the harness.
-	if *shards < 1 {
-		return usageErr("-shards must be at least 1, got %d", *shards)
-	}
-	if *shards > crest.MaxShards {
-		return usageErr("-shards %d exceeds the maximum of %d", *shards, crest.MaxShards)
-	}
-	placement := strings.ToLower(*placePol)
-	if !oneOf(placement, crest.PlacementPolicies()) {
-		return usageErr("unknown placement %q (%s)", *placePol, strings.Join(crest.PlacementPolicies(), ", "))
-	}
 	if err := crest.ValidateWorkers(*workers); err != nil {
 		return usageErr("%v", err)
+	}
+	if !*runOne {
+		// -exp and -list take their run descriptions from the experiment
+		// definitions; a run flag here would be silently ignored.
+		stray := ""
+		fs.Visit(func(f *flag.Flag) {
+			if stray == "" && (slices.Contains(runKeys, f.Name) || slices.Contains(runOutputs, f.Name)) {
+				stray = f.Name
+			}
+		})
+		if stray != "" {
+			return usageErr("-%s only applies to -run", stray)
+		}
 	}
 
 	// The simulator's steady state allocates little, so the default GC
@@ -216,18 +189,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stdout, id)
 		}
 	case *expID != "":
-		if *specPath != "" {
-			return usageErr("-spec only applies to -run")
-		}
-		if *rtStats != "" {
-			return usageErr("-runtime-stats only applies to -run")
-		}
-		if *shards != 1 || placement != "hash" {
-			return usageErr("-shards/-placement only apply to -run; experiments set topology per spec (see the crossover experiment)")
-		}
-		if *big {
-			return usageErr("-big only applies to -run")
-		}
 		var ids []string
 		if *expID != "all" {
 			ids = []string{*expID}
@@ -284,54 +245,28 @@ func run(args []string, stdout, stderr io.Writer) int {
 				p.Events, p.SimWallMS, p.EventsPerSec/1e6)
 		}
 	case *runOne:
-		sys := strings.ToLower(*system)
-		if !oneOf(sys, validSystems) {
-			return usageErr("unknown system %q (%s)", *system, strings.Join(validSystems, ", "))
-		}
-		wl := strings.ToLower(*workload)
-		if *specPath == "" && !oneOf(wl, validWorkloads) {
-			return usageErr("unknown workload %q (%s)", *workload, strings.Join(validWorkloads, ", "))
-		}
-		cfg := crest.BenchmarkConfig{
-			System:        crest.System(sys),
-			Workload:      wl,
-			Warehouses:    *wh,
-			Theta:         *theta,
-			WriteRatio:    *writes,
-			RecordsPerTx:  *perTxn,
-			Shards:        *shards,
-			Placement:     placement,
-			Coordinators:  *coords,
-			Duration:      *duration,
-			Warmup:        *warmup,
-			Seed:          *seed,
-			Quick:         *quick,
-			Workers:       *workers,
-			Trace:         *traceOut != "",
-			Metrics:       *metOut != "",
-			MetricsWindow: *metWin,
-			Why:           *whyOut != "",
-			Flight:        *flOut != "",
-		}
+		spec := crest.DefaultRun()
 		if *big {
-			// The preset's coordinator count wants more compute nodes
-			// than the default testbed shape, and every shard group
-			// should home at least one of them (coordinators land on
-			// groups round-robin by compute node).
-			cfg.ComputeNodes = 8
+			spec = bigRun()
+		}
+		passed, err := spec.SetFlags(fs)
+		if err != nil {
+			return usageErr("%v", err)
 		}
 		if *specPath != "" {
 			sc, err := crest.ParseScenarioFile(*specPath)
 			if err != nil {
 				return fatalf("%v", err)
 			}
-			cfg.Scenario = sc
-			// The measured window must cover the whole timeline unless
-			// the operator asked for a specific -duration.
-			if tl := sc.TimelineDuration(); time.Duration(tl) > cfg.Duration && !flagSet(fs, "duration") {
-				cfg.Duration = time.Duration(tl)
+			// The run covers the whole timeline unless the operator asked
+			// for a specific -duration.
+			if spec.Scenario = sc; !passed["duration"] {
+				spec = spec.WithScenario(sc)
 			}
 		}
+		cfg := crest.BenchmarkConfig{RunSpec: spec, Workers: *workers, ObserverOptions: crest.ObserverOptions{
+			Trace: *traceOut != "", Metrics: *metOut != "", MetricsWindow: *metWin,
+			Why: *whyOut != "", Flight: *flOut != ""}}
 		res, err := crest.RunBenchmark(cfg)
 		if err != nil {
 			return fatalf("%v", err)
@@ -418,17 +353,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	return 0
-}
-
-// flagSet reports whether the operator passed the named flag.
-func flagSet(fs *flag.FlagSet, name string) bool {
-	set := false
-	fs.Visit(func(f *flag.Flag) {
-		if f.Name == name {
-			set = true
-		}
-	})
-	return set
 }
 
 // writeMetrics writes the snapshot to path in the format its extension

@@ -2,10 +2,14 @@ package main
 
 import (
 	"bytes"
+	"flag"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
+
+	"crest"
 )
 
 // dispatch runs the CLI against buffers and returns (code, stdout,
@@ -69,17 +73,17 @@ func TestTopologyFlagsValidatedUpFront(t *testing.T) {
 		want string
 	}{
 		{"zero shards", []string{"-run", "-shards", "0"},
-			"-shards must be at least 1, got 0"},
+			"shards must be in 1..64, got 0"},
 		{"negative shards", []string{"-run", "-shards", "-3"},
-			"-shards must be at least 1, got -3"},
+			"shards must be in 1..64, got -3"},
 		{"too many shards", []string{"-run", "-shards", "65"},
-			"-shards 65 exceeds the maximum of 64"},
+			"shards must be in 1..64, got 65"},
 		{"unknown placement", []string{"-run", "-placement", "roundrobin"},
 			`unknown placement "roundrobin"`},
-		{"unknown placement under exp", []string{"-exp", "exp1", "-placement", "striped"},
-			`unknown placement "striped"`},
+		{"exp rejects placement", []string{"-exp", "exp1", "-placement", "modulo"},
+			"-placement only applies to -run"},
 		{"exp rejects topology", []string{"-exp", "exp1", "-shards", "2"},
-			"-shards/-placement only apply to -run"},
+			"-shards only applies to -run"},
 		{"zero workers", []string{"-run", "-workers", "0"},
 			"-workers must be >= 1 (got 0)"},
 		{"negative workers", []string{"-run", "-workers", "-4"},
@@ -180,13 +184,97 @@ func TestBigProfileSmoke(t *testing.T) {
 	}
 }
 
-func TestExpRejectsSpec(t *testing.T) {
-	code, _, stderr := dispatch("-exp", "exp1", "-spec", "x.spec")
-	if code != 2 {
-		t.Fatalf("exit code %d, want 2", code)
+// -exp and -list take their run descriptions from the experiment
+// definitions, so every run key and every -run-only output flag is
+// rejected there rather than silently ignored.
+func TestExpAndListRejectRunFlags(t *testing.T) {
+	flags := [][]string{{"-spec", "x.spec"}, {"-big"}, {"-quick"}, {"-runtime-stats", "rt.json"},
+		{"-trace", "x.json"}, {"-metrics", "m.csv"}, {"-metrics-window", "50us"}, {"-why", "w.json"}, {"-flight", "f.json"}}
+	for _, key := range runKeys {
+		switch key {
+		case "quick":
+		case "duration", "warmup":
+			flags = append(flags, []string{"-" + key, "1ms"})
+		default:
+			flags = append(flags, []string{"-" + key, "1"})
+		}
 	}
-	if !strings.Contains(stderr, "-spec only applies to -run") {
+	for _, mode := range [][]string{{"-exp", "fig2"}, {"-list"}} {
+		for _, fl := range flags {
+			code, stdout, stderr := dispatch(append(mode, fl...)...)
+			if code != 2 || stdout != "" {
+				t.Fatalf("%v %v: exit code %d, stdout %q", mode, fl, code, stdout)
+			}
+			if want := fl[0] + " only applies to -run"; !strings.Contains(stderr, want) {
+				t.Fatalf("%v %v: stderr lacks %q:\n%s", mode, fl, want, stderr)
+			}
+		}
+	}
+	// The first stray flag is named even when several are passed.
+	_, _, stderr := dispatch("-exp", "fig2", "-system", "ford", "-coords", "7", "-trace", "x.json")
+	if !strings.Contains(stderr, "-coords only applies to -run") {
 		t.Fatalf("stderr lacks diagnosis:\n%s", stderr)
+	}
+}
+
+// Hostile run values are usage errors (exit 2 + usage), not panics,
+// silent fallbacks or all-zero tables; internal/bench's
+// TestValidateRejectsHostileValues holds the full list.
+func TestRunRejectsHostileValues(t *testing.T) {
+	for _, args := range [][]string{
+		{"-workload", "ycsb", "-n", "-1"}, {"-warehouses", "-2"}, {"-warehouses", "0"},
+		{"-coords", "0"}, {"-coords", "-3"}, {"-duration", "1ms"}, {"-duration", "0"},
+		{"-workload", "ycsb", "-writes", "2"}, {"-theta", "-0.5"},
+		{"-big", "-duration", "2ms"}, // the preset's 2ms warmup
+	} {
+		code, stdout, stderr := dispatch(append([]string{"-run", "-quick"}, args...)...)
+		if code != 2 || stdout != "" {
+			t.Fatalf("%v: exit code %d, stdout %q\n%s", args, code, stdout, stderr)
+		}
+		if !strings.Contains(stderr, "usage:") {
+			t.Fatalf("%v: stderr lacks usage:\n%s", args, stderr)
+		}
+	}
+}
+
+// An explicitly passed -theta 0 means uniform: the run differs from the
+// θ = 0.99 default and is the run the matrix describes with
+// YCSBSpec(0, …) at the same shape.
+func TestThetaZeroIsUniform(t *testing.T) {
+	args := []string{"-run", "-quick", "-workload", "ycsb", "-coords", "24", "-duration", "2ms", "-warmup", "500us"}
+	_, skewed, _ := dispatch(args...)
+	code, uniform, stderr := dispatch(append(args, "-theta", "0")...)
+	if code != 0 {
+		t.Fatalf("exit code %d\n%s", code, stderr)
+	}
+	if uniform == skewed {
+		t.Fatalf("-theta 0 ran the θ = 0.99 default:\n%s", uniform)
+	}
+	spec := crest.DefaultRun()
+	spec.Workload = crest.WorkloadSpec{Kind: crest.WorkloadYCSB, Theta: 0, WriteRatio: 0.5, RecordsPerTx: 4}
+	spec.Coordinators, spec.Duration, spec.Warmup, spec.Profile = 24, 2*time.Millisecond, 500*time.Microsecond, "quick"
+	res, err := crest.RunBenchmark(crest.BenchmarkConfig{RunSpec: spec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.HasPrefix(uniform, res.String()+"\n") {
+		t.Fatalf("-theta 0 is not the uniform spec's run:\n cli: %s lib: %s", uniform, res)
+	}
+}
+
+// The -big preset read back through its own flag defaults is itself.
+func TestBigPresetRoundTrips(t *testing.T) {
+	preset := bigRun()
+	fs := flag.NewFlagSet("", flag.ContinueOnError)
+	preset.Flags(fs, runKeys...)
+	got := preset
+	for _, key := range runKeys {
+		if err := got.Set(key, fs.Lookup(key).DefValue); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got != preset {
+		t.Fatalf("round trip changed the preset:\n got %+v\nwant %+v", got, preset)
 	}
 }
 

@@ -53,6 +53,7 @@ package main
 
 import (
 	"bufio"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -109,65 +110,58 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return runTrace(args, stdout, stderr)
 }
 
-// benchFlags are the run-shape flags shared by every subcommand that
-// executes a fresh benchmark.
-type benchFlags struct {
-	system   *string
-	workload *string
-	coords   *int
-	wh       *int
-	theta    *float64
-	duration *time.Duration
-	warmup   *time.Duration
-	seed     *int64
-	shards   *int
-	place    *string
-	workers  *int
+// smallRun is the preset of every subcommand that executes a fresh
+// benchmark: a run small enough that the default recorder rings hold
+// all of it.
+func smallRun() crest.RunSpec {
+	s := crest.DefaultRun()
+	s.Workload.Kind, s.Workload.Warehouses = crest.WorkloadSmallBank, 8
+	s.Coordinators = 12
+	s.Duration, s.Warmup = 2*time.Millisecond, 200*time.Microsecond
+	s.Profile = "quick"
+	return s
 }
 
-func addBenchFlags(fs *flag.FlagSet) *benchFlags {
-	return &benchFlags{
-		system:   fs.String("system", "crest", "system: crest, crest-cell, crest-base, ford, motor"),
-		workload: fs.String("workload", "smallbank", "workload: tpcc, smallbank, ycsb"),
-		coords:   fs.Int("coords", 12, "total coordinators (across 3 compute nodes)"),
-		wh:       fs.Int("warehouses", 8, "TPC-C warehouses"),
-		theta:    fs.Float64("theta", 0.99, "Zipfian constant (smallbank/ycsb)"),
-		duration: fs.Duration("duration", 2*time.Millisecond, "total virtual time of the run, warmup included"),
-		warmup:   fs.Duration("warmup", 200*time.Microsecond, "virtual warmup excluded from measurement"),
-		seed:     fs.Int64("seed", 1, "simulation seed"),
-		shards:   fs.Int("shards", 1, "shard groups of independent memory nodes (1 = the classic single-group topology)"),
-		place:    fs.String("placement", "hash", "data placement policy: "+strings.Join(crest.PlacementPolicies(), ", ")),
-		workers:  fs.Int("workers", 1, "scheduler threads executing shard-group partitions concurrently (output is byte-identical at any count; 1 = sequential)"),
-	}
-}
-
-// validate checks the shared flags; subcommands call it right after
-// Parse so a bad value fails with usage instead of deep in the harness.
-func (bf *benchFlags) validate() error {
-	return crest.ValidateWorkers(*bf.workers)
-}
-
-func (bf *benchFlags) config() crest.BenchmarkConfig {
-	return crest.BenchmarkConfig{
-		System:       crest.System(strings.ToLower(*bf.system)),
-		Workload:     strings.ToLower(*bf.workload),
-		Warehouses:   *bf.wh,
-		Theta:        *bf.theta,
-		Coordinators: *bf.coords,
-		Shards:       *bf.shards,
-		Placement:    strings.ToLower(*bf.place),
-		Duration:     *bf.duration,
-		Warmup:       *bf.warmup,
-		Seed:         *bf.seed,
-		Quick:        true,
-		Workers:      *bf.workers,
+// command starts a subcommand: a flag set carrying the run-description
+// flags (from the RunSpec key table, smallRun as the preset) and
+// -workers. The returned parse function parses args and yields the
+// configuration to run; when ok is false it has already reported the
+// usage error — a bad flag, a run value RunSpec.Validate rejects, or
+// not exactly nargs positional arguments — and the subcommand exits 2.
+func command(name string, nargs int, stderr io.Writer) (*flag.FlagSet, func([]string) (crest.BenchmarkConfig, bool)) {
+	fs := flag.NewFlagSet(name, flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	smallRun().Flags(fs, "system", "workload", "coords", "warehouses", "theta",
+		"duration", "warmup", "seed", "shards", "placement")
+	workers := fs.Int("workers", 1, "scheduler threads executing shard-group partitions concurrently (output is byte-identical at any count; 1 = sequential)")
+	return fs, func(args []string) (crest.BenchmarkConfig, bool) {
+		cfg := crest.BenchmarkConfig{RunSpec: smallRun()}
+		if fs.Parse(args) != nil {
+			return cfg, false
+		}
+		cfg.Workers = *workers
+		_, err := cfg.SetFlags(fs)
+		if err == nil {
+			err = crest.ValidateWorkers(*workers)
+		}
+		if err == nil && nargs == 0 && fs.NArg() > 0 {
+			err = fmt.Errorf("unexpected argument %q", fs.Arg(0))
+		}
+		if err == nil && fs.NArg() != nargs {
+			err = errors.New("exactly one <txnid> argument required")
+		}
+		if err != nil {
+			fmt.Fprintf(stderr, "%s: %v\n", name, err)
+			usage(stderr)
+		}
+		return cfg, err == nil
 	}
 }
 
 // whySnapshotFrom loads the causality snapshot: from a crest-why JSON
 // file when in is set, otherwise by running the configured benchmark
 // with recording on.
-func whySnapshotFrom(in string, bf *benchFlags, capacity int, stderr io.Writer) (*crest.WhySnapshot, int) {
+func whySnapshotFrom(in string, cfg crest.BenchmarkConfig, capacity int, stderr io.Writer) (*crest.WhySnapshot, int) {
 	if in != "" {
 		f, err := os.Open(in)
 		if err != nil {
@@ -184,7 +178,6 @@ func whySnapshotFrom(in string, bf *benchFlags, capacity int, stderr io.Writer) 
 		}
 		return snap, 0
 	}
-	cfg := bf.config()
 	cfg.Why = true
 	cfg.WhyCapacity = capacity
 	res, err := crest.RunBenchmark(cfg)
@@ -200,7 +193,7 @@ func whySnapshotFrom(in string, bf *benchFlags, capacity int, stderr io.Writer) 
 // flightSnapshotFrom loads the flight snapshot: from a crest-flight
 // JSON file when in is set, otherwise by running the configured
 // benchmark with the flight recorder on.
-func flightSnapshotFrom(in string, bf *benchFlags, capacity int, stderr io.Writer) (*crest.FlightSnapshot, int) {
+func flightSnapshotFrom(in string, cfg crest.BenchmarkConfig, capacity int, stderr io.Writer) (*crest.FlightSnapshot, int) {
 	if in != "" {
 		f, err := os.Open(in)
 		if err != nil {
@@ -217,7 +210,6 @@ func flightSnapshotFrom(in string, bf *benchFlags, capacity int, stderr io.Write
 		}
 		return snap, 0
 	}
-	cfg := bf.config()
 	cfg.Flight = true
 	cfg.FlightCapacity = capacity
 	res, err := crest.RunBenchmark(cfg)
@@ -234,26 +226,15 @@ func flightSnapshotFrom(in string, bf *benchFlags, capacity int, stderr io.Write
 // p99.9 component decomposition, the tail-vs-median attribution, and
 // the slowest exemplars' critical paths.
 func runTail(args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("cresttrace tail", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	bf := addBenchFlags(fs)
+	fs, parse := command("cresttrace tail", 0, stderr)
 	in := fs.String("in", "", "read a crest-flight JSON export (crestbench -flight) instead of running a benchmark")
 	capacity := fs.Int("txns", 0, "flight summary ring capacity (0 = default)")
 	top := fs.Int("top", 5, "exemplar critical paths in the report")
-	if err := fs.Parse(args); err != nil {
+	cfg, ok := parse(args)
+	if !ok {
 		return 2
 	}
-	if err := bf.validate(); err != nil {
-		fmt.Fprintf(stderr, "cresttrace tail: %v\n", err)
-		usage(stderr)
-		return 2
-	}
-	if fs.NArg() != 0 {
-		fmt.Fprintf(stderr, "cresttrace tail: unexpected argument %q\n", fs.Arg(0))
-		usage(stderr)
-		return 2
-	}
-	snap, code := flightSnapshotFrom(*in, bf, *capacity, stderr)
+	snap, code := flightSnapshotFrom(*in, cfg, *capacity, stderr)
 	if code != 0 {
 		return code
 	}
@@ -267,22 +248,11 @@ func runTail(args []string, stdout, stderr io.Writer) int {
 // runCritPath prints one transaction's budget decomposition, attempt
 // timeline and critical path.
 func runCritPath(args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("cresttrace critpath", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	bf := addBenchFlags(fs)
+	fs, parse := command("cresttrace critpath", 1, stderr)
 	in := fs.String("in", "", "read a crest-flight JSON export (crestbench -flight) instead of running a benchmark")
 	capacity := fs.Int("txns", 0, "flight summary ring capacity (0 = default)")
-	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	if err := bf.validate(); err != nil {
-		fmt.Fprintf(stderr, "cresttrace critpath: %v\n", err)
-		usage(stderr)
-		return 2
-	}
-	if fs.NArg() != 1 {
-		fmt.Fprintln(stderr, "cresttrace critpath: exactly one <txnid> argument required")
-		usage(stderr)
+	cfg, ok := parse(args)
+	if !ok {
 		return 2
 	}
 	id, err := strconv.ParseUint(fs.Arg(0), 10, 64)
@@ -291,7 +261,7 @@ func runCritPath(args []string, stdout, stderr io.Writer) int {
 		usage(stderr)
 		return 2
 	}
-	snap, code := flightSnapshotFrom(*in, bf, *capacity, stderr)
+	snap, code := flightSnapshotFrom(*in, cfg, *capacity, stderr)
 	if code != 0 {
 		return code
 	}
@@ -304,22 +274,11 @@ func runCritPath(args []string, stdout, stderr io.Writer) int {
 
 // runWhy prints the blame chain for one transaction.
 func runWhy(args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("cresttrace why", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	bf := addBenchFlags(fs)
+	fs, parse := command("cresttrace why", 1, stderr)
 	in := fs.String("in", "", "read a crest-why JSON export instead of running a benchmark")
 	capacity := fs.Int("edges", 0, "causality edge ring capacity (0 = default)")
-	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	if err := bf.validate(); err != nil {
-		fmt.Fprintf(stderr, "cresttrace why: %v\n", err)
-		usage(stderr)
-		return 2
-	}
-	if fs.NArg() != 1 {
-		fmt.Fprintln(stderr, "cresttrace why: exactly one <txnid> argument required")
-		usage(stderr)
+	cfg, ok := parse(args)
+	if !ok {
 		return 2
 	}
 	id, err := strconv.ParseUint(fs.Arg(0), 10, 64)
@@ -328,7 +287,7 @@ func runWhy(args []string, stdout, stderr io.Writer) int {
 		usage(stderr)
 		return 2
 	}
-	snap, code := whySnapshotFrom(*in, bf, *capacity, stderr)
+	snap, code := whySnapshotFrom(*in, cfg, *capacity, stderr)
 	if code != 0 {
 		return code
 	}
@@ -341,23 +300,12 @@ func runWhy(args []string, stdout, stderr io.Writer) int {
 
 // runGraph exports the aggregated contention dependency graph.
 func runGraph(args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("cresttrace graph", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	bf := addBenchFlags(fs)
+	fs, parse := command("cresttrace graph", 0, stderr)
 	in := fs.String("in", "", "read a crest-why JSON export instead of running a benchmark")
 	format := fs.String("format", "dot", "output: dot (Graphviz) or json (crest-why/v1)")
 	out := fs.String("o", "", "output file (default stdout)")
-	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	if err := bf.validate(); err != nil {
-		fmt.Fprintf(stderr, "cresttrace graph: %v\n", err)
-		usage(stderr)
-		return 2
-	}
-	if fs.NArg() != 0 {
-		fmt.Fprintf(stderr, "cresttrace graph: unexpected argument %q\n", fs.Arg(0))
-		usage(stderr)
+	cfg, ok := parse(args)
+	if !ok {
 		return 2
 	}
 	if *format != "dot" && *format != "json" {
@@ -365,7 +313,7 @@ func runGraph(args []string, stdout, stderr io.Writer) int {
 		usage(stderr)
 		return 2
 	}
-	snap, code := whySnapshotFrom(*in, bf, 0, stderr)
+	snap, code := whySnapshotFrom(*in, cfg, 0, stderr)
 	if code != 0 {
 		return code
 	}
@@ -402,22 +350,11 @@ func runGraph(args []string, stdout, stderr io.Writer) int {
 // uses only schedule-derived fields, so stdout is byte-identical at any
 // -workers count; the wall-clock summary goes to stderr.
 func runWindows(args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("cresttrace windows", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	bf := addBenchFlags(fs)
+	fs, parse := command("cresttrace windows", 0, stderr)
 	in := fs.String("in", "", "read a crest-runtime JSON export (crestbench -runtime-stats) instead of running a benchmark")
 	out := fs.String("o", "", "output file (default stdout)")
-	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	if err := bf.validate(); err != nil {
-		fmt.Fprintf(stderr, "cresttrace windows: %v\n", err)
-		usage(stderr)
-		return 2
-	}
-	if fs.NArg() != 0 {
-		fmt.Fprintf(stderr, "cresttrace windows: unexpected argument %q\n", fs.Arg(0))
-		usage(stderr)
+	cfg, ok := parse(args)
+	if !ok {
 		return 2
 	}
 
@@ -435,7 +372,7 @@ func runWindows(args []string, stdout, stderr io.Writer) int {
 			return 1
 		}
 	} else {
-		res, err := crest.RunBenchmark(bf.config())
+		res, err := crest.RunBenchmark(cfg)
 		if err != nil {
 			fmt.Fprintf(stderr, "cresttrace windows: %v\n", err)
 			return 1
@@ -478,9 +415,7 @@ func runWindows(args []string, stdout, stderr io.Writer) int {
 // runTrace is the original cresttrace behavior: run with tracing on
 // and render the event stream.
 func runTrace(args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("cresttrace", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	bf := addBenchFlags(fs)
+	fs, parse := command("cresttrace", 0, stderr)
 	var (
 		format   = fs.String("format", "json", "output: json (Chrome trace_event), spans (text timelines), hotkeys (contention profile)")
 		out      = fs.String("o", "", "output file (default stdout)")
@@ -489,17 +424,8 @@ func runTrace(args []string, stdout, stderr io.Writer) int {
 		metOut   = fs.String("metrics", "", "also write the run's windowed metrics to this file (.csv, .json or Prometheus text by extension)")
 		metWin   = fs.Duration("metrics-window", 100*time.Microsecond, "with -metrics: time-series window in virtual time")
 	)
-	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	if err := bf.validate(); err != nil {
-		fmt.Fprintf(stderr, "cresttrace: %v\n", err)
-		usage(stderr)
-		return 2
-	}
-	if fs.NArg() != 0 {
-		fmt.Fprintf(stderr, "cresttrace: unexpected argument %q\n", fs.Arg(0))
-		usage(stderr)
+	cfg, ok := parse(args)
+	if !ok {
 		return 2
 	}
 	switch *format {
@@ -510,7 +436,6 @@ func runTrace(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	cfg := bf.config()
 	cfg.Trace = true
 	cfg.TraceCapacity = *capacity
 	cfg.Metrics = *metOut != ""

@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"flag"
+	"io"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -303,5 +305,44 @@ func TestCoordsRunsExactTotal(t *testing.T) {
 	}
 	if len(coords) != 10 {
 		t.Fatalf("-coords 10 ran %d coordinators", len(coords))
+	}
+}
+
+// Every subcommand rejects a hostile run value with exit 2 + usage
+// before running anything (internal/bench's
+// TestValidateRejectsHostileValues holds the full list of values).
+func TestRunFlagsValidatedUpFront(t *testing.T) {
+	for _, sub := range []string{"trace", "why", "graph", "windows", "tail", "critpath"} {
+		for _, args := range [][]string{
+			{"-coords", "0"}, {"-coords", "-3"}, {"-workload", "tpcc", "-warehouses", "0"}, {"-duration", "100us"},
+			{"-shards", "0"}, {"-system", "oracle"}, {"-workers", "0"},
+		} {
+			code, stdout, stderr := dispatch(append(append([]string{sub}, args...), "7")...)
+			if code != 2 || stdout != "" {
+				t.Fatalf("%s %v: exit %d, stdout %q\n%s", sub, args, code, stdout, stderr)
+			}
+			if !strings.Contains(stderr, "usage: cresttrace") {
+				t.Fatalf("%s %v: stderr lacks usage:\n%s", sub, args, stderr)
+			}
+		}
+	}
+}
+
+// The small-run preset read back through its own flag defaults is
+// itself.
+func TestSmallRunPresetRoundTrips(t *testing.T) {
+	preset := smallRun()
+	fs, _ := command("cresttrace", 0, io.Discard)
+	got := preset
+	fs.VisitAll(func(f *flag.Flag) {
+		if f.Name == "workers" {
+			return
+		}
+		if err := got.Set(f.Name, f.DefValue); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got != preset {
+		t.Fatalf("round trip changed the preset:\n got %+v\nwant %+v", got, preset)
 	}
 }

@@ -59,8 +59,8 @@ type TableID = layout.TableID
 // Key is a record's primary key.
 type Key = layout.Key
 
-// System selects the transaction system a cluster runs.
-type System string
+// System selects the transaction system a cluster or a run uses.
+type System = bench.SystemKind
 
 // The five system configurations of the paper's evaluation.
 const (
@@ -101,43 +101,8 @@ type Config struct {
 	// shard group, typically derived from a causality hotspot ranking
 	// via PlacementSeedFromWhy.
 	PlacementHotKeys []PlacementHotKey
-	// Trace records a deterministic event trace of everything the
-	// cluster does (transaction spans, phases, RDMA verbs, lock
-	// traffic); read it back with TraceSnapshot. Tracing consumes no
-	// virtual time and no randomness, so a traced cluster runs the
-	// exact same schedule as an untraced one.
-	Trace bool
-	// TraceCapacity bounds the trace ring buffer (0 = default).
-	TraceCapacity int
-	// Metrics enables the windowed metrics plane (counters, gauges and
-	// histograms across the simulator, fabric and engine); read it back
-	// with MetricsSnapshot. Like tracing, metrics consume no virtual
-	// time and no randomness, so a metered cluster runs the exact same
-	// schedule as an unmetered one.
-	Metrics bool
-	// MetricsWindow is the time-series sampling period in virtual time
-	// (default 100µs of virtual time; ignored unless Metrics is set).
-	MetricsWindow time.Duration
-	// Why enables abort forensics: the cluster records wait-for and
-	// conflict edges (who blocked on whom, who invalidated whose read)
-	// and can explain any abort after the fact; read it back with
-	// WhySnapshot. Like tracing and metrics, recording consumes no
-	// virtual time and no randomness, so a recording cluster runs the
-	// exact same schedule as a plain one.
-	Why bool
-	// WhyCapacity bounds the causality edge ring buffer (0 = default).
-	WhyCapacity int
-	// Flight enables the per-transaction flight recorder: every
-	// transaction's virtual-time latency is decomposed into an additive
-	// budget (queueing, per-verb wire time, lock waiting, backoff, and
-	// per-phase compute) and the slowest outliers keep their full
-	// per-attempt timeline; read it back with FlightSnapshot. Like the
-	// other observers, recording consumes no virtual time and no
-	// randomness, so a recording cluster runs the exact same schedule
-	// as a plain one.
-	Flight bool
-	// FlightCapacity bounds the flight summary ring buffer (0 = default).
-	FlightCapacity int
+	// ObserverOptions selects the observers recording the cluster.
+	ObserverOptions
 }
 
 func (c Config) withDefaults() Config {
@@ -229,8 +194,7 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		params.RTT = sim.Duration(cfg.RTT)
 	}
 	c.fabric = rdma.NewFabric(c.env, params)
-	c.obs = observerOptions{cfg.Trace, cfg.TraceCapacity, cfg.Metrics, cfg.MetricsWindow,
-		cfg.Why, cfg.WhyCapacity, cfg.Flight, cfg.FlightCapacity}.recorders()
+	c.obs = cfg.recorders()
 	return c, nil
 }
 
@@ -287,7 +251,7 @@ func (c *Cluster) ensureSystem() error {
 	c.pool = pool
 	c.db = engine.NewDB(c.pool)
 	c.db.Attach(c.obs, c.env, 0)
-	sys, err := bench.NewSystem(bench.SystemKind(c.cfg.System), c.db)
+	sys, err := bench.NewSystem(c.cfg.System, c.db)
 	if err != nil {
 		return err
 	}

@@ -227,14 +227,14 @@ func TestClusterDeterminism(t *testing.T) {
 }
 
 func TestRunBenchmarkQuick(t *testing.T) {
-	res, err := RunBenchmark(BenchmarkConfig{
-		System:              SystemCREST,
-		Workload:            WorkloadYCSB,
-		Quick:               true,
-		CoordinatorsPerNode: 8,
-		Duration:            4 * time.Millisecond,
-		Warmup:              time.Millisecond,
-	})
+	res, err := RunBenchmark(BenchmarkConfig{RunSpec: RunSpec{
+		System:       SystemCREST,
+		Workload:     WorkloadSpec{Kind: WorkloadYCSB},
+		Profile:      "quick",
+		Coordinators: 24,
+		Duration:     4 * time.Millisecond,
+		Warmup:       time.Millisecond,
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,9 +246,22 @@ func TestRunBenchmarkQuick(t *testing.T) {
 	}
 }
 
-func TestRunBenchmarkUnknownWorkload(t *testing.T) {
-	if _, err := RunBenchmark(BenchmarkConfig{Workload: "nope", Quick: true}); err == nil {
-		t.Fatal("unknown workload accepted")
+// A run description RunSpec.Validate rejects comes back as an error —
+// never a panic from a generator or an all-zero result.
+func TestRunBenchmarkRejectsHostileSpecs(t *testing.T) {
+	for _, spec := range []RunSpec{
+		{Workload: WorkloadSpec{Kind: "nope"}},
+		{Workload: WorkloadSpec{Kind: WorkloadYCSB, Theta: 0.99, RecordsPerTx: -1}},
+		{Workload: WorkloadSpec{Kind: WorkloadTPCC, Warehouses: -2}},
+		{Coordinators: -3},
+		{Duration: time.Millisecond}, // shorter than the default warmup
+		{Shards: 65},
+		{System: "oracle"},
+	} {
+		spec.Profile = "quick"
+		if _, err := RunBenchmark(BenchmarkConfig{RunSpec: spec}); err == nil {
+			t.Fatalf("accepted %+v", spec)
+		}
 	}
 }
 

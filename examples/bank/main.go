@@ -17,15 +17,14 @@ func main() {
 	fmt.Println()
 	fmt.Printf("%-7s %10s %9s %9s %9s %10s\n", "system", "KOPS", "abort%", "avg µs", "p99 µs", "committed")
 	for _, system := range []crest.System{crest.SystemCREST, crest.SystemFORD, crest.SystemMotor} {
-		res, err := crest.RunBenchmark(crest.BenchmarkConfig{
-			System:              system,
-			Workload:            crest.WorkloadSmallBank,
-			Theta:               0.99,
-			CoordinatorsPerNode: 40,
-			Duration:            10 * time.Millisecond,
-			Warmup:              2 * time.Millisecond,
-			Quick:               true,
-		})
+		res, err := crest.RunBenchmark(crest.BenchmarkConfig{RunSpec: crest.RunSpec{
+			System:       system,
+			Workload:     crest.WorkloadSpec{Kind: crest.WorkloadSmallBank, Theta: 0.99},
+			Coordinators: 120,
+			Duration:     10 * time.Millisecond,
+			Warmup:       2 * time.Millisecond,
+			Profile:      "quick",
+		}})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -17,17 +17,18 @@ func main() {
 	// A deliberately hostile mix: 24 coordinators hammering a small
 	// Zipfian-skewed (θ=0.99) keyspace, half the accesses writes.
 	res, err := crest.RunBenchmark(crest.BenchmarkConfig{
-		System:       crest.SystemCREST,
-		Workload:     crest.WorkloadYCSB,
-		Theta:        0.99,
-		WriteRatio:   0.5,
-		Coordinators: 24,
-		Duration:     5 * time.Millisecond,
-		Warmup:       time.Millisecond,
-		Quick:        true,
-
-		Metrics:       true,
-		MetricsWindow: 200 * time.Microsecond, // one row per 200µs of virtual time
+		RunSpec: crest.RunSpec{
+			System:       crest.SystemCREST,
+			Workload:     crest.WorkloadSpec{Kind: crest.WorkloadYCSB, Theta: 0.99, WriteRatio: 0.5, RecordsPerTx: 4},
+			Coordinators: 24,
+			Duration:     5 * time.Millisecond,
+			Warmup:       time.Millisecond,
+			Profile:      "quick",
+		},
+		ObserverOptions: crest.ObserverOptions{
+			Metrics:       true,
+			MetricsWindow: 200 * time.Microsecond, // one row per 200µs of virtual time
+		},
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -85,17 +86,17 @@ func main() {
 // partitioned schedule?".
 func sharded() {
 	res, err := crest.RunBenchmark(crest.BenchmarkConfig{
-		System:       crest.SystemCREST,
-		Workload:     crest.WorkloadSmallBank,
-		Theta:        0.5,
-		Coordinators: 24,
-		Shards:       4,
-		Placement:    "modulo",
-		Duration:     5 * time.Millisecond,
-		Warmup:       time.Millisecond,
-		Quick:        true,
-
-		Metrics: true,
+		RunSpec: crest.RunSpec{
+			System:       crest.SystemCREST,
+			Workload:     crest.WorkloadSpec{Kind: crest.WorkloadSmallBank, Theta: 0.5},
+			Coordinators: 24,
+			Shards:       4,
+			Placement:    "modulo",
+			Duration:     5 * time.Millisecond,
+			Warmup:       time.Millisecond,
+			Profile:      "quick",
+		},
+		ObserverOptions: crest.ObserverOptions{Metrics: true},
 		// Four workers: the observed run parallelizes too, and the
 		// snapshot below is byte-identical at any worker count.
 		Workers: 4,

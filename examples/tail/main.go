@@ -20,15 +20,15 @@ func main() {
 	fmt.Println("SmallBank, Zipf θ=0.99, 120 coordinators — flight recorder on")
 	fmt.Println()
 	res, err := crest.RunBenchmark(crest.BenchmarkConfig{
-		System:              crest.SystemCREST,
-		Workload:            crest.WorkloadSmallBank,
-		Theta:               0.99,
-		CoordinatorsPerNode: 40,
-		Duration:            5 * time.Millisecond,
-		Warmup:              time.Millisecond,
-		Quick:               true,
-
-		Flight: true, // record per-txn latency budgets; the schedule is unchanged
+		RunSpec: crest.RunSpec{
+			System:       crest.SystemCREST,
+			Workload:     crest.WorkloadSpec{Kind: crest.WorkloadSmallBank, Theta: 0.99},
+			Coordinators: 120,
+			Duration:     5 * time.Millisecond,
+			Warmup:       time.Millisecond,
+			Profile:      "quick",
+		},
+		ObserverOptions: crest.ObserverOptions{Flight: true}, // record per-txn latency budgets; the schedule is unchanged
 	})
 	if err != nil {
 		log.Fatal(err)

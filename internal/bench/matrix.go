@@ -15,14 +15,21 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"errors"
+	"flag"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sort"
+	"strconv"
+	"strings"
 	"sync"
+	"time"
 
+	"crest/internal/memnode"
+	"crest/internal/placement"
 	"crest/internal/rdma"
 	"crest/internal/scenario"
 	"crest/internal/sim"
@@ -111,20 +118,28 @@ func (w WorkloadSpec) generator(p Profile) (func() workload.Generator, error) {
 	return nil, fmt.Errorf("bench: unknown workload kind %q", w.Kind)
 }
 
-// RunSpec canonically identifies one deterministic run: everything
-// that influences the schedule is in here, so equal keys mean equal
-// results and a result may be reused wherever its spec reappears.
+// RunSpec is the declarative description of one run — the only one:
+// the matrix runner, the result cache, crest.RunBenchmark and both CLIs
+// all describe a run as a RunSpec and resolve it to the executable
+// Config through RunSpec.config. It canonically identifies the run:
+// everything that influences the schedule is in here, so equal keys
+// mean equal results and a result may be reused wherever its spec
+// reappears.
 type RunSpec struct {
 	System   SystemKind   `json:"system"`
 	Workload WorkloadSpec `json:"workload"`
-	// Coordinators is the total across compute nodes.
-	Coordinators int          `json:"coordinators"`
-	MemNodes     int          `json:"mem_nodes"`
-	CompNodes    int          `json:"comp_nodes"`
-	Replicas     int          `json:"replicas"`
-	Duration     sim.Duration `json:"duration_ns"`
-	Warmup       sim.Duration `json:"warmup_ns"`
-	Seed         int64        `json:"seed"`
+	// Coordinators is the total across compute nodes; a total that does
+	// not divide CompNodes gives the first nodes one extra coordinator.
+	Coordinators int `json:"coordinators"`
+	// MemNodes is the number of memory nodes per shard group.
+	MemNodes  int `json:"mem_nodes"`
+	CompNodes int `json:"comp_nodes"`
+	Replicas  int `json:"replicas"`
+	// Duration is the run's total virtual time, warmup included: the
+	// measured window is the Duration − Warmup that follows Warmup.
+	Duration time.Duration `json:"duration_ns"`
+	Warmup   time.Duration `json:"warmup_ns"`
+	Seed     int64         `json:"seed"`
 	// Profile names the table-scale profile (quick, full) the run
 	// resolves cardinalities from.
 	Profile string `json:"profile"`
@@ -179,11 +194,221 @@ func (p Profile) Spec(system SystemKind, wl WorkloadSpec, totalCoords int) RunSp
 		MemNodes:     2,
 		CompNodes:    3,
 		Replicas:     p.Replicas,
-		Duration:     p.Duration,
-		Warmup:       p.Warmup,
+		Duration:     time.Duration(p.Duration),
+		Warmup:       time.Duration(p.Warmup),
 		Seed:         p.Seed,
 		Profile:      p.Name,
 	}
+}
+
+// DefaultRun is the evaluation-default run, crestbench -run with no
+// other flag: TPC-C at 40 warehouses under full CREST, 240 coordinators
+// on the paper's testbed shape, full-scale tables. The zero fields of a
+// spec handed to RunSpec.Config resolve to these values, and the CLIs'
+// other presets are written as deltas on it.
+func DefaultRun() RunSpec {
+	return RunSpec{
+		System:       CREST,
+		Workload:     WorkloadSpec{Kind: WLTPCC, Warehouses: 40, Theta: 0.99, WriteRatio: 0.5, RecordsPerTx: 4},
+		Coordinators: 240,
+		MemNodes:     2,
+		CompNodes:    3,
+		Duration:     20 * time.Millisecond,
+		Warmup:       4 * time.Millisecond,
+		Seed:         1,
+		Profile:      "full",
+		Shards:       1,
+		Placement:    "hash",
+	}
+}
+
+// runKey is one run knob as text: its flag usage string and how it
+// reads and assigns its RunSpec field. get returns a string, int, int64,
+// float64, bool or time.Duration; the dynamic type picks the flag type.
+// knob marks the workload knobs, which take defaults as a group (see
+// withDefaults).
+type runKey struct {
+	usage string
+	knob  bool
+	get   func(*RunSpec) any
+	set   func(*RunSpec, string) error
+}
+
+// key declares a knob stored directly in one RunSpec field.
+func key[T any](usage string, knob bool, field func(*RunSpec) *T, parse func(string) (T, error)) runKey {
+	return runKey{usage, knob,
+		func(s *RunSpec) any { return *field(s) },
+		func(s *RunSpec, v string) error {
+			x, err := parse(v)
+			if err == nil {
+				*field(s) = x
+			}
+			return err
+		}}
+}
+
+func lower(v string) (string, error)       { return strings.ToLower(v), nil }
+func parseFloat(v string) (float64, error) { return strconv.ParseFloat(v, 64) }
+func parseInt64(v string) (int64, error)   { return strconv.ParseInt(v, 10, 64) }
+
+// The values the system, workload and quick keys can select.
+var (
+	systemNames   = []string{string(CREST), string(CRESTCell), string(CRESTBase), string(FORD), string(Motor)}
+	workloadNames = []string{WLTPCC, WLSmallBank, WLYCSB}
+	profileNames  = map[bool]string{true: "quick", false: "full"}
+)
+
+// runKeys is the only place a run knob is declared: the name both CLIs
+// give its flag, the usage string, the field (DESIGN.md §12 "Adding a
+// run knob").
+var runKeys = map[string]runKey{
+	"system": key("system: "+strings.Join(systemNames, ", "), false,
+		func(s *RunSpec) *string { return (*string)(&s.System) }, lower),
+	"workload": key("workload: "+strings.Join(workloadNames, ", "), false,
+		func(s *RunSpec) *string { return &s.Workload.Kind }, lower),
+	"warehouses": key("TPC-C warehouses", true,
+		func(s *RunSpec) *int { return &s.Workload.Warehouses }, strconv.Atoi),
+	"theta": key("Zipfian constant (smallbank/ycsb)", true,
+		func(s *RunSpec) *float64 { return &s.Workload.Theta }, parseFloat),
+	"writes": key("YCSB write ratio", true,
+		func(s *RunSpec) *float64 { return &s.Workload.WriteRatio }, parseFloat),
+	"n": key("YCSB records per transaction", true,
+		func(s *RunSpec) *int { return &s.Workload.RecordsPerTx }, strconv.Atoi),
+	"coords": key("total coordinators (across 3 compute nodes)", false,
+		func(s *RunSpec) *int { return &s.Coordinators }, strconv.Atoi),
+	"shards": key("shard groups of independent memory nodes (1 = the classic single-group topology)", false,
+		func(s *RunSpec) *int { return &s.Shards }, strconv.Atoi),
+	"placement": key("data placement policy: "+strings.Join(placement.Names(), ", "), false,
+		func(s *RunSpec) *string { return &s.Placement }, lower),
+	"duration": key("total virtual time of the run, warmup included", false,
+		func(s *RunSpec) *time.Duration { return &s.Duration }, time.ParseDuration),
+	"warmup": key("virtual warmup excluded from measurement", false,
+		func(s *RunSpec) *time.Duration { return &s.Warmup }, time.ParseDuration),
+	"seed": key("simulation seed", false,
+		func(s *RunSpec) *int64 { return &s.Seed }, parseInt64),
+	// The one knob that is not a field: it names the profile.
+	"quick": {usage: "use CI-scale table sizes",
+		get: func(s *RunSpec) any { return s.Profile == profileNames[true] },
+		set: func(s *RunSpec, v string) error {
+			quick, err := strconv.ParseBool(v)
+			s.Profile = profileNames[quick]
+			return err
+		}},
+}
+
+// Set assigns one knob from its text form (a flag value); it is the
+// only assignment path from text. It parses but does not judge: an
+// out-of-range value is Validate's to reject.
+func (s *RunSpec) Set(key, val string) error {
+	k, ok := runKeys[key]
+	if !ok {
+		return fmt.Errorf("bench: unknown run key %q", key)
+	}
+	if err := k.set(s, val); err != nil {
+		return fmt.Errorf("bench: %s: %w", key, err)
+	}
+	return nil
+}
+
+// Flags registers the named knobs on fs as ordinary typed flags whose
+// defaults are s's values — s is the preset the command shows in -h.
+func (s RunSpec) Flags(fs *flag.FlagSet, keys ...string) {
+	for _, name := range keys {
+		k := runKeys[name]
+		switch v := k.get(&s).(type) {
+		case string:
+			fs.String(name, v, k.usage)
+		case int:
+			fs.Int(name, v, k.usage)
+		case int64:
+			fs.Int64(name, v, k.usage)
+		case float64:
+			fs.Float64(name, v, k.usage)
+		case bool:
+			fs.Bool(name, v, k.usage)
+		case time.Duration:
+			fs.Duration(name, v, k.usage)
+		}
+	}
+}
+
+// SetFlags assigns every knob the operator passed on the parsed fs,
+// validates the result, and reports which knobs those were. Knobs left
+// alone keep s's values, so a preset chosen after parsing (crestbench
+// -big) is overridden only by explicit flags.
+func (s *RunSpec) SetFlags(fs *flag.FlagSet) (passed map[string]bool, err error) {
+	passed = map[string]bool{}
+	fs.Visit(func(f *flag.Flag) {
+		if _, ok := runKeys[f.Name]; ok {
+			passed[f.Name] = true
+			err = errors.Join(err, s.Set(f.Name, f.Value.String()))
+		}
+	})
+	return passed, errors.Join(err, s.Validate())
+}
+
+// Validate is the only validator of a run description: it rejects
+// every value that would otherwise panic deep in a generator, silently
+// fall back to a default, or measure an empty window.
+func (s RunSpec) Validate() error {
+	check := func(ok bool, format string, args ...any) error {
+		if ok {
+			return nil
+		}
+		return fmt.Errorf(format, args...)
+	}
+	oneOf := func(what, v string, valid []string) error {
+		return check(slices.Contains(valid, v), "unknown %s %q (%s)", what, v, strings.Join(valid, ", "))
+	}
+	errs := []error{
+		oneOf("system", string(s.System), systemNames),
+		oneOf("placement", s.Placement, placement.Names()),
+		oneOf("profile", s.Profile, []string{profileNames[true], profileNames[false]}),
+		check(s.Coordinators > 0, "coordinators must be positive, got %d", s.Coordinators),
+		check(s.Shards >= 1 && s.Shards <= memnode.MaxShards, "shards must be in 1..%d, got %d", memnode.MaxShards, s.Shards),
+		check(s.Duration > s.Warmup, "duration %v leaves nothing to measure after warmup %v (duration is the total virtual time, warmup included)", s.Duration, s.Warmup),
+	}
+	if w := s.Workload; s.Scenario == nil { // a scenario validates its own workload section
+		errs = append(errs,
+			oneOf("workload", w.Kind, workloadNames),
+			check(w.Kind != WLTPCC || w.Warehouses > 0, "warehouses must be positive, got %d", w.Warehouses),
+			check(w.Kind != WLYCSB || w.RecordsPerTx > 0, "records per transaction must be positive, got %d", w.RecordsPerTx),
+			check(w.Kind != WLYCSB || (w.WriteRatio >= 0 && w.WriteRatio <= 1), "write ratio must be in [0, 1], got %v", w.WriteRatio),
+			check(w.Theta >= 0, "theta must not be negative, got %v", w.Theta))
+	}
+	return errors.Join(errs...)
+}
+
+// withDefaults resolves the zero values a Go caller left to DefaultRun's
+// — every knob of the table, so a literal needs only what it changes.
+// The workload knobs default as a group: a workload that names only its
+// kind takes the evaluation defaults, but once any knob is set the rest
+// are literal, which is how Theta 0 (uniform) and WriteRatio 0
+// (read-only) stay expressible.
+func (s RunSpec) withDefaults() RunSpec {
+	zero, def := RunSpec{}, DefaultRun()
+	literal := s.Workload != WorkloadSpec{Kind: s.Workload.Kind}
+	for _, k := range runKeys {
+		if k.get(&s) == k.get(&zero) && !(k.knob && literal) {
+			k.set(&s, fmt.Sprint(k.get(&def))) // a preset value always parses
+		}
+	}
+	return s
+}
+
+// Config resolves the spec into its executable form: zero fields take
+// DefaultRun's values, the result is validated, and the workload
+// materializes under the named profile's table scales.
+func (s RunSpec) Config() (Config, error) {
+	s = s.withDefaults()
+	if err := s.Validate(); err != nil {
+		return Config{}, err
+	}
+	p := Full()
+	if s.Profile == Quick().Name {
+		p = Quick()
+	}
+	return s.config(p)
 }
 
 // config materializes the bench.Config the spec describes.
@@ -208,8 +433,8 @@ func (s RunSpec) config(p Profile) (Config, error) {
 		Coordinators: s.Coordinators,
 		Replicas:     s.Replicas,
 		Seed:         s.Seed,
-		Duration:     s.Duration,
-		Warmup:       s.Warmup,
+		Duration:     sim.Duration(s.Duration),
+		Warmup:       sim.Duration(s.Warmup),
 	}, nil
 }
 

@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"crest/internal/sim"
 	"crest/internal/workload/tpcc"
@@ -195,7 +196,7 @@ func TestRunSpecKeyCanonical(t *testing.T) {
 	c := a
 	c.Seed = 2
 	d := a
-	d.Duration = 2 * sim.Millisecond
+	d.Duration = 2 * time.Millisecond
 	e := a
 	e.Profile = "full"
 	f := a

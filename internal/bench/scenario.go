@@ -6,6 +6,7 @@ package bench
 
 import (
 	"fmt"
+	"time"
 
 	"crest/internal/scenario"
 	"crest/internal/workload"
@@ -70,15 +71,19 @@ func (p Profile) ScenarioWorkload(s *scenario.Spec) (func() workload.Generator, 
 }
 
 // ScenarioSpec assembles a run spec for a scenario under the paper's
-// testbed shape. The measured window is stretched to cover the whole
-// timeline when the profile's duration is shorter.
+// testbed shape.
 func (p Profile) ScenarioSpec(system SystemKind, sc *scenario.Spec, totalCoords int) RunSpec {
-	spec := p.Spec(system, WorkloadSpec{Kind: "scenario"}, totalCoords)
-	spec.Scenario = sc
-	if tl := sc.TimelineDuration(); tl > spec.Duration {
-		spec.Duration = tl
+	return p.Spec(system, WorkloadSpec{Kind: "scenario"}, totalCoords).WithScenario(sc)
+}
+
+// WithScenario drives the run from sc instead of Workload. The run is
+// stretched to cover the whole timeline when Duration is shorter.
+func (s RunSpec) WithScenario(sc *scenario.Spec) RunSpec {
+	s.Scenario = sc
+	if tl := time.Duration(sc.TimelineDuration()); tl > s.Duration {
+		s.Duration = tl
 	}
-	return spec
+	return s
 }
 
 // phaseStat looks up one phase's stats, tolerating records without

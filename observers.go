@@ -11,21 +11,42 @@ import (
 	"crest/internal/trace"
 )
 
-// observerOptions is the observer option set Config and BenchmarkConfig
-// both expose, in their field order.
-type observerOptions struct {
-	Trace          bool
-	TraceCapacity  int
-	Metrics        bool
-	MetricsWindow  time.Duration
-	Why            bool
-	WhyCapacity    int
-	Flight         bool
+// ObserverOptions selects which of the four observers record a cluster
+// or a benchmark run; Config and BenchmarkConfig both embed it. Every
+// observer consumes no virtual time and no randomness, so an observed
+// run commits exactly the schedule of a plain one. Snapshots come back
+// from Cluster.TraceSnapshot / MetricsSnapshot / WhySnapshot /
+// FlightSnapshot, or in the BenchmarkResult field of the same name.
+type ObserverOptions struct {
+	// Trace records a deterministic event trace of everything the run
+	// does (transaction spans, phases, RDMA verbs, lock traffic).
+	Trace bool
+	// TraceCapacity bounds the trace ring buffer (0 = default).
+	TraceCapacity int
+	// Metrics enables the windowed metrics plane (counters, gauges and
+	// histograms across the simulator, fabric and engine).
+	Metrics bool
+	// MetricsWindow is the time-series sampling period in virtual time
+	// (default 100µs; ignored unless Metrics is set).
+	MetricsWindow time.Duration
+	// Why enables abort forensics: wait-for and conflict edges (who
+	// blocked on whom, who invalidated whose read) that explain any
+	// abort after the fact.
+	Why bool
+	// WhyCapacity bounds the causality edge ring buffer (0 = default).
+	WhyCapacity int
+	// Flight enables the per-transaction flight recorder: every
+	// transaction's virtual-time latency decomposed into an additive
+	// budget (queueing, per-verb wire time, lock waiting, backoff,
+	// per-phase compute), the slowest outliers keeping their full
+	// per-attempt timeline.
+	Flight bool
+	// FlightCapacity bounds the flight summary ring buffer (0 = default).
 	FlightCapacity int
 }
 
 // recorders builds the enabled recorders; the rest stay nil (disabled).
-func (o observerOptions) recorders() engine.Observers {
+func (o ObserverOptions) recorders() engine.Observers {
 	var obs engine.Observers
 	if o.Trace {
 		obs.Trace = trace.NewRecorder(o.TraceCapacity)

@@ -10,17 +10,18 @@ import (
 
 func partitionedBenchCfg(workers int) BenchmarkConfig {
 	return BenchmarkConfig{
-		System:       SystemCREST,
-		Workload:     WorkloadSmallBank,
-		Theta:        0.5,
-		Shards:       3,
-		Placement:    "modulo",
-		MemoryNodes:  2,
-		Coordinators: 12,
-		Duration:     2 * time.Millisecond,
-		Warmup:       500 * time.Microsecond,
-		Quick:        true,
-		Workers:      workers,
+		RunSpec: RunSpec{
+			System:       SystemCREST,
+			Workload:     WorkloadSpec{Kind: WorkloadSmallBank, Theta: 0.5},
+			Shards:       3,
+			Placement:    "modulo",
+			MemNodes:     2,
+			Coordinators: 12,
+			Duration:     2 * time.Millisecond,
+			Warmup:       500 * time.Microsecond,
+			Profile:      "quick",
+		},
+		Workers: workers,
 	}
 }
 

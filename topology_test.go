@@ -162,7 +162,7 @@ func TestShardedClusterDeterminism(t *testing.T) {
 // PlacementSeedFromWhy turns a recorded contention snapshot into a
 // hotspot-policy seed pinning the hottest keys to shard group 0.
 func TestPlacementSeedFromWhy(t *testing.T) {
-	c := newShardedBank(t, SystemCREST, 8, Config{Shards: 2, MemoryNodes: 2, Placement: "modulo", Why: true})
+	c := newShardedBank(t, SystemCREST, 8, Config{Shards: 2, MemoryNodes: 2, Placement: "modulo", ObserverOptions: ObserverOptions{Why: true}})
 	var txns []*Txn
 	for i := 0; i < 64; i++ {
 		txns = append(txns, transfer(Key(i%2), Key((i+1)%2), 1))
