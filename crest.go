@@ -105,7 +105,7 @@ type Config struct {
 	ObserverOptions
 }
 
-func (c Config) withDefaults() Config {
+func (c Config) defaulted() Config {
 	if c.System == "" {
 		c.System = SystemCREST
 	}
@@ -184,7 +184,7 @@ type Cluster struct {
 // NewCluster builds a cluster. Tables must be created and loaded
 // before Finalize; transactions run after.
 func NewCluster(cfg Config) (*Cluster, error) {
-	cfg = cfg.withDefaults()
+	cfg = cfg.defaulted()
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}

@@ -226,7 +226,7 @@ func DefaultRun() RunSpec {
 // reads and assigns its RunSpec field. get returns a string, int, int64,
 // float64, bool or time.Duration; the dynamic type picks the flag type.
 // knob marks the workload knobs, which take defaults as a group (see
-// withDefaults).
+// defaulted).
 type runKey struct {
 	usage string
 	knob  bool
@@ -379,13 +379,13 @@ func (s RunSpec) Validate() error {
 	return errors.Join(errs...)
 }
 
-// withDefaults resolves the zero values a Go caller left to DefaultRun's
+// defaulted resolves the zero values a Go caller left to DefaultRun's
 // — every knob of the table, so a literal needs only what it changes.
 // The workload knobs default as a group: a workload that names only its
 // kind takes the evaluation defaults, but once any knob is set the rest
 // are literal, which is how Theta 0 (uniform) and WriteRatio 0
 // (read-only) stay expressible.
-func (s RunSpec) withDefaults() RunSpec {
+func (s RunSpec) defaulted() RunSpec {
 	zero, def := RunSpec{}, DefaultRun()
 	literal := s.Workload != WorkloadSpec{Kind: s.Workload.Kind}
 	for _, k := range runKeys {
@@ -400,7 +400,7 @@ func (s RunSpec) withDefaults() RunSpec {
 // DefaultRun's values, the result is validated, and the workload
 // materializes under the named profile's table scales.
 func (s RunSpec) Config() (Config, error) {
-	s = s.withDefaults()
+	s = s.defaulted()
 	if err := s.Validate(); err != nil {
 		return Config{}, err
 	}

@@ -87,15 +87,15 @@ func TestRunKeysRoundTrip(t *testing.T) {
 func TestRunSpecDefaults(t *testing.T) {
 	want := DefaultRun()
 	want.MemNodes, want.CompNodes = 0, 0 // not knobs: bench.Config defaults them
-	if got := (RunSpec{}).withDefaults(); got != want {
+	if got := (RunSpec{}).defaulted(); got != want {
 		t.Fatalf("zero spec resolved to %+v", got)
 	}
 	want.Workload.Kind, want.Coordinators, want.Duration = WLYCSB, 24, 5*time.Millisecond
-	got := RunSpec{Workload: WorkloadSpec{Kind: WLYCSB}, Coordinators: 24, Duration: 5 * time.Millisecond}.withDefaults()
+	got := RunSpec{Workload: WorkloadSpec{Kind: WLYCSB}, Coordinators: 24, Duration: 5 * time.Millisecond}.defaulted()
 	if got != want {
 		t.Fatalf("kind-only workload resolved to %+v", got)
 	}
-	uniform := RunSpec{Workload: YCSBSpec(0, 0.5, 4)}.withDefaults()
+	uniform := RunSpec{Workload: YCSBSpec(0, 0.5, 4)}.defaulted()
 	if uniform.Workload != YCSBSpec(0, 0.5, 4) {
 		t.Fatalf("literal workload was defaulted: %+v", uniform.Workload)
 	}
