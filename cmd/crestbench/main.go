@@ -260,7 +260,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 			}
 			// The run covers the whole timeline unless the operator asked
 			// for a specific -duration.
-			if spec.Scenario = sc; !passed["duration"] {
+			if passed["duration"] {
+				spec.Scenario = sc
+			} else {
 				spec = spec.WithScenario(sc)
 			}
 		}

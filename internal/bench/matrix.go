@@ -235,16 +235,22 @@ type runKey struct {
 }
 
 // key declares a knob stored directly in one RunSpec field.
-func key[T any](usage string, knob bool, field func(*RunSpec) *T, parse func(string) (T, error)) runKey {
-	return runKey{usage, knob,
-		func(s *RunSpec) any { return *field(s) },
-		func(s *RunSpec, v string) error {
+func key[T any](usage string, field func(*RunSpec) *T, parse func(string) (T, error)) runKey {
+	return runKey{usage: usage,
+		get: func(s *RunSpec) any { return *field(s) },
+		set: func(s *RunSpec, v string) error {
 			x, err := parse(v)
 			if err == nil {
 				*field(s) = x
 			}
 			return err
 		}}
+}
+
+// knob marks k as a workload knob.
+func knob(k runKey) runKey {
+	k.knob = true
+	return k
 }
 
 func lower(v string) (string, error)       { return strings.ToLower(v), nil }
@@ -262,29 +268,29 @@ var (
 // give its flag, the usage string, the field (DESIGN.md §12 "Adding a
 // run knob").
 var runKeys = map[string]runKey{
-	"system": key("system: "+strings.Join(systemNames, ", "), false,
+	"system": key("system: "+strings.Join(systemNames, ", "),
 		func(s *RunSpec) *string { return (*string)(&s.System) }, lower),
-	"workload": key("workload: "+strings.Join(workloadNames, ", "), false,
+	"workload": key("workload: "+strings.Join(workloadNames, ", "),
 		func(s *RunSpec) *string { return &s.Workload.Kind }, lower),
-	"warehouses": key("TPC-C warehouses", true,
-		func(s *RunSpec) *int { return &s.Workload.Warehouses }, strconv.Atoi),
-	"theta": key("Zipfian constant (smallbank/ycsb)", true,
-		func(s *RunSpec) *float64 { return &s.Workload.Theta }, parseFloat),
-	"writes": key("YCSB write ratio", true,
-		func(s *RunSpec) *float64 { return &s.Workload.WriteRatio }, parseFloat),
-	"n": key("YCSB records per transaction", true,
-		func(s *RunSpec) *int { return &s.Workload.RecordsPerTx }, strconv.Atoi),
-	"coords": key("total coordinators (across 3 compute nodes)", false,
+	"warehouses": knob(key("TPC-C warehouses",
+		func(s *RunSpec) *int { return &s.Workload.Warehouses }, strconv.Atoi)),
+	"theta": knob(key("Zipfian constant (smallbank/ycsb)",
+		func(s *RunSpec) *float64 { return &s.Workload.Theta }, parseFloat)),
+	"writes": knob(key("YCSB write ratio",
+		func(s *RunSpec) *float64 { return &s.Workload.WriteRatio }, parseFloat)),
+	"n": knob(key("YCSB records per transaction",
+		func(s *RunSpec) *int { return &s.Workload.RecordsPerTx }, strconv.Atoi)),
+	"coords": key("total coordinators (across 3 compute nodes)",
 		func(s *RunSpec) *int { return &s.Coordinators }, strconv.Atoi),
-	"shards": key("shard groups of independent memory nodes (1 = the classic single-group topology)", false,
+	"shards": key("shard groups of independent memory nodes (1 = the classic single-group topology)",
 		func(s *RunSpec) *int { return &s.Shards }, strconv.Atoi),
-	"placement": key("data placement policy: "+strings.Join(placement.Names(), ", "), false,
+	"placement": key("data placement policy: "+strings.Join(placement.Names(), ", "),
 		func(s *RunSpec) *string { return &s.Placement }, lower),
-	"duration": key("total virtual time of the run, warmup included", false,
+	"duration": key("total virtual time of the run, warmup included",
 		func(s *RunSpec) *time.Duration { return &s.Duration }, time.ParseDuration),
-	"warmup": key("virtual warmup excluded from measurement", false,
+	"warmup": key("virtual warmup excluded from measurement",
 		func(s *RunSpec) *time.Duration { return &s.Warmup }, time.ParseDuration),
-	"seed": key("simulation seed", false,
+	"seed": key("simulation seed",
 		func(s *RunSpec) *int64 { return &s.Seed }, parseInt64),
 	// The one knob that is not a field: it names the profile.
 	"quick": {usage: "use CI-scale table sizes",
@@ -405,7 +411,7 @@ func (s RunSpec) Config() (Config, error) {
 		return Config{}, err
 	}
 	p := Full()
-	if s.Profile == Quick().Name {
+	if s.Profile == profileNames[true] {
 		p = Quick()
 	}
 	return s.config(p)
