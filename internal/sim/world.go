@@ -324,10 +324,14 @@ func (w *World) inject() uint64 {
 // pool amortizes goroutine startup across the run's many short
 // windows.
 func (w *World) startPool(k int) {
-	w.workC = make(chan Time)
+	// The helpers range over the channel itself, not the field: a helper
+	// that first runs after a short RunUntil has already called stopPool
+	// must see the closed channel, not race with the field's reset.
+	workC := make(chan Time)
+	w.workC = workC
 	for i := 0; i < k-1; i++ {
 		go func() {
-			for bound := range w.workC {
+			for bound := range workC {
 				w.drain(bound)
 				w.wg.Done()
 			}
