@@ -32,6 +32,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
 	"runtime/debug"
 	"runtime/pprof"
 	rttrace "runtime/trace"
@@ -176,6 +177,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 				fmt.Fprintf(stderr, "crestbench: %v\n", err)
 				return
 			}
+			// The profile holds what the last completed GC cycle saw; with
+			// GOGC=400 that is a fraction of a short run without this.
+			runtime.GC()
 			if err := pprof.Lookup("allocs").WriteTo(f, 0); err != nil {
 				fmt.Fprintf(stderr, "crestbench: writing heap profile: %v\n", err)
 			}

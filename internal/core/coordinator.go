@@ -227,7 +227,10 @@ func (c *Coordinator) executeLocalized(p *sim.Proc, t *engine.Txn) engine.Attemp
 // pinning the objects with reference counts. A writer reference
 // registered while a drain is pending would itself keep `writers`
 // above zero and stall the drain, so gating happens strictly before
-// registration.
+// registration. Until then the objects are held with no reference,
+// across the parks of passes 1 (an address-cache miss) and 2, and
+// another coordinator may retire them meanwhile; the pin keeps such a
+// shell from being reused under this one's feet.
 func (c *Coordinator) prepare(p *sim.Proc, t *engine.Txn, blk *engine.Block, sc *execScratch) (gated bool) {
 	// Pass 1: resolve keys and local objects; no references yet.
 	sc.blockAccs = sc.blockAccs[:0]
@@ -246,6 +249,7 @@ func (c *Coordinator) prepare(p *sim.Proc, t *engine.Txn, blk *engine.Block, sc 
 			checks:      acc.checks[:0],
 		}
 		acc.obj = c.getOrCreate(p, rk, acc.lay)
+		acc.obj.pins++
 		acc.Primary = acc.obj.primary
 		sc.blockAccs = append(sc.blockAccs, acc)
 	}
@@ -261,6 +265,9 @@ func (c *Coordinator) prepare(p *sim.Proc, t *engine.Txn, blk *engine.Block, sc 
 				continue
 			}
 			if len(sc.accs) > 0 {
+				for _, held := range sc.blockAccs {
+					c.cn.unpin(held.obj)
+				}
 				return true
 			}
 			waited = true
@@ -274,13 +281,15 @@ func (c *Coordinator) prepare(p *sim.Proc, t *engine.Txn, blk *engine.Block, sc 
 			break
 		}
 	}
-	// Pass 3: register the reference counts (§5.1).
+	// Pass 3: register the reference counts (§5.1), which take over from
+	// the pins.
 	for _, acc := range sc.blockAccs {
 		if acc.intentWrite {
 			acc.obj.writers++
 		} else {
 			acc.obj.readers++
 		}
+		c.cn.unpin(acc.obj)
 		acc.registered = true
 		sc.accs = append(sc.accs, acc)
 	}
@@ -294,7 +303,7 @@ func (c *Coordinator) getOrCreate(p *sim.Proc, rk engine.RecKey, lay *layout.Rec
 		return obj
 	}
 	primary, off := c.Resolve(p, rk)
-	obj := newObject(rk.Table, rk.Key, off, lay, primary)
+	obj := c.cn.newObject(rk, off, lay, primary)
 	c.cn.objs[rk] = obj
 	return obj
 }
@@ -439,13 +448,15 @@ func (c *Coordinator) admit(p *sim.Proc, sc *execScratch, blockAccs []*access) (
 					db.Obs.LockAcquired(p, obj.table, obj.key, pd.bits)
 				} else {
 					conflict = true
-					conflictMask |= db.Tracker.HolderCells(obj.table, obj.key)
+					conflictMask |= obj.conflict(db.Tracker).HolderCells()
 					db.Obs.LockConflict(p, obj.table, obj.key, pd.bits)
 				}
 			}
 			if pd.readIdx >= 0 {
+				// Both checks run on the raw image; cells are decoded only
+				// once the fetch is known to be usable.
 				data := results[bi][pd.readIdx].Data
-				h, vals, vers := decodeRecord(pd.acc.lay, data)
+				h := layout.DecodeHeader(data)
 				readMask := layout.LockMask(pd.acc.Op.ReadCells) &^ obj.remoteLocks
 				switch {
 				case h.Lock&layout.DeleteMask != 0:
@@ -461,12 +472,10 @@ func (c *Coordinator) admit(p *sim.Proc, sc *execScratch, blockAccs []*access) (
 					// writer read stale data without validation.
 					obj.admitted = false
 					conflict = true
-					conflictMask |= db.Tracker.HolderCells(obj.table, obj.key)
+					conflictMask |= obj.conflict(db.Tracker).HolderCells()
 					db.Obs.LockConflict(p, obj.table, obj.key, readMask)
 				case !obj.admitted:
-					copy(obj.epochs, h.EN[:obj.lay.NumCells()])
-					obj.base = vals
-					obj.baseVer = vers
+					obj.install(data, &h, 0)
 					obj.admitted = true
 					obj.firstFetch = p.Now()
 				default:
@@ -475,14 +484,7 @@ func (c *Coordinator) admit(p *sim.Proc, sc *execScratch, blockAccs []*access) (
 					// other nodes' commits. Locked cells (which is
 					// where local versions can exist) keep the local
 					// view.
-					for cell := 0; cell < obj.lay.NumCells(); cell++ {
-						if pd.preLocks&(1<<uint(cell)) != 0 {
-							continue
-						}
-						obj.base[cell] = vals[cell]
-						obj.baseVer[cell] = vers[cell]
-						obj.epochs[cell] = h.EN[cell]
-					}
+					obj.install(data, &h, pd.preLocks)
 					obj.firstFetch = p.Now()
 				}
 			}
@@ -513,7 +515,7 @@ func (c *Coordinator) track(acc *access) {
 		return
 	}
 	acc.tracked = true
-	c.cn.db.Tracker.OnLock(acc.Table, acc.Key, acc.Op.CellMask())
+	acc.obj.conflict(c.cn.db.Tracker).OnLock(acc.Op.CellMask())
 }
 
 // execOp runs one op against the record cache under the block's local
@@ -715,9 +717,10 @@ func (c *Coordinator) validateRemote(p *sim.Proc, sc *execScratch, accs []*acces
 					p.Now().Sub(obj.firstFetch) > c.cn.sys.opts.FetchTTL {
 					obj.admitted = false
 				}
-				conflicting := db.Tracker.ChangedSince(acc.Table, acc.Key, wantTS)
+				conf := obj.conflict(db.Tracker)
+				conflicting := conf.ChangedSince(wantTS)
 				if otherLocks&bit != 0 {
-					conflicting |= db.Tracker.HolderCells(acc.Table, acc.Key)
+					conflicting |= conf.HolderCells()
 				}
 				myMask := acc.Op.CellMask()
 				db.Obs.ValidationConflict(p, acc.Table, acc.Key, bit, wantTS)
@@ -767,7 +770,7 @@ func (c *Coordinator) applyRelease(p *sim.Proc, sc *execScratch, accs []*access)
 		}
 		if acc.tracked {
 			acc.tracked = false
-			db.Tracker.OnUnlock(acc.Table, acc.Key, acc.Op.CellMask())
+			acc.obj.conflict(db.Tracker).OnUnlock(acc.Op.CellMask())
 		}
 	}
 
@@ -792,10 +795,14 @@ func (c *Coordinator) applyRelease(p *sim.Proc, sc *execScratch, accs []*access)
 		}
 		if obj.remoteLocks == 0 {
 			if obj.refTotal() == 0 && !obj.flushing && !obj.admitting {
-				delete(c.cn.objs, obj.rkKey())
+				c.cn.retire(obj)
 			}
 			continue
 		}
+		// Pinned until the deferred wake below: the waits and the flush
+		// round-trip park with these objects in hand, and this
+		// transaction's references to them are already gone.
+		obj.pins++
 		work = append(work, obj)
 	}
 	sc.work = work
@@ -836,17 +843,18 @@ func (c *Coordinator) applyRelease(p *sim.Proc, sc *execScratch, accs []*access)
 			if obj.releaseReq == 0 && !obj.flushing && !obj.admitting {
 				obj.stateQ.WakeAll()
 			}
+			c.cn.unpin(obj)
 		}
 	}()
 	sc.Bat.Begin()
-	sc.fins = sc.fins[:0]
+	sc.fins, sc.plans = sc.fins[:0], sc.plans[:0]
 	for _, obj := range work {
 		if obj.writers > 0 {
 			continue // a later writer registered meanwhile; it flushes
 		}
 		if obj.remoteLocks == 0 {
 			if obj.refTotal() == 0 {
-				delete(c.cn.objs, obj.rkKey())
+				c.cn.retire(obj)
 			}
 			continue
 		}
@@ -856,7 +864,9 @@ func (c *Coordinator) applyRelease(p *sim.Proc, sc *execScratch, accs []*access)
 		// releases the locks, even while readers remain — their reads
 		// validate against the epoch numbers at commit.
 		obj.flushing = true
-		sc.fins = append(sc.fins, fin{obj: obj, plans: obj.collectFlush(), release: true, unlock: obj.remoteLocks})
+		lo := len(sc.plans)
+		sc.plans = obj.collectFlush(sc.plans)
+		sc.fins = append(sc.fins, fin{obj: obj, lo: lo, hi: len(sc.plans), release: true, unlock: obj.remoteLocks})
 		c.buildFlushOps(sc, &sc.fins[len(sc.fins)-1])
 	}
 	if batches := sc.Bat.Batches(); len(batches) > 0 {
@@ -867,8 +877,8 @@ func (c *Coordinator) applyRelease(p *sim.Proc, sc *execScratch, accs []*access)
 	for i := range sc.fins {
 		f := &sc.fins[i]
 		obj := f.obj
-		for _, plan := range f.plans {
-			db.Tracker.OnUpdate(obj.table, obj.key, plan.ts, 1<<uint(plan.cell))
+		for _, plan := range sc.plans[f.lo:f.hi] {
+			obj.conflict(db.Tracker).OnUpdate(plan.ts, 1<<uint(plan.cell))
 			db.Obs.Updated(plan.why, obj.table, obj.key, plan.ts, 1<<uint(plan.cell))
 			// A fold of more than 65536 epochs — or one landing exactly
 			// on the wrap — silently reuses epoch numbers; validation
@@ -888,17 +898,18 @@ func (c *Coordinator) applyRelease(p *sim.Proc, sc *execScratch, accs []*access)
 		obj.flushing = false
 		obj.stateQ.WakeAll()
 		if obj.refTotal() == 0 {
-			delete(c.cn.objs, obj.rkKey())
+			c.cn.retire(obj)
 		}
 	}
 }
 
 func (o *object) rkKey() engine.RecKey { return engine.RecKey{Table: o.table, Key: o.key} }
 
-// fin is one object's pending write-back during applyRelease.
+// fin is one object's pending write-back during applyRelease; its
+// flush plans are execScratch.plans[lo:hi].
 type fin struct {
 	obj     *object
-	plans   []flushPlan
+	lo, hi  int
 	release bool
 	unlock  uint64
 }
@@ -910,14 +921,16 @@ type fin struct {
 // the data writes; the lock lives on the primary.
 func (c *Coordinator) buildFlushOps(sc *execScratch, f *fin) {
 	obj := f.obj
+	plans := sc.plans[f.lo:f.hi]
 	writes := sc.Ops[:0]
-	for _, plan := range f.plans {
+	for _, plan := range plans {
 		writes = appendCellWrite(writes, &sc.Arena, obj.lay, obj.off, plan.cell, layout.CellVersion{EN: plan.en, TS: plan.ts}, plan.value)
 	}
 	sc.Ops = writes
-	for _, n := range c.cn.db.Pool.ReplicaNodes(obj.table, obj.key) {
+	sc.Nodes = c.cn.db.Pool.AppendReplicaNodes(sc.Nodes[:0], obj.table, obj.key)
+	for _, n := range sc.Nodes {
 		release := f.release && n == obj.primary && f.unlock != 0
-		if len(f.plans) > 0 || release {
+		if len(plans) > 0 || release {
 			bi := sc.Bat.Batch(n.Region)
 			for _, op := range writes {
 				sc.Bat.Append(bi, op)
@@ -932,7 +945,7 @@ func (c *Coordinator) buildFlushOps(sc *execScratch, f *fin) {
 				})
 			}
 		}
-		if len(f.plans) == 0 {
+		if len(plans) == 0 {
 			// Pure unlock: nothing to write on backups.
 			break
 		}

@@ -29,6 +29,7 @@ import (
 	"crest/internal/engine"
 	"crest/internal/hashindex"
 	"crest/internal/layout"
+	"crest/internal/memnode"
 	"crest/internal/sim"
 )
 
@@ -173,11 +174,14 @@ func (s *System) FinishLoad() error { return s.db.FinishLoad() }
 // execution; db points at that partition's view of the database (the
 // root DB on sequential runs).
 type ComputeNode struct {
-	sys       *System
-	db        *engine.DB
-	id        int
-	cache     *hashindex.AddrCache
-	objs      map[engine.RecKey]*object
+	sys   *System
+	db    *engine.DB
+	id    int
+	cache *hashindex.AddrCache
+	objs  map[engine.RecKey]*object
+	// free holds, by table, the shells of objects that left the cache
+	// and that nobody names any more; getOrCreate reuses them.
+	free      map[layout.TableID][]*object
 	tsExecCtr uint64
 	// scanGen stamps objects during applyRelease's dedup scan,
 	// replacing a per-attempt map.
@@ -192,6 +196,7 @@ func (s *System) NewComputeNode(id int) *ComputeNode {
 		id:    id,
 		cache: hashindex.NewAddrCache(),
 		objs:  map[engine.RecKey]*object{},
+		free:  map[layout.TableID][]*object{},
 	}
 	s.cns = append(s.cns, cn)
 	return cn
@@ -213,6 +218,51 @@ func (cn *ComputeNode) WarmCache() { cn.db.WarmCache(cn.cache) }
 // CachedObjects reports the record cache's current size (diagnostics
 // and cache-management tests).
 func (cn *ComputeNode) CachedObjects() int { return len(cn.objs) }
+
+// newObject returns the unadmitted object of record rk, in a recycled
+// shell of its table when one is free. Shells are reused by table, not
+// revived by key: the new object starts exactly as a fresh one does.
+func (cn *ComputeNode) newObject(rk engine.RecKey, off uint64, lay *layout.Record, primary *memnode.Node) *object {
+	free := cn.free[rk.Table]
+	if len(free) == 0 {
+		return newObject(rk.Table, rk.Key, off, lay, primary)
+	}
+	obj := free[len(free)-1]
+	cn.free[rk.Table] = free[:len(free)-1]
+	obj.init(rk.Table, rk.Key, off, lay, primary)
+	return obj
+}
+
+// retire ends obj's stay in the record cache, by key and not by
+// identity: the entry dropped is whatever object the cache holds for
+// obj's record now, which may be none (obj was retired before) or
+// another one, still referenced (obj was retired while a coordinator
+// held it across a park, and the record got a second object since).
+// DESIGN.md §4b has the interleaving; it is kept as it is because every
+// pinned number depends on it.
+func (cn *ComputeNode) retire(obj *object) {
+	delete(cn.objs, obj.rkKey())
+	obj.life = objRetired
+	cn.recycle(obj)
+}
+
+// unpin drops a pin taken on obj across a park.
+func (cn *ComputeNode) unpin(obj *object) {
+	obj.pins--
+	cn.recycle(obj)
+}
+
+// recycle frees obj's shell for reuse if it is retired and nobody can
+// still name it: no reference, no pin. It is called wherever one of the
+// three changes last; an object that goes unreferenced without being
+// retired is left to the garbage collector.
+func (cn *ComputeNode) recycle(obj *object) {
+	if obj.life != objRetired || obj.pins > 0 || obj.refTotal() > 0 {
+		return
+	}
+	obj.life = objRecycled
+	cn.free[obj.table] = append(cn.free[obj.table], obj)
+}
 
 // nextTSExec draws the compute node's monotonically increasing
 // execution timestamp (§5.2).
@@ -241,19 +291,6 @@ func (s *System) recordLevel(table layout.TableID) bool {
 		}
 	}
 	return false
-}
-
-// decodeRecord parses a fetched CREST record into header, cell values
-// and cell versions.
-func decodeRecord(lay *layout.Record, data []byte) (layout.Header, [][]byte, []layout.CellVersion) {
-	h := layout.DecodeHeader(data)
-	vals := make([][]byte, lay.NumCells())
-	vers := make([]layout.CellVersion, lay.NumCells())
-	for c := 0; c < lay.NumCells(); c++ {
-		vers[c] = layout.GetCellVersion(data[lay.CellOff(c):])
-		vals[c] = append([]byte(nil), data[lay.CellValueOff(c):][:lay.CellSize(c)]...)
-	}
-	return h, vals, vers
 }
 
 // snapshotConsistent applies the paper's §4.3 inter-cell check to a

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"crest/internal/engine"
 	"crest/internal/layout"
 	"crest/internal/memnode"
 	"crest/internal/sim"
@@ -92,6 +93,22 @@ func (c *cellState) newestLive() *version {
 	return nil
 }
 
+// objLife is where a local object stands between creation and reuse.
+type objLife uint8
+
+const (
+	// objLive: created by getOrCreate and not yet retired. Normally that
+	// means "in the record cache", but the cache drops objects by key
+	// (ComputeNode.retire), so a live object can be out of it and still
+	// in use.
+	objLive objLife = iota
+	// objRetired: retire ran for it. Whoever still holds it — a
+	// reference, a pin — carries on as before.
+	objRetired
+	// objRecycled: on the compute node's free list; nobody names it.
+	objRecycled
+)
+
 // object is a local object in the record cache (§5.1): the compute
 // node's shared view of one record, carrying the reference counter,
 // the epoch array and the version lists, plus the remote cell locks
@@ -107,6 +124,13 @@ type object struct {
 
 	readers int // reference counter: local txns reading the record
 	writers int // reference counter: local txns updating the record
+	// pins counts coordinators holding the object across a park with no
+	// reference registered (prepare before registration, applyRelease
+	// over its work list). References and pins are all the ways to name
+	// an object that left the cache: its shell is reused only when both
+	// are zero (ComputeNode.recycle).
+	pins int
+	life objLife
 
 	admitted  bool // base/epochs populated from the memory pool
 	admitting bool // one coordinator is fetching (cache admission)
@@ -145,24 +169,88 @@ type object struct {
 	baseVer     []layout.CellVersion // cell versions matching base
 	cells       []cellState          // per-cell version lists
 	firstFetch  sim.Time             // when base was fetched (EN threshold)
+
+	// conf is the record's conflict-tracker state, looked up the first
+	// time the object needs it and kept while the object lives.
+	conf *engine.RecConflict
 }
 
 func newObject(table layout.TableID, key layout.Key, off uint64, lay *layout.Record, primary *memnode.Node) *object {
 	n := lay.NumCells()
 	o := &object{
-		table:   table,
-		key:     key,
-		off:     off,
-		lay:     lay,
-		primary: primary,
 		epochs:  make([]uint16, n),
 		base:    make([][]byte, n),
 		baseVer: make([]layout.CellVersion, n),
 		cells:   make([]cellState, n),
 	}
+	o.init(table, key, off, lay, primary)
+	return o
+}
+
+// init makes o — a fresh shell or a recycled one of the same table — the
+// new, unadmitted object of a record. Of a recycled shell only the
+// storage survives: the four per-cell slices and the capacity of the
+// version lists. Cell values are not storage: base blocks belong to the
+// attempts that read them (see install).
+func (o *object) init(table layout.TableID, key layout.Key, off uint64, lay *layout.Record, primary *memnode.Node) {
+	clear(o.epochs)
+	clear(o.base)
+	clear(o.baseVer)
+	for c := range o.cells {
+		// A retired object's lists are empty — versions live under remote
+		// locks, which the flush that folds them releases — and cleared
+		// beyond their length (dropAborted, collectFlush).
+		o.cells[c] = cellState{versions: o.cells[c].versions[:0]}
+	}
+	*o = object{
+		table:   table,
+		key:     key,
+		off:     off,
+		lay:     lay,
+		primary: primary,
+		epochs:  o.epochs,
+		base:    o.base,
+		baseVer: o.baseVer,
+		cells:   o.cells,
+	}
 	o.mu.SetLabel((*objMuLabel)(o))
 	o.stateQ.SetLabel((*objStateLabel)(o))
-	return o
+}
+
+// conflict returns the record's state in the compute node's tracker.
+func (o *object) conflict(t *engine.ConflictTracker) *engine.RecConflict {
+	if o.conf == nil {
+		o.conf = t.Rec(o.table, o.off)
+	}
+	return o.conf
+}
+
+// install takes the cells of a fetched record image (data, its header
+// decoded into h) into the base view, except the cells of keep, which
+// stay as the compute node has them. The values go into one block
+// allocated here, never over the old ones: attempts hold ReadVals
+// slices into the base they read until they commit, and the history
+// oracle hashes them then.
+func (o *object) install(data []byte, h *layout.Header, keep uint64) {
+	lay := o.lay
+	size := 0
+	for c := range o.base {
+		if keep&(1<<uint(c)) == 0 {
+			size += lay.CellSize(c)
+		}
+	}
+	block := make([]byte, size)
+	for c := range o.base {
+		if keep&(1<<uint(c)) != 0 {
+			continue
+		}
+		n := lay.CellSize(c)
+		o.base[c] = block[:n:n]
+		block = block[n:]
+		copy(o.base[c], data[lay.CellValueOff(c):])
+		o.baseVer[c] = layout.GetCellVersion(data[lay.CellOff(c):])
+		o.epochs[c] = h.EN[c]
+	}
 }
 
 // objMuLabel and objStateLabel are the object seen as the label of its
@@ -200,12 +288,14 @@ func (o *object) append(c int, v *version) {
 // dropAborted removes aborted versions from every cell list.
 func (o *object) dropAborted() {
 	for c := range o.cells {
-		live := o.cells[c].versions[:0]
-		for _, v := range o.cells[c].versions {
+		vs := o.cells[c].versions
+		live := vs[:0]
+		for _, v := range vs {
 			if v.txn.status != txnAborted {
 				live = append(live, v)
 			}
 		}
+		clear(vs[len(live):])
 		o.cells[c].versions = live
 	}
 }
@@ -222,16 +312,15 @@ type flushPlan struct {
 	why   uint64 // causality id of the version's creator (0 = off)
 }
 
-// collectFlush folds every committed version into the base and returns
-// the write-back plan. It must run when writers == 0, i.e. when every
-// version is resolved. Pending versions cannot exist then.
+// collectFlush folds every committed version into the base and appends
+// the write-back plan to plans. It must run when writers == 0, i.e.
+// when every version is resolved. Pending versions cannot exist then.
 //
 // Pending readers of the folded versions need no bookkeeping here:
 // they revalidate at commit (the fold moves the base commit timestamp,
 // which their supersede check compares against).
-func (o *object) collectFlush() []flushPlan {
+func (o *object) collectFlush(plans []flushPlan) []flushPlan {
 	o.dropAborted()
-	var plans []flushPlan
 	for c := range o.cells {
 		cs := &o.cells[c]
 		vs := cs.versions
@@ -248,7 +337,8 @@ func (o *object) collectFlush() []flushPlan {
 		o.epochs[c] = en
 		o.base[c] = newest.value
 		o.baseVer[c] = layout.CellVersion{EN: en, TS: newest.txn.tsCommit}
-		cs.versions = nil
+		clear(vs)
+		cs.versions = vs[:0]
 	}
 	return plans
 }

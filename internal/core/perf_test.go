@@ -1,0 +1,117 @@
+package core
+
+import (
+	"math/rand"
+	"testing"
+
+	"crest/internal/engine"
+	"crest/internal/layout"
+	"crest/internal/memnode"
+	"crest/internal/rdma"
+	"crest/internal/sim"
+	"crest/internal/workload"
+	"crest/internal/workload/smallbank"
+	"crest/internal/workload/tpcc"
+)
+
+// localizedAttemptAllocs is the steady-state allocation count of the
+// attempt TestLocalizedAttemptAllocs runs, as measured when the
+// localized path last changed (27 before objects were recycled and
+// records decoded into them).
+const localizedAttemptAllocs = 6
+
+// TestLocalizedAttemptAllocs bounds the steady-state allocations of one
+// uncontended localized attempt — a read-write record and a read-only
+// record, so admission, validation, log and write-back all run. With
+// one coordinator every attempt ends with its objects unreferenced and
+// retired, so each one also re-creates its two objects. What is left is
+// what outlives the attempt or is the caller's: the transaction state,
+// the version, the two base blocks, the hook's value. The history
+// checker is off, as in a benchmark run.
+func TestLocalizedAttemptAllocs(t *testing.T) {
+	f := newFixture(t, DefaultOptions(), 2, 1, 1, 4, false)
+	c := f.cns[0].NewCoordinator(0)
+	var out []uint64
+	txn := incTxn(0, 0, 1)
+	txn.Blocks[0].Ops = append(txn.Blocks[0].Ops, readTxn(1, []int{1}, &out).Blocks[0].Ops...)
+	var got float64
+	f.env.Spawn("c", func(p *sim.Proc) {
+		for i := 0; i < 64; i++ { // grow the scratch to its steady state
+			c.Execute(p, txn)
+		}
+		got = testing.AllocsPerRun(200, func() {
+			if a := c.Execute(p, txn); !a.Committed {
+				t.Errorf("uncontended attempt aborted: %v", a.Reason)
+			}
+		})
+	})
+	run(t, f)
+	t.Logf("%.0f allocs per attempt", got)
+	if got > localizedAttemptAllocs {
+		t.Errorf("%.0f allocs per attempt, %d when last measured", got, localizedAttemptAllocs)
+	}
+	if n := f.cns[0].CachedObjects(); n != 0 {
+		t.Errorf("%d objects still cached: the attempts did not re-create theirs", n)
+	}
+}
+
+// benchLocalized times one coordinator executing txns round-robin, back
+// to back and uncontended, on a freshly loaded gen: the localized
+// path's own cost with every object evicted and re-created per attempt.
+// Generation stays outside the loop — txns (of one label, if given) are
+// made up front and re-executed, as a retry would.
+func benchLocalized(b *testing.B, gen workload.Generator, label string) {
+	env := sim.NewEnv(1)
+	params := rdma.DefaultParams()
+	params.JitterPct = 0
+	size := 8 << 20
+	for _, def := range gen.Tables() {
+		size += def.Capacity * (layout.NewRecord(def.Schema.Normalize()).Size() + 64)
+	}
+	sys := New(engine.NewDB(memnode.NewPool(rdma.NewFabric(env, params), 2, size, 1)), DefaultOptions())
+	for _, def := range gen.Tables() {
+		sys.CreateTable(def.Schema, def.Capacity)
+	}
+	gen.Load(sys.Load)
+	if err := sys.FinishLoad(); err != nil {
+		b.Fatal(err)
+	}
+	cn := sys.NewComputeNode(0)
+	cn.WarmCache()
+	c := cn.NewCoordinator(0)
+	rng := rand.New(rand.NewSource(1))
+	var txns []*engine.Txn
+	for len(txns) < 64 {
+		if t := gen.Next(rng); label == "" || t.Label == label {
+			txns = append(txns, t)
+		}
+	}
+	env.Spawn("bench", func(p *sim.Proc) {
+		exec := func(i int) {
+			if a := c.Execute(p, txns[i%len(txns)]); !a.Committed {
+				b.Errorf("uncontended attempt aborted: %v", a.Reason)
+			}
+		}
+		for i := 0; i < 2*len(txns); i++ { // scratch, free list and tracker at steady state
+			exec(i)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			exec(i)
+		}
+	})
+	if err := env.Run(); err != nil {
+		b.Fatal(err)
+	}
+}
+
+func BenchmarkLocalizedAttemptSmallBank(b *testing.B) {
+	benchLocalized(b, smallbank.New(smallbank.Config{Accounts: 10_000}), "")
+}
+
+func BenchmarkLocalizedAttemptNewOrder(b *testing.B) {
+	cfg := tpcc.DefaultConfig()
+	cfg.Warehouses = 4
+	benchLocalized(b, tpcc.New(cfg), "NewOrder")
+}

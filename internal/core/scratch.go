@@ -23,6 +23,7 @@ type execScratch struct {
 	objs      []*object
 	work      []*object
 	fins      []fin
+	plans     []flushPlan // every fin's flush plans, back to back
 	depIDs    []uint64
 }
 

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"crest/internal/layout"
+	"crest/internal/memnode"
 )
 
 // ConflictTracker is instrumentation that classifies aborts as true or
@@ -13,13 +14,64 @@ import (
 // Protocol code never reads the tracker to make decisions; it exists
 // purely so the record-level baselines can report how many of their
 // aborts a cell-level protocol would have avoided.
+//
+// The tracker only hands out each record's state (Rec); the events and
+// the queries are methods on that handle. Every engine pays for the
+// classifier on every record of every attempt, so a caller looks its
+// record up once and keeps the handle for as long as it keeps the
+// record: the strict driver for the attempt, CREST's record cache for
+// the local object's lifetime.
 type ConflictTracker struct {
-	recs map[RecKey]*recConflictState
+	tables map[layout.TableID]*Table // the database's tables, for their heaps
+	recs   map[layout.TableID]*tableConflicts
 }
 
-type recConflictState struct {
-	holders [64]int // per-cell count of accessors covering the cell
+// tableConflicts is one table's states by heap slot: 8 bytes a row,
+// sized at the table's first event, the states themselves created on a
+// record's first.
+type tableConflicts struct {
+	heap *memnode.Heap
+	recs []*RecConflict
+}
+
+// NewConflictTracker returns an empty tracker over tables (a DB's
+// Tables, which may still gain tables).
+func NewConflictTracker(tables map[layout.TableID]*Table) *ConflictTracker {
+	return &ConflictTracker{tables: tables, recs: map[layout.TableID]*tableConflicts{}}
+}
+
+// Rec returns the state of table's record at heap offset off — the
+// record's identity on this path: no key is hashed.
+func (c *ConflictTracker) Rec(table layout.TableID, off uint64) *RecConflict {
+	t := c.recs[table]
+	if t == nil {
+		heap := c.tables[table].Heap
+		t = &tableConflicts{heap: heap, recs: make([]*RecConflict, heap.Count)}
+		c.recs[table] = t
+	}
+	slot := t.heap.SlotOf(off)
+	r := t.recs[slot]
+	if r == nil {
+		r = newRecConflict()
+		t.recs[slot] = r
+	}
+	return r
+}
+
+// RecConflict is one record's classification state: the cell coverage
+// of its live lock holders and the cells its latest updates changed.
+type RecConflict struct {
+	// holders is one coverage mask per OnLock not yet undone by its
+	// OnUnlock, in no particular order.
+	holders []uint64
+	// updates is the newest conflictHistoryLen updates: filled in order,
+	// then a ring whose oldest entry is at head.
 	updates []update
+	head    int
+	// Room for the common case — a holder or two, a record updated once
+	// or twice (every inserted row) — so that it costs one allocation.
+	holders0 [2]uint64
+	updates0 [2]update
 }
 
 type update struct {
@@ -32,80 +84,70 @@ type update struct {
 // as a true conflict.
 const conflictHistoryLen = 16
 
-// NewConflictTracker returns an empty tracker.
-func NewConflictTracker() *ConflictTracker {
-	return &ConflictTracker{recs: map[RecKey]*recConflictState{}}
-}
-
-func (c *ConflictTracker) rec(table layout.TableID, key layout.Key) *recConflictState {
-	k := RecKey{table, key}
-	r := c.recs[k]
-	if r == nil {
-		r = &recConflictState{}
-		c.recs[k] = r
-	}
+func newRecConflict() *RecConflict {
+	r := &RecConflict{}
+	r.holders = r.holders0[:0]
+	r.updates = r.updates0[:0]
 	return r
 }
 
-// OnLock records that a transaction now covers cells of (table, key).
+// OnLock records that a transaction now covers cells of the record.
 // Several transactions may cover the same cell (CREST's local sharing
-// of a compute node's remote locks), so coverage is counted per cell.
-func (c *ConflictTracker) OnLock(table layout.TableID, key layout.Key, cells uint64) {
-	r := c.rec(table, key)
-	for m := cells; m != 0; m &= m - 1 {
-		r.holders[trailingBit(m)]++
-	}
+// of a compute node's remote locks), so every holder's mask is kept.
+func (r *RecConflict) OnLock(cells uint64) {
+	r.holders = append(r.holders, cells)
 }
 
-// OnUnlock removes one transaction's coverage.
-func (c *ConflictTracker) OnUnlock(table layout.TableID, key layout.Key, cells uint64) {
-	r := c.rec(table, key)
-	for m := cells; m != 0; m &= m - 1 {
-		b := trailingBit(m)
-		if r.holders[b] == 0 {
-			panic("engine: conflict tracker unlock without lock")
+// OnUnlock removes one transaction's coverage. The pairing contract:
+// cells is exactly the mask one live OnLock supplied — every caller
+// unlocks with the mask it locked with — and an unlock that matches no
+// live lock panics.
+func (r *RecConflict) OnUnlock(cells uint64) {
+	for i, m := range r.holders {
+		if m == cells {
+			last := len(r.holders) - 1
+			r.holders[i] = r.holders[last]
+			r.holders = r.holders[:last]
+			return
 		}
-		r.holders[b]--
 	}
-}
-
-func trailingBit(m uint64) int {
-	n := 0
-	for m&1 == 0 {
-		m >>= 1
-		n++
-	}
-	return n
+	panic("engine: conflict tracker unlock without lock")
 }
 
 // HolderCells reports the cells currently covered by lock holders.
-func (c *ConflictTracker) HolderCells(table layout.TableID, key layout.Key) uint64 {
-	r := c.rec(table, key)
+func (r *RecConflict) HolderCells() uint64 {
 	var mask uint64
-	for b, n := range r.holders {
-		if n > 0 {
-			mask |= 1 << uint(b)
-		}
+	for _, m := range r.holders {
+		mask |= m
 	}
 	return mask
 }
 
 // OnUpdate records that a committed update produced version and
 // changed cells.
-func (c *ConflictTracker) OnUpdate(table layout.TableID, key layout.Key, version, cells uint64) {
-	r := c.rec(table, key)
-	r.updates = append(r.updates, update{version: version, cells: cells})
-	if len(r.updates) > conflictHistoryLen {
-		r.updates = r.updates[1:]
+func (r *RecConflict) OnUpdate(version, cells uint64) {
+	u := update{version: version, cells: cells}
+	switch {
+	case len(r.updates) < cap(r.updates):
+		r.updates = append(r.updates, u)
+	case cap(r.updates) < conflictHistoryLen:
+		// Past the inline room: move to the ring's whole storage at once;
+		// the record keeps it from here on.
+		ring := make([]update, len(r.updates), conflictHistoryLen)
+		copy(ring, r.updates)
+		r.updates = append(ring, u)
+	default:
+		r.updates[r.head] = u
+		r.head = (r.head + 1) % conflictHistoryLen
 	}
 }
 
 // ChangedSince returns the union of cells changed by updates with
 // version > since. If the ring no longer covers since, it returns the
 // all-ones mask (conservatively a true conflict).
-func (c *ConflictTracker) ChangedSince(table layout.TableID, key layout.Key, since uint64) uint64 {
-	r := c.rec(table, key)
-	if len(r.updates) > 0 && r.updates[0].version > since+1 {
+func (r *RecConflict) ChangedSince(since uint64) uint64 {
+	// head is 0 until the ring is full, so it always names the oldest.
+	if len(r.updates) > 0 && r.updates[r.head].version > since+1 {
 		return ^uint64(0)
 	}
 	var cells uint64

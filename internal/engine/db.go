@@ -92,12 +92,13 @@ type DB struct {
 
 // NewDB wraps a pool.
 func NewDB(pool *memnode.Pool) *DB {
+	tables := map[layout.TableID]*Table{}
 	return &DB{
 		Pool:    pool,
 		Fabric:  pool.Fabric(),
-		Tables:  map[layout.TableID]*Table{},
+		Tables:  tables,
 		TSO:     &TSO{},
-		Tracker: NewConflictTracker(),
+		Tracker: NewConflictTracker(tables),
 		Cost:    DefaultCostModel(),
 
 		txnNext:   1,
@@ -142,7 +143,7 @@ func (db *DB) PartitionView(env *sim.Env, part int) *DB {
 		Fabric:  db.Fabric,
 		Tables:  db.Tables,
 		TSO:     NewPartitionTSO(env, part, db.TSO.Last()),
-		Tracker: NewConflictTracker(),
+		Tracker: NewConflictTracker(db.Tables),
 		History: db.History.Fork(),
 		Cost:    db.Cost,
 		Obs:     db.Obs.shard(part, parts, db.Pool.Shards()),

@@ -10,7 +10,7 @@ import (
 	"crest/internal/sim"
 )
 
-func newTestDB(t *testing.T) (*sim.Env, *DB) {
+func newTestDB(t testing.TB) (*sim.Env, *DB) {
 	t.Helper()
 	env := sim.NewEnv(1)
 	params := rdma.DefaultParams()

@@ -121,48 +121,48 @@ func TestQuickHistoryIncrementChain(t *testing.T) {
 }
 
 func TestConflictTrackerHolders(t *testing.T) {
-	ct := NewConflictTracker()
-	ct.OnLock(1, 2, 0b011)
-	ct.OnLock(1, 2, 0b110) // second holder shares cell 1
-	if got := ct.HolderCells(1, 2); got != 0b111 {
+	ct := newRecConflict()
+	ct.OnLock(0b011)
+	ct.OnLock(0b110) // second holder shares cell 1
+	if got := ct.HolderCells(); got != 0b111 {
 		t.Fatalf("holders = %b", got)
 	}
-	ct.OnUnlock(1, 2, 0b011)
-	if got := ct.HolderCells(1, 2); got != 0b110 {
+	ct.OnUnlock(0b011)
+	if got := ct.HolderCells(); got != 0b110 {
 		t.Fatalf("holders after one unlock = %b (cell 1 still held)", got)
 	}
-	ct.OnUnlock(1, 2, 0b110)
-	if got := ct.HolderCells(1, 2); got != 0 {
+	ct.OnUnlock(0b110)
+	if got := ct.HolderCells(); got != 0 {
 		t.Fatalf("holders after full unlock = %b", got)
 	}
 }
 
 func TestConflictTrackerUnbalancedUnlockPanics(t *testing.T) {
-	ct := NewConflictTracker()
+	ct := newRecConflict()
 	defer func() {
 		if recover() == nil {
 			t.Fatal("no panic on unbalanced unlock")
 		}
 	}()
-	ct.OnUnlock(1, 2, 1)
+	ct.OnUnlock(1)
 }
 
 func TestConflictTrackerChangedSince(t *testing.T) {
-	ct := NewConflictTracker()
-	ct.OnUpdate(1, 2, 10, 0b001)
-	ct.OnUpdate(1, 2, 20, 0b010)
-	ct.OnUpdate(1, 2, 30, 0b100)
-	if got := ct.ChangedSince(1, 2, 10); got != 0b110 {
+	ct := newRecConflict()
+	ct.OnUpdate(10, 0b001)
+	ct.OnUpdate(20, 0b010)
+	ct.OnUpdate(30, 0b100)
+	if got := ct.ChangedSince(10); got != 0b110 {
 		t.Fatalf("ChangedSince(10) = %b", got)
 	}
-	if got := ct.ChangedSince(1, 2, 30); got != 0 {
+	if got := ct.ChangedSince(30); got != 0 {
 		t.Fatalf("ChangedSince(30) = %b", got)
 	}
 	// Overflowing the ring makes old queries conservative (all ones).
 	for i := 0; i < conflictHistoryLen+2; i++ {
-		ct.OnUpdate(1, 2, uint64(100+i), 1)
+		ct.OnUpdate(uint64(100+i), 1)
 	}
-	if got := ct.ChangedSince(1, 2, 10); got != ^uint64(0) {
+	if got := ct.ChangedSince(10); got != ^uint64(0) {
 		t.Fatalf("evicted history not conservative: %b", got)
 	}
 }

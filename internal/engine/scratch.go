@@ -156,9 +156,10 @@ func (a *Arena) Bytes(n int) []byte {
 }
 
 // Scratch is the attempt-scoped working memory every execution path
-// needs: the per-node batch builder, the byte arena, a verb list, and
-// the log encoding buffer with its persistent per-replica batches. Paths embed
-// it in their own scratch beside their record slabs and lists.
+// needs: the per-node batch builder, the byte arena, a verb list, a
+// replica-node list, and the log encoding buffer with its persistent
+// per-replica batches. Paths embed it in their own scratch beside their
+// record slabs and lists.
 //
 // Coordinators are shared round-robin across transaction processes, so
 // attempts on one coordinator can overlap in virtual time; each attempt
@@ -170,7 +171,8 @@ type Scratch struct {
 	Bat *Batcher
 	Arena
 	LogBuf     []byte
-	Ops        []rdma.Op // one record's install or write-back WRITEs, before they fan out to the replicas
+	Ops        []rdma.Op       // one record's install or write-back WRITEs, before they fan out to the replicas
+	Nodes      []*memnode.Node // the replicas they fan out to (Pool.AppendReplicaNodes)
 	logBatches []rdma.Batch
 }
 

@@ -40,6 +40,8 @@ type Work[X any] struct {
 	Locked bool   // lock held on the primary
 	Data   []byte // working copy; what it holds is the format's business
 	X      X
+
+	conf *RecConflict // the record's conflict-tracker state, once the attempt needed it
 }
 
 // Snapshot is the read view of an attempt: the zero value reads the
@@ -308,6 +310,15 @@ func (c *Strict[X]) prepare(p *sim.Proc, t *Txn, blk *Block, sc *strictScratch[X
 	return sc.ws[start:]
 }
 
+// conflict returns the conflict-tracker state of w's record, looked up
+// at most once per attempt.
+func (c *Strict[X]) conflict(w *Work[X]) *RecConflict {
+	if w.conf == nil {
+		w.conf = c.DB.Tracker.Rec(w.Table, w.Off)
+	}
+	return w.conf
+}
+
 // DuplicateRecord is the panic for a transaction naming one record in
 // two ops: each record a transaction touches appears in exactly one Op
 // (see Op).
@@ -360,14 +371,14 @@ func (c *Strict[X]) fetch(p *sim.Proc, sc *strictScratch[X], ws []*Work[X], snap
 					// No-wait on locks: the attempt aborts.
 					if !(nodeMajor && lockFailed) {
 						mine |= w.Cells
-						theirs |= db.Tracker.HolderCells(w.Table, w.Key)
+						theirs |= c.conflict(w).HolderCells()
 					}
 					lockFailed = true
 					db.Obs.LockConflict(p, w.Table, w.Key, w.Lock)
 					continue
 				}
 				w.Locked = true
-				db.Tracker.OnLock(w.Table, w.Key, w.Cells)
+				c.conflict(w).OnLock(w.Cells)
 				db.Obs.LockAcquired(p, w.Table, w.Key, w.Lock)
 			}
 			if stale {
@@ -377,7 +388,7 @@ func (c *Strict[X]) fetch(p *sim.Proc, sc *strictScratch[X], ws []*Work[X], snap
 			case FetchRetry:
 				again = append(again, w)
 				mine |= w.Cells
-				theirs |= db.Tracker.HolderCells(w.Table, w.Key)
+				theirs |= c.conflict(w).HolderCells()
 				db.Obs.LockConflict(p, w.Table, w.Key, cells)
 			case FetchStale:
 				stale = true
@@ -465,9 +476,10 @@ func (c *Strict[X]) validate(p *sim.Proc, sc *strictScratch[X], elapsed sim.Dura
 			if ok {
 				continue
 			}
-			conflicting := db.Tracker.ChangedSince(w.Table, w.Key, since)
+			conf := c.conflict(w)
+			conflicting := conf.ChangedSince(since)
 			if locked {
-				conflicting |= db.Tracker.HolderCells(w.Table, w.Key)
+				conflicting |= conf.HolderCells()
 			}
 			db.Obs.ValidationConflict(p, w.Table, w.Key, cells, since)
 			return AbortValidation, IsFalseConflict(w.Cells, conflicting)
@@ -486,7 +498,7 @@ func (c *Strict[X]) release(p *sim.Proc, sc *strictScratch[X]) {
 			continue
 		}
 		sc.Bat.Append(sc.Bat.Batch(w.Primary.Region), c.fmt.UnlockOp(&c.Coord, w))
-		db.Tracker.OnUnlock(w.Table, w.Key, w.Cells)
+		c.conflict(w).OnUnlock(w.Cells)
 		db.Obs.LockReleased(p, w.Table, w.Key, w.Lock)
 		w.Locked = false
 	}
@@ -518,7 +530,8 @@ func (c *Strict[X]) install(p *sim.Proc, sc *strictScratch[X], ts uint64) {
 			continue
 		}
 		sc.Ops = c.fmt.Install(p, &c.Coord, w, ts, &sc.Arena, sc.Ops[:0])
-		for _, n := range db.Pool.ReplicaNodes(w.Table, w.Key) {
+		sc.Nodes = db.Pool.AppendReplicaNodes(sc.Nodes[:0], w.Table, w.Key)
+		for _, n := range sc.Nodes {
 			bi := sc.Bat.Batch(n.Region)
 			for _, op := range sc.Ops {
 				sc.Bat.Append(bi, op)
@@ -534,8 +547,9 @@ func (c *Strict[X]) install(p *sim.Proc, sc *strictScratch[X], ts uint64) {
 			continue
 		}
 		wrote := layout.LockMask(w.Op.WriteCells)
-		db.Tracker.OnUnlock(w.Table, w.Key, w.Cells)
-		db.Tracker.OnUpdate(w.Table, w.Key, ts, wrote)
+		conf := c.conflict(w)
+		conf.OnUnlock(w.Cells)
+		conf.OnUpdate(ts, wrote)
 		db.Obs.CommitReleased(p, w.Table, w.Key, ts, wrote, w.Lock)
 		w.Locked = false
 	}

@@ -180,16 +180,21 @@ func (p *Pool) primaryIndex(table layout.TableID, key layout.Key) int {
 
 // ReplicaNodes returns the primary followed by the f backup nodes for
 // (table, key), in replication order. Replication never leaves the
-// owning shard group.
+// owning shard group. It allocates the list: set-up and recovery call
+// it, the commit paths call AppendReplicaNodes with a buffer they keep.
 func (p *Pool) ReplicaNodes(table layout.TableID, key layout.Key) []*Node {
+	return p.AppendReplicaNodes(make([]*Node, 0, p.replicas+1), table, key)
+}
+
+// AppendReplicaNodes appends what ReplicaNodes returns to dst.
+func (p *Pool) AppendReplicaNodes(dst []*Node, table layout.TableID, key layout.Key) []*Node {
 	g := p.policy.Shard(table, key, p.shards)
 	pi := p.policy.Primary(table, key, p.perGroup)
 	base := g * p.perGroup
-	out := make([]*Node, 0, p.replicas+1)
 	for i := 0; i <= p.replicas; i++ {
-		out = append(out, p.nodes[base+(pi+i)%p.perGroup])
+		dst = append(dst, p.nodes[base+(pi+i)%p.perGroup])
 	}
-	return out
+	return dst
 }
 
 // LogNodes returns the count nodes hosting coordinator id's log
@@ -248,6 +253,15 @@ func (h *Heap) SlotOff(i int) uint64 {
 		panic(fmt.Sprintf("memnode: slot %d outside heap of %d", i, h.Count))
 	}
 	return h.Base + uint64(i*h.RecSize)
+}
+
+// SlotOf is the inverse of SlotOff: the slot of the record at region
+// offset off.
+func (h *Heap) SlotOf(off uint64) int {
+	if off < h.Base || off >= h.Base+uint64(h.Count*h.RecSize) {
+		panic(fmt.Sprintf("memnode: offset %d outside heap of %d slots at %d", off, h.Count, h.Base))
+	}
+	return int((off - h.Base) / uint64(h.RecSize))
 }
 
 // LogSegment is a per-coordinator append-only log area in the memory
