@@ -161,7 +161,7 @@ func TestRecycledShellStartsFresh(t *testing.T) {
 		if len(got.cells[c].versions) != 0 || got.cells[c].maxReadTS != 0 {
 			t.Errorf("cell %d: %d versions, maxReadTS %d", c, len(got.cells[c].versions), got.cells[c].maxReadTS)
 		}
-		got.cells[c].versions = nil // the kept capacity is the point
+		want.cells[c].versions = got.cells[c].versions // empty, and the kept capacity is the point
 	}
 	// The lazy labels point at their own object; compare them apart.
 	if !reflect.DeepEqual(&got.mu, labelledMutex(got)) || !reflect.DeepEqual(&got.stateQ, labelledQueue(got)) {
