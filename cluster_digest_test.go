@@ -1,0 +1,94 @@
+package crest
+
+import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"io"
+	"strings"
+	"testing"
+	"time"
+)
+
+// clusterDigests pins the public-API path (NewCluster → Load →
+// Finalize → ExecuteAll, all four observers on) to its bytes across
+// commits. Generated at the commit before crest.Cluster moved onto the
+// bench harness's assembly; a refactor of that assembly must not edit
+// it. A changed coordinator or queue-pair creation order, a changed log
+// segment, or an observer attached with a nonzero warmup all move it.
+var clusterDigests = map[string]string{
+	"crest/1":      "e4106d46 dd44bea7 eef28f3d 33593d22 3c89474a",
+	"crest/2":      "5d1d4c68 a1fc8be0 1f116dbe 6eff1339 f4b4575e",
+	"crest-cell/1": "68623c66 7db6d4fd 3a1a0968 35806bd9 0c0347f4",
+	"crest-cell/2": "55c98f70 5f2ca981 1e435f32 c7cc273b e762db36",
+	"crest-base/1": "68623c66 3980596e 3a1a0968 04049809 0c0347f4",
+	"crest-base/2": "55c98f70 7fad190a 1e435f32 11f83d21 e762db36",
+	"ford/1":       "f73acd3d 9a1d1ba1 e6d3a9da 544f0bfc 0602999c",
+	"ford/2":       "eefc05d1 9a3b9ef4 f18d6569 a88940ae 40441cd2",
+	"motor/1":      "639d4931 f8322c5c 1154025e b270121c 7242da7f",
+	"motor/2":      "1a9f8a67 9cab10e6 82d67be7 f6b07e18 ebc7d760",
+}
+
+// clusterDigest runs the fixed bank load and ExecuteAll batch on one
+// topology and digests, in order: every Result with the virtual end
+// time, the Chrome trace, the metrics CSV, the crest-why JSON and the
+// crest-flight JSON.
+func clusterDigest(t *testing.T, system System, shards int) string {
+	t.Helper()
+	cfg := Config{ObserverOptions: ObserverOptions{Trace: true, Why: true, Flight: true,
+		// The batch is over in well under the default 100µs window.
+		Metrics: true, MetricsWindow: 10 * time.Microsecond}}
+	if shards > 1 {
+		cfg.Shards, cfg.Placement = shards, "modulo"
+	}
+	c := newShardedBank(t, system, 16, cfg)
+	// Transfers that collide on a few accounts (retries, waits, aborts)
+	// beside ones that do not, more of them than coordinators so the
+	// round-robin wraps.
+	var txns []*Txn
+	for i := 0; i < 40; i++ {
+		txns = append(txns, transfer(Key(i%3), Key(3+i%5), uint64(1+i%2)))
+		if i%4 == 0 {
+			txns = append(txns, transfer(Key(8+i%8), Key((9+i)%16), 1))
+		}
+	}
+	results, err := c.ExecuteAll(txns...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var parts []string
+	part := func(write func(io.Writer) error) {
+		var buf bytes.Buffer
+		if err := write(&buf); err != nil {
+			t.Fatal(err)
+		}
+		sum := sha256.Sum256(buf.Bytes())
+		parts = append(parts, hex.EncodeToString(sum[:4]))
+	}
+	part(func(w io.Writer) error {
+		for _, r := range results {
+			fmt.Fprintf(w, "%t %d %d\n", r.Committed, r.Attempts, r.Latency)
+		}
+		_, err := fmt.Fprintf(w, "now %d\n", c.Now())
+		return err
+	})
+	part(func(w io.Writer) error { return WriteChromeTrace(w, c.TraceSnapshot()) })
+	part(func(w io.Writer) error { return WriteMetricsCSV(w, c.MetricsSnapshot()) })
+	part(func(w io.Writer) error { return WriteWhyJSON(w, c.WhySnapshot()) })
+	part(func(w io.Writer) error { return WriteFlightJSON(w, c.FlightSnapshot()) })
+	return strings.Join(parts, " ")
+}
+
+func TestClusterDigests(t *testing.T) {
+	for _, system := range []System{SystemCREST, SystemCRESTCell, SystemCRESTBase, SystemFORD, SystemMotor} {
+		for _, shards := range []int{1, 2} {
+			name := fmt.Sprintf("%s/%d", system, shards)
+			t.Run(name, func(t *testing.T) {
+				if got := clusterDigest(t, system, shards); got != clusterDigests[name] {
+					t.Errorf("digest drifted:\n\t%q: %q, (pinned %q)", name, got, clusterDigests[name])
+				}
+			})
+		}
+	}
+}
