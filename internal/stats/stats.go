@@ -17,11 +17,17 @@ import (
 type Latencies struct {
 	samples []float64
 	sorted  bool
+	// sum accumulates in arrival order, so the mean does not depend on
+	// whether a percentile query has sorted samples yet.
+	sum float64
 }
 
 // Add records one sample.
-func (l *Latencies) Add(d sim.Duration) {
-	l.samples = append(l.samples, d.Micros())
+func (l *Latencies) Add(d sim.Duration) { l.add(d.Micros()) }
+
+func (l *Latencies) add(us float64) {
+	l.samples = append(l.samples, us)
+	l.sum += us
 	l.sorted = false
 }
 
@@ -33,11 +39,7 @@ func (l *Latencies) Avg() float64 {
 	if len(l.samples) == 0 {
 		return 0
 	}
-	sum := 0.0
-	for _, v := range l.samples {
-		sum += v
-	}
-	return sum / float64(len(l.samples))
+	return l.sum / float64(len(l.samples))
 }
 
 // Percentile returns the p-th percentile in microseconds, using
@@ -78,10 +80,13 @@ func (l *Latencies) P99() float64 { return l.Percentile(99) }
 // P999 returns the 99.9th percentile.
 func (l *Latencies) P999() float64 { return l.Percentile(99.9) }
 
-// Merge folds other's samples into l.
+// Merge folds other's samples into l one by one: adding other's sum in
+// one step would round differently from a single accumulator that saw
+// every sample.
 func (l *Latencies) Merge(other *Latencies) {
-	l.samples = append(l.samples, other.samples...)
-	l.sorted = false
+	for _, us := range other.samples {
+		l.add(us)
+	}
 }
 
 // Breakdown accumulates per-phase time across committed transactions

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -147,5 +148,46 @@ func TestRunMerge(t *testing.T) {
 	}
 	if a.ByReason[engine.AbortValidation] != 1 {
 		t.Fatal("reasons not merged")
+	}
+}
+
+// The mean must not depend on whether a percentile was asked first:
+// Percentile sorts the samples in place, and a mean summed in slice
+// order would then round differently.
+func TestAvgIndependentOfPercentileOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	fill := func(n int) *Latencies {
+		l := &Latencies{}
+		for i := 0; i < n; i++ {
+			l.Add(sim.Duration(rng.Int63n(int64(800 * sim.Microsecond))))
+		}
+		return l
+	}
+	check := func(name string, l *Latencies) {
+		before := l.Avg()
+		l.P999()
+		if after := l.Avg(); math.Float64bits(after) != math.Float64bits(before) {
+			t.Errorf("%s: avg %v before P999, %v after", name, before, after)
+		}
+	}
+	check("sequential", fill(50000))
+
+	a, b := fill(30000), fill(20000)
+	b.P50() // one side already sorted when it is folded in
+	var merged Latencies
+	merged.Merge(a)
+	merged.Merge(b)
+	check("merged", &merged)
+
+	// A merge is the same additions in the same order as one
+	// accumulator fed every sample.
+	var one Latencies
+	for _, l := range []*Latencies{a, b} {
+		for _, us := range l.samples {
+			one.add(us)
+		}
+	}
+	if math.Float64bits(one.Avg()) != math.Float64bits(merged.Avg()) {
+		t.Errorf("merged avg %v, single accumulator %v", merged.Avg(), one.Avg())
 	}
 }
