@@ -157,14 +157,14 @@ func sanitizeMetric(s string) string {
 
 func benchCfg(p bench.Profile, system bench.SystemKind, wl func() workload.Generator) bench.Config {
 	return bench.Config{
-		System:      system,
-		Workload:    wl,
-		MemNodes:    2,
-		CompNodes:   3,
-		CoordsPerCN: p.MaxCoords / 3,
-		Replicas:    p.Replicas,
-		Seed:        p.Seed,
-		Duration:    p.Duration,
-		Warmup:      p.Warmup,
+		System:       system,
+		Workload:     wl,
+		MemNodes:     2,
+		CompNodes:    3,
+		Coordinators: p.MaxCoords / 3 * 3,
+		Replicas:     p.Replicas,
+		Seed:         p.Seed,
+		Duration:     p.Duration,
+		Warmup:       p.Warmup,
 	}
 }

@@ -165,18 +165,15 @@ type TableSpec struct {
 }
 
 // Cluster is a simulated disaggregated deployment: a memory pool, the
-// chosen transaction system, and compute nodes with coordinators.
+// chosen transaction system, and compute nodes with coordinators. It is
+// the bench harness's deployment under the public names; what is its
+// own is Execute, the row operations and recovery.
 type Cluster struct {
 	cfg       Config
-	env       *sim.Env
-	fabric    *rdma.Fabric
-	pool      *memnode.Pool
-	db        *engine.DB
-	sys       bench.System
-	crestSys  *core.System // non-nil when System is a CREST variant
 	specs     []TableSpec
+	dep       *bench.Deployment // nil until the first Load or Finalize
 	finalized bool
-	coords    []engine.Coordinator
+	coords    []bench.Seat
 	next      int
 	obs       engine.Observers // each recorder nil unless its Config flag is set
 }
@@ -188,20 +185,13 @@ func NewCluster(cfg Config) (*Cluster, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	c := &Cluster{cfg: cfg, env: sim.NewEnv(cfg.Seed)}
-	params := rdma.DefaultParams()
-	if cfg.RTT > 0 {
-		params.RTT = sim.Duration(cfg.RTT)
-	}
-	c.fabric = rdma.NewFabric(c.env, params)
-	c.obs = cfg.recorders()
-	return c, nil
+	return &Cluster{cfg: cfg, obs: cfg.recorders()}, nil
 }
 
 // CreateTable declares a table. All tables must be created before the
 // first Load.
 func (c *Cluster) CreateTable(spec TableSpec) error {
-	if c.pool != nil {
+	if c.dep != nil {
 		return fmt.Errorf("crest: CreateTable after loading began")
 	}
 	s := layout.Schema{ID: spec.ID, Name: spec.Name, CellSizes: spec.CellSizes}
@@ -215,9 +205,9 @@ func (c *Cluster) CreateTable(spec TableSpec) error {
 	return nil
 }
 
-// ensureSystem materializes the pool and system once tables are known.
+// ensureSystem deploys the pool and system once tables are known.
 func (c *Cluster) ensureSystem() error {
-	if c.pool != nil {
+	if c.dep != nil {
 		return nil
 	}
 	if len(c.specs) == 0 {
@@ -230,39 +220,30 @@ func (c *Cluster) ensureSystem() error {
 			Capacity: spec.Capacity,
 		})
 	}
-	size := c.cfg.PoolBytes
-	need := bench.PoolBytes(defs, c.cfg.ComputeNodes*c.cfg.CoordinatorsPerNode)
-	if size == 0 {
-		size = need
-	} else if size < need {
-		return fmt.Errorf("crest: pool of %d bytes per node cannot hold the declared tables and logs (need at least %d)", size, need)
+	params := rdma.DefaultParams()
+	if c.cfg.RTT > 0 {
+		params.RTT = sim.Duration(c.cfg.RTT)
 	}
-	pol, err := placement.New(c.cfg.Placement)
-	if err != nil {
-		return err
-	}
-	if hs, ok := pol.(*placement.Hotspot); ok && len(c.cfg.PlacementHotKeys) > 0 {
-		hs.Seed(c.cfg.PlacementHotKeys)
-	}
-	pool, err := memnode.NewShardedPool(c.fabric, c.cfg.Shards, c.cfg.MemoryNodes, size, c.cfg.Replicas, pol)
-	if err != nil {
-		return err
-	}
-	c.pool = pool
-	c.db = engine.NewDB(c.pool)
-	c.db.Attach(c.obs, c.env, 0)
-	sys, err := bench.NewSystem(c.cfg.System, c.db)
-	if err != nil {
-		return err
-	}
-	c.sys = sys
-	if cs, ok := bench.CRESTSystem(sys); ok {
-		c.crestSys = cs
-	}
-	for _, def := range defs {
-		c.sys.CreateTable(def.Schema, def.Capacity)
-	}
-	return nil
+	// The deployment takes this literally: no bench.Config.WithDefaults,
+	// whose 2 ms warmup would cut the head off the cluster's records.
+	dep, err := bench.Deploy(bench.Config{
+		System:       c.cfg.System,
+		MemNodes:     c.cfg.MemoryNodes,
+		CompNodes:    c.cfg.ComputeNodes,
+		Shards:       c.cfg.Shards,
+		Placement:    c.cfg.Placement,
+		HotKeys:      c.cfg.PlacementHotKeys,
+		Coordinators: c.cfg.ComputeNodes * c.cfg.CoordinatorsPerNode,
+		Replicas:     c.cfg.Replicas,
+		Seed:         c.cfg.Seed,
+		Params:       params,
+		Trace:        c.obs.Trace,
+		Metrics:      c.obs.Metrics,
+		Why:          c.obs.Why,
+		Flight:       c.obs.Flight,
+	}, defs, c.cfg.PoolBytes, false)
+	c.dep = dep
+	return err
 }
 
 // Load writes a record's initial cell values (the pre-measurement bulk
@@ -274,31 +255,22 @@ func (c *Cluster) Load(table TableID, key Key, cells [][]byte) error {
 	if err := c.ensureSystem(); err != nil {
 		return err
 	}
-	c.sys.Load(table, key, cells)
+	c.dep.Sys.Load(table, key, cells)
 	return nil
 }
 
 // Finalize publishes the indexes and starts the compute nodes. No
 // loads are accepted afterwards.
-func (c *Cluster) Finalize() error {
+func (c *Cluster) Finalize() (err error) {
 	if c.finalized {
 		return fmt.Errorf("crest: already finalized")
 	}
 	if err := c.ensureSystem(); err != nil {
 		return err
 	}
-	if err := c.sys.FinishLoad(); err != nil {
-		return err
-	}
-	for cn := 0; cn < c.cfg.ComputeNodes; cn++ {
-		node := c.sys.NewComputeNode(cn)
-		node.WarmCache()
-		for i := 0; i < c.cfg.CoordinatorsPerNode; i++ {
-			c.coords = append(c.coords, node.NewCoordinator(cn*c.cfg.CoordinatorsPerNode+i))
-		}
-	}
-	c.finalized = true
-	return nil
+	c.coords, err = c.dep.Start()
+	c.finalized = err == nil
+	return err
 }
 
 // Result reports one transaction's outcome. Committed is false when
@@ -337,7 +309,7 @@ func (c *Cluster) ExecuteAll(txns ...*Txn) ([]Result, error) {
 		i, txn := i, txn
 		coord := c.coords[c.next]
 		c.next = (c.next + 1) % len(c.coords)
-		c.env.Spawn(fmt.Sprintf("txn-%s-%d", txn.label, i), func(p *sim.Proc) {
+		c.dep.Env.Spawn(fmt.Sprintf("txn-%s-%d", txn.label, i), func(p *sim.Proc) {
 			start := p.Now()
 			for attempt := 1; attempt <= maxAttempts; attempt++ {
 				a := coord.Execute(p, txn.build())
@@ -351,7 +323,7 @@ func (c *Cluster) ExecuteAll(txns ...*Txn) ([]Result, error) {
 			}
 		})
 	}
-	if err := c.env.Run(); err != nil {
+	if err := c.dep.Env.Run(); err != nil {
 		return nil, err
 	}
 	return results, nil
@@ -401,14 +373,14 @@ func (c *Cluster) rowOp(name string, fn func(*sim.Proc, *core.Coordinator) error
 	if !c.finalized {
 		return fmt.Errorf("crest: Finalize before row operations")
 	}
-	coord, ok := c.coords[c.next].(*core.Coordinator)
+	coord, ok := c.coords[c.next].Coordinator.(*core.Coordinator)
 	if !ok {
 		return fmt.Errorf("crest: row operations require a CREST-variant cluster, not %q", c.cfg.System)
 	}
 	c.next = (c.next + 1) % len(c.coords)
 	var opErr error
-	c.env.Spawn(name, func(p *sim.Proc) { opErr = fn(p, coord) })
-	if err := c.env.Run(); err != nil {
+	c.dep.Env.Spawn(name, func(p *sim.Proc) { opErr = fn(p, coord) })
+	if err := c.dep.Env.Run(); err != nil {
 		return err
 	}
 	return opErr
@@ -421,39 +393,60 @@ type RecoveryReport = core.RecoveryReport
 // redo logs are scanned, the committed closure is rolled forward, and
 // stale locks are cleared). Only CREST-variant clusters support it.
 func (c *Cluster) Recover() (RecoveryReport, error) {
-	if c.crestSys == nil {
-		return RecoveryReport{}, fmt.Errorf("crest: recovery requires a CREST-variant cluster, not %q", c.cfg.System)
+	sys, err := c.crestSystem("recovery")
+	if err != nil {
+		return RecoveryReport{}, err
 	}
-	return c.crestSys.Recover()
+	return sys.Recover()
 }
 
 // ResyncMemoryNode rebuilds a restored memory node's records and
 // indexes from the surviving replicas (run after RestoreMemoryNode
 // and Recover). CREST-variant clusters only.
 func (c *Cluster) ResyncMemoryNode(id int) (records int, err error) {
-	if c.crestSys == nil {
-		return 0, fmt.Errorf("crest: resync requires a CREST-variant cluster, not %q", c.cfg.System)
+	sys, err := c.crestSystem("resync")
+	if err != nil {
+		return 0, err
 	}
-	return c.crestSys.Resync(id)
+	return sys.Resync(id)
+}
+
+// crestSystem unwraps the concrete CREST engine behind the cluster.
+func (c *Cluster) crestSystem(what string) (*core.System, error) {
+	if c.dep != nil {
+		if sys, ok := bench.CRESTSystem(c.dep.Sys); ok {
+			return sys, nil
+		}
+	}
+	return nil, fmt.Errorf("crest: %s requires a CREST-variant cluster, not %q", what, c.cfg.System)
 }
 
 // FailMemoryNode marks a memory node crashed: verbs against it fail
 // until RestoreMemoryNode. For fault-tolerance demonstrations.
 func (c *Cluster) FailMemoryNode(id int) error {
-	if c.pool == nil || id < 0 || id >= c.pool.NumNodes() {
-		return fmt.Errorf("crest: no memory node %d", id)
+	node, err := c.memoryNode(id)
+	if err != nil {
+		return err
 	}
-	c.pool.Nodes()[id].Region.Fail()
+	node.Region.Fail()
 	return nil
 }
 
 // RestoreMemoryNode clears a crash mark.
 func (c *Cluster) RestoreMemoryNode(id int) error {
-	if c.pool == nil || id < 0 || id >= c.pool.NumNodes() {
-		return fmt.Errorf("crest: no memory node %d", id)
+	node, err := c.memoryNode(id)
+	if err != nil {
+		return err
 	}
-	c.pool.Nodes()[id].Region.Recover()
+	node.Region.Recover()
 	return nil
+}
+
+func (c *Cluster) memoryNode(id int) (*memnode.Node, error) {
+	if c.dep == nil || id < 0 || id >= c.dep.Pool.NumNodes() {
+		return nil, fmt.Errorf("crest: no memory node %d", id)
+	}
+	return c.dep.Pool.Nodes()[id], nil
 }
 
 // TraceSnapshot is an immutable copy of a cluster's recorded event
@@ -601,7 +594,12 @@ func PlacementSeedFromWhy(s *WhySnapshot, limit int) []PlacementHotKey {
 func (c *Cluster) Coordinators() int { return len(c.coords) }
 
 // Now returns the cluster's current virtual time.
-func (c *Cluster) Now() time.Duration { return time.Duration(c.env.Now()) }
+func (c *Cluster) Now() time.Duration {
+	if c.dep == nil { // not deployed yet: nothing has run
+		return 0
+	}
+	return time.Duration(c.dep.Env.Now())
+}
 
 // Cell value helpers re-exported for building workloads.
 

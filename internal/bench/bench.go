@@ -10,6 +10,7 @@ package bench
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"crest/internal/causality"
@@ -18,7 +19,6 @@ import (
 	"crest/internal/flight"
 	"crest/internal/ford"
 	"crest/internal/layout"
-	"crest/internal/memnode"
 	"crest/internal/metrics"
 	"crest/internal/motor"
 	"crest/internal/placement"
@@ -63,14 +63,11 @@ type Config struct {
 	// modulo placement with a causality recorder and pinning its
 	// hottest keys to shard group 0.
 	HotKeys []placement.HotKey
-	// CoordsPerCN is the number of coordinators per compute node; the
-	// paper sweeps the total (CompNodes × CoordsPerCN) from 24 to 240.
-	CoordsPerCN int
-	// Coordinators, when non-zero, is the total coordinator count
-	// across all compute nodes and takes precedence over CoordsPerCN.
-	// A total that does not divide CompNodes is spread by giving the
-	// first (total mod CompNodes) nodes one extra coordinator, so the
-	// run uses exactly the requested count.
+	// Coordinators is the total coordinator count across all compute
+	// nodes; the paper sweeps it from 24 to 240. A total that does not
+	// divide CompNodes is spread by giving the first (total mod
+	// CompNodes) nodes one extra coordinator, so the run uses exactly
+	// the requested count.
 	Coordinators int
 	Replicas     int // f backups per record
 	Seed         int64
@@ -134,8 +131,9 @@ func (c Config) Partitioned(gen workload.Generator) bool {
 }
 
 // WithDefaults fills unset fields with the evaluation defaults: two
-// memory nodes, three compute nodes (the paper's testbed shape), f=1
-// replication, 20 ms measured after 2 ms warmup.
+// memory nodes, three compute nodes of 80 coordinators each (the
+// paper's testbed shape), 20 ms of virtual time of which the first 2 ms
+// are warmup. Replicas has no default: 0 is a value (unreplicated).
 func (c Config) WithDefaults() Config {
 	if c.System == "" {
 		c.System = CREST
@@ -146,8 +144,8 @@ func (c Config) WithDefaults() Config {
 	if c.CompNodes == 0 {
 		c.CompNodes = 3
 	}
-	if c.CoordsPerCN == 0 && c.Coordinators == 0 {
-		c.CoordsPerCN = 80
+	if c.Coordinators == 0 {
+		c.Coordinators = 80 * c.CompNodes
 	}
 	if c.Duration == 0 {
 		c.Duration = 20 * sim.Millisecond
@@ -167,21 +165,11 @@ func (c Config) WithDefaults() Config {
 	return c
 }
 
-// TotalCoordinators is the number of coordinators the run drives:
-// Coordinators when set, CompNodes × CoordsPerCN otherwise.
-func (c Config) TotalCoordinators() int {
-	if c.Coordinators > 0 {
-		return c.Coordinators
-	}
-	return c.CompNodes * c.CoordsPerCN
-}
-
 // coordsOnNode is cn's share of the total: an even split, with the
 // remainder spread one-per-node from the front.
 func (c Config) coordsOnNode(cn int) int {
-	total := c.TotalCoordinators()
-	n := total / c.CompNodes
-	if cn < total%c.CompNodes {
+	n := c.Coordinators / c.CompNodes
+	if cn < c.Coordinators%c.CompNodes {
 		n++
 	}
 	return n
@@ -253,18 +241,16 @@ type System interface {
 	CreateTable(layout.Schema, int)
 	Load(layout.TableID, layout.Key, [][]byte)
 	FinishLoad() error
+	// NewComputeNode creates compute node id on the root database.
+	// NewPartitionComputeNode binds it to db instead: a partition view
+	// of the root (engine.DB.PartitionView), or the root itself, which
+	// is the one-partition case and the same as NewComputeNode.
 	NewComputeNode(id int) ComputeNode
+	NewPartitionComputeNode(id int, db *engine.DB) ComputeNode
 }
 
 // ComputeNode creates coordinators.
 type ComputeNode = engine.ComputeNode
-
-// PartitionedSystem is the capability a system adapter needs for
-// partitioned runs: compute nodes bound to a partition view of the
-// database (engine.DB.PartitionView).
-type PartitionedSystem interface {
-	NewPartitionComputeNode(id int, db *engine.DB) ComputeNode
-}
 
 type crestSys struct{ *core.System }
 
@@ -318,85 +304,25 @@ func PoolBytes(defs []workload.TableDef, coordinators int) int {
 func Run(cfg Config) (Result, error) {
 	cfg = cfg.WithDefaults()
 	gen := cfg.Workload()
-	defs := gen.Tables()
-
-	totalCoords := cfg.TotalCoordinators()
-	pol, err := placement.New(cfg.Placement)
+	d, err := Deploy(cfg, gen.Tables(), 0, cfg.Partitioned(gen))
 	if err != nil {
 		return Result{}, err
 	}
-	if hs, ok := pol.(*placement.Hotspot); ok {
-		keys := cfg.HotKeys
-		if len(keys) == 0 {
-			if keys, err = probeHotKeys(cfg); err != nil {
-				return Result{}, err
-			}
-		}
-		hs.Seed(keys)
-	}
-	// A partitioned run builds one scheduler partition per shard group
-	// (conservative lookahead = the fabric's one-way minimum); any
-	// other run uses the classic sequential scheduler, byte-for-byte.
-	parts := 0
-	var world *sim.World
-	var env *sim.Env
-	if cfg.Partitioned(gen) {
-		parts = cfg.Shards
-		world = sim.NewWorld(cfg.Seed, parts, cfg.Params.Lookahead())
-		world.SetWorkers(cfg.Workers)
-		env = world.Env(0)
-	} else {
-		env = sim.NewEnv(cfg.Seed)
-	}
-	fabric := rdma.NewFabric(env, cfg.Params)
-	pool, err := memnode.NewShardedPool(fabric, cfg.Shards, cfg.MemNodes, PoolBytes(defs, totalCoords), cfg.Replicas, pol)
+	gen.Load(d.Sys.Load)
+	seats, err := d.Start()
 	if err != nil {
 		return Result{}, err
-	}
-	db := engine.NewDB(pool)
-	db.Attach(cfg.observers(), env, cfg.Warmup)
-	if cfg.Metrics != nil && world != nil {
-		registerWorldProbes(cfg.Metrics, world, fabric)
-	}
-	if cfg.CheckHistory {
-		db.History = engine.NewHistory()
-	}
-	sys, err := NewSystem(cfg.System, db)
-	if err != nil {
-		return Result{}, err
-	}
-	for _, def := range defs {
-		sys.CreateTable(def.Schema, def.Capacity)
-	}
-	gen.Load(sys.Load)
-	if err := sys.FinishLoad(); err != nil {
-		return Result{}, err
-	}
-
-	// Partition views are created after the load so their timestamp
-	// oracles floor above every load-time draw.
-	var views []*engine.DB
-	var psys PartitionedSystem
-	if parts > 0 {
-		var ok bool
-		if psys, ok = sys.(PartitionedSystem); !ok {
-			return Result{}, fmt.Errorf("bench: system %q cannot run partitioned", cfg.System)
-		}
-		views = make([]*engine.DB, parts)
-		for i := range views {
-			views[i] = db.PartitionView(world.Env(i), i)
-		}
 	}
 
 	res := Result{
 		Run:          stats.NewRun(),
 		System:       cfg.System,
 		Workload:     gen.Name(),
-		Coordinators: totalCoords,
+		Coordinators: cfg.Coordinators,
 	}
 	retry := engine.DefaultRetryPolicy()
 	stop := false
-	verbs0 := fabric.Stats()
+	verbs0 := d.fabric.Stats()
 
 	// Scenario-driven runs modulate admission and key selection from
 	// the virtual clock. Under a trivial timeline Gate is always zero
@@ -414,246 +340,122 @@ func Run(cfg Config) (Result, error) {
 		}
 	}
 
-	// Measurement accumulators: the sequential scheduler records into
-	// the result directly; a partitioned run gives each partition its
-	// own accumulator — recording never crosses partitions — and merges
-	// them in partition order afterwards.
+	// Measurement accumulators, one per partition: recording never
+	// crosses partitions. Partition 0 — the only one of a sequential
+	// run — records into the result directly; the others are merged
+	// into it in partition order afterwards.
 	runs := []*stats.Run{res.Run}
 	phases := [][]PhaseStat{res.ScenarioPhases}
-	if parts > 0 {
-		runs = make([]*stats.Run, parts)
-		phases = make([][]PhaseStat, parts)
-		for i := range runs {
-			runs[i] = stats.NewRun()
-			if res.ScenarioPhases != nil {
-				ph := make([]PhaseStat, len(res.ScenarioPhases))
-				copy(ph, res.ScenarioPhases)
-				phases[i] = ph
-			}
-		}
+	for range d.views[1:] {
+		runs = append(runs, stats.NewRun())
+		phases = append(phases, slices.Clone(res.ScenarioPhases))
 	}
 
-	coordID := 0
-	partSeq := make([]int, cfg.Shards)
-	for cn := 0; cn < cfg.CompNodes; cn++ {
-		part := 0
-		var node ComputeNode
-		penv := env
-		if parts > 0 {
-			// Every coordinator of one compute node lives in one
-			// partition, so compute-node state (record caches, address
-			// caches) stays single-threaded.
-			part = cn % parts
-			node = psys.NewPartitionComputeNode(cn, views[part])
-			penv = world.Env(part)
-		} else {
-			node = sys.NewComputeNode(cn)
-		}
-		node.WarmCache()
-		prun, pph := runs[part], phases[part]
-		for i := 0; i < cfg.coordsOnNode(cn); i++ {
-			id := coordID
-			if parts > 0 {
-				// Strided coordinator ids keep each coordinator's log
-				// in its own partition's shard group (the log home
-				// group is id mod shards), so commits stay
-				// partition-local.
-				id = part + parts*partSeq[part]
-				partSeq[part]++
-			}
-			coord := node.NewCoordinator(id)
-			rank := coordID
-			coordID++
-			penv.Spawn(fmt.Sprintf("cn%d/coord%d", cn, i), func(p *sim.Proc) {
-				for !stop {
-					var txn *engine.Txn
-					if timed != nil {
-						// Park while the timeline gates this
-						// coordinator; each wait lands on the next
-						// decision point (phase boundary, burst edge,
-						// or resolution grid tick).
-						for {
-							w := timed.Gate(p.Now(), rank, totalCoords)
-							if w == 0 {
-								break
-							}
-							p.Sleep(w)
-							if stop {
-								return
-							}
-						}
-						txn = timed.NextAt(p.Now(), p.Rand())
-					} else {
-						txn = gen.Next(p.Rand())
-					}
-					start := p.Now()
-					measured := start >= sim.Time(cfg.Warmup)
-					var ps *PhaseStat
-					if measured && pph != nil {
-						ps = &pph[scn.PhaseAt(start)]
-					}
-					attempt := 0
+	for rank, seat := range seats {
+		coord, prun, pph := seat.Coordinator, runs[seat.Part], phases[seat.Part]
+		seat.Env.Spawn(fmt.Sprintf("cn%d/coord%d", seat.Node, seat.Slot), func(p *sim.Proc) {
+			for !stop {
+				var txn *engine.Txn
+				if timed != nil {
+					// Park while the timeline gates this coordinator;
+					// each wait lands on the next decision point (phase
+					// boundary, burst edge, or resolution grid tick).
 					for {
-						a := coord.Execute(p, txn)
-						if measured {
-							prun.RecordAttempt(a)
-							if ps != nil {
-								ps.Attempts++
-								if !a.Committed {
-									ps.Aborts++
-								}
-							}
-						}
-						if a.Committed {
+						w := timed.Gate(p.Now(), rank, len(seats))
+						if w == 0 {
 							break
 						}
+						p.Sleep(w)
 						if stop {
-							// Draining: give up on this transaction.
 							return
 						}
-						if a.Reason == engine.AbortWait {
-							// A release window is in progress; come
-							// back shortly without escalating.
-							p.Sleep(2*sim.Microsecond + sim.Duration(p.Rand().Int63n(int64(4*sim.Microsecond))))
-							continue
-						}
-						attempt++
-						p.Sleep(retry.Backoff(attempt, p.Rand()))
 					}
+					txn = timed.NextAt(p.Now(), p.Rand())
+				} else {
+					txn = gen.Next(p.Rand())
+				}
+				start := p.Now()
+				measured := start >= sim.Time(cfg.Warmup)
+				var ps *PhaseStat
+				if measured && pph != nil {
+					ps = &pph[scn.PhaseAt(start)]
+				}
+				attempt := 0
+				for {
+					a := coord.Execute(p, txn)
 					if measured {
-						prun.RecordCommit(p.Now().Sub(start))
+						prun.RecordAttempt(a)
 						if ps != nil {
-							ps.Commits++
+							ps.Attempts++
+							if !a.Committed {
+								ps.Aborts++
+							}
 						}
+					}
+					if a.Committed {
+						break
+					}
+					if stop {
+						// Draining: give up on this transaction.
+						return
+					}
+					if a.Reason == engine.AbortWait {
+						// A release window is in progress; come back
+						// shortly without escalating.
+						p.Sleep(2*sim.Microsecond + sim.Duration(p.Rand().Int63n(int64(4*sim.Microsecond))))
+						continue
+					}
+					attempt++
+					p.Sleep(retry.Backoff(attempt, p.Rand()))
+				}
+				if measured {
+					prun.RecordCommit(p.Now().Sub(start))
+					if ps != nil {
+						ps.Commits++
 					}
 				}
-			})
-		}
+			}
+		})
 	}
 
-	deadline := sim.Time(cfg.Duration)
 	wallStart := time.Now()
-	if world != nil {
-		if err := world.RunUntil(deadline); err != nil {
-			return res, err
-		}
-		stop = true
-		if err := world.Run(); err != nil { // drain in-flight transactions
-			return res, err
-		}
-		res.Events = world.Dispatched()
-	} else {
-		if err := env.RunUntil(deadline); err != nil {
-			return res, err
-		}
-		stop = true
-		if err := env.Run(); err != nil { // drain in-flight transactions
-			return res, err
-		}
-		res.Events = env.Dispatched()
+	if err := d.sched.RunUntil(sim.Time(cfg.Duration)); err != nil {
+		return res, err
 	}
+	stop = true
+	if err := d.sched.Run(); err != nil { // drain in-flight transactions
+		return res, err
+	}
+	res.Events = d.sched.Dispatched()
 	res.WallMS = float64(time.Since(wallStart)) / float64(time.Millisecond)
-	if parts > 0 {
-		// Fold the per-partition accumulators in partition order — a
-		// pure function of the simulation, independent of workers.
-		for _, r := range runs {
-			res.Run.Merge(r)
-		}
-		for _, ph := range phases {
-			for j := range ph {
-				res.ScenarioPhases[j].Attempts += ph[j].Attempts
-				res.ScenarioPhases[j].Commits += ph[j].Commits
-				res.ScenarioPhases[j].Aborts += ph[j].Aborts
-			}
-		}
-		for _, v := range views {
-			db.History.Absorb(v.History)
+	// Fold the other partitions' accumulators in partition order — a
+	// pure function of the simulation, independent of workers.
+	for i := 1; i < len(runs); i++ {
+		res.Run.Merge(runs[i])
+		for j, ph := range phases[i] {
+			res.ScenarioPhases[j].Attempts += ph.Attempts
+			res.ScenarioPhases[j].Commits += ph.Commits
+			res.ScenarioPhases[j].Aborts += ph.Aborts
 		}
 	}
-	if world != nil {
-		ri := &RuntimeInfo{Sim: world.RuntimeStats(), Workers: world.Workers()}
-		ri.Cross = make([]rdma.Stats, world.Parts())
+	for _, v := range d.views {
+		d.db.History.Absorb(v.History) // a no-op on the root itself
+	}
+	if w := d.world; w != nil {
+		ri := &RuntimeInfo{Sim: w.RuntimeStats(), Workers: w.Workers()}
+		ri.Cross = make([]rdma.Stats, w.Parts())
 		for i := range ri.Cross {
-			ri.Cross[i] = fabric.CrossLaneStats(i)
+			ri.Cross[i] = d.fabric.CrossLaneStats(i)
 		}
 		res.Runtime = ri
 	}
 	res.Elapsed = cfg.Duration - cfg.Warmup
-	res.Verbs = fabric.Stats().Sub(verbs0)
+	res.Verbs = d.fabric.Stats().Sub(verbs0)
 	if cfg.CheckHistory {
-		res.HistoryErr = db.History.Check()
-		res.History = db.History
+		res.HistoryErr = d.db.History.Check()
+		res.History = d.db.History
 	}
 	return res, nil
-}
-
-// registerWorldProbes exports the window executor's schedule-derived
-// introspection through the metrics registry of a partitioned metered
-// run: per-partition dispatch/injection counters, mailbox high-water
-// marks and cross-partition verb counts on each partition's shard
-// registry, plus the world-wide window counters on partition 0's. Only
-// schedule-derived values are registered — wall-clock timings (barrier
-// waits, busy time) surface exclusively through Result.Runtime, so the
-// metrics export stays byte-identical at any worker count.
-func registerWorldProbes(reg *metrics.Registry, world *sim.World, fabric *rdma.Fabric) {
-	parts := world.Parts()
-	for i := 0; i < parts; i++ {
-		part := i
-		shard := reg.Shard(part, parts)
-		label := fmt.Sprintf(`partition="%d"`, part)
-		penv := world.Env(part)
-		shard.CounterFunc("crest_sim_part_dispatches_total", label,
-			"Events dispatched, by partition.",
-			func() uint64 { return penv.Dispatched() })
-		shard.CounterFunc("crest_sim_part_injected_total", label,
-			"Cross-partition messages injected at barriers, by target partition.",
-			func() uint64 { return world.PartInjected(part) })
-		shard.GaugeFunc("crest_sim_part_mailbox_hwm", label,
-			"Largest single-barrier incoming message batch, by partition.",
-			func() int64 { return int64(world.PartMailboxHWM(part)) })
-		shard.CounterFunc("crest_rdma_cross_part_verbs_total", label,
-			"Verbs posted whose target region lives in another partition, by issuing partition.",
-			func() uint64 { return fabric.CrossLaneStats(part).Total() })
-	}
-	shard0 := reg.Shard(0, parts)
-	shard0.CounterFunc("crest_sim_windows_total", "",
-		"Conservative time windows executed.", world.Windows)
-	shard0.GaugeFunc("crest_sim_window_width_avg", "",
-		"Mean window width in virtual time units (lookahead efficiency).",
-		func() int64 { return int64(world.WindowWidthAvg()) })
-}
-
-// probeHotKeys derives a hotspot-placement seed when the caller gave
-// none: it runs a short deterministic slice of the same workload under
-// modulo placement with a causality recorder and pins the recorder's
-// hottest keys (at most memnode.MaxShards of them) to shard group 0,
-// colocating the hot set. The probe is a separate simulation with its
-// own virtual clock, so it adds no events and no randomness to the
-// measured run.
-func probeHotKeys(cfg Config) ([]placement.HotKey, error) {
-	probe := cfg
-	probe.Placement = "modulo"
-	probe.HotKeys = nil
-	probe.Why = causality.NewRecorder(causality.Options{})
-	probe.Trace = nil
-	probe.Metrics = nil
-	probe.Flight = nil
-	probe.CheckHistory = false
-	probe.Duration = 4 * sim.Millisecond
-	probe.Warmup = sim.Millisecond
-	if _, err := Run(probe); err != nil {
-		return nil, fmt.Errorf("bench: hotspot placement probe: %w", err)
-	}
-	hs := probe.Why.Snapshot().Graph().Hotspots
-	limit := memnode.MaxShards
-	if len(hs) < limit {
-		limit = len(hs)
-	}
-	keys := make([]placement.HotKey, 0, limit)
-	for _, h := range hs[:limit] {
-		keys = append(keys, placement.HotKey{Table: h.Table, Key: h.Key, Shard: 0})
-	}
-	return keys, nil
 }
 
 // CRESTSystem unwraps a System adapter into the concrete CREST engine

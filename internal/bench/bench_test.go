@@ -35,12 +35,12 @@ func tinyTPCC() workload.Generator {
 
 func shortCfg(system SystemKind, wl func() workload.Generator) Config {
 	return Config{
-		System:      system,
-		Workload:    wl,
-		CoordsPerCN: 8,
-		Replicas:    1,
-		Duration:    6 * sim.Millisecond,
-		Warmup:      1 * sim.Millisecond,
+		System:       system,
+		Workload:     wl,
+		Coordinators: 24,
+		Replicas:     1,
+		Duration:     6 * sim.Millisecond,
+		Warmup:       1 * sim.Millisecond,
 	}
 }
 
@@ -79,7 +79,7 @@ func TestAllSystemsSerializableOnAllWorkloads(t *testing.T) {
 			system, name, wl := system, name, wl
 			t.Run(string(system)+"/"+name, func(t *testing.T) {
 				cfg := shortCfg(system, wl)
-				cfg.CoordsPerCN = 6
+				cfg.Coordinators = 18
 				cfg.Duration = 4 * sim.Millisecond
 				cfg.CheckHistory = true
 				res, err := Run(cfg)
@@ -143,7 +143,7 @@ func TestCRESTBeatsBaselinesUnderHighContention(t *testing.T) {
 	tput := map[SystemKind]float64{}
 	for _, system := range []SystemKind{CREST, FORD, Motor} {
 		cfg := shortCfg(system, wl)
-		cfg.CoordsPerCN = 24
+		cfg.Coordinators = 72
 		cfg.Duration = 10 * sim.Millisecond
 		res, err := Run(cfg)
 		if err != nil {

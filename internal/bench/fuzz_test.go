@@ -139,7 +139,7 @@ func TestFuzzSerializableAcrossSystems(t *testing.T) {
 					Workload:     func() workload.Generator { return newRandomWorkload(seed) },
 					MemNodes:     2,
 					CompNodes:    2,
-					CoordsPerCN:  4,
+					Coordinators: 8,
 					Replicas:     1,
 					Seed:         seed,
 					Duration:     3_000_000, // 3ms virtual

@@ -282,7 +282,6 @@ func TestResultSetRoundTrip(t *testing.T) {
 // rounded 100 down to 99).
 func TestCoordinatorTotalExact(t *testing.T) {
 	cfg := shortCfg(CREST, tinyYCSB)
-	cfg.CoordsPerCN = 0
 	cfg.Coordinators = 10 // 3 compute nodes: 4+3+3
 	cfg.Duration = 2 * sim.Millisecond
 	res, err := Run(cfg)
@@ -294,31 +293,5 @@ func TestCoordinatorTotalExact(t *testing.T) {
 	}
 	if res.Committed == 0 {
 		t.Fatal("nothing committed")
-	}
-}
-
-// TestCoordinatorTotalMatchesPerCN: for divisible totals the two
-// spellings are the same run, bit for bit.
-func TestCoordinatorTotalMatchesPerCN(t *testing.T) {
-	perCN := shortCfg(CREST, tinyYCSB)
-	perCN.CoordsPerCN = 4
-	perCN.Duration = 2 * sim.Millisecond
-	total := perCN
-	total.CoordsPerCN = 0
-	total.Coordinators = 12
-	a, err := Run(perCN)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Run(total)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Committed != b.Committed || a.Aborted != b.Aborted || a.Verbs != b.Verbs {
-		t.Fatalf("total-coordinator spelling diverged: %d/%d/%+v vs %d/%d/%+v",
-			a.Committed, a.Aborted, a.Verbs, b.Committed, b.Aborted, b.Verbs)
-	}
-	if a.Coordinators != b.Coordinators {
-		t.Fatalf("coordinator counts differ: %d vs %d", a.Coordinators, b.Coordinators)
 	}
 }
