@@ -43,17 +43,13 @@ func benchProfile() bench.Profile {
 func runExperiment(b *testing.B, id string) {
 	b.Helper()
 	p := benchProfile()
-	exp, ok := bench.Experiments[id]
-	if !ok {
-		b.Fatalf("unknown experiment %q", id)
-	}
 	var tables []bench.Table
 	for i := 0; i < b.N; i++ {
-		var err error
-		tables, err = exp.Run(p)
+		m, err := bench.RunMatrix([]string{id}, p, bench.MatrixOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
+		tables = m.Experiments[0].Tables
 	}
 	for _, tab := range tables {
 		if len(tab.Rows) == 0 {

@@ -60,36 +60,22 @@ type BenchmarkConfig struct {
 	ObserverOptions
 }
 
-// BenchmarkResult aggregates a run, in the paper's units.
+// BenchmarkResult is a run's record plus what a record may never hold.
 type BenchmarkResult struct {
-	System       System
-	Workload     string
-	Coordinators int
+	// RunRecord is the run's durable outcome in the paper's units — the
+	// resolved spec and its key, KOPS, commit and abort counts and rates,
+	// the latency and per-phase digests (µs), verbs, Events (scheduler
+	// dispatches: same spec, same count) and the per-phase breakdown of
+	// a scenario-driven run. It is the record RunMatrix would memoize
+	// and -json would emit for the same spec.
+	RunRecord
 
-	ThroughputKOPS float64
-	Committed      uint64
-	Aborted        uint64
-	AbortRate      float64
-	FalseAbortRate float64
+	// Workload is the generator's name ("tpcc", "scenario:<name>").
+	Workload string
 
-	AvgLatencyUs  float64
-	P50LatencyUs  float64
-	P99LatencyUs  float64
-	P999LatencyUs float64
-
-	// Per-phase average latency of committed transactions (µs).
-	ExecUs     float64
-	ValidateUs float64
-	CommitUs   float64
-
-	// Events is the number of scheduler dispatches the run consumed
-	// (deterministic: same config, same count). WallMS is the real
-	// time the event loop took and EventsPerSec the resulting
-	// simulator speed — both nondeterministic measurements of the
-	// simulator itself, not of the simulated system.
-	Events       uint64
-	WallMS       float64
-	EventsPerSec float64
+	// WallMS is the real time the event loop took: a nondeterministic
+	// measurement of the simulator itself, not of the simulated system.
+	WallMS float64
 
 	// Trace is the run's event trace when BenchmarkConfig.Trace was
 	// set (render with WriteChromeTrace / WriteSpanSummary /
@@ -112,10 +98,6 @@ type BenchmarkResult struct {
 	// WriteFlightCritPath / WriteFlightJSON), nil otherwise.
 	Flight *FlightSnapshot
 
-	// ScenarioPhases is the per-phase breakdown (attempts, commits,
-	// aborts) when the run was scenario-driven, nil otherwise.
-	ScenarioPhases []ScenarioPhaseStat
-
 	// Runtime is the window executor's introspection when the run was
 	// partitioned (Shards > 1 with a partition-safe workload), nil
 	// otherwise. Its wall-clock fields are nondeterministic; see
@@ -123,48 +105,37 @@ type BenchmarkResult struct {
 	Runtime *RuntimeStats
 }
 
+// EventsPerSec is the simulator speed the run reached, Events over
+// WallMS (nondeterministic, like WallMS).
+func (r BenchmarkResult) EventsPerSec() float64 { return eventsPerSec(r.Events, r.WallMS) }
+
 // String summarizes the result in one line.
 func (r BenchmarkResult) String() string {
 	return fmt.Sprintf("%s/%s @%d coordinators: %.1f KOPS, abort %.1f%%, avg %.1fµs p99 %.1fµs p999 %.1fµs",
-		r.System, r.Workload, r.Coordinators, r.ThroughputKOPS, 100*r.AbortRate,
-		r.AvgLatencyUs, r.P99LatencyUs, r.P999LatencyUs)
+		r.Spec.System, r.Workload, r.Spec.Coordinators, r.KOPS, 100*r.AbortRate,
+		r.Latency.Avg, r.Latency.P99, r.Latency.P999)
 }
 
 // RunBenchmark executes one measured run and returns its metrics. A
 // run description RunSpec.Validate rejects is an error, not a panic.
 func RunBenchmark(cfg BenchmarkConfig) (BenchmarkResult, error) {
-	bc, err := cfg.RunSpec.Config()
+	spec, profile, err := cfg.RunSpec.Resolve()
 	if err != nil {
 		return BenchmarkResult{}, fmt.Errorf("crest: %w", err)
 	}
-	bc.HotKeys, bc.Workers = cfg.PlacementHotKeys, cfg.Workers
 	obs := cfg.recorders()
-	bc.Trace, bc.Metrics, bc.Why, bc.Flight = obs.Trace, obs.Metrics, obs.Why, obs.Flight
-	res, err := bench.Run(bc)
+	rec, res, err := bench.Execute(spec, profile, bench.Config{
+		HotKeys: cfg.PlacementHotKeys, Workers: cfg.Workers,
+		Trace: obs.Trace, Metrics: obs.Metrics, Why: obs.Why, Flight: obs.Flight,
+	})
 	if err != nil {
 		return BenchmarkResult{}, err
 	}
 	out := BenchmarkResult{
-		System:         res.System,
-		Workload:       res.Workload,
-		Coordinators:   res.Coordinators,
-		ThroughputKOPS: res.ThroughputKOPS(),
-		Committed:      res.Committed,
-		Aborted:        res.Aborted,
-		AbortRate:      res.AbortRate(),
-		FalseAbortRate: res.FalseAbortRate(),
-		AvgLatencyUs:   res.Lat.Avg(),
-		P50LatencyUs:   res.Lat.P50(),
-		P99LatencyUs:   res.Lat.P99(),
-		P999LatencyUs:  res.Lat.P999(),
-		ExecUs:         res.Phases.AvgExec(),
-		ValidateUs:     res.Phases.AvgValidate(),
-		CommitUs:       res.Phases.AvgCommit(),
-		Events:         res.Events,
-		WallMS:         res.WallMS,
-		EventsPerSec:   eventsPerSec(res.Events, res.WallMS),
-		ScenarioPhases: res.ScenarioPhases,
-		Runtime:        newRuntimeStats(res.Runtime, res.WallMS, res.Events),
+		RunRecord: *rec,
+		Workload:  res.Workload,
+		WallMS:    res.WallMS,
+		Runtime:   newRuntimeStats(res.Runtime, res.WallMS, res.Events),
 	}
 	out.Trace, out.Metrics, out.Why, out.Flight = snapshots(obs)
 	return out, nil
@@ -186,17 +157,17 @@ type ExperimentTable = bench.Table
 // (evaluation).
 func ExperimentIDs() []string { return bench.ExperimentIDs() }
 
-// RunExperiment regenerates one paper artifact. quick selects the
-// CI-sized profile; otherwise the near-paper-scale profile runs (see
-// EXPERIMENTS.md for expected output and timings). The experiment's
-// runs execute in parallel; use RunMatrix to share runs across
-// several experiments and to collect machine-readable records.
+// RunExperiment regenerates one paper artifact: RunMatrix over the one
+// id. quick selects the CI-sized profile; otherwise the near-paper-scale
+// profile runs (see EXPERIMENTS.md for expected output and timings).
+// Use RunMatrix to share runs across several experiments and to collect
+// machine-readable records.
 func RunExperiment(id string, quick bool) ([]ExperimentTable, error) {
-	exp, ok := bench.Experiments[id]
-	if !ok {
-		return nil, fmt.Errorf("crest: unknown experiment %q (have %v)", id, ExperimentIDs())
+	m, err := RunMatrix([]string{id}, quick, MatrixOptions{})
+	if err != nil {
+		return nil, err
 	}
-	return exp.Run(benchProfileFor(quick))
+	return m.Experiments[0].Tables, nil
 }
 
 func benchProfileFor(quick bool) bench.Profile {

@@ -37,7 +37,6 @@ import (
 	"runtime/pprof"
 	rttrace "runtime/trace"
 	"slices"
-	"strings"
 	"time"
 
 	"crest"
@@ -111,6 +110,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fatalf := func(format string, args ...any) int {
 		fmt.Fprintf(stderr, "crestbench: "+format+"\n", args...)
 		return 1
+	}
+	// export writes one output file (crest.Export picks the format) and
+	// reports it, or why it failed, on stderr.
+	export := func(path string, snapshot any) bool {
+		summary, err := crest.Export(path, snapshot)
+		if err != nil {
+			fatalf("%v", err)
+			return false
+		}
+		fmt.Fprintln(stderr, summary)
+		return true
 	}
 	usageErr := func(format string, args ...any) int {
 		fmt.Fprintf(stderr, "crestbench: "+format+"\n", args...)
@@ -215,18 +225,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 				fmt.Fprintln(stdout, tab.Format())
 			}
 		}
-		if *jsonOut != "" {
-			f, err := os.Create(*jsonOut)
-			if err != nil {
-				return fatalf("%v", err)
-			}
-			if err := crest.WriteBenchJSON(f, m); err != nil {
-				return fatalf("writing %s: %v", *jsonOut, err)
-			}
-			if err := f.Close(); err != nil {
-				return fatalf("%v", err)
-			}
-			fmt.Fprintf(stderr, "[json: %d run records -> %s]\n", len(m.Records), *jsonOut)
+		if *jsonOut != "" && !export(*jsonOut, m) {
+			return 1
 		}
 		if *baseline != "" {
 			f, err := os.Open(*baseline)
@@ -277,74 +277,40 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if err != nil {
 			return fatalf("%v", err)
 		}
-		if *traceOut != "" {
-			f, err := os.Create(*traceOut)
-			if err != nil {
-				return fatalf("%v", err)
-			}
-			if err := crest.WriteChromeTrace(f, res.Trace); err != nil {
-				return fatalf("writing trace: %v", err)
-			}
-			if err := f.Close(); err != nil {
-				return fatalf("%v", err)
-			}
-			fmt.Fprintf(stderr, "[trace: %d events -> %s]\n", len(res.Trace.Events), *traceOut)
+		// Observer output goes to its file and stderr only: the run's
+		// stdout stays byte-identical with and without it.
+		if *traceOut != "" && !export(*traceOut, res.Trace) {
+			return 1
 		}
 		if *metOut != "" {
-			// Metrics output goes to its file and stderr only: the run's
-			// stdout stays byte-identical with and without -metrics.
-			if err := writeMetrics(*metOut, res.Metrics); err != nil {
-				return fatalf("%v", err)
-			}
 			if err := crest.WriteMetricsSparklines(stderr, res.Metrics); err != nil {
 				return fatalf("writing sparklines: %v", err)
 			}
-			fmt.Fprintf(stderr, "[metrics: %d series, %d windows -> %s]\n",
-				len(res.Metrics.Series), len(res.Metrics.Times), *metOut)
-		}
-		if *whyOut != "" {
-			// Forensics output goes to its file and stderr only: the
-			// run's stdout stays byte-identical with and without -why.
-			if err := writeWhy(*whyOut, res.Why); err != nil {
-				return fatalf("%v", err)
+			if !export(*metOut, res.Metrics) {
+				return 1
 			}
-			fmt.Fprintf(stderr, "[why: %d txns, %d edges -> %s]\n",
-				len(res.Why.Txns), len(res.Why.Edges), *whyOut)
 		}
-		if *flOut != "" {
-			// Flight output goes to its file and stderr only: the run's
-			// stdout stays byte-identical with and without -flight.
-			if err := writeFlight(*flOut, res.Flight); err != nil {
-				return fatalf("%v", err)
-			}
-			fmt.Fprintf(stderr, "[flight: %d txns, %d exemplars -> %s]\n",
-				len(res.Flight.Txns), len(res.Flight.Exemplars), *flOut)
+		if *whyOut != "" && !export(*whyOut, res.Why) {
+			return 1
+		}
+		if *flOut != "" && !export(*flOut, res.Flight) {
+			return 1
 		}
 		if *rtStats != "" {
-			// Runtime introspection goes to its file and stderr only, like
-			// the other observer outputs; the wall-clock fields inside it
-			// are the nondeterministic part of the document.
+			// The wall-clock fields inside the runtime introspection are
+			// the nondeterministic part of that document.
 			if res.Runtime == nil {
 				return fatalf("-runtime-stats: run was not partitioned (needs -shards > 1 with a partition-safe workload)")
 			}
-			f, err := os.Create(*rtStats)
-			if err != nil {
-				return fatalf("%v", err)
+			if !export(*rtStats, res.Runtime) {
+				return 1
 			}
-			if err := crest.WriteRuntimeStats(f, res.Runtime); err != nil {
-				return fatalf("writing runtime stats: %v", err)
-			}
-			if err := f.Close(); err != nil {
-				return fatalf("%v", err)
-			}
-			fmt.Fprintf(stderr, "[runtime: %d windows, %d partitions, %d workers -> %s]\n",
-				res.Runtime.Windows, res.Runtime.Parts, res.Runtime.Workers, *rtStats)
 		}
 		fmt.Fprintln(stdout, res)
 		fmt.Fprintf(stdout, "  committed=%d aborted=%d false-abort=%.1f%%\n", res.Committed, res.Aborted, 100*res.FalseAbortRate)
 		fmt.Fprintf(stdout, "  latency µs: avg=%.1f p50=%.1f p99=%.1f p999=%.1f\n",
-			res.AvgLatencyUs, res.P50LatencyUs, res.P99LatencyUs, res.P999LatencyUs)
-		fmt.Fprintf(stdout, "  phases µs: exec=%.1f validate=%.1f commit=%.1f\n", res.ExecUs, res.ValidateUs, res.CommitUs)
+			res.Latency.Avg, res.Latency.P50, res.Latency.P99, res.Latency.P999)
+		fmt.Fprintf(stdout, "  phases µs: exec=%.1f validate=%.1f commit=%.1f\n", res.Phases.Exec, res.Phases.Validate, res.Phases.Commit)
 		for _, ps := range res.ScenarioPhases {
 			fmt.Fprintf(stdout, "  phase %d: attempts=%d commits=%d aborts=%d abort-rate=%.1f%%\n",
 				ps.Phase, ps.Attempts, ps.Commits, ps.Aborts, 100*ps.AbortRate())
@@ -352,73 +318,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if res.WallMS > 0 {
 			virtualMS := float64(cfg.Duration) / float64(time.Millisecond)
 			fmt.Fprintf(stderr, "[sim: %.1f ms virtual in %.1f ms wall (%.2fx real time), %d events, %.2fM events/sec]\n",
-				virtualMS, res.WallMS, virtualMS/res.WallMS, res.Events, res.EventsPerSec/1e6)
+				virtualMS, res.WallMS, virtualMS/res.WallMS, res.Events, res.EventsPerSec()/1e6)
 		}
 	default:
 		fs.Usage()
 		return 2
 	}
 	return 0
-}
-
-// writeMetrics writes the snapshot to path in the format its extension
-// selects: .csv (windowed time-series), .json (schema-versioned
-// document), anything else Prometheus text exposition format.
-func writeMetrics(path string, s *crest.MetricsSnapshot) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	switch {
-	case strings.HasSuffix(path, ".csv"):
-		err = crest.WriteMetricsCSV(f, s)
-	case strings.HasSuffix(path, ".json"):
-		err = crest.WriteMetricsJSON(f, s)
-	default:
-		err = crest.WriteMetricsPrometheus(f, s)
-	}
-	if err != nil {
-		f.Close()
-		return fmt.Errorf("writing %s: %w", path, err)
-	}
-	return f.Close()
-}
-
-// writeFlight writes the flight snapshot to path: .json selects the
-// schema-versioned crest-flight document, anything else the rendered
-// aggregate tail report.
-func writeFlight(path string, s *crest.FlightSnapshot) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if strings.HasSuffix(path, ".json") {
-		err = crest.WriteFlightJSON(f, s)
-	} else {
-		err = crest.WriteFlightTail(f, s, 5)
-	}
-	if err != nil {
-		f.Close()
-		return fmt.Errorf("writing %s: %w", path, err)
-	}
-	return f.Close()
-}
-
-// writeWhy writes the causality snapshot to path: .json selects the
-// schema-versioned crest-why document, anything else Graphviz DOT.
-func writeWhy(path string, s *crest.WhySnapshot) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if strings.HasSuffix(path, ".json") {
-		err = crest.WriteWhyJSON(f, s)
-	} else {
-		err = crest.WriteWhyDOT(f, s)
-	}
-	if err != nil {
-		f.Close()
-		return fmt.Errorf("writing %s: %w", path, err)
-	}
-	return f.Close()
 }

@@ -158,10 +158,12 @@ func command(name string, nargs int, stderr io.Writer) (*flag.FlagSet, func([]st
 	}
 }
 
-// whySnapshotFrom loads the causality snapshot: from a crest-why JSON
-// file when in is set, otherwise by running the configured benchmark
-// with recording on.
-func whySnapshotFrom(in string, cfg crest.BenchmarkConfig, capacity int, stderr io.Writer) (*crest.WhySnapshot, int) {
+// snapshotFrom yields the snapshot a subcommand renders: read from the
+// -in export with the view's reader, or picked out of a fresh run of cfg
+// (the caller has switched the view on), whose one-line report goes to
+// stderr.
+func snapshotFrom[T any](in string, read func(io.Reader) (*T, error), cfg crest.BenchmarkConfig,
+	pick func(crest.BenchmarkResult) (snap *T, report string), stderr io.Writer) (*T, int) {
 	if in != "" {
 		f, err := os.Open(in)
 		if err != nil {
@@ -170,7 +172,7 @@ func whySnapshotFrom(in string, cfg crest.BenchmarkConfig, capacity int, stderr 
 			return nil, 1
 		}
 		defer f.Close()
-		snap, err := crest.ReadWhyJSON(f)
+		snap, err := read(f)
 		if err != nil {
 			fmt.Fprintf(stderr, "cresttrace: reading %s: %v\n", in, err)
 			usage(stderr)
@@ -178,48 +180,42 @@ func whySnapshotFrom(in string, cfg crest.BenchmarkConfig, capacity int, stderr 
 		}
 		return snap, 0
 	}
-	cfg.Why = true
-	cfg.WhyCapacity = capacity
 	res, err := crest.RunBenchmark(cfg)
 	if err != nil {
 		fmt.Fprintf(stderr, "cresttrace: %v\n", err)
 		return nil, 1
 	}
-	fmt.Fprintf(stderr, "[%s/%s: %d txns, %d edges recorded, %.1f KOPS]\n",
-		res.System, res.Workload, len(res.Why.Txns), len(res.Why.Edges), res.ThroughputKOPS)
-	return res.Why, 0
+	snap, report := pick(res)
+	fmt.Fprintf(stderr, "[%s/%s: %s, %.1f KOPS]\n", res.Spec.System, res.Workload, report, res.KOPS)
+	return snap, 0
 }
 
-// flightSnapshotFrom loads the flight snapshot: from a crest-flight
-// JSON file when in is set, otherwise by running the configured
-// benchmark with the flight recorder on.
-func flightSnapshotFrom(in string, cfg crest.BenchmarkConfig, capacity int, stderr io.Writer) (*crest.FlightSnapshot, int) {
-	if in != "" {
-		f, err := os.Open(in)
-		if err != nil {
-			fmt.Fprintf(stderr, "cresttrace: %v\n", err)
-			usage(stderr)
-			return nil, 1
-		}
-		defer f.Close()
-		snap, err := crest.ReadFlightJSON(f)
-		if err != nil {
-			fmt.Fprintf(stderr, "cresttrace: reading %s: %v\n", in, err)
-			usage(stderr)
-			return nil, 1
-		}
-		return snap, 0
+// whyFrom is snapshotFrom for the causality view.
+func whyFrom(in string, cfg crest.BenchmarkConfig, capacity int, stderr io.Writer) (*crest.WhySnapshot, int) {
+	cfg.Why, cfg.WhyCapacity = true, capacity
+	return snapshotFrom(in, crest.ReadWhyJSON, cfg, func(res crest.BenchmarkResult) (*crest.WhySnapshot, string) {
+		return res.Why, fmt.Sprintf("%d txns, %d edges recorded", len(res.Why.Txns), len(res.Why.Edges))
+	}, stderr)
+}
+
+// flightFrom is snapshotFrom for the flight view.
+func flightFrom(in string, cfg crest.BenchmarkConfig, capacity int, stderr io.Writer) (*crest.FlightSnapshot, int) {
+	cfg.Flight, cfg.FlightCapacity = true, capacity
+	return snapshotFrom(in, crest.ReadFlightJSON, cfg, func(res crest.BenchmarkResult) (*crest.FlightSnapshot, string) {
+		return res.Flight, fmt.Sprintf("%d txns, %d exemplars recorded", len(res.Flight.Txns), len(res.Flight.Exemplars))
+	}, stderr)
+}
+
+// output renders to the -o file, or to stdout when there is none.
+func output(path string, stdout io.Writer, render func(io.Writer) error) error {
+	if path != "" {
+		return crest.WriteFile(path, render)
 	}
-	cfg.Flight = true
-	cfg.FlightCapacity = capacity
-	res, err := crest.RunBenchmark(cfg)
-	if err != nil {
-		fmt.Fprintf(stderr, "cresttrace: %v\n", err)
-		return nil, 1
+	bw := bufio.NewWriter(stdout)
+	if err := render(bw); err != nil {
+		return err
 	}
-	fmt.Fprintf(stderr, "[%s/%s: %d txns, %d exemplars recorded, %.1f KOPS]\n",
-		res.System, res.Workload, len(res.Flight.Txns), len(res.Flight.Exemplars), res.ThroughputKOPS)
-	return res.Flight, 0
+	return bw.Flush()
 }
 
 // runTail prints the aggregate latency budget report: the p50/p99/
@@ -234,7 +230,7 @@ func runTail(args []string, stdout, stderr io.Writer) int {
 	if !ok {
 		return 2
 	}
-	snap, code := flightSnapshotFrom(*in, cfg, *capacity, stderr)
+	snap, code := flightFrom(*in, cfg, *capacity, stderr)
 	if code != 0 {
 		return code
 	}
@@ -261,7 +257,7 @@ func runCritPath(args []string, stdout, stderr io.Writer) int {
 		usage(stderr)
 		return 2
 	}
-	snap, code := flightSnapshotFrom(*in, cfg, *capacity, stderr)
+	snap, code := flightFrom(*in, cfg, *capacity, stderr)
 	if code != 0 {
 		return code
 	}
@@ -287,7 +283,7 @@ func runWhy(args []string, stdout, stderr io.Writer) int {
 		usage(stderr)
 		return 2
 	}
-	snap, code := whySnapshotFrom(*in, cfg, *capacity, stderr)
+	snap, code := whyFrom(*in, cfg, *capacity, stderr)
 	if code != 0 {
 		return code
 	}
@@ -313,30 +309,16 @@ func runGraph(args []string, stdout, stderr io.Writer) int {
 		usage(stderr)
 		return 2
 	}
-	snap, code := whySnapshotFrom(*in, cfg, 0, stderr)
+	snap, code := whyFrom(*in, cfg, 0, stderr)
 	if code != 0 {
 		return code
 	}
-	w := stdout
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			fmt.Fprintf(stderr, "cresttrace graph: %v\n", err)
-			return 1
+	err := output(*out, stdout, func(w io.Writer) error {
+		if *format == "json" {
+			return crest.WriteWhyJSON(w, snap)
 		}
-		defer f.Close()
-		w = f
-	}
-	bw := bufio.NewWriter(w)
-	var err error
-	if *format == "json" {
-		err = crest.WriteWhyJSON(bw, snap)
-	} else {
-		err = crest.WriteWhyDOT(bw, snap)
-	}
-	if err == nil {
-		err = bw.Flush()
-	}
+		return crest.WriteWhyDOT(w, snap)
+	})
 	if err != nil {
 		fmt.Fprintf(stderr, "cresttrace graph: %v\n", err)
 		return 1
@@ -358,49 +340,17 @@ func runWindows(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	var stats *crest.RuntimeStats
-	if *in != "" {
-		f, err := os.Open(*in)
-		if err != nil {
-			fmt.Fprintf(stderr, "cresttrace windows: %v\n", err)
-			return 1
-		}
-		stats, err = crest.ReadRuntimeStats(f)
-		f.Close()
-		if err != nil {
-			fmt.Fprintf(stderr, "cresttrace windows: reading %s: %v\n", *in, err)
-			return 1
-		}
-	} else {
-		res, err := crest.RunBenchmark(cfg)
-		if err != nil {
-			fmt.Fprintf(stderr, "cresttrace windows: %v\n", err)
-			return 1
-		}
-		if res.Runtime == nil {
-			fmt.Fprintf(stderr, "cresttrace windows: run was not partitioned (needs -shards > 1 with a partition-safe workload)\n")
-			return 1
-		}
-		stats = res.Runtime
-		fmt.Fprintf(stderr, "[%s/%s: %d events, %.1f KOPS]\n",
-			res.System, res.Workload, res.Events, res.ThroughputKOPS)
+	stats, code := snapshotFrom(*in, crest.ReadRuntimeStats, cfg, func(res crest.BenchmarkResult) (*crest.RuntimeStats, string) {
+		return res.Runtime, fmt.Sprintf("%d events", res.Events)
+	}, stderr)
+	if code != 0 {
+		return code
 	}
-
-	w := stdout
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			fmt.Fprintf(stderr, "cresttrace windows: %v\n", err)
-			return 1
-		}
-		defer f.Close()
-		w = f
+	if stats == nil {
+		fmt.Fprintf(stderr, "cresttrace windows: run was not partitioned (needs -shards > 1 with a partition-safe workload)\n")
+		return 1
 	}
-	bw := bufio.NewWriter(w)
-	err := crest.WriteWindowTimeline(bw, stats)
-	if err == nil {
-		err = bw.Flush()
-	}
+	err := output(*out, stdout, func(w io.Writer) error { return crest.WriteWindowTimeline(w, stats) })
 	if err != nil {
 		fmt.Fprintf(stderr, "cresttrace windows: %v\n", err)
 		return 1
@@ -447,59 +397,29 @@ func runTrace(args []string, stdout, stderr io.Writer) int {
 	}
 
 	if *metOut != "" {
-		f, err := os.Create(*metOut)
+		summary, err := crest.Export(*metOut, res.Metrics)
 		if err != nil {
 			fmt.Fprintf(stderr, "cresttrace: %v\n", err)
 			return 1
 		}
-		switch {
-		case strings.HasSuffix(*metOut, ".csv"):
-			err = crest.WriteMetricsCSV(f, res.Metrics)
-		case strings.HasSuffix(*metOut, ".json"):
-			err = crest.WriteMetricsJSON(f, res.Metrics)
-		default:
-			err = crest.WriteMetricsPrometheus(f, res.Metrics)
-		}
-		if err == nil {
-			err = f.Close()
-		}
-		if err != nil {
-			fmt.Fprintf(stderr, "cresttrace: writing %s: %v\n", *metOut, err)
-			return 1
-		}
-		fmt.Fprintf(stderr, "[metrics: %d series, %d windows -> %s]\n",
-			len(res.Metrics.Series), len(res.Metrics.Times), *metOut)
+		fmt.Fprintln(stderr, summary)
 	}
-
-	w := stdout
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			fmt.Fprintf(stderr, "cresttrace: %v\n", err)
-			return 1
-		}
-		defer f.Close()
-		w = f
-	}
-	bw := bufio.NewWriter(w)
 
 	snap := res.Trace
-	switch *format {
-	case "json":
-		err = crest.WriteChromeTrace(bw, snap)
-	case "spans":
-		err = crest.WriteSpanSummary(bw, snap)
-	case "hotkeys":
-		err = crest.WriteHotKeys(bw, snap, *top)
-	}
-	if err == nil {
-		err = bw.Flush()
-	}
+	err = output(*out, stdout, func(w io.Writer) error {
+		switch *format {
+		case "spans":
+			return crest.WriteSpanSummary(w, snap)
+		case "hotkeys":
+			return crest.WriteHotKeys(w, snap, *top)
+		}
+		return crest.WriteChromeTrace(w, snap)
+	})
 	if err != nil {
 		fmt.Fprintf(stderr, "cresttrace: %v\n", err)
 		return 1
 	}
 	fmt.Fprintf(stderr, "[%s/%s: %d events, %d dropped, %.1f KOPS in the traced window]\n",
-		res.System, res.Workload, len(snap.Events), snap.Dropped, res.ThroughputKOPS)
+		res.Spec.System, res.Workload, len(snap.Events), snap.Dropped, res.KOPS)
 	return 0
 }

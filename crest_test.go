@@ -238,7 +238,7 @@ func TestRunBenchmarkQuick(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.ThroughputKOPS <= 0 || res.Committed == 0 {
+	if res.KOPS <= 0 || res.Committed == 0 {
 		t.Fatalf("empty result %+v", res)
 	}
 	if res.String() == "" {

@@ -29,8 +29,8 @@ func main() {
 			log.Fatal(err)
 		}
 		fmt.Printf("%-7s %10.1f %8.1f%% %9.1f %9.1f %10d\n",
-			res.System, res.ThroughputKOPS, 100*res.AbortRate,
-			res.AvgLatencyUs, res.P99LatencyUs, res.Committed)
+			res.Spec.System, res.KOPS, 100*res.AbortRate,
+			res.Latency.Avg, res.Latency.P99, res.Committed)
 	}
 	fmt.Println()
 	fmt.Println("CREST's localized execution lets transactions on the same compute node")

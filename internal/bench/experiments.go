@@ -180,17 +180,6 @@ func (e Experiment) Specs(p Profile) []RunSpec {
 	return specs
 }
 
-// Run regenerates the experiment standalone over a private runner
-// (parallel across that experiment's own specs). RunMatrix shares one
-// runner across many experiments instead.
-func (e Experiment) Run(p Profile) ([]Table, error) {
-	runner := NewRunner(p, MatrixOptions{})
-	if err := runner.Prime(e.Specs(p)); err != nil {
-		return nil, err
-	}
-	return e.Render(p, runner.Get)
-}
-
 // Fig2 reproduces the motivating experiment: FORD and Motor throughput
 // versus contention level (§2.3).
 func Fig2(p Profile, get Getter) ([]Table, error) {

@@ -120,8 +120,9 @@ func (w WorkloadSpec) generator(p Profile) (func() workload.Generator, error) {
 
 // RunSpec is the declarative description of one run — the only one:
 // the matrix runner, the result cache, crest.RunBenchmark and both CLIs
-// all describe a run as a RunSpec and resolve it to the executable
-// Config through RunSpec.config. It canonically identifies the run:
+// all describe a run as a RunSpec, and Execute is the one function that
+// resolves it to the executable Config and runs it. It canonically
+// identifies the run:
 // everything that influences the schedule is in here, so equal keys
 // mean equal results and a result may be reused wherever its spec
 // reappears.
@@ -204,8 +205,8 @@ func (p Profile) Spec(system SystemKind, wl WorkloadSpec, totalCoords int) RunSp
 // DefaultRun is the evaluation-default run, crestbench -run with no
 // other flag: TPC-C at 40 warehouses under full CREST, 240 coordinators
 // on the paper's testbed shape, full-scale tables. The zero fields of a
-// spec handed to RunSpec.Config resolve to these values, and the CLIs'
-// other presets are written as deltas on it.
+// spec handed to RunSpec.Resolve take these values, and the CLIs' other
+// presets are written as deltas on it.
 func DefaultRun() RunSpec {
 	return RunSpec{
 		System:       CREST,
@@ -402,46 +403,85 @@ func (s RunSpec) defaulted() RunSpec {
 	return s
 }
 
-// Config resolves the spec into its executable form: zero fields take
-// DefaultRun's values, the result is validated, and the workload
-// materializes under the named profile's table scales.
-func (s RunSpec) Config() (Config, error) {
+// Resolve completes a spec written by hand: zero fields take
+// DefaultRun's values, the result is validated, and the profile its
+// name selects comes back with it, ready for Execute.
+func (s RunSpec) Resolve() (RunSpec, Profile, error) {
 	s = s.defaulted()
 	if err := s.Validate(); err != nil {
-		return Config{}, err
+		return s, Profile{}, err
 	}
-	p := Full()
 	if s.Profile == profileNames[true] {
-		p = Quick()
+		return s, Quick(), nil
 	}
-	return s.config(p)
+	return s, Full(), nil
 }
 
-// config materializes the bench.Config the spec describes.
-func (s RunSpec) config(p Profile) (Config, error) {
-	var gen func() workload.Generator
+// config materializes the bench.Config the spec describes under p's
+// table scales, on top of inv — the invocation's share of a Config,
+// what a spec may never hold (Workers, HotKeys, the recorders).
+func (s RunSpec) config(p Profile, inv Config) (Config, error) {
 	var err error
 	if s.Scenario != nil {
-		gen, err = p.ScenarioWorkload(s.Scenario)
+		inv.Workload, err = p.ScenarioWorkload(s.Scenario)
 	} else {
-		gen, err = s.Workload.generator(p)
+		inv.Workload, err = s.Workload.generator(p)
 	}
+	inv.System = s.System
+	inv.MemNodes, inv.CompNodes = s.MemNodes, s.CompNodes
+	inv.Shards, inv.Placement = s.Shards, s.Placement
+	inv.Coordinators = s.Coordinators
+	inv.Replicas = s.Replicas
+	inv.Seed = s.Seed
+	inv.Duration, inv.Warmup = sim.Duration(s.Duration), sim.Duration(s.Warmup)
+	return inv, err
+}
+
+// Execute is the one path from a run description to its outcome:
+// resolve spec under p's table scales → run it (one transaction in
+// OneTxn mode) → digest the Result into its durable record. The matrix
+// runner, crest.RunBenchmark and through it both CLIs come here. inv is
+// the invocation's share of the Config (see config); the Result comes
+// back beside the record for what a record may never hold: wall-clock
+// time, the generator's name, executor introspection.
+func Execute(spec RunSpec, p Profile, inv Config) (*RunRecord, Result, error) {
+	cfg, err := spec.config(p, inv)
 	if err != nil {
-		return Config{}, err
+		return nil, Result{}, err
 	}
-	return Config{
-		System:       s.System,
-		Workload:     gen,
-		MemNodes:     s.MemNodes,
-		CompNodes:    s.CompNodes,
-		Shards:       s.Shards,
-		Placement:    s.Placement,
-		Coordinators: s.Coordinators,
-		Replicas:     s.Replicas,
-		Seed:         s.Seed,
-		Duration:     sim.Duration(s.Duration),
-		Warmup:       sim.Duration(s.Warmup),
-	}, nil
+	if spec.OneTxn {
+		verbs, err := oneTxnVerbs(cfg)
+		if err != nil {
+			return nil, Result{}, err
+		}
+		return &RunRecord{Key: spec.Key(), Spec: spec, Verbs: verbs}, Result{}, nil
+	}
+	res, err := Run(cfg)
+	if err != nil {
+		return nil, Result{}, err
+	}
+	return &RunRecord{
+		Key:            spec.Key(),
+		Spec:           spec,
+		KOPS:           res.ThroughputKOPS(),
+		Committed:      res.Committed,
+		Aborted:        res.Aborted,
+		FalseAborts:    res.FalseAborts,
+		AbortRate:      res.AbortRate(),
+		FalseAbortRate: res.FalseAbortRate(),
+		Latency: LatencySummaryUs{
+			Avg: res.Lat.Avg(), P50: res.Lat.P50(), P99: res.Lat.P99(), P999: res.Lat.P999(),
+		},
+		Phases: PhaseSummaryUs{
+			Exec: res.Phases.AvgExec(), Validate: res.Phases.AvgValidate(), Commit: res.Phases.AvgCommit(),
+		},
+		Verbs:            res.Verbs,
+		ElapsedUs:        res.Elapsed.Micros(),
+		Events:           res.Events,
+		ScenarioPhases:   res.ScenarioPhases,
+		CrossShard:       res.CrossShard,
+		CrossShardAborts: res.CrossShardAborts,
+	}, res, nil
 }
 
 // LatencySummaryUs is a run's latency digest in microseconds.
@@ -495,32 +535,6 @@ type RunRecord struct {
 	// on single-group runs (additive, so the schema version holds).
 	CrossShard       uint64 `json:"cross_shard,omitempty"`
 	CrossShardAborts uint64 `json:"cross_shard_aborts,omitempty"`
-}
-
-// newRunRecord digests a Result into its durable record.
-func newRunRecord(spec RunSpec, res Result) *RunRecord {
-	return &RunRecord{
-		Key:            spec.Key(),
-		Spec:           spec,
-		KOPS:           res.ThroughputKOPS(),
-		Committed:      res.Committed,
-		Aborted:        res.Aborted,
-		FalseAborts:    res.FalseAborts,
-		AbortRate:      res.AbortRate(),
-		FalseAbortRate: res.FalseAbortRate(),
-		Latency: LatencySummaryUs{
-			Avg: res.Lat.Avg(), P50: res.Lat.P50(), P99: res.Lat.P99(), P999: res.Lat.P999(),
-		},
-		Phases: PhaseSummaryUs{
-			Exec: res.Phases.AvgExec(), Validate: res.Phases.AvgValidate(), Commit: res.Phases.AvgCommit(),
-		},
-		Verbs:            res.Verbs,
-		ElapsedUs:        res.Elapsed.Micros(),
-		Events:           res.Events,
-		ScenarioPhases:   res.ScenarioPhases,
-		CrossShard:       res.CrossShard,
-		CrossShardAborts: res.CrossShardAborts,
-	}
 }
 
 // Getter resolves one spec to its record; experiment renderers are
@@ -662,19 +676,7 @@ func (r *Runner) Prime(specs []RunSpec) error {
 
 // execute runs one simulation (no memoization).
 func (r *Runner) execute(spec RunSpec) (*RunRecord, error) {
-	cfg, err := spec.config(r.profile)
-	if err != nil {
-		return nil, err
-	}
-	cfg.Workers = r.simWorkers
-	if spec.OneTxn {
-		verbs, err := oneTxnVerbs(cfg)
-		if err != nil {
-			return nil, err
-		}
-		return &RunRecord{Key: spec.Key(), Spec: spec, Verbs: verbs}, nil
-	}
-	res, err := Run(cfg)
+	rec, res, err := Execute(spec, r.profile, Config{Workers: r.simWorkers})
 	if err != nil {
 		return nil, err
 	}
@@ -690,7 +692,7 @@ func (r *Runner) execute(spec RunSpec) (*RunRecord, error) {
 		}
 	}
 	r.mu.Unlock()
-	return newRunRecord(spec, res), nil
+	return rec, nil
 }
 
 // Records returns every memoized record sorted by key — the canonical

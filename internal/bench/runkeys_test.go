@@ -47,9 +47,9 @@ func TestValidateRejectsHostileValues(t *testing.T) {
 	if err := DefaultRun().Validate(); err != nil {
 		t.Fatalf("DefaultRun does not validate: %v", err)
 	}
-	// Config validates too, after resolving zero fields to defaults.
-	if _, err := (RunSpec{Coordinators: -3}).Config(); err == nil {
-		t.Fatal("Config accepted -3 coordinators")
+	// Resolve validates too, after resolving zero fields to defaults.
+	if _, _, err := (RunSpec{Coordinators: -3}).Resolve(); err == nil {
+		t.Fatal("Resolve accepted -3 coordinators")
 	}
 	var spec RunSpec
 	if err := spec.Set("cores", "4"); err == nil {

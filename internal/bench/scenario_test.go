@@ -72,7 +72,7 @@ func TestDriftDemoDeterministicAcrossEngines(t *testing.T) {
 	demo := scenario.DriftDemo()
 	for _, system := range []SystemKind{CREST, FORD, Motor} {
 		spec := p.ScenarioSpec(system, demo, p.MaxCoords)
-		cfg, err := spec.config(p)
+		cfg, err := spec.config(p, Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -259,10 +259,11 @@ func TestScenarioRunSpecKeyDedupes(t *testing.T) {
 // standalone at test scale and checks its table shape.
 func TestScenarioExperimentRenders(t *testing.T) {
 	p := matrixProfile()
-	tables, err := Experiments["scenario"].Run(p)
+	m, err := RunMatrix([]string{"scenario"}, p, MatrixOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	tables := m.Experiments[0].Tables
 	if len(tables) != 1 || tables[0].ID != "scenario-drift" {
 		t.Fatalf("tables = %+v", tables)
 	}
