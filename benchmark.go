@@ -107,7 +107,7 @@ type BenchmarkResult struct {
 
 // EventsPerSec is the simulator speed the run reached, Events over
 // WallMS (nondeterministic, like WallMS).
-func (r BenchmarkResult) EventsPerSec() float64 { return eventsPerSec(r.Events, r.WallMS) }
+func (r BenchmarkResult) EventsPerSec() float64 { return bench.EventsPerSec(r.Events, r.WallMS) }
 
 // String summarizes the result in one line.
 func (r BenchmarkResult) String() string {
@@ -141,13 +141,6 @@ func RunBenchmark(cfg BenchmarkConfig) (BenchmarkResult, error) {
 	return out, nil
 }
 
-func eventsPerSec(events uint64, wallMS float64) float64 {
-	if wallMS <= 0 {
-		return 0
-	}
-	return float64(events) / (wallMS / 1e3)
-}
-
 // ExperimentTable is one regenerated artifact of the paper (a table or
 // a figure's data series).
 type ExperimentTable = bench.Table
@@ -168,13 +161,6 @@ func RunExperiment(id string, quick bool) ([]ExperimentTable, error) {
 		return nil, err
 	}
 	return m.Experiments[0].Tables, nil
-}
-
-func benchProfileFor(quick bool) bench.Profile {
-	if quick {
-		return bench.Quick()
-	}
-	return bench.Full()
 }
 
 // The experiment-matrix surface: a RunSpec canonically identifies one
@@ -208,7 +194,10 @@ const BenchSchemaVersion = bench.SchemaVersion
 // when ≤ 0), reusing opt.CacheDir across invocations when set — and
 // the rendered tables are byte-identical for any worker count.
 func RunMatrix(ids []string, quick bool, opt MatrixOptions) (*MatrixResult, error) {
-	return bench.RunMatrix(ids, benchProfileFor(quick), opt)
+	if quick {
+		return bench.RunMatrix(ids, bench.Quick(), opt)
+	}
+	return bench.RunMatrix(ids, bench.Full(), opt)
 }
 
 // WriteBenchJSON emits a matrix invocation's per-run records as

@@ -220,23 +220,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if err != nil {
 			return fatalf("%v", err)
 		}
-		for _, exp := range m.Experiments {
-			for _, tab := range exp.Tables {
-				fmt.Fprintln(stdout, tab.Format())
-			}
-		}
+		fmt.Fprint(stdout, m.FormatTables())
 		if *jsonOut != "" && !export(*jsonOut, m) {
 			return 1
 		}
 		if *baseline != "" {
-			f, err := os.Open(*baseline)
+			base, err := crest.ReadFile(*baseline, crest.ReadBenchJSON)
 			if err != nil {
 				return fatalf("%v", err)
-			}
-			base, err := crest.ReadBenchJSON(f)
-			f.Close()
-			if err != nil {
-				return fatalf("reading %s: %v", *baseline, err)
 			}
 			cmp := crest.CompareBenchResultSets(base, m.ResultSet())
 			fmt.Fprintf(stdout, "KOPS vs %s:\n%s", *baseline, cmp.Format())

@@ -165,16 +165,9 @@ func command(name string, nargs int, stderr io.Writer) (*flag.FlagSet, func([]st
 func snapshotFrom[T any](in string, read func(io.Reader) (*T, error), cfg crest.BenchmarkConfig,
 	pick func(crest.BenchmarkResult) (snap *T, report string), stderr io.Writer) (*T, int) {
 	if in != "" {
-		f, err := os.Open(in)
+		snap, err := crest.ReadFile(in, read)
 		if err != nil {
 			fmt.Fprintf(stderr, "cresttrace: %v\n", err)
-			usage(stderr)
-			return nil, 1
-		}
-		defer f.Close()
-		snap, err := read(f)
-		if err != nil {
-			fmt.Fprintf(stderr, "cresttrace: reading %s: %v\n", in, err)
 			usage(stderr)
 			return nil, 1
 		}

@@ -170,7 +170,7 @@ type TableSpec struct {
 // own is Execute, the row operations and recovery.
 type Cluster struct {
 	cfg       Config
-	specs     []TableSpec
+	tables    []workload.TableDef
 	dep       *bench.Deployment // nil until the first Load or Finalize
 	finalized bool
 	coords    []bench.Seat
@@ -201,7 +201,7 @@ func (c *Cluster) CreateTable(spec TableSpec) error {
 	if spec.Capacity <= 0 {
 		return fmt.Errorf("crest: table %q needs a positive capacity", spec.Name)
 	}
-	c.specs = append(c.specs, spec)
+	c.tables = append(c.tables, workload.TableDef{Schema: s, Capacity: spec.Capacity})
 	return nil
 }
 
@@ -210,15 +210,8 @@ func (c *Cluster) ensureSystem() error {
 	if c.dep != nil {
 		return nil
 	}
-	if len(c.specs) == 0 {
+	if len(c.tables) == 0 {
 		return fmt.Errorf("crest: no tables created")
-	}
-	defs := make([]workload.TableDef, 0, len(c.specs))
-	for _, spec := range c.specs {
-		defs = append(defs, workload.TableDef{
-			Schema:   layout.Schema{ID: spec.ID, Name: spec.Name, CellSizes: spec.CellSizes},
-			Capacity: spec.Capacity,
-		})
 	}
 	params := rdma.DefaultParams()
 	if c.cfg.RTT > 0 {
@@ -241,7 +234,7 @@ func (c *Cluster) ensureSystem() error {
 		Metrics:      c.obs.Metrics,
 		Why:          c.obs.Why,
 		Flight:       c.obs.Flight,
-	}, defs, c.cfg.PoolBytes, false)
+	}, c.tables, c.cfg.PoolBytes, false)
 	c.dep = dep
 	return err
 }
@@ -577,17 +570,10 @@ func PlacementPolicies() []string { return placement.Names() }
 // ReadWhyJSON) into a seed for the "hotspot" placement policy: the
 // limit most-contended keys are pinned to shard group 0, colocating
 // the hot set so transactions over it stay single-shard. A limit ≤ 0
-// keeps every ranked hotspot.
+// keeps every ranked hotspot. It is the conversion a hotspot run with
+// no seed applies to its own probe.
 func PlacementSeedFromWhy(s *WhySnapshot, limit int) []PlacementHotKey {
-	hs := s.Graph().Hotspots
-	if limit <= 0 || limit > len(hs) {
-		limit = len(hs)
-	}
-	keys := make([]PlacementHotKey, 0, limit)
-	for _, h := range hs[:limit] {
-		keys = append(keys, PlacementHotKey{Table: h.Table, Key: h.Key, Shard: 0})
-	}
-	return keys
+	return bench.HotKeysFrom(s, limit)
 }
 
 // Coordinators reports the number of coordinators available.

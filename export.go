@@ -24,43 +24,58 @@ import (
 // A new view is one more row here; both CLIs then export it.
 func Export(path string, snapshot any) (summary string, err error) {
 	isJSON := strings.HasSuffix(path, ".json")
-	var write func(io.Writer) error
-	switch s := snapshot.(type) {
-	case *TraceSnapshot:
-		write = func(w io.Writer) error { return WriteChromeTrace(w, s) }
-		summary = fmt.Sprintf("[trace: %d events -> %s]", len(s.Events), path)
-	case *MetricsSnapshot:
-		switch {
-		case strings.HasSuffix(path, ".csv"):
-			write = func(w io.Writer) error { return WriteMetricsCSV(w, s) }
-		case isJSON:
-			write = func(w io.Writer) error { return WriteMetricsJSON(w, s) }
-		default:
-			write = func(w io.Writer) error { return WriteMetricsPrometheus(w, s) }
+	err = WriteFile(path, func(w io.Writer) error {
+		switch s := snapshot.(type) {
+		case *TraceSnapshot:
+			summary = fmt.Sprintf("[trace: %d events -> %s]", len(s.Events), path)
+			return WriteChromeTrace(w, s)
+		case *MetricsSnapshot:
+			summary = fmt.Sprintf("[metrics: %d series, %d windows -> %s]", len(s.Series), len(s.Times), path)
+			switch {
+			case strings.HasSuffix(path, ".csv"):
+				return WriteMetricsCSV(w, s)
+			case isJSON:
+				return WriteMetricsJSON(w, s)
+			}
+			return WriteMetricsPrometheus(w, s)
+		case *WhySnapshot:
+			summary = fmt.Sprintf("[why: %d txns, %d edges -> %s]", len(s.Txns), len(s.Edges), path)
+			if isJSON {
+				return WriteWhyJSON(w, s)
+			}
+			return WriteWhyDOT(w, s)
+		case *FlightSnapshot:
+			summary = fmt.Sprintf("[flight: %d txns, %d exemplars -> %s]", len(s.Txns), len(s.Exemplars), path)
+			if isJSON {
+				return WriteFlightJSON(w, s)
+			}
+			return WriteFlightTail(w, s, 5)
+		case *RuntimeStats:
+			summary = fmt.Sprintf("[runtime: %d windows, %d partitions, %d workers -> %s]", s.Windows, s.Parts, s.Workers, path)
+			return WriteRuntimeStats(w, s)
+		case *MatrixResult:
+			summary = fmt.Sprintf("[json: %d run records -> %s]", len(s.Records), path)
+			return WriteBenchJSON(w, s)
 		}
-		summary = fmt.Sprintf("[metrics: %d series, %d windows -> %s]", len(s.Series), len(s.Times), path)
-	case *WhySnapshot:
-		write = func(w io.Writer) error { return WriteWhyDOT(w, s) }
-		if isJSON {
-			write = func(w io.Writer) error { return WriteWhyJSON(w, s) }
-		}
-		summary = fmt.Sprintf("[why: %d txns, %d edges -> %s]", len(s.Txns), len(s.Edges), path)
-	case *FlightSnapshot:
-		write = func(w io.Writer) error { return WriteFlightTail(w, s, 5) }
-		if isJSON {
-			write = func(w io.Writer) error { return WriteFlightJSON(w, s) }
-		}
-		summary = fmt.Sprintf("[flight: %d txns, %d exemplars -> %s]", len(s.Txns), len(s.Exemplars), path)
-	case *RuntimeStats:
-		write = func(w io.Writer) error { return WriteRuntimeStats(w, s) }
-		summary = fmt.Sprintf("[runtime: %d windows, %d partitions, %d workers -> %s]", s.Windows, s.Parts, s.Workers, path)
-	case *MatrixResult:
-		write = func(w io.Writer) error { return WriteBenchJSON(w, s) }
-		summary = fmt.Sprintf("[json: %d run records -> %s]", len(s.Records), path)
-	default:
-		return "", fmt.Errorf("crest: no export for %T", snapshot)
+		return fmt.Errorf("crest: no export for %T", snapshot)
+	})
+	return summary, err
+}
+
+// ReadFile opens path and parses it with read — ReadMetricsJSON,
+// ReadWhyJSON, ReadFlightJSON, ReadRuntimeStats or ReadBenchJSON — and
+// names the file when the document is rejected.
+func ReadFile[T any](path string, read func(io.Reader) (*T, error)) (*T, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
 	}
-	return summary, WriteFile(path, write)
+	defer f.Close() // only read: nothing a failed close could lose
+	s, err := read(f)
+	if err != nil {
+		return nil, fmt.Errorf("reading %s: %w", path, err)
+	}
+	return s, nil
 }
 
 // WriteFile creates path, hands write a buffered writer on it, flushes

@@ -183,6 +183,13 @@ type PhaseStat struct {
 	Aborts   uint64 `json:"aborts"`
 }
 
+// add folds another accumulator of the same phase in.
+func (p *PhaseStat) add(o PhaseStat) {
+	p.Attempts += o.Attempts
+	p.Commits += o.Commits
+	p.Aborts += o.Aborts
+}
+
 // AbortRate is aborts per attempt within the phase.
 func (p PhaseStat) AbortRate() float64 {
 	if p.Attempts == 0 {
@@ -433,9 +440,7 @@ func Run(cfg Config) (Result, error) {
 	for i := 1; i < len(runs); i++ {
 		res.Run.Merge(runs[i])
 		for j, ph := range phases[i] {
-			res.ScenarioPhases[j].Attempts += ph.Attempts
-			res.ScenarioPhases[j].Commits += ph.Commits
-			res.ScenarioPhases[j].Aborts += ph.Aborts
+			res.ScenarioPhases[j].add(ph)
 		}
 	}
 	for _, v := range d.views {

@@ -214,14 +214,22 @@ func probeHotKeys(cfg Config) ([]placement.HotKey, error) {
 	if _, err := Run(probe); err != nil {
 		return nil, fmt.Errorf("bench: hotspot placement probe: %w", err)
 	}
-	hs := probe.Why.Snapshot().Graph().Hotspots
-	limit := memnode.MaxShards
-	if len(hs) < limit {
+	return HotKeysFrom(probe.Why.Snapshot(), memnode.MaxShards), nil
+}
+
+// HotKeysFrom converts a causality snapshot's hotspot ranking into a
+// seed for the "hotspot" placement policy: the limit most-contended
+// keys are pinned to shard group 0, colocating the hot set so
+// transactions over it stay single-shard. A limit ≤ 0 keeps every
+// ranked hotspot.
+func HotKeysFrom(s *causality.Snapshot, limit int) []placement.HotKey {
+	hs := s.Graph().Hotspots
+	if limit <= 0 || limit > len(hs) {
 		limit = len(hs)
 	}
 	keys := make([]placement.HotKey, 0, limit)
 	for _, h := range hs[:limit] {
 		keys = append(keys, placement.HotKey{Table: h.Table, Key: h.Key, Shard: 0})
 	}
-	return keys, nil
+	return keys
 }

@@ -601,86 +601,13 @@ func (r *Runner) Get(spec RunSpec) (*RunRecord, error) {
 	if rec := r.loadCached(spec, key); rec != nil {
 		return rec, nil
 	}
-	rec, err := r.execute(spec)
+	rec, res, err := Execute(spec, r.profile, Config{Workers: r.simWorkers})
 	if err != nil {
 		return nil, err
 	}
 	r.mu.Lock()
 	r.store[key] = rec
 	r.simulated++
-	r.mu.Unlock()
-	r.saveCached(key, rec)
-	return rec, nil
-}
-
-// Prime deduplicates specs by key and executes the not-yet-memoized
-// remainder on the worker pool. It is the fan-out step of RunMatrix;
-// after it returns, renderers hit only the in-process store.
-func (r *Runner) Prime(specs []RunSpec) error {
-	var todo []RunSpec
-	seen := map[string]bool{}
-	for _, spec := range specs {
-		key := spec.Key()
-		if seen[key] {
-			continue
-		}
-		seen[key] = true
-		r.mu.Lock()
-		_, have := r.store[key]
-		r.mu.Unlock()
-		if have {
-			continue
-		}
-		if rec := r.loadCached(spec, key); rec != nil {
-			continue
-		}
-		todo = append(todo, spec)
-	}
-	if len(todo) == 0 {
-		return nil
-	}
-
-	workers := r.workers
-	if workers > len(todo) {
-		workers = len(todo)
-	}
-	errs := make([]error, len(todo))
-	next := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				spec := todo[i]
-				rec, err := r.execute(spec)
-				if err != nil {
-					errs[i] = fmt.Errorf("%s: %w", spec.Key(), err)
-					continue
-				}
-				r.mu.Lock()
-				r.store[spec.Key()] = rec
-				r.simulated++
-				r.mu.Unlock()
-				r.saveCached(spec.Key(), rec)
-			}
-		}()
-	}
-	for i := range todo {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
-	return errors.Join(errs...)
-}
-
-// execute runs one simulation (no memoization).
-func (r *Runner) execute(spec RunSpec) (*RunRecord, error) {
-	rec, res, err := Execute(spec, r.profile, Config{Workers: r.simWorkers})
-	if err != nil {
-		return nil, err
-	}
-	r.mu.Lock()
 	r.simWallMS += res.WallMS
 	r.simEvents += res.Events
 	if res.Runtime != nil && res.Runtime.Sim != nil {
@@ -692,7 +619,43 @@ func (r *Runner) execute(spec RunSpec) (*RunRecord, error) {
 		}
 	}
 	r.mu.Unlock()
+	r.saveCached(key, rec)
 	return rec, nil
+}
+
+// Prime deduplicates specs by key and resolves each through Get on the
+// worker pool, so the not-yet-memoized remainder executes in parallel.
+// It is the fan-out step of RunMatrix; after it returns, renderers hit
+// only the in-process store.
+func (r *Runner) Prime(specs []RunSpec) error {
+	var todo []RunSpec
+	seen := map[string]bool{}
+	for _, spec := range specs {
+		if key := spec.Key(); !seen[key] {
+			seen[key] = true
+			todo = append(todo, spec)
+		}
+	}
+	errs := make([]error, len(todo))
+	next := make(chan int)
+	var wg sync.WaitGroup
+	for w := 0; w < min(r.workers, len(todo)); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range next {
+				if _, err := r.Get(todo[i]); err != nil {
+					errs[i] = fmt.Errorf("%s: %w", todo[i].Key(), err)
+				}
+			}
+		}()
+	}
+	for i := range todo {
+		next <- i
+	}
+	close(next)
+	wg.Wait()
+	return errors.Join(errs...)
 }
 
 // Records returns every memoized record sorted by key — the canonical
@@ -736,24 +699,30 @@ func (r *Runner) Perf() *BenchPerf {
 		workers = 1
 	}
 	p := &BenchPerf{
-		SimWallMS: r.simWallMS,
-		Events:    r.simEvents,
-		Simulated: r.simulated,
-		Workers:   workers,
-	}
-	if r.simWallMS > 0 {
-		p.EventsPerSec = float64(r.simEvents) / (r.simWallMS / 1e3)
+		SimWallMS:    r.simWallMS,
+		Events:       r.simEvents,
+		EventsPerSec: EventsPerSec(r.simEvents, r.simWallMS),
+		Simulated:    r.simulated,
+		Workers:      workers,
 	}
 	if len(r.partEvents) > 0 {
 		p.PartEvents = append([]uint64(nil), r.partEvents...)
 		if r.simWallMS > 0 {
-			p.PartEventsPerSec = make([]float64, len(r.partEvents))
-			for i, n := range r.partEvents {
-				p.PartEventsPerSec[i] = float64(n) / (r.simWallMS / 1e3)
+			for _, n := range r.partEvents {
+				p.PartEventsPerSec = append(p.PartEventsPerSec, EventsPerSec(n, r.simWallMS))
 			}
 		}
 	}
 	return p
+}
+
+// EventsPerSec is the simulator speed events dispatched in wallMS of
+// real time amount to (0 when no time was measured).
+func EventsPerSec(events uint64, wallMS float64) float64 {
+	if wallMS <= 0 {
+		return 0
+	}
+	return float64(events) / (wallMS / 1e3)
 }
 
 // cacheEntry is the on-disk envelope; the embedded schema version and

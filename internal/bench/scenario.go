@@ -138,9 +138,7 @@ func totalScenarioRow(recs map[SystemKind]*RunRecord) []string {
 	for _, system := range mainSystems {
 		var t PhaseStat
 		for _, ps := range recs[system].ScenarioPhases {
-			t.Attempts += ps.Attempts
-			t.Commits += ps.Commits
-			t.Aborts += ps.Aborts
+			t.add(ps)
 		}
 		row = append(row, fmt.Sprint(t.Commits), pct(t.AbortRate()))
 	}

@@ -106,7 +106,7 @@ func newRuntimeStats(ri *bench.RuntimeInfo, wallMS float64, events uint64) *Runt
 		Events:           events,
 		WallMS:           wallMS,
 		BarrierWaitMS:    float64(sim.BarrierWaitNS) / 1e6,
-		EventsPerSec:     eventsPerSec(events, wallMS),
+		EventsPerSec:     bench.EventsPerSec(events, wallMS),
 		WindowLogDropped: sim.WindowLogDropped,
 	}
 	var busyNS int64
@@ -118,7 +118,7 @@ func newRuntimeStats(ri *bench.RuntimeInfo, wallMS float64, events uint64) *Runt
 			Sent:         ps.Sent,
 			MailboxHWM:   ps.MailboxHWM,
 			BusyMS:       float64(ps.BusyNS) / 1e6,
-			EventsPerSec: eventsPerSec(ps.Events, wallMS),
+			EventsPerSec: bench.EventsPerSec(ps.Events, wallMS),
 		}
 		if ps.Part < len(ri.Cross) {
 			pr.CrossVerbs = ri.Cross[ps.Part].Total()
