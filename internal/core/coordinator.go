@@ -314,7 +314,6 @@ func (c *Coordinator) getOrCreate(p *sim.Proc, rk engine.RecKey, lay *layout.Rec
 // coordinator admits a given record at a time; others wait.
 func (c *Coordinator) admit(p *sim.Proc, sc *execScratch, blockAccs []*access) (engine.AbortReason, bool) {
 	db := c.cn.db
-	opts := c.cn.sys.opts
 	tries := 0
 	for {
 		var waitObj *object
@@ -376,7 +375,7 @@ func (c *Coordinator) admit(p *sim.Proc, sc *execScratch, blockAccs []*access) (
 						db.Obs.Piggybacked(p, obj.table, obj.key, obj.remoteLocks)
 					}
 					obj.streak++
-					if k := opts.MaxPiggyback; k > 0 && obj.streak >= k && obj.remoteLocks != 0 {
+					if obj.streak >= maxPiggyback && obj.remoteLocks != 0 {
 						obj.drainPending = true
 					}
 				}
@@ -495,14 +494,14 @@ func (c *Coordinator) admit(p *sim.Proc, sc *execScratch, blockAccs []*access) (
 			continue // reloop to verify nothing else is missing
 		}
 		tries++
-		if tries > opts.LockRetries {
+		if tries > lockRetries {
 			var myMask uint64
 			for _, acc := range blockAccs {
 				myMask |= acc.Op.CellMask()
 			}
 			return engine.AbortLockFail, engine.IsFalseConflict(myMask, conflictMask)
 		}
-		back := opts.LockBackoff + sim.Duration(p.Rand().Int63n(int64(opts.LockBackoff)))
+		back := lockBackoff + sim.Duration(p.Rand().Int63n(int64(lockBackoff)))
 		p.Sleep(back)
 		db.Obs.BackedOff(p, back)
 	}
@@ -714,7 +713,7 @@ func (c *Coordinator) validateRemote(p *sim.Proc, sc *execScratch, accs []*acces
 				// shared object would put every local accessor into a
 				// refetch storm.
 				if h.EN[ck.cell] != obj.epochs[ck.cell] &&
-					p.Now().Sub(obj.firstFetch) > c.cn.sys.opts.FetchTTL {
+					p.Now().Sub(obj.firstFetch) > fetchTTL {
 					obj.admitted = false
 				}
 				conf := obj.conflict(db.Tracker)
@@ -893,7 +892,7 @@ func (c *Coordinator) applyRelease(p *sim.Proc, sc *execScratch, accs []*access)
 		obj.streak = 0
 		if obj.drainPending {
 			obj.drainPending = false
-			obj.drainUntil = p.Now().Add(c.cn.sys.opts.DrainGrace)
+			obj.drainUntil = p.Now().Add(drainGrace)
 		}
 		obj.flushing = false
 		obj.stateQ.WakeAll()

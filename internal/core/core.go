@@ -49,28 +49,6 @@ type Options struct {
 	// commit-timestamp comparison, guarding against EN rollover
 	// (§4.2). The paper sets 65,536 µs.
 	ENThreshold sim.Duration
-	// LockRetries bounds masked-CAS retries (and locked-read retries)
-	// before an attempt aborts.
-	LockRetries int
-	// LockBackoff is the wait between those retries.
-	LockBackoff sim.Duration
-	// MaxPiggyback bounds how many consecutive local write
-	// transactions may reuse the compute node's held cell locks on one
-	// record before a release window is forced. Without a bound, a
-	// steady local write stream keeps `writers > 0` forever, the last-
-	// writer release never fires, and other compute nodes starve on
-	// that record. The paper does not discuss this liveness detail;
-	// the bound is our addition (see DESIGN.md).
-	MaxPiggyback int
-	// DrainGrace holds local writers back for a short period after a
-	// forced release so contending compute nodes can win the cells.
-	DrainGrace sim.Duration
-	// FetchTTL rate-limits cache invalidation: a validation failure
-	// marks the record cache stale only if the base is older than
-	// this. Without it, sustained cross-node churn on a hot record
-	// turns every abort into a refetch and the shared object's
-	// admission serializes the whole compute node.
-	FetchTTL sim.Duration
 	// RecordLevelTables opts individual tables out of cell-level
 	// concurrency control (§4.4: cell-level metadata can be reserved
 	// for the tables that need it). Accesses to these tables lock and
@@ -78,23 +56,41 @@ type Options struct {
 	RecordLevelTables []layout.TableID
 }
 
+// The liveness constants of the protocol (DESIGN.md §4b). No caller
+// ever set them to anything else, so they are not Options; an ablation
+// edits the constant.
+const (
+	// lockRetries bounds masked-CAS retries (and locked-read retries)
+	// before an attempt aborts. No-wait on foreign locks: the attempt
+	// aborts immediately and releases everything it held. Spinning
+	// while holding other records' locks gridlocks compute nodes
+	// against each other, and even one in-place retry measurably hurts
+	// hot-key handoff.
+	lockRetries = 1
+	// lockBackoff is the wait between those retries.
+	lockBackoff = 3 * sim.Microsecond
+	// maxPiggyback bounds how many consecutive local write
+	// transactions may reuse the compute node's held cell locks on one
+	// record before a release window is forced. Without a bound, a
+	// steady local write stream keeps `writers > 0` forever, the last-
+	// writer release never fires, and other compute nodes starve on
+	// that record. The paper does not discuss this liveness detail;
+	// the bound is our addition (see DESIGN.md).
+	maxPiggyback = 16
+	// drainGrace holds local writers back for a short period after a
+	// forced release so contending compute nodes can win the cells.
+	drainGrace = 6 * sim.Microsecond
+	// fetchTTL rate-limits cache invalidation: a validation failure
+	// marks the record cache stale only if the base is older than
+	// this. Without it, sustained cross-node churn on a hot record
+	// turns every abort into a refetch and the shared object's
+	// admission serializes the whole compute node.
+	fetchTTL = 6 * sim.Microsecond
+)
+
 // DefaultOptions returns the full CREST configuration.
 func DefaultOptions() Options {
-	return Options{
-		CellLevel:   true,
-		Localized:   true,
-		ENThreshold: 65536 * sim.Microsecond,
-		// No-wait on foreign locks: the attempt aborts immediately and
-		// releases everything it held. Spinning while holding other
-		// records' locks gridlocks compute nodes against each other,
-		// and even one in-place retry measurably hurts hot-key
-		// handoff.
-		LockRetries:  1,
-		LockBackoff:  3 * sim.Microsecond,
-		MaxPiggyback: 16,
-		DrainGrace:   6 * sim.Microsecond,
-		FetchTTL:     6 * sim.Microsecond,
-	}
+	return Options{CellLevel: true, Localized: true, ENThreshold: 65536 * sim.Microsecond}
 }
 
 // BaseOptions is the factor-analysis Base system: record-level
@@ -126,9 +122,6 @@ type System struct {
 func New(db *engine.DB, opts Options) *System {
 	if opts.Localized && !opts.CellLevel {
 		panic("core: localized execution requires cell-level concurrency control")
-	}
-	if opts.LockRetries <= 0 {
-		opts.LockRetries = 1
 	}
 	return &System{db: db, opts: opts, layouts: map[layout.TableID]*layout.Record{}}
 }

@@ -79,13 +79,12 @@ func (format) Parse(w *dwork, data []byte, _ engine.Snapshot) (engine.FetchStatu
 	return engine.FetchOK, 0
 }
 
-// Refetch retries LockRetries times, LockBackoff plus jitter apart.
-func (f format) Refetch(p *sim.Proc, round int) (sim.Duration, bool) {
-	opts := &f.sys.opts
-	if round >= opts.LockRetries {
+// Refetch retries lockRetries times, lockBackoff plus jitter apart.
+func (format) Refetch(p *sim.Proc, round int) (sim.Duration, bool) {
+	if round >= lockRetries {
 		return 0, false
 	}
-	return opts.LockBackoff + sim.Duration(p.Rand().Int63n(int64(opts.LockBackoff))), true
+	return lockBackoff + sim.Duration(p.Rand().Int63n(int64(lockBackoff))), true
 }
 
 func (format) NodeMajor() bool { return false }

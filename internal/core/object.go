@@ -143,7 +143,7 @@ type object struct {
 	stateQ     sim.WaitQueue // waiters for admission / flush transitions
 
 	// streak counts consecutive write transactions that piggybacked on
-	// the held remote locks; past Options.MaxPiggyback, drainPending
+	// the held remote locks; past maxPiggyback, drainPending
 	// turns away new writers until the last writer releases, giving
 	// other compute nodes a window to acquire the cells.
 	streak       int

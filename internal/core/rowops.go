@@ -97,7 +97,6 @@ func (c *Coordinator) DeleteRow(p *sim.Proc, table layout.TableID, key layout.Ke
 	qp := c.QPs.Get(primary.Region)
 
 	// Acquire every cell lock (retry briefly like any other writer).
-	opts := c.cn.sys.opts
 	for tries := 0; ; tries++ {
 		_, ok, err := qp.MaskedCAS(p, off+layout.OffLock, 0, mask, mask)
 		if err != nil {
@@ -106,11 +105,11 @@ func (c *Coordinator) DeleteRow(p *sim.Proc, table layout.TableID, key layout.Ke
 		if ok {
 			break
 		}
-		if tries >= opts.LockRetries {
+		if tries >= lockRetries {
 			return fmt.Errorf("core: delete of contended row %d/%d timed out", table, key)
 		}
-		p.Sleep(opts.LockBackoff)
-		db.Obs.BackedOff(p, opts.LockBackoff)
+		p.Sleep(lockBackoff)
+		db.Obs.BackedOff(p, lockBackoff)
 	}
 	// Mark deleted on every replica: the delete bit goes up, the cell
 	// locks go down, in one masked operation per node.
