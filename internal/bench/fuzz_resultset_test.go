@@ -1,0 +1,36 @@
+package bench
+
+import (
+	"bytes"
+	"io"
+	"testing"
+)
+
+// FuzzDecodeResultSet: a crest-bench document is rejected with an error
+// or yields a result set that encodes again and compares against
+// itself (the -baseline path) — never a panic.
+func FuzzDecodeResultSet(f *testing.F) {
+	p := matrixProfile()
+	r := NewRunner(p, MatrixOptions{})
+	if _, err := r.Get(p.Spec(FORD, SmallBankSpec(0.9), 6)); err != nil {
+		f.Fatal(err)
+	}
+	var doc bytes.Buffer
+	if err := (&ResultSet{Schema: SchemaVersion, Profile: p.Name, Runs: r.Records(), Perf: r.Perf()}).Encode(&doc); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(doc.Bytes())
+	f.Add(doc.Bytes()[:doc.Len()/2])
+	f.Add([]byte(`{"schema":"crest-bench/v2","profile":"quick","runs":[]}`))
+	f.Add([]byte(`{"schema":"crest-bench/v3","runs":[null]}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s, err := DecodeResultSet(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		if err := s.Encode(io.Discard); err != nil {
+			t.Fatalf("accepted document does not re-encode: %v", err)
+		}
+		CompareResultSets(s, s).Format()
+	})
+}

@@ -839,6 +839,11 @@ func DecodeResultSet(r io.Reader) (*ResultSet, error) {
 	if s.Schema != SchemaVersion {
 		return nil, fmt.Errorf("bench: result set schema %q, want %q", s.Schema, SchemaVersion)
 	}
+	for i, rec := range s.Runs {
+		if rec == nil { // every consumer dereferences its records
+			return nil, fmt.Errorf("bench: result set run %d is null", i)
+		}
+	}
 	return &s, nil
 }
 

@@ -11,7 +11,7 @@ import (
 
 // inProc runs fn inside one simulated process and drives the
 // environment to completion.
-func inProc(t *testing.T, fn func(p *sim.Proc)) {
+func inProc(t testing.TB, fn func(p *sim.Proc)) {
 	t.Helper()
 	env := sim.NewEnv(1)
 	env.Spawn("test", fn)
@@ -380,7 +380,9 @@ func TestGraphAggregatesAndFindsCycles(t *testing.T) {
 	}
 }
 
-func TestJSONRoundTripsByteEqual(t *testing.T) {
+// tinySnapshot is a holder and a loser that fails a lock, fails
+// validation and then commits.
+func tinySnapshot(t testing.TB) *Snapshot {
 	r := NewRecorder(Options{})
 	inProc(t, func(p *sim.Proc) {
 		h := r.Begin(p, 1, "holder", new(int))
@@ -394,7 +396,11 @@ func TestJSONRoundTripsByteEqual(t *testing.T) {
 		r.Commit(p.Now(), tx)
 		r.Commit(p.Now(), h)
 	})
-	snap := r.Snapshot()
+	return r.Snapshot()
+}
+
+func TestJSONRoundTripsByteEqual(t *testing.T) {
+	snap := tinySnapshot(t)
 
 	var first bytes.Buffer
 	if err := WriteJSON(&first, snap); err != nil {

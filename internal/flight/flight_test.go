@@ -8,7 +8,7 @@ import (
 	"crest/internal/trace"
 )
 
-func inProc(t *testing.T, fn func(p *sim.Proc)) {
+func inProc(t testing.TB, fn func(p *sim.Proc)) {
 	t.Helper()
 	env := sim.NewEnv(1)
 	env.Spawn("test", fn)
@@ -322,7 +322,9 @@ func TestShardStridedIDsAndMerge(t *testing.T) {
 
 // TestJSONRoundTripByteEqual: Write → Read → Write reproduces the
 // export byte for byte.
-func TestJSONRoundTripByteEqual(t *testing.T) {
+// tinySnapshot is one transaction that fails a lock and commits on its
+// second attempt.
+func tinySnapshot(t testing.TB) *Snapshot {
 	r := NewRecorder(Options{})
 	key := new(int)
 	inProc(t, func(p *sim.Proc) {
@@ -336,8 +338,12 @@ func TestJSONRoundTripByteEqual(t *testing.T) {
 		p.Sleep(sim.Microsecond)
 		r.Done(p, true)
 	})
+	return r.Snapshot()
+}
+
+func TestJSONRoundTripByteEqual(t *testing.T) {
 	var a bytes.Buffer
-	if err := WriteJSON(&a, r.Snapshot()); err != nil {
+	if err := WriteJSON(&a, tinySnapshot(t)); err != nil {
 		t.Fatal(err)
 	}
 	back, err := ReadJSON(bytes.NewReader(a.Bytes()))

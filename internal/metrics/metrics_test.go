@@ -210,7 +210,8 @@ func TestSnapshotIsACopy(t *testing.T) {
 	}
 }
 
-func TestJSONRoundTrip(t *testing.T) {
+// tinySnapshot is a counter and a histogram over three windows.
+func tinySnapshot() *Snapshot {
 	r := NewRegistry(Options{Window: 10 * sim.Microsecond})
 	now := fakeClock(r)
 	c := r.Counter("ops_total", `verb="READ"`, "reads")
@@ -218,7 +219,11 @@ func TestJSONRoundTrip(t *testing.T) {
 	c.Add(3)
 	h.Observe(5)
 	*now = sim.Time(30 * sim.Microsecond)
-	s := r.Snapshot()
+	return r.Snapshot()
+}
+
+func TestJSONRoundTrip(t *testing.T) {
+	s := tinySnapshot()
 
 	var buf bytes.Buffer
 	if err := WriteJSON(&buf, s); err != nil {
