@@ -1,0 +1,38 @@
+#!/usr/bin/env bash
+# The size census CHANGES.md and ROADMAP.md quote: non-test Go lines per
+# layer and in total, and how many flags each CLI surface has. Counted
+# one way, here, so two PRs' numbers can be compared. Lines are `wc -l`
+# of every .go file that is not a _test.go; benchmarks/ is its own
+# module and is left out. Run from the repository root.
+set -euo pipefail
+
+lines() { if [ $# -gt 0 ]; then cat "$@" | wc -l; else echo 0; fi; }
+layer() { # name, directories searched recursively
+  local name=$1; shift
+  mapfile -t files < <(find "$@" -name '*.go' ! -name '*_test.go' | sort)
+  printf '%-28s %7d\n' "$name" "$(lines "${files[@]}")"
+}
+
+echo "non-test Go lines"
+mapfile -t root < <(ls ./*.go | grep -v _test)
+printf '%-28s %7d\n' "root (package crest)" "$(lines "${root[@]}")"
+for d in internal/*/; do layer "${d%/}" "$d"; done
+layer "cmd/" cmd
+layer "examples/" examples
+# The two totals the acceptance criteria of the harness PRs are written
+# against, by the same commands.
+printf '%-28s %7d\n' "harness (root+bench+cmd)" \
+  "$(ls ./*.go internal/bench/*.go cmd/*/*.go | grep -v _test | xargs cat | wc -l)"
+printf '%-28s %7d\n' "total" \
+  "$(find . -name '*.go' ! -name '*_test.go' ! -path './benchmarks/*' -print0 | xargs -0 cat | wc -l)"
+
+echo
+echo "flags (lines of -h that declare one)"
+bin=$(mktemp -d)
+trap 'rm -rf "$bin"' EXIT
+go build -o "$bin" ./cmd/crestbench ./cmd/cresttrace
+flags() { ("$@" -h 2>&1 || true) | grep -c '^  -'; }
+printf '%-28s %7d\n' "crestbench" "$(flags "$bin/crestbench")"
+for sub in trace why graph windows tail critpath; do
+  printf '%-28s %7d\n' "cresttrace $sub" "$(flags "$bin/cresttrace" "$sub")"
+done

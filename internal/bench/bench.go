@@ -58,7 +58,7 @@ type Config struct {
 	// internal/placement).
 	Placement string
 	// HotKeys seeds the "hotspot" placement policy. When the policy is
-	// "hotspot" and HotKeys is empty, Run derives a seed by first
+	// "hotspot" and HotKeys is empty, Deploy derives a seed by first
 	// executing a short deterministic probe of the same workload under
 	// modulo placement with a causality recorder and pinning its
 	// hottest keys to shard group 0.

@@ -5,6 +5,7 @@ package stats
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"crest/internal/engine"
@@ -84,6 +85,7 @@ func (l *Latencies) P999() float64 { return l.Percentile(99.9) }
 // one step would round differently from a single accumulator that saw
 // every sample.
 func (l *Latencies) Merge(other *Latencies) {
+	l.samples = slices.Grow(l.samples, len(other.samples))
 	for _, us := range other.samples {
 		l.add(us)
 	}
