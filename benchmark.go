@@ -194,10 +194,11 @@ const BenchSchemaVersion = bench.SchemaVersion
 // when ≤ 0), reusing opt.CacheDir across invocations when set — and
 // the rendered tables are byte-identical for any worker count.
 func RunMatrix(ids []string, quick bool, opt MatrixOptions) (*MatrixResult, error) {
+	profile := bench.Full()
 	if quick {
-		return bench.RunMatrix(ids, bench.Quick(), opt)
+		profile = bench.Quick()
 	}
-	return bench.RunMatrix(ids, bench.Full(), opt)
+	return bench.RunMatrix(ids, profile, opt)
 }
 
 // WriteBenchJSON emits a matrix invocation's per-run records as

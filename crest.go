@@ -254,16 +254,19 @@ func (c *Cluster) Load(table TableID, key Key, cells [][]byte) error {
 
 // Finalize publishes the indexes and starts the compute nodes. No
 // loads are accepted afterwards.
-func (c *Cluster) Finalize() (err error) {
+func (c *Cluster) Finalize() error {
 	if c.finalized {
 		return fmt.Errorf("crest: already finalized")
 	}
 	if err := c.ensureSystem(); err != nil {
 		return err
 	}
-	c.coords, err = c.dep.Start()
-	c.finalized = err == nil
-	return err
+	coords, err := c.dep.Start()
+	if err != nil {
+		return err
+	}
+	c.coords, c.finalized = coords, true
+	return nil
 }
 
 // Result reports one transaction's outcome. Committed is false when

@@ -151,7 +151,7 @@ func (d *Deployment) Start() ([]Seat, error) {
 			// partition they are the plain creation counter.
 			id := part + len(views)*seq[part]
 			seq[part]++
-			seats = append(seats, Seat{node.NewCoordinator(id), envs[part], cn, i, part})
+			seats = append(seats, Seat{Coordinator: node.NewCoordinator(id), Env: envs[part], Node: cn, Slot: i, Part: part})
 		}
 	}
 	return seats, nil
