@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -14,8 +15,8 @@ type blockLog struct{ blocks []string }
 func (*blockLog) ProcSpawn(string, sim.Time)  {}
 func (*blockLog) ProcWake(string, sim.Time)   {}
 func (*blockLog) ProcFinish(string, sim.Time) {}
-func (o *blockLog) ProcBlock(name, queue string, _ sim.Time) {
-	o.blocks = append(o.blocks, name+" @ "+queue)
+func (o *blockLog) ProcBlock(name string, queue fmt.Stringer, _ sim.Time) {
+	o.blocks = append(o.blocks, name+" @ "+queue.String())
 }
 
 // TestWaitLabels pins the three wait labels the core hands the

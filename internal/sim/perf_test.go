@@ -94,10 +94,10 @@ type dispatchRec struct {
 // lifecycle callback and must not perturb the schedule.
 type nopObserver struct{ calls int }
 
-func (o *nopObserver) ProcSpawn(string, Time)         { o.calls++ }
-func (o *nopObserver) ProcBlock(string, string, Time) { o.calls++ }
-func (o *nopObserver) ProcWake(string, Time)          { o.calls++ }
-func (o *nopObserver) ProcFinish(string, Time)        { o.calls++ }
+func (o *nopObserver) ProcSpawn(string, Time)               { o.calls++ }
+func (o *nopObserver) ProcBlock(string, fmt.Stringer, Time) { o.calls++ }
+func (o *nopObserver) ProcWake(string, Time)                { o.calls++ }
+func (o *nopObserver) ProcFinish(string, Time)              { o.calls++ }
 
 // contendedRun drives a small contended workload — shared mutex,
 // shared wait queue, rng-jittered sleeps — and returns the complete
@@ -231,11 +231,14 @@ type blockLog struct {
 	queues []string
 }
 
-func (o *blockLog) ProcBlock(_, queue string, _ Time) { o.queues = append(o.queues, queue) }
+func (o *blockLog) ProcBlock(_ string, queue fmt.Stringer, _ Time) {
+	o.queues = append(o.queues, queue.String())
+}
 
 // TestLabelIsLazy pins the label contract. Unobserved, Wait and Lock
 // never build the label and a contended handoff allocates nothing;
-// observed, every Wait reports the label as it reads at that instant;
+// observed, every Wait hands the observer the label, which reads as of
+// that instant when (and only when) the observer asks;
 // a deadlock report reads it when the report is built.
 func TestLabelIsLazy(t *testing.T) {
 	lbl := &countingLabel{}

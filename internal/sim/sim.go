@@ -24,8 +24,8 @@
 // coroutine (iter.Pull): dispatching one and parking it again are two
 // direct switches on the scheduler's own thread, with no run queue, no
 // channel and never a second runnable goroutine. Wait-queue labels are
-// built only for an attached Observer or a deadlock report. Dispatched
-// events are counted so harnesses can report events/sec.
+// built only when an attached Observer asks or for a deadlock report.
+// Dispatched events are counted so harnesses can report events/sec.
 package sim
 
 import (
@@ -148,9 +148,12 @@ func (h *eventHeap) pop() event {
 // parking on a wait queue, wakeup, and exit. Observers must not touch
 // the environment (no Spawn, no clock access beyond the at argument) —
 // they exist for tracing, and tracing must not perturb the schedule.
+// ProcBlock is handed the queue itself: its String builds the label as
+// it reads at that instant, so an observer that does not keep the
+// event never pays for the text.
 type Observer interface {
 	ProcSpawn(name string, at Time)
-	ProcBlock(name, queue string, at Time)
+	ProcBlock(name string, queue fmt.Stringer, at Time)
 	ProcWake(name string, at Time)
 	ProcFinish(name string, at Time)
 }
@@ -512,7 +515,7 @@ func (e *Env) waiterNames() []string {
 			continue
 		}
 		total++
-		name := p.name + " @ " + p.waitQ.label()
+		name := p.name + " @ " + p.waitQ.String()
 		i := sort.SearchStrings(names, name)
 		switch {
 		case len(names) < maxWaiterNames:
@@ -574,12 +577,13 @@ func NewWaitQueue(name string) *WaitQueue { return &WaitQueue{labeler: fixedLabe
 func (q *WaitQueue) SetName(name string) { q.labeler = fixedLabel(name) }
 
 // SetLabel makes l the queue's label. l.String is called only when an
-// Observer is attached (at each Wait) or a deadlock or diagnostic
+// attached Observer asks for it (ProcBlock) or a deadlock or diagnostic
 // report is built, so a label that describes the owner's current state
 // costs nothing on the Wait/Wake path.
 func (q *WaitQueue) SetLabel(l fmt.Stringer) { q.labeler = l }
 
-func (q *WaitQueue) label() string {
+// String builds the queue's label.
+func (q *WaitQueue) String() string {
 	if q.labeler == nil {
 		return ""
 	}
@@ -596,7 +600,7 @@ func (q *WaitQueue) Wait(p *Proc) {
 	p.waitQ = q
 	p.env.waiting++
 	if p.env.obs != nil {
-		p.env.obs.ProcBlock(p.name, q.label(), p.env.now)
+		p.env.obs.ProcBlock(p.name, q, p.env.now)
 	}
 	p.park()
 }

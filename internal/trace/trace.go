@@ -509,11 +509,12 @@ func (r *Recorder) ProcSpawn(name string, at sim.Time) {
 }
 
 // ProcBlock implements sim.Observer: a process parked on a wait queue.
-func (r *Recorder) ProcBlock(name, queue string, at sim.Time) {
+// The queue's label is built only here, for an event that is kept.
+func (r *Recorder) ProcBlock(name string, queue fmt.Stringer, at sim.Time) {
 	if r == nil || !r.procEvents() {
 		return
 	}
-	r.emit(Event{At: at, Kind: KindProcBlock, Label: name, Reason: queue})
+	r.emit(Event{At: at, Kind: KindProcBlock, Label: name, Reason: queue.String()})
 }
 
 // ProcWake implements sim.Observer.

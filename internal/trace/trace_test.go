@@ -42,7 +42,7 @@ func TestNilRecorderIsSafe(t *testing.T) {
 		r.Abort(p.Now(), s, "lock-conflict", false)
 		r.Commit(p.Now(), s)
 		r.ProcSpawn("x", p.Now())
-		r.ProcBlock("x", "q", p.Now())
+		r.ProcBlock("x", sim.NewWaitQueue("q"), p.Now())
 		r.ProcWake("x", p.Now())
 		r.ProcFinish("x", p.Now())
 	})
