@@ -1,6 +1,10 @@
 package crest
 
 import (
+	"errors"
+	"os"
+	"strings"
+	"syscall"
 	"testing"
 	"time"
 )
@@ -406,5 +410,30 @@ func TestResyncMemoryNodeViaCluster(t *testing.T) {
 	mc := newBankCluster(t, SystemMotor, 4)
 	if _, err := mc.ResyncMemoryNode(0); err == nil {
 		t.Fatal("Motor cluster accepted resync")
+	}
+}
+
+// The trace, why and flight exporters stream their documents through a
+// buffer of their own; a write that fails under them still comes back
+// from Export as "writing <path>: …". /dev/full fails every write the
+// way a full disk does.
+func TestExportReportsAStreamedWriteError(t *testing.T) {
+	const path = "/dev/full"
+	if _, err := os.Stat(path); err != nil {
+		t.Skipf("no %s on this system", path)
+	}
+	res, err := RunBenchmark(BenchmarkConfig{
+		RunSpec: RunSpec{System: SystemCREST, Workload: WorkloadSpec{Kind: WorkloadSmallBank}, Profile: "quick",
+			Coordinators: 24, Duration: time.Millisecond, Warmup: 200 * time.Microsecond},
+		ObserverOptions: ObserverOptions{Trace: true, Why: true, Flight: true},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, snapshot := range []any{res.Trace, res.Why, res.Flight} {
+		_, err := Export(path, snapshot)
+		if err == nil || !strings.HasPrefix(err.Error(), "writing "+path+": ") || !errors.Is(err, syscall.ENOSPC) {
+			t.Errorf("Export(%q, %T) = %v, want a wrapped ENOSPC", path, snapshot, err)
+		}
 	}
 }

@@ -145,6 +145,7 @@ func TestObserverExportDigests(t *testing.T) {
 					return err
 				}),
 			}
+			exportsMatchEncodingJSON(t, name, cfg.Trace.Snapshot(), cfg.Why.Snapshot(), cfg.Flight.Snapshot())
 			if !sharded && (cfg.Trace.Dropped() == 0 || cfg.Why.Dropped() == 0 || cfg.Flight.Dropped() == 0) {
 				t.Errorf("%s: a ring did not evict (trace %d, why %d, flight %d dropped): the digests no longer cover the wrapped unroll",
 					name, cfg.Trace.Dropped(), cfg.Why.Dropped(), cfg.Flight.Dropped())

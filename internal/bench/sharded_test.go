@@ -154,7 +154,7 @@ func TestPartitionedTxnIDsUniqueAcrossCoordinators(t *testing.T) {
 	if _, err := Run(cfg); err != nil {
 		t.Fatal(err)
 	}
-	owner := map[uint64]uint64{}
+	owner := map[uint64]uint32{}
 	for _, e := range cfg.Trace.Snapshot().Events {
 		if e.Txn == 0 {
 			continue
@@ -166,5 +166,49 @@ func TestPartitionedTxnIDsUniqueAcrossCoordinators(t *testing.T) {
 	}
 	if len(owner) == 0 {
 		t.Fatal("trace carries no transaction ids")
+	}
+}
+
+// TestMemberStreamsArriveSorted is the premise of trace.MergeByTime's
+// k-way merge: a partition's child recorder is written on that
+// partition's clock, which never runs backwards, so its ring unrolls in
+// (time, seq) order and needs no sorting — for every trace event,
+// causality edge and causality transaction node of a sharded run, on
+// every engine. (A child's Snapshot is its own ring, oldest first.) The
+// root of a family records nothing itself: the children account for
+// every event.
+func TestMemberStreamsArriveSorted(t *testing.T) {
+	for _, system := range []SystemKind{CREST, FORD, Motor} {
+		cfg := digestCfg(system, true)
+		if _, err := Run(cfg); err != nil {
+			t.Fatalf("%s: %v", system, err)
+		}
+		events, edges := 0, 0
+		for part := 0; part < cfg.Shards; part++ {
+			tr := cfg.Trace.Shard(part, cfg.Shards).Snapshot()
+			events += len(tr.Events)
+			for i := 1; i < len(tr.Events); i++ {
+				if tr.Events[i].At < tr.Events[i-1].At {
+					t.Fatalf("%s partition %d: trace event %d at %v follows one at %v", system, part, i, tr.Events[i].At, tr.Events[i-1].At)
+				}
+			}
+			why := cfg.Why.Shard(part, cfg.Shards).Snapshot()
+			edges += len(why.Edges)
+			for i := 1; i < len(why.Edges); i++ {
+				a, b := &why.Edges[i-1], &why.Edges[i]
+				if b.At < a.At || b.At == a.At && b.Seq <= a.Seq {
+					t.Fatalf("%s partition %d: edge %d (at %v, seq %d) follows (at %v, seq %d)", system, part, i, b.At, b.Seq, a.At, a.Seq)
+				}
+			}
+			for i := 1; i < len(why.Txns); i++ {
+				a, b := &why.Txns[i-1], &why.Txns[i]
+				if b.Start < a.Start || b.Start == a.Start && b.ID <= a.ID {
+					t.Fatalf("%s partition %d: txn %d (start %v, id %d) follows (start %v, id %d)", system, part, i, b.Start, b.ID, a.Start, a.ID)
+				}
+			}
+		}
+		if events == 0 || events != cfg.Trace.Len() || edges != cfg.Why.Len() {
+			t.Errorf("%s: children hold %d events and %d edges, the family %d and %d", system, events, edges, cfg.Trace.Len(), cfg.Why.Len())
+		}
 	}
 }

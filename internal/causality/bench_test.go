@@ -1,0 +1,86 @@
+package causality
+
+import (
+	"testing"
+
+	"crest/internal/layout"
+	"crest/internal/sim"
+)
+
+// syntheticTxns records txns transactions shaped like a contended run's:
+// each locks and updates two records of a hundred, loses a lock CAS
+// and waits locally, and every fourth aborts on a validation failure
+// and retries — four edges a transaction, one virtual microsecond apart.
+func syntheticTxns(p *sim.Proc, r *Recorder, txns int) {
+	labels := [...]string{"Amalgamate", "Balance", "DepositChecking", "SendPayment", "TransactSavings", "WriteCheck"}
+	for i := 0; i < txns; i++ {
+		key, other := layout.Key(i%97), layout.Key((i+13)%97)
+		t := r.Begin(p, uint64(i%120+1), labels[i%len(labels)], key)
+		r.LockFail(p, 2, other, 0b1)
+		r.LocalWait(p, 2, key, t.ID-1, 3*sim.Microsecond)
+		if i&3 == 3 {
+			r.ValidationFail(p, 2, other, 0b10, uint64(i))
+			r.Abort(p.Now(), t, "validation")
+			r.Begin(p, uint64(i%120+1), labels[i%len(labels)], key)
+		}
+		r.DependencyWait(p, t.ID-1, sim.Microsecond)
+		r.OnLock(p, 2, key, 0b11)
+		r.OnUpdate(t.ID, 2, key, uint64(i+1), 0b11)
+		r.OnUnlock(2, key, 0b11)
+		r.Commit(p.Now(), t)
+		p.Sleep(sim.Microsecond)
+	}
+}
+
+// BenchmarkEmit is the recording cost of one edge into a ring of the
+// default capacity, segment growth and wrap-around included.
+func BenchmarkEmit(b *testing.B) {
+	r := NewRecorder(Options{})
+	inProc(b, func(p *sim.Proc) {
+		r.Begin(p, 7, "Amalgamate", new(int))
+		r.OnLock(p, 2, 9, 0b1)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i += 2 {
+			r.LockFail(p, 2, 9, 0b1)
+			r.LocalWait(p, 2, 9, 3, sim.Microsecond)
+		}
+	})
+}
+
+// syntheticRing is a recorder holding 60 000 synthetic transactions and
+// their edges (about 255 000: nearly a full default ring).
+func syntheticRing(b *testing.B) *Recorder {
+	r := NewRecorder(Options{})
+	inProc(b, func(p *sim.Proc) { syntheticTxns(p, r, 60000) })
+	return r
+}
+
+func BenchmarkSnapshot(b *testing.B) {
+	r := syntheticRing(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if s := r.Snapshot(); len(s.Edges) != r.Len() {
+			b.Fatal("short snapshot")
+		}
+	}
+}
+
+// countingDiscard is io.Discard that reports how much it swallowed.
+type countingDiscard struct{ n int64 }
+
+func (c *countingDiscard) Write(p []byte) (int, error) { c.n += int64(len(p)); return len(p), nil }
+
+func BenchmarkWriteJSON(b *testing.B) {
+	s := syntheticRing(b).Snapshot()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var w countingDiscard
+		if err := WriteJSON(&w, s); err != nil {
+			b.Fatal(err)
+		}
+		b.SetBytes(w.n)
+	}
+}

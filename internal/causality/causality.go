@@ -9,8 +9,9 @@
 // simulator events and no randomness, so a recording run is
 // byte-identical to a plain run and same-seed runs produce byte-equal
 // exports. Every method is nil-safe — a disabled recorder is a nil
-// pointer and each emission point costs one pointer check — and the
-// edge-recording hot path allocates nothing after warm-up.
+// pointer and each emission point costs one pointer check — and
+// recording an edge allocates nothing but, once every 4096 edges until
+// the ring is full, the ring's next segment.
 //
 // On top of the edge stream sit two views (report.go): blame chains
 // ("T412 aborted at validation on (table 3, key 17, cell 2), updated
@@ -241,7 +242,7 @@ func NewRecorder(opt Options) *Recorder {
 func (r *Recorder) Enabled() bool { return r != nil }
 
 func newRecorder(edgeCap, txnCap int, fam trace.Family[Recorder]) *Recorder {
-	return &Recorder{edges: trace.NewRing[Edge](edgeCap, false), txns: trace.NewRing[*Txn](txnCap, false),
+	return &Recorder{edges: trace.NewRing[Edge](edgeCap), txns: trace.NewRing[*Txn](txnCap),
 		recs: map[recKey]*recState{}, fam: fam}
 }
 
@@ -279,15 +280,6 @@ func (r *Recorder) Len() int {
 	return int(r.fam.Sum(r, func(m *Recorder) uint64 { return uint64(m.edges.Len()) }))
 }
 
-// emit appends one edge to the ring, evicting the oldest on overflow.
-// It returns the edge's sequence number (strided on partition children).
-func (r *Recorder) emit(e Edge) uint64 {
-	r.seq++
-	e.Seq = r.fam.StrideID(r.seq)
-	r.edges.Push(e)
-	return e.Seq
-}
-
 // Of extracts the transaction node from a proc's why context (nil when
 // recording is off or the proc runs outside a transaction).
 func Of(p *sim.Proc) *Txn {
@@ -314,7 +306,7 @@ func (r *Recorder) Begin(p *sim.Proc, coord uint64, label string, txnKey any) *T
 	r.nextID++
 	t := &Txn{ID: r.fam.StrideID(r.nextID), Label: label, Coord: coord, Attempt: 1, Start: p.Now(), txnKey: txnKey}
 	p.SetWhyCtx(t)
-	r.txns.Push(t)
+	*r.txns.Next() = t
 	return t
 }
 
@@ -349,15 +341,19 @@ func (r *Recorder) Abort(at sim.Time, t *Txn, reason string) {
 	}
 }
 
-// edge records one observation for the transaction on p and remembers
-// it as the current attempt's conflict site.
+// edge records one observation for the transaction on p — into the
+// ring's next slot, evicting the oldest edge on overflow, under the next
+// sequence number (strided on partition children) — and remembers it as
+// the current attempt's conflict site.
 func (r *Recorder) edge(p *sim.Proc, kind Kind, holder uint64, table layout.TableID, key layout.Key, mask uint64, wait sim.Duration) {
 	t := Of(p)
 	if t == nil {
 		return
 	}
-	seq := r.emit(Edge{At: p.Now(), Kind: kind, Waiter: t.ID, Holder: holder,
-		Table: table, Key: key, Mask: mask, Wait: wait})
+	r.seq++
+	seq := r.fam.StrideID(r.seq)
+	*r.edges.Next() = Edge{Seq: seq, At: p.Now(), Kind: kind, Waiter: t.ID, Holder: holder,
+		Table: table, Key: key, Mask: mask, Wait: wait}
 	t.cSeq, t.cKind, t.cHolder = seq, kind, holder
 	t.cTable, t.cKey, t.cMask = table, key, mask
 	t.cAttempt = t.Attempt
@@ -559,7 +555,7 @@ func (r *Recorder) Snapshot() *Snapshot {
 		return &Snapshot{}
 	}
 	if !r.fam.Sharded() {
-		return &Snapshot{Edges: r.edges.AppendTo(make([]Edge, 0, r.edges.Len())), Txns: r.txnInfos(),
+		return &Snapshot{Edges: r.edges.AppendTo(nil), Txns: r.txnInfos(),
 			Dropped: r.edges.Dropped(), TxnsDropped: r.txns.Dropped()}
 	}
 	members := r.fam.Members(r)

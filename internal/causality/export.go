@@ -5,6 +5,9 @@ import (
 	"fmt"
 	"io"
 	"strings"
+
+	"crest/internal/layout"
+	"crest/internal/trace"
 )
 
 // SchemaVersion identifies the JSON layout of a serialized snapshot.
@@ -24,30 +27,123 @@ type jsonDoc struct {
 }
 
 // WriteJSON serializes the snapshot as schema-versioned JSON
-// (crest-why/v1). Output is deterministic: same-seed runs produce
-// byte-equal documents.
+// (crest-why/v1), record by record: the bytes json.MarshalIndent makes
+// of a jsonDoc, which is what ReadJSON decodes. Output is
+// deterministic: same-seed runs produce byte-equal documents.
 func WriteJSON(w io.Writer, s *Snapshot) error {
-	doc := jsonDoc{
-		Schema:      SchemaVersion,
-		Dropped:     s.Dropped,
-		TxnsDropped: s.TxnsDropped,
-		Txns:        s.Txns,
-		Edges:       s.Edges,
-		Graph:       s.Graph(),
+	j := trace.NewJSONWriter(w, true)
+	j.Object()
+	j.Key("schema").String(SchemaVersion)
+	j.Key("dropped_edges").Uint(s.Dropped)
+	j.Key("dropped_txns").Uint(s.TxnsDropped)
+	j.Key("txns").Array()
+	for i := range s.Txns {
+		writeTxn(j, &s.Txns[i])
 	}
-	if doc.Txns == nil {
-		doc.Txns = []TxnInfo{}
+	j.EndArray()
+	j.Key("edges").Array()
+	for i := range s.Edges {
+		e := &s.Edges[i]
+		j.Object()
+		j.Key("seq").Uint(e.Seq)
+		j.Key("at").Int(int64(e.At))
+		j.Key("kind").Uint(uint64(e.Kind))
+		j.Key("waiter").Uint(e.Waiter)
+		j.Key("holder").Uint(e.Holder)
+		writeCells(j, e.Table, e.Key, e.Mask)
+		j.Key("wait").Int(int64(e.Wait))
+		j.EndObject()
 	}
-	if doc.Edges == nil {
-		doc.Edges = []Edge{}
+	j.EndArray()
+	j.Key("graph")
+	writeGraph(j, s.Graph())
+	j.EndObject()
+	return j.Close()
+}
+
+func writeCells(j *trace.JSONWriter, table layout.TableID, key layout.Key, mask uint64) {
+	j.Key("table").Uint(uint64(table))
+	j.Key("key").Uint(uint64(key))
+	j.Key("mask").Uint(mask)
+}
+
+func writeTxn(j *trace.JSONWriter, t *TxnInfo) {
+	j.Object()
+	j.Key("id").Uint(t.ID)
+	j.Key("label").String(t.Label)
+	j.Key("coord").Uint(t.Coord)
+	j.Key("attempts").Int(int64(t.Attempt))
+	j.Key("start").Int(int64(t.Start))
+	j.Key("end").Int(int64(t.End))
+	j.Key("state").Uint(uint64(t.State))
+	if t.Reason != "" {
+		j.Key("reason").String(t.Reason)
 	}
-	b, err := json.MarshalIndent(&doc, "", "  ")
-	if err != nil {
-		return err
+	if t.Aborts != 0 {
+		j.Key("aborts").Int(int64(t.Aborts))
 	}
-	b = append(b, '\n')
-	_, err = w.Write(b)
-	return err
+	if c := t.Cause; c != nil {
+		j.Key("cause").Object()
+		j.Key("seq").Uint(c.Seq)
+		j.Key("kind").Uint(uint64(c.Kind))
+		writeCells(j, c.Table, c.Key, c.Mask)
+		j.Key("holder").Uint(c.Holder)
+		j.EndObject()
+	}
+	j.EndObject()
+}
+
+// writeList writes items as an array, or null when the slice is nil —
+// the graph's lists are appended to, so an empty one is nil.
+func writeList[T any](j *trace.JSONWriter, items []T, write func(*T)) {
+	if items == nil {
+		j.Null()
+		return
+	}
+	j.Array()
+	for i := range items {
+		write(&items[i])
+	}
+	j.EndArray()
+}
+
+func writeGraph(j *trace.JSONWriter, g *Graph) {
+	j.Object()
+	j.Key("nodes")
+	writeList(j, g.Nodes, func(n *GraphNode) {
+		j.Object()
+		j.Key("label").String(n.Label)
+		j.Key("txns").Int(int64(n.Txns))
+		j.Key("commits").Int(int64(n.Commits))
+		j.Key("aborts").Int(int64(n.Aborts))
+		j.EndObject()
+	})
+	j.Key("edges")
+	writeList(j, g.Edges, func(e *GraphEdge) {
+		j.Object()
+		j.Key("from").String(e.From)
+		j.Key("to").String(e.To)
+		j.Key("kind").Uint(uint64(e.Kind))
+		j.Key("count").Uint(e.Count)
+		j.Key("total_wait").Int(int64(e.TotalWait))
+		j.EndObject()
+	})
+	j.Key("hotspots")
+	writeList(j, g.Hotspots, func(h *Hotspot) {
+		j.Object()
+		j.Key("table").Uint(uint64(h.Table))
+		j.Key("key").Uint(uint64(h.Key))
+		j.Key("cell").Int(int64(h.Cell))
+		j.Key("count").Uint(h.Count)
+		j.Key("aborts").Uint(h.Aborts)
+		j.Key("total_wait").Int(int64(h.TotalWait))
+		j.EndObject()
+	})
+	j.Key("cycles")
+	writeList(j, g.Cycles, func(cyc *[]string) {
+		writeList(j, *cyc, func(l *string) { j.String(*l) })
+	})
+	j.EndObject()
 }
 
 // ReadJSON parses a document written by WriteJSON, verifying its

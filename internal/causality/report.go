@@ -3,6 +3,7 @@ package causality
 import (
 	"fmt"
 	"io"
+	"math/bits"
 	"sort"
 
 	"crest/internal/layout"
@@ -315,7 +316,7 @@ func (s *Snapshot) Graph() *Graph {
 			continue
 		}
 		for m := e.Mask; m != 0; m &= m - 1 {
-			bump(hotKey{e.Table, e.Key, bitIndex(m & -m)}).bumpCount(e.Wait)
+			bump(hotKey{e.Table, e.Key, bits.TrailingZeros64(m)}).bumpCount(e.Wait)
 		}
 	}
 	for i := range s.Txns {
@@ -328,7 +329,7 @@ func (s *Snapshot) Graph() *Graph {
 			continue
 		}
 		for m := t.Cause.Mask; m != 0; m &= m - 1 {
-			bump(hotKey{t.Cause.Table, t.Cause.Key, bitIndex(m & -m)}).Aborts++
+			bump(hotKey{t.Cause.Table, t.Cause.Key, bits.TrailingZeros64(m)}).Aborts++
 		}
 	}
 
@@ -373,16 +374,6 @@ func (s *Snapshot) Graph() *Graph {
 func (h *Hotspot) bumpCount(wait sim.Duration) {
 	h.Count++
 	h.TotalWait += wait
-}
-
-// bitIndex returns the index of the single set bit b.
-func bitIndex(b uint64) int {
-	i := 0
-	for b > 1 {
-		b >>= 1
-		i++
-	}
-	return i
 }
 
 // maxCycles bounds the wait-cycle report.

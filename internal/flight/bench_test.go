@@ -1,0 +1,114 @@
+package flight
+
+import (
+	"testing"
+
+	"crest/internal/sim"
+	"crest/internal/trace"
+)
+
+// syntheticTxns records txns transactions shaped like a contended run's:
+// two fabric parks, a lock wait, every fourth one aborted and retried
+// after a backoff — each a few virtual microseconds long.
+func syntheticTxns(p *sim.Proc, r *Recorder, txns int) {
+	labels := [...]string{"Amalgamate", "Balance", "DepositChecking", "SendPayment", "TransactSavings", "WriteCheck"}
+	var keys [2]int // a transaction's key differs from its predecessor's
+	for i := 0; i < txns; i++ {
+		key := &keys[i&1]
+		attempts := 1 + (i&3)/3
+		for a := 0; a < attempts; a++ {
+			r.Begin(p, uint64(i%120+1), i%3, labels[i%len(labels)], key)
+			p.Sleep(sim.Microsecond)
+			r.Wire(p, ClassRead, sim.Microsecond)
+			r.Phase(p, trace.PhaseLock)
+			p.Sleep(sim.Duration(i%5) * sim.Microsecond)
+			r.Wait(p, uint64(i), sim.Duration(i%5)*sim.Microsecond)
+			if a < attempts-1 {
+				r.Fail(p, "lock-fail", false)
+				r.Done(p, false)
+				p.Sleep(sim.Microsecond)
+				continue
+			}
+			r.Phase(p, trace.PhaseLog)
+			p.Sleep(sim.Microsecond)
+			r.Wire(p, ClassWrite, sim.Microsecond)
+			r.Done(p, true)
+		}
+	}
+}
+
+// BenchmarkEmit is the recording cost of one charge (a fabric park or
+// a wait) to the running transaction's record.
+func BenchmarkEmit(b *testing.B) {
+	r := NewRecorder(Options{})
+	inProc(b, func(p *sim.Proc) {
+		r.Begin(p, 7, 0, "Amalgamate", new(int))
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i += 2 {
+			r.Wire(p, ClassCAS, sim.Microsecond)
+			r.Wait(p, 9, sim.Microsecond)
+		}
+	})
+}
+
+// BenchmarkTxn is the recording cost of one whole transaction — begin,
+// two parks, a wait, commit — its summary entering a ring of the
+// default capacity, segment growth and wrap-around included.
+func BenchmarkTxn(b *testing.B) {
+	r := NewRecorder(Options{})
+	inProc(b, func(p *sim.Proc) {
+		b.ReportAllocs()
+		b.ResetTimer()
+		syntheticTxns(p, r, b.N)
+	})
+}
+
+// syntheticRing is a recorder holding 60 000 synthetic transactions'
+// summaries (nearly a full default ring) and their exemplars, recorded
+// by eight coordinators at once: summaries enter the ring as
+// transactions end, which is not the order they began in, so the
+// snapshot has its sorting to do.
+func syntheticRing(b *testing.B) *Recorder {
+	r := NewRecorder(Options{})
+	env := sim.NewEnv(1)
+	for c := 0; c < 8; c++ {
+		env.Spawn("coord", func(p *sim.Proc) {
+			p.Sleep(sim.Duration(c) * 300)
+			syntheticTxns(p, r, 60000/8)
+		})
+	}
+	if err := env.Run(); err != nil {
+		b.Fatal(err)
+	}
+	return r
+}
+
+func BenchmarkSnapshot(b *testing.B) {
+	r := syntheticRing(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if s := r.Snapshot(); len(s.Txns) != r.Len() {
+			b.Fatal("short snapshot")
+		}
+	}
+}
+
+// countingDiscard is io.Discard that reports how much it swallowed.
+type countingDiscard struct{ n int64 }
+
+func (c *countingDiscard) Write(p []byte) (int, error) { c.n += int64(len(p)); return len(p), nil }
+
+func BenchmarkWriteJSON(b *testing.B) {
+	s := syntheticRing(b).Snapshot()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var w countingDiscard
+		if err := WriteJSON(&w, s); err != nil {
+			b.Fatal(err)
+		}
+		b.SetBytes(w.n)
+	}
+}

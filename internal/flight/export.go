@@ -4,6 +4,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+
+	"crest/internal/sim"
+	"crest/internal/trace"
 )
 
 // SchemaVersion identifies the export format. Bump on any change to
@@ -20,34 +23,100 @@ type jsonDoc struct {
 	Exemplars []Exemplar  `json:"exemplars"`
 }
 
-// WriteJSON exports a snapshot. Deterministic: same snapshot, same
-// bytes — and ReadJSON followed by WriteJSON reproduces the input
-// byte for byte.
+// WriteJSON exports a snapshot, record by record: the bytes
+// json.MarshalIndent makes of a jsonDoc, which is what ReadJSON decodes.
+// Deterministic: same snapshot, same bytes — and ReadJSON followed by
+// WriteJSON reproduces the input byte for byte.
 func WriteJSON(w io.Writer, s *Snapshot) error {
-	doc := jsonDoc{
-		Schema:    SchemaVersion,
-		Dropped:   s.Dropped,
-		Txns:      s.Txns,
-		Exemplars: s.Exemplars,
+	j := trace.NewJSONWriter(w, true)
+	j.Object()
+	j.Key("schema").String(SchemaVersion)
+	j.Key("dropped").Uint(s.Dropped)
+	j.Key("txns").Array()
+	for i := range s.Txns {
+		j.Object()
+		writeSummary(j, &s.Txns[i])
+		j.EndObject()
 	}
-	if doc.Txns == nil {
-		doc.Txns = []TxnBudget{}
-	}
-	if doc.Exemplars == nil {
-		doc.Exemplars = []Exemplar{}
-	}
-	for i := range doc.Exemplars {
-		if doc.Exemplars[i].Detail == nil {
-			doc.Exemplars[i].Detail = []AttemptInfo{}
+	j.EndArray()
+	j.Key("exemplars").Array()
+	for i := range s.Exemplars {
+		x := &s.Exemplars[i]
+		j.Object()
+		writeSummary(j, &x.TxnBudget)
+		j.Key("bucket").Uint(uint64(x.Bucket))
+		j.Key("detail").Array()
+		for k := range x.Detail {
+			writeAttempt(j, &x.Detail[k])
 		}
+		j.EndArray()
+		j.EndObject()
 	}
-	b, err := json.MarshalIndent(&doc, "", "  ")
-	if err != nil {
-		return err
+	j.EndArray()
+	j.EndObject()
+	return j.Close()
+}
+
+// writeSummary writes a summary's fields into the open object (an
+// exemplar embeds them).
+func writeSummary(j *trace.JSONWriter, t *TxnBudget) {
+	j.Key("id").Uint(t.ID)
+	j.Key("label").String(t.Label)
+	j.Key("coord").Uint(t.Coord)
+	j.Key("shard").Int(int64(t.Shard))
+	j.Key("begin").Int(int64(t.Begin))
+	j.Key("end").Int(int64(t.End))
+	j.Key("attempts").Int(int64(t.Attempts))
+	j.Key("committed").Bool(t.Committed)
+	if t.Reason != "" {
+		j.Key("reason").String(t.Reason)
 	}
-	b = append(b, '\n')
-	_, err = w.Write(b)
-	return err
+	writeDurations(j.Key("budget"), t.Budget[:])
+	if t.WaitHolder != 0 {
+		j.Key("waitHolder").Uint(t.WaitHolder)
+	}
+	if t.WaitMax != 0 {
+		j.Key("waitMax").Int(int64(t.WaitMax))
+	}
+}
+
+func writeDurations(j *trace.JSONWriter, ds []sim.Duration) {
+	j.Array()
+	for _, d := range ds {
+		j.Int(int64(d))
+	}
+	j.EndArray()
+}
+
+func writeAttempt(j *trace.JSONWriter, a *AttemptInfo) {
+	j.Object()
+	j.Key("start").Int(int64(a.Start))
+	j.Key("end").Int(int64(a.End))
+	j.Key("outcome").String(a.Outcome)
+	if a.Gap != 0 {
+		j.Key("gap").Int(int64(a.Gap))
+	}
+	if a.GapQueue {
+		j.Key("gapQueue").Bool(true)
+	}
+	if a.Folded != 0 {
+		j.Key("folded").Int(int64(a.Folded))
+	}
+	writeDurations(j.Key("phases"), a.Phases[:])
+	writeDurations(j.Key("wire"), a.Wire[:])
+	writeDurations(j.Key("wirePhase"), a.WirePhase[:])
+	writeDurations(j.Key("waitPhase"), a.WaitPhase[:])
+	writeDurations(j.Key("backoffPhase"), a.BackoffPhase[:])
+	if a.Wait != 0 {
+		j.Key("wait").Int(int64(a.Wait))
+	}
+	if a.WaitMax != 0 {
+		j.Key("waitMax").Int(int64(a.WaitMax))
+	}
+	if a.WaitHolder != 0 {
+		j.Key("waitHolder").Uint(a.WaitHolder)
+	}
+	j.EndObject()
 }
 
 // ReadJSON parses an export written by WriteJSON, verifying the

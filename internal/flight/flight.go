@@ -14,7 +14,8 @@
 // byte-identical to a plain run. Every method is nil-safe — a disabled
 // recorder is a nil pointer — and the per-transaction hot path
 // allocates nothing after warm-up: records are pooled, the summary
-// ring is preallocated, and exemplar buckets hold fixed-size arrays.
+// ring grows one segment per 4096 transactions until it is full, and
+// exemplar buckets hold fixed-size arrays.
 //
 // Bounded memory comes from two tiers. Every finalized transaction
 // leaves a compact TxnBudget summary in a ring; only the top-K
@@ -288,7 +289,7 @@ func NewRecorder(opt Options) *Recorder {
 	}
 	return &Recorder{
 		k:       opt.ExemplarK,
-		ring:    trace.NewRing[TxnBudget](opt.TxnCapacity, true),
+		ring:    trace.NewRing[TxnBudget](opt.TxnCapacity),
 		buckets: map[bucketKey]*bucket{},
 	}
 }
@@ -318,7 +319,7 @@ func (r *Recorder) Shard(part, parts int) *Recorder {
 		return nil
 	}
 	return r.fam.Shard("flight", r, part, parts, func(f trace.Family[Recorder]) *Recorder {
-		return &Recorder{k: r.k, warmup: r.warmup, ring: trace.NewRing[TxnBudget](r.ring.Cap(), true),
+		return &Recorder{k: r.k, warmup: r.warmup, ring: trace.NewRing[TxnBudget](r.ring.Cap()),
 			buckets: map[bucketKey]*bucket{}, fam: f}
 	})
 }
@@ -587,7 +588,7 @@ func (r *Recorder) finalize(x *rec) {
 		r.release(x)
 		return
 	}
-	r.ring.Push(x.summary())
+	*r.ring.Next() = x.summary()
 	if !r.offer(x) {
 		r.release(x)
 	}

@@ -1,10 +1,10 @@
 package trace
 
 import (
-	"encoding/json"
-	"fmt"
 	"io"
-	"sort"
+	"math/bits"
+	"slices"
+	"strconv"
 
 	"crest/internal/sim"
 )
@@ -16,23 +16,11 @@ import (
 // traffic, aborts and EN overflows become "i" (instant) events.
 // Timestamps are virtual microseconds, so the timeline shows exactly
 // what the simulator charged, with zero probe distortion.
-
-type chromeEvent struct {
-	Name string         `json:"name"`
-	Cat  string         `json:"cat,omitempty"`
-	Ph   string         `json:"ph"`
-	Ts   float64        `json:"ts"`
-	Dur  float64        `json:"dur,omitempty"`
-	Pid  int            `json:"pid"`
-	Tid  uint64         `json:"tid"`
-	S    string         `json:"s,omitempty"`
-	Args map[string]any `json:"args,omitempty"`
-}
-
-type chromeTrace struct {
-	TraceEvents     []chromeEvent `json:"traceEvents"`
-	DisplayTimeUnit string        `json:"displayTimeUnit"`
-}
+//
+// The document is {"traceEvents":[…],"displayTimeUnit":"ms"}; an event
+// is {name, cat?, ph, ts, dur?, pid, tid, s?, args} with cat, dur and s
+// left out when empty, and args' keys in alphabetical order — the bytes
+// json.Encoder made of a struct with omitempty tags and a map.
 
 const (
 	pidCluster = 1 // coordinator threads
@@ -41,20 +29,60 @@ const (
 
 func usTime(t sim.Time) float64    { return float64(t) / 1e3 }
 func usDur(d sim.Duration) float64 { return float64(d) / 1e3 }
-func maskArg(mask uint64) string   { return fmt.Sprintf("0x%x", mask) }
-func cellKey(e *Event) map[string]any {
-	return map[string]any{"table": int(e.Table), "key": uint64(e.Key), "mask": maskArg(e.Mask)}
+
+// chromeWriter streams trace events through the shared JSON writer.
+type chromeWriter struct {
+	*JSONWriter
+	scratch []byte // names and hex masks, assembled without allocating
 }
 
-// WriteChromeTrace renders the snapshot as Chrome trace_event JSON.
-// Output is deterministic: same snapshot, same bytes.
-func WriteChromeTrace(w io.Writer, s *Snapshot) error {
-	var evs []chromeEvent
+// event writes one event up to and including the opening of its args
+// object; the caller writes the args and calls end.
+func (c *chromeWriter) event(cat, ph string, ts, dur float64, pid int, tid uint64) {
+	if cat != "" {
+		c.Key("cat").String(cat)
+	}
+	c.Key("ph").String(ph)
+	c.Key("ts").Float(ts)
+	if dur != 0 {
+		c.Key("dur").Float(dur)
+	}
+	c.Key("pid").Int(int64(pid))
+	c.Key("tid").Uint(tid)
+	if ph == "i" {
+		c.Key("s").String("t")
+	}
+	c.Key("args").Object()
+}
 
-	evs = append(evs, chromeEvent{
-		Name: "process_name", Ph: "M", Pid: pidCluster,
-		Args: map[string]any{"name": "crest cluster"},
-	})
+// name opens an event object at its name, which the caller writes
+// before calling event.
+func (c *chromeWriter) name() *JSONWriter {
+	c.Object()
+	return c.Key("name")
+}
+
+func (c *chromeWriter) end() {
+	c.EndObject()
+	c.EndObject()
+}
+
+// maskArg writes the "mask" arg, in hex.
+func (c *chromeWriter) maskArg(mask uint64) {
+	c.Key("mask").StringBytes(strconv.AppendUint(append(c.scratch[:0], "0x"...), mask, 16))
+}
+
+// WriteChromeTrace renders the snapshot as Chrome trace_event JSON,
+// event by event. Output is deterministic: same snapshot, same bytes.
+func WriteChromeTrace(w io.Writer, s *Snapshot) error {
+	c := &chromeWriter{JSONWriter: NewJSONWriter(w, false), scratch: make([]byte, 0, 64)}
+	c.Object()
+	c.Key("traceEvents").Array()
+
+	c.name().String("process_name")
+	c.event("", "M", 0, 0, pidCluster, 0)
+	c.Key("name").String("crest cluster")
+	c.end()
 
 	spans := s.Spans()
 
@@ -67,12 +95,12 @@ func WriteChromeTrace(w io.Writer, s *Snapshot) error {
 	for id := range coords {
 		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	for _, id := range ids {
-		evs = append(evs, chromeEvent{
-			Name: "thread_name", Ph: "M", Pid: pidCluster, Tid: id,
-			Args: map[string]any{"name": fmt.Sprintf("coordinator %d", id)},
-		})
+		c.name().String("thread_name")
+		c.event("", "M", 0, 0, pidCluster, id)
+		c.Key("name").StringBytes(strconv.AppendUint(append(c.scratch[:0], "coordinator "...), id, 10))
+		c.end()
 	}
 
 	// Transaction attempts and their phase slices.
@@ -86,27 +114,29 @@ func WriteChromeTrace(w io.Writer, s *Snapshot) error {
 					end = ps.End // abort cleanup extends past the measured end
 				}
 			}
-			outcome := "commit"
-			if !a.Committed {
-				outcome = "abort:" + a.Reason
+			c.name().StringBytes(strconv.AppendInt(append(append(c.scratch[:0], sv.Label...), " #"...), int64(a.N), 10))
+			c.event("txn", "X", usTime(a.Start), usDur(end.Sub(a.Start)), pidCluster, sv.Coord)
+			c.Key("attempt").Int(int64(a.N))
+			c.Key("falseConflict").Bool(a.False)
+			c.Key("outcome")
+			if a.Committed {
+				c.String("commit")
+			} else {
+				c.StringBytes(append(append(c.scratch[:0], "abort:"...), a.Reason...))
 			}
-			evs = append(evs, chromeEvent{
-				Name: fmt.Sprintf("%s #%d", sv.Label, a.N), Cat: "txn", Ph: "X",
-				Ts: usTime(a.Start), Dur: usDur(end.Sub(a.Start)), Pid: pidCluster, Tid: sv.Coord,
-				Args: map[string]any{
-					"span": sv.ID, "txn": sv.Txn, "attempt": a.N,
-					"outcome": outcome, "falseConflict": a.False, "rtts": a.TotalRTTs(),
-				},
-			})
+			c.Key("rtts").Int(int64(a.TotalRTTs()))
+			c.Key("span").Uint(sv.ID)
+			c.Key("txn").Uint(sv.Txn)
+			c.end()
 			for _, ps := range a.Slices {
 				if ps.Dur() == 0 {
 					continue
 				}
-				evs = append(evs, chromeEvent{
-					Name: ps.Phase.String(), Cat: "phase", Ph: "X",
-					Ts: usTime(ps.Start), Dur: usDur(ps.Dur()), Pid: pidCluster, Tid: sv.Coord,
-					Args: map[string]any{"span": sv.ID, "attempt": a.N},
-				})
+				c.name().String(ps.Phase.String())
+				c.event("phase", "X", usTime(ps.Start), usDur(ps.Dur()), pidCluster, sv.Coord)
+				c.Key("attempt").Int(int64(a.N))
+				c.Key("span").Uint(sv.ID)
+				c.end()
 			}
 		}
 	}
@@ -114,55 +144,60 @@ func WriteChromeTrace(w io.Writer, s *Snapshot) error {
 	// Raw stream: round-trips as nested slices, CC events as instants.
 	for i := range s.Events {
 		e := &s.Events[i]
+		tid := uint64(e.Coord)
 		switch e.Kind {
 		case KindRTT:
-			evs = append(evs, chromeEvent{
-				Name: fmt.Sprintf("RTT x%d", e.Ops), Cat: "rdma", Ph: "X",
-				Ts: usTime(e.At) - usDur(e.Latency), Dur: usDur(e.Latency),
-				Pid: pidCluster, Tid: e.Coord,
-				Args: map[string]any{
-					"span": e.Span, "attempt": e.Attempt, "phase": e.Phase.String(),
-					"qp": e.QP, "region": e.Region, "ops": e.Ops, "bytes": e.Bytes,
-				},
-			})
-		case KindConflict:
-			args := cellKey(e)
-			args["span"] = e.Span
-			evs = append(evs, chromeEvent{
-				Name: "conflict", Cat: "cc", Ph: "i", S: "t",
-				Ts: usTime(e.At), Pid: pidCluster, Tid: e.Coord, Args: args,
-			})
-		case KindLockAcquire, KindLockPiggyback, KindLockRelease:
-			args := cellKey(e)
-			args["span"] = e.Span
-			evs = append(evs, chromeEvent{
-				Name: e.Kind.String(), Cat: "lock", Ph: "i", S: "t",
-				Ts: usTime(e.At), Pid: pidCluster, Tid: e.Coord, Args: args,
-			})
-		case KindENOverflow:
-			evs = append(evs, chromeEvent{
-				Name: "en-overflow", Cat: "cc", Ph: "i", S: "t",
-				Ts: usTime(e.At), Pid: pidCluster, Tid: e.Coord,
-				Args: map[string]any{"table": int(e.Table), "key": uint64(e.Key), "cell": e.Cell, "span": e.Span},
-			})
-		case KindTxnAbort:
-			evs = append(evs, chromeEvent{
-				Name: "abort:" + e.Reason, Cat: "txn", Ph: "i", S: "t",
-				Ts: usTime(e.At), Pid: pidCluster, Tid: e.Coord,
-				Args: map[string]any{"span": e.Span, "attempt": e.Attempt, "falseConflict": e.False},
-			})
-		case KindProcSpawn, KindProcBlock, KindProcWake, KindProcFinish:
-			args := map[string]any{"proc": e.Label}
-			if e.Reason != "" {
-				args["queue"] = e.Reason
+			lat := usDur(sim.Duration(e.Latency))
+			c.name().StringBytes(strconv.AppendUint(append(c.scratch[:0], "RTT x"...), uint64(e.Ops), 10))
+			c.event("rdma", "X", usTime(e.At)-lat, lat, pidCluster, tid)
+			c.Key("attempt").Uint(uint64(e.Attempt))
+			c.Key("bytes").Uint(uint64(e.Bytes))
+			c.Key("ops").Uint(uint64(e.Ops))
+			c.Key("phase").String(e.Phase.String())
+			c.Key("qp").Uint(uint64(e.QP))
+			c.Key("region").Uint(uint64(e.Region))
+			c.Key("span").Uint(e.Span)
+			c.end()
+		case KindConflict, KindLockAcquire, KindLockPiggyback, KindLockRelease:
+			cat := "lock"
+			if e.Kind == KindConflict {
+				cat = "cc"
 			}
-			evs = append(evs, chromeEvent{
-				Name: e.Kind.String(), Cat: "sim", Ph: "i", S: "t",
-				Ts: usTime(e.At), Pid: pidSim, Args: args,
-			})
+			c.name().String(e.Kind.String())
+			c.event(cat, "i", usTime(e.At), 0, pidCluster, tid)
+			c.Key("key").Uint(uint64(e.Key))
+			c.maskArg(e.Mask)
+			c.Key("span").Uint(e.Span)
+			c.Key("table").Uint(uint64(e.Table))
+			c.end()
+		case KindENOverflow:
+			c.name().String("en-overflow")
+			c.event("cc", "i", usTime(e.At), 0, pidCluster, tid)
+			c.Key("cell").Uint(uint64(bits.TrailingZeros64(e.Mask)))
+			c.Key("key").Uint(uint64(e.Key))
+			c.Key("span").Uint(e.Span)
+			c.Key("table").Uint(uint64(e.Table))
+			c.end()
+		case KindTxnAbort:
+			c.name().StringBytes(append(append(c.scratch[:0], "abort:"...), s.Str(e.Reason)...))
+			c.event("txn", "i", usTime(e.At), 0, pidCluster, tid)
+			c.Key("attempt").Uint(uint64(e.Attempt))
+			c.Key("falseConflict").Bool(e.False)
+			c.Key("span").Uint(e.Span)
+			c.end()
+		case KindProcSpawn, KindProcBlock, KindProcWake, KindProcFinish:
+			c.name().String(e.Kind.String())
+			c.event("sim", "i", usTime(e.At), 0, pidSim, 0)
+			c.Key("proc").String(s.Str(e.Label))
+			if e.Reason != 0 {
+				c.Key("queue").String(s.Str(e.Reason))
+			}
+			c.end()
 		}
 	}
 
-	enc := json.NewEncoder(w)
-	return enc.Encode(&chromeTrace{TraceEvents: evs, DisplayTimeUnit: "ms"})
+	c.EndArray()
+	c.Key("displayTimeUnit").String("ms")
+	c.EndObject()
+	return c.Close()
 }

@@ -1,8 +1,9 @@
 package trace
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"crest/internal/sim"
 )
@@ -15,39 +16,58 @@ import (
 // once.
 
 // Ring is a bounded FIFO: once capacity elements are buffered, every
-// push evicts the oldest. The zero Ring is unusable; build one with
-// NewRing.
+// new one evicts the oldest. Storage grows one fixed-size segment at a
+// time, on demand: growth never copies, nothing is committed before it
+// is written, and an element's address is stable, so a recorder fills
+// the slot Next returns in place. The zero Ring is unusable; build one
+// with NewRing.
 type Ring[T any] struct {
-	buf     []T
+	segs    [][]T // element i lives at segs[i>>segShift][i&segMask]
 	cap     int
+	n       int // buffered elements
 	head    int // index of the oldest element once the ring has wrapped
 	dropped uint64
 }
 
-// NewRing returns a ring holding at most capacity elements. With
-// prealloc the backing array is allocated up front, so Push never
-// allocates; otherwise it grows by appending until it reaches capacity.
-func NewRing[T any](capacity int, prealloc bool) Ring[T] {
-	r := Ring[T]{cap: capacity}
-	if prealloc {
-		r.buf = make([]T, 0, capacity)
-	}
-	return r
+// A segment holds segLen elements (the last one of a ring whatever is
+// left of its capacity): 320 KB of trace events, enough that a full
+// default ring is 64 allocations and a short run commits only what it
+// wrote.
+const (
+	segShift = 12
+	segLen   = 1 << segShift
+	segMask  = segLen - 1
+)
+
+// NewRing returns a ring holding at most capacity elements. Only the
+// table of segments is allocated here, so a segment boundary costs
+// exactly one allocation: the segment.
+func NewRing[T any](capacity int) Ring[T] {
+	return Ring[T]{cap: capacity, segs: make([][]T, 0, (capacity+segMask)>>segShift)}
 }
 
-// Push appends v, evicting (and counting) the oldest element when full.
-func (r *Ring[T]) Push(v T) {
-	if len(r.buf) < r.cap {
-		r.buf = append(r.buf, v)
-		return
+// Next returns the slot of the next element, evicting (and counting)
+// the oldest when the ring is full. The slot holds whatever was there
+// before; the caller overwrites all of it.
+func (r *Ring[T]) Next() *T {
+	i := r.n
+	if i < r.cap {
+		r.n++
+		if i>>segShift == len(r.segs) {
+			r.segs = append(r.segs, make([]T, min(segLen, r.cap-i)))
+		}
+	} else {
+		i = r.head
+		if r.head++; r.head == r.cap {
+			r.head = 0
+		}
+		r.dropped++
 	}
-	r.buf[r.head] = v
-	r.head = (r.head + 1) % r.cap
-	r.dropped++
+	return &r.segs[i>>segShift][i&segMask]
 }
 
 // Len reports the number of buffered elements.
-func (r *Ring[T]) Len() int { return len(r.buf) }
+func (r *Ring[T]) Len() int { return r.n }
 
 // Cap reports the ring's capacity.
 func (r *Ring[T]) Cap() int { return r.cap }
@@ -57,8 +77,21 @@ func (r *Ring[T]) Dropped() uint64 { return r.dropped }
 
 // AppendTo appends the buffered elements, oldest to newest, to dst.
 func (r *Ring[T]) AppendTo(dst []T) []T {
-	dst = append(dst, r.buf[r.head:]...)
-	return append(dst, r.buf[:r.head]...)
+	dst = slices.Grow(dst, r.n)
+	dst = r.appendRange(dst, r.head, r.n)
+	return r.appendRange(dst, 0, r.head)
+}
+
+// appendRange appends elements [lo, hi) in index order.
+func (r *Ring[T]) appendRange(dst []T, lo, hi int) []T {
+	for lo < hi {
+		seg := r.segs[lo>>segShift]
+		off := lo & segMask
+		n := min(hi-lo, len(seg)-off)
+		dst = append(dst, seg[off:off+n]...)
+		lo += n
+	}
+	return dst
 }
 
 // Family is the partition-family state an observer of type T embeds by
@@ -136,37 +169,75 @@ func (f *Family[T]) Sum(self *T, fn func(*T) uint64) uint64 {
 // key extracts an element's time and its member-local sequence number
 // (an emission counter or a strided id). The order is a pure function
 // of the simulation, never of the worker count.
+//
+// A member that emits on its partition's clock arrives already in
+// (time, seq) order — every trace and causality stream does
+// (TestMemberStreamsArriveSorted) — and is merged as it stands; flight
+// summaries enter their ring when a transaction ends but merge by when
+// it began, so a stream found out of order is sorted first. Streams are
+// then merged k ways on (time, partition): k is the partition count, a
+// scan of the heads.
 func MergeByTime[T any](streams [][]T, key func(*T) (sim.Time, uint64)) []T {
-	type tagged struct {
-		at   sim.Time
-		seq  uint64
-		part int
-		v    *T
-	}
 	total := 0
-	for _, s := range streams {
-		total += len(s)
-	}
-	all := make([]tagged, 0, total)
-	for i, s := range streams {
-		for j := range s {
-			at, seq := key(&s[j])
-			all = append(all, tagged{at: at, seq: seq, part: i - 1, v: &s[j]})
+	heads := make([]sim.Time, len(streams))
+	for i := range streams {
+		streams[i] = inOrder(streams[i], key)
+		if s := streams[i]; len(s) > 0 {
+			total += len(s)
+			heads[i], _ = key(&s[0])
 		}
 	}
-	sort.Slice(all, func(i, j int) bool {
-		a, b := &all[i], &all[j]
-		if a.at != b.at {
-			return a.at < b.at
+	if len(streams) == 1 && total > 0 {
+		return streams[0] // an unsharded observer: nothing to merge with
+	}
+	out := make([]T, 0, total)
+	pos := make([]int, len(streams))
+	for len(out) < total {
+		best := -1
+		for i, s := range streams {
+			if pos[i] < len(s) && (best < 0 || heads[i] < heads[best]) {
+				best = i
+			}
 		}
-		if a.part != b.part {
-			return a.part < b.part
+		// Take best's whole run at this instant: the members before it
+		// have nothing left that early, the members after it sort later.
+		s, at, j := streams[best], heads[best], pos[best]
+		for j < len(s) {
+			if t, _ := key(&s[j]); t != at {
+				heads[best] = t
+				break
+			}
+			j++
 		}
-		return a.seq < b.seq
-	})
-	out := make([]T, len(all))
-	for i := range all {
-		out[i] = *all[i].v
+		out = append(out, s[pos[best]:j]...)
+		pos[best] = j
+	}
+	return out
+}
+
+// inOrder returns s in (time, seq) order, elements that tie keeping
+// their positions: s itself when it is already so, else a sorted copy.
+func inOrder[T any](s []T, key func(*T) (sim.Time, uint64)) []T {
+	type tag struct {
+		at  sim.Time
+		seq uint64
+		i   int
+	}
+	order := func(a, b tag) int {
+		return cmp.Or(cmp.Compare(a.at, b.at), cmp.Compare(a.seq, b.seq), cmp.Compare(a.i, b.i))
+	}
+	tags := make([]tag, len(s))
+	for i := range s {
+		at, seq := key(&s[i])
+		tags[i] = tag{at, seq, i}
+	}
+	if slices.IsSortedFunc(tags, order) {
+		return s
+	}
+	slices.SortFunc(tags, order)
+	out := make([]T, len(s))
+	for i, t := range tags {
+		out[i] = s[t.i]
 	}
 	return out
 }

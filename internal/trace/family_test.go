@@ -2,6 +2,7 @@ package trace_test
 
 import (
 	"reflect"
+	"runtime/debug"
 	"testing"
 
 	"crest/internal/causality"
@@ -176,31 +177,100 @@ func TestMergeByTimeOrder(t *testing.T) {
 	}
 }
 
-// The ring keeps the newest capacity elements in push order, counts
-// evictions, and — preallocated — never allocates on push.
+// The ring keeps the newest capacity elements in push order and counts
+// evictions, whether its capacity is a fraction of a segment or several
+// segments and a remainder.
 func TestRingEvictsOldest(t *testing.T) {
-	r := trace.NewRing[int](4, false)
-	for i := 1; i <= 3; i++ {
-		r.Push(i)
-	}
-	if got := r.AppendTo(nil); len(got) != 3 || got[0] != 1 || got[2] != 3 || r.Dropped() != 0 {
-		t.Fatalf("before wrap: %v dropped %d", got, r.Dropped())
-	}
-	for i := 4; i <= 10; i++ {
-		r.Push(i)
-	}
-	got := r.AppendTo([]int{0})
-	want := []int{0, 7, 8, 9, 10}
-	if len(got) != len(want) || r.Len() != 4 || r.Cap() != 4 || r.Dropped() != 6 {
-		t.Fatalf("after wrap: %v len %d dropped %d", got, r.Len(), r.Dropped())
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("after wrap: %v, want %v", got, want)
+	for _, capacity := range []int{4, 4096, 2*4096 + 5} {
+		r := trace.NewRing[int](capacity)
+		for i := 1; i < capacity; i++ {
+			*r.Next() = i
+		}
+		if got := r.AppendTo(nil); len(got) != capacity-1 || got[0] != 1 || got[capacity-2] != capacity-1 || r.Dropped() != 0 {
+			t.Fatalf("cap %d before wrap: %d elements, dropped %d", capacity, len(got), r.Dropped())
+		}
+		for i := capacity; i <= 2*capacity+2; i++ {
+			*r.Next() = i
+		}
+		got := r.AppendTo([]int{0})
+		if len(got) != capacity+1 || r.Len() != capacity || r.Cap() != capacity || r.Dropped() != uint64(capacity+2) {
+			t.Fatalf("cap %d after wrap: %d elements, len %d, dropped %d", capacity, len(got), r.Len(), r.Dropped())
+		}
+		for i, v := range got[1:] {
+			if want := capacity + 3 + i; v != want {
+				t.Fatalf("cap %d after wrap: element %d = %d, want %d", capacity, i, v, want)
+			}
 		}
 	}
-	pre := trace.NewRing[int](8, true)
-	if avg := testing.AllocsPerRun(100, func() { pre.Push(1) }); avg != 0 {
-		t.Errorf("preallocated ring allocates %v/push, want 0", avg)
+}
+
+// TestEmitAllocs is the allocation contract of recording into a ring
+// that is still growing, for the three recorders built on it: an emit
+// inside a segment allocates nothing, and 4096 emits — one segment's
+// worth, so exactly one boundary — allocate exactly one thing, the next
+// segment. (That a full ring records in place is each recorder's own
+// steady-state test.)
+func TestEmitAllocs(t *testing.T) {
+	// A collection the segments trigger would count its own start-up
+	// allocations against the emitter.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	const segLen = 4096
+	var keys [2]int
+	cases := []struct {
+		name string
+		emit func(p *sim.Proc) func() // returns the one-record emitter, warmed up
+	}{
+		{"trace", func(p *sim.Proc) func() {
+			r := trace.NewRecorder(16 * segLen)
+			s := r.StartSpan(p, 1, "t", &keys[0])
+			return func() { r.LockAcquire(p.Now(), s, 1, 7, 0b1) }
+		}},
+		{"causality", func(p *sim.Proc) func() {
+			r := causality.NewRecorder(causality.Options{Capacity: 16 * segLen})
+			r.Begin(p, 1, "t", &keys[0])
+			r.OnLock(p, 1, 7, 0b1)
+			return func() { r.LockFail(p, 1, 7, 0b1) }
+		}},
+		{"flight", func(p *sim.Proc) func() {
+			r := flight.NewRecorder(flight.Options{TxnCapacity: 16 * segLen})
+			n := 0
+			txn := func() {
+				n++
+				r.Begin(p, 1, 0, "t", &keys[n&1])
+				r.Wire(p, flight.ClassRead, sim.Microsecond)
+				r.Done(p, true)
+			}
+			for i := 0; i < 16; i++ {
+				txn() // fill the record pool and the exemplar bucket
+			}
+			return txn
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			env := sim.NewEnv(1)
+			env.Spawn("emit", func(p *sim.Proc) {
+				emit := tc.emit(p)
+				emit()
+				if avg := testing.AllocsPerRun(segLen/2, emit); avg != 0 {
+					t.Errorf("an emit inside a segment allocates %v, want 0", avg)
+				}
+				segment := func() {
+					for i := 0; i < segLen; i++ {
+						emit()
+					}
+				}
+				// One run at a time (each preceded by AllocsPerRun's warm-up
+				// call): AllocsPerRun averages in whole numbers.
+				for run := 0; run < 4; run++ {
+					if n := testing.AllocsPerRun(1, segment); n != 1 {
+						t.Errorf("%d emits allocate %v times, want 1: the next segment", segLen, n)
+					}
+				}
+			})
+			if err := env.Run(); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }

@@ -1,0 +1,245 @@
+package trace
+
+import (
+	"fmt"
+	"io"
+	"math"
+	"strconv"
+	"unicode/utf8"
+)
+
+// JSONWriter is the append-based encoder the observers' exporters
+// share. It writes the bytes encoding/json would — Encoder.Encode's
+// compact form or MarshalIndent(v, "", "  ") — for the shapes the
+// exports use (objects with fixed keys, arrays, strings, integers,
+// floats, booleans, null), without reflection and without holding the
+// document: values are appended to one buffer that drains to the
+// underlying writer whenever a container closes on a full buffer. The
+// first write error sticks; Close reports it. Readers keep
+// encoding/json, and the export tests compare the two byte for byte.
+type JSONWriter struct {
+	w      io.Writer
+	buf    []byte
+	err    error
+	indent bool
+	depth  int
+	first  bool // nothing written yet inside the innermost open container
+	keyed  bool // a key was just written: the next value follows it inline
+}
+
+// jsonFlushAt is the buffer fill at which a closing container drains
+// it: large enough that a write is rare, small enough to stay cached.
+const jsonFlushAt = 32 << 10
+
+// NewJSONWriter returns a writer onto w: compact, or indented by two
+// spaces a level.
+func NewJSONWriter(w io.Writer, indent bool) *JSONWriter {
+	return &JSONWriter{w: w, buf: make([]byte, 0, jsonFlushAt+4<<10), indent: indent, first: true}
+}
+
+// sep writes what separates a value or key from what came before: a
+// comma after a sibling, and in indented form a new line at the
+// current depth.
+func (j *JSONWriter) sep() {
+	if j.keyed {
+		j.keyed = false
+		return
+	}
+	if !j.first {
+		j.buf = append(j.buf, ',')
+	}
+	j.first = false
+	if j.indent && j.depth > 0 {
+		j.newline()
+	}
+}
+
+func (j *JSONWriter) newline() {
+	j.buf = append(j.buf, '\n')
+	for i := 0; i < j.depth; i++ {
+		j.buf = append(j.buf, ' ', ' ')
+	}
+}
+
+func (j *JSONWriter) open(c byte) {
+	j.sep()
+	j.buf = append(j.buf, c)
+	j.depth++
+	j.first = true
+}
+
+func (j *JSONWriter) close(c byte) {
+	j.depth--
+	if j.indent && !j.first {
+		j.newline()
+	}
+	j.buf = append(j.buf, c)
+	j.first = false
+	if len(j.buf) >= jsonFlushAt {
+		j.flush()
+	}
+}
+
+func (j *JSONWriter) flush() {
+	if j.err == nil {
+		_, j.err = j.w.Write(j.buf)
+	}
+	j.buf = j.buf[:0]
+}
+
+// Object and EndObject bracket an object; Array and EndArray an array.
+func (j *JSONWriter) Object()    { j.open('{') }
+func (j *JSONWriter) EndObject() { j.close('}') }
+func (j *JSONWriter) Array()     { j.open('[') }
+func (j *JSONWriter) EndArray()  { j.close(']') }
+
+// Key writes an object key and returns j for the value that follows:
+// j.Key("at").Int(at). Keys are the exporters' own literals and need no
+// escaping.
+func (j *JSONWriter) Key(k string) *JSONWriter {
+	j.sep()
+	j.buf = append(j.buf, '"')
+	j.buf = append(j.buf, k...)
+	if j.indent {
+		j.buf = append(j.buf, '"', ':', ' ')
+	} else {
+		j.buf = append(j.buf, '"', ':')
+	}
+	j.keyed = true
+	return j
+}
+
+// String writes s quoted and escaped as encoding/json does with HTML
+// escaping on.
+func (j *JSONWriter) String(s string) {
+	j.sep()
+	j.buf = AppendJSONString(j.buf, s)
+}
+
+// StringBytes is String for text assembled in a scratch buffer.
+func (j *JSONWriter) StringBytes(s []byte) {
+	j.sep()
+	j.buf = AppendJSONString(j.buf, s)
+}
+
+// Uint writes an unsigned integer.
+func (j *JSONWriter) Uint(v uint64) {
+	j.sep()
+	j.buf = strconv.AppendUint(j.buf, v, 10)
+}
+
+// Int writes a signed integer.
+func (j *JSONWriter) Int(v int64) {
+	j.sep()
+	j.buf = strconv.AppendInt(j.buf, v, 10)
+}
+
+// Float writes a float64 in encoding/json's format. NaN and the
+// infinities have no JSON form: they fail the document, as they fail
+// json.Marshal.
+func (j *JSONWriter) Float(v float64) {
+	j.sep()
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		if j.err == nil {
+			j.err = fmt.Errorf("json: unsupported value: %v", v)
+		}
+		return
+	}
+	j.buf = AppendJSONFloat(j.buf, v)
+}
+
+// Bool writes true or false.
+func (j *JSONWriter) Bool(v bool) {
+	j.sep()
+	j.buf = strconv.AppendBool(j.buf, v)
+}
+
+// Null writes null (what encoding/json makes of a nil slice or pointer).
+func (j *JSONWriter) Null() {
+	j.sep()
+	j.buf = append(j.buf, "null"...)
+}
+
+// Close ends the document with the newline every export ends in,
+// drains the buffer and returns the first error met.
+func (j *JSONWriter) Close() error {
+	j.buf = append(j.buf, '\n')
+	j.flush()
+	return j.err
+}
+
+const jsonHex = "0123456789abcdef"
+
+// AppendJSONString appends s as a JSON string literal, byte for byte
+// what encoding/json writes with HTML escaping on: `"` and `\` take a
+// backslash, \b \f \n \r \t their short forms, other control bytes and
+// < > & the \u00XX form, U+2028 and U+2029 are escaped, and each byte
+// of invalid UTF-8 becomes the six characters \ufffd.
+func AppendJSONString[S []byte | string](dst []byte, s S) []byte {
+	dst = append(dst, '"')
+	start := 0
+	for i := 0; i < len(s); {
+		b := s[i]
+		if b < utf8.RuneSelf {
+			if b >= ' ' && b != '"' && b != '\\' && b != '<' && b != '>' && b != '&' {
+				i++
+				continue
+			}
+			dst = append(dst, s[start:i]...)
+			switch b {
+			case '\\', '"':
+				dst = append(dst, '\\', b)
+			case '\b':
+				dst = append(dst, '\\', 'b')
+			case '\f':
+				dst = append(dst, '\\', 'f')
+			case '\n':
+				dst = append(dst, '\\', 'n')
+			case '\r':
+				dst = append(dst, '\\', 'r')
+			case '\t':
+				dst = append(dst, '\\', 't')
+			default:
+				dst = append(dst, '\\', 'u', '0', '0', jsonHex[b>>4], jsonHex[b&0xF])
+			}
+			i++
+			start = i
+			continue
+		}
+		// Decode from a string of at most one rune's bytes: free for a
+		// string, a copy that stays on the stack for a []byte.
+		c, size := utf8.DecodeRuneInString(string(s[i:min(i+utf8.UTFMax, len(s))]))
+		switch {
+		case c == utf8.RuneError && size == 1:
+			dst = append(dst, s[start:i]...)
+			dst = append(dst, `\ufffd`...)
+			start = i + size
+		case c == '\u2028' || c == '\u2029':
+			dst = append(dst, s[start:i]...)
+			dst = append(dst, '\\', 'u', '2', '0', '2', jsonHex[c&0xF])
+			start = i + size
+		}
+		i += size
+	}
+	dst = append(dst, s[start:]...)
+	return append(dst, '"')
+}
+
+// AppendJSONFloat appends a finite f as encoding/json formats a
+// float64: the shortest decimal that round-trips, in plain notation
+// except below 1e-6 and from 1e21 up, where it switches to an exponent
+// written without a leading zero (1e-7, not 1e-07).
+func AppendJSONFloat(dst []byte, f float64) []byte {
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	dst = strconv.AppendFloat(dst, f, format, -1, 64)
+	if format == 'e' {
+		if n := len(dst); n >= 4 && dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
+			dst[n-2] = dst[n-1]
+			dst = dst[:n-1]
+		}
+	}
+	return dst
+}

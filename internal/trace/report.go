@@ -98,7 +98,10 @@ func (b *spanBuild) openPhase(ph Phase, at sim.Time) {
 // stream, in order of first appearance. Spans whose begin event was
 // evicted from the ring are reconstructed from their surviving tail.
 func (s *Snapshot) Spans() []SpanView {
-	type key struct{ coord, id uint64 }
+	type key struct {
+		coord uint32
+		id    uint64
+	}
 	idx := map[key]*spanBuild{}
 	var order []*spanBuild
 
@@ -106,10 +109,10 @@ func (s *Snapshot) Spans() []SpanView {
 		k := key{e.Coord, e.Span}
 		b := idx[k]
 		if b == nil {
-			b = &spanBuild{v: SpanView{Coord: e.Coord, ID: e.Span, Txn: e.Txn, Label: e.Label}}
+			b = &spanBuild{v: SpanView{Coord: uint64(e.Coord), ID: e.Span, Txn: e.Txn, Label: s.Str(e.Label)}}
 			if e.Kind != KindTxnBegin {
 				// Head of the span was evicted; resume mid-flight.
-				b.v.Attempts = append(b.v.Attempts, AttemptView{N: e.Attempt, Start: e.At})
+				b.v.Attempts = append(b.v.Attempts, AttemptView{N: int(e.Attempt), Start: e.At})
 			}
 			idx[k] = b
 			order = append(order, b)
@@ -130,10 +133,10 @@ func (s *Snapshot) Spans() []SpanView {
 		switch e.Kind {
 		case KindTxnBegin:
 			b.v.Attempts = append(b.v.Attempts, AttemptView{N: 1, Start: e.At})
-			b.v.Label = e.Label
+			b.v.Label = s.Str(e.Label)
 		case KindTxnRetry:
 			b.closePhase(e.At)
-			b.v.Attempts = append(b.v.Attempts, AttemptView{N: e.Attempt, Start: e.At})
+			b.v.Attempts = append(b.v.Attempts, AttemptView{N: int(e.Attempt), Start: e.At})
 		case KindPhase:
 			b.openPhase(e.Phase, e.At)
 		case KindTxnCommit:
@@ -146,16 +149,16 @@ func (s *Snapshot) Spans() []SpanView {
 			b.closePhase(e.At)
 			a := b.cur()
 			a.End = e.At
-			a.Reason = e.Reason
+			a.Reason = s.Str(e.Reason)
 			a.False = e.False
 		case KindVerbComplete:
 			a := b.cur()
 			a.Verbs[e.Phase]++
-			a.Bytes[e.Phase] += e.Bytes
+			a.Bytes[e.Phase] += int(e.Bytes)
 		case KindRTT:
 			a := b.cur()
 			a.RTT[e.Phase]++
-			a.Net[e.Phase] += e.Latency
+			a.Net[e.Phase] += sim.Duration(e.Latency)
 		case KindConflict:
 			b.cur().Conflicts++
 		}

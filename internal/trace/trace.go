@@ -24,6 +24,9 @@ package trace
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
+	"slices"
 	"sort"
 
 	"crest/internal/layout"
@@ -142,38 +145,86 @@ func (p Phase) String() string {
 	return fmt.Sprintf("Phase(%d)", uint8(p))
 }
 
-// Event is one trace record. Fields beyond At/Kind are populated per
-// kind; zero values mean "not applicable".
+// StrID is a string's code in its recorder's table (Snapshot.Str maps
+// it back); 0 is the empty string. Records hold codes so that a record
+// is a fixed-size value with no pointer in it: emitting one builds no
+// text, and the collector never scans the ring.
+type StrID uint32
+
+// Event is one trace record, 80 bytes. Fields beyond At/Kind are
+// populated per kind; zero values mean "not applicable". Integers are
+// as wide as their values get: a coordinator id is 32 bits wherever it
+// is used, a round-trip is microseconds. An event's global emission
+// number is its position (Snapshot.Seq).
 type Event struct {
-	Seq  uint64   // global emission order (survives ring eviction)
-	At   sim.Time // virtual time of the event
-	Kind Kind
+	At sim.Time // virtual time of the event
 
 	// Span identity: the (coordinator, txn, span) key. Span is the
 	// recorder-issued span id; Txn is the engine's transaction id when
 	// one exists (CREST local txn ids), else 0.
-	Coord   uint64
-	Span    uint64
-	Txn     uint64
-	Attempt int
+	Span uint64
+	Txn  uint64
 
-	Phase  Phase  // KindPhase: phase entered; verb events: phase charged
-	Reason string // KindTxnAbort: abort classification
-	False  bool   // KindTxnAbort / KindConflict: false conflict
+	Key  layout.Key // record identity for CC events
+	Mask uint64     // cell bits involved; KindENOverflow: the wrapping cell's bit
 
-	Table layout.TableID // record identity for CC events
-	Key   layout.Key
-	Mask  uint64 // cell bits involved
-	Cell  int    // KindENOverflow: the wrapping cell
+	// Latency is the charged latency of KindVerbComplete / KindRTT in
+	// nanoseconds, saturating at math.MaxUint32 (4.29 s).
+	Latency uint32
+	Coord   uint32
+	Attempt uint32
+	Bytes   uint32 // verb events: payload bytes charged
+	QP      uint32 // verb events: queue-pair id
+	Table   layout.TableID
 
-	Verb    string       // verb events: READ / WRITE / CAS / masked-CAS
-	QP      int          // verb events: queue-pair id
-	Region  int          // verb events: target region id
-	Bytes   int          // verb events: payload bytes charged
-	Ops     int          // KindRTT: verbs in the batch
-	Latency sim.Duration // KindVerbComplete / KindRTT: charged latency
+	Label  StrID // txn label or proc name
+	Reason StrID // KindTxnAbort: abort classification; KindProcBlock: wait-queue label
 
-	Label string // txn label, proc name, or wait-queue name
+	Region uint16 // verb events: target region id
+	Ops    uint16 // KindRTT: verbs in the batch
+
+	Kind  Kind
+	Phase Phase // KindPhase: phase entered; verb events: phase charged
+	False bool  // KindTxnAbort: false conflict
+	Verb  uint8 // verb events: READ / WRITE / CAS / masked-CAS, by Snapshot.Verb
+}
+
+// strTable interns strings to StrIDs. The strings a run meets are few —
+// transaction labels, abort reasons — unless ProcEvents records process
+// names and wait-queue labels, so the first few are found by scanning
+// and the rest through a map built when they appear.
+type strTable struct {
+	strs []string // code → string; strs[0] is ""
+	idx  map[string]StrID
+}
+
+// strScan is how many codes id looks through before it turns to the map.
+const strScan = 16
+
+func (t *strTable) id(s string) StrID {
+	if s == "" {
+		return 0
+	}
+	for i := 1; i < len(t.strs) && i <= strScan; i++ {
+		if t.strs[i] == s {
+			return StrID(i)
+		}
+	}
+	if id, ok := t.idx[s]; ok {
+		return id
+	}
+	if t.strs == nil {
+		t.strs = []string{""}
+	}
+	id := StrID(len(t.strs))
+	t.strs = append(t.strs, s)
+	if id > strScan {
+		if t.idx == nil {
+			t.idx = map[string]StrID{}
+		}
+		t.idx[s] = id
+	}
+	return id
 }
 
 // Span is the live per-transaction handle the engines thread through
@@ -228,8 +279,9 @@ type HotCell struct {
 // emissions, so no locking is needed. The zero Recorder is unusable;
 // a nil *Recorder is the disabled state and every method tolerates it.
 type Recorder struct {
-	ring Ring[Event]
-	seq  uint64
+	ring  Ring[Event]
+	strs  strTable // Event.Label and Event.Reason
+	verbs strTable // Event.Verb
 
 	nextSpan uint64
 	hot      map[hotKey]*HotCell
@@ -256,7 +308,7 @@ func NewRecorder(capacity int) *Recorder {
 	if capacity <= 0 {
 		capacity = DefaultCapacity
 	}
-	return &Recorder{ring: NewRing[Event](capacity, false), hot: map[hotKey]*HotCell{}}
+	return &Recorder{ring: NewRing[Event](capacity), hot: map[hotKey]*HotCell{}}
 }
 
 // Enabled reports whether the recorder collects events.
@@ -272,7 +324,7 @@ func (r *Recorder) Shard(part, parts int) *Recorder {
 		return nil
 	}
 	return r.fam.Shard("trace", r, part, parts, func(f Family[Recorder]) *Recorder {
-		return &Recorder{ring: NewRing[Event](r.ring.Cap(), false), hot: map[hotKey]*HotCell{}, fam: f, root: r}
+		return &Recorder{ring: NewRing[Event](r.ring.Cap()), hot: map[hotKey]*HotCell{}, fam: f, root: r}
 	})
 }
 
@@ -285,11 +337,23 @@ func (r *Recorder) procEvents() bool {
 	return r.ProcEvents
 }
 
-// emit appends one event to the ring, evicting the oldest on overflow.
-func (r *Recorder) emit(e Event) {
-	r.seq++
-	e.Seq = r.seq
-	r.ring.Push(e)
+// emit claims the ring's next slot (evicting the oldest event on
+// overflow) as an event of kind k at time at, every other field zero,
+// for the caller to fill in place.
+func (r *Recorder) emit(at sim.Time, k Kind) *Event {
+	e := r.ring.Next()
+	*e = Event{At: at, Kind: k}
+	return e
+}
+
+// emitIn is emit for an event inside span s (nil outside a
+// transaction): it carries the span's identity and the phase it is in.
+func (r *Recorder) emitIn(at sim.Time, k Kind, s *Span) *Event {
+	e := r.emit(at, k)
+	if s != nil {
+		e.Coord, e.Span, e.Txn, e.Attempt, e.Phase = uint32(s.Coord), s.ID, s.Txn, uint32(s.Attempt), s.Phase
+	}
+	return e
 }
 
 // Dropped reports how many events were evicted from the ring (summed
@@ -320,16 +384,21 @@ func (r *Recorder) StartSpan(p *sim.Proc, coord uint64, label string, txnKey any
 	if prev, ok := p.TraceCtx().(*Span); ok && prev != nil && !prev.done && prev.txnKey == txnKey {
 		prev.Attempt++
 		prev.Phase = PhaseExec
-		r.emit(Event{At: p.Now(), Kind: KindTxnRetry, Coord: prev.Coord, Span: prev.ID,
-			Txn: prev.Txn, Attempt: prev.Attempt, Label: prev.Label})
+		r.emitTxn(p.Now(), KindTxnRetry, prev)
 		return prev
 	}
 	r.nextSpan++
 	s := &Span{Coord: coord, ID: r.fam.StrideID(r.nextSpan), Label: label, Attempt: 1, txnKey: txnKey}
 	p.SetTraceCtx(s)
-	r.emit(Event{At: p.Now(), Kind: KindTxnBegin, Coord: coord, Span: s.ID,
-		Attempt: 1, Label: label})
+	r.emitTxn(p.Now(), KindTxnBegin, s)
 	return s
+}
+
+// emitTxn emits a lifecycle event of s: identity and label, no phase.
+func (r *Recorder) emitTxn(at sim.Time, k Kind, s *Span) *Event {
+	e := r.emit(at, k)
+	e.Coord, e.Span, e.Txn, e.Attempt, e.Label = uint32(s.Coord), s.ID, s.Txn, uint32(s.Attempt), r.strs.id(s.Label)
+	return e
 }
 
 // EnterPhase records a phase transition on s.
@@ -338,8 +407,7 @@ func (r *Recorder) EnterPhase(at sim.Time, s *Span, ph Phase) {
 		return
 	}
 	s.Phase = ph
-	r.emit(Event{At: at, Kind: KindPhase, Coord: s.Coord, Span: s.ID, Txn: s.Txn,
-		Attempt: s.Attempt, Phase: ph})
+	r.emitIn(at, KindPhase, s)
 }
 
 // Commit ends s as committed.
@@ -348,8 +416,7 @@ func (r *Recorder) Commit(at sim.Time, s *Span) {
 		return
 	}
 	s.done = true
-	r.emit(Event{At: at, Kind: KindTxnCommit, Coord: s.Coord, Span: s.ID, Txn: s.Txn,
-		Attempt: s.Attempt, Label: s.Label})
+	r.emitTxn(at, KindTxnCommit, s)
 }
 
 // Abort records a failed attempt of s with its classification. The
@@ -360,19 +427,11 @@ func (r *Recorder) Abort(at sim.Time, s *Span, reason string, falseConflict bool
 	if r == nil || s == nil {
 		return
 	}
-	r.emit(Event{At: at, Kind: KindTxnAbort, Coord: s.Coord, Span: s.ID, Txn: s.Txn,
-		Attempt: s.Attempt, Reason: reason, False: falseConflict, Label: s.Label})
+	e := r.emitTxn(at, KindTxnAbort, s)
+	e.Reason, e.False = r.strs.id(reason), falseConflict
 	if s.cAttempt == s.Attempt && s.cMask != 0 {
 		r.bumpHot(s.cTable, s.cKey, s.cMask, true)
 	}
-}
-
-// spanID unpacks a possibly-nil span into event identity fields.
-func spanID(s *Span) (coord, id, txn uint64, attempt int, ph Phase) {
-	if s == nil {
-		return 0, 0, 0, 0, PhaseExec
-	}
-	return s.Coord, s.ID, s.Txn, s.Attempt, s.Phase
 }
 
 // SpanOf extracts the span from a proc's trace context (nil when
@@ -382,14 +441,23 @@ func SpanOf(p *sim.Proc) *Span {
 	return s
 }
 
+// verbID is verb's code. A fabric has four verbs; a recorder asked for
+// more names than a byte holds is being misused.
+func (r *Recorder) verbID(verb string) uint8 {
+	id := r.verbs.id(verb)
+	if id > math.MaxUint8 {
+		panic("trace: more than 255 distinct verb names")
+	}
+	return uint8(id)
+}
+
 // VerbIssue records one verb posted to the fabric.
 func (r *Recorder) VerbIssue(at sim.Time, s *Span, verb string, qp, region, bytes int) {
 	if r == nil {
 		return
 	}
-	coord, id, txn, attempt, ph := spanID(s)
-	r.emit(Event{At: at, Kind: KindVerbIssue, Coord: coord, Span: id, Txn: txn,
-		Attempt: attempt, Phase: ph, Verb: verb, QP: qp, Region: region, Bytes: bytes})
+	e := r.emitIn(at, KindVerbIssue, s)
+	e.Verb, e.QP, e.Region, e.Bytes = r.verbID(verb), uint32(qp), uint16(region), uint32(bytes)
 }
 
 // VerbComplete records one verb's completion with its charged latency
@@ -398,9 +466,8 @@ func (r *Recorder) VerbComplete(at sim.Time, s *Span, verb string, qp, region, b
 	if r == nil {
 		return
 	}
-	coord, id, txn, attempt, ph := spanID(s)
-	r.emit(Event{At: at, Kind: KindVerbComplete, Coord: coord, Span: id, Txn: txn,
-		Attempt: attempt, Phase: ph, Verb: verb, QP: qp, Region: region, Bytes: bytes, Latency: lat})
+	e := r.emitIn(at, KindVerbComplete, s)
+	e.Verb, e.QP, e.Region, e.Bytes, e.Latency = r.verbID(verb), uint32(qp), uint16(region), uint32(bytes), latency(lat)
 }
 
 // RTT records one doorbell batch: the unit of round-trip attribution.
@@ -408,9 +475,22 @@ func (r *Recorder) RTT(at sim.Time, s *Span, qp, region, ops, bytes int, lat sim
 	if r == nil {
 		return
 	}
-	coord, id, txn, attempt, ph := spanID(s)
-	r.emit(Event{At: at, Kind: KindRTT, Coord: coord, Span: id, Txn: txn,
-		Attempt: attempt, Phase: ph, QP: qp, Region: region, Ops: ops, Bytes: bytes, Latency: lat})
+	e := r.emitIn(at, KindRTT, s)
+	e.QP, e.Region, e.Ops, e.Bytes, e.Latency = uint32(qp), uint16(region), uint16(ops), uint32(bytes), latency(lat)
+}
+
+// latency narrows a charged latency to Event.Latency, saturating.
+func latency(d sim.Duration) uint32 {
+	if d > math.MaxUint32 {
+		return math.MaxUint32
+	}
+	return uint32(d)
+}
+
+// emitCC emits a concurrency-control event of kind k on the given cells.
+func (r *Recorder) emitCC(at sim.Time, k Kind, s *Span, table layout.TableID, key layout.Key, mask uint64) {
+	e := r.emitIn(at, k, s)
+	e.Table, e.Key, e.Mask = table, key, mask
 }
 
 // Conflict records a concurrency-control conflict (a lock CAS lost to
@@ -420,9 +500,7 @@ func (r *Recorder) Conflict(at sim.Time, s *Span, table layout.TableID, key layo
 	if r == nil {
 		return
 	}
-	coord, id, txn, attempt, ph := spanID(s)
-	r.emit(Event{At: at, Kind: KindConflict, Coord: coord, Span: id, Txn: txn,
-		Attempt: attempt, Phase: ph, Table: table, Key: key, Mask: mask})
+	r.emitCC(at, KindConflict, s, table, key, mask)
 	r.bumpHot(table, key, mask, false)
 	if s != nil {
 		s.cTable, s.cKey, s.cMask, s.cAttempt = table, key, mask, s.Attempt
@@ -431,7 +509,7 @@ func (r *Recorder) Conflict(at sim.Time, s *Span, table layout.TableID, key layo
 
 func (r *Recorder) bumpHot(table layout.TableID, key layout.Key, mask uint64, abort bool) {
 	for m := mask; m != 0; m &= m - 1 {
-		cell := bitIndex(m & -m)
+		cell := bits.TrailingZeros64(m)
 		hk := hotKey{table, key, cell}
 		hc := r.hot[hk]
 		if hc == nil {
@@ -446,23 +524,12 @@ func (r *Recorder) bumpHot(table layout.TableID, key layout.Key, mask uint64, ab
 	}
 }
 
-func bitIndex(b uint64) int {
-	i := 0
-	for b > 1 {
-		b >>= 1
-		i++
-	}
-	return i
-}
-
 // LockAcquire records remote cell locks won on a record.
 func (r *Recorder) LockAcquire(at sim.Time, s *Span, table layout.TableID, key layout.Key, mask uint64) {
 	if r == nil {
 		return
 	}
-	coord, id, txn, attempt, ph := spanID(s)
-	r.emit(Event{At: at, Kind: KindLockAcquire, Coord: coord, Span: id, Txn: txn,
-		Attempt: attempt, Phase: ph, Table: table, Key: key, Mask: mask})
+	r.emitCC(at, KindLockAcquire, s, table, key, mask)
 }
 
 // LockPiggyback records a local transaction reusing already-held
@@ -471,9 +538,7 @@ func (r *Recorder) LockPiggyback(at sim.Time, s *Span, table layout.TableID, key
 	if r == nil {
 		return
 	}
-	coord, id, txn, attempt, ph := spanID(s)
-	r.emit(Event{At: at, Kind: KindLockPiggyback, Coord: coord, Span: id, Txn: txn,
-		Attempt: attempt, Phase: ph, Table: table, Key: key, Mask: mask})
+	r.emitCC(at, KindLockPiggyback, s, table, key, mask)
 }
 
 // LockRelease records remote cell locks released at write-back.
@@ -481,9 +546,7 @@ func (r *Recorder) LockRelease(at sim.Time, s *Span, table layout.TableID, key l
 	if r == nil {
 		return
 	}
-	coord, id, txn, attempt, ph := spanID(s)
-	r.emit(Event{At: at, Kind: KindLockRelease, Coord: coord, Span: id, Txn: txn,
-		Attempt: attempt, Phase: ph, Table: table, Key: key, Mask: mask})
+	r.emitCC(at, KindLockRelease, s, table, key, mask)
 }
 
 // ENOverflow records a cell's 16-bit epoch number wrapping (the paper's
@@ -492,20 +555,25 @@ func (r *Recorder) ENOverflow(at sim.Time, s *Span, table layout.TableID, key la
 	if r == nil {
 		return
 	}
-	coord, id, txn, attempt, ph := spanID(s)
-	r.emit(Event{At: at, Kind: KindENOverflow, Coord: coord, Span: id, Txn: txn,
-		Attempt: attempt, Phase: ph, Table: table, Key: key, Cell: cell})
+	r.emitCC(at, KindENOverflow, s, table, key, 1<<uint(cell))
 }
 
 // The sim.Observer implementation: simulator scheduling events. Only
 // recorded when ProcEvents is set.
+
+// emitProc emits a scheduling event of the process called name.
+func (r *Recorder) emitProc(at sim.Time, k Kind, name string) *Event {
+	e := r.emit(at, k)
+	e.Label = r.strs.id(name)
+	return e
+}
 
 // ProcSpawn implements sim.Observer.
 func (r *Recorder) ProcSpawn(name string, at sim.Time) {
 	if r == nil || !r.procEvents() {
 		return
 	}
-	r.emit(Event{At: at, Kind: KindProcSpawn, Label: name})
+	r.emitProc(at, KindProcSpawn, name)
 }
 
 // ProcBlock implements sim.Observer: a process parked on a wait queue.
@@ -514,7 +582,7 @@ func (r *Recorder) ProcBlock(name string, queue fmt.Stringer, at sim.Time) {
 	if r == nil || !r.procEvents() {
 		return
 	}
-	r.emit(Event{At: at, Kind: KindProcBlock, Label: name, Reason: queue.String()})
+	r.emitProc(at, KindProcBlock, name).Reason = r.strs.id(queue.String())
 }
 
 // ProcWake implements sim.Observer.
@@ -522,7 +590,7 @@ func (r *Recorder) ProcWake(name string, at sim.Time) {
 	if r == nil || !r.procEvents() {
 		return
 	}
-	r.emit(Event{At: at, Kind: KindProcWake, Label: name})
+	r.emitProc(at, KindProcWake, name)
 }
 
 // ProcFinish implements sim.Observer.
@@ -530,7 +598,7 @@ func (r *Recorder) ProcFinish(name string, at sim.Time) {
 	if r == nil || !r.procEvents() {
 		return
 	}
-	r.emit(Event{At: at, Kind: KindProcFinish, Label: name})
+	r.emitProc(at, KindProcFinish, name)
 }
 
 // Snapshot is an immutable copy of the recorder's state, the input to
@@ -539,15 +607,37 @@ type Snapshot struct {
 	Events  []Event // oldest → newest
 	Dropped uint64
 	Hot     []HotCell // sorted: most conflicted first
+
+	strs, verbs []string // what Event.Label/Reason and Event.Verb index
 }
 
-// Snapshot copies the ring (oldest to newest) and the hot-key profile.
-// A nil recorder yields an empty snapshot.
+// Seq is the global emission number of Events[i]: it counts from 1
+// and survives ring eviction.
+func (s *Snapshot) Seq(i int) uint64 { return s.Dropped + uint64(i) + 1 }
+
+// Str resolves an Event.Label or Event.Reason.
+func (s *Snapshot) Str(id StrID) string {
+	if id == 0 {
+		return ""
+	}
+	return s.strs[id]
+}
+
+// Verb names e's verb ("" for an event that is not a verb event).
+func (s *Snapshot) Verb(e *Event) string {
+	if e.Verb == 0 {
+		return ""
+	}
+	return s.verbs[e.Verb]
+}
+
+// Snapshot copies the ring (oldest to newest), the string tables and
+// the hot-key profile. A nil recorder yields an empty snapshot.
 //
 // On a sharded recorder the snapshot is the deterministic merge of the
-// root and every partition child (MergeByTime), then Seq renumbers in
-// merged order, hot-cell profiles sum per cell, and Dropped sums the
-// family's evictions.
+// root and every partition child (MergeByTime): each member's string
+// codes are first rewritten into one table merged by string, hot-cell
+// profiles sum per cell, and Dropped sums the family's evictions.
 func (r *Recorder) Snapshot() *Snapshot {
 	s := &Snapshot{}
 	if r == nil {
@@ -555,23 +645,47 @@ func (r *Recorder) Snapshot() *Snapshot {
 	}
 	s.Dropped = r.Dropped()
 	if !r.fam.Sharded() {
-		s.Events = r.ring.AppendTo(make([]Event, 0, r.ring.Len()))
+		s.Events = r.ring.AppendTo(nil)
+		s.strs, s.verbs = slices.Clone(r.strs.strs), slices.Clone(r.verbs.strs)
 		s.Hot = sortedHot(r.hot)
 		return s
 	}
 	members := r.fam.Members(r)
 	streams := make([][]Event, len(members))
 	merged := make(map[hotKey]*HotCell, len(r.hot))
+	var strs, verbs strTable
 	for i, m := range members {
-		streams[i] = m.ring.AppendTo(nil)
+		evs := m.ring.AppendTo(nil)
+		strMap, verbMap := strs.merge(&m.strs), verbs.merge(&m.verbs)
+		for j := range evs {
+			e := &evs[j]
+			if e.Label != 0 {
+				e.Label = strMap[e.Label]
+			}
+			if e.Reason != 0 {
+				e.Reason = strMap[e.Reason]
+			}
+			if e.Verb != 0 {
+				e.Verb = uint8(verbMap[e.Verb])
+			}
+		}
+		streams[i] = evs
 		foldHot(merged, m.hot)
 	}
-	s.Events = MergeByTime(streams, func(e *Event) (sim.Time, uint64) { return e.At, e.Seq })
-	for i := range s.Events {
-		s.Events[i].Seq = s.Dropped + uint64(i) + 1
-	}
+	s.Events = MergeByTime(streams, func(e *Event) (sim.Time, uint64) { return e.At, 0 })
+	s.strs, s.verbs = strs.strs, verbs.strs
 	s.Hot = sortedHot(merged)
 	return s
+}
+
+// merge interns every string of src into t and returns src's codes in
+// t's terms.
+func (t *strTable) merge(src *strTable) []StrID {
+	m := make([]StrID, len(src.strs))
+	for i, s := range src.strs {
+		m[i] = t.id(s)
+	}
+	return m
 }
 
 // foldHot sums src's per-cell counters into dst.

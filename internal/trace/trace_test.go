@@ -71,8 +71,8 @@ func TestRingEvictsOldestAndCountsDrops(t *testing.T) {
 		t.Fatalf("snapshot dropped = %d, want 6", snap.Dropped)
 	}
 	for i, e := range snap.Events {
-		if want := uint64(7 + i); e.Seq != want {
-			t.Fatalf("event %d has seq %d, want %d (oldest-to-newest order)", i, e.Seq, want)
+		if got, want := snap.Seq(i), uint64(7+i); got != want {
+			t.Fatalf("event %d has seq %d, want %d (oldest-to-newest order)", i, got, want)
 		}
 		if want := sim.Time(6 + i); e.At != want {
 			t.Fatalf("event %d at %d, want %d", i, e.At, want)
