@@ -27,8 +27,8 @@ type jsonDoc struct {
 }
 
 // WriteJSON serializes the snapshot as schema-versioned JSON
-// (crest-why/v1), record by record: the bytes json.MarshalIndent makes
-// of a jsonDoc, which is what ReadJSON decodes. Output is
+// (crest-why/v1), record by record: the bytes encoding/json indents a
+// jsonDoc into, which is what ReadJSON decodes. Output is
 // deterministic: same-seed runs produce byte-equal documents.
 func WriteJSON(w io.Writer, s *Snapshot) error {
 	j := trace.NewJSONWriter(w, true)

@@ -24,7 +24,7 @@ type jsonDoc struct {
 }
 
 // WriteJSON exports a snapshot, record by record: the bytes
-// json.MarshalIndent makes of a jsonDoc, which is what ReadJSON decodes.
+// encoding/json indents a jsonDoc into, which is what ReadJSON decodes.
 // Deterministic: same snapshot, same bytes — and ReadJSON followed by
 // WriteJSON reproduces the input byte for byte.
 func WriteJSON(w io.Writer, s *Snapshot) error {

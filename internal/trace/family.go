@@ -77,7 +77,11 @@ func (r *Ring[T]) Dropped() uint64 { return r.dropped }
 
 // AppendTo appends the buffered elements, oldest to newest, to dst.
 func (r *Ring[T]) AppendTo(dst []T) []T {
-	dst = slices.Grow(dst, r.n)
+	if cap(dst)-len(dst) < r.n {
+		// make, not slices.Grow: Grow clears what it adds, a second pass
+		// over tens of megabytes that are about to be overwritten.
+		dst = append(make([]T, 0, len(dst)+r.n), dst...)
+	}
 	dst = r.appendRange(dst, r.head, r.n)
 	return r.appendRange(dst, 0, r.head)
 }
@@ -188,7 +192,9 @@ func MergeByTime[T any](streams [][]T, key func(*T) (sim.Time, uint64)) []T {
 		}
 	}
 	if len(streams) == 1 && total > 0 {
-		return streams[0] // an unsharded observer: nothing to merge with
+		// An unsharded observer: nothing to merge with. (An empty one
+		// falls through to the empty, non-nil result below.)
+		return streams[0]
 	}
 	out := make([]T, 0, total)
 	pos := make([]int, len(streams))
@@ -218,23 +224,35 @@ func MergeByTime[T any](streams [][]T, key func(*T) (sim.Time, uint64)) []T {
 // inOrder returns s in (time, seq) order, elements that tie keeping
 // their positions: s itself when it is already so, else a sorted copy.
 func inOrder[T any](s []T, key func(*T) (sim.Time, uint64)) []T {
+	sorted := true
+	var prevAt sim.Time
+	var prevSeq uint64
+	for i := range s {
+		at, seq := key(&s[i])
+		if i > 0 && (at < prevAt || at == prevAt && seq < prevSeq) {
+			sorted = false
+			break
+		}
+		prevAt, prevSeq = at, seq
+	}
+	if sorted {
+		return s
+	}
+	// Sort (time, seq, position) tags, not the elements: a flight
+	// summary is 216 bytes.
 	type tag struct {
 		at  sim.Time
 		seq uint64
 		i   int
-	}
-	order := func(a, b tag) int {
-		return cmp.Or(cmp.Compare(a.at, b.at), cmp.Compare(a.seq, b.seq), cmp.Compare(a.i, b.i))
 	}
 	tags := make([]tag, len(s))
 	for i := range s {
 		at, seq := key(&s[i])
 		tags[i] = tag{at, seq, i}
 	}
-	if slices.IsSortedFunc(tags, order) {
-		return s
-	}
-	slices.SortFunc(tags, order)
+	slices.SortFunc(tags, func(a, b tag) int {
+		return cmp.Or(cmp.Compare(a.at, b.at), cmp.Compare(a.seq, b.seq), cmp.Compare(a.i, b.i))
+	})
 	out := make([]T, len(s))
 	for i, t := range tags {
 		out[i] = s[t.i]

@@ -136,7 +136,7 @@ func (j *JSONWriter) Int(v int64) {
 
 // Float writes a float64 in encoding/json's format. NaN and the
 // infinities have no JSON form: they fail the document, as they fail
-// json.Marshal.
+// encoding/json.
 func (j *JSONWriter) Float(v float64) {
 	j.sep()
 	if math.IsNaN(v) || math.IsInf(v, 0) {

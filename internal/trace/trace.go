@@ -13,7 +13,9 @@
 //
 // Every Recorder method is nil-safe: a disabled recorder is a nil
 // pointer and each emission point costs exactly one pointer check on
-// the hot path.
+// the hot path. An enabled one writes an 80-byte record with no pointer
+// in it — strings are codes into the recorder's table — straight into
+// the ring's next slot; text is built when a snapshot is rendered.
 //
 // On top of the raw stream sit three views (see chrome.go and
 // report.go): per-txn span timelines with exact virtual-time phase
@@ -192,7 +194,9 @@ type Event struct {
 // strTable interns strings to StrIDs. The strings a run meets are few —
 // transaction labels, abort reasons — unless ProcEvents records process
 // names and wait-queue labels, so the first few are found by scanning
-// and the rest through a map built when they appear.
+// and the rest through a map built when they appear. A table only
+// grows: under ProcEvents it keeps every distinct wait-queue label the
+// run produced, not only those of events still in the ring.
 type strTable struct {
 	strs []string // code → string; strs[0] is ""
 	idx  map[string]StrID
@@ -659,15 +663,7 @@ func (r *Recorder) Snapshot() *Snapshot {
 		strMap, verbMap := strs.merge(&m.strs), verbs.merge(&m.verbs)
 		for j := range evs {
 			e := &evs[j]
-			if e.Label != 0 {
-				e.Label = strMap[e.Label]
-			}
-			if e.Reason != 0 {
-				e.Reason = strMap[e.Reason]
-			}
-			if e.Verb != 0 {
-				e.Verb = uint8(verbMap[e.Verb])
-			}
+			e.Label, e.Reason, e.Verb = strMap[e.Label], strMap[e.Reason], uint8(verbMap[e.Verb])
 		}
 		streams[i] = evs
 		foldHot(merged, m.hot)
@@ -679,9 +675,9 @@ func (r *Recorder) Snapshot() *Snapshot {
 }
 
 // merge interns every string of src into t and returns src's codes in
-// t's terms.
+// t's terms (code 0, the empty string, always among them).
 func (t *strTable) merge(src *strTable) []StrID {
-	m := make([]StrID, len(src.strs))
+	m := make([]StrID, max(1, len(src.strs)))
 	for i, s := range src.strs {
 		m[i] = t.id(s)
 	}
