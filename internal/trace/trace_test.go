@@ -3,7 +3,9 @@ package trace
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"testing"
+	"unsafe"
 
 	"crest/internal/layout"
 	"crest/internal/sim"
@@ -234,5 +236,20 @@ func TestChromeExportIsValidAndDeterministic(t *testing.T) {
 	}
 	if !phases["execute"] {
 		t.Fatalf("no execute phase slice in export: %v", phases)
+	}
+}
+
+// The record rule (DESIGN.md §12): a trace event is a fixed-size value
+// with no pointer in it, 80 bytes.
+func TestEventIsACompactRecord(t *testing.T) {
+	if size := unsafe.Sizeof(Event{}); size > 80 {
+		t.Errorf("Event is %d bytes, want at most 80", size)
+	}
+	typ := reflect.TypeOf(Event{})
+	for i := 0; i < typ.NumField(); i++ {
+		switch k := typ.Field(i).Type.Kind(); k {
+		case reflect.String, reflect.Pointer, reflect.Slice, reflect.Map, reflect.Interface, reflect.Chan, reflect.Func:
+			t.Errorf("Event.%s is a %v: the collector would have to scan the ring", typ.Field(i).Name, k)
+		}
 	}
 }
