@@ -35,9 +35,19 @@ type Op struct {
 	Insert bool
 
 	// Hook is the transaction logic: it receives the values of
-	// ReadCells (in order, as private copies) and returns the new
-	// values of WriteCells (in order). It runs on the compute node
-	// and must be deterministic given state and read values.
+	// ReadCells (in order) and returns the new values of WriteCells
+	// (in order). It runs on the compute node and must be
+	// deterministic given state and read values.
+	//
+	// The read values are borrowed and read-only: the strict engines
+	// hand out copies that live as long as the attempt, CREST the
+	// record cache's own base and version slices, which other
+	// transactions are reading too. The returned values are immutable
+	// once returned, for as long as anything refers to them: the
+	// engines keep them without copying (CREST as versions, and as
+	// the base cell a flush folds the newest one into), so running
+	// the hook again — a retry — must produce new slices, not rewrite
+	// the old ones (workload.Values is the store that does).
 	Hook func(state any, read [][]byte) [][]byte
 }
 

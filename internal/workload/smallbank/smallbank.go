@@ -71,9 +71,11 @@ func (g *Generator) PartitionSafe() bool { return true }
 
 // Load implements workload.Generator.
 func (g *Generator) Load(fn func(layout.TableID, layout.Key, [][]byte)) {
+	row := workload.NewRow([]int{CellSize})
+	row.U64(0, InitialBalance)
 	for k := 0; k < g.cfg.Accounts; k++ {
-		fn(SavingsTable, layout.Key(k), [][]byte{workload.U64(InitialBalance, CellSize)})
-		fn(CheckingTable, layout.Key(k), [][]byte{workload.U64(InitialBalance, CellSize)})
+		fn(SavingsTable, layout.Key(k), row.Cells)
+		fn(CheckingTable, layout.Key(k), row.Cells)
 	}
 }
 
@@ -95,138 +97,141 @@ func (g *Generator) Next(rng *rand.Rand) *engine.Txn {
 	}
 }
 
-func readOp(table layout.TableID, key layout.Key, sink func(uint64)) engine.Op {
-	return engine.Op{
-		Table: table, Key: key, ReadCells: []int{0},
-		Hook: func(_ any, read [][]byte) [][]byte {
-			if sink != nil {
-				sink(workload.GetU64(read[0]))
-			}
-			return nil
-		},
-	}
+// program is one transaction with everything it owns in one object: the
+// ops (at most three), the values its hooks produce, and the numbers
+// they work with. It is the transaction's State, which is how the
+// hooks — package functions, not closures — reach it. Nothing of it
+// belongs to the generator: Next runs on several partitions at once.
+type program struct {
+	txn   engine.Txn
+	block [1]engine.Block
+	ops   [3]engine.Op
+	vals  workload.Values
+	// a and b are the program's numbers: the deltas of ops 0 and 1
+	// (add), the sum moved so far (Amalgamate), the check's amount and
+	// the savings balance (WriteCheck).
+	a, b int64
 }
 
-func addOp(table layout.TableID, key layout.Key, delta int64) engine.Op {
-	return engine.Op{
-		Table: table, Key: key, ReadCells: []int{0}, WriteCells: []int{0},
-		Hook: func(_ any, read [][]byte) [][]byte {
-			v := int64(workload.GetU64(read[0])) + delta
-			return [][]byte{workload.PutU64(read[0], uint64(v))}
-		},
-	}
+// balanceCell is the one cell of both tables, as a read or write list.
+var balanceCell = []int{0}
+
+// newProgram returns a program of n ops, none filled in yet, whose
+// hooks write writes values in total.
+func newProgram(label string, n, writes int) *program {
+	p := &program{}
+	p.block[0].Ops = p.ops[:n]
+	p.txn = engine.Txn{Label: label, Blocks: p.block[:], State: p, ReadOnly: writes == 0}
+	p.vals.Size(writes*CellSize, writes)
+	return p
+}
+
+// put returns the one-value result of a hook: read's cell with its
+// balance replaced by v.
+func (p *program) put(read []byte, v int64) [][]byte {
+	out := p.vals.Out(1)
+	out[0] = p.vals.PutU64(read, uint64(v))
+	return out
+}
+
+func readOp(table layout.TableID, key layout.Key, hook func(any, [][]byte) [][]byte) engine.Op {
+	return engine.Op{Table: table, Key: key, ReadCells: balanceCell, Hook: hook}
+}
+
+func writeOp(table layout.TableID, key layout.Key, hook func(any, [][]byte) [][]byte) engine.Op {
+	return engine.Op{Table: table, Key: key, ReadCells: balanceCell, WriteCells: balanceCell, Hook: hook}
+}
+
+func ignore(any, [][]byte) [][]byte { return nil }
+
+// addA and addB add the program's a and b to a balance.
+func addA(state any, read [][]byte) [][]byte {
+	p := state.(*program)
+	return p.put(read[0], int64(workload.GetU64(read[0]))+p.a)
+}
+
+func addB(state any, read [][]byte) [][]byte {
+	p := state.(*program)
+	return p.put(read[0], int64(workload.GetU64(read[0]))+p.b)
 }
 
 // balance reads both balances of one account (read-only).
 func (g *Generator) balance(rng *rand.Rand) *engine.Txn {
 	acct := g.picker.Pick(rng)
-	return &engine.Txn{
-		Label:    "Balance",
-		ReadOnly: true,
-		Blocks: []engine.Block{{Ops: []engine.Op{
-			readOp(SavingsTable, acct, nil),
-			readOp(CheckingTable, acct, nil),
-		}}},
-	}
+	p := newProgram("Balance", 2, 0)
+	p.ops[0] = readOp(SavingsTable, acct, ignore)
+	p.ops[1] = readOp(CheckingTable, acct, ignore)
+	return &p.txn
 }
 
 // depositChecking adds a fixed amount to a checking balance.
 func (g *Generator) depositChecking(rng *rand.Rand) *engine.Txn {
-	return &engine.Txn{
-		Label:  "DepositChecking",
-		Blocks: []engine.Block{{Ops: []engine.Op{addOp(CheckingTable, g.picker.Pick(rng), 130)}}},
-	}
+	p := newProgram("DepositChecking", 1, 1)
+	p.a = 130
+	p.ops[0] = writeOp(CheckingTable, g.picker.Pick(rng), addA)
+	return &p.txn
 }
 
 // transactSavings adds to a savings balance.
 func (g *Generator) transactSavings(rng *rand.Rand) *engine.Txn {
-	return &engine.Txn{
-		Label:  "TransactSavings",
-		Blocks: []engine.Block{{Ops: []engine.Op{addOp(SavingsTable, g.picker.Pick(rng), 210)}}},
-	}
+	p := newProgram("TransactSavings", 1, 1)
+	p.a = 210
+	p.ops[0] = writeOp(SavingsTable, g.picker.Pick(rng), addA)
+	return &p.txn
 }
 
 // amalgamate moves all funds of account A into account B's checking.
 func (g *Generator) amalgamate(rng *rand.Rand) *engine.Txn {
-	pair := g.picker.PickDistinct(rng, 2)
-	a, b := pair[0], pair[1]
-	st := &struct{ moved int64 }{}
-	return &engine.Txn{
-		Label: "Amalgamate",
-		State: st,
-		Blocks: []engine.Block{{Ops: []engine.Op{
-			{
-				Table: SavingsTable, Key: a, ReadCells: []int{0}, WriteCells: []int{0},
-				Hook: func(state any, read [][]byte) [][]byte {
-					s := state.(*struct{ moved int64 })
-					s.moved += int64(workload.GetU64(read[0]))
-					return [][]byte{workload.PutU64(read[0], 0)}
-				},
-			},
-			{
-				Table: CheckingTable, Key: a, ReadCells: []int{0}, WriteCells: []int{0},
-				Hook: func(state any, read [][]byte) [][]byte {
-					s := state.(*struct{ moved int64 })
-					s.moved += int64(workload.GetU64(read[0]))
-					return [][]byte{workload.PutU64(read[0], 0)}
-				},
-			},
-			{
-				Table: CheckingTable, Key: b, ReadCells: []int{0}, WriteCells: []int{0},
-				Hook: func(state any, read [][]byte) [][]byte {
-					s := state.(*struct{ moved int64 })
-					v := int64(workload.GetU64(read[0])) + s.moved
-					return [][]byte{workload.PutU64(read[0], uint64(v))}
-				},
-			},
-		}}},
-	}
+	pair := g.picker.AppendDistinct(make([]layout.Key, 0, 2), rng, 2) // on the stack
+	p := newProgram("Amalgamate", 3, 3)
+	p.ops[0] = writeOp(SavingsTable, pair[0], drain)
+	p.ops[1] = writeOp(CheckingTable, pair[0], drain)
+	p.ops[2] = writeOp(CheckingTable, pair[1], addA)
+	return &p.txn
+}
+
+// drain empties a balance into the program's a.
+func drain(state any, read [][]byte) [][]byte {
+	p := state.(*program)
+	p.a += int64(workload.GetU64(read[0]))
+	return p.put(read[0], 0)
 }
 
 // writeCheck reads both balances and deducts a check (plus an
 // overdraft penalty when funds are short) from checking.
 func (g *Generator) writeCheck(rng *rand.Rand) *engine.Txn {
 	acct := g.picker.Pick(rng)
-	amount := int64(rng.Intn(50) + 1)
-	st := &struct{ savings int64 }{}
-	return &engine.Txn{
-		Label: "WriteCheck",
-		State: st,
-		Blocks: []engine.Block{{Ops: []engine.Op{
-			{
-				Table: SavingsTable, Key: acct, ReadCells: []int{0},
-				Hook: func(state any, read [][]byte) [][]byte {
-					state.(*struct{ savings int64 }).savings = int64(workload.GetU64(read[0]))
-					return nil
-				},
-			},
-			{
-				Table: CheckingTable, Key: acct, ReadCells: []int{0}, WriteCells: []int{0},
-				Hook: func(state any, read [][]byte) [][]byte {
-					s := state.(*struct{ savings int64 })
-					bal := int64(workload.GetU64(read[0]))
-					take := amount
-					if s.savings+bal < amount {
-						take++ // overdraft penalty
-					}
-					return [][]byte{workload.PutU64(read[0], uint64(bal-take))}
-				},
-			},
-		}}},
+	p := newProgram("WriteCheck", 2, 1)
+	p.a = int64(rng.Intn(50) + 1)
+	p.ops[0] = readOp(SavingsTable, acct, noteSavings)
+	p.ops[1] = writeOp(CheckingTable, acct, cashCheck)
+	return &p.txn
+}
+
+func noteSavings(state any, read [][]byte) [][]byte {
+	state.(*program).b = int64(workload.GetU64(read[0]))
+	return nil
+}
+
+func cashCheck(state any, read [][]byte) [][]byte {
+	p := state.(*program)
+	bal := int64(workload.GetU64(read[0]))
+	take := p.a
+	if p.b+bal < p.a {
+		take++ // overdraft penalty
 	}
+	return p.put(read[0], bal-take)
 }
 
 // sendPayment transfers between two checking accounts.
 func (g *Generator) sendPayment(rng *rand.Rand) *engine.Txn {
-	pair := g.picker.PickDistinct(rng, 2)
+	pair := g.picker.AppendDistinct(make([]layout.Key, 0, 2), rng, 2) // on the stack
 	amount := int64(rng.Intn(90) + 10)
-	return &engine.Txn{
-		Label: "SendPayment",
-		Blocks: []engine.Block{{Ops: []engine.Op{
-			addOp(CheckingTable, pair[0], -amount),
-			addOp(CheckingTable, pair[1], amount),
-		}}},
-	}
+	p := newProgram("SendPayment", 2, 2)
+	p.a, p.b = -amount, amount
+	p.ops[0] = writeOp(CheckingTable, pair[0], addA)
+	p.ops[1] = writeOp(CheckingTable, pair[1], addB)
+	return &p.txn
 }
 
 // ConservingGenerator restricts the mix to money-conserving

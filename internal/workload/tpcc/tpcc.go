@@ -143,9 +143,17 @@ func DefaultConfig() Config {
 // Generator produces TPC-C transactions with the standard mix:
 // NewOrder 45%, Payment 43%, OrderStatus 4%, Delivery 4%, StockLevel
 // 4% (92% read-write, matching §2.3).
+//
+// It is not PartitionSafe — the history sequence advances — so Next
+// runs on one goroutine and may keep scratch of its own (perm).
 type Generator struct {
 	cfg     Config
 	histSeq uint64
+	// perm is NewOrder's permutation of the items, redrawn in place.
+	perm []int
+	// lines are NewOrder's per-order-line functions, one set per
+	// position, built once (see newOrderLines).
+	lines newOrderLines
 }
 
 // New builds a generator.
@@ -154,7 +162,7 @@ func New(cfg Config) *Generator {
 		cfg.Items <= 0 || cfg.OrdersPerDistrict <= 0 || cfg.MaxOrderLines < 5 {
 		panic("tpcc: invalid config")
 	}
-	return &Generator{cfg: cfg}
+	return &Generator{cfg: cfg, perm: make([]int, cfg.Items), lines: makeNewOrderLines(cfg.MaxOrderLines)}
 }
 
 // Name implements workload.Generator.
@@ -216,45 +224,56 @@ func (g *Generator) Tables() []workload.TableDef {
 
 // Load implements workload.Generator: full initial population,
 // including a half-full order ring per district so read-only
-// transactions have history to scan.
+// transactions have history to scan. Each table has one row, refilled
+// for every record; cells that are the same in every record of a table
+// are filled once.
 func (g *Generator) Load(fn func(layout.TableID, layout.Key, [][]byte)) {
 	c := g.cfg
 	rng := rand.New(rand.NewSource(99))
-	for w := 0; w < c.Warehouses; w++ {
-		fn(WarehouseTable, layout.Key(w), [][]byte{
-			workload.Text(uint64(w), 10), workload.Text(uint64(w)+1, 20),
-			workload.Text(uint64(w)+2, 20), workload.Text(uint64(w)+3, 20),
-			workload.Text(uint64(w)+4, 2), workload.Text(uint64(w)+5, 9),
-			workload.U64(uint64(rng.Intn(2000)), 8), // tax (basis points)
-			workload.U64(0, 8),                      // ytd
-		})
+	rows := map[layout.TableID]*workload.Row{}
+	for _, def := range g.Tables() {
+		rows[def.Schema.ID] = workload.NewRow(def.Schema.CellSizes)
 	}
+	// texts fills cells [0, n) of r with Text(tag), Text(tag+1), …
+	texts := func(r *workload.Row, n int, tag uint64) {
+		for i := 0; i < n; i++ {
+			r.Text(i, tag+uint64(i))
+		}
+	}
+
+	wh := rows[WarehouseTable]
+	wh.U64(WYtd, 0)
+	for w := 0; w < c.Warehouses; w++ {
+		texts(wh, WTax, uint64(w))
+		wh.U64(WTax, uint64(rng.Intn(2000))) // basis points
+		fn(WarehouseTable, layout.Key(w), wh.Cells)
+	}
+
 	initialOrders := uint64(c.OrdersPerDistrict / 2)
+	dist, cust := rows[DistrictTable], rows[CustomerTable]
+	ord, newOrd, line := rows[OrdersTable], rows[NewOrderTable], rows[OrderLineTable]
+	dist.U64(DYtd, 0)
+	dist.U64(DNextOID, initialOrders)
+	cust.U64(CCreditLim, 50_000)
+	cust.U64(CBalance, 1_000_000)
+	cust.U64(CYtdPayment, 0)
+	cust.U64(CPaymentCnt, 0)
+	ord.U64(OCarrier, 0)
+	newOrd.U64(0, 0)
+	line.U64(OLQty, 5)
+	line.U64(OLAmount, 100)
 	for w := 0; w < c.Warehouses; w++ {
 		for d := 0; d < c.Districts; d++ {
 			dk := g.districtKey(w, d)
-			fn(DistrictTable, dk, [][]byte{
-				workload.Text(uint64(dk), 10), workload.Text(uint64(dk)+1, 20),
-				workload.Text(uint64(dk)+2, 20), workload.Text(uint64(dk)+3, 2),
-				workload.Text(uint64(dk)+4, 9),
-				workload.U64(uint64(rng.Intn(2000)), 8), // tax
-				workload.U64(0, 8),                      // ytd
-				workload.U64(initialOrders, 8),          // next order id
-			})
+			texts(dist, DTax, uint64(dk))
+			dist.U64(DTax, uint64(rng.Intn(2000)))
+			fn(DistrictTable, dk, dist.Cells)
 			for cu := 0; cu < c.CustomersPerDistrict; cu++ {
 				ck := g.customerKey(w, d, cu)
-				fn(CustomerTable, ck, [][]byte{
-					workload.Text(uint64(ck), 16), workload.Text(uint64(ck)+1, 2),
-					workload.Text(uint64(ck)+2, 16), workload.Text(uint64(ck)+3, 20),
-					workload.Text(uint64(ck)+4, 20), workload.Text(uint64(ck)+5, 20),
-					workload.Text(uint64(ck)+6, 2), workload.Text(uint64(ck)+7, 9),
-					workload.Text(uint64(ck)+8, 16), workload.Text(uint64(ck)+9, 2),
-					workload.U64(50_000, 8),                 // credit limit
-					workload.U64(uint64(rng.Intn(5000)), 8), // discount (bp)
-					workload.U64(1_000_000, 8),              // balance
-					workload.U64(0, 8), workload.U64(0, 8),  // ytd payment, cnt
-					workload.Text(uint64(ck)+10, 100), // data
-				})
+				texts(cust, CCreditLim, uint64(ck))
+				cust.U64(CDiscount, uint64(rng.Intn(5000))) // basis points
+				cust.Text(CData, uint64(ck)+10)
+				fn(CustomerTable, ck, cust.Cells)
 			}
 			for o := uint64(0); o < uint64(c.OrdersPerDistrict); o++ {
 				ok := g.orderKey(w, d, o)
@@ -264,44 +283,49 @@ func (g *Generator) Load(fn func(layout.TableID, layout.Key, [][]byte)) {
 					cid = uint64(rng.Intn(c.CustomersPerDistrict))
 					olCnt = 5
 				}
-				fn(OrdersTable, ok, [][]byte{
-					workload.U64(cid, 8), workload.U64(o, 8),
-					workload.U64(0, 8), workload.U64(olCnt, 8),
-				})
-				fn(NewOrderTable, ok, [][]byte{workload.U64(0, 8)})
+				ord.U64(OCID, cid)
+				ord.U64(OEntryD, o)
+				ord.U64(OOLCnt, olCnt)
+				fn(OrdersTable, ok, ord.Cells)
+				fn(NewOrderTable, ok, newOrd.Cells)
+				line.U64(OLSupplyW, uint64(w))
+				line.Text(OLDistInfo, uint64(ok))
 				for ol := 0; ol < c.MaxOrderLines; ol++ {
 					iid := uint64(0)
 					if loaded && ol < int(olCnt) {
 						iid = uint64(rng.Intn(c.Items))
 					}
-					fn(OrderLineTable, g.orderLineKey(w, d, o, ol), [][]byte{
-						workload.U64(iid, 8), workload.U64(uint64(w), 8),
-						workload.U64(5, 8), workload.U64(100, 8),
-						workload.Text(uint64(ok), 24),
-					})
+					line.U64(OLIID, iid)
+					fn(OrderLineTable, g.orderLineKey(w, d, o, ol), line.Cells)
 				}
 			}
 		}
 	}
+
+	item := rows[ItemTable]
 	for i := 0; i < c.Items; i++ {
-		fn(ItemTable, layout.Key(i), [][]byte{
-			workload.Text(uint64(i), 24),
-			workload.U64(uint64(rng.Intn(9900)+100), 8),
-			workload.Text(uint64(i)+1, 50),
-		})
+		item.Text(IName, uint64(i))
+		item.U64(IPrice, uint64(rng.Intn(9900)+100))
+		item.Text(IData, uint64(i)+1)
+		fn(ItemTable, layout.Key(i), item.Cells)
 	}
+	stock := rows[StockTable]
+	stock.U64(SYtd, 0)
+	stock.U64(SOrderCnt, 0)
+	stock.U64(SRemoteCnt, 0)
 	for w := 0; w < c.Warehouses; w++ {
 		for i := 0; i < c.Items; i++ {
-			fn(StockTable, g.stockKey(w, i), [][]byte{
-				workload.U64(uint64(rng.Intn(90)+10), 8),
-				workload.Text(uint64(i), 24),
-				workload.U64(0, 8), workload.U64(0, 8), workload.U64(0, 8),
-				workload.Text(uint64(i)+2, 50),
-			})
+			stock.U64(SQty, uint64(rng.Intn(90)+10))
+			stock.Text(SDist, uint64(i))
+			stock.Text(SData, uint64(i)+2)
+			fn(StockTable, g.stockKey(w, i), stock.Cells)
 		}
 	}
+	hist := rows[HistoryTable]
+	hist.U64(0, 0)
 	for h := 0; h < c.HistoryCap; h++ {
-		fn(HistoryTable, layout.Key(h), [][]byte{workload.U64(0, 8), workload.Text(uint64(h), 24)})
+		hist.Text(1, uint64(h))
+		fn(HistoryTable, layout.Key(h), hist.Cells)
 	}
 }
 

@@ -7,6 +7,7 @@ package workload
 import (
 	"encoding/binary"
 	"math/rand"
+	"slices"
 
 	"crest/internal/engine"
 	"crest/internal/layout"
@@ -26,7 +27,9 @@ type Generator interface {
 	Name() string
 	// Tables lists the tables to create before loading.
 	Tables() []TableDef
-	// Load emits every initial record through fn.
+	// Load emits every initial record through fn. cells is the
+	// generator's reused row for the table (see Row): fn reads it
+	// during the call and must not keep it or any cell of it.
 	Load(fn func(table layout.TableID, key layout.Key, cells [][]byte))
 	// Next generates one transaction using rng for all randomness.
 	Next(rng *rand.Rand) *engine.Txn
@@ -81,7 +84,9 @@ func U64(v uint64, n int) []byte {
 // GetU64 decodes the integer stored by U64.
 func GetU64(b []byte) uint64 { return binary.LittleEndian.Uint64(b) }
 
-// PutU64 overwrites the integer in place, preserving padding.
+// PutU64 returns a copy of cell b with its integer replaced by v and
+// its padding kept. It never writes to b: a hook's read values are
+// borrowed (see engine.Op.Hook).
 func PutU64(b []byte, v uint64) []byte {
 	out := make([]byte, len(b))
 	copy(out, b)
@@ -93,6 +98,11 @@ func PutU64(b []byte, v uint64) []byte {
 // seeded by tag, for non-numeric columns.
 func Text(tag uint64, n int) []byte {
 	b := make([]byte, n)
+	fillText(b, tag)
+	return b
+}
+
+func fillText(b []byte, tag uint64) {
 	x := tag*0x9e3779b97f4a7c15 + 1
 	for i := range b {
 		x ^= x << 13
@@ -100,8 +110,104 @@ func Text(tag uint64, n int) []byte {
 		x ^= x << 17
 		b[i] = 'a' + byte(x%26)
 	}
+}
+
+// Values is the store the hooks of one transaction carve their outputs
+// from: U64, PutU64 and Text as above, and Out for the [][]byte a hook
+// returns, without one heap object per value. A generator embeds it in
+// the transaction's state and sizes it to what one attempt produces.
+//
+// It is append-only. A value, once returned, is never written again and
+// never handed out again — a retry of the transaction carves new bytes —
+// because the engines keep what a hook returned without copying it: a
+// CREST version, the base cell a flush folded it into, or another
+// transaction's ReadVals may still point at an earlier attempt's
+// output. When a chunk is used up the next one is allocated and the old
+// one is left to whoever still refers to it. Chunks are one attempt's
+// size, not larger, so that a cached record whose base cell aliases one
+// value keeps that much alive and no more.
+type Values struct {
+	bytes, outs int // what one attempt carves: the size of a chunk
+	buf         []byte
+	out         [][]byte
+}
+
+// Size declares what one attempt carves: bytes of values and outs
+// entries of Out in total.
+func (a *Values) Size(bytes, outs int) { a.bytes, a.outs = bytes, outs }
+
+// cell returns n fresh zero bytes.
+func (a *Values) cell(n int) []byte {
+	if n > cap(a.buf)-len(a.buf) {
+		a.buf = make([]byte, 0, max(n, a.bytes))
+	}
+	lo := len(a.buf)
+	a.buf = a.buf[:lo+n]
+	return a.buf[lo : lo+n : lo+n]
+}
+
+// Out returns a fresh slice of n values for a hook to fill and return.
+func (a *Values) Out(n int) [][]byte {
+	if n > cap(a.out)-len(a.out) {
+		a.out = make([][]byte, 0, max(n, a.outs))
+	}
+	lo := len(a.out)
+	a.out = a.out[:lo+n]
+	return a.out[lo : lo+n : lo+n]
+}
+
+// U64 is the package's U64 carved from a.
+func (a *Values) U64(v uint64, n int) []byte {
+	b := a.cell(n)
+	binary.LittleEndian.PutUint64(b, v)
 	return b
 }
+
+// PutU64 is the package's PutU64 carved from a.
+func (a *Values) PutU64(b []byte, v uint64) []byte {
+	out := a.cell(len(b))
+	copy(out, b)
+	binary.LittleEndian.PutUint64(out, v)
+	return out
+}
+
+// Text is the package's Text carved from a.
+func (a *Values) Text(tag uint64, n int) []byte {
+	b := a.cell(n)
+	fillText(b, tag)
+	return b
+}
+
+// Row is one table's load row: a generator's Load fills the same Row
+// for every record of the table and hands Cells to the sink, which
+// reads it during the call and must not keep it.
+type Row struct {
+	Cells [][]byte
+}
+
+// NewRow allocates a row of the given cell sizes.
+func NewRow(sizes []int) *Row {
+	total := 0
+	for _, n := range sizes {
+		total += n
+	}
+	block := make([]byte, total)
+	r := &Row{Cells: make([][]byte, len(sizes))}
+	for i, n := range sizes {
+		r.Cells[i], block = block[:n:n], block[n:]
+	}
+	return r
+}
+
+// U64 stores v in cell as the package's U64 does.
+func (r *Row) U64(cell int, v uint64) {
+	b := r.Cells[cell]
+	binary.LittleEndian.PutUint64(b, v)
+	clear(b[8:])
+}
+
+// Text fills cell as the package's Text does.
+func (r *Row) Text(cell int, tag uint64) { fillText(r.Cells[cell], tag) }
 
 // KeyPicker selects record indices in [0, n) — uniformly or Zipf-
 // distributed — and scrambles ranks so hot keys spread over the key
@@ -156,17 +262,21 @@ func (p *KeyPicker) Pick(rng *rand.Rand) layout.Key {
 
 // PickDistinct draws k distinct keys.
 func (p *KeyPicker) PickDistinct(rng *rand.Rand, k int) []layout.Key {
+	return p.AppendDistinct(make([]layout.Key, 0, k), rng, k)
+}
+
+// AppendDistinct appends k keys to dst, drawn like PickDistinct's and
+// distinct from one another. A transaction picks a handful, so a draw
+// is checked against the earlier ones by scanning them.
+func (p *KeyPicker) AppendDistinct(dst []layout.Key, rng *rand.Rand, k int) []layout.Key {
 	if uint64(k) > p.n {
 		panic("workload: more distinct keys than key space")
 	}
-	out := make([]layout.Key, 0, k)
-	seen := map[layout.Key]bool{}
-	for len(out) < k {
-		key := p.Pick(rng)
-		if !seen[key] {
-			seen[key] = true
-			out = append(out, key)
+	start := len(dst)
+	for len(dst) < start+k {
+		if key := p.Pick(rng); !slices.Contains(dst[start:], key) {
+			dst = append(dst, key)
 		}
 	}
-	return out
+	return dst
 }

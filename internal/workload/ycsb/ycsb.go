@@ -16,6 +16,7 @@ package ycsb
 
 import (
 	"math/rand"
+	"slices"
 
 	"crest/internal/engine"
 	"crest/internal/layout"
@@ -87,14 +88,32 @@ type Generator struct {
 	// pre-allocated rows).
 	recency  *workload.Zipf
 	frontier int
+	cells    cellLists
+}
+
+// cellLists are the lists every transaction's ops share, built once:
+// nothing downstream writes to an op's ReadCells or WriteCells.
+type cellLists struct {
+	sizes []int   // the schema's cell sizes
+	all   []int   // every cell: a read op's ReadCells
+	one   [][]int // one[c] is {c}: a write op's ReadCells and WriteCells
+}
+
+func newCellLists(cfg Config) cellLists {
+	l := cellLists{sizes: make([]int, cfg.NumCells), all: make([]int, cfg.NumCells), one: make([][]int, cfg.NumCells)}
+	for c := range l.all {
+		l.sizes[c], l.all[c] = cfg.CellSize, c
+		l.one[c] = l.all[c : c+1 : c+1]
+	}
+	return l
 }
 
 // New builds a generator.
 func New(cfg Config) *Generator {
-	if cfg.Records <= 0 || cfg.N <= 0 || cfg.NumCells <= 0 || cfg.CellSize < 8 {
+	if cfg.Records <= 0 || cfg.N <= 0 || cfg.N > cfg.Records || cfg.NumCells <= 0 || cfg.CellSize < 8 {
 		panic("ycsb: invalid config")
 	}
-	g := &Generator{cfg: cfg, frontier: cfg.Records}
+	g := &Generator{cfg: cfg, frontier: cfg.Records, cells: newCellLists(cfg)}
 	if cfg.PreLoaded > 0 && cfg.PreLoaded < cfg.Records {
 		g.frontier = cfg.PreLoaded
 	}
@@ -140,45 +159,71 @@ func (g *Generator) Frontier() int { return g.frontier }
 
 // Tables implements workload.Generator.
 func (g *Generator) Tables() []workload.TableDef {
-	sizes := make([]int, g.cfg.NumCells)
-	for i := range sizes {
-		sizes[i] = g.cfg.CellSize
-	}
 	return []workload.TableDef{{
-		Schema:   layout.Schema{ID: TableID, Name: "usertable", CellSizes: sizes},
+		Schema:   layout.Schema{ID: TableID, Name: "usertable", CellSizes: slices.Clone(g.cells.sizes)},
 		Capacity: g.cfg.Records,
 	}}
 }
 
 // Load implements workload.Generator.
 func (g *Generator) Load(fn func(layout.TableID, layout.Key, [][]byte)) {
+	row := workload.NewRow(g.cells.sizes)
 	for k := 0; k < g.cfg.Records; k++ {
-		cells := make([][]byte, g.cfg.NumCells)
-		for c := range cells {
-			cells[c] = workload.U64(uint64(k), g.cfg.CellSize)
+		for c := range row.Cells {
+			row.U64(c, uint64(k))
 		}
-		fn(TableID, layout.Key(k), cells)
+		fn(TableID, layout.Key(k), row.Cells)
 	}
 }
 
-// pickKeys draws N distinct keys under the configured distribution.
-func (g *Generator) pickKeys(rng *rand.Rand) []layout.Key {
-	if g.recency == nil {
-		return g.picker.PickDistinct(rng, g.cfg.N)
-	}
-	// Latest: rank r means "r-th most recently inserted record", so
-	// hot keys hug the frontier and migrate as inserts land.
-	out := make([]layout.Key, 0, g.cfg.N)
-	seen := map[layout.Key]bool{}
-	for len(out) < g.cfg.N {
-		r := g.recency.Next(rng) % uint64(g.frontier)
-		key := layout.Key(uint64(g.frontier) - 1 - r)
-		if !seen[key] {
-			seen[key] = true
-			out = append(out, key)
+// program is one transaction with everything it owns: its ops and the
+// values its hooks produce. It is the transaction's State, which is how
+// the hooks — package functions, not closures — reach it. Nothing of
+// it belongs to the generator: without inserts Next runs on several
+// partitions at once.
+type program struct {
+	txn   engine.Txn
+	block [1]engine.Block
+	vals  workload.Values
+	key   uint64 // an insert's key, which is also the value of its cells
+}
+
+// newProgram returns a program of n ops, none filled in yet.
+func newProgram(n int) *program {
+	p := &program{}
+	p.block[0].Ops = make([]engine.Op, n)
+	p.txn = engine.Txn{Blocks: p.block[:], State: p}
+	return p
+}
+
+// pickKeys draws N distinct keys under the configured distribution
+// into the Key of each of ops.
+func (g *Generator) pickKeys(rng *rand.Rand, ops []engine.Op) {
+	for n := 0; n < len(ops); {
+		var key layout.Key
+		if g.recency == nil {
+			key = g.picker.Pick(rng)
+		} else {
+			// Latest: rank r means "r-th most recently inserted record", so
+			// hot keys hug the frontier and migrate as inserts land.
+			r := g.recency.Next(rng) % uint64(g.frontier)
+			key = layout.Key(uint64(g.frontier) - 1 - r)
+		}
+		if !hasKey(ops[:n], key) {
+			ops[n].Key = key
+			n++
 		}
 	}
-	return out
+}
+
+// hasKey scans the handful of ops picked so far.
+func hasKey(ops []engine.Op, key layout.Key) bool {
+	for i := range ops {
+		if ops[i].Key == key {
+			return true
+		}
+	}
+	return false
 }
 
 // insertTxn claims the next record at the frontier by writing every
@@ -192,33 +237,43 @@ func (g *Generator) insertTxn() *engine.Txn {
 	} else {
 		g.frontier++
 	}
-	all := make([]int, g.cfg.NumCells)
-	for c := range all {
-		all[c] = c
+	p := newProgram(1)
+	p.key = uint64(key)
+	p.vals.Size(g.cfg.NumCells*g.cfg.CellSize, g.cfg.NumCells)
+	p.txn.Label = "ycsb-insert"
+	p.block[0].Ops[0] = engine.Op{
+		Table: TableID,
+		Key:   layout.Key(key),
+		// Insert marks the claim so scenario drift never remaps a
+		// frontier key; engines execute it as a plain full-row
+		// read-modify-write (the row is pre-allocated).
+		Insert:     true,
+		ReadCells:  g.cells.all,
+		WriteCells: g.cells.all,
+		Hook:       fillRow,
 	}
-	v := uint64(key)
-	size := g.cfg.CellSize
-	return &engine.Txn{
-		Label: "ycsb-insert",
-		Blocks: []engine.Block{{Ops: []engine.Op{{
-			Table: TableID,
-			Key:   layout.Key(key),
-			// Insert marks the claim so scenario drift never remaps a
-			// frontier key; engines execute it as a plain full-row
-			// read-modify-write (the row is pre-allocated).
-			Insert:     true,
-			ReadCells:  all,
-			WriteCells: all,
-			Hook: func(_ any, read [][]byte) [][]byte {
-				cells := make([][]byte, len(read))
-				for c := range cells {
-					cells[c] = workload.U64(v, size)
-				}
-				return cells
-			},
-		}}}},
-	}
+	return &p.txn
 }
+
+// fillRow writes the insert's key into every cell.
+func fillRow(state any, read [][]byte) [][]byte {
+	p := state.(*program)
+	cells := p.vals.Out(len(read))
+	for c := range cells {
+		cells[c] = p.vals.U64(p.key, len(read[c]))
+	}
+	return cells
+}
+
+// increment adds one to the cell it read.
+func increment(state any, read [][]byte) [][]byte {
+	p := state.(*program)
+	out := p.vals.Out(1)
+	out[0] = p.vals.PutU64(read[0], workload.GetU64(read[0])+1)
+	return out
+}
+
+func ignore(any, [][]byte) [][]byte { return nil }
 
 // Next implements workload.Generator.
 func (g *Generator) Next(rng *rand.Rand) *engine.Txn {
@@ -227,38 +282,21 @@ func (g *Generator) Next(rng *rand.Rand) *engine.Txn {
 	if g.cfg.InsertProportion > 0 && rng.Float64() < g.cfg.InsertProportion {
 		return g.insertTxn()
 	}
-	keys := g.pickKeys(rng)
-	isWrite := rng.Float64() < g.cfg.WriteRatio
-	t := &engine.Txn{Label: "ycsb-read", ReadOnly: !isWrite}
-	if isWrite {
-		t.Label = "ycsb-write"
-	}
-	var ops []engine.Op
-	for _, key := range keys {
-		if isWrite {
-			cell := rng.Intn(g.cfg.NumCells)
-			ops = append(ops, engine.Op{
-				Table:      TableID,
-				Key:        key,
-				ReadCells:  []int{cell},
-				WriteCells: []int{cell},
-				Hook: func(_ any, read [][]byte) [][]byte {
-					return [][]byte{workload.PutU64(read[0], workload.GetU64(read[0])+1)}
-				},
-			})
-			continue
+	p := newProgram(g.cfg.N)
+	ops := p.block[0].Ops
+	g.pickKeys(rng, ops)
+	if rng.Float64() >= g.cfg.WriteRatio {
+		p.txn.Label, p.txn.ReadOnly = "ycsb-read", true
+		for i := range ops {
+			ops[i].Table, ops[i].ReadCells, ops[i].Hook = TableID, g.cells.all, ignore
 		}
-		all := make([]int, g.cfg.NumCells)
-		for c := range all {
-			all[c] = c
-		}
-		ops = append(ops, engine.Op{
-			Table:     TableID,
-			Key:       key,
-			ReadCells: all,
-			Hook:      func(_ any, _ [][]byte) [][]byte { return nil },
-		})
+		return &p.txn
 	}
-	t.Blocks = []engine.Block{{Ops: ops}}
-	return t
+	p.txn.Label = "ycsb-write"
+	p.vals.Size(g.cfg.N*g.cfg.CellSize, g.cfg.N)
+	for i := range ops {
+		one := g.cells.one[rng.Intn(g.cfg.NumCells)]
+		ops[i].Table, ops[i].ReadCells, ops[i].WriteCells, ops[i].Hook = TableID, one, one, increment
+	}
+	return &p.txn
 }
