@@ -19,15 +19,24 @@ type Table struct {
 	Index  *hashindex.Index
 	Heap   *memnode.Heap
 
-	addr    map[layout.Key]uint64 // host-side key → offset, mirrors the index
+	// addr is the host-side key → offset of every loaded record,
+	// mirroring the index. WarmCache hands the map itself to the
+	// compute nodes' address caches, after which it is read-only
+	// (warmed): records claimed at run time go to claimed.
+	addr    map[layout.Key]uint64
+	warmed  bool
+	claimed map[layout.Key]uint64
 	nextRow int
-	pending map[layout.Key]uint64 // entries not yet bulk-loaded into the index
+	pending []layout.Key // loaded keys not yet in the index, in load order
 }
 
-// AddrOf returns the loaded record's offset, for warming compute-node
-// address caches. It reflects host-side loads only.
+// AddrOf returns the record's offset, for warming compute-node address
+// caches. It reflects host-side loads and claims only.
 func (t *Table) AddrOf(key layout.Key) (uint64, bool) {
 	off, ok := t.addr[key]
+	if !ok {
+		off, ok = t.claimed[key]
+	}
 	return off, ok
 }
 
@@ -37,6 +46,9 @@ func (t *Table) NumLoaded() int { return t.nextRow }
 // Keys iterates the loaded keys (host-side, for verification tools).
 func (t *Table) Keys(fn func(layout.Key, uint64)) {
 	for k, off := range t.addr {
+		fn(k, off)
+	}
+	for k, off := range t.claimed {
 		fn(k, off)
 	}
 }
@@ -52,7 +64,7 @@ func (t *Table) IndexRegion() (base uint64, size int) {
 // stand-in for the per-compute-node free lists a real deployment would
 // partition (see DESIGN.md); index publication stays the caller's job.
 func (t *Table) ClaimSlot(key layout.Key) (uint64, error) {
-	if _, dup := t.addr[key]; dup {
+	if _, dup := t.AddrOf(key); dup {
 		return 0, fmt.Errorf("engine: key %d already in table %q", key, t.Schema.Name)
 	}
 	if t.nextRow >= t.Heap.Count {
@@ -60,7 +72,10 @@ func (t *Table) ClaimSlot(key layout.Key) (uint64, error) {
 	}
 	off := t.Heap.SlotOff(t.nextRow)
 	t.nextRow++
-	t.addr[key] = off
+	if t.claimed == nil {
+		t.claimed = map[layout.Key]uint64{}
+	}
+	t.claimed[key] = off
 	return off, nil
 }
 
@@ -82,6 +97,9 @@ type DB struct {
 	// lane is the fabric lane (simulation partition) this DB's verbs
 	// are counted in: 0 except on partition views.
 	lane int
+
+	// loadNodes is LoadRecord's replica list, kept between records.
+	loadNodes []*memnode.Node
 
 	// txnNext/txnStride allocate transaction ids for the engines that
 	// need them (CREST): 1, 2, 3, … on the root DB; part+1, part+1+parts,
@@ -174,7 +192,7 @@ func (db *DB) CreateTable(s layout.Schema, recSize, capacity int) *Table {
 		Index:   hashindex.New(db.Pool, s.ID, capacity),
 		Heap:    db.Pool.AllocHeap(recSize, capacity),
 		addr:    make(map[layout.Key]uint64, capacity),
-		pending: map[layout.Key]uint64{},
+		pending: make([]layout.Key, 0, capacity),
 	}
 	db.Tables[s.ID] = t
 	return t
@@ -223,8 +241,10 @@ func (db *DB) Table(id layout.TableID) *Table {
 
 // LoadRecord assigns the next heap slot to key, lets encode fill the
 // record bytes, and copies them host-side to every replica node — the
-// benchmark pre-load step that precedes measurement. FinishLoad must
-// be called before transactions run.
+// benchmark pre-load step that precedes measurement. encode writes
+// straight into the slot on the first replica, which is zero: loading
+// comes before anything else writes to the regions. FinishLoad must be
+// called before transactions run.
 func (db *DB) LoadRecord(t *Table, key layout.Key, encode func(buf []byte)) {
 	if _, dup := t.addr[key]; dup {
 		panic(fmt.Sprintf("engine: duplicate load of key %d in table %q", key, t.Schema.Name))
@@ -232,39 +252,44 @@ func (db *DB) LoadRecord(t *Table, key layout.Key, encode func(buf []byte)) {
 	if t.nextRow >= t.Heap.Count {
 		panic(fmt.Sprintf("engine: table %q full at %d records", t.Schema.Name, t.Heap.Count))
 	}
+	if t.warmed {
+		panic(fmt.Sprintf("engine: load into table %q after an address cache was warmed from it", t.Schema.Name))
+	}
 	off := t.Heap.SlotOff(t.nextRow)
 	t.nextRow++
-	buf := make([]byte, t.Heap.RecSize)
-	encode(buf)
-	for _, n := range db.Pool.ReplicaNodes(t.Schema.ID, key) {
-		copy(n.Region.Bytes()[off:], buf)
+	db.loadNodes = db.Pool.AppendReplicaNodes(db.loadNodes[:0], t.Schema.ID, key)
+	first := db.loadNodes[0].Region.Bytes()[off : off+uint64(t.Heap.RecSize)]
+	encode(first)
+	for _, n := range db.loadNodes[1:] {
+		copy(n.Region.Bytes()[off:], first)
 	}
 	t.addr[key] = off
-	t.pending[key] = off
+	t.pending = append(t.pending, key)
 }
 
-// FinishLoad publishes pending records in the hash index.
+// FinishLoad publishes pending records in the hash index, in the order
+// they were loaded.
 func (db *DB) FinishLoad() error {
 	for _, t := range db.Tables {
-		if len(t.pending) == 0 {
-			continue
+		for _, key := range t.pending {
+			if err := t.Index.Load(db.Pool, key, t.addr[key]); err != nil {
+				return err
+			}
 		}
-		if err := t.Index.BulkLoad(db.Pool, t.pending); err != nil {
-			return err
-		}
-		t.pending = map[layout.Key]uint64{}
+		t.pending = nil
 	}
 	return nil
 }
 
 // WarmCache fills a compute node's address cache with every loaded
 // record, the steady-state assumption all three systems are measured
-// under (Table 2 counts no index round-trips).
+// under (Table 2 counts no index round-trips). The cache takes a view
+// of each table's own address map, not a copy, so no table may be
+// loaded into afterwards.
 func (db *DB) WarmCache(c *hashindex.AddrCache) {
 	for id, t := range db.Tables {
-		for k, off := range t.addr {
-			c.Put(id, k, off)
-		}
+		t.warmed = true
+		c.Warm(id, t.addr)
 	}
 }
 

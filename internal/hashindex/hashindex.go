@@ -98,17 +98,20 @@ func hash64(a, b uint64) uint64 {
 
 // BulkLoad inserts entries host-side into every node's region, the way
 // the benchmark pre-loads the database before measurement. It bypasses
-// the fabric entirely.
+// the fabric entirely. A map has no order, so which entry of a crowded
+// bucket a key takes differs from run to run; Load in a fixed order
+// does not.
 func (ix *Index) BulkLoad(pool *memnode.Pool, entries map[layout.Key]uint64) error {
 	for key, off := range entries {
-		if err := ix.loadOne(pool, key, off); err != nil {
+		if err := ix.Load(pool, key, off); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-func (ix *Index) loadOne(pool *memnode.Pool, key layout.Key, off uint64) error {
+// Load inserts one entry host-side, as BulkLoad does.
+func (ix *Index) Load(pool *memnode.Pool, key layout.Key, off uint64) error {
 	if ix.used >= ix.cap {
 		return fmt.Errorf("hashindex: table %d over capacity %d", ix.table, ix.cap)
 	}
@@ -250,9 +253,21 @@ func (ix *Index) Delete(p *sim.Proc, qp *rdma.QP, key layout.Key) error {
 	return fmt.Errorf("hashindex: delete of absent key %d", key)
 }
 
-// AddrCache is the compute-node address cache in front of the index.
+// AddrCache is the compute-node address cache in front of the index. It
+// has two layers. Warm views are the loaded tables' own key → offset
+// maps, shared with every other cache warmed from them and never
+// written once the load is over, so warming costs nothing per record
+// and the caches of concurrently running partitions may read them.
+// Addresses learned from an index lookup go to the cache's private
+// overlay.
 type AddrCache struct {
-	m map[addrKey]uint64
+	warm    []warmTable
+	learned map[addrKey]uint64
+}
+
+type warmTable struct {
+	table layout.TableID
+	addrs map[layout.Key]uint64
 }
 
 type addrKey struct {
@@ -262,19 +277,59 @@ type addrKey struct {
 
 // NewAddrCache returns an empty cache.
 func NewAddrCache() *AddrCache {
-	return &AddrCache{m: map[addrKey]uint64{}}
+	return &AddrCache{learned: map[addrKey]uint64{}}
+}
+
+// Warm makes addrs — table's loaded key → offset map, which nobody
+// writes from now on — part of the cache. A later view of the same
+// table replaces an earlier one.
+func (c *AddrCache) Warm(table layout.TableID, addrs map[layout.Key]uint64) {
+	for i := range c.warm {
+		if c.warm[i].table == table {
+			c.warm[i].addrs = addrs
+			return
+		}
+	}
+	c.warm = append(c.warm, warmTable{table, addrs})
+}
+
+// view returns table's warm view, or nil: a scan, tables being few.
+func (c *AddrCache) view(table layout.TableID) map[layout.Key]uint64 {
+	for i := range c.warm {
+		if c.warm[i].table == table {
+			return c.warm[i].addrs
+		}
+	}
+	return nil
 }
 
 // Get returns the cached offset for (table, key).
 func (c *AddrCache) Get(table layout.TableID, key layout.Key) (uint64, bool) {
-	off, ok := c.m[addrKey{table, key}]
+	if len(c.learned) > 0 {
+		if off, ok := c.learned[addrKey{table, key}]; ok {
+			return off, true
+		}
+	}
+	off, ok := c.view(table)[key]
 	return off, ok
 }
 
-// Put caches the offset for (table, key).
+// Put caches the offset for (table, key), privately.
 func (c *AddrCache) Put(table layout.TableID, key layout.Key, off uint64) {
-	c.m[addrKey{table, key}] = off
+	c.learned[addrKey{table, key}] = off
 }
 
-// Len reports the number of cached addresses.
-func (c *AddrCache) Len() int { return len(c.m) }
+// Len reports the number of cached addresses, an address in both
+// layers counting once.
+func (c *AddrCache) Len() int {
+	n := 0
+	for _, w := range c.warm {
+		n += len(w.addrs)
+	}
+	for k := range c.learned {
+		if _, dup := c.view(k.table)[k.key]; !dup {
+			n++
+		}
+	}
+	return n
+}
