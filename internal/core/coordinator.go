@@ -104,7 +104,7 @@ func (c *Coordinator) executeLocalized(p *sim.Proc, t *engine.Txn) engine.Attemp
 	sc.reset()
 	defer c.scFree.Put(sc)
 
-	me := newTxnState(c.cn.db.NextTxnID(), at.WhyID())
+	me := newTxnState(c.cn.db.NextTxnID(), at.WhyID(), t.NumWriteCells())
 	at.Span().SetTxn(me.id)
 	// deps are the creators of versions this transaction read or
 	// overwrote (§5.1): it commits only after they commit, and aborts
@@ -578,7 +578,7 @@ func (c *Coordinator) execOp(p *sim.Proc, t *engine.Txn, me *txnState, acc *acce
 				deps.add(v.txn)
 			}
 		}
-		obj.append(cell, &version{txn: me, tsExec: me.tsExec, value: written[i]})
+		obj.append(cell, me.newVersion(written[i]))
 	}
 	return engine.AbortNone
 }

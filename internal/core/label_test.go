@@ -27,7 +27,7 @@ func TestWaitLabels(t *testing.T) {
 	lay := layout.NewRecord(layout.Schema{ID: 3, Name: "t", CellSizes: []int{8, 8}})
 	o := newObject(3, 17, 0, lay, nil)
 	o.admitting, o.remoteLocks, o.writers, o.readers = true, 0b101, 1, 2
-	dep := newTxnState(5, 0)
+	dep := newTxnState(5, 0, 0)
 	dep.tsExec = 9
 	if !o.mu.TryLock() {
 		t.Fatal("fresh object mutex is held")

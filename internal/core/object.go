@@ -37,12 +37,29 @@ type txnState struct {
 	tsAssigned uint64
 	tsCommit   uint64
 	waitQ      sim.WaitQueue
+	// vers is the slab the transaction's versions are cut from, made at
+	// its first write with room for writes of them: one per write cell
+	// of the program. The versions are the transaction's and die with
+	// it — when the last cell list, check or dependent lets go of them
+	// the slab goes as one object — so there is nothing to free or reuse.
+	vers   []version
+	writes int
 }
 
-func newTxnState(id, whyID uint64) *txnState {
-	t := &txnState{id: id, whyID: whyID}
+func newTxnState(id, whyID uint64, writes int) *txnState {
+	t := &txnState{id: id, whyID: whyID, writes: writes}
 	t.waitQ.SetLabel((*awaitLabel)(t))
 	return t
+}
+
+// newVersion returns the transaction's version holding value.
+func (t *txnState) newVersion(value []byte) *version {
+	if len(t.vers) == cap(t.vers) {
+		// Never a regrowth: installed versions are pointed at.
+		t.vers = make([]version, 0, max(t.writes, 1))
+	}
+	t.vers = append(t.vers, version{txn: t, tsExec: t.tsExec, value: value})
+	return &t.vers[len(t.vers)-1]
 }
 
 // awaitLabel is the transaction seen as the label of its waitQ. The

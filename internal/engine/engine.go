@@ -125,6 +125,18 @@ func (t *Txn) NumOps() int {
 	return n
 }
 
+// NumWriteCells returns how many cell values the transaction's hooks
+// produce: the write cells of every op.
+func (t *Txn) NumWriteCells() int {
+	n := 0
+	for bi := range t.Blocks {
+		for oi := range t.Blocks[bi].Ops {
+			n += len(t.Blocks[bi].Ops[oi].WriteCells)
+		}
+	}
+	return n
+}
+
 // AbortReason classifies why an attempt failed.
 type AbortReason int
 
