@@ -55,12 +55,10 @@ func TestLocalizedAttemptAllocs(t *testing.T) {
 	}
 }
 
-// benchLocalized times one coordinator executing txns round-robin, back
-// to back and uncontended, on a freshly loaded gen: the localized
-// path's own cost with every object evicted and re-created per attempt.
-// Generation stays outside the loop — txns (of one label, if given) are
-// made up front and re-executed, as a retry would.
-func benchLocalized(b *testing.B, gen workload.Generator, label string) {
+// loadedCoordinator returns one coordinator of a one-node system with
+// gen freshly loaded and the address cache warm, and txns: 64
+// transactions of gen (of one label, if given).
+func loadedCoordinator(tb testing.TB, gen workload.Generator, label string) (*sim.Env, *Coordinator, []*engine.Txn) {
 	env := sim.NewEnv(1)
 	params := rdma.DefaultParams()
 	params.JitterPct = 0
@@ -74,11 +72,10 @@ func benchLocalized(b *testing.B, gen workload.Generator, label string) {
 	}
 	gen.Load(sys.Load)
 	if err := sys.FinishLoad(); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	cn := sys.NewComputeNode(0)
 	cn.WarmCache()
-	c := cn.NewCoordinator(0)
 	rng := rand.New(rand.NewSource(1))
 	var txns []*engine.Txn
 	for len(txns) < 64 {
@@ -86,6 +83,16 @@ func benchLocalized(b *testing.B, gen workload.Generator, label string) {
 			txns = append(txns, t)
 		}
 	}
+	return env, cn.NewCoordinator(0), txns
+}
+
+// benchLocalized times one coordinator executing txns round-robin, back
+// to back and uncontended, on a freshly loaded gen: the localized
+// path's own cost with every object evicted and re-created per attempt.
+// Generation stays outside the loop — txns (of one label, if given) are
+// made up front and re-executed, as a retry would.
+func benchLocalized(b *testing.B, gen workload.Generator, label string) {
+	env, c, txns := loadedCoordinator(b, gen, label)
 	env.Spawn("bench", func(p *sim.Proc) {
 		exec := func(i int) {
 			if a := c.Execute(p, txns[i%len(txns)]); !a.Committed {
@@ -103,6 +110,41 @@ func benchLocalized(b *testing.B, gen workload.Generator, label string) {
 	})
 	if err := env.Run(); err != nil {
 		b.Fatal(err)
+	}
+}
+
+// TestNewOrderVersionsComeFromOneSlab bounds the allocations of an
+// uncontended NewOrder attempt by its records, not by its cells: an
+// attempt of n order lines writes 6 + 8n cells, and their versions are
+// one slab of the transaction's (txnState.vers), not an object each.
+// What an attempt does allocate is per record — the base block of each
+// object it re-creates and, for a record written for the first time
+// (the order rows are new ones every attempt), its conflict-tracker
+// entry — plus the transaction state, the slab and the two chunks its
+// hooks carve their values from.
+func TestNewOrderVersionsComeFromOneSlab(t *testing.T) {
+	cfg := tpcc.DefaultConfig()
+	cfg.Warehouses = 4
+	env, c, txns := loadedCoordinator(t, tpcc.New(cfg), "NewOrder")
+	env.Spawn("c", func(p *sim.Proc) {
+		for i := 0; i < 2*len(txns); i++ {
+			c.Execute(p, txns[i%len(txns)])
+		}
+		for _, txn := range txns[:8] {
+			got := testing.AllocsPerRun(20, func() {
+				if a := c.Execute(p, txn); !a.Committed {
+					t.Errorf("uncontended attempt aborted: %v", a.Reason)
+				}
+			})
+			records, cells := txn.NumOps(), txn.NumWriteCells()
+			t.Logf("%d records, %d written cells: %.0f allocs per attempt", records, cells, got)
+			if budget := float64(2*records + 4); got > budget {
+				t.Errorf("%.0f allocs for an attempt of %d records writing %d cells, budget %.0f", got, records, cells, budget)
+			}
+		}
+	})
+	if err := env.Run(); err != nil {
+		t.Fatal(err)
 	}
 }
 

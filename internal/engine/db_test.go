@@ -159,6 +159,75 @@ func TestWarmCacheLoadsEverything(t *testing.T) {
 	}
 }
 
+// TestWarmCacheIsAViewAndLearningIsPrivate: warming copies nothing and
+// closes the table to loads; a cache that was not warmed still misses to
+// the index and learns; what one node's cache learns about a row
+// claimed at run time, another's does not see.
+func TestWarmCacheIsAViewAndLearningIsPrivate(t *testing.T) {
+	env, db := newTestDB(t)
+	tab := db.CreateTable(testSchema(), 64, 8)
+	for k := layout.Key(0); k < 4; k++ {
+		db.LoadRecord(tab, k, func([]byte) {})
+	}
+	if err := db.FinishLoad(); err != nil {
+		t.Fatal(err)
+	}
+	cold, nodeA, nodeB := hashindex.NewAddrCache(), hashindex.NewAddrCache(), hashindex.NewAddrCache()
+	if got := testing.AllocsPerRun(10, func() { db.WarmCache(nodeA) }); got > 1 {
+		t.Errorf("WarmCache allocated %.0f times for one table of 4 records", got)
+	}
+	db.WarmCache(nodeB)
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("LoadRecord into a table a cache was warmed from did not panic")
+			}
+		}()
+		db.LoadRecord(tab, 50, func([]byte) {})
+	}()
+	env.Spawn("r", func(p *sim.Proc) {
+		qp := db.Fabric.Connect(db.Pool.PrimaryOf(7, 3).Region)
+		reads := func(c *hashindex.AddrCache, key layout.Key) uint64 {
+			before := db.Fabric.Stats()
+			if _, err := db.ResolveAddr(p, c, qp, 7, key); err != nil {
+				t.Error(err)
+			}
+			return db.Fabric.Stats().Sub(before).Reads
+		}
+		if reads(nodeA, 3) != 0 {
+			t.Error("a warmed cache went to the index for a loaded record")
+		}
+		if reads(cold, 3) == 0 || reads(cold, 3) != 0 || cold.Len() != 1 {
+			t.Errorf("an unwarmed cache did not miss once and then learn (Len %d)", cold.Len())
+		}
+		// A row claimed and published at run time, as core.InsertRow does.
+		off, err := tab.ClaimSlot(9)
+		if err != nil {
+			t.Error(err)
+		}
+		qp9 := db.Fabric.Connect(db.Pool.PrimaryOf(7, 9).Region)
+		if err := tab.Index.InsertAll(p, db.Fabric, db.Pool, 9, off); err != nil {
+			t.Error(err)
+		}
+		if _, hit := nodeA.Get(7, 9); hit {
+			t.Error("a claimed slot showed up in a warm view before anyone looked it up")
+		}
+		if got, err := db.ResolveAddr(p, nodeA, qp9, 7, 9); err != nil || got != off {
+			t.Errorf("resolve of the inserted row = (%d, %v), want %d", got, err, off)
+		}
+		if _, hit := nodeB.Get(7, 9); hit {
+			t.Error("node B sees what node A learned")
+		}
+		nodeA.Put(7, 0, tab.addr[0])
+		if nodeA.Len() != 5 || nodeB.Len() != 4 {
+			t.Errorf("Len = %d and %d, want 5 and 4", nodeA.Len(), nodeB.Len())
+		}
+	})
+	if err := env.Run(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestReplicaQPs(t *testing.T) {
 	_, db := newTestDB(t)
 	qps := db.ReplicaQPs(7, 3)

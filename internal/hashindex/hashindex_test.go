@@ -245,6 +245,71 @@ func TestAddrCache(t *testing.T) {
 	}
 }
 
+// TestAddrCacheLayers: a warm view is shared and never written, what a
+// cache learns is its own, and an address in both layers counts once.
+func TestAddrCacheLayers(t *testing.T) {
+	loaded := map[layout.Key]uint64{1: 64, 2: 128, 3: 192}
+	a, b := NewAddrCache(), NewAddrCache()
+	a.Warm(7, loaded)
+	b.Warm(7, loaded)
+	if off, ok := a.Get(7, 2); !ok || off != 128 {
+		t.Fatalf("warm Get = (%d,%v)", off, ok)
+	}
+	if _, ok := a.Get(8, 2); ok {
+		t.Fatal("a warm view answered for another table")
+	}
+	a.Put(7, 9, 640) // learned from an index lookup
+	a.Put(7, 2, 128) // learned again what the view already holds
+	if off, ok := a.Get(7, 9); !ok || off != 640 {
+		t.Fatalf("learned Get = (%d,%v)", off, ok)
+	}
+	if _, ok := b.Get(7, 9); ok {
+		t.Fatal("one cache sees what another learned")
+	}
+	if len(loaded) != 3 {
+		t.Fatalf("Put wrote to the shared view: %v", loaded)
+	}
+	if a.Len() != 4 || b.Len() != 3 {
+		t.Fatalf("Len = %d and %d, want 4 and 3", a.Len(), b.Len())
+	}
+	a.Warm(7, map[layout.Key]uint64{1: 64})
+	if _, ok := a.Get(7, 3); ok || a.Len() != 3 {
+		t.Fatalf("a second view of a table did not replace the first (Len %d)", a.Len())
+	}
+}
+
+// BenchmarkAddrCacheGet times a hit in each layer: the warm view (a
+// table scan and a map of keys) and the overlay (a map of table-key
+// pairs, all there is to an unwarmed cache).
+func BenchmarkAddrCacheGet(b *testing.B) {
+	const keys = 1 << 16
+	loaded := make(map[layout.Key]uint64, keys)
+	for k := 0; k < keys; k++ {
+		loaded[layout.Key(k)] = uint64(64 * (k + 1))
+	}
+	warm := NewAddrCache()
+	for table := layout.TableID(30); table < 39; table++ { // TPC-C's nine
+		warm.Warm(table, loaded)
+	}
+	overlay := NewAddrCache()
+	for k, off := range loaded {
+		overlay.Put(38, k, off)
+	}
+	for name, c := range map[string]*AddrCache{"warm": warm, "overlay": overlay} {
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			var sum uint64
+			for i := 0; i < b.N; i++ {
+				off, _ := c.Get(38, layout.Key(i%keys))
+				sum += off
+			}
+			if sum == 0 {
+				b.Fatal("no hit")
+			}
+		})
+	}
+}
+
 // Property: any set of distinct keys loads and resolves correctly.
 func TestQuickLoadLookup(t *testing.T) {
 	f := func(raw []uint16) bool {

@@ -3,6 +3,8 @@ package workload_test
 import (
 	"bytes"
 	"math/rand"
+	"runtime"
+	"sync"
 	"testing"
 
 	"crest/internal/engine"
@@ -121,5 +123,165 @@ func TestHooksArePure(t *testing.T) {
 		if name == "tpcc" && len(labels) != 5 || name == "smallbank" && len(labels) != 6 {
 			t.Fatalf("%s: 600 transactions covered only %v", name, labels)
 		}
+	}
+}
+
+// mallocs counts the heap objects f allocates. The caller holds
+// GOMAXPROCS at 1, as testing.AllocsPerRun does.
+func mallocs(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
+}
+
+// TestLoadAllocatesPerTable holds Load to a row per table: its
+// allocations do not grow with the records it emits.
+func TestLoadAllocatesPerTable(t *testing.T) {
+	for name, g := range generators() {
+		tables, records := len(g.Tables()), 0
+		sink := func(layout.TableID, layout.Key, [][]byte) { records++ }
+		got := testing.AllocsPerRun(3, func() { g.Load(sink) })
+		records /= 4 // the warm-up and three runs
+		t.Logf("%s: %.0f allocs for %d tables, %d records", name, got, tables, records)
+		if budget := float64(6*tables + 8); got > budget || records < 100 {
+			t.Errorf("%s: Load allocated %.0f times for %d tables and %d records, budget %.0f", name, got, tables, records, budget)
+		}
+	}
+}
+
+// programBudgets is what generating one transaction and running its
+// hooks once may allocate, by label: the program object and, where a
+// program's length is drawn, its ops (and NewOrder's lines), plus the
+// two chunks of its Values if it writes anything. None of it is per op,
+// per cell or per value.
+var programBudgets = map[string]uint64{
+	"NewOrder": 5, "Payment": 3, "OrderStatus": 1, "Delivery": 3, "StockLevel": 1,
+	"Balance": 1, "DepositChecking": 3, "TransactSavings": 3, "Amalgamate": 3, "WriteCheck": 3, "SendPayment": 3,
+	"ycsb-read": 2, "ycsb-write": 4, "ycsb-insert": 4,
+}
+
+// TestProgramAllocationBudgets holds Next plus one pass over the hooks
+// to programBudgets.
+func TestProgramAllocationBudgets(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for name, g := range generators() {
+		sizes := cellSizes(g)
+		rng := rand.New(rand.NewSource(5))
+		worst := map[string]uint64{}
+		for n := 0; n < 400; n++ {
+			var txn *engine.Txn
+			got := mallocs(func() { txn = g.Next(rng) })
+			// The values the hooks will read, made outside the count.
+			var reads [][][]byte
+			for bi := range txn.Blocks {
+				for oi := range txn.Blocks[bi].Ops {
+					op := &txn.Blocks[bi].Ops[oi]
+					read := make([][]byte, len(op.ReadCells))
+					for i, cell := range op.ReadCells {
+						read[i] = fakeRead(op, 0, cell, sizes[op.Table][cell])
+					}
+					reads = append(reads, read)
+				}
+			}
+			got += mallocs(func() {
+				i := 0
+				for bi := range txn.Blocks {
+					for oi := range txn.Blocks[bi].Ops {
+						op := &txn.Blocks[bi].Ops[oi]
+						op.ResolveKey(txn.State)
+						op.Hook(txn.State, reads[i])
+						i++
+					}
+				}
+			})
+			worst[txn.Label] = max(worst[txn.Label], got)
+		}
+		for label, got := range worst {
+			budget, ok := programBudgets[label]
+			if !ok {
+				t.Errorf("%s: no allocation budget for %s", name, label)
+			} else if got > budget {
+				t.Errorf("%s: %s allocated %d times, budget %d", name, label, got, budget)
+			}
+		}
+		t.Logf("%s: %v", name, worst)
+	}
+}
+
+// TestPartitionSafeNextSharesNothing runs Next and the hooks of every
+// generator that declares PartitionSafe from two goroutines at once, as
+// two partitions' workers do: under -race it fails if a Next path keeps
+// scratch in the generator.
+func TestPartitionSafeNextSharesNothing(t *testing.T) {
+	for name, g := range generators() {
+		if !workload.IsPartitionSafe(g) {
+			continue
+		}
+		sizes := cellSizes(g)
+		var wg sync.WaitGroup
+		for w := 0; w < 2; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				rng := rand.New(rand.NewSource(int64(w)))
+				for n := 0; n < 500; n++ {
+					txn := g.Next(rng)
+					for _, op := range txn.Blocks[0].Ops {
+						read := make([][]byte, len(op.ReadCells))
+						for i, cell := range op.ReadCells {
+							read[i] = fakeRead(&op, op.Key, cell, sizes[op.Table][cell])
+						}
+						op.Hook(txn.State, read)
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		t.Logf("%s: two workers", name)
+	}
+}
+
+func benchNext(b *testing.B, g workload.Generator) {
+	rng := rand.New(rand.NewSource(1))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		g.Next(rng)
+	}
+}
+
+func BenchmarkNext(b *testing.B) {
+	p := benchProfile()
+	for _, name := range []string{"smallbank", "ycsb", "tpcc"} {
+		b.Run(name, func(b *testing.B) { benchNext(b, p[name]) })
+	}
+}
+
+func BenchmarkLoad(b *testing.B) {
+	p := benchProfile()
+	for _, name := range []string{"smallbank", "ycsb", "tpcc"} {
+		b.Run(name, func(b *testing.B) {
+			records := 0
+			sink := func(layout.TableID, layout.Key, [][]byte) { records++ }
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				p[name].Load(sink)
+			}
+			b.ReportMetric(float64(records)/float64(b.N), "records/op")
+		})
+	}
+}
+
+// benchProfile are the generators at the quick profile's sizes
+// (internal/bench.Quick, which this package cannot import).
+func benchProfile() map[string]workload.Generator {
+	y := ycsb.DefaultConfig()
+	y.Records = 20_000
+	return map[string]workload.Generator{
+		"smallbank": smallbank.New(smallbank.Config{Accounts: 20_000, Theta: 0.99}),
+		"ycsb":      ycsb.New(y),
+		"tpcc": tpcc.New(tpcc.Config{Warehouses: 40, Districts: 10, CustomersPerDistrict: 16,
+			Items: 256, OrdersPerDistrict: 32, MaxOrderLines: 10, HistoryCap: 1 << 13}),
 	}
 }

@@ -1,6 +1,7 @@
 package smallbank
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 
@@ -69,7 +70,7 @@ func TestConservingMixConservesMoney(t *testing.T) {
 		CheckingTable: {},
 	}
 	g.Load(func(table layout.TableID, key layout.Key, cells [][]byte) {
-		state[table][key] = cells[0]
+		state[table][key] = bytes.Clone(cells[0]) // the row is Load's, not the sink's
 	})
 	total := func() int64 {
 		sum := int64(0)
