@@ -316,6 +316,9 @@ func (r *Recorder) Commit(at sim.Time, t *Txn) {
 		return
 	}
 	t.done = true
+	// The node stays in the ring long after the transaction is gone;
+	// the key would keep its whole program and values alive with it.
+	t.txnKey = nil
 	t.State = StateCommitted
 	t.End = at
 }

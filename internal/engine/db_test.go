@@ -159,6 +159,43 @@ func TestWarmCacheLoadsEverything(t *testing.T) {
 	}
 }
 
+// rawLayout lays a record out as its cells back to back.
+type rawLayout struct{}
+
+func (rawLayout) AddTable(sc layout.Schema) int { return sc.DataBytes() }
+
+func (rawLayout) Encode(buf []byte, _ layout.TableID, _ layout.Key, cells [][]byte) {
+	for _, c := range cells {
+		buf = buf[copy(buf, c):]
+	}
+}
+
+// TestLoadAllocatesNothingPerRecord: Load encodes into the first
+// replica's slot and copies it to the others; the slot, the replica
+// list, the address map and the pending list are all there already.
+func TestLoadAllocatesNothingPerRecord(t *testing.T) {
+	_, db := newTestDB(t)
+	db.CreateTableAs(rawLayout{}, testSchema(), 512)
+	cells := [][]byte{{1, 2, 3, 4, 5, 6, 7, 8}, {8, 7, 6, 5, 4, 3, 2, 1}}
+	key := layout.Key(0)
+	got := testing.AllocsPerRun(4, func() {
+		for i := 0; i < 100; i++ {
+			db.Load(rawLayout{}, 7, key, cells)
+			key++
+		}
+	})
+	if got != 0 {
+		t.Errorf("%.0f allocations per 100 records loaded", got)
+	}
+	tab := db.Table(7)
+	off, _ := tab.AddrOf(42)
+	for _, n := range db.Pool.ReplicaNodes(7, 42) {
+		if rec := n.Region.Bytes()[off : off+16]; string(rec) != string(cells[0])+string(cells[1]) {
+			t.Errorf("node %d holds %v for a loaded record", n.ID, rec)
+		}
+	}
+}
+
 // TestWarmCacheIsAViewAndLearningIsPrivate: warming copies nothing and
 // closes the table to loads; a cache that was not warmed still misses to
 // the index and learns; what one node's cache learns about a row
