@@ -129,9 +129,7 @@ func newProgram(label string, n, writes int) *program {
 // put returns the one-value result of a hook: read's cell with its
 // balance replaced by v.
 func (p *program) put(read []byte, v int64) [][]byte {
-	out := p.vals.Out(1)
-	out[0] = p.vals.PutU64(read, uint64(v))
-	return out
+	return p.vals.One(p.vals.PutU64(read, uint64(v)))
 }
 
 func readOp(table layout.TableID, key layout.Key, hook func(any, [][]byte) [][]byte) engine.Op {

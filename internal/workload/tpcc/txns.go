@@ -181,9 +181,7 @@ func (g *Generator) newOrder(rng *rand.Rand) *engine.Txn {
 func takeOrderID(state any, read [][]byte) [][]byte {
 	p := state.(*newOrderProg)
 	p.oID = workload.GetU64(read[1])
-	out := p.vals.Out(1)
-	out[0] = p.vals.PutU64(read[1], p.oID+1)
-	return out
+	return p.vals.One(p.vals.PutU64(read[1], p.oID+1))
 }
 
 func (p *newOrderProg) updateStock(ol int, read [][]byte) [][]byte {
@@ -218,9 +216,7 @@ func writeOrder(state any, _ [][]byte) [][]byte {
 
 func flagNewOrder(state any, _ [][]byte) [][]byte {
 	p := state.(*newOrderProg)
-	out := p.vals.Out(1)
-	out[0] = p.vals.U64(1, intCell)
-	return out
+	return p.vals.One(p.vals.U64(1, intCell))
 }
 
 func (p *newOrderProg) lineKey(ol int) layout.Key {
@@ -298,9 +294,7 @@ func (g *Generator) payment(rng *rand.Rand) *engine.Txn {
 // both the warehouse and the district.
 func addToYtd(state any, read [][]byte) [][]byte {
 	p := state.(*paymentProg)
-	out := p.vals.Out(1)
-	out[0] = p.vals.PutU64(read[1], workload.GetU64(read[1])+p.amount)
-	return out
+	return p.vals.One(p.vals.PutU64(read[1], workload.GetU64(read[1])+p.amount))
 }
 
 func payCustomer(state any, read [][]byte) [][]byte {
@@ -432,17 +426,13 @@ func (g *Generator) delivery(rng *rand.Rand) *engine.Txn {
 
 func clearNewOrder(state any, read [][]byte) [][]byte {
 	p := state.(*deliveryProg)
-	out := p.vals.Out(1)
-	out[0] = p.vals.PutU64(read[0], 0)
-	return out
+	return p.vals.One(p.vals.PutU64(read[0], 0))
 }
 
 func stampCarrier(state any, read [][]byte) [][]byte {
 	p := state.(*deliveryProg)
 	p.cID = workload.GetU64(read[0])
-	out := p.vals.Out(1)
-	out[0] = p.vals.U64(p.carrier, intCell)
-	return out
+	return p.vals.One(p.vals.U64(p.carrier, intCell))
 }
 
 func sumLine(state any, read [][]byte) [][]byte {
@@ -457,9 +447,7 @@ func deliveredCustomerKey(state any) layout.Key {
 
 func creditCustomer(state any, read [][]byte) [][]byte {
 	p := state.(*deliveryProg)
-	out := p.vals.Out(1)
-	out[0] = p.vals.PutU64(read[0], workload.GetU64(read[0])+p.total)
-	return out
+	return p.vals.One(p.vals.PutU64(read[0], workload.GetU64(read[0])+p.total))
 }
 
 // stockLevelProg is a StockLevel; it resolves the three-stage key

@@ -136,36 +136,37 @@ type Values struct {
 // entries of Out in total.
 func (a *Values) Size(bytes, outs int) { a.bytes, a.outs = bytes, outs }
 
-// cell returns n fresh zero bytes.
-func (a *Values) cell(n int) []byte {
-	if n > cap(a.buf)-len(a.buf) {
-		a.buf = make([]byte, 0, max(n, a.bytes))
+// carve returns n fresh zero elements from the chunk *buf, which it
+// replaces by a new one of at least chunk elements when n do not fit.
+func carve[T any](buf *[]T, n, chunk int) []T {
+	if n > cap(*buf)-len(*buf) {
+		*buf = make([]T, 0, max(n, chunk))
 	}
-	lo := len(a.buf)
-	a.buf = a.buf[:lo+n]
-	return a.buf[lo : lo+n : lo+n]
+	lo := len(*buf)
+	*buf = (*buf)[:lo+n]
+	return (*buf)[lo : lo+n : lo+n]
 }
 
 // Out returns a fresh slice of n values for a hook to fill and return.
-func (a *Values) Out(n int) [][]byte {
-	if n > cap(a.out)-len(a.out) {
-		a.out = make([][]byte, 0, max(n, a.outs))
-	}
-	lo := len(a.out)
-	a.out = a.out[:lo+n]
-	return a.out[lo : lo+n : lo+n]
+func (a *Values) Out(n int) [][]byte { return carve(&a.out, n, a.outs) }
+
+// One returns v as a hook's one-value result.
+func (a *Values) One(v []byte) [][]byte {
+	out := a.Out(1)
+	out[0] = v
+	return out
 }
 
 // U64 is the package's U64 carved from a.
 func (a *Values) U64(v uint64, n int) []byte {
-	b := a.cell(n)
+	b := carve(&a.buf, n, a.bytes)
 	binary.LittleEndian.PutUint64(b, v)
 	return b
 }
 
 // PutU64 is the package's PutU64 carved from a.
 func (a *Values) PutU64(b []byte, v uint64) []byte {
-	out := a.cell(len(b))
+	out := carve(&a.buf, len(b), a.bytes)
 	copy(out, b)
 	binary.LittleEndian.PutUint64(out, v)
 	return out
@@ -173,7 +174,7 @@ func (a *Values) PutU64(b []byte, v uint64) []byte {
 
 // Text is the package's Text carved from a.
 func (a *Values) Text(tag uint64, n int) []byte {
-	b := a.cell(n)
+	b := carve(&a.buf, n, a.bytes)
 	fillText(b, tag)
 	return b
 }

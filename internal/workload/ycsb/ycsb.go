@@ -268,9 +268,7 @@ func fillRow(state any, read [][]byte) [][]byte {
 // increment adds one to the cell it read.
 func increment(state any, read [][]byte) [][]byte {
 	p := state.(*program)
-	out := p.vals.Out(1)
-	out[0] = p.vals.PutU64(read[0], workload.GetU64(read[0])+1)
-	return out
+	return p.vals.One(p.vals.PutU64(read[0], workload.GetU64(read[0])+1))
 }
 
 func ignore(any, [][]byte) [][]byte { return nil }
