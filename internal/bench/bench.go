@@ -315,6 +315,7 @@ func Run(cfg Config) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
+	defer d.Close()
 	gen.Load(d.Sys.Load)
 	seats, err := d.Start()
 	if err != nil {

@@ -97,6 +97,7 @@ func Deploy(cfg Config, tables []workload.TableDef, poolBytes int, partitioned b
 		d.db.History = engine.NewHistory()
 	}
 	if d.Sys, err = NewSystem(cfg.System, d.db); err != nil {
+		d.Close()
 		return nil, err
 	}
 	for _, def := range tables {
@@ -104,6 +105,14 @@ func Deploy(cfg Config, tables []workload.TableDef, poolBytes int, partitioned b
 	}
 	return d, nil
 }
+
+// Close ends the deployment once its run is over: the memory pool's
+// regions go back to the system and any verb still posted fails. The
+// callers that know when a run ends (Run, the one-transaction probe)
+// defer it; a deployment nobody closes (crest.Cluster) gives its
+// regions back when the collector finds it unreachable. Closing twice
+// is harmless.
+func (d *Deployment) Close() { d.Pool.Close() }
 
 // Seat is one coordinator of a started deployment and where it runs.
 type Seat struct {

@@ -18,6 +18,7 @@ func oneTxnVerbs(cfg Config) (rdma.Stats, error) {
 	if err != nil {
 		return rdma.Stats{}, err
 	}
+	defer d.Close()
 	gen.Load(d.Sys.Load)
 	seats, err := d.Start()
 	if err != nil {

@@ -115,6 +115,15 @@ func NewShardedPool(fabric *rdma.Fabric, shards, nodesPerShard, size, replicas i
 	return p, nil
 }
 
+// Close ends the pool: every node's region is closed (rdma.Region.Close),
+// so the simulated DRAM goes back to the system now and not when the
+// collector gets to it. Closing twice is harmless.
+func (p *Pool) Close() {
+	for _, n := range p.nodes {
+		n.Region.Close()
+	}
+}
+
 // Nodes returns the pool's memory nodes (all groups, group-major).
 func (p *Pool) Nodes() []*Node { return p.nodes }
 

@@ -37,6 +37,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"strconv"
 	"sync/atomic"
 
@@ -420,7 +421,51 @@ type Region struct {
 	part   int // owning partition: verbs against the region apply there
 	name   string
 	buf    []byte
+	mem    *mapping // buf's mapping outside the Go heap; nil when buf was made
 	failed bool
+	closed bool
+}
+
+// minMapped is the size from which a region's bytes are mapped outside
+// the Go heap. The memory pool is bulk DRAM that is not the compute
+// side's memory: on the heap its pointer-free bytes would set the
+// collector's goal, so the garbage a run makes would be collected only
+// once it equals the simulated DRAM. Smaller regions stay on the heap —
+// tests build them by the thousand and a map/unmap pair costs more than
+// the bytes do.
+const minMapped = 1 << 20
+
+// mapping owns a region's bytes outside the Go heap. It points at
+// nothing on the heap, so — unlike its Region, which sits in a cycle
+// with the Fabric — it can carry the finalizer that unmaps a region
+// nobody closed (runtime.AddCleanup needs go 1.24; go.mod says 1.22).
+type mapping struct{ buf []byte }
+
+// mapped counts the bytes of live mappings, process-wide.
+var mapped atomic.Int64
+
+// MappedBytes reports the region bytes currently mapped outside the Go
+// heap by every fabric of the process. Tests and diagnostics only: it
+// is how a run that forgot to Close shows.
+func MappedBytes() int64 { return mapped.Load() }
+
+// newMapping maps size zero bytes, or returns nil where it cannot.
+func newMapping(size int) *mapping {
+	buf := mapBytes(size)
+	if buf == nil {
+		return nil
+	}
+	m := &mapping{buf: buf}
+	mapped.Add(int64(len(buf)))
+	runtime.SetFinalizer(m, (*mapping).unmap)
+	return m
+}
+
+// unmap gives the bytes back; every slice into them is dead from here.
+func (m *mapping) unmap() {
+	mapped.Add(-int64(len(m.buf)))
+	unmapBytes(m.buf)
+	m.buf = nil
 }
 
 // Register allocates and registers a memory region of size bytes,
@@ -432,12 +477,22 @@ func (f *Fabric) Register(name string, size int) *Region {
 // RegisterAt allocates and registers a memory region owned by
 // partition part: verbs posted from other partitions apply at the
 // region through the cross-partition seam. On a single-partition
-// fabric part must be 0.
+// fabric part must be 0. The region reads as zeroes. From minMapped
+// bytes up it lives outside the Go heap until Close (or, unclosed,
+// until the collector finds the region unreachable).
 func (f *Fabric) RegisterAt(name string, size, part int) *Region {
 	if part < 0 || part >= len(f.lanes) {
 		panic(fmt.Sprintf("rdma: RegisterAt partition %d of %d", part, len(f.lanes)))
 	}
-	r := &Region{fabric: f, id: len(f.regions), part: part, name: name, buf: make([]byte, size)}
+	r := &Region{fabric: f, id: len(f.regions), part: part, name: name}
+	if size >= minMapped {
+		r.mem = newMapping(size)
+	}
+	if r.mem != nil {
+		r.buf = r.mem.buf
+	} else {
+		r.buf = make([]byte, size)
+	}
 	f.regions = append(f.regions, r)
 	for _, l := range f.lanes {
 		if l.met != nil {
@@ -445,6 +500,21 @@ func (f *Fabric) RegisterAt(name string, size, part int) *Region {
 		}
 	}
 	return r
+}
+
+// Close ends the region: its bytes go back to the system (a mapped
+// region's at once) and every verb posted from here on fails as one
+// against a crashed node does — Recover does not bring a closed region
+// back. Slices obtained from Bytes are dead. Closing twice is harmless.
+// Call it only once the simulation has stopped running.
+func (r *Region) Close() {
+	r.closed = true
+	r.buf = nil
+	if r.mem != nil {
+		runtime.SetFinalizer(r.mem, nil)
+		r.mem.unmap()
+		r.mem = nil
+	}
 }
 
 // Part returns the partition owning the region.
@@ -470,7 +540,11 @@ func (r *Region) Recover() { r.failed = false }
 func (r *Region) Failed() bool { return r.failed }
 
 // Bytes exposes the raw region for loading and for recovery tooling.
-// Protocol code must not touch it; it bypasses the fabric.
+// Protocol code must not touch it; it bypasses the fabric. The slice
+// aliases the region and ends with it: it is nil after Close, and a
+// slice taken earlier must not be touched after Close or once the
+// region (with its fabric) is unreachable — a large region's bytes are
+// a mapping the region owns, not heap the slice would keep alive.
 func (r *Region) Bytes() []byte { return r.buf }
 
 // QP is a queue pair from one coordinator to one memory region.
@@ -882,7 +956,7 @@ func PostMulti(p *sim.Proc, batches []Batch) ([][]Result, error) {
 // is atomic), writing completions into out and READ payloads into
 // arena, front to back. st receives the verb counters as ops apply.
 func applyOps(r *Region, ops []Op, out []Result, arena []byte, st *Stats) error {
-	if r.failed {
+	if r.failed || r.closed {
 		return fmt.Errorf("rdma: region %q (node %d) unreachable", r.name, r.id)
 	}
 	for i := range ops {
