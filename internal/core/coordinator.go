@@ -474,7 +474,7 @@ func (c *Coordinator) admit(p *sim.Proc, sc *execScratch, blockAccs []*access) (
 					conflictMask |= obj.conflict(db.Tracker).HolderCells()
 					db.Obs.LockConflict(p, obj.table, obj.key, readMask)
 				case !obj.admitted:
-					obj.install(data, &h, 0)
+					obj.install(&c.cn.blocks, data, &h, 0)
 					obj.admitted = true
 					obj.firstFetch = p.Now()
 				default:
@@ -483,7 +483,7 @@ func (c *Coordinator) admit(p *sim.Proc, sc *execScratch, blockAccs []*access) (
 					// other nodes' commits. Locked cells (which is
 					// where local versions can exist) keep the local
 					// view.
-					obj.install(data, &h, pd.preLocks)
+					obj.install(&c.cn.blocks, data, &h, pd.preLocks)
 					obj.firstFetch = p.Now()
 				}
 			}

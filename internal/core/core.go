@@ -174,7 +174,11 @@ type ComputeNode struct {
 	objs  map[engine.RecKey]*object
 	// free holds, by table, the shells of objects that left the cache
 	// and that nobody names any more; getOrCreate reuses them.
-	free      map[layout.TableID][]*object
+	free map[layout.TableID][]*object
+	// blocks is where install cuts the base blocks of fetched records:
+	// chunks that are never Reset, each alive while a base or a ReadVals
+	// still points into it.
+	blocks    engine.Arena
 	tsExecCtr uint64
 	// scanGen stamps objects during applyRelease's dedup scan,
 	// replacing a per-attempt map.
@@ -254,6 +258,7 @@ func (cn *ComputeNode) recycle(obj *object) {
 		return
 	}
 	obj.life = objRecycled
+	clear(obj.base) // a shell on the free list pins no chunk
 	cn.free[obj.table] = append(cn.free[obj.table], obj)
 }
 

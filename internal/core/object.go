@@ -208,10 +208,9 @@ func newObject(table layout.TableID, key layout.Key, off uint64, lay *layout.Rec
 // new, unadmitted object of a record. Of a recycled shell only the
 // storage survives: the four per-cell slices and the capacity of the
 // version lists. Cell values are not storage: base blocks belong to the
-// attempts that read them (see install).
+// attempts that read them (see install), and recycle has let go of them.
 func (o *object) init(table layout.TableID, key layout.Key, off uint64, lay *layout.Record, primary *memnode.Node) {
 	clear(o.epochs)
-	clear(o.base)
 	clear(o.baseVer)
 	for c := range o.cells {
 		// A retired object's lists are empty — versions live under remote
@@ -244,11 +243,14 @@ func (o *object) conflict(t *engine.ConflictTracker) *engine.RecConflict {
 
 // install takes the cells of a fetched record image (data, its header
 // decoded into h) into the base view, except the cells of keep, which
-// stay as the compute node has them. The values go into one block
-// allocated here, never over the old ones: attempts hold ReadVals
-// slices into the base they read until they commit, and the history
-// oracle hashes them then.
-func (o *object) install(data []byte, h *layout.Header, keep uint64) {
+// stay as the compute node has them. The values go into one block cut
+// here from the compute node's chunks, never over the old ones:
+// attempts hold ReadVals slices into the base they read until they
+// commit, and the history oracle hashes them then. A block is never
+// reused and the chunks are never Reset — a chunk goes when the last
+// slice into it does — and a block over a quarter chunk is made on its
+// own, so that it neither wastes a chunk's tail nor pins one.
+func (o *object) install(chunks *engine.Arena, data []byte, h *layout.Header, keep uint64) {
 	lay := o.lay
 	size := 0
 	for c := range o.base {
@@ -256,7 +258,12 @@ func (o *object) install(data []byte, h *layout.Header, keep uint64) {
 			size += lay.CellSize(c)
 		}
 	}
-	block := make([]byte, size)
+	var block []byte
+	if size > engine.ArenaChunk/4 {
+		block = make([]byte, size)
+	} else {
+		block = chunks.Bytes(size)
+	}
 	for c := range o.base {
 		if keep&(1<<uint(c)) != 0 {
 			continue

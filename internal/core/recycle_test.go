@@ -145,8 +145,13 @@ func TestRecycledShellStartsFresh(t *testing.T) {
 		t.Fatalf("%d shells free after one record's attempts, want the one reused throughout", len(cn.free[1]))
 	}
 	used := cn.free[1][0]
-	if used.conf == nil || used.base[1] == nil || used.epochs[1] == 0 || cap(used.cells[1].versions) == 0 {
+	if used.conf == nil || used.epochs[1] == 0 || cap(used.cells[1].versions) == 0 {
 		t.Fatal("the shell shows no trace of use; the test would prove nothing")
+	}
+	for c, v := range used.base {
+		if v != nil {
+			t.Errorf("free shell still holds base cell %d: it pins a chunk of the node's block arena", c)
+		}
 	}
 	// Dirty what a quiescent object may still carry, then reuse.
 	used.streak, used.drainUntil, used.scanGen, used.firstFetch = 3, 99, 7, 42
@@ -205,8 +210,9 @@ func TestInstallNeverOverwritesABase(t *testing.T) {
 		return data, h
 	}
 	o := newObject(1, 0, 0, lay, nil)
+	var chunks engine.Arena
 	data, h := image(0x10, 1)
-	o.install(data, &h, 0)
+	o.install(&chunks, data, &h, 0)
 	old := append([][]byte(nil), o.base...)
 	for c, v := range old {
 		if len(v) != lay.CellSize(c) || cap(v) != len(v) || v[0] != 0x10+byte(c) {
@@ -214,7 +220,7 @@ func TestInstallNeverOverwritesABase(t *testing.T) {
 		}
 	}
 	data, h = image(0x20, 2)
-	o.install(data, &h, 0b010) // cell 1 is locked by this node
+	o.install(&chunks, data, &h, 0b010) // cell 1 is locked by this node
 	for c, v := range old {
 		if v[0] != 0x10+byte(c) {
 			t.Errorf("cell %d: the refresh overwrote the value an earlier reader holds: % x", c, v)

@@ -24,7 +24,18 @@ import (
 type ConflictTracker struct {
 	tables map[layout.TableID]*Table // the database's tables, for their heaps
 	recs   map[layout.TableID]*tableConflicts
+	// States and the rings they grow into are cut from slabs the tracker
+	// holds: a state is never freed, so nothing is ever returned, and a
+	// tracker belongs to one partition, so nothing is shared.
+	states []RecConflict
+	rings  []update
 }
+
+// Slab sizes: states per slab, rings per slab.
+const (
+	stateSlab = 128
+	ringSlab  = 64
+)
 
 // tableConflicts is one table's states by heap slot: 8 bytes a row,
 // sized at the table's first event, the states themselves created on a
@@ -52,15 +63,39 @@ func (c *ConflictTracker) Rec(table layout.TableID, off uint64) *RecConflict {
 	slot := t.heap.SlotOf(off)
 	r := t.recs[slot]
 	if r == nil {
-		r = newRecConflict()
+		r = c.newRecConflict()
 		t.recs[slot] = r
 	}
 	return r
 }
 
+// newRecConflict cuts a state from the current slab.
+func (c *ConflictTracker) newRecConflict() *RecConflict {
+	if len(c.states) == 0 {
+		c.states = make([]RecConflict, stateSlab)
+	}
+	r := &c.states[0]
+	c.states = c.states[1:]
+	r.tracker = c
+	r.holders = r.holders0[:0]
+	r.updates = r.updates0[:0]
+	return r
+}
+
+// newRing cuts an empty update ring from the current slab.
+func (c *ConflictTracker) newRing() []update {
+	if len(c.rings) == 0 {
+		c.rings = make([]update, ringSlab*conflictHistoryLen)
+	}
+	ring := c.rings[:0:conflictHistoryLen]
+	c.rings = c.rings[conflictHistoryLen:]
+	return ring
+}
+
 // RecConflict is one record's classification state: the cell coverage
 // of its live lock holders and the cells its latest updates changed.
 type RecConflict struct {
+	tracker *ConflictTracker // whose slabs the state and its ring come from
 	// holders is one coverage mask per OnLock not yet undone by its
 	// OnUnlock, in no particular order.
 	holders []uint64
@@ -69,7 +104,7 @@ type RecConflict struct {
 	updates []update
 	head    int
 	// Room for the common case — a holder or two, a record updated once
-	// or twice (every inserted row) — so that it costs one allocation.
+	// or twice (every inserted row) — so that it takes no ring.
 	holders0 [2]uint64
 	updates0 [2]update
 }
@@ -83,13 +118,6 @@ type update struct {
 // failure against a version older than the ring conservatively counts
 // as a true conflict.
 const conflictHistoryLen = 16
-
-func newRecConflict() *RecConflict {
-	r := &RecConflict{}
-	r.holders = r.holders0[:0]
-	r.updates = r.updates0[:0]
-	return r
-}
 
 // OnLock records that a transaction now covers cells of the record.
 // Several transactions may cover the same cell (CREST's local sharing
@@ -133,9 +161,7 @@ func (r *RecConflict) OnUpdate(version, cells uint64) {
 	case cap(r.updates) < conflictHistoryLen:
 		// Past the inline room: move to the ring's whole storage at once;
 		// the record keeps it from here on.
-		ring := make([]update, len(r.updates), conflictHistoryLen)
-		copy(ring, r.updates)
-		r.updates = append(ring, u)
+		r.updates = append(append(r.tracker.newRing(), r.updates...), u)
 	default:
 		r.updates[r.head] = u
 		r.head = (r.head + 1) % conflictHistoryLen

@@ -8,6 +8,9 @@ import (
 	"crest/internal/layout"
 )
 
+// newRecConflict is the first state of a tracker of its own.
+func newRecConflict() *RecConflict { return new(ConflictTracker).newRecConflict() }
+
 // TestChangedSinceInsideWindowReportsExactCells: a validation failure
 // against a version the 16-entry ring still covers gets the exact
 // changed-cell union, so a disjoint cell set classifies as a false
@@ -293,6 +296,65 @@ func BenchmarkConflictTrackerRecord(b *testing.B) {
 		r := db.Tracker.Rec(7, tab.Heap.SlotOff(i%rows))
 		r.OnLock(0b11)
 		r.OnUpdate(uint64(i), 0b01)
+		r.OnUnlock(0b11)
+	}
+}
+
+// TestRecCutsStatesFromSlabs: the states of 1 000 records seen for the
+// first time cost the slabs they are cut from (8 of 128), not an object
+// each; and a record updated past its inline room takes its ring from
+// the tracker's ring slab, 64 rings to an allocation.
+func TestRecCutsStatesFromSlabs(t *testing.T) {
+	_, db := newTestDB(t)
+	const fresh, runs = 1000, 3
+	tab := db.CreateTable(testSchema(), 64, fresh*(runs+1)+1)
+	db.Tracker.Rec(7, tab.Heap.SlotOff(0)) // the table's slot directory
+	slot := 1
+	got := testing.AllocsPerRun(runs, func() {
+		for i := 0; i < fresh; i++ {
+			db.Tracker.Rec(7, tab.Heap.SlotOff(slot)).OnLock(1)
+			slot++
+		}
+	})
+	t.Logf("%.0f allocs per %d fresh records", got, fresh)
+	if got > 10 {
+		t.Errorf("%.0f allocs for %d fresh records, want at most 10", got, fresh)
+	}
+	slot = 1
+	got = testing.AllocsPerRun(runs, func() {
+		for i := 0; i < fresh; i++ {
+			r := db.Tracker.Rec(7, tab.Heap.SlotOff(slot))
+			for v := uint64(1); v <= 3; v++ { // one past the inline two
+				r.OnUpdate(v, 1)
+			}
+			slot++
+		}
+	})
+	t.Logf("%.0f allocs per %d rings", got, fresh)
+	if got > fresh/ringSlab+1 {
+		t.Errorf("%.0f allocs for %d records growing a ring, want at most %d", got, fresh, fresh/ringSlab+1)
+	}
+}
+
+// BenchmarkTrackerRec is a record's first event: its state is cut, it
+// is covered, updated past the inline room (so it takes a ring) and
+// uncovered — what every inserted row of a NewOrder costs.
+func BenchmarkTrackerRec(b *testing.B) {
+	_, db := newTestDB(b)
+	const rows = 4096
+	tab := db.CreateTable(testSchema(), 64, rows)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if i%rows == 0 {
+			b.StopTimer()
+			db.Tracker = NewConflictTracker(db.Tables)
+			b.StartTimer()
+		}
+		r := db.Tracker.Rec(7, tab.Heap.SlotOff(i%rows))
+		r.OnLock(0b11)
+		for v := uint64(1); v <= 3; v++ {
+			r.OnUpdate(v, 0b01)
+		}
 		r.OnUnlock(0b11)
 	}
 }

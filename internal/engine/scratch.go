@@ -133,7 +133,13 @@ func (s *Slab[T]) Next() *T {
 	return e
 }
 
-// Arena carves attempt-lived byte slices out of 32 KiB chunks.
+// ArenaChunk is the size of an Arena's chunks.
+const ArenaChunk = 32 << 10
+
+// Arena carves byte slices out of ArenaChunk-sized chunks: attempt-
+// lived ones when its owner Resets it between attempts, ones that live
+// as long as anything points into their chunk when nobody does (the
+// CREST compute node's base blocks).
 type Arena struct {
 	buf []byte
 	off int
@@ -142,12 +148,12 @@ type Arena struct {
 // Reset recycles the current chunk.
 func (a *Arena) Reset() { a.off = 0 }
 
-// Bytes returns n fresh bytes, valid until the attempt ends: a full
+// Bytes returns n fresh bytes, valid until the next Reset: a full
 // chunk is abandoned to the garbage collector, not reallocated, so
 // earlier slices stay intact.
 func (a *Arena) Bytes(n int) []byte {
 	if a.off+n > len(a.buf) {
-		a.buf = make([]byte, max(n, 32<<10))
+		a.buf = make([]byte, max(n, ArenaChunk))
 		a.off = 0
 	}
 	b := a.buf[a.off : a.off+n : a.off+n]
