@@ -290,7 +290,13 @@ func NewSystem(kind SystemKind, db *engine.DB) (System, error) {
 
 // PoolBytes estimates the per-node region size a workload needs under
 // the largest layout (Motor's multi-versioned records), plus index,
-// log and slack space.
+// log and slack space. Every pool is sized so, whichever engine runs:
+// what an engine does not touch costs address space only — a region
+// this size is mapped outside the Go heap and its untouched pages are
+// never resident (DESIGN.md §12 "Who owns a region's bytes") — so
+// sizing by engine would buy nothing. Where regions are made on the
+// heap (non-unix) the same holds for RSS, but the collector's goal
+// follows the full size.
 func PoolBytes(defs []workload.TableDef, coordinators int) int {
 	total := 0
 	for _, def := range defs {

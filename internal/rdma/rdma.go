@@ -462,10 +462,10 @@ func newMapping(size int) *mapping {
 }
 
 // unmap gives the bytes back; every slice into them is dead from here.
+// It runs once: as the finalizer, or from Close, which drops the handle.
 func (m *mapping) unmap() {
 	mapped.Add(-int64(len(m.buf)))
 	unmapBytes(m.buf)
-	m.buf = nil
 }
 
 // Register allocates and registers a memory region of size bytes,
@@ -526,7 +526,7 @@ func (r *Region) ID() int { return r.id }
 // Name returns the region's label.
 func (r *Region) Name() string { return r.name }
 
-// Size returns the region's length in bytes.
+// Size returns the region's length in bytes (none once closed).
 func (r *Region) Size() int { return len(r.buf) }
 
 // Fail marks the region's memory node as crashed: subsequent verbs
@@ -536,8 +536,9 @@ func (r *Region) Fail() { r.failed = true }
 // Recover clears the crashed state.
 func (r *Region) Recover() { r.failed = false }
 
-// Failed reports whether the region's node is marked crashed.
-func (r *Region) Failed() bool { return r.failed }
+// Failed reports whether the region's node is unreachable: marked
+// crashed, or closed.
+func (r *Region) Failed() bool { return r.failed || r.closed }
 
 // Bytes exposes the raw region for loading and for recovery tooling.
 // Protocol code must not touch it; it bypasses the fabric. The slice
@@ -956,7 +957,7 @@ func PostMulti(p *sim.Proc, batches []Batch) ([][]Result, error) {
 // is atomic), writing completions into out and READ payloads into
 // arena, front to back. st receives the verb counters as ops apply.
 func applyOps(r *Region, ops []Op, out []Result, arena []byte, st *Stats) error {
-	if r.failed || r.closed {
+	if r.Failed() {
 		return fmt.Errorf("rdma: region %q (node %d) unreachable", r.name, r.id)
 	}
 	for i := range ops {

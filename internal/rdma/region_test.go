@@ -49,8 +49,8 @@ func TestClosedRegionRejectsVerbs(t *testing.T) {
 				t.Errorf("size %d: a closed region still shows %d bytes", size, r.Size())
 			}
 			for _, state := range []string{"closed", "closed, failed", "closed, recovered"} {
-				if n := postAll(p, qp); n != 4 {
-					t.Errorf("size %d, %s: %d of 4 verbs failed, want all", size, state, n)
+				if n := postAll(p, qp); n != 4 || !r.Failed() {
+					t.Errorf("size %d, %s: %d of 4 verbs failed (Failed() = %v), want all", size, state, n, r.Failed())
 				}
 				switch state {
 				case "closed":
