@@ -212,7 +212,8 @@ type Result struct {
 	// a deterministic measure of simulation size (same spec, same
 	// count).
 	Events uint64
-	// WallMS is the real time the event loop took, in milliseconds.
+	// WallMS is the real time the event loop took, in milliseconds,
+	// giving the memory pool back included.
 	// Unlike every other field it is nondeterministic: it measures the
 	// simulator, not the simulated system, and never feeds canonical
 	// output.
@@ -441,6 +442,11 @@ func Run(cfg Config) (Result, error) {
 		return res, err
 	}
 	res.Events = d.sched.Dispatched()
+	// The run is over and nothing below reads a region: the pool goes
+	// back now, on the loop's clock. Unmapping what the run touched is
+	// part of running it, not of setting it up (crestperf reads set-up
+	// as Run minus WallMS); the deferred Close covers the error paths.
+	d.Close()
 	res.WallMS = float64(time.Since(wallStart)) / float64(time.Millisecond)
 	// Fold the other partitions' accumulators in partition order — a
 	// pure function of the simulation, independent of workers.
