@@ -109,7 +109,7 @@ func Deploy(cfg Config, tables []workload.TableDef, poolBytes int, partitioned b
 // Close ends the deployment once its run is over: the memory pool's
 // regions go back to the system and any verb still posted fails. The
 // callers that know when a run ends (Run, the one-transaction probe)
-// defer it; a deployment nobody closes (crest.Cluster) gives its
+// call it; a deployment nobody closes (crest.Cluster) gives its
 // regions back when the collector finds it unreachable. Closing twice
 // is harmless.
 func (d *Deployment) Close() { d.Pool.Close() }
