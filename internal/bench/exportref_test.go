@@ -274,9 +274,11 @@ func TestExportsMatchEncodingJSONOnEdgeCases(t *testing.T) {
 	env.Spawn("edge", func(p *sim.Proc) {
 		for i, label := range hostileStrings {
 			at := times[i%len(times)]
-			s := rec.StartSpan(p, uint64(i+1), label, new(int))
+			s := &trace.Span{Coord: uint64(i + 1), ID: uint64(2*i + 1), Label: label, Attempt: 1}
+			rec.Begin(p.Now(), s)
 			s.SetTxn(uint64(i) << 40)
-			rec.EnterPhase(at, s, trace.PhaseLock)
+			s.Phase = trace.PhaseLock
+			rec.EnterPhase(at, s)
 			rec.VerbIssue(at, s, label, i, i, i)
 			// Latency > At puts the slice's start before time zero.
 			rec.RTT(at, s, i, i, i, i, sim.Duration(at)+sim.Duration(i)*7)
@@ -287,10 +289,12 @@ func TestExportsMatchEncodingJSONOnEdgeCases(t *testing.T) {
 			rec.LockPiggyback(at, s, 3, 9, 0b101)
 			rec.LockRelease(at, s, 3, 9, math.MaxUint64)
 			rec.ENOverflow(at, s, 3, 9, i%64)
-			rec.EnterPhase(at+1, s, trace.PhaseValidate)
+			s.Phase = trace.PhaseValidate
+			rec.EnterPhase(at+1, s)
 			rec.Abort(at+2, s, label, i%2 == 0)
-			rec.StartSpan(p, uint64(i+1), label, s) // a different txnKey: a fresh span
-			rec.Commit(at+3, trace.SpanOf(p))
+			fresh := &trace.Span{Coord: uint64(i + 1), ID: uint64(2*i + 2), Label: label, Attempt: 1}
+			rec.Begin(p.Now(), fresh)
+			rec.Commit(at+3, fresh)
 			rec.ProcSpawn(label, at)
 			rec.ProcBlock(label, sim.NewWaitQueue(label), at)
 			rec.ProcWake(label, at)

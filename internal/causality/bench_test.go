@@ -7,6 +7,7 @@ import (
 
 	"crest/internal/layout"
 	"crest/internal/sim"
+	"crest/internal/trace"
 )
 
 // syntheticTxns records txns transactions shaped like a contended run's:
@@ -17,16 +18,16 @@ func syntheticTxns(p *sim.Proc, r *Recorder, txns int) {
 	labels := [...]string{"Amalgamate", "Balance", "DepositChecking", "SendPayment", "TransactSavings", "WriteCheck"}
 	for i := 0; i < txns; i++ {
 		key, other := layout.Key(i%97), layout.Key((i+13)%97)
-		t := r.Begin(p, uint64(i%120+1), labels[i%len(labels)], key)
-		r.LockFail(p, 2, other, 0b1)
-		r.LocalWait(p, 2, key, t.ID-1, 3*sim.Microsecond)
+		t := r.Begin(p.Now(), &trace.Span{Coord: uint64(i%120 + 1), ID: uint64(i + 1), Label: labels[i%len(labels)], Attempt: 1})
+		r.LockFail(p.Now(), t, 2, other, 0b1)
+		r.LocalWait(p.Now(), t, 2, key, t.ID-1, 3*sim.Microsecond)
 		if i&3 == 3 {
-			r.ValidationFail(p, 2, other, 0b10, uint64(i))
+			r.ValidationFail(p.Now(), t, 2, other, 0b10, uint64(i))
 			r.Abort(p.Now(), t, "validation")
-			r.Begin(p, uint64(i%120+1), labels[i%len(labels)], key)
+			r.Retry(t)
 		}
-		r.DependencyWait(p, t.ID-1, sim.Microsecond)
-		r.OnLock(p, 2, key, 0b11)
+		r.DependencyWait(p.Now(), t, t.ID-1, sim.Microsecond)
+		r.OnLock(t, 2, key, 0b11)
 		r.OnUpdate(t.ID, 2, key, uint64(i+1), 0b11)
 		r.OnUnlock(2, key, 0b11)
 		r.Commit(p.Now(), t)
@@ -39,13 +40,13 @@ func syntheticTxns(p *sim.Proc, r *Recorder, txns int) {
 func BenchmarkEmit(b *testing.B) {
 	r := NewRecorder(Options{})
 	inProc(b, func(p *sim.Proc) {
-		r.Begin(p, 7, "Amalgamate", new(int))
-		r.OnLock(p, 2, 9, 0b1)
+		t := r.Begin(p.Now(), &trace.Span{Coord: 7, ID: 1, Label: "Amalgamate", Attempt: 1})
+		r.OnLock(t, 2, 9, 0b1)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i += 2 {
-			r.LockFail(p, 2, 9, 0b1)
-			r.LocalWait(p, 2, 9, 3, sim.Microsecond)
+			r.LockFail(p.Now(), t, 2, 9, 0b1)
+			r.LocalWait(p.Now(), t, 2, 9, 3, sim.Microsecond)
 		}
 	})
 }

@@ -7,6 +7,7 @@ import (
 
 	"crest/internal/layout"
 	"crest/internal/sim"
+	"crest/internal/trace"
 )
 
 // inProc runs fn inside one simulated process and drives the
@@ -20,24 +21,31 @@ func inProc(t testing.TB, fn func(p *sim.Proc)) {
 	}
 }
 
+// begin opens the node of a transaction with the given identity at
+// time 0, as the engine does on its first attempt.
+func begin(r *Recorder, id, coord uint64, label string) *Txn {
+	return r.Begin(0, &trace.Span{ID: id, Coord: coord, Label: label, Attempt: 1})
+}
+
 func TestNilRecorderIsSafe(t *testing.T) {
 	var r *Recorder
 	if r.Enabled() {
 		t.Fatal("nil recorder reports enabled")
 	}
 	inProc(t, func(p *sim.Proc) {
-		tx := r.Begin(p, 1, "txn", nil)
+		tx := begin(r, 1, 1, "txn")
 		if tx != nil {
 			t.Errorf("nil recorder returned txn %v", tx)
 		}
-		if got := IDOf(p); got != 0 {
-			t.Errorf("IDOf on nil ctx = %d, want 0", got)
+		if got := tx.WhyID(); got != 0 {
+			t.Errorf("WhyID of no node = %d, want 0", got)
 		}
-		r.OnLock(p, 1, 2, 0b11)
-		r.LockFail(p, 1, 2, 0b11)
-		r.ValidationFail(p, 1, 2, 0b1, 5)
-		r.DependencyWait(p, 7, sim.Microsecond)
-		r.LocalWait(p, 1, 2, 7, sim.Microsecond)
+		r.Retry(tx)
+		r.OnLock(tx, 1, 2, 0b11)
+		r.LockFail(p.Now(), tx, 1, 2, 0b11)
+		r.ValidationFail(p.Now(), tx, 1, 2, 0b1, 5)
+		r.DependencyWait(p.Now(), tx, 7, sim.Microsecond)
+		r.LocalWait(p.Now(), tx, 1, 2, 7, sim.Microsecond)
 		r.OnUpdate(7, 1, 2, 9, 0b1)
 		r.OnUnlock(1, 2, 0b11)
 		r.Abort(p.Now(), tx, "lock-conflict")
@@ -52,23 +60,22 @@ func TestNilRecorderIsSafe(t *testing.T) {
 	}
 }
 
+// A retry keeps the node and moves its attempt on; the abort before it
+// froze its cause.
 func TestRetryReusesNodeAndFreezesCause(t *testing.T) {
 	r := NewRecorder(Options{})
 	inProc(t, func(p *sim.Proc) {
-		key := new(int)
-		holderKey := new(int)
-
 		// A holder transaction takes cells 0b01 of (1, 42) and installs
 		// a version so both attribution paths have something to find.
-		h := r.Begin(p, 9, "holder", holderKey)
-		r.OnLock(p, 1, 42, 0b01)
+		h := begin(r, 1, 9, "holder")
+		r.OnLock(h, 1, 42, 0b01)
 		r.OnUpdate(h.ID, 1, 42, 100, 0b01)
 
-		t1 := r.Begin(p, 7, "transfer", key)
+		t1 := begin(r, 2, 7, "transfer")
 		if t1.Attempt != 1 {
 			t.Fatalf("first attempt = %d, want 1", t1.Attempt)
 		}
-		r.LockFail(p, 1, 42, 0b01)
+		r.LockFail(p.Now(), t1, 1, 42, 0b01)
 		r.Abort(p.Now(), t1, "lock-conflict")
 		if t1.CauseSeq == 0 || t1.CauseKind != KindLockFail || t1.Holder != h.ID {
 			t.Fatalf("cause not frozen to the lock-fail edge: %+v", t1)
@@ -77,23 +84,18 @@ func TestRetryReusesNodeAndFreezesCause(t *testing.T) {
 			t.Fatalf("cause site wrong: %+v", t1)
 		}
 
-		t2 := r.Begin(p, 7, "transfer", key)
-		if t2 != t1 {
-			t.Fatal("retry of the same txn created a new node")
+		r.Retry(t1)
+		if t1.Attempt != 2 {
+			t.Fatalf("retry attempt = %d, want 2", t1.Attempt)
 		}
-		if t2.Attempt != 2 {
-			t.Fatalf("retry attempt = %d, want 2", t2.Attempt)
-		}
-		r.Commit(p.Now(), t2)
-		if t2.State != StateCommitted || t2.Aborts != 1 {
-			t.Fatalf("commit after abort: state=%v aborts=%d", t2.State, t2.Aborts)
-		}
-
-		t3 := r.Begin(p, 7, "transfer", key)
-		if t3 == t1 {
-			t.Fatal("new txn after commit reused the finished node")
+		r.Commit(p.Now(), t1)
+		if t1.State != StateCommitted || t1.Aborts != 1 {
+			t.Fatalf("commit after abort: state=%v aborts=%d", t1.State, t1.Aborts)
 		}
 	})
+	if n := len(r.Snapshot().Txns); n != 2 {
+		t.Fatalf("%d nodes, want 2: a retry is no new node", n)
+	}
 	snap := r.Snapshot()
 	tr := snap.Txn(2) // the transfer node (holder was id 1)
 	if tr == nil || tr.Cause == nil {
@@ -110,14 +112,13 @@ func TestRetryReusesNodeAndFreezesCause(t *testing.T) {
 func TestAbortWithoutEdgeClearsCause(t *testing.T) {
 	r := NewRecorder(Options{})
 	inProc(t, func(p *sim.Proc) {
-		key := new(int)
-		tx := r.Begin(p, 1, "t", key)
-		r.LockFail(p, 1, 5, 0b1)
+		tx := begin(r, 1, 1, "t")
+		r.LockFail(p.Now(), tx, 1, 5, 0b1)
 		r.Abort(p.Now(), tx, "lock-conflict")
 		if tx.CauseSeq == 0 {
 			t.Fatal("first abort did not freeze a cause")
 		}
-		r.Begin(p, 1, "t", key) // attempt 2: no edges recorded
+		r.Retry(tx) // attempt 2: no edges recorded
 		r.Abort(p.Now(), tx, "reverse-order")
 		if tx.CauseSeq != 0 {
 			t.Fatalf("stale cause survived an edge-free abort: %+v", tx)
@@ -128,10 +129,10 @@ func TestAbortWithoutEdgeClearsCause(t *testing.T) {
 func TestHolderAttributionMaskSemantics(t *testing.T) {
 	r := NewRecorder(Options{})
 	inProc(t, func(p *sim.Proc) {
-		a := r.Begin(p, 1, "a", new(int))
-		r.OnLock(p, 3, 10, 0b011)
-		b := r.Begin(p, 2, "b", new(int))
-		r.OnLock(p, 3, 10, 0b100)
+		a := begin(r, 1, 1, "a")
+		r.OnLock(a, 3, 10, 0b011)
+		b := begin(r, 2, 2, "b")
+		r.OnLock(b, 3, 10, 0b100)
 
 		if got := r.holderOf(3, 10, 0b010); got != a.ID {
 			t.Fatalf("holder of cell 1 = %d, want %d", got, a.ID)
@@ -163,8 +164,8 @@ func TestHolderAttributionMaskSemantics(t *testing.T) {
 
 		// A record-level holding (mask 0) matches every query, and a
 		// record-level unlock clears everyone.
-		c := r.Begin(p, 3, "c", new(int))
-		r.OnLock(p, 9, 1, 0)
+		c := begin(r, 3, 3, "c")
+		r.OnLock(c, 9, 1, 0)
 		if got := r.holderOf(9, 1, 0b1000); got != c.ID {
 			t.Fatalf("record-level holding missed: %d", got)
 		}
@@ -202,12 +203,12 @@ func TestUpdaterRingAgesOut(t *testing.T) {
 		// attributes (some entry is newer), but on a record whose ring
 		// holds only writes at or before the read version, attribution
 		// conservatively fails — exactly the ConflictTracker boundary.
-		tx := r.Begin(p, 1, "reader", new(int))
-		r.ValidationFail(p, 2, 8, 0b1, 20)
+		tx := begin(r, 1, 1, "reader")
+		r.ValidationFail(p.Now(), tx, 2, 8, 0b1, 20)
 		if tx.cHolder != 0 {
 			t.Fatalf("aged-out validation attributed holder %d, want 0", tx.cHolder)
 		}
-		r.ValidationFail(p, 2, 8, 0b1, 3)
+		r.ValidationFail(p.Now(), tx, 2, 8, 0b1, 3)
 		if tx.cHolder != 120 {
 			t.Fatalf("in-window validation holder = %d, want 120", tx.cHolder)
 		}
@@ -217,9 +218,9 @@ func TestUpdaterRingAgesOut(t *testing.T) {
 func TestEdgeRingEvictsOldest(t *testing.T) {
 	r := NewRecorder(Options{Capacity: 4})
 	inProc(t, func(p *sim.Proc) {
-		r.Begin(p, 1, "t", new(int))
+		tx := begin(r, 1, 1, "t")
 		for i := 0; i < 10; i++ {
-			r.LockFail(p, 1, layout.Key(i), 1)
+			r.LockFail(p.Now(), tx, 1, layout.Key(i), 1)
 		}
 	})
 	if r.Len() != 4 {
@@ -385,13 +386,13 @@ func TestGraphAggregatesAndFindsCycles(t *testing.T) {
 func tinySnapshot(t testing.TB) *Snapshot {
 	r := NewRecorder(Options{})
 	inProc(t, func(p *sim.Proc) {
-		h := r.Begin(p, 1, "holder", new(int))
-		r.OnLock(p, 1, 5, 0b1)
+		h := begin(r, 1, 1, "holder")
+		r.OnLock(h, 1, 5, 0b1)
 		r.OnUpdate(h.ID, 1, 5, 50, 0b1)
-		tx := r.Begin(p, 2, "loser", new(int))
-		r.LockFail(p, 1, 5, 0b1)
+		tx := begin(r, 2, 2, "loser")
+		r.LockFail(p.Now(), tx, 1, 5, 0b1)
 		r.Abort(p.Now(), tx, "lock-conflict")
-		r.ValidationFail(p, 1, 5, 0b1, 10)
+		r.ValidationFail(p.Now(), tx, 1, 5, 0b1, 10)
 		r.Abort(p.Now(), tx, "validation")
 		r.Commit(p.Now(), tx)
 		r.Commit(p.Now(), h)
@@ -473,22 +474,22 @@ func TestDOTOutputIsStructurallyValid(t *testing.T) {
 func TestEdgePathAllocatesNothingSteadyState(t *testing.T) {
 	r := NewRecorder(Options{Capacity: 64})
 	inProc(t, func(p *sim.Proc) {
-		r.Begin(p, 1, "warm", new(int))
+		tx := begin(r, 1, 1, "warm")
 		// Warm-up: fill the edge ring so emit overwrites in place, touch
 		// the record state so the map entry and holder slice exist, and
 		// fill the update ring.
 		for i := 0; i < 80; i++ {
-			r.OnLock(p, 1, 7, 0b1)
+			r.OnLock(tx, 1, 7, 0b1)
 			r.OnUpdate(uint64(i+1), 1, 7, uint64(i+1), 0b1)
-			r.LockFail(p, 1, 7, 0b1)
+			r.LockFail(p.Now(), tx, 1, 7, 0b1)
 			r.OnUnlock(1, 7, 0b1)
 		}
 		allocs := testing.AllocsPerRun(200, func() {
-			r.OnLock(p, 1, 7, 0b1)
-			r.LockFail(p, 1, 7, 0b1)
-			r.ValidationFail(p, 1, 7, 0b1, 0)
-			r.LocalWait(p, 1, 7, 3, sim.Microsecond)
-			r.DependencyWait(p, 3, sim.Microsecond)
+			r.OnLock(tx, 1, 7, 0b1)
+			r.LockFail(p.Now(), tx, 1, 7, 0b1)
+			r.ValidationFail(p.Now(), tx, 1, 7, 0b1, 0)
+			r.LocalWait(p.Now(), tx, 1, 7, 3, sim.Microsecond)
+			r.DependencyWait(p.Now(), tx, 3, sim.Microsecond)
 			r.OnUpdate(3, 1, 7, 99, 0b1)
 			r.OnUnlock(1, 7, 0b1)
 		})
@@ -498,11 +499,11 @@ func TestEdgePathAllocatesNothingSteadyState(t *testing.T) {
 
 		var nilRec *Recorder
 		allocs = testing.AllocsPerRun(200, func() {
-			nilRec.OnLock(p, 1, 7, 0b1)
-			nilRec.LockFail(p, 1, 7, 0b1)
-			nilRec.ValidationFail(p, 1, 7, 0b1, 0)
-			nilRec.LocalWait(p, 1, 7, 3, sim.Microsecond)
-			nilRec.DependencyWait(p, 3, sim.Microsecond)
+			nilRec.OnLock(tx, 1, 7, 0b1)
+			nilRec.LockFail(p.Now(), tx, 1, 7, 0b1)
+			nilRec.ValidationFail(p.Now(), tx, 1, 7, 0b1, 0)
+			nilRec.LocalWait(p.Now(), tx, 1, 7, 3, sim.Microsecond)
+			nilRec.DependencyWait(p.Now(), tx, 3, sim.Microsecond)
 			nilRec.OnUpdate(3, 1, 7, 99, 0b1)
 			nilRec.OnUnlock(1, 7, 0b1)
 		})

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"crest/internal/sim"
+	"crest/internal/trace"
 )
 
 // The merged snapshot interleaves the partition edge streams by
@@ -15,12 +16,12 @@ func TestShardMergeKeepsStridedSeqs(t *testing.T) {
 	r := NewRecorder(Options{Capacity: 64})
 	s0, s1 := r.Shard(0, 2), r.Shard(1, 2)
 	inProc(t, func(p *sim.Proc) {
-		for i := 0; i < 3; i++ {
-			t1 := s1.Begin(p, 200, "b", new(int))
-			t0 := s0.Begin(p, 100, "a", new(int))
-			s1.LockFail(p, 1, 7, 0b1)
+		for i := uint64(0); i < 3; i++ {
+			t1 := s1.Begin(p.Now(), &trace.Span{Coord: 200, ID: 2*i + 2, Label: "b", Attempt: 1})
+			t0 := s0.Begin(p.Now(), &trace.Span{Coord: 100, ID: 2*i + 1, Label: "a", Attempt: 1})
+			s1.LockFail(p.Now(), t1, 1, 7, 0b1)
 			s1.Abort(p.Now(), t1, "lock-conflict")
-			s0.LockFail(p, 1, 8, 0b1)
+			s0.LockFail(p.Now(), t0, 1, 8, 0b1)
 			s0.Abort(p.Now(), t0, "lock-conflict")
 			p.Sleep(sim.Microsecond)
 		}
@@ -47,7 +48,7 @@ func TestShardMergeKeepsStridedSeqs(t *testing.T) {
 				i/2, snap.Edges[i].Seq, snap.Edges[i+1].Seq)
 		}
 	}
-	// Txn ids stride the same way, and the merged txn table holds all 6.
+	// The merged txn table holds all 6.
 	if len(snap.Txns) != 6 {
 		t.Fatalf("merged txns = %d, want 6", len(snap.Txns))
 	}
@@ -59,11 +60,11 @@ func TestShardMergeDeterministic(t *testing.T) {
 		r := NewRecorder(Options{Capacity: 64})
 		s0, s1 := r.Shard(0, 2), r.Shard(1, 2)
 		inProc(t, func(p *sim.Proc) {
-			for i := 0; i < 4; i++ {
-				t0 := s0.Begin(p, 100, "a", new(int))
-				t1 := s1.Begin(p, 200, "b", new(int))
-				s0.OnLock(p, 1, 7, 0b1)
-				s1.LockFail(p, 1, 7, 0b1)
+			for i := uint64(0); i < 4; i++ {
+				t0 := s0.Begin(p.Now(), &trace.Span{Coord: 100, ID: 2*i + 1, Label: "a", Attempt: 1})
+				t1 := s1.Begin(p.Now(), &trace.Span{Coord: 200, ID: 2*i + 2, Label: "b", Attempt: 1})
+				s0.OnLock(t0, 1, 7, 0b1)
+				s1.LockFail(p.Now(), t1, 1, 7, 0b1)
 				s1.Abort(p.Now(), t1, "lock-conflict")
 				s0.OnUnlock(1, 7, 0b1)
 				s0.Commit(p.Now(), t0)
@@ -90,17 +91,17 @@ func TestShardEdgePathZeroAlloc(t *testing.T) {
 	r := NewRecorder(Options{Capacity: 64})
 	s := r.Shard(0, 2)
 	inProc(t, func(p *sim.Proc) {
-		s.Begin(p, 1, "warm", new(int))
+		tx := s.Begin(p.Now(), &trace.Span{Coord: 1, ID: 1, Label: "warm", Attempt: 1})
 		for i := 0; i < 80; i++ {
-			s.OnLock(p, 1, 7, 0b1)
+			s.OnLock(tx, 1, 7, 0b1)
 			s.OnUpdate(uint64(i+1), 1, 7, uint64(i+1), 0b1)
-			s.LockFail(p, 1, 7, 0b1)
+			s.LockFail(p.Now(), tx, 1, 7, 0b1)
 			s.OnUnlock(1, 7, 0b1)
 		}
 		if avg := testing.AllocsPerRun(200, func() {
-			s.OnLock(p, 1, 7, 0b1)
-			s.LockFail(p, 1, 7, 0b1)
-			s.LocalWait(p, 1, 7, 3, sim.Microsecond)
+			s.OnLock(tx, 1, 7, 0b1)
+			s.LockFail(p.Now(), tx, 1, 7, 0b1)
+			s.LocalWait(p.Now(), tx, 1, 7, 3, sim.Microsecond)
 			s.OnUnlock(1, 7, 0b1)
 		}); avg != 0 {
 			t.Errorf("sharded edge path allocates %v/op, want 0", avg)

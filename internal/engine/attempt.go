@@ -1,17 +1,18 @@
 package engine
 
 import (
-	"crest/internal/causality"
 	"crest/internal/rdma"
 	"crest/internal/sim"
 	"crest/internal/trace"
 )
 
 // AttemptTimer measures one transaction attempt: per-phase virtual
-// time, the fabric verbs attributable to the attempt, and the trace
-// span. It replaces the per-engine ad-hoc timers with one shared
-// implementation so every engine reports phases the same way and every
-// phase transition reaches the trace.
+// time, the fabric verbs attributable to the attempt, and — through the
+// process's observer context — every view of it. It replaces the
+// per-engine ad-hoc timers with one shared implementation so every
+// engine reports phases the same way, and its phase clock is the only
+// one: the trace records its transitions and flight charges its
+// durations.
 //
 // Usage: BeginAttempt at the top of Execute, Phase at each protocol
 // phase boundary, Fail at an abort site (before any release/cleanup
@@ -21,13 +22,13 @@ import (
 // releases).
 //
 // Attempt folds the phases the way the pre-existing timers did:
-// Exec = execute + lock, Commit = log + apply, and release time after
-// a Fail is excluded. The trace keeps the finer five-phase split.
+// Exec = execute + lock, Commit = log + apply, and the release time
+// after a Fail, which flight's budget does count, is left out. The trace
+// keeps the finer five-phase split.
 type AttemptTimer struct {
 	db     *DB
 	p      *sim.Proc
-	span   *trace.Span
-	why    *causality.Txn
+	ctx    *txnCtx // p's observer context; nil when no view records
 	verbs0 rdma.Stats
 	start  sim.Time
 	mark   sim.Time
@@ -42,17 +43,15 @@ type AttemptTimer struct {
 
 // BeginAttempt starts timing one attempt of t on coordinator coord,
 // whose log (and therefore commit decision) lives on home shard
-// group home, opening (or, on a retry of the same *Txn, resuming) its
-// trace span.
+// group home. With a trace, why or flight recorder attached it opens
+// the attempt on the process's observer context: a retry of the same
+// *Txn resumes the transaction, anything else begins a new one.
 func BeginAttempt(db *DB, p *sim.Proc, coord uint64, home int, t *Txn) AttemptTimer {
 	at := AttemptTimer{db: db, p: p, verbs0: db.VerbStats(), start: p.Now(), mark: p.Now(), cur: trace.PhaseExec, shard: home}
 	o := &db.Obs
-	if o.Trace != nil {
-		at.span = o.Trace.StartSpan(p, coord, t.Label, t)
-		o.Trace.EnterPhase(at.mark, at.span, trace.PhaseExec)
+	if o.Trace != nil || o.Why != nil || o.Flight != nil {
+		at.ctx = db.beginObserved(p, coord, home, t)
 	}
-	at.why = o.Why.Begin(p, coord, t.Label, t)
-	o.Flight.Begin(p, coord, home, t.Label, t)
 	o.met.beginAttempt(home)
 	return at
 }
@@ -74,10 +73,10 @@ func (at *AttemptTimer) CrossShard() bool { return at.cross }
 // WhyID returns the attempt's causality txn id (0 when recording is
 // off), for engines that need to stamp holder identity onto shared
 // state (CREST local objects and flush plans).
-func (at *AttemptTimer) WhyID() uint64 { return at.why.WhyID() }
+func (at *AttemptTimer) WhyID() uint64 { return at.ctx.whyOf().WhyID() }
 
-// Span returns the attempt's trace span (nil when tracing is off).
-func (at *AttemptTimer) Span() *trace.Span { return at.span }
+// Span returns the attempt's span (nil when no view records).
+func (at *AttemptTimer) Span() *trace.Span { return at.ctx.spanOf() }
 
 // Start returns the virtual time the attempt began.
 func (at *AttemptTimer) Start() sim.Time { return at.start }
@@ -89,14 +88,16 @@ func (at *AttemptTimer) Phase(ph trace.Phase) {
 	at.dur[at.cur] += now.Sub(at.mark)
 	at.mark = now
 	at.cur = ph
-	at.db.Obs.Trace.EnterPhase(now, at.span, ph)
-	at.db.Obs.Flight.Phase(at.p, ph)
+	if c := at.ctx; c != nil {
+		c.span.Phase = ph
+		at.db.Obs.Trace.EnterPhase(now, &c.span)
+	}
 }
 
 // Fail marks the attempt aborted: the failing phase's duration is
 // frozen here and subsequent time (lock release, write-back) accrues
-// to the untallied release phase, exactly as the pre-existing timers
-// captured phase durations before cleanup.
+// to the release phase, exactly as the pre-existing timers captured
+// phase durations before cleanup.
 func (at *AttemptTimer) Fail(reason AbortReason, falseConflict bool) {
 	now := at.p.Now()
 	at.dur[at.cur] += now.Sub(at.mark)
@@ -106,12 +107,13 @@ func (at *AttemptTimer) Fail(reason AbortReason, falseConflict bool) {
 	at.reason = reason
 	at.falseC = falseConflict
 	o := &at.db.Obs
-	if o.Trace != nil {
-		o.Trace.Abort(now, at.span, reason.String(), falseConflict)
-		o.Trace.EnterPhase(now, at.span, trace.PhaseRelease)
+	if c := at.ctx; c != nil {
+		o.Trace.Abort(now, &c.span, reason.String(), falseConflict)
+		c.span.Phase = trace.PhaseRelease
+		o.Trace.EnterPhase(now, &c.span)
+		o.Why.Abort(now, c.why, reason.String())
+		o.Flight.Fail(c.flight, reason.String(), reason == AbortWait)
 	}
-	o.Why.Abort(now, at.why, reason.String())
-	o.Flight.Fail(at.p, reason.String(), reason == AbortWait)
 	o.met.fail(reason, falseConflict, at.cross)
 }
 
@@ -120,16 +122,18 @@ func (at *AttemptTimer) Fail(reason AbortReason, falseConflict bool) {
 // always attributed release traffic to the attempt.
 func (at *AttemptTimer) Done() Attempt {
 	now := at.p.Now()
+	at.dur[at.cur] += now.Sub(at.mark)
 	o := &at.db.Obs
-	if !at.failed {
-		at.dur[at.cur] += now.Sub(at.mark)
-		o.Trace.Commit(now, at.span)
-		o.Why.Commit(now, at.why)
+	if c := at.ctx; c != nil {
+		o.Flight.Done(now, c.flight, &at.dur, !at.failed)
+		if !at.failed {
+			o.Trace.Commit(now, &c.span)
+			o.Why.Commit(now, c.why)
+			// The transaction is over: the process's next attempt begins a
+			// new one, and the finalized flight record is not ours to touch.
+			c.txn, c.flight = nil, nil
+		}
 	}
-	// Flight keeps charging past a Fail (release time stays in the
-	// budget, which must sum to elapsed virtual time), so it closes on
-	// every path.
-	o.Flight.Done(at.p, !at.failed)
 	o.met.done(!at.failed, now.Sub(at.start), at.shard)
 	return Attempt{
 		Committed:     !at.failed,

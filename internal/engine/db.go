@@ -105,7 +105,9 @@ type DB struct {
 	// need them (CREST): 1, 2, 3, … on the root DB; part+1, part+1+parts,
 	// … on a partition view, drawn by every compute node of the
 	// partition, so ids are unique system-wide without shared state.
-	txnNext, txnStride uint64
+	// obsNext is the same sequence for the observers' one id per logical
+	// transaction (beginObserved), which every view records it under.
+	txnNext, txnStride, obsNext uint64
 }
 
 // NewDB wraps a pool.
@@ -121,6 +123,7 @@ func NewDB(pool *memnode.Pool) *DB {
 
 		txnNext:   1,
 		txnStride: 1,
+		obsNext:   1,
 	}
 }
 
@@ -169,6 +172,7 @@ func (db *DB) PartitionView(env *sim.Env, part int) *DB {
 
 		txnNext:   uint64(part) + 1,
 		txnStride: uint64(parts),
+		obsNext:   uint64(part) + 1,
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"strconv"
 
 	"crest/internal/metrics"
+	"crest/internal/rdma"
 	"crest/internal/sim"
 )
 
@@ -151,4 +152,82 @@ func (m *instruments) done(committed bool, latency sim.Duration, shard int) {
 			m.ShardCommits[shard].Inc()
 		}
 	}
+}
+
+// fabricInstruments is one fabric lane's instrument bundle: in-flight
+// verbs, per-verb and per-node counters, and doorbell batch shape
+// histograms. All counting happens at post time (requested sizes),
+// mirroring the Stats counters a successful batch accrues.
+type fabricInstruments struct {
+	inflight   *metrics.Gauge
+	rtts       *metrics.Counter
+	verbs      [rdma.OpMaskedCAS + 1]*metrics.Counter // indexed by OpKind
+	bytesRead  *metrics.Counter
+	bytesWrite *metrics.Counter
+	batchOps   *metrics.Histogram
+	batchBytes *metrics.Histogram
+	nodeVerbs  []*metrics.Counter // indexed by region id
+	nodeBytes  []*metrics.Counter
+}
+
+// newFabricInstruments registers the fabric bundle on r, with per-node
+// counters for regions; a nil registry yields nil.
+func newFabricInstruments(r *metrics.Registry, regions []*rdma.Region) *fabricInstruments {
+	if r == nil {
+		return nil
+	}
+	fm := &fabricInstruments{
+		inflight: r.Gauge("crest_rdma_inflight_verbs", "",
+			"One-sided verbs posted and not yet completed."),
+		rtts: r.Counter("crest_rdma_rtts_total", "",
+			"Doorbell-batch round trips issued."),
+	}
+	for k := rdma.OpRead; k <= rdma.OpMaskedCAS; k++ {
+		fm.verbs[k] = r.Counter("crest_rdma_verbs_total",
+			`verb="`+k.String()+`"`, "One-sided verbs posted, by verb.")
+	}
+	fm.bytesRead = r.Counter("crest_rdma_read_bytes_total", "",
+		"Payload bytes requested by READ verbs.")
+	fm.bytesWrite = r.Counter("crest_rdma_write_bytes_total", "",
+		"Payload bytes carried by WRITE verbs.")
+	fm.batchOps = r.Histogram("crest_rdma_batch_ops", "",
+		"Verbs per doorbell batch.", metrics.LogLinearBounds(1, 64, 2))
+	fm.batchBytes = r.Histogram("crest_rdma_batch_bytes", "",
+		"Payload bytes per doorbell batch.", metrics.LogLinearBounds(8, 1<<16, 2))
+	for _, reg := range regions {
+		label := `node="` + reg.Name() + `",id="` + strconv.Itoa(reg.ID()) + `"`
+		fm.nodeVerbs = append(fm.nodeVerbs, r.Counter(
+			"crest_rdma_node_verbs_total", label, "One-sided verbs posted, by target node."))
+		fm.nodeBytes = append(fm.nodeBytes, r.Counter(
+			"crest_rdma_node_bytes_total", label, "Payload bytes posted, by target node."))
+	}
+	return fm
+}
+
+// post counts one doorbell batch at issue time.
+func (fm *fabricInstruments) post(b rdma.Batch) {
+	fm.inflight.Add(int64(len(b.Ops)))
+	fm.rtts.Inc()
+	fm.batchOps.Observe(int64(len(b.Ops)))
+	fm.batchBytes.Observe(int64(b.Payload()))
+	node := b.QP.Region().ID()
+	for i := range b.Ops {
+		op := &b.Ops[i]
+		fm.verbs[op.Kind].Inc()
+		n := uint64(op.Bytes())
+		switch op.Kind {
+		case rdma.OpRead:
+			fm.bytesRead.Add(n)
+		case rdma.OpWrite:
+			fm.bytesWrite.Add(n)
+		}
+		fm.nodeVerbs[node].Inc()
+		fm.nodeBytes[node].Add(n)
+	}
+}
+
+// complete retires a batch's verbs from the in-flight gauge at the
+// completion instant.
+func (fm *fabricInstruments) complete(b rdma.Batch) {
+	fm.inflight.Add(-int64(len(b.Ops)))
 }

@@ -14,27 +14,26 @@ import (
 // after a backoff — each a few virtual microseconds long.
 func syntheticTxns(p *sim.Proc, r *Recorder, txns int) {
 	labels := [...]string{"Amalgamate", "Balance", "DepositChecking", "SendPayment", "TransactSavings", "WriteCheck"}
-	var keys [2]int // a transaction's key differs from its predecessor's
 	for i := 0; i < txns; i++ {
-		key := &keys[i&1]
+		tx := txn{r: r, p: p, home: i % 3, s: trace.Span{ID: uint64(i + 1), Coord: uint64(i%120 + 1), Label: labels[i%len(labels)]}}
 		attempts := 1 + (i&3)/3
 		for a := 0; a < attempts; a++ {
-			r.Begin(p, uint64(i%120+1), i%3, labels[i%len(labels)], key)
+			tx.begin()
 			p.Sleep(sim.Microsecond)
-			r.Wire(p, ClassRead, sim.Microsecond)
-			r.Phase(p, trace.PhaseLock)
+			tx.wire(ClassRead, sim.Microsecond)
+			tx.phase(trace.PhaseLock)
 			p.Sleep(sim.Duration(i%5) * sim.Microsecond)
-			r.Wait(p, uint64(i), sim.Duration(i%5)*sim.Microsecond)
+			tx.wait(uint64(i), sim.Duration(i%5)*sim.Microsecond)
 			if a < attempts-1 {
-				r.Fail(p, "lock-fail", false)
-				r.Done(p, false)
+				tx.fail("lock-fail", false)
+				tx.done(false)
 				p.Sleep(sim.Microsecond)
 				continue
 			}
-			r.Phase(p, trace.PhaseLog)
+			tx.phase(trace.PhaseLog)
 			p.Sleep(sim.Microsecond)
-			r.Wire(p, ClassWrite, sim.Microsecond)
-			r.Done(p, true)
+			tx.wire(ClassWrite, sim.Microsecond)
+			tx.done(true)
 		}
 	}
 }
@@ -44,12 +43,13 @@ func syntheticTxns(p *sim.Proc, r *Recorder, txns int) {
 func BenchmarkEmit(b *testing.B) {
 	r := NewRecorder(Options{})
 	inProc(b, func(p *sim.Proc) {
-		r.Begin(p, 7, 0, "Amalgamate", new(int))
+		tx := newTxn(r, p, 1, 7, 0, "Amalgamate")
+		tx.begin()
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i += 2 {
-			r.Wire(p, ClassCAS, sim.Microsecond)
-			r.Wait(p, 9, sim.Microsecond)
+			tx.wire(ClassCAS, sim.Microsecond)
+			tx.wait(9, sim.Microsecond)
 		}
 	})
 }

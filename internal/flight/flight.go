@@ -190,10 +190,11 @@ type attemptRec struct {
 	waitHolder uint64
 }
 
-// rec is the live per-transaction flight record, pooled and attached
-// to the coordinator proc via sim.Proc's flight context. One record
-// covers every attempt of a logical transaction.
-type rec struct {
+// Record is the live per-transaction flight record, the handle the
+// engine keeps in the observer context of the process running the
+// transaction. Records are pooled; one covers every attempt of a
+// logical transaction.
+type Record struct {
 	id        uint64
 	label     string
 	coord     uint64
@@ -204,7 +205,6 @@ type rec struct {
 	committed bool
 	reason    string
 	skip      bool // began before warmup: tracked, never published
-	done      bool
 
 	budget      Budget
 	waitHolder  uint64
@@ -214,16 +214,11 @@ type rec struct {
 	att  [maxAttemptDetail]attemptRec
 	nAtt int
 
-	// Current attempt working state.
-	cur  trace.Phase
-	mark sim.Time
-
-	txnKey  any
 	liveIdx int
 }
 
 // curAtt returns the slot accumulating the current attempt.
-func (x *rec) curAtt() *attemptRec { return &x.att[x.nAtt-1] }
+func (x *Record) curAtt() *attemptRec { return &x.att[x.nAtt-1] }
 
 // bucketKey addresses one exemplar bucket: the transaction's home
 // shard group and the dominant budget component.
@@ -234,7 +229,7 @@ type bucketKey struct {
 
 // bucket holds the top-K outlier records for one key.
 type bucket struct {
-	recs [MaxExemplarK]*rec
+	recs [MaxExemplarK]*Record
 	n    int
 }
 
@@ -265,14 +260,12 @@ type Recorder struct {
 	k      int
 	warmup sim.Time
 	ring   trace.Ring[TxnBudget]
-	nextID uint64
 
 	buckets map[bucketKey]*bucket
-	free    []*rec
-	live    []*rec
+	free    []*Record
+	live    []*Record
 
-	// Partitioned mode (Shard, see trace.Family): ids stride by the
-	// partition count so the merged Snapshot stays collision-free.
+	// Partitioned mode (Shard, see trace.Family).
 	fam trace.Family[Recorder]
 }
 
@@ -342,77 +335,69 @@ func (r *Recorder) Len() int {
 	return int(r.fam.Sum(r, func(m *Recorder) uint64 { return uint64(m.ring.Len()) }))
 }
 
-// ctxOf extracts the flight record from a proc's flight context.
-func ctxOf(p *sim.Proc) *rec {
-	x, _ := p.FlightCtx().(*rec)
-	return x
-}
-
 // alloc returns a record shell from the pool (warm-up allocates).
-func (r *Recorder) alloc() *rec {
+func (r *Recorder) alloc() *Record {
 	if n := len(r.free); n > 0 {
 		x := r.free[n-1]
 		r.free[n-1] = nil
 		r.free = r.free[:n-1]
 		return x
 	}
-	return &rec{}
+	return &Record{}
 }
 
 // release resets a record and returns it to the pool.
-func (r *Recorder) release(x *rec) {
-	*x = rec{}
+func (r *Recorder) release(x *Record) {
+	*x = Record{}
 	r.free = append(r.free, x)
 }
 
-// Begin starts (or, on a retry of the same transaction, resumes) the
-// flight record for txnKey on proc p. home is the transaction's home
-// shard group. On a resume the gap since the previous attempt's end is
-// charged to queue (after an admission-wait abort) or backoff; a Begin
-// with a different txnKey finalizes any unfinished previous record as
-// aborted (the harness gave up retrying it).
-func (r *Recorder) Begin(p *sim.Proc, coord uint64, home int, label string, txnKey any) {
+// Begin opens the flight record of the transaction s identifies at its
+// first attempt, beginning at time at, and returns it (nil from a nil
+// recorder). home is the transaction's home shard group.
+func (r *Recorder) Begin(at sim.Time, s *trace.Span, home int) *Record {
 	if r == nil {
-		return
-	}
-	now := p.Now()
-	if prev := ctxOf(p); prev != nil && !prev.done {
-		if prev.txnKey == txnKey {
-			// Retry of the same logical transaction: classify the gap and
-			// open the next attempt.
-			gap := now.Sub(prev.end)
-			queue := prev.curAtt().wait
-			if queue {
-				prev.budget[CompQueue] += gap
-			} else {
-				prev.budget[CompBackoff] += gap
-			}
-			prev.end = now // keep Total == End-Begin for mid-retry snapshots
-			prev.openAttempt(now, gap, queue)
-			return
-		}
-		// A different transaction began while the previous record was
-		// still open: the harness abandoned it after its final abort.
-		r.finalize(prev)
+		return nil
 	}
 	x := r.alloc()
-	r.nextID++
-	x.id = r.fam.StrideID(r.nextID)
-	x.label = label
-	x.coord = coord
-	x.shard = home
-	x.begin, x.end = now, now
-	x.skip = now < r.warmup
-	x.txnKey = txnKey
+	x.id, x.label, x.coord, x.shard = s.ID, s.Label, s.Coord, home
+	x.begin, x.end = at, at
+	x.skip = at < r.warmup
 	x.liveIdx = len(r.live)
 	r.live = append(r.live, x)
-	x.openAttempt(now, 0, false)
-	p.SetFlightCtx(x)
+	x.openAttempt(at, 0, false)
+	return x
+}
+
+// Retry opens x's next attempt at time at, charging the gap since the
+// previous attempt ended to queue (after an admission-wait abort) or
+// backoff.
+func (r *Recorder) Retry(at sim.Time, x *Record) {
+	if x == nil {
+		return
+	}
+	gap := at.Sub(x.end)
+	queue := x.curAtt().wait
+	if queue {
+		x.budget[CompQueue] += gap
+	} else {
+		x.budget[CompBackoff] += gap
+	}
+	x.end = at // keep Total == End-Begin for mid-retry snapshots
+	x.openAttempt(at, gap, queue)
+}
+
+// Abandon finalizes x, still open after an aborted attempt, as aborted:
+// the harness gave up retrying it.
+func (r *Recorder) Abandon(x *Record) {
+	if x != nil {
+		r.finalize(x)
+	}
 }
 
 // openAttempt starts the next attempt slot at time now. Attempts past
 // maxAttemptDetail fold into the last slot.
-func (x *rec) openAttempt(now sim.Time, gap sim.Duration, gapQueue bool) {
+func (x *Record) openAttempt(now sim.Time, gap sim.Duration, gapQueue bool) {
 	x.attempts++
 	if x.nAtt < maxAttemptDetail {
 		x.nAtt++
@@ -431,8 +416,6 @@ func (x *rec) openAttempt(now sim.Time, gap sim.Duration, gapQueue bool) {
 			a.gapQueue = true
 		}
 	}
-	x.cur = trace.PhaseExec
-	x.mark = now
 }
 
 // charge folds attempt a's accumulators into the budget with the given
@@ -440,7 +423,7 @@ func (x *rec) openAttempt(now sim.Time, gap sim.Duration, gapQueue bool) {
 // time carved out of each phase. Folded attempts re-charge their
 // slot's grown totals on every Done, so openAttempt backs out the
 // previous totals with sign -1 first.
-func (x *rec) charge(a *attemptRec, sign sim.Duration) {
+func (x *Record) charge(a *attemptRec, sign sim.Duration) {
 	for ph := trace.Phase(0); ph < trace.NumPhases; ph++ {
 		x.budget[phaseComp(ph)] += sign * (a.dur[ph] - a.wireP[ph] - a.waitP[ph] - a.backP[ph])
 		x.budget[CompBackoff] += sign * a.backP[ph]
@@ -451,53 +434,28 @@ func (x *rec) charge(a *attemptRec, sign sim.Duration) {
 	}
 }
 
-// Phase transitions the current attempt to ph, charging the elapsed
-// time to the phase being left (mirroring engine.AttemptTimer).
-func (r *Recorder) Phase(p *sim.Proc, ph trace.Phase) {
-	if r == nil {
-		return
-	}
-	x := ctxOf(p)
-	if x == nil || x.done {
-		return
-	}
-	now := p.Now()
-	x.curAtt().dur[x.cur] += now.Sub(x.mark)
-	x.mark = now
-	x.cur = ph
-}
-
-// Wire charges one fabric park — lat of virtual time just consumed
-// suspended on posted verbs of the given class — to the running
-// transaction. Procs without a flight context (loaders, background
-// flushers) are ignored.
-func (r *Recorder) Wire(p *sim.Proc, class VerbClass, lat sim.Duration) {
-	if r == nil {
-		return
-	}
-	x := ctxOf(p)
-	if x == nil || x.done {
+// Wire charges one fabric park — lat of virtual time just consumed, in
+// phase ph, suspended on posted verbs of the given class — to x's
+// current attempt.
+func (r *Recorder) Wire(x *Record, ph trace.Phase, class VerbClass, lat sim.Duration) {
+	if x == nil {
 		return
 	}
 	a := x.curAtt()
 	a.wire[class] += lat
-	a.wireP[x.cur] += lat
+	a.wireP[ph] += lat
 }
 
-// Wait charges one blocked-on-another-transaction window (a causality
-// wait-for edge, seen as a duration) that just ended on p. holder is
-// the blocking transaction's why id (0 when unattributed).
-func (r *Recorder) Wait(p *sim.Proc, holder uint64, d sim.Duration) {
-	if r == nil {
-		return
-	}
-	x := ctxOf(p)
-	if x == nil || x.done {
+// Wait charges x one blocked-on-another-transaction window (a causality
+// wait-for edge, seen as a duration) of d that just ended in phase ph.
+// holder is the blocking transaction's why id (0 when unattributed).
+func (r *Recorder) Wait(x *Record, ph trace.Phase, holder uint64, d sim.Duration) {
+	if x == nil {
 		return
 	}
 	a := x.curAtt()
 	a.waitD += d
-	a.waitP[x.cur] += d
+	a.waitP[ph] += d
 	if d > a.waitMax {
 		a.waitMax, a.waitHolder = d, holder
 	}
@@ -506,76 +464,57 @@ func (r *Recorder) Wait(p *sim.Proc, holder uint64, d sim.Duration) {
 	}
 }
 
-// Backoff charges an intra-attempt backoff sleep (a lock-retry pause
-// inside a phase) that just ended on p.
-func (r *Recorder) Backoff(p *sim.Proc, d sim.Duration) {
-	if r == nil {
+// Backoff charges x an intra-attempt backoff sleep of d (a lock-retry
+// pause) that just ended in phase ph.
+func (r *Recorder) Backoff(x *Record, ph trace.Phase, d sim.Duration) {
+	if x == nil {
 		return
 	}
-	x := ctxOf(p)
-	if x == nil || x.done {
-		return
-	}
-	x.curAtt().backP[x.cur] += d
+	x.curAtt().backP[ph] += d
 }
 
-// Fail marks the current attempt aborted: the failing phase's duration
-// freezes here and subsequent cleanup time accrues to the release
-// phase, exactly as engine.AttemptTimer charges it. isWait flags an
+// Fail marks x's current attempt aborted for reason. isWait flags an
 // admission-wait abort, whose re-queue gap counts as queue rather than
 // backoff time.
-func (r *Recorder) Fail(p *sim.Proc, reason string, isWait bool) {
-	if r == nil {
+func (r *Recorder) Fail(x *Record, reason string, isWait bool) {
+	if x == nil {
 		return
 	}
-	x := ctxOf(p)
-	if x == nil || x.done {
-		return
-	}
-	now := p.Now()
 	a := x.curAtt()
-	a.dur[x.cur] += now.Sub(x.mark)
-	x.mark = now
-	x.cur = trace.PhaseRelease
 	a.outcome = reason
 	a.wait = isWait
 	x.reason = reason
 }
 
-// Done closes the current attempt, folding it into the budget. Unlike
-// engine.AttemptTimer — which drops post-Fail release time from its
-// Attempt report — Done charges it, keeping the budget's sum exactly
-// equal to the transaction's elapsed virtual time. A committed Done
-// finalizes the record.
-func (r *Recorder) Done(p *sim.Proc, committed bool) {
-	if r == nil {
+// Done closes x's current attempt at time at, folding it into the
+// budget. dur is the attempt's virtual time per phase as
+// engine.AttemptTimer measured it, the release phase after a Fail
+// included, which keeps the budget's sum exactly equal to the
+// transaction's elapsed virtual time. A committed Done finalizes the
+// record, and the caller drops it.
+func (r *Recorder) Done(at sim.Time, x *Record, dur *[trace.NumPhases]sim.Duration, committed bool) {
+	if x == nil {
 		return
 	}
-	x := ctxOf(p)
-	if x == nil || x.done {
-		return
-	}
-	now := p.Now()
 	a := x.curAtt()
-	a.dur[x.cur] += now.Sub(x.mark)
-	x.mark = now
-	a.end = now
+	for ph, d := range dur {
+		a.dur[ph] += d
+	}
+	a.end = at
 	if committed {
 		a.outcome = "commit"
 	}
 	x.charge(a, 1)
-	x.end = now
+	x.end = at
 	if committed {
 		x.committed = true
 		r.finalize(x)
-		p.SetFlightCtx(nil)
 	}
 }
 
 // finalize publishes a record: its summary enters the ring and the
 // full record either joins its exemplar bucket or returns to the pool.
-func (r *Recorder) finalize(x *rec) {
-	x.done = true
+func (r *Recorder) finalize(x *Record) {
 	// Swap-remove from the live list.
 	last := len(r.live) - 1
 	if moved := r.live[last]; moved != x {
@@ -595,7 +534,7 @@ func (r *Recorder) finalize(x *rec) {
 }
 
 // summary compacts a record into its ring entry.
-func (x *rec) summary() TxnBudget {
+func (x *Record) summary() TxnBudget {
 	return TxnBudget{
 		ID: x.id, Label: x.label, Coord: x.coord, Shard: x.shard,
 		Begin: x.begin, End: x.end, Attempts: x.attempts,
@@ -607,7 +546,7 @@ func (x *rec) summary() TxnBudget {
 // better ranks exemplar candidates: higher total latency wins; ties
 // break toward the earlier end time, then the lower id — a total
 // order, so capture is deterministic at any worker count.
-func better(a, b *rec) bool {
+func better(a, b *Record) bool {
 	at, bt := a.budget.Total(), b.budget.Total()
 	if at != bt {
 		return at > bt
@@ -621,7 +560,7 @@ func better(a, b *rec) bool {
 // offer inserts a finalized record into its (shard, dominant
 // component) bucket, evicting the weakest resident if the bucket is
 // full. It reports whether the record was retained.
-func (r *Recorder) offer(x *rec) bool {
+func (r *Recorder) offer(x *Record) bool {
 	key := bucketKey{x.shard, x.budget.Dominant()}
 	b := r.buckets[key]
 	if b == nil {
@@ -706,7 +645,7 @@ type Snapshot struct {
 }
 
 // detail copies a record's attempt slots.
-func (x *rec) detail() []AttemptInfo {
+func (x *Record) detail() []AttemptInfo {
 	out := make([]AttemptInfo, x.nAtt)
 	for i := 0; i < x.nAtt; i++ {
 		a := &x.att[i]
@@ -735,7 +674,7 @@ func (r *Recorder) Snapshot() *Snapshot {
 	}
 	members := r.fam.Members(r)
 	txns := make([][]TxnBudget, len(members))
-	byBucket := map[bucketKey][]*rec{}
+	byBucket := map[bucketKey][]*Record{}
 	for i, c := range members {
 		out.Dropped += c.ring.Dropped()
 		txns[i] = c.ring.AppendTo(nil)

@@ -17,6 +17,56 @@ func inProc(t testing.TB, fn func(p *sim.Proc)) {
 	}
 }
 
+// txn drives one transaction's attempts through a recorder the way the
+// engine does: it holds the span and the record, and keeps the phase
+// clock engine.AttemptTimer keeps, handing Done the durations.
+type txn struct {
+	r    *Recorder
+	p    *sim.Proc
+	home int
+	s    trace.Span
+	x    *Record
+	mark sim.Time
+	dur  [trace.NumPhases]sim.Duration
+}
+
+func newTxn(r *Recorder, p *sim.Proc, id, coord uint64, home int, label string) *txn {
+	return &txn{r: r, p: p, home: home, s: trace.Span{ID: id, Coord: coord, Label: label}}
+}
+
+// begin starts the next attempt: the first opens the record.
+func (t *txn) begin() {
+	now := t.p.Now()
+	t.mark, t.dur, t.s.Phase = now, [trace.NumPhases]sim.Duration{}, trace.PhaseExec
+	if t.s.Attempt++; t.s.Attempt == 1 {
+		t.x = t.r.Begin(now, &t.s, t.home)
+	} else {
+		t.r.Retry(now, t.x)
+	}
+}
+
+// phase charges the time since the last transition to the phase being
+// left and enters ph.
+func (t *txn) phase(ph trace.Phase) {
+	now := t.p.Now()
+	t.dur[t.s.Phase] += now.Sub(t.mark)
+	t.mark, t.s.Phase = now, ph
+}
+
+func (t *txn) wire(class VerbClass, lat sim.Duration) { t.r.Wire(t.x, t.s.Phase, class, lat) }
+func (t *txn) wait(holder uint64, d sim.Duration)     { t.r.Wait(t.x, t.s.Phase, holder, d) }
+func (t *txn) backoff(d sim.Duration)                 { t.r.Backoff(t.x, t.s.Phase, d) }
+
+func (t *txn) fail(reason string, isWait bool) {
+	t.phase(trace.PhaseRelease)
+	t.r.Fail(t.x, reason, isWait)
+}
+
+func (t *txn) done(committed bool) {
+	t.phase(t.s.Phase)
+	t.r.Done(t.p.Now(), t.x, &t.dur, committed)
+}
+
 func TestNilRecorderIsSafe(t *testing.T) {
 	var r *Recorder
 	if r.Enabled() {
@@ -27,13 +77,16 @@ func TestNilRecorderIsSafe(t *testing.T) {
 	}
 	r.SetWarmup(5)
 	inProc(t, func(p *sim.Proc) {
-		r.Begin(p, 1, 0, "txn", nil)
-		r.Phase(p, trace.PhaseLock)
-		r.Wire(p, ClassRead, sim.Microsecond)
-		r.Wait(p, 2, sim.Microsecond)
-		r.Backoff(p, sim.Microsecond)
-		r.Fail(p, "lock-fail", false)
-		r.Done(p, false)
+		tx := newTxn(r, p, 1, 1, 0, "txn")
+		tx.begin()
+		tx.phase(trace.PhaseLock)
+		tx.wire(ClassRead, sim.Microsecond)
+		tx.wait(2, sim.Microsecond)
+		tx.backoff(sim.Microsecond)
+		tx.fail("lock-fail", false)
+		tx.done(false)
+		tx.begin()
+		r.Abandon(tx.x)
 	})
 	snap := r.Snapshot()
 	if len(snap.Txns) != 0 || len(snap.Exemplars) != 0 {
@@ -50,32 +103,32 @@ func TestNilRecorderIsSafe(t *testing.T) {
 // virtual time.
 func TestBudgetSumsToElapsed(t *testing.T) {
 	r := NewRecorder(Options{})
-	key := new(int)
 	inProc(t, func(p *sim.Proc) {
+		tx := newTxn(r, p, 1, 7, 2, "pay")
 		// Attempt 1: 2µs exec (1µs wire-read inside), 3µs lock with a
 		// 2µs wait, fail, 1µs release cleanup.
-		r.Begin(p, 7, 2, "pay", key)
+		tx.begin()
 		p.Sleep(sim.Microsecond)
-		r.Wire(p, ClassRead, sim.Microsecond)
+		tx.wire(ClassRead, sim.Microsecond)
 		p.Sleep(sim.Microsecond) // exec compute
-		r.Phase(p, trace.PhaseLock)
+		tx.phase(trace.PhaseLock)
 		p.Sleep(2 * sim.Microsecond)
-		r.Wait(p, 42, 2*sim.Microsecond)
+		tx.wait(42, 2*sim.Microsecond)
 		p.Sleep(sim.Microsecond) // lock compute
-		r.Fail(p, "lock-fail", false)
+		tx.fail("lock-fail", false)
 		p.Sleep(sim.Microsecond) // release cleanup after the abort
-		r.Done(p, false)
+		tx.done(false)
 
 		// 4µs retry backoff gap.
 		p.Sleep(4 * sim.Microsecond)
 
 		// Attempt 2: 1µs exec, 1µs validate with a 500ns CAS, commit.
-		r.Begin(p, 7, 2, "pay", key)
+		tx.begin()
 		p.Sleep(sim.Microsecond)
-		r.Phase(p, trace.PhaseValidate)
+		tx.phase(trace.PhaseValidate)
 		p.Sleep(sim.Microsecond)
-		r.Wire(p, ClassCAS, 500*sim.Nanosecond)
-		r.Done(p, true)
+		tx.wire(ClassCAS, 500*sim.Nanosecond)
+		tx.done(true)
 	})
 	snap := r.Snapshot()
 	if len(snap.Txns) != 1 {
@@ -125,18 +178,18 @@ func TestBudgetSumsToElapsed(t *testing.T) {
 // gap to queue, any other abort to backoff.
 func TestQueueVsBackoffGap(t *testing.T) {
 	r := NewRecorder(Options{})
-	key := new(int)
 	inProc(t, func(p *sim.Proc) {
-		r.Begin(p, 1, 0, "t", key)
-		r.Fail(p, "wait", true)
-		r.Done(p, false)
+		tx := newTxn(r, p, 1, 1, 0, "t")
+		tx.begin()
+		tx.fail("wait", true)
+		tx.done(false)
 		p.Sleep(3 * sim.Microsecond)
-		r.Begin(p, 1, 0, "t", key)
-		r.Fail(p, "lock-fail", false)
-		r.Done(p, false)
+		tx.begin()
+		tx.fail("lock-fail", false)
+		tx.done(false)
 		p.Sleep(5 * sim.Microsecond)
-		r.Begin(p, 1, 0, "t", key)
-		r.Done(p, true)
+		tx.begin()
+		tx.done(true)
 	})
 	tx := &r.Snapshot().Txns[0]
 	if tx.Budget[CompQueue] != 3*sim.Microsecond {
@@ -147,18 +200,20 @@ func TestQueueVsBackoffGap(t *testing.T) {
 	}
 }
 
-// TestAbandonedTxnFinalizesOnNextBegin: when the harness gives up on a
-// transaction (different txnKey begins on the same proc), the old
+// TestAbandonedTxnFinalizes: when the harness gives up on a
+// transaction (a different one begins on the same process), the old
 // record finalizes as aborted; transactions still open at snapshot
 // time surface without mutation.
 func TestAbandonedTxnFinalizes(t *testing.T) {
 	r := NewRecorder(Options{})
 	inProc(t, func(p *sim.Proc) {
-		r.Begin(p, 1, 0, "a", new(int))
+		a := newTxn(r, p, 1, 1, 0, "a")
+		a.begin()
 		p.Sleep(sim.Microsecond)
-		r.Fail(p, "validation", false)
-		r.Done(p, false)
-		r.Begin(p, 1, 0, "b", new(int)) // abandons "a"
+		a.fail("validation", false)
+		a.done(false)
+		r.Abandon(a.x)
+		newTxn(r, p, 2, 1, 0, "b").begin()
 		p.Sleep(sim.Microsecond)
 		// "b" still open at snapshot time.
 	})
@@ -189,12 +244,14 @@ func TestWarmupSkipsEarlyTxns(t *testing.T) {
 	r := NewRecorder(Options{})
 	r.SetWarmup(sim.Time(10 * sim.Microsecond))
 	inProc(t, func(p *sim.Proc) {
-		r.Begin(p, 1, 0, "early", new(int))
+		early := newTxn(r, p, 1, 1, 0, "early")
+		early.begin()
 		p.Sleep(sim.Microsecond)
-		r.Done(p, true)
+		early.done(true)
 		p.Sleep(20 * sim.Microsecond)
-		r.Begin(p, 1, 0, "late", new(int))
-		r.Done(p, true)
+		late := newTxn(r, p, 2, 1, 0, "late")
+		late.begin()
+		late.done(true)
 	})
 	snap := r.Snapshot()
 	if len(snap.Txns) != 1 || snap.Txns[0].Label != "late" {
@@ -207,19 +264,19 @@ func TestWarmupSkipsEarlyTxns(t *testing.T) {
 // losing budget exactness.
 func TestAttemptFoldPastDetailBound(t *testing.T) {
 	r := NewRecorder(Options{})
-	key := new(int)
 	const attempts = maxAttemptDetail + 5
 	inProc(t, func(p *sim.Proc) {
+		tx := newTxn(r, p, 1, 1, 0, "hot")
 		for i := 0; i < attempts; i++ {
 			if i > 0 {
 				p.Sleep(sim.Microsecond)
 			}
-			r.Begin(p, 1, 0, "hot", key)
+			tx.begin()
 			p.Sleep(2 * sim.Microsecond)
 			if i < attempts-1 {
-				r.Fail(p, "lock-fail", false)
+				tx.fail("lock-fail", false)
 			}
-			r.Done(p, i == attempts-1)
+			tx.done(i == attempts-1)
 		}
 	})
 	snap := r.Snapshot()
@@ -252,9 +309,10 @@ func TestExemplarBucketsKeepTopK(t *testing.T) {
 	r := NewRecorder(Options{ExemplarK: 2})
 	inProc(t, func(p *sim.Proc) {
 		for i := 0; i < 6; i++ {
-			r.Begin(p, 1, 0, "t", new(int))
+			tx := newTxn(r, p, uint64(i+1), 1, 0, "t")
+			tx.begin()
 			p.Sleep(sim.Duration(i+1) * sim.Microsecond) // exec compute: 1..6µs
-			r.Done(p, true)
+			tx.done(true)
 		}
 	})
 	snap := r.Snapshot()
@@ -274,24 +332,27 @@ func TestExemplarBucketsKeepTopK(t *testing.T) {
 	}
 }
 
-// TestShardStridedIDsAndMerge: partition children issue disjoint ids
-// and the root snapshot merges deterministically.
+// TestShardStridedIDsAndMerge: the root snapshot merges the partition
+// children deterministically, keeping the ids the engine strides by
+// partition.
 func TestShardStridedIDsAndMerge(t *testing.T) {
 	root := NewRecorder(Options{})
 	c0, c1 := root.Shard(0, 2), root.Shard(1, 2)
 	env := sim.NewEnv(1)
 	env.Spawn("p0", func(p *sim.Proc) {
-		for i := 0; i < 3; i++ {
-			c0.Begin(p, 0, 0, "a", new(int))
+		for i := uint64(0); i < 3; i++ {
+			tx := newTxn(c0, p, 2*i+1, 0, 0, "a")
+			tx.begin()
 			p.Sleep(sim.Microsecond)
-			c0.Done(p, true)
+			tx.done(true)
 		}
 	})
 	env.Spawn("p1", func(p *sim.Proc) {
-		for i := 0; i < 3; i++ {
-			c1.Begin(p, 1, 1, "b", new(int))
+		for i := uint64(0); i < 3; i++ {
+			tx := newTxn(c1, p, 2*i+2, 1, 1, "b")
+			tx.begin()
 			p.Sleep(2 * sim.Microsecond)
-			c1.Done(p, true)
+			tx.done(true)
 		}
 	})
 	if err := env.Run(); err != nil {
@@ -326,17 +387,17 @@ func TestShardStridedIDsAndMerge(t *testing.T) {
 // second attempt.
 func tinySnapshot(t testing.TB) *Snapshot {
 	r := NewRecorder(Options{})
-	key := new(int)
 	inProc(t, func(p *sim.Proc) {
-		r.Begin(p, 3, 1, "pay", key)
+		tx := newTxn(r, p, 1, 3, 1, "pay")
+		tx.begin()
 		p.Sleep(sim.Microsecond)
-		r.Wire(p, ClassRead, 500*sim.Nanosecond)
-		r.Fail(p, "lock-fail", false)
-		r.Done(p, false)
+		tx.wire(ClassRead, 500*sim.Nanosecond)
+		tx.fail("lock-fail", false)
+		tx.done(false)
 		p.Sleep(sim.Microsecond)
-		r.Begin(p, 3, 1, "pay", key)
+		tx.begin()
 		p.Sleep(sim.Microsecond)
-		r.Done(p, true)
+		tx.done(true)
 	})
 	return r.Snapshot()
 }
@@ -391,20 +452,21 @@ func TestEmptySnapshotExports(t *testing.T) {
 // begin→fail→retry→commit cycle allocates nothing — live and nil.
 func TestHotPathAllocatesNothingSteadyState(t *testing.T) {
 	r := NewRecorder(Options{TxnCapacity: 32, ExemplarK: 2})
-	key := new(int)
 	inProc(t, func(p *sim.Proc) {
+		tx := newTxn(nil, p, 1, 1, 0, "hot")
 		cycle := func(rec *Recorder) {
-			rec.Begin(p, 1, 0, "hot", key)
-			rec.Phase(p, trace.PhaseLock)
-			rec.Wire(p, ClassCAS, sim.Microsecond)
-			rec.Wait(p, 9, sim.Microsecond)
-			rec.Fail(p, "lock-fail", false)
-			rec.Done(p, false)
-			rec.Begin(p, 1, 0, "hot", key)
-			rec.Phase(p, trace.PhaseLog)
-			rec.Wire(p, ClassWrite, sim.Microsecond)
-			rec.Backoff(p, sim.Microsecond)
-			rec.Done(p, true)
+			tx.r, tx.s.Attempt = rec, 0
+			tx.begin()
+			tx.phase(trace.PhaseLock)
+			tx.wire(ClassCAS, sim.Microsecond)
+			tx.wait(9, sim.Microsecond)
+			tx.fail("lock-fail", false)
+			tx.done(false)
+			tx.begin()
+			tx.phase(trace.PhaseLog)
+			tx.wire(ClassWrite, sim.Microsecond)
+			tx.backoff(sim.Microsecond)
+			tx.done(true)
 		}
 		// Warm-up: fill the ring past capacity and populate the bucket.
 		for i := 0; i < 64; i++ {

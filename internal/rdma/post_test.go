@@ -75,7 +75,7 @@ func (g *postRig) wantLatency(targets []postTarget) sim.Duration {
 	var max sim.Duration
 	for range targets {
 		ops := g.ops(0)
-		if lat := g.f.latency(g.shadow.Rand(), batchPayload(ops), len(ops)); lat > max {
+		if lat := g.f.latency(g.shadow.Rand(), Batch{Ops: ops}.Payload(), len(ops)); lat > max {
 			max = lat
 		}
 	}

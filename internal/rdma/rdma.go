@@ -38,13 +38,9 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
-	"strconv"
 	"sync/atomic"
 
-	"crest/internal/flight"
-	"crest/internal/metrics"
 	"crest/internal/sim"
-	"crest/internal/trace"
 )
 
 // Params configures the latency model of a fabric.
@@ -195,158 +191,32 @@ type Fabric struct {
 }
 
 // lane is one partition's slice of the fabric: its scheduler, verb
-// counters, observer handles and recycled descriptors. Only code
-// running in the lane's partition touches it, so attached probes stay
-// lock-free under the parallel window executor.
+// counters, observer and recycled descriptors. Only code running in the
+// lane's partition touches it, so an attached observer stays lock-free
+// under the parallel window executor.
 type lane struct {
-	env      *sim.Env
-	stats    Stats
-	cross    Stats // verbs this lane posted that applied in other partitions
-	rec      *trace.Recorder
-	fl       *flight.Recorder
-	met      *fabricMetrics
-	observed bool       // any of rec / fl / met attached: the one check a post pays
-	free     []*pending // recycled in-flight descriptors
+	env   *sim.Env
+	stats Stats
+	cross Stats      // verbs this lane posted that applied in other partitions
+	obs   Observer   // nil when unobserved: the one check a post pays
+	free  []*pending // recycled in-flight descriptors
 }
 
-// SetObservers attaches the fabric's observers (each may be nil): with
-// a trace recorder every verb emits issue/complete events and every
-// batch an RTT event; with a metrics registry every post moves the
-// fabric gauges and counters (regions registered before or after the
-// call both get per-node instruments); with a flight recorder every
-// post charges its park time, classified by verb, to the transaction
-// running on the posting process. Observers consume no virtual time.
-// On a partitioned fabric each lane records into its own partition
-// shard (Shard(i, lanes)), so emission stays partition-local and
-// lock-free at any worker count; the roots merge deterministically at
-// snapshot time.
-func (f *Fabric) SetObservers(rec *trace.Recorder, reg *metrics.Registry, fl *flight.Recorder) {
-	for i, l := range f.lanes {
-		l.rec = rec.Shard(i, len(f.lanes))
-		l.fl = fl.Shard(i, len(f.lanes))
-		l.met = nil
-		if reg != nil {
-			l.met = newFabricMetrics(reg.Shard(i, len(f.lanes)), f.regions)
-		}
-		l.observed = rec != nil || reg != nil || fl != nil
-	}
+// Observer is told of every post a lane's processes make: Posted as the
+// post is issued, Completed once the issuing process is awake again,
+// lat later — a multi-batch post costs its slowest batch. It consumes
+// no virtual time. engine.Observers implements it; the fabric cannot
+// import the engine.
+type Observer interface {
+	Posted(p *sim.Proc, batches []Batch)
+	Completed(p *sim.Proc, batches []Batch, lat sim.Duration)
 }
 
-// classOfKind maps a verb to its flight wire class.
-func classOfKind(k OpKind) flight.VerbClass {
-	switch k {
-	case OpRead:
-		return flight.ClassRead
-	case OpWrite:
-		return flight.ClassWrite
-	case OpCAS:
-		return flight.ClassCAS
-	case OpMaskedCAS:
-		return flight.ClassMaskedCAS
-	}
-	return flight.ClassMixed
-}
-
-// classOfOps classifies a batch: the verbs' common class, or Mixed.
-func classOfOps(ops []Op) flight.VerbClass {
-	c := classOfKind(ops[0].Kind)
-	for i := 1; i < len(ops); i++ {
-		if classOfKind(ops[i].Kind) != c {
-			return flight.ClassMixed
-		}
-	}
-	return c
-}
-
-// wireClass classifies a whole post.
-func (d *pending) wireClass() flight.VerbClass {
-	c := classOfOps(d.batches[0].Ops)
-	for _, b := range d.batches[1:] {
-		if classOfOps(b.Ops) != c {
-			return flight.ClassMixed
-		}
-	}
-	return c
-}
-
-// fabricMetrics is the fabric's instrument bundle: in-flight verbs,
-// per-verb and per-node counters, and doorbell batch shape histograms.
-// All counting happens at post time (requested sizes), mirroring the
-// Stats counters a successful batch accrues.
-type fabricMetrics struct {
-	reg        *metrics.Registry
-	inflight   *metrics.Gauge
-	rtts       *metrics.Counter
-	verbs      [4]*metrics.Counter // indexed by OpKind
-	bytesRead  *metrics.Counter
-	bytesWrite *metrics.Counter
-	batchOps   *metrics.Histogram
-	batchBytes *metrics.Histogram
-	nodeVerbs  []*metrics.Counter // indexed by region id
-	nodeBytes  []*metrics.Counter
-}
-
-// newFabricMetrics registers the fabric instrument bundle on reg.
-func newFabricMetrics(reg *metrics.Registry, regions []*Region) *fabricMetrics {
-	fm := &fabricMetrics{reg: reg}
-	fm.inflight = reg.Gauge("crest_rdma_inflight_verbs", "",
-		"One-sided verbs posted and not yet completed.")
-	fm.rtts = reg.Counter("crest_rdma_rtts_total", "",
-		"Doorbell-batch round trips issued.")
-	for k := OpRead; k <= OpMaskedCAS; k++ {
-		fm.verbs[k] = reg.Counter("crest_rdma_verbs_total",
-			`verb="`+k.String()+`"`, "One-sided verbs posted, by verb.")
-	}
-	fm.bytesRead = reg.Counter("crest_rdma_read_bytes_total", "",
-		"Payload bytes requested by READ verbs.")
-	fm.bytesWrite = reg.Counter("crest_rdma_write_bytes_total", "",
-		"Payload bytes carried by WRITE verbs.")
-	fm.batchOps = reg.Histogram("crest_rdma_batch_ops", "",
-		"Verbs per doorbell batch.", metrics.LogLinearBounds(1, 64, 2))
-	fm.batchBytes = reg.Histogram("crest_rdma_batch_bytes", "",
-		"Payload bytes per doorbell batch.", metrics.LogLinearBounds(8, 1<<16, 2))
-	for _, r := range regions {
-		fm.addNode(r)
-	}
-	return fm
-}
-
-// addNode registers the per-node counters for region r.
-func (fm *fabricMetrics) addNode(r *Region) {
-	label := `node="` + r.name + `",id="` + strconv.Itoa(r.id) + `"`
-	fm.nodeVerbs = append(fm.nodeVerbs, fm.reg.Counter(
-		"crest_rdma_node_verbs_total", label, "One-sided verbs posted, by target node."))
-	fm.nodeBytes = append(fm.nodeBytes, fm.reg.Counter(
-		"crest_rdma_node_bytes_total", label, "Payload bytes posted, by target node."))
-}
-
-// post counts one doorbell batch at issue time.
-func (fm *fabricMetrics) post(qp *QP, ops []Op) {
-	fm.inflight.Add(int64(len(ops)))
-	fm.rtts.Inc()
-	fm.batchOps.Observe(int64(len(ops)))
-	fm.batchBytes.Observe(int64(batchPayload(ops)))
-	node := qp.region.id
-	for i := range ops {
-		op := &ops[i]
-		fm.verbs[op.Kind].Inc()
-		b := uint64(opBytes(op))
-		switch op.Kind {
-		case OpRead:
-			fm.bytesRead.Add(b)
-		case OpWrite:
-			fm.bytesWrite.Add(b)
-		}
-		fm.nodeVerbs[node].Inc()
-		fm.nodeBytes[node].Add(b)
-	}
-}
-
-// complete retires a batch's verbs from the in-flight gauge at the
-// completion instant.
-func (fm *fabricMetrics) complete(ops []Op) {
-	fm.inflight.Add(-int64(len(ops)))
-}
+// SetObserver attaches obs to partition part's lane (nil detaches it).
+// On a partitioned fabric each lane reports to its own partition's
+// observer, so emission stays partition-local and lock-free at any
+// worker count.
+func (f *Fabric) SetObserver(part int, obs Observer) { f.lanes[part].obs = obs }
 
 // NewFabric creates a fabric on env with the given latency parameters.
 // When env belongs to a sim.World, the fabric stripes itself into one
@@ -403,6 +273,9 @@ func (f *Fabric) LaneStats(part int) Stats { return f.lanes[part].stats }
 // crossed the fabric's partition seam. Schedule-derived, so it is
 // identical at any worker count.
 func (f *Fabric) CrossLaneStats(part int) Stats { return f.lanes[part].cross }
+
+// Regions returns the registered regions, in registration (id) order.
+func (f *Fabric) Regions() []*Region { return f.regions }
 
 // Lanes returns the number of partition lanes.
 func (f *Fabric) Lanes() int { return len(f.lanes) }
@@ -494,11 +367,6 @@ func (f *Fabric) RegisterAt(name string, size, part int) *Region {
 		r.buf = make([]byte, size)
 	}
 	f.regions = append(f.regions, r)
-	for _, l := range f.lanes {
-		if l.met != nil {
-			l.met.addNode(r)
-		}
-	}
 	return r
 }
 
@@ -592,8 +460,8 @@ func (f *Fabric) latency(rng *rand.Rand, payload int, ops int) sim.Duration {
 	return d
 }
 
-// opBytes returns the payload bytes one verb is charged for.
-func opBytes(op *Op) int {
+// Bytes returns the payload bytes the verb is charged for.
+func (op *Op) Bytes() int {
 	switch op.Kind {
 	case OpRead:
 		return op.Len
@@ -603,65 +471,26 @@ func opBytes(op *Op) int {
 	return 8
 }
 
-// posted is the issue-side probe of one post: per-verb issue events and
-// the metrics post counters, batch by batch. Callers guard with
-// l.observed, so an unobserved fabric pays one check per post.
-func (l *lane) posted(p *sim.Proc, d *pending) {
-	for _, b := range d.batches {
-		if l.rec != nil {
-			s := trace.SpanOf(p)
-			for i := range b.Ops {
-				l.rec.VerbIssue(p.Now(), s, b.Ops[i].Kind.String(), b.QP.id, b.QP.region.id, opBytes(&b.Ops[i]))
-			}
-		}
-		if l.met != nil {
-			l.met.post(b.QP, b.Ops)
-		}
-	}
+// Batch pairs a queue pair with the ops to post on it.
+type Batch struct {
+	QP  *QP
+	Ops []Op
 }
 
-// completed is the completion-side probe of one post, which parked for
-// lat: each batch's round-trip and per-verb completions, each charged
-// the whole latency (doorbell batching amortizes the round-trip across
-// the verbs, not the other way around), and one flight wire charge —
-// one park, one charge: a multi-batch post costs its slowest batch.
-func (l *lane) completed(p *sim.Proc, d *pending, lat sim.Duration) {
-	for _, b := range d.batches {
-		if l.rec != nil {
-			s := trace.SpanOf(p)
-			l.rec.RTT(p.Now(), s, b.QP.id, b.QP.region.id, len(b.Ops), batchPayload(b.Ops), lat)
-			for i := range b.Ops {
-				l.rec.VerbComplete(p.Now(), s, b.Ops[i].Kind.String(), b.QP.id, b.QP.region.id, opBytes(&b.Ops[i]), lat)
-			}
-		}
-		if l.met != nil {
-			l.met.complete(b.Ops)
-		}
-	}
-	if l.fl != nil {
-		l.fl.Wire(p, d.wireClass(), lat)
-	}
-}
-
-func batchPayload(ops []Op) int {
+// Payload returns the payload bytes the batch's verbs carry.
+func (b Batch) Payload() int {
 	n := 0
-	for i := range ops {
-		switch ops[i].Kind {
+	for i := range b.Ops {
+		switch b.Ops[i].Kind {
 		case OpRead:
-			n += ops[i].Len
+			n += b.Ops[i].Len
 		case OpWrite:
-			n += len(ops[i].Data)
+			n += len(b.Ops[i].Data)
 		case OpCAS, OpMaskedCAS:
 			n += 8
 		}
 	}
 	return n
-}
-
-// Batch pairs a queue pair with the ops to post on it.
-type Batch struct {
-	QP  *QP
-	Ops []Op
 }
 
 // pending is one in-flight post: the batches, the scratch that backs
@@ -857,14 +686,14 @@ func (d *pending) post(p *sim.Proc) ([][]Result, error) {
 	var lat sim.Duration
 	cross := false
 	for _, b := range d.batches {
-		if l := f.latency(lane.env.Rand(), batchPayload(b.Ops), len(b.Ops)); l > lat {
+		if l := f.latency(lane.env.Rand(), b.Payload(), len(b.Ops)); l > lat {
 			lat = l
 		}
 		cross = cross || b.QP.region.part != part
 	}
 	d.carve()
-	if lane.observed {
-		lane.posted(p, d)
+	if lane.obs != nil {
+		lane.obs.Posted(p, d.batches)
 	}
 	d.proc = p
 	now := p.Now()
@@ -881,8 +710,8 @@ func (d *pending) post(p *sim.Proc) ([][]Result, error) {
 		lane.env.CallAt(d.resumeAt, d.wake)
 	}
 	p.Suspend()
-	if lane.observed {
-		lane.completed(p, d, lat)
+	if lane.obs != nil {
+		lane.obs.Completed(p, d.batches, lat)
 	}
 	for _, sub := range d.subs[:d.nsub] {
 		lane.stats = lane.stats.Add(sub.stats)

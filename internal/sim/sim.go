@@ -255,40 +255,17 @@ type Proc struct {
 	// through it; keeping it here avoids a map mutation per Wait/Wake.
 	waitQ *WaitQueue
 
-	// traceCtx carries an opaque per-process tracing context (the
-	// current transaction span). It lives here so lower layers (the
-	// fabric) can attribute work to the span without importing the
-	// tracing package or the engine.
-	traceCtx any
-
-	// whyCtx carries the per-process causality context (the current
-	// transaction's wait-for node), kept separate from traceCtx so the
-	// two observability layers enable independently.
-	whyCtx any
-
-	// flightCtx carries the per-process flight-recorder context (the
-	// current transaction's latency-budget record), independent of the
-	// other observability contexts for the same reason.
-	flightCtx any
+	// ctx is the observer context of the transaction the process runs,
+	// opaque here: the engine that owns it attributes work done on the
+	// process (a fabric post, a lock) to that transaction through it.
+	ctx any
 }
 
-// TraceCtx returns the process's tracing context, or nil.
-func (p *Proc) TraceCtx() any { return p.traceCtx }
+// Ctx returns the process's observer context, or nil.
+func (p *Proc) Ctx() any { return p.ctx }
 
-// SetTraceCtx attaches a tracing context to the process.
-func (p *Proc) SetTraceCtx(ctx any) { p.traceCtx = ctx }
-
-// WhyCtx returns the process's causality context, or nil.
-func (p *Proc) WhyCtx() any { return p.whyCtx }
-
-// SetWhyCtx attaches a causality context to the process.
-func (p *Proc) SetWhyCtx(ctx any) { p.whyCtx = ctx }
-
-// FlightCtx returns the process's flight-recorder context, or nil.
-func (p *Proc) FlightCtx() any { return p.flightCtx }
-
-// SetFlightCtx attaches a flight-recorder context to the process.
-func (p *Proc) SetFlightCtx(ctx any) { p.flightCtx = ctx }
+// SetCtx attaches an observer context to the process.
+func (p *Proc) SetCtx(ctx any) { p.ctx = ctx }
 
 // Env returns the environment the process runs in.
 func (p *Proc) Env() *Env { return p.env }

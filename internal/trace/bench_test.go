@@ -18,15 +18,12 @@ func syntheticTxns(p *sim.Proc, r *Recorder, txns int) {
 	labels := [...]string{"Amalgamate", "Balance", "DepositChecking", "SendPayment", "TransactSavings", "WriteCheck"}
 	verbs := [...]string{"READ", "masked-CAS", "WRITE"}
 	for i := 0; i < txns; i++ {
-		key, coord := layout.Key(i%97), uint64(i%120+1)
-		s := r.StartSpan(p, coord, labels[i%len(labels)], key)
-		s.SetTxn(uint64(i + 1))
+		key := layout.Key(i % 97)
+		s := &Span{Coord: uint64(i%120 + 1), ID: uint64(i + 1), Label: labels[i%len(labels)], Txn: uint64(i + 1)}
 		attempts := 1 + (i&3)/3
 		for a := 0; a < attempts; a++ {
-			if a > 0 {
-				s = r.StartSpan(p, coord, labels[i%len(labels)], key)
-			}
-			r.EnterPhase(p.Now(), s, PhaseExec)
+			s.Attempt, s.Phase = a+1, PhaseExec
+			r.Begin(p.Now(), s)
 			for rt := 0; rt < 2; rt++ {
 				for _, v := range verbs {
 					r.VerbIssue(p.Now(), s, v, i%240, i%4, 64)
@@ -36,15 +33,15 @@ func syntheticTxns(p *sim.Proc, r *Recorder, txns int) {
 					r.VerbComplete(p.Now(), s, v, i%240, i%4, 64, 2*sim.Microsecond)
 				}
 			}
-			r.EnterPhase(p.Now(), s, PhaseLock)
+			enter(r, p.Now(), s, PhaseLock)
 			if a < attempts-1 {
 				r.Conflict(p.Now(), s, 2, key, 0b101)
 				r.Abort(p.Now(), s, "lock-conflict", a == 0)
 				continue
 			}
 			r.LockAcquire(p.Now(), s, 2, key, 0b101)
-			r.EnterPhase(p.Now(), s, PhaseLog)
-			r.EnterPhase(p.Now(), s, PhaseApply)
+			enter(r, p.Now(), s, PhaseLog)
+			enter(r, p.Now(), s, PhaseApply)
 			r.LockRelease(p.Now(), s, 2, key, 0b101)
 			r.Commit(p.Now(), s)
 		}
@@ -67,7 +64,8 @@ func benchProc(b *testing.B, fn func(p *sim.Proc)) {
 func BenchmarkEmit(b *testing.B) {
 	r := NewRecorder(0)
 	benchProc(b, func(p *sim.Proc) {
-		s := r.StartSpan(p, 7, "Amalgamate", new(int))
+		s := &Span{Coord: 7, ID: 1, Label: "Amalgamate", Attempt: 1}
+		r.Begin(p.Now(), s)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i += 4 {

@@ -215,30 +215,29 @@ func TestEmitAllocs(t *testing.T) {
 	// allocations against the emitter.
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	const segLen = 4096
-	var keys [2]int
+	span := trace.Span{Coord: 1, ID: 1, Label: "t", Attempt: 1}
 	cases := []struct {
 		name string
 		emit func(p *sim.Proc) func() // returns the one-record emitter, warmed up
 	}{
 		{"trace", func(p *sim.Proc) func() {
 			r := trace.NewRecorder(16 * segLen)
-			s := r.StartSpan(p, 1, "t", &keys[0])
-			return func() { r.LockAcquire(p.Now(), s, 1, 7, 0b1) }
+			r.Begin(p.Now(), &span)
+			return func() { r.LockAcquire(p.Now(), &span, 1, 7, 0b1) }
 		}},
 		{"causality", func(p *sim.Proc) func() {
 			r := causality.NewRecorder(causality.Options{Capacity: 16 * segLen})
-			r.Begin(p, 1, "t", &keys[0])
-			r.OnLock(p, 1, 7, 0b1)
-			return func() { r.LockFail(p, 1, 7, 0b1) }
+			tx := r.Begin(p.Now(), &span)
+			r.OnLock(tx, 1, 7, 0b1)
+			return func() { r.LockFail(p.Now(), tx, 1, 7, 0b1) }
 		}},
 		{"flight", func(p *sim.Proc) func() {
 			r := flight.NewRecorder(flight.Options{TxnCapacity: 16 * segLen})
-			n := 0
+			var dur [trace.NumPhases]sim.Duration
 			txn := func() {
-				n++
-				r.Begin(p, 1, 0, "t", &keys[n&1])
-				r.Wire(p, flight.ClassRead, sim.Microsecond)
-				r.Done(p, true)
+				x := r.Begin(p.Now(), &span, 0)
+				r.Wire(x, trace.PhaseExec, flight.ClassRead, sim.Microsecond)
+				r.Done(p.Now(), x, &dur, true)
 			}
 			for i := 0; i < 16; i++ {
 				txn() // fill the record pool and the exemplar bucket

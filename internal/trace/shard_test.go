@@ -10,7 +10,7 @@ import (
 // The merged snapshot interleaves the partition streams by virtual
 // time with partition order breaking ties — the same order the window
 // executor's mailbox merge imposes on cross-partition messages — and
-// span IDs stay globally unique (strided per partition) so no
+// keeps the span IDs the engine strides per partition, so no
 // renumbering happens at merge time.
 func TestShardMergeOrdersByTimeThenPartition(t *testing.T) {
 	r := NewRecorder(64)
@@ -18,20 +18,22 @@ func TestShardMergeOrdersByTimeThenPartition(t *testing.T) {
 	inProc(t, func(p *sim.Proc) {
 		// Partition 1 emits first at every timestamp; the merge must
 		// still put partition 0's events first within each tick.
-		for i := 0; i < 3; i++ {
-			sp1 := s1.StartSpan(p, 200, "b", new(int))
-			sp0 := s0.StartSpan(p, 100, "a", new(int))
+		for i := uint64(0); i < 3; i++ {
+			sp1 := &Span{Coord: 200, ID: 2*i + 2, Label: "b", Attempt: 1}
+			sp0 := &Span{Coord: 100, ID: 2*i + 1, Label: "a", Attempt: 1}
+			s1.Begin(p.Now(), sp1)
+			s0.Begin(p.Now(), sp0)
 			s1.Commit(p.Now(), sp1)
 			s0.Commit(p.Now(), sp0)
 			p.Sleep(sim.Microsecond)
 		}
 	})
-	if r.Len() != 12 {
-		t.Fatalf("merged length = %d, want 12", r.Len())
+	if r.Len() != 18 {
+		t.Fatalf("merged length = %d, want 18", r.Len())
 	}
 	snap := r.Snapshot()
-	if len(snap.Events) != 12 {
-		t.Fatalf("merged snapshot has %d events, want 12", len(snap.Events))
+	if len(snap.Events) != 18 {
+		t.Fatalf("merged snapshot has %d events, want 18", len(snap.Events))
 	}
 	ids := map[uint64]bool{}
 	for i := range snap.Events {
@@ -49,11 +51,11 @@ func TestShardMergeOrdersByTimeThenPartition(t *testing.T) {
 	// Within one timestamp all of partition 0 precedes partition 1:
 	// strided span ids are odd on partition 0 (1, 3, 5, ...) and even
 	// on partition 1.
-	for i := 0; i < 12; i += 4 {
-		tick := snap.Events[i : i+4]
-		for j, want := range []uint64{1, 1, 0, 0} {
+	for i := 0; i < 18; i += 6 {
+		tick := snap.Events[i : i+6]
+		for j, want := range []uint64{1, 1, 1, 0, 0, 0} {
 			if got := tick[j].Span % 2; got != want {
-				t.Fatalf("tick %d position %d: span %d from wrong partition", i/4, j, tick[j].Span)
+				t.Fatalf("tick %d position %d: span %d from wrong partition", i/6, j, tick[j].Span)
 			}
 		}
 	}
@@ -65,8 +67,10 @@ func TestShardHotProfileFolds(t *testing.T) {
 	r := NewRecorder(64)
 	s0, s1 := r.Shard(0, 2), r.Shard(1, 2)
 	inProc(t, func(p *sim.Proc) {
-		sp0 := s0.StartSpan(p, 1, "a", nil)
-		sp1 := s1.StartSpan(p, 2, "b", nil)
+		sp0 := &Span{Coord: 1, ID: 1, Label: "a", Attempt: 1}
+		sp1 := &Span{Coord: 2, ID: 2, Label: "b", Attempt: 1}
+		s0.Begin(p.Now(), sp0)
+		s1.Begin(p.Now(), sp1)
 		s0.Conflict(p.Now(), sp0, 1, 7, 0b1)
 		s0.Conflict(p.Now(), sp0, 1, 7, 0b1)
 		s1.Conflict(p.Now(), sp1, 1, 7, 0b1)
@@ -92,9 +96,11 @@ func TestShardMergeDeterministic(t *testing.T) {
 		r := NewRecorder(128)
 		s0, s1 := r.Shard(0, 2), r.Shard(1, 2)
 		inProc(t, func(p *sim.Proc) {
-			for i := 0; i < 5; i++ {
-				sp0 := s0.StartSpan(p, 1, "a", nil)
-				sp1 := s1.StartSpan(p, 2, "b", nil)
+			for i := uint64(0); i < 5; i++ {
+				sp0 := &Span{Coord: 1, ID: 2*i + 1, Label: "a", Attempt: 1}
+				sp1 := &Span{Coord: 2, ID: 2*i + 2, Label: "b", Attempt: 1}
+				s0.Begin(p.Now(), sp0)
+				s1.Begin(p.Now(), sp1)
 				s0.LockAcquire(p.Now(), sp0, 1, 2, 0b1)
 				s1.Abort(p.Now(), sp1, "lock-conflict", false)
 				s0.Commit(p.Now(), sp0)
@@ -121,7 +127,8 @@ func TestShardHotPathZeroAlloc(t *testing.T) {
 	r := NewRecorder(32)
 	s := r.Shard(0, 2)
 	inProc(t, func(p *sim.Proc) {
-		sp := s.StartSpan(p, 1, "warm", new(int))
+		sp := &Span{Coord: 1, ID: 1, Label: "warm", Attempt: 1}
+		s.Begin(p.Now(), sp)
 		for i := 0; i < 64; i++ {
 			s.LockAcquire(p.Now(), sp, 1, 7, 0b1)
 		}

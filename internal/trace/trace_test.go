@@ -22,17 +22,22 @@ func inProc(t *testing.T, fn func(p *sim.Proc)) {
 	}
 }
 
+// enter moves s into phase ph and records the transition, as the
+// engine's attempt timer does.
+func enter(r *Recorder, at sim.Time, s *Span, ph Phase) {
+	s.Phase = ph
+	r.EnterPhase(at, s)
+}
+
 func TestNilRecorderIsSafe(t *testing.T) {
 	var r *Recorder
 	if r.Enabled() {
 		t.Fatal("nil recorder reports enabled")
 	}
 	inProc(t, func(p *sim.Proc) {
-		s := r.StartSpan(p, 1, "txn", nil)
-		if s != nil {
-			t.Errorf("nil recorder returned span %v", s)
-		}
-		r.EnterPhase(p.Now(), s, PhaseLock)
+		s := &Span{Coord: 1, ID: 1, Label: "txn", Attempt: 1}
+		r.Begin(p.Now(), s)
+		enter(r, p.Now(), s, PhaseLock)
 		r.VerbIssue(p.Now(), s, "READ", 1, 0, 8)
 		r.VerbComplete(p.Now(), s, "READ", 1, 0, 8, sim.Microsecond)
 		r.RTT(p.Now(), s, 1, 0, 1, 8, sim.Microsecond)
@@ -82,54 +87,43 @@ func TestRingEvictsOldestAndCountsDrops(t *testing.T) {
 	}
 }
 
+// A retry is the same span at its next attempt: Begin records it as a
+// retry under the span's id, and only a first attempt as a begin.
 func TestRetryReusesSpanAndBumpsAttempt(t *testing.T) {
 	r := NewRecorder(0)
-	inProc(t, func(p *sim.Proc) {
-		key := new(int)
-		s1 := r.StartSpan(p, 7, "transfer", key)
-		if s1.Attempt != 1 {
-			t.Fatalf("first attempt = %d, want 1", s1.Attempt)
-		}
-		r.Abort(p.Now(), s1, "lock-conflict", false)
-
-		s2 := r.StartSpan(p, 7, "transfer", key)
-		if s2 != s1 {
-			t.Fatal("retry of the same txn created a new span")
-		}
-		if s2.Attempt != 2 {
-			t.Fatalf("retry attempt = %d, want 2", s2.Attempt)
-		}
-		r.Commit(p.Now(), s2)
-
-		s3 := r.StartSpan(p, 7, "transfer", key)
-		if s3 == s1 {
-			t.Fatal("new txn after commit reused the finished span")
-		}
-	})
-	var kinds []Kind
+	s := &Span{Coord: 7, ID: 1, Label: "transfer", Attempt: 1}
+	r.Begin(0, s)
+	r.Abort(0, s, "lock-conflict", false)
+	s.Attempt++
+	r.Begin(0, s)
+	r.Commit(0, s)
+	r.Begin(0, &Span{Coord: 7, ID: 2, Label: "transfer", Attempt: 1})
+	type ev struct {
+		kind          Kind
+		span, attempt uint64
+	}
+	var got []ev
 	for _, e := range r.Snapshot().Events {
-		kinds = append(kinds, e.Kind)
+		got = append(got, ev{e.Kind, e.Span, uint64(e.Attempt)})
 	}
-	want := []Kind{KindTxnBegin, KindTxnAbort, KindTxnRetry, KindTxnCommit, KindTxnBegin}
-	if len(kinds) != len(want) {
-		t.Fatalf("event kinds = %v, want %v", kinds, want)
-	}
-	for i := range want {
-		if kinds[i] != want[i] {
-			t.Fatalf("event %d = %v, want %v", i, kinds[i], want[i])
-		}
+	want := []ev{{KindTxnBegin, 1, 1}, {KindPhase, 1, 1}, {KindTxnAbort, 1, 1}, {KindTxnRetry, 1, 2},
+		{KindPhase, 1, 2}, {KindTxnCommit, 1, 2}, {KindTxnBegin, 2, 1}, {KindPhase, 2, 1}}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("events = %v, want %v", got, want)
 	}
 }
 
 func TestHotProfileCountsCellsAndAttributesAborts(t *testing.T) {
 	r := NewRecorder(0)
 	inProc(t, func(p *sim.Proc) {
-		s := r.StartSpan(p, 1, "t", new(int))
+		s := &Span{Coord: 1, ID: 1, Label: "t", Attempt: 1}
+		r.Begin(p.Now(), s)
 		r.Conflict(p.Now(), s, 3, 9, 0b101) // cells 0 and 2
 		r.Abort(p.Now(), s, "lock-conflict", false)
 
 		// The retry conflicts again but commits: no abort attribution.
-		s = r.StartSpan(p, 1, "t", s.txnKey)
+		s.Attempt++
+		r.Begin(p.Now(), s)
 		r.Conflict(p.Now(), s, 3, 9, 0b001)
 		r.Commit(p.Now(), s)
 	})
@@ -156,13 +150,13 @@ func TestHotProfileCountsCellsAndAttributesAborts(t *testing.T) {
 func TestSpansReconstructPhasesAndRTTs(t *testing.T) {
 	r := NewRecorder(0)
 	inProc(t, func(p *sim.Proc) {
-		s := r.StartSpan(p, 2, "pay", new(int))
-		r.EnterPhase(p.Now(), s, PhaseExec)
+		s := &Span{Coord: 2, ID: 1, Label: "pay", Attempt: 1}
+		r.Begin(p.Now(), s)
 		p.Sleep(100 * sim.Nanosecond)
-		r.EnterPhase(p.Now(), s, PhaseLock)
+		enter(r, p.Now(), s, PhaseLock)
 		r.RTT(p.Now().Add(2*sim.Microsecond), s, 1, 0, 2, 64, 2*sim.Microsecond)
 		p.Sleep(2 * sim.Microsecond)
-		r.EnterPhase(p.Now(), s, PhaseValidate)
+		enter(r, p.Now(), s, PhaseValidate)
 		p.Sleep(300 * sim.Nanosecond)
 		r.Commit(p.Now(), s)
 	})
@@ -196,14 +190,14 @@ func TestChromeExportIsValidAndDeterministic(t *testing.T) {
 	build := func() *Snapshot {
 		r := NewRecorder(0)
 		inProc(t, func(p *sim.Proc) {
-			s := r.StartSpan(p, 1, "t", new(int))
-			r.EnterPhase(p.Now(), s, PhaseExec)
+			s := &Span{Coord: 1, ID: 1, Label: "t", Attempt: 1}
+			r.Begin(p.Now(), s)
 			p.Sleep(sim.Microsecond)
 			r.Conflict(p.Now(), s, 1, 5, 1)
 			r.Abort(p.Now(), s, "lock-conflict", true)
-			r.EnterPhase(p.Now(), s, PhaseRelease)
-			s = r.StartSpan(p, 1, "t", s.txnKey)
-			r.EnterPhase(p.Now(), s, PhaseExec)
+			enter(r, p.Now(), s, PhaseRelease)
+			s.Attempt, s.Phase = 2, PhaseExec
+			r.Begin(p.Now(), s)
 			p.Sleep(sim.Microsecond)
 			r.Commit(p.Now(), s)
 		})
