@@ -162,6 +162,65 @@ func TestObserverExportDigests(t *testing.T) {
 	}
 }
 
+// The views record one transaction under one identity: on the digest
+// runs, every transaction the trace (from its begin event on), the why
+// recorder and the flight recorder all still hold has the same id,
+// coordinator, label and attempt count in each.
+func TestViewsAgreeOnEachTransaction(t *testing.T) {
+	type ident struct {
+		coord    uint64
+		label    string
+		attempts int
+	}
+	for _, system := range []SystemKind{CREST, FORD, Motor} {
+		for _, sharded := range []bool{false, true} {
+			cfg := digestCfg(system, sharded)
+			if _, err := Run(cfg); err != nil {
+				t.Fatal(err)
+			}
+			ts := cfg.Trace.Snapshot()
+			begun := map[uint64]bool{}
+			for i := range ts.Events {
+				if e := &ts.Events[i]; e.Kind == trace.KindTxnBegin {
+					begun[e.Span] = true
+				}
+			}
+			spans := map[uint64]ident{}
+			for _, s := range ts.Spans() {
+				if begun[s.ID] {
+					spans[s.ID] = ident{s.Coord, s.Label, s.Attempts[len(s.Attempts)-1].N}
+				}
+			}
+			whys := map[uint64]ident{}
+			for _, x := range cfg.Why.Snapshot().Txns {
+				whys[x.ID] = ident{x.Coord, x.Label, x.Attempt}
+			}
+			shared, retried := 0, 0
+			for _, x := range cfg.Flight.Snapshot().Txns {
+				span, inTrace := spans[x.ID]
+				why, inWhy := whys[x.ID]
+				if !inTrace || !inWhy {
+					continue
+				}
+				fl := ident{x.Coord, x.Label, x.Attempts}
+				if span != fl || why != fl {
+					t.Errorf("%s sharded=%t: transaction %d is %+v in the trace, %+v in why, %+v in flight",
+						system, sharded, x.ID, span, why, fl)
+				}
+				shared++
+				if fl.attempts > 1 {
+					retried++
+				}
+			}
+			t.Logf("%s sharded=%t: %d transactions in all three views, %d retried", system, sharded, shared, retried)
+			if shared < 50 || retried == 0 {
+				t.Errorf("%s sharded=%t: %d transactions in all three views, %d of them retried: too few to compare",
+					system, sharded, shared, retried)
+			}
+		}
+	}
+}
+
 // strictDigests is the cross-commit golden of the strict engines: the
 // record-level baselines and CREST's Base / +Cell factor-analysis
 // variants, which all run the strict attempt driver. It was generated

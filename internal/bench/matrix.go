@@ -387,11 +387,13 @@ func (s RunSpec) Validate() error {
 }
 
 // defaulted resolves the zero values a Go caller left to DefaultRun's
-// — every knob of the table, so a literal needs only what it changes.
-// The workload knobs default as a group: a workload that names only its
-// kind takes the evaluation defaults, but once any knob is set the rest
-// are literal, which is how Theta 0 (uniform) and WriteRatio 0
-// (read-only) stay expressible.
+// — every knob of the table, and the testbed shape (MemNodes, CompNodes),
+// which is no knob but is part of the run key, so a literal needs only
+// what it changes and keys as the matrix does. The workload knobs
+// default as a group: a workload that names only its kind takes the
+// evaluation defaults, but once any knob is set the rest are literal,
+// which is how Theta 0 (uniform) and WriteRatio 0 (read-only) stay
+// expressible.
 func (s RunSpec) defaulted() RunSpec {
 	zero, def := RunSpec{}, DefaultRun()
 	literal := s.Workload != WorkloadSpec{Kind: s.Workload.Kind}
@@ -399,6 +401,12 @@ func (s RunSpec) defaulted() RunSpec {
 		if k.get(&s) == k.get(&zero) && !(k.knob && literal) {
 			k.set(&s, fmt.Sprint(k.get(&def))) // a preset value always parses
 		}
+	}
+	if s.MemNodes == 0 {
+		s.MemNodes = def.MemNodes
+	}
+	if s.CompNodes == 0 {
+		s.CompNodes = def.CompNodes
 	}
 	return s
 }

@@ -86,7 +86,6 @@ func TestRunKeysRoundTrip(t *testing.T) {
 // so a workload with any knob set is literal.
 func TestRunSpecDefaults(t *testing.T) {
 	want := DefaultRun()
-	want.MemNodes, want.CompNodes = 0, 0 // not knobs: bench.Config defaults them
 	if got := (RunSpec{}).defaulted(); got != want {
 		t.Fatalf("zero spec resolved to %+v", got)
 	}

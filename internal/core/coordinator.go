@@ -501,7 +501,7 @@ func (c *Coordinator) admit(p *sim.Proc, sc *execScratch, blockAccs []*access) (
 			}
 			return engine.AbortLockFail, engine.IsFalseConflict(myMask, conflictMask)
 		}
-		back := lockBackoff + sim.Duration(p.Rand().Int63n(int64(lockBackoff)))
+		back := lockPause(p)
 		p.Sleep(back)
 		db.Obs.BackedOff(p, back)
 	}

@@ -88,6 +88,12 @@ const (
 	fetchTTL = 6 * sim.Microsecond
 )
 
+// lockPause is one lock retry's pause: lockBackoff plus up to as much
+// again of jitter, drawn from p's random source.
+func lockPause(p *sim.Proc) sim.Duration {
+	return lockBackoff + sim.Duration(p.Rand().Int63n(int64(lockBackoff)))
+}
+
 // DefaultOptions returns the full CREST configuration.
 func DefaultOptions() Options {
 	return Options{CellLevel: true, Localized: true, ENThreshold: 65536 * sim.Microsecond}

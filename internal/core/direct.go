@@ -84,7 +84,7 @@ func (format) Refetch(p *sim.Proc, round int) (sim.Duration, bool) {
 	if round >= lockRetries {
 		return 0, false
 	}
-	return lockBackoff + sim.Duration(p.Rand().Int63n(int64(lockBackoff))), true
+	return lockPause(p), true
 }
 
 func (format) NodeMajor() bool { return false }

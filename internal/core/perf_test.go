@@ -5,11 +5,14 @@ import (
 	"testing"
 	"unsafe"
 
+	"crest/internal/causality"
 	"crest/internal/engine"
+	"crest/internal/flight"
 	"crest/internal/layout"
 	"crest/internal/memnode"
 	"crest/internal/rdma"
 	"crest/internal/sim"
+	"crest/internal/trace"
 	"crest/internal/workload"
 	"crest/internal/workload/smallbank"
 	"crest/internal/workload/tpcc"
@@ -54,6 +57,42 @@ func TestLocalizedAttemptAllocs(t *testing.T) {
 	}
 	if n := f.cns[0].CachedObjects(); n != 0 {
 		t.Errorf("%d objects still cached: the attempts did not re-create theirs", n)
+	}
+}
+
+// observedAttemptAllocs is TestObservedAttemptAllocs' ceiling, as
+// measured when the observers came to share one context per process (6
+// while the trace allocated a span per transaction).
+const observedAttemptAllocs = 5
+
+// TestObservedAttemptAllocs is TestLocalizedAttemptAllocs' attempt with
+// the trace, why and flight recorders attached. Each attempt is a new
+// transaction to them; what observing it adds is the why node, which
+// the recorder's ring keeps, and a ring segment every few thousand
+// events.
+func TestObservedAttemptAllocs(t *testing.T) {
+	f := newFixture(t, DefaultOptions(), 2, 1, 1, 4, false)
+	f.sys.db.Attach(engine.Observers{Trace: trace.NewRecorder(0), Why: causality.NewRecorder(causality.Options{}),
+		Flight: flight.NewRecorder(flight.Options{})}, f.env, 0)
+	c := f.cns[0].NewCoordinator(0)
+	var out []uint64
+	txn := incTxn(0, 0, 1)
+	txn.Blocks[0].Ops = append(txn.Blocks[0].Ops, readTxn(1, []int{1}, &out).Blocks[0].Ops...)
+	var got float64
+	f.env.Spawn("c", func(p *sim.Proc) {
+		for i := 0; i < 64; i++ { // grow the scratch and the record pool
+			c.Execute(p, txn)
+		}
+		got = testing.AllocsPerRun(200, func() {
+			if a := c.Execute(p, txn); !a.Committed {
+				t.Errorf("uncontended attempt aborted: %v", a.Reason)
+			}
+		})
+	})
+	run(t, f)
+	t.Logf("%.0f allocs per observed attempt", got)
+	if got > observedAttemptAllocs {
+		t.Errorf("%.0f allocs per observed attempt, %d when last measured", got, observedAttemptAllocs)
 	}
 }
 

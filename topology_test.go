@@ -16,6 +16,10 @@ func TestConfigValidationMessages(t *testing.T) {
 	}{
 		{"negative memory nodes", Config{MemoryNodes: -1},
 			"need at least one memory node per shard group, got -1"},
+		{"negative compute nodes", Config{ComputeNodes: -1},
+			"need at least one compute node, got -1"},
+		{"negative coordinators", Config{CoordinatorsPerNode: -2},
+			"need at least one coordinator per compute node, got -2"},
 		{"replicas equal nodes", Config{MemoryNodes: 1, Replicas: 1},
 			"1 replicas needs more than 1 memory nodes"},
 		{"negative replicas", Config{MemoryNodes: 2, Replicas: -1},
