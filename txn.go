@@ -74,8 +74,9 @@ func (t *Txn) AddBlock(ops ...Op) *Txn {
 	return t
 }
 
-// build materializes a fresh engine transaction. Called per execution
-// so retries see clean state.
+// build materializes the engine transaction, once per execution: its
+// attempts retry that one *engine.Txn, which is how the observers tell
+// a retry from a new transaction. An attempt does not write to it.
 func (t *Txn) build() *engine.Txn {
 	e := &engine.Txn{Label: t.label, State: t.state, Blocks: t.blocks}
 	e.ComputeReadOnly()
