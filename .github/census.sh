@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # The size census CHANGES.md and ROADMAP.md quote: non-test Go lines per
-# layer and in total, and how many flags each CLI surface has. Counted
-# one way, here, so two PRs' numbers can be compared. Lines are `wc -l`
-# of every .go file that is not a _test.go; benchmarks/ is its own
-# module and is left out. Run from the repository root.
+# layer and in total, markdown bytes per file, and how many flags each
+# CLI surface has. Counted one way, here, so two PRs' numbers can be
+# compared. Lines are `wc -l` of every .go file that is not a _test.go;
+# benchmarks/ is its own module and is left out of the Go counts. Run
+# from the repository root.
 set -euo pipefail
 
 lines() { if [ $# -gt 0 ]; then cat "$@" | wc -l; else echo 0; fi; }
@@ -19,12 +20,20 @@ printf '%-28s %7d\n' "root (package crest)" "$(lines "${root[@]}")"
 for d in internal/*/; do layer "${d%/}" "$d"; done
 layer "cmd/" cmd
 layer "examples/" examples
-# The two totals the acceptance criteria of the harness PRs are written
-# against, by the same commands.
+# The totals acceptance criteria are written against, by the same
+# commands: the harness, the layers one observer context spans, and all.
 printf '%-28s %7d\n' "harness (root+bench+cmd)" \
   "$(ls ./*.go internal/bench/*.go cmd/*/*.go | grep -v _test | xargs cat | wc -l)"
+layer "sim+trace+causality+flight+engine+rdma" internal/sim internal/trace \
+  internal/causality internal/flight internal/engine internal/rdma
 printf '%-28s %7d\n' "total" \
   "$(find . -name '*.go' ! -name '*_test.go' ! -path './benchmarks/*' -print0 | xargs -0 cat | wc -l)"
+
+echo
+echo "markdown bytes"
+mapfile -t docs < <(find . -name '*.md' ! -path './.git/*' | sort)
+for f in "${docs[@]}"; do printf '%-28s %7d\n' "${f#./}" "$(wc -c < "$f")"; done
+printf '%-28s %7d\n' "total" "$(cat "${docs[@]}" | wc -c)"
 
 echo
 echo "flags (lines of -h that declare one)"
