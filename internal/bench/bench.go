@@ -111,9 +111,14 @@ type Config struct {
 	Workers int
 }
 
-// observers bundles the run's recorders for engine.DB.Attach.
+// observers bundles the run's recorders for engine.DB.Attach, with a
+// fresh history when CheckHistory is set.
 func (c Config) observers() engine.Observers {
-	return engine.Observers{Trace: c.Trace, Metrics: c.Metrics, Why: c.Why, Flight: c.Flight}
+	o := engine.Observers{Trace: c.Trace, Metrics: c.Metrics, Why: c.Why, Flight: c.Flight}
+	if c.CheckHistory {
+		o.History = engine.NewHistory()
+	}
+	return o
 }
 
 // Partitioned reports whether the run executes on the partitioned
@@ -456,9 +461,6 @@ func Run(cfg Config) (Result, error) {
 			res.ScenarioPhases[j].add(ph)
 		}
 	}
-	for _, v := range d.views {
-		d.db.History.Absorb(v.History) // a no-op on the root itself
-	}
 	if w := d.world; w != nil {
 		ri := &RuntimeInfo{Sim: w.RuntimeStats(), Workers: w.Workers()}
 		ri.Cross = make([]rdma.Stats, w.Parts())
@@ -470,8 +472,8 @@ func Run(cfg Config) (Result, error) {
 	res.Elapsed = cfg.Duration - cfg.Warmup
 	res.Verbs = d.fabric.Stats().Sub(verbs0)
 	if cfg.CheckHistory {
-		res.HistoryErr = d.db.History.Check()
-		res.History = d.db.History
+		res.History = d.db.Obs.History.Snapshot()
+		res.HistoryErr = res.History.Check()
 	}
 	return res, nil
 }

@@ -93,9 +93,6 @@ func Deploy(cfg Config, tables []workload.TableDef, poolBytes int, partitioned b
 	if cfg.Metrics != nil && d.world != nil {
 		registerWorldProbes(cfg.Metrics, d.world, d.fabric)
 	}
-	if cfg.CheckHistory {
-		d.db.History = engine.NewHistory()
-	}
 	if d.Sys, err = NewSystem(cfg.System, d.db); err != nil {
 		d.Close()
 		return nil, err

@@ -48,7 +48,7 @@ func newStrictFixture(t *testing.T, kind SystemKind, mns, cns, replicas, records
 	params.JitterPct = 0
 	pool := memnode.NewPool(rdma.NewFabric(env, params), mns, 16<<20, replicas)
 	db := engine.NewDB(pool)
-	db.History = engine.NewHistory()
+	db.Attach(engine.Observers{History: engine.NewHistory()}, env, 0)
 	sys, err := NewSystem(kind, db)
 	if err != nil {
 		t.Fatal(err)
@@ -324,7 +324,7 @@ func TestStrictEngineContract(t *testing.T) {
 					})
 				}
 				f.run()
-				if err := f.db.History.Check(); err != nil {
+				if err := f.db.Obs.History.Check(); err != nil {
 					t.Fatalf("history not serializable: %v", err)
 				}
 				var total uint64
@@ -356,7 +356,7 @@ func TestStrictAttemptAllocs(t *testing.T) {
 		eng := eng
 		t.Run(string(eng.kind), func(t *testing.T) {
 			f := newStrictFixture(t, eng.kind, 2, 1, 1, 4)
-			f.db.History = nil
+			f.db.Obs.History = nil
 			c := f.coord()
 			var sink uint64
 			txn := txnOf("mixed", incOp(0, 0, 1), readOp(1, 1, &sink))

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"crest/internal/engine"
 	"crest/internal/layout"
 	"crest/internal/rdma"
@@ -216,9 +214,7 @@ func (c *Coordinator) executeLocalized(p *sim.Proc, t *engine.Txn) engine.Attemp
 	me.resolve(txnCommitted, ts)
 	at.Phase(trace.PhaseApply)
 	c.applyRelease(p, sc, sc.accs)
-	if h := db.History; h.Recording() {
-		engine.CommitRecs(h, engine.HTxn{TS: ts, Label: fmt.Sprintf("%s cn%d", t.Label, c.cn.id)}, sc.accs)
-	}
+	engine.CommitRecs(&db.Obs, p, engine.HTxn{TS: ts}, sc.accs)
 	return at.Done()
 }
 

@@ -26,7 +26,7 @@ func newFixture(t *testing.T, opts Options, mns, cnCount, replicas, records int,
 	pool := memnode.NewPool(fabric, mns, 32<<20, replicas)
 	db := engine.NewDB(pool)
 	if history {
-		db.History = engine.NewHistory()
+		db.Attach(engine.Observers{History: engine.NewHistory()}, env, 0)
 	}
 	sys := New(db, opts)
 	sys.CreateTable(layout.Schema{ID: 1, Name: "kv", CellSizes: []int{8, 8, 8}}, records+16)
@@ -255,7 +255,7 @@ func TestLocalWritersSameCellLastWriterWins(t *testing.T) {
 			t.Fatalf("node %d counter = %d, want %d", n.ID, got, workers*incs)
 		}
 	}
-	if err := f.sys.db.History.Check(); err != nil {
+	if err := f.sys.db.Obs.History.Check(); err != nil {
 		t.Fatalf("history not serializable: %v", err)
 	}
 	if n := f.cns[0].CachedObjects(); n != 0 {
@@ -275,7 +275,7 @@ func TestCrossCNIncrementsSerializable(t *testing.T) {
 		})
 	}
 	run(t, f)
-	if err := f.sys.db.History.Check(); err != nil {
+	if err := f.sys.db.Obs.History.Check(); err != nil {
 		t.Fatalf("history not serializable: %v", err)
 	}
 	// Every cell of keys 0 and 1 should total the increments applied.
@@ -312,7 +312,7 @@ func TestMixedReadersWritersSerializable(t *testing.T) {
 		})
 	}
 	run(t, f)
-	if err := f.sys.db.History.Check(); err != nil {
+	if err := f.sys.db.Obs.History.Check(); err != nil {
 		t.Fatalf("history not serializable: %v", err)
 	}
 }
@@ -632,7 +632,7 @@ func TestHighContentionStress(t *testing.T) {
 		})
 	}
 	run(t, f)
-	if err := f.sys.db.History.Check(); err != nil {
+	if err := f.sys.db.Obs.History.Check(); err != nil {
 		t.Fatalf("history not serializable: %v", err)
 	}
 	for _, cn := range f.cns {

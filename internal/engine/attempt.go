@@ -43,13 +43,13 @@ type AttemptTimer struct {
 
 // BeginAttempt starts timing one attempt of t on coordinator coord,
 // whose log (and therefore commit decision) lives on home shard
-// group home. With a trace, why or flight recorder attached it opens
-// the attempt on the process's observer context: a retry of the same
-// *Txn resumes the transaction, anything else begins a new one.
+// group home. With a trace, why, flight or history recorder attached it
+// opens the attempt on the process's observer context: a retry of the
+// same *Txn resumes the transaction, anything else begins a new one.
 func BeginAttempt(db *DB, p *sim.Proc, coord uint64, home int, t *Txn) AttemptTimer {
 	at := AttemptTimer{db: db, p: p, verbs0: db.VerbStats(), start: p.Now(), mark: p.Now(), cur: trace.PhaseExec, shard: home}
 	o := &db.Obs
-	if o.Trace != nil || o.Why != nil || o.Flight != nil {
+	if o.Trace != nil || o.Why != nil || o.Flight != nil || o.History != nil {
 		at.ctx = db.beginObserved(p, coord, home, t)
 	}
 	o.met.beginAttempt(home)

@@ -81,17 +81,16 @@ func (t *Table) ClaimSlot(key layout.Key) (uint64, error) {
 
 // DB is the shared database substrate an engine builds on: the memory
 // pool, the tables, and the cross-cutting instrumentation (timestamp
-// oracle, conflict tracker, optional history).
+// oracle, conflict tracker).
 type DB struct {
 	Pool    *memnode.Pool
 	Fabric  *rdma.Fabric
 	Tables  map[layout.TableID]*Table
 	TSO     *TSO
 	Tracker *ConflictTracker
-	History *History
 	Cost    CostModel
-	// Obs is the run's observers (trace, metrics, why, flight), all
-	// disabled on the zero value. Install them with Attach.
+	// Obs is the run's observers (trace, metrics, why, flight, history),
+	// all disabled on the zero value. Install them with Attach.
 	Obs Observers
 
 	// lane is the fabric lane (simulation partition) this DB's verbs
@@ -148,12 +147,12 @@ func (db *DB) VerbStats() rdma.Stats {
 // partition part, whose coordinators run on env: shared immutable
 // placement (pool, fabric, tables, cost model) plus partition-private
 // mutable state — a hybrid-logical-clock timestamp oracle floored
-// above every load-time draw, a fresh conflict tracker, and a history
-// fork (fold it back with History.Absorb after the run). Observability
-// probes are sharded: the view records into the partition's own shard
-// of each root recorder/registry (written lock-free by the partition's
-// worker, merged deterministically at snapshot time), so observed runs
-// execute at full worker count with byte-identical output.
+// above every load-time draw and a fresh conflict tracker.
+// Observability probes are sharded: the view records into the
+// partition's own shard of each root recorder/registry (written
+// lock-free by the partition's worker, merged deterministically at
+// snapshot time), so observed runs execute at full worker count with
+// byte-identical output.
 func (db *DB) PartitionView(env *sim.Env, part int) *DB {
 	parts := 1
 	if w := env.World(); w != nil {
@@ -165,7 +164,6 @@ func (db *DB) PartitionView(env *sim.Env, part int) *DB {
 		Tables:  db.Tables,
 		TSO:     NewPartitionTSO(env, part, db.TSO.Last()),
 		Tracker: NewConflictTracker(db.Tables),
-		History: db.History.Fork(),
 		Cost:    db.Cost,
 		Obs:     db.Obs.shard(part, parts, db.Pool.Shards()),
 		lane:    part,
@@ -230,7 +228,7 @@ func (db *DB) Load(l RecordLayout, table layout.TableID, key layout.Key, cells [
 	}
 	db.LoadRecord(t, key, func(buf []byte) { l.Encode(buf, table, key, cells) })
 	for i, v := range cells {
-		db.History.SetInitial(CellID{Table: table, Key: key, Cell: i}, v)
+		db.Obs.History.SetInitial(CellID{Table: table, Key: key, Cell: i}, v)
 	}
 }
 

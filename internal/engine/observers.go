@@ -12,7 +12,8 @@ import (
 
 // Observers is the one seam between a run and its observability
 // recorders: the trace recorder, the metrics registry, the causality
-// (why) recorder and the flight recorder, any of which may be nil. It
+// (why) recorder, the flight recorder and the history (the
+// serializability oracle of tests), any of which may be nil. It
 // lives on DB, is installed by DB.Attach, and is what the engines and
 // the fabric talk to: AttemptTimer reports the attempt lifecycle (begin,
 // phase, fail, done), the methods below report the protocol events
@@ -34,6 +35,7 @@ type Observers struct {
 	Metrics *metrics.Registry
 	Why     *causality.Recorder
 	Flight  *flight.Recorder
+	History *History
 
 	met instruments        // engine instruments registered in Metrics
 	fab *fabricInstruments // a fabric lane's instruments; nil elsewhere
@@ -49,6 +51,7 @@ type Observers struct {
 // shell starts without one.
 type txnCtx struct {
 	txn    *Txn           // the transaction being attempted; nil once it committed
+	begin  sim.Time       // when its first attempt began
 	span   trace.Span     // identity, attempt, phase; the trace's live span
 	why    *causality.Txn // nil unless the why recorder is on
 	flight *flight.Record // nil unless the flight recorder is on and the transaction is open
@@ -97,7 +100,7 @@ func (db *DB) beginObserved(p *sim.Proc, coord uint64, home int, t *Txn) *txnCtx
 		o.Flight.Retry(now, c.flight)
 	} else {
 		o.Flight.Abandon(c.flight)
-		*c = txnCtx{txn: t, span: trace.Span{Coord: coord, ID: db.obsNext, Label: t.Label, Attempt: 1}}
+		*c = txnCtx{txn: t, begin: now, span: trace.Span{Coord: coord, ID: db.obsNext, Label: t.Label, Attempt: 1}}
 		db.obsNext += db.txnStride
 		c.why = o.Why.Begin(now, &c.span)
 		c.flight = o.Flight.Begin(now, &c.span, home)
@@ -154,6 +157,7 @@ func (o Observers) shard(part, parts, shardGroups int) Observers {
 		Metrics: o.Metrics.Shard(part, parts),
 		Why:     o.Why.Shard(part, parts),
 		Flight:  o.Flight.Shard(part, parts),
+		History: o.History.Shard(part, parts),
 	}
 	s.met = newInstruments(s.Metrics, shardGroups)
 	return s

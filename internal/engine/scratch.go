@@ -86,13 +86,18 @@ func WriteShards[T Rec](pool *memnode.Pool, rs []T) ShardSet {
 	return parts
 }
 
-// CommitRecs feeds a committed transaction into the history checker:
-// ht carries the serial position and label, rs the values the hooks
-// actually observed and produced.
-func CommitRecs[T Rec](h *History, ht HTxn, rs []T) {
-	if !h.Recording() {
+// CommitRecs feeds the transaction on p, committing now, into o's
+// history: ht carries the serial position, the observer context the
+// identity and when the transaction began, rs the values the hooks
+// actually observed and produced. Call it with no park before the
+// attempt's Done, so p's clock reads the acknowledgement.
+func CommitRecs[T Rec](o *Observers, p *sim.Proc, ht HTxn, rs []T) {
+	h := o.History
+	if h == nil {
 		return
 	}
+	c := ctxOf(p)
+	ht.ID, ht.Label, ht.Begin, ht.Ack = c.span.ID, c.span.Label, c.begin, p.Now()
 	for _, r := range rs {
 		b := r.Base()
 		for i, cell := range b.Op.ReadCells {

@@ -253,8 +253,11 @@ func (c *Strict[X]) Execute(p *sim.Proc, t *Txn) Attempt {
 		// A writer holds the record lock from before its timestamp is
 		// drawn until its version is installed, so a snapshot reader
 		// that sat out the locks has seen every version older than its
-		// snapshot: no validation round.
-		CommitRecs(db.History, HTxn{TS: db.TSO.Next(), Snapshot: true, SnapshotTS: snap.TS, Label: t.Label}, sc.ws)
+		// snapshot: no validation round. Its commit timestamp is drawn
+		// with or without a history: the draw advances the oracle, and
+		// the schedule counts on it.
+		ts := db.TSO.Next()
+		CommitRecs(&db.Obs, p, HTxn{TS: ts, Snapshot: true, SnapshotTS: snap.TS}, sc.ws)
 		return at.Done()
 	}
 
@@ -270,7 +273,7 @@ func (c *Strict[X]) Execute(p *sim.Proc, t *Txn) Attempt {
 	c.writeLog(p, sc, ts)
 	at.Phase(trace.PhaseApply)
 	c.install(p, sc, ts)
-	CommitRecs(db.History, HTxn{TS: ts, Label: t.Label}, sc.ws)
+	CommitRecs(&db.Obs, p, HTxn{TS: ts}, sc.ws)
 	return at.Done()
 }
 

@@ -28,7 +28,7 @@ func newFixture(t *testing.T, mns, cnCount, replicas, records int, history bool)
 	pool := memnode.NewPool(fabric, mns, 16<<20, replicas)
 	db := engine.NewDB(pool)
 	if history {
-		db.History = engine.NewHistory()
+		db.Attach(engine.Observers{History: engine.NewHistory()}, env, 0)
 	}
 	sys := New(db)
 	sys.CreateTable(layout.Schema{ID: 1, Name: "kv", CellSizes: []int{8, 8}}, records+16)
@@ -170,7 +170,7 @@ func TestReadersSeeConsistentPairs(t *testing.T) {
 	if err := f.env.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if err := f.sys.DB().History.Check(); err != nil {
+	if err := f.sys.DB().Obs.History.Check(); err != nil {
 		t.Fatalf("history not serializable: %v", err)
 	}
 }

@@ -26,7 +26,7 @@ func newFixture(t *testing.T, mns, cnCount, replicas, records int, history bool)
 	pool := memnode.NewPool(fabric, mns, 32<<20, replicas)
 	db := engine.NewDB(pool)
 	if history {
-		db.History = engine.NewHistory()
+		db.Attach(engine.Observers{History: engine.NewHistory()}, env, 0)
 	}
 	sys := New(db)
 	sys.CreateTable(layout.Schema{ID: 1, Name: "kv", CellSizes: []int{8, 8}}, records+16)
@@ -215,7 +215,7 @@ func TestReadersDoNotAbortAgainstCommittedWriters(t *testing.T) {
 	if committed < 8 {
 		t.Fatalf("only %d of 10 snapshot reads committed", committed)
 	}
-	if err := f.sys.DB().History.Check(); err != nil {
+	if err := f.sys.DB().Obs.History.Check(); err != nil {
 		t.Fatalf("history not serializable: %v", err)
 	}
 }
@@ -252,7 +252,7 @@ func TestMixedReadersAndWritersSerializable(t *testing.T) {
 	if err := f.env.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if err := f.sys.DB().History.Check(); err != nil {
+	if err := f.sys.DB().Obs.History.Check(); err != nil {
 		t.Fatalf("history not serializable: %v", err)
 	}
 }
