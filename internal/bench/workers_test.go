@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -51,23 +52,34 @@ func TestPartitionedByteIdenticalAcrossWorkers(t *testing.T) {
 	}
 }
 
-// A partitioned run's history — partition forks folded back in
-// partition order — must pass the serializability check: HLC
+// A partitioned run's history — the partitions' shards concatenated in
+// partition order — must pass the strict serializability check: HLC
 // timestamps order cross-partition conflicts exactly like the
-// sequential oracle ordered single-partition ones.
+// sequential oracle ordered single-partition ones, and never against
+// real time.
 func TestPartitionedHistorySerializable(t *testing.T) {
-	for _, system := range []SystemKind{CREST, FORD, Motor} {
-		system := system
+	for _, system := range []SystemKind{CREST, CRESTCell, CRESTBase, FORD, Motor} {
 		t.Run(string(system), func(t *testing.T) {
-			res := runWorkers(t, system, 4, true)
-			if res.History == nil {
-				t.Fatal("no history recorded")
-			}
-			if res.HistoryErr != nil {
-				t.Fatalf("partitioned history not serializable: %v", res.HistoryErr)
-			}
-			if res.Committed == 0 {
-				t.Fatal("no commits recorded")
+			for _, workers := range []int{1, 4} {
+				for _, seed := range []int64{1, 2, 3} {
+					t.Run(fmt.Sprintf("w%d/seed%d", workers, seed), func(t *testing.T) {
+						cfg := shardedCfg(system, 3, "modulo")
+						cfg.Workers, cfg.Seed, cfg.CheckHistory = workers, seed, true
+						res, err := Run(cfg)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if res.History == nil || len(res.History.Txns) == 0 {
+							t.Fatal("no history recorded")
+						}
+						if res.HistoryErr != nil {
+							t.Fatalf("partitioned history not strictly serializable: %v", res.HistoryErr)
+						}
+						if res.Committed == 0 {
+							t.Fatal("no commits recorded")
+						}
+					})
+				}
 			}
 		})
 	}
