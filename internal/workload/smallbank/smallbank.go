@@ -182,10 +182,17 @@ func (g *Generator) transactSavings(rng *rand.Rand) *engine.Txn {
 func (g *Generator) amalgamate(rng *rand.Rand) *engine.Txn {
 	pair := g.picker.AppendDistinct(make([]layout.Key, 0, 2), rng, 2) // on the stack
 	p := newProgram("Amalgamate", 3, 3)
-	p.ops[0] = writeOp(SavingsTable, pair[0], drain)
+	p.ops[0] = writeOp(SavingsTable, pair[0], drainFirst)
 	p.ops[1] = writeOp(CheckingTable, pair[0], drain)
 	p.ops[2] = writeOp(CheckingTable, pair[1], addA)
 	return &p.txn
+}
+
+// drainFirst is the attempt's first hook: it starts the sum over, so a
+// retry does not credit B twice, and drains.
+func drainFirst(state any, read [][]byte) [][]byte {
+	state.(*program).a = 0
+	return drain(state, read)
 }
 
 // drain empties a balance into the program's a.

@@ -424,8 +424,11 @@ func (g *Generator) delivery(rng *rand.Rand) *engine.Txn {
 	return &p.txn
 }
 
+// clearNewOrder is the attempt's first hook: it also starts the line
+// sum over, so a retry does not credit the customer twice.
 func clearNewOrder(state any, read [][]byte) [][]byte {
 	p := state.(*deliveryProg)
+	p.total = 0
 	return p.vals.One(p.vals.PutU64(read[0], 0))
 }
 
