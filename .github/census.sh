@@ -26,6 +26,7 @@ printf '%-28s %7d\n' "harness (root+bench+cmd)" \
   "$(ls ./*.go internal/bench/*.go cmd/*/*.go | grep -v _test | xargs cat | wc -l)"
 layer "sim+trace+causality+flight+engine+rdma" internal/sim internal/trace \
   internal/causality internal/flight internal/engine internal/rdma
+layer "engine+core+bench" internal/engine internal/core internal/bench
 printf '%-28s %7d\n' "total" \
   "$(find . -name '*.go' ! -name '*_test.go' ! -path './benchmarks/*' -print0 | xargs -0 cat | wc -l)"
 
@@ -33,7 +34,8 @@ echo
 echo "markdown bytes"
 mapfile -t docs < <(find . -name '*.md' ! -path './.git/*' | sort)
 for f in "${docs[@]}"; do printf '%-28s %7d\n' "${f#./}" "$(wc -c < "$f")"; done
-printf '%-28s %7d\n' "total" "$(cat "${docs[@]}" | wc -c)"
+# Beside the ROADMAP's docs budget (item 7), which nothing enforces yet.
+printf '%-28s %7d  (budget 300000)\n' "total" "$(cat "${docs[@]}" | wc -c)"
 
 echo
 echo "flags (lines of -h that declare one)"

@@ -6,14 +6,16 @@ import (
 	"testing"
 
 	"crest/internal/causality"
+	"crest/internal/engine"
 	"crest/internal/flight"
+	"crest/internal/layout"
 	"crest/internal/metrics"
 	"crest/internal/sim"
 	"crest/internal/trace"
 )
 
 // member is a minimal observer built on the shared helpers, the way the
-// four real ones are: it embeds a Family and issues strided ids.
+// real ones are: it embeds a Family and issues strided ids.
 type member struct {
 	fam  trace.Family[member]
 	next uint64
@@ -43,6 +45,9 @@ type contractCase struct {
 	nilS shardFn               // Shard on the nil observer
 	root func() (any, shardFn) // a fresh root and its Shard
 	kid  func(child any) shardFn
+	// merge, if set, checks what the root's Snapshot makes of its
+	// members.
+	merge func(t *testing.T)
 }
 
 func caseOf[T any](name string, mk func() *T, shard func(*T, int, int) *T) contractCase {
@@ -62,6 +67,8 @@ func caseOf[T any](name string, mk func() *T, shard func(*T, int, int) *T) contr
 // re-sharding a child, an out-of-range part and a changed partition
 // count all panic.
 func TestFamilyContract(t *testing.T) {
+	history := caseOf("history", engine.NewHistory, (*engine.History).Shard)
+	history.merge = historyMembersInPartitionOrder
 	cases := []contractCase{
 		caseOf("helper", func() *member { return &member{} }, (*member).Shard),
 		caseOf("trace", func() *trace.Recorder { return trace.NewRecorder(16) }, (*trace.Recorder).Shard),
@@ -74,6 +81,7 @@ func TestFamilyContract(t *testing.T) {
 		caseOf("flight", func() *flight.Recorder {
 			return flight.NewRecorder(flight.Options{TxnCapacity: 16})
 		}, (*flight.Recorder).Shard),
+		history,
 	}
 	mustPanic := func(t *testing.T, what string, fn func()) {
 		t.Helper()
@@ -112,7 +120,35 @@ func TestFamilyContract(t *testing.T) {
 			mustPanic(t, "part below range", func() { shard(-1, 3) })
 			mustPanic(t, "part above range", func() { shard(3, 3) })
 			mustPanic(t, "changed partition count", func() { shard(0, 2) })
+			if tc.merge != nil {
+				tc.merge(t)
+			}
 		})
+	}
+}
+
+// historyMembersInPartitionOrder: a history's Snapshot holds the root's
+// commits, then each partition's in partition order, whatever order
+// they were recorded in, over the initial state they all share.
+func historyMembersInPartitionOrder(t *testing.T) {
+	h := engine.NewHistory()
+	h.Commit(engine.HTxn{ID: 1})
+	for part := 2; part >= 0; part-- {
+		kid := h.Shard(part, 3)
+		kid.SetInitial(engine.CellID{Key: layout.Key(part)}, nil)
+		kid.Commit(engine.HTxn{ID: uint64(part) + 2})
+		kid.Commit(engine.HTxn{ID: uint64(part) + 10})
+	}
+	s := h.Snapshot()
+	var ids []uint64
+	for _, x := range s.Txns {
+		ids = append(ids, x.ID)
+	}
+	if want := []uint64{1, 2, 10, 3, 11, 4, 12}; !reflect.DeepEqual(ids, want) {
+		t.Errorf("snapshot ids %v, want %v", ids, want)
+	}
+	if len(s.Init) != 3 || len(h.Init) != 3 {
+		t.Errorf("members do not share the initial state: %d cells in the snapshot, %d in the root", len(s.Init), len(h.Init))
 	}
 }
 
