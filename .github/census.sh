@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
 # The size census CHANGES.md and ROADMAP.md quote: non-test Go lines per
-# layer and in total, markdown bytes per file, and how many flags each
-# CLI surface has. Counted one way, here, so two PRs' numbers can be
-# compared. Lines are `wc -l` of every .go file that is not a _test.go;
-# benchmarks/ is its own module and is left out of the Go counts. Run
-# from the repository root.
+# layer and in total, total test lines, markdown bytes per file, and how
+# many flags each CLI surface has. Counted one way, here, so two PRs'
+# numbers can be compared. Lines are `wc -l` of every .go file that is
+# not a _test.go (of every _test.go for the test total); benchmarks/ is
+# its own module and is left out of the Go counts. Run from the
+# repository root.
 set -euo pipefail
 
 lines() { if [ $# -gt 0 ]; then cat "$@" | wc -l; else echo 0; fi; }
@@ -29,6 +30,11 @@ layer "sim+trace+causality+flight+engine+rdma" internal/sim internal/trace \
 layer "engine+core+bench" internal/engine internal/core internal/bench
 printf '%-28s %7d\n' "total" \
   "$(find . -name '*.go' ! -name '*_test.go' ! -path './benchmarks/*' -print0 | xargs -0 cat | wc -l)"
+
+echo
+echo "test Go lines"
+printf '%-28s %7d\n' "total" \
+  "$(find . -name '*_test.go' ! -path './benchmarks/*' -print0 | xargs -0 cat | wc -l)"
 
 echo
 echo "markdown bytes"

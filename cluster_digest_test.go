@@ -9,29 +9,9 @@ import (
 	"strings"
 	"testing"
 	"time"
-)
 
-// clusterDigests pins the public-API path (NewCluster → Load →
-// Finalize → ExecuteAll, all four observers on) to its bytes across
-// commits. Generated at the commit before crest.Cluster moved onto the
-// bench harness's assembly; a refactor of that assembly must not edit
-// it. A changed coordinator or queue-pair creation order, a changed log
-// segment, or an observer attached with a nonzero warmup all move it.
-// Columns 2, 4 and 5 (trace, why, flight) were re-pinned once, when
-// ExecuteAll stopped building a fresh engine transaction per attempt and
-// the observers began to see its retries as retries.
-var clusterDigests = map[string]string{
-	"crest/1":      "e4106d46 2baff993 eef28f3d 7d97ee0f e64eb427",
-	"crest/2":      "5d1d4c68 20d4b41c 1f116dbe 706c0ecb 9960db6c",
-	"crest-cell/1": "68623c66 f29ec851 3a1a0968 cca8dc23 f01c6398",
-	"crest-cell/2": "55c98f70 7fefd356 1e435f32 777e61ba a05bd0eb",
-	"crest-base/1": "68623c66 f962337a 3a1a0968 981765eb f01c6398",
-	"crest-base/2": "55c98f70 9b9162d0 1e435f32 a5fe5be0 a05bd0eb",
-	"ford/1":       "f73acd3d b395f92f e6d3a9da b1710177 fb8e1552",
-	"ford/2":       "eefc05d1 7fbd7923 f18d6569 f46bc5fa cbe14eb7",
-	"motor/1":      "639d4931 e8adb287 1154025e 30f23be8 68a6a62a",
-	"motor/2":      "1a9f8a67 016007a0 82d67be7 6cbbc051 7fc951f7",
-}
+	"crest/internal/pin"
+)
 
 // clusterDigest runs the fixed bank load and ExecuteAll batch on one
 // topology and digests, in order: every Result with the virtual end
@@ -83,15 +63,22 @@ func clusterDigest(t *testing.T, system System, shards int) string {
 	return strings.Join(parts, " ")
 }
 
+// TestClusterDigests holds the public-API path (NewCluster → Load →
+// Finalize → ExecuteAll, all four observers on) to testdata/cluster.digest.
+// Its rows were generated at the commit before crest.Cluster moved onto
+// the bench harness's assembly; a refactor of that assembly must not
+// edit them. A changed coordinator or queue-pair creation order, a
+// changed log segment, or an observer attached with a nonzero warmup all
+// move them. Columns 2, 4 and 5 (trace, why, flight) were re-pinned
+// once, when ExecuteAll stopped building a fresh engine transaction per
+// attempt and the observers began to see its retries as retries.
 func TestClusterDigests(t *testing.T) {
+	got := map[string]string{}
 	for _, system := range []System{SystemCREST, SystemCRESTCell, SystemCRESTBase, SystemFORD, SystemMotor} {
 		for _, shards := range []int{1, 2} {
 			name := fmt.Sprintf("%s/%d", system, shards)
-			t.Run(name, func(t *testing.T) {
-				if got := clusterDigest(t, system, shards); got != clusterDigests[name] {
-					t.Errorf("digest drifted:\n\t%q: %q, (pinned %q)", name, got, clusterDigests[name])
-				}
-			})
+			t.Run(name, func(t *testing.T) { got[name] = clusterDigest(t, system, shards) })
 		}
 	}
+	pin.Rows(t, "testdata/cluster.digest", got)
 }

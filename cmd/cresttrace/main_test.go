@@ -93,6 +93,21 @@ func TestGraphRejectsBadFormatAndArgs(t *testing.T) {
 	}
 }
 
+// export writes one export into a fresh temporary file and returns its
+// path.
+func export(t *testing.T, name string, write func(io.Writer) error) string {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := write(&buf); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), name)
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
 // whyFixture writes a crest-why JSON export with a three-transaction
 // blame chain: T412 failed validation against T398, which waited on
 // T371.
@@ -114,18 +129,7 @@ func whyFixture(t *testing.T) string {
 				Table: 3, Key: 17, Mask: 1 << 2},
 		},
 	}
-	path := filepath.Join(t.TempDir(), "why.json")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := causality.WriteJSON(f, snap); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	return path
+	return export(t, "why.json", func(w io.Writer) error { return causality.WriteJSON(w, snap) })
 }
 
 func TestWhyPrintsMultiHopBlameChain(t *testing.T) {
@@ -192,18 +196,7 @@ func flightFixture(t *testing.T) string {
 	a2.Wire[flight.ClassRead] = us(3)
 	ex.Detail = []flight.AttemptInfo{a1, a2}
 	snap := &flight.Snapshot{Txns: []flight.TxnBudget{fast, slow}, Exemplars: []flight.Exemplar{ex}}
-	path := filepath.Join(t.TempDir(), "flight.json")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := flight.WriteJSON(f, snap); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	return path
+	return export(t, "flight.json", func(w io.Writer) error { return flight.WriteJSON(w, snap) })
 }
 
 func TestTailRendersBudgetReportFromExport(t *testing.T) {

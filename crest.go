@@ -155,6 +155,9 @@ func (c Config) validate() error {
 	if c.Replicas < 0 || c.Replicas >= c.MemoryNodes {
 		return fmt.Errorf("crest: %d replicas needs more than %d memory nodes", c.Replicas, c.MemoryNodes)
 	}
+	if c.RTT < 0 {
+		return fmt.Errorf("crest: fabric round-trip must not be negative, got %v", c.RTT)
+	}
 	if _, err := placement.New(c.Placement); err != nil {
 		return err
 	}

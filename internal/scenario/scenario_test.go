@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"crest/internal/pin"
 	"crest/internal/sim"
 	"crest/internal/workload/smallbank"
 	"crest/internal/workload/ycsb"
@@ -335,13 +336,7 @@ func TestKeyStableAndSensitive(t *testing.T) {
 }
 
 func TestDriftDemoMatchesExampleFile(t *testing.T) {
-	data, err := os.ReadFile("../../examples/scenarios/drift-demo.spec")
-	if err != nil {
-		t.Fatalf("the drift demo example must be committed: %v", err)
-	}
-	if string(data) != DriftDemoText {
-		t.Fatal("examples/scenarios/drift-demo.spec diverged from scenario.DriftDemoText")
-	}
+	pin.File(t, "../../examples/scenarios/drift-demo.spec", []byte(DriftDemoText))
 }
 
 func TestParseFileNamesAfterFile(t *testing.T) {

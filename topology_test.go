@@ -30,6 +30,8 @@ func TestConfigValidationMessages(t *testing.T) {
 			"65 shard groups exceed the maximum of 64"},
 		{"unknown placement", Config{Placement: "round-robin"},
 			`unknown policy "round-robin"`},
+		{"negative RTT", Config{RTT: -1},
+			"fabric round-trip must not be negative, got -1ns"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
