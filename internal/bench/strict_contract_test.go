@@ -18,7 +18,8 @@ import (
 // the lock covers the whole record, and the steady-state allocations
 // of one uncontended attempt as last measured (TestStrictAttemptAllocs):
 // the hook's two, since the install's replica list and the conflict
-// tracker's update ring stopped allocating.
+// tracker's update ring stopped allocating, and since the cross-shard
+// prepare did too on a two-group pool (7 there before).
 var strictEngines = []struct {
 	kind        SystemKind
 	lockOff     uint64
@@ -43,10 +44,20 @@ type strictFixture struct {
 
 func newStrictFixture(t *testing.T, kind SystemKind, mns, cns, replicas, records int) *strictFixture {
 	t.Helper()
+	return newStrictGroupsFixture(t, kind, 1, mns, cns, replicas, records)
+}
+
+// newStrictGroupsFixture is newStrictFixture on groups shard groups of
+// mns memory nodes each, records placed by hash.
+func newStrictGroupsFixture(t *testing.T, kind SystemKind, groups, mns, cns, replicas, records int) *strictFixture {
+	t.Helper()
 	env := sim.NewEnv(7)
 	params := rdma.DefaultParams()
 	params.JitterPct = 0
-	pool := memnode.NewPool(rdma.NewFabric(env, params), mns, 16<<20, replicas)
+	pool, err := memnode.NewShardedPool(rdma.NewFabric(env, params), groups, mns, 16<<20, replicas, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	db := engine.NewDB(pool)
 	db.Attach(engine.Observers{History: engine.NewHistory()}, env, 0)
 	sys, err := NewSystem(kind, db)
@@ -349,33 +360,60 @@ func TestStrictEngineContract(t *testing.T) {
 
 // TestStrictAttemptAllocs bounds the steady-state allocations of one
 // uncontended attempt — a read-write record, a read-only record, so
-// every phase runs — by the count recorded on strictEngines. The
-// history checker is off, as in a benchmark run.
+// every phase runs — by the count recorded on strictEngines. In the
+// "-2-groups" cases the pool is two shard groups, the written record in
+// the one that is not the coordinator's home and the read one at home,
+// so every commit pays the cross-shard prepare round: it allocates
+// nothing. The history checker is off, as in a benchmark run.
 func TestStrictAttemptAllocs(t *testing.T) {
 	for _, eng := range strictEngines {
 		eng := eng
 		t.Run(string(eng.kind), func(t *testing.T) {
-			f := newStrictFixture(t, eng.kind, 2, 1, 1, 4)
-			f.db.Obs.History = nil
-			c := f.coord()
-			var sink uint64
-			txn := txnOf("mixed", incOp(0, 0, 1), readOp(1, 1, &sink))
-			var got float64
-			f.env.Spawn("c", func(p *sim.Proc) {
-				for i := 0; i < 64; i++ { // grow the scratch to its steady state
-					c.Execute(p, txn)
-				}
-				got = testing.AllocsPerRun(200, func() {
-					if a := c.Execute(p, txn); !a.Committed {
-						t.Errorf("uncontended attempt aborted: %v", a.Reason)
-					}
-				})
-			})
-			f.run()
-			t.Logf("%s: %.0f allocs per attempt", eng.kind, got)
-			if got > eng.allocs {
-				t.Errorf("%s: %.0f allocs per attempt, %.0f when last measured", eng.kind, got, eng.allocs)
+			strictAttemptAllocs(t, eng.kind, eng.allocs, newStrictFixture(t, eng.kind, 2, 1, 1, 4), 0, 1)
+		})
+	}
+	for _, eng := range strictEngines {
+		eng := eng
+		t.Run(string(eng.kind)+"-2-groups", func(t *testing.T) {
+			f := newStrictGroupsFixture(t, eng.kind, 2, 2, 1, 1, 16)
+			pool := f.db.Pool
+			home := pool.ShardOfNode(pool.LogNodes(f.next, 1)[0].ID) // the next coordinator's
+			w, r := layout.Key(0), layout.Key(0)
+			for pool.ShardOf(1, w) == home {
+				w++
+			}
+			for pool.ShardOf(1, r) != home {
+				r++
+			}
+			strictAttemptAllocs(t, eng.kind, eng.allocs, f, w, r)
+		})
+	}
+}
+
+// strictAttemptAllocs runs an increment of record w and a read of record
+// r on a new coordinator of f until its scratch is at its steady state,
+// then fails the test if one more attempt allocates more than allocs. A
+// pool of more than one group must make every attempt cross-shard.
+func strictAttemptAllocs(t *testing.T, kind SystemKind, allocs float64, f *strictFixture, w, r layout.Key) {
+	f.db.Obs.History = nil
+	c := f.coord()
+	var sink uint64
+	txn := txnOf("mixed", incOp(w, 0, 1), readOp(r, 1, &sink))
+	cross := f.db.Pool.Shards() > 1
+	var got float64
+	f.env.Spawn("c", func(p *sim.Proc) {
+		for i := 0; i < 64; i++ { // grow the scratch to its steady state
+			c.Execute(p, txn)
+		}
+		got = testing.AllocsPerRun(200, func() {
+			if a := c.Execute(p, txn); !a.Committed || a.CrossShard != cross {
+				t.Errorf("uncontended attempt: committed %v (%v), cross-shard %v", a.Committed, a.Reason, a.CrossShard)
 			}
 		})
+	})
+	f.run()
+	t.Logf("%s: %.0f allocs per attempt", kind, got)
+	if got > allocs {
+		t.Errorf("%s: %.0f allocs per attempt, %.0f when last measured", kind, got, allocs)
 	}
 }

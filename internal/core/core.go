@@ -265,6 +265,10 @@ func (cn *ComputeNode) recycle(obj *object) {
 	}
 	obj.life = objRecycled
 	clear(obj.base) // a shell on the free list pins no chunk
+	// Nobody holds or waits on what nobody names: the resets panic
+	// otherwise, and keep the queues' arrays for the shell's next record.
+	obj.mu.Reset()
+	obj.stateQ.Reset()
 	cn.free[obj.table] = append(cn.free[obj.table], obj)
 }
 

@@ -17,13 +17,23 @@ type fixture struct {
 	cns []*ComputeNode
 }
 
-func newFixture(t *testing.T, opts Options, mns, cnCount, replicas, records int, history bool) *fixture {
+func newFixture(t testing.TB, opts Options, mns, cnCount, replicas, records int, history bool) *fixture {
+	t.Helper()
+	return newGroupsFixture(t, opts, 1, mns, cnCount, replicas, records, history)
+}
+
+// newGroupsFixture is newFixture on groups shard groups of mns memory
+// nodes each, records placed by hash.
+func newGroupsFixture(t testing.TB, opts Options, groups, mns, cnCount, replicas, records int, history bool) *fixture {
 	t.Helper()
 	env := sim.NewEnv(13)
 	params := rdma.DefaultParams()
 	params.JitterPct = 0
 	fabric := rdma.NewFabric(env, params)
-	pool := memnode.NewPool(fabric, mns, 32<<20, replicas)
+	pool, err := memnode.NewShardedPool(fabric, groups, mns, 32<<20, replicas, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	db := engine.NewDB(pool)
 	if history {
 		db.Attach(engine.Observers{History: engine.NewHistory()}, env, 0)
@@ -100,7 +110,7 @@ func (f *fixture) poolHeader(node *memnode.Node, key layout.Key) layout.Header {
 	return layout.DecodeHeader(node.Region.Bytes()[off:])
 }
 
-func run(t *testing.T, f *fixture) {
+func run(t testing.TB, f *fixture) {
 	t.Helper()
 	if err := f.env.Run(); err != nil {
 		t.Fatal(err)

@@ -11,7 +11,7 @@ import (
 
 // txnStatus tracks a local transaction's lifecycle for dependency
 // tracking (§5.1 of the paper).
-type txnStatus int
+type txnStatus int32
 
 const (
 	txnPending txnStatus = iota
@@ -25,7 +25,6 @@ const (
 type txnState struct {
 	id     uint64
 	tsExec uint64
-	status txnStatus
 	// whyID is the causality recorder's id for this transaction (0
 	// when recording is off), so dependency waits and flushed versions
 	// can be attributed to their creator.
@@ -37,17 +36,65 @@ type txnState struct {
 	tsAssigned uint64
 	tsCommit   uint64
 	waitQ      sim.WaitQueue
-	// vers is the slab the transaction's versions are cut from, made at
-	// its first write with room for writes of them: one per write cell
-	// of the program. The versions are the transaction's and die with
-	// it — when the last cell list, check or dependent lets go of them
-	// the slab goes as one object — so there is nothing to free or reuse.
+	// vers is the slab the transaction's versions are cut from, with
+	// room for writes of them: one per write cell of the program. The
+	// versions are the transaction's and die with it — when the last
+	// cell list, check or dependent lets go of them the slab goes with
+	// them — so there is nothing to free or reuse.
 	vers   []version
-	writes int
+	status txnStatus
+	writes int32
 }
 
+// txnVersN is a transaction state with the version slab of an N-write
+// program inline: one object where there would be two. N runs to 4,
+// SmallBank's and YCSB's write sets; TPC-C's NewOrder and Payment write
+// more. Up to N = 3 the merged object's size class is no bigger than
+// the state and the slab apart; at 4 it is 288 bytes against 112 + 160,
+// 16 bytes for the object saved (TestTxnObjectSizeClasses).
+type (
+	txnVers1 struct {
+		txnState
+		v [1]version
+	}
+	txnVers2 struct {
+		txnState
+		v [2]version
+	}
+	txnVers3 struct {
+		txnState
+		v [3]version
+	}
+	txnVers4 struct {
+		txnState
+		v [4]version
+	}
+)
+
+// newTxnState returns the state of a transaction whose hooks write
+// writes cells. Up to four, the version slab is part of the state's
+// object (txnVersN); beyond that, and for a read-only attempt, the
+// state stands alone and newVersion makes the slab at the first write.
 func newTxnState(id, whyID uint64, writes int) *txnState {
-	t := &txnState{id: id, whyID: whyID, writes: writes}
+	var t *txnState
+	var vers []version
+	switch writes {
+	case 1:
+		s := new(txnVers1)
+		t, vers = &s.txnState, s.v[:0]
+	case 2:
+		s := new(txnVers2)
+		t, vers = &s.txnState, s.v[:0]
+	case 3:
+		s := new(txnVers3)
+		t, vers = &s.txnState, s.v[:0]
+	case 4:
+		s := new(txnVers4)
+		t, vers = &s.txnState, s.v[:0]
+	default:
+		t = new(txnState)
+	}
+	t.id, t.whyID, t.writes, t.vers = id, whyID, int32(writes), vers
 	t.waitQ.SetLabel((*awaitLabel)(t))
 	return t
 }
@@ -56,7 +103,7 @@ func newTxnState(id, whyID uint64, writes int) *txnState {
 func (t *txnState) newVersion(value []byte) *version {
 	if len(t.vers) == cap(t.vers) {
 		// Never a regrowth: installed versions are pointed at.
-		t.vers = make([]version, 0, max(t.writes, 1))
+		t.vers = make([]version, 0, max(int(t.writes), 1))
 	}
 	t.vers = append(t.vers, version{txn: t, tsExec: t.tsExec, value: value})
 	return &t.vers[len(t.vers)-1]
@@ -206,9 +253,11 @@ func newObject(table layout.TableID, key layout.Key, off uint64, lay *layout.Rec
 
 // init makes o — a fresh shell or a recycled one of the same table — the
 // new, unadmitted object of a record. Of a recycled shell only the
-// storage survives: the four per-cell slices and the capacity of the
-// version lists. Cell values are not storage: base blocks belong to the
-// attempts that read them (see install), and recycle has let go of them.
+// storage survives: the four per-cell slices, the capacity of the
+// version lists, and the mutex and admission queue, which recycle
+// emptied but whose arrays stay. Cell values are not storage: base
+// blocks belong to the attempts that read them (see install), and
+// recycle has let go of them.
 func (o *object) init(table layout.TableID, key layout.Key, off uint64, lay *layout.Record, primary *memnode.Node) {
 	clear(o.epochs)
 	clear(o.baseVer)
@@ -224,6 +273,8 @@ func (o *object) init(table layout.TableID, key layout.Key, off uint64, lay *lay
 		off:     off,
 		lay:     lay,
 		primary: primary,
+		mu:      o.mu,
+		stateQ:  o.stateQ,
 		epochs:  o.epochs,
 		base:    o.base,
 		baseVer: o.baseVer,

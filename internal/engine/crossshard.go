@@ -1,7 +1,8 @@
 package engine
 
 import (
-	"crest/internal/rdma"
+	"math/bits"
+
 	"crest/internal/sim"
 )
 
@@ -26,25 +27,26 @@ func (s ShardSet) Beyond(home int) bool {
 // replica). The home group's decision write follows in its own
 // round-trip, so a cross-shard commit pays exactly one extra RTT and
 // holds its locks that much longer — the cost the crossover
-// experiment measures.
+// experiment measures. The batches are sc's log batches, which the
+// decision write fills again once this round-trip is over.
 //
 // Prepares are durability fan-out only: recovery replays decision
 // logs, so an entry that reached a remote group but whose home
 // decision write never landed is ignored (a documented
 // simplification of the 2PC durability rules).
-func (c *Coord) prepareCrossShard(p *sim.Proc, parts ShardSet, off uint64, entry []byte) {
+func (c *Coord) prepareCrossShard(p *sim.Proc, sc *Scratch, parts ShardSet, off uint64, entry []byte) {
 	pool := c.DB.Pool
-	var batches []rdma.Batch
+	others := parts &^ (1 << uint(c.Home))
+	bs := sc.batches(bits.OnesCount64(uint64(others)) * len(c.LogN))
+	i := 0
 	for g := 0; g < pool.Shards(); g++ {
-		if g == c.Home || parts&(1<<uint(g)) == 0 {
+		if others&(1<<uint(g)) == 0 {
 			continue
 		}
-		for _, n := range pool.MirrorNodes(c.LogN, g) {
-			batches = append(batches, rdma.Batch{
-				QP:  c.QPs.Get(n.Region),
-				Ops: []rdma.Op{{Kind: rdma.OpWrite, Off: off, Data: entry}},
-			})
+		for _, n := range c.LogN {
+			setWrite(&bs[i], c.QPs.Get(pool.Mirror(n, g).Region), off, entry)
+			i++
 		}
 	}
-	post(p, batches)
+	post(p, bs)
 }

@@ -169,8 +169,9 @@ func (a *Arena) Bytes(n int) []byte {
 // Scratch is the attempt-scoped working memory every execution path
 // needs: the per-node batch builder, the byte arena, a verb list, a
 // replica-node list, and the log encoding buffer with its persistent
-// per-replica batches. Paths embed it in their own scratch beside their
-// record slabs and lists.
+// per-node batches (the prepare round's, then the decision write's).
+// Paths embed it in their own scratch beside their record slabs and
+// lists.
 //
 // Coordinators are shared round-robin across transaction processes, so
 // attempts on one coordinator can overlap in virtual time; each attempt
@@ -262,17 +263,29 @@ func (c *Coord) Resolve(p *sim.Proc, k RecKey) (*memnode.Node, uint64) {
 func (c *Coord) WriteLog(p *sim.Proc, sc *Scratch, parts ShardSet, entry []byte) {
 	off := c.Log.Reserve(len(entry))
 	if parts.Beyond(c.Home) {
-		c.prepareCrossShard(p, parts, off, entry)
+		c.prepareCrossShard(p, sc, parts, off, entry)
 	}
-	if cap(sc.logBatches) < len(c.LogN) {
-		sc.logBatches = make([]rdma.Batch, len(c.LogN))
-	}
-	sc.logBatches = sc.logBatches[:len(c.LogN)]
+	bs := sc.batches(len(c.LogN))
 	for i, n := range c.LogN {
-		sc.logBatches[i].QP = c.QPs.Get(n.Region)
-		sc.logBatches[i].Ops = append(sc.logBatches[i].Ops[:0], rdma.Op{Kind: rdma.OpWrite, Off: off, Data: entry})
+		setWrite(&bs[i], c.QPs.Get(n.Region), off, entry)
 	}
-	post(p, sc.logBatches)
+	post(p, bs)
+}
+
+// batches returns n of the scratch's log batches, each with the Ops
+// array it had: the list grows once, to the most batches a round has
+// needed, and never shrinks.
+func (sc *Scratch) batches(n int) []rdma.Batch {
+	if k := cap(sc.logBatches); k < n {
+		sc.logBatches = append(sc.logBatches[:k], make([]rdma.Batch, n-k)...)
+	}
+	return sc.logBatches[:n]
+}
+
+// setWrite makes b one WRITE of data at off through qp.
+func setWrite(b *rdma.Batch, qp *rdma.QP, off uint64, data []byte) {
+	b.QP = qp
+	b.Ops = append(b.Ops[:0], rdma.Op{Kind: rdma.OpWrite, Off: off, Data: data})
 }
 
 // post issues one round-trip; a fabric error on it is a programming

@@ -229,16 +229,12 @@ func (p *Pool) LogNodes(id, count int) []*Node {
 	return out
 }
 
-// MirrorNodes returns shard group g's nodes at the same in-group
-// positions as ns. The symmetric allocation guarantees any offset
-// valid on ns is valid on the mirror — this is how the cross-shard
-// prepare addresses a remote group's log replicas.
-func (p *Pool) MirrorNodes(ns []*Node, g int) []*Node {
-	out := make([]*Node, len(ns))
-	for i, n := range ns {
-		out[i] = p.nodes[g*p.perGroup+n.ID%p.perGroup]
-	}
-	return out
+// Mirror returns shard group g's node at the same in-group position as
+// n. The symmetric allocation guarantees any offset valid on n is valid
+// on its mirror — this is how the cross-shard prepare addresses a
+// remote group's log replicas.
+func (p *Pool) Mirror(n *Node, g int) *Node {
+	return p.nodes[g*p.perGroup+n.ID%p.perGroup]
 }
 
 // Heap is a table's record heap: count fixed-size slots starting at a

@@ -135,23 +135,23 @@ func TestLogNodesShardedHome(t *testing.T) {
 	}
 }
 
-// MirrorNodes maps a node set to the same in-group positions of
-// another group — the cross-shard prepare fan-out.
+// Mirror maps each of a coordinator's log nodes to the same in-group
+// position of another group — the cross-shard prepare fan-out — and a
+// node to itself in its own group.
 func TestMirrorNodes(t *testing.T) {
 	p := shardedPool(t, 3, 4, 1, nil)
-	ln := p.LogNodes(7, 2)
-	for g := 0; g < 3; g++ {
-		mirror := p.MirrorNodes(ln, g)
-		if len(mirror) != len(ln) {
-			t.Fatalf("mirror of %d nodes has %d", len(ln), len(mirror))
-		}
-		for i, m := range mirror {
+	for _, n := range p.LogNodes(7, 2) {
+		for g := 0; g < 3; g++ {
+			m := p.Mirror(n, g)
 			if p.ShardOfNode(m.ID) != g {
 				t.Fatalf("mirror node mn%d not in group %d", m.ID, g)
 			}
-			if m.ID%4 != ln[i].ID%4 {
-				t.Fatalf("mirror node mn%d not at in-group position of mn%d", m.ID, ln[i].ID)
+			if m.ID%4 != n.ID%4 {
+				t.Fatalf("mirror node mn%d not at in-group position of mn%d", m.ID, n.ID)
 			}
+		}
+		if m := p.Mirror(n, p.ShardOfNode(n.ID)); m != n {
+			t.Fatalf("mn%d's mirror in its own group is mn%d", n.ID, m.ID)
 		}
 	}
 }

@@ -605,6 +605,17 @@ func (q *WaitQueue) Wake(n int) int {
 // WakeAll releases every parked process.
 func (q *WaitQueue) WakeAll() int { return q.Wake(-1) }
 
+// Reset readies q, which no process may be parked on, for a new owner:
+// it keeps the array Wait queues processes in, so a recycled owner's
+// queue does not grow it again, and drops the processes Wake left
+// behind in it.
+func (q *WaitQueue) Reset() {
+	if len(q.ps) > 0 {
+		panic(fmt.Sprintf("sim: Reset of %s with %d processes parked", q, len(q.ps)))
+	}
+	clear(q.ps[:cap(q.ps)])
+}
+
 // Mutex is a FIFO mutual-exclusion lock for simulated processes.
 type Mutex struct {
 	held bool
@@ -647,6 +658,15 @@ func (m *Mutex) Unlock() {
 
 // Held reports whether the mutex is currently held.
 func (m *Mutex) Held() bool { return m.held }
+
+// Reset readies m, which must be free, for a new owner, as
+// WaitQueue.Reset does its queue.
+func (m *Mutex) Reset() {
+	if m.held {
+		panic(fmt.Sprintf("sim: Reset of held %s", &m.q))
+	}
+	m.q.Reset()
+}
 
 // WaitingProcs lists processes parked on wait queues right now, with
 // their queue labels (diagnostics).

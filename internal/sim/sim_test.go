@@ -122,6 +122,52 @@ func TestWaitQueueFIFO(t *testing.T) {
 	}
 }
 
+// TestResetKeepsTheArray: a reset queue keeps the array its waiters
+// grew, holding none of them, and a reset refuses a queue or mutex that
+// someone still waits on or holds.
+func TestResetKeepsTheArray(t *testing.T) {
+	e := NewEnv(1)
+	q := NewWaitQueue("q")
+	var m Mutex
+	for i := 0; i < 3; i++ {
+		e.Spawn("w", func(p *Proc) { q.Wait(p) })
+	}
+	e.Spawn("waker", func(p *Proc) {
+		p.Sleep(Microsecond)
+		q.WakeAll()
+		m.Lock(p)
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	grown := cap(q.ps)
+	q.Reset()
+	if q.Len() != 0 || cap(q.ps) != grown || grown < 3 {
+		t.Fatalf("reset queue: %d parked, capacity %d, was %d", q.Len(), cap(q.ps), grown)
+	}
+	for i, p := range q.ps[:cap(q.ps)] {
+		if p != nil {
+			t.Fatalf("reset queue still holds woken process %d", i)
+		}
+	}
+	mustPanic := func(what string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("Reset of %s did not panic", what)
+			}
+		}()
+		f()
+	}
+	mustPanic("a held mutex", m.Reset)
+	stuck := NewEnv(1)
+	stuck.Spawn("stuck", func(p *Proc) { q.Wait(p) })
+	if stuck.Run() == nil {
+		t.Fatal("a process parked for good did not deadlock the run")
+	}
+	mustPanic("a queue with a parked process", q.Reset)
+}
+
 func TestDeadlockDetected(t *testing.T) {
 	e := NewEnv(1)
 	q := NewWaitQueue("never")

@@ -172,11 +172,14 @@ func TestLoadAllocatesPerTable(t *testing.T) {
 // hooks once may allocate, by label: the program object and, where a
 // program's length is drawn, its ops (and NewOrder's lines), plus the
 // two chunks of its Values if it writes anything. None of it is per op,
-// per cell or per value.
+// per cell or per value. A YCSB program of up to four ops holds them,
+// and a SmallBank program its first two Out entries, so a SmallBank
+// transaction that writes one or two balances allocates only its byte
+// chunk beside the program.
 var programBudgets = map[string]uint64{
 	"NewOrder": 5, "Payment": 3, "OrderStatus": 1, "Delivery": 3, "StockLevel": 1,
-	"Balance": 1, "DepositChecking": 3, "TransactSavings": 3, "Amalgamate": 3, "WriteCheck": 3, "SendPayment": 3,
-	"ycsb-read": 2, "ycsb-write": 4, "ycsb-insert": 4,
+	"Balance": 1, "DepositChecking": 2, "TransactSavings": 2, "Amalgamate": 3, "WriteCheck": 2, "SendPayment": 2,
+	"ycsb-read": 1, "ycsb-write": 3, "ycsb-insert": 3,
 }
 
 // TestProgramAllocationBudgets holds Next plus one pass over the hooks

@@ -107,6 +107,10 @@ type program struct {
 	block [1]engine.Block
 	ops   [3]engine.Op
 	vals  workload.Values
+	// out is vals' first Out chunk: all that a first attempt writing one
+	// or two balances needs. Two entries are what the program's size
+	// class has room for (TestTxnObjectSizeClasses).
+	out [2][]byte
 	// a and b are the program's numbers: the deltas of ops 0 and 1
 	// (add), the sum moved so far (Amalgamate), the check's amount and
 	// the savings balance (WriteCheck).
@@ -123,6 +127,7 @@ func newProgram(label string, n, writes int) *program {
 	p.block[0].Ops = p.ops[:n]
 	p.txn = engine.Txn{Label: label, Blocks: p.block[:], State: p, ReadOnly: writes == 0}
 	p.vals.Size(writes*CellSize, writes)
+	p.vals.FirstOut(p.out[:])
 	return p
 }
 

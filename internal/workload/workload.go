@@ -125,22 +125,29 @@ func fillText(b []byte, tag uint64) {
 // output. When a chunk is used up the next one is allocated and the old
 // one is left to whoever still refers to it. Chunks are one attempt's
 // size, not larger, so that a cached record whose base cell aliases one
-// value keeps that much alive and no more.
+// value keeps that much alive and no more. For the same reason the byte
+// chunks are always objects of their own, while the first Out chunk may
+// be an array in the transaction's state (FirstOut): nothing keeps an
+// Out slice beyond the attempt that returned it.
 type Values struct {
-	bytes, outs int // what one attempt carves: the size of a chunk
+	bytes, outs int32 // what one attempt carves: the size of a chunk
 	buf         []byte
 	out         [][]byte
 }
 
 // Size declares what one attempt carves: bytes of values and outs
 // entries of Out in total.
-func (a *Values) Size(bytes, outs int) { a.bytes, a.outs = bytes, outs }
+func (a *Values) Size(bytes, outs int) { a.bytes, a.outs = int32(bytes), int32(outs) }
+
+// FirstOut makes first, storage of the caller's that nothing else
+// writes, the chunk Out carves from before it allocates one.
+func (a *Values) FirstOut(first [][]byte) { a.out = first[:0] }
 
 // carve returns n fresh zero elements from the chunk *buf, which it
 // replaces by a new one of at least chunk elements when n do not fit.
-func carve[T any](buf *[]T, n, chunk int) []T {
+func carve[T any](buf *[]T, n int, chunk int32) []T {
 	if n > cap(*buf)-len(*buf) {
-		*buf = make([]T, 0, max(n, chunk))
+		*buf = make([]T, 0, max(n, int(chunk)))
 	}
 	lo := len(*buf)
 	*buf = (*buf)[:lo+n]

@@ -184,14 +184,22 @@ func (g *Generator) Load(fn func(layout.TableID, layout.Key, [][]byte)) {
 type program struct {
 	txn   engine.Txn
 	block [1]engine.Block
-	vals  workload.Values
-	key   uint64 // an insert's key, which is also the value of its cells
+	// ops holds the ops of a program of at most the paper's N = 4, in
+	// no more bytes than the program and a separate op array would take
+	// (TestTxnObjectSizeClasses). A longer program makes its own.
+	ops  [4]engine.Op
+	vals workload.Values
+	key  uint64 // an insert's key, which is also the value of its cells
 }
 
 // newProgram returns a program of n ops, none filled in yet.
 func newProgram(n int) *program {
 	p := &program{}
-	p.block[0].Ops = make([]engine.Op, n)
+	if n <= len(p.ops) {
+		p.block[0].Ops = p.ops[:n]
+	} else {
+		p.block[0].Ops = make([]engine.Op, n)
+	}
 	p.txn = engine.Txn{Blocks: p.block[:], State: p}
 	return p
 }
