@@ -50,6 +50,10 @@ trap 'rm -rf "$bin"' EXIT
 go build -o "$bin" ./cmd/crestbench ./cmd/cresttrace
 flags() { ("$@" -h 2>&1 || true) | grep -c '^  -'; }
 printf '%-28s %7d\n' "crestbench" "$(flags "$bin/crestbench")"
-for sub in trace why graph windows tail critpath; do
-  printf '%-28s %7d\n' "cresttrace $sub" "$(flags "$bin/cresttrace" "$sub")"
+total=0
+for sub in why graph windows tail critpath; do
+  n=$(flags "$bin/cresttrace" "$sub")
+  total=$((total + n))
+  printf '%-28s %7d\n' "cresttrace $sub" "$n"
 done
+printf '%-28s %7d\n' "cresttrace (all subcommands)" "$total"

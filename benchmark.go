@@ -117,11 +117,15 @@ func (r BenchmarkResult) String() string {
 }
 
 // RunBenchmark executes one measured run and returns its metrics. A
-// run description RunSpec.Validate rejects is an error, not a panic.
+// run description RunSpec.Validate rejects, or a negative
+// MetricsWindow, is an error, not a panic or a silent default.
 func RunBenchmark(cfg BenchmarkConfig) (BenchmarkResult, error) {
 	spec, profile, err := cfg.RunSpec.Resolve()
 	if err != nil {
 		return BenchmarkResult{}, fmt.Errorf("crest: %w", err)
+	}
+	if err := cfg.ObserverOptions.validate(); err != nil {
+		return BenchmarkResult{}, err
 	}
 	obs := cfg.recorders()
 	rec, res, err := bench.Execute(spec, profile, bench.Config{

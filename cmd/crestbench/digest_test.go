@@ -20,6 +20,18 @@ func cliCases() []pin.Case {
 				Args: "-run -quick -system " + sys + " -workload " + wl + " -coords 24 -duration 2ms -warmup 500us"})
 		}
 	}
+	// Each -trace format, and a sharded run's metrics, at a preset small
+	// enough that the default trace ring holds the whole run. The file
+	// rows are the values cresttrace pinned when it rendered these runs.
+	small := "-run -quick -workload smallbank -warehouses 8 -coords 12 -duration 2ms -warmup 200us "
+	cases = append(cases, []pin.Case{
+		{Name: "trace/json", Files: []string{"trace.json"}, Args: small + "-system crest -trace $T/trace.json"},
+		{Name: "trace/spans", Files: []string{"t.spans"}, Args: small + "-system ford -trace $T/t.spans"},
+		{Name: "trace/hotkeys", Files: []string{"t.hotkeys"}, Args: small + "-workload ycsb -theta 0.99 -trace $T/t.hotkeys"},
+		{Name: "trace/tpcc", Files: []string{"t.spans"}, Args: small + "-workload tpcc -duration 1ms -trace $T/t.spans"},
+		{Name: "trace/metrics", Files: []string{"m.csv"},
+			Args: small + "-coords 24 -shards 2 -placement modulo -workers 2 -metrics $T/m.csv -metrics-window 200us"},
+	}...)
 	return append(cases, []pin.Case{
 		// Every flag at its default except the table scale.
 		{Name: "defaults/motor-ycsb", Args: "-run -quick -system motor -workload ycsb"},

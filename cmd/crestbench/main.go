@@ -46,14 +46,12 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-// runKeys are the run-description flags of -run, registered from the
-// RunSpec key table (crest.RunSpec.Flags) with crest.DefaultRun as the
-// preset.
-var runKeys = []string{"system", "workload", "coords", "shards", "placement", "warehouses",
-	"theta", "writes", "n", "duration", "warmup", "seed", "quick"}
-
-// runOutputs are the other flags only -run consumes.
-var runOutputs = []string{"spec", "big", "trace", "metrics", "why", "flight", "runtime-stats", "metrics-window"}
+// runOutputs are the flags beside the RunSpec key table's that only -run
+// consumes, and expOutputs the flags only -exp consumes.
+var (
+	runOutputs = []string{"spec", "big", "trace", "metrics", "why", "flight", "runtime-stats", "metrics-window"}
+	expOutputs = []string{"profile", "j", "json", "baseline", "cache"}
+)
 
 // bigRun is the -big preset, the million-transaction topology: 10³
 // coordinators on 4 shard groups, long enough to commit ~10⁶
@@ -93,7 +91,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		specPath = fs.String("spec", "", "with -run: drive the run from a declarative scenario .spec file (overrides -workload and its knobs)")
 		workers  = fs.Int("workers", 1, "scheduler threads executing shard-group partitions concurrently (results are byte-identical at any count; 1 = sequential)")
 		big      = fs.Bool("big", false, "with -run: the million-transaction profile (1000 coordinators, 4 shard groups, 8 compute nodes, smallbank θ=0.5; explicit flags override)")
-		traceOut = fs.String("trace", "", "with -run: write a Chrome trace_event JSON of the run to this file")
+		traceOut = fs.String("trace", "", "with -run: write the run's event trace to this file (.spans per-txn span timelines, .hotkeys the top-20 contended cells, Chrome trace_event JSON for any other extension)")
 		metOut   = fs.String("metrics", "", "with -run: write the run's windowed metrics to this file (.csv, .json or .prom by extension)")
 		whyOut   = fs.String("why", "", "with -run: write the run's contention graph for abort forensics to this file (.dot or crest-why .json by extension)")
 		flOut    = fs.String("flight", "", "with -run: write the run's per-txn latency budgets and tail exemplars to this file (crest-flight .json, or the rendered tail report for any other extension)")
@@ -103,7 +101,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		memProf  = fs.String("memprofile", "", "write a pprof heap profile (taken at exit) to this file")
 		rtTrace  = fs.String("runtimetrace", "", "write a Go runtime execution trace to this file")
 	)
-	crest.DefaultRun().Flags(fs, runKeys...)
+	// The run-description flags: the RunSpec key table, crest.DefaultRun
+	// as the preset.
+	crest.DefaultRun().Flags(fs)
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -132,18 +132,36 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err := crest.ValidateWorkers(*workers); err != nil {
 		return usageErr("%v", err)
 	}
-	if !*runOne {
-		// -exp and -list take their run descriptions from the experiment
-		// definitions; a run flag here would be silently ignored.
-		stray := ""
-		fs.Visit(func(f *flag.Flag) {
-			if stray == "" && (slices.Contains(runKeys, f.Name) || slices.Contains(runOutputs, f.Name)) {
-				stray = f.Name
-			}
-		})
-		if stray != "" {
-			return usageErr("-%s only applies to -run", stray)
+	modes := 0
+	for _, on := range []bool{*list, *expID != "", *runOne} {
+		if on {
+			modes++
 		}
+	}
+	if modes > 1 {
+		return usageErr("-list, -exp and -run are exclusive")
+	}
+	spec := crest.DefaultRun()
+	if *big {
+		spec = bigRun()
+	}
+	// passed names the run keys given; specErr is only -run's to report.
+	passed, specErr := spec.SetFlags(fs)
+	// -exp and -list take their run descriptions from the experiment
+	// definitions, and -run and -list write no matrix: a flag of another
+	// mode would be silently ignored.
+	stray, owner := "", ""
+	fs.Visit(func(f *flag.Flag) {
+		switch {
+		case stray != "":
+		case !*runOne && (passed[f.Name] || slices.Contains(runOutputs, f.Name)):
+			stray, owner = f.Name, "-run"
+		case *expID == "" && slices.Contains(expOutputs, f.Name):
+			stray, owner = f.Name, "-exp"
+		}
+	})
+	if stray != "" {
+		return usageErr("-%s only applies to %s", stray, owner)
 	}
 
 	// The simulator's steady state allocates little, so the default GC
@@ -240,13 +258,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 				p.Events, p.SimWallMS, p.EventsPerSec/1e6)
 		}
 	case *runOne:
-		spec := crest.DefaultRun()
-		if *big {
-			spec = bigRun()
-		}
-		passed, err := spec.SetFlags(fs)
-		if err != nil {
-			return usageErr("%v", err)
+		if specErr != nil {
+			return usageErr("%v", specErr)
 		}
 		if *specPath != "" {
 			sc, err := crest.ParseScenarioFile(*specPath)

@@ -5,6 +5,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -184,29 +185,51 @@ func TestBigProfileSmoke(t *testing.T) {
 	}
 }
 
-// -exp and -list take their run descriptions from the experiment
-// definitions, so every run key and every -run-only output flag is
-// rejected there rather than silently ignored.
+// runKeys are the RunSpec key table's flags.
+func runKeys() []string {
+	fs := flag.NewFlagSet("", flag.ContinueOnError)
+	crest.DefaultRun().Flags(fs)
+	var keys []string
+	fs.VisitAll(func(f *flag.Flag) { keys = append(keys, f.Name) })
+	return keys
+}
+
+// The three modes are exclusive, and each rejects the flags of another
+// rather than silently ignoring them: -exp and -list take their run
+// descriptions from the experiment definitions, so every run key and
+// every -run-only output flag is rejected there, and the matrix flags
+// are rejected under -run and -list.
 func TestExpAndListRejectRunFlags(t *testing.T) {
-	flags := [][]string{{"-spec", "x.spec"}, {"-big"}, {"-quick"}, {"-runtime-stats", "rt.json"},
+	runFlags := [][]string{{"-spec", "x.spec"}, {"-big"}, {"-quick"}, {"-runtime-stats", "rt.json"},
 		{"-trace", "x.json"}, {"-metrics", "m.csv"}, {"-metrics-window", "50us"}, {"-why", "w.json"}, {"-flight", "f.json"}}
-	for _, key := range runKeys {
+	for _, key := range runKeys() {
 		switch key {
 		case "quick":
 		case "duration", "warmup":
-			flags = append(flags, []string{"-" + key, "1ms"})
+			runFlags = append(runFlags, []string{"-" + key, "1ms"})
 		default:
-			flags = append(flags, []string{"-" + key, "1"})
+			runFlags = append(runFlags, []string{"-" + key, "1"})
 		}
 	}
-	for _, mode := range [][]string{{"-exp", "fig2"}, {"-list"}} {
-		for _, fl := range flags {
-			code, stdout, stderr := dispatch(append(mode, fl...)...)
+	expFlags := [][]string{{"-profile", "quick"}, {"-j", "2"}, {"-json", "x.json"}, {"-baseline", "b.json"}, {"-cache", "c"}}
+	run := []string{"-run", "-quick", "-workload", "smallbank", "-coords", "12", "-duration", "2ms", "-warmup", "200us"}
+	for _, tc := range []struct {
+		mode  []string
+		flags [][]string
+		owner string
+	}{
+		{[]string{"-exp", "fig2"}, runFlags, "-run"},
+		{[]string{"-list"}, runFlags, "-run"},
+		{run, expFlags, "-exp"},
+		{[]string{"-list"}, expFlags, "-exp"},
+	} {
+		for _, fl := range tc.flags {
+			code, stdout, stderr := dispatch(append(tc.mode, fl...)...)
 			if code != 2 || stdout != "" {
-				t.Fatalf("%v %v: exit code %d, stdout %q", mode, fl, code, stdout)
+				t.Fatalf("%v %v: exit code %d, stdout %q", tc.mode, fl, code, stdout)
 			}
-			if want := fl[0] + " only applies to -run"; !strings.Contains(stderr, want) {
-				t.Fatalf("%v %v: stderr lacks %q:\n%s", mode, fl, want, stderr)
+			if want := fl[0] + " only applies to " + tc.owner; !strings.Contains(stderr, want) {
+				t.Fatalf("%v %v: stderr lacks %q:\n%s", tc.mode, fl, want, stderr)
 			}
 		}
 	}
@@ -214,6 +237,16 @@ func TestExpAndListRejectRunFlags(t *testing.T) {
 	_, _, stderr := dispatch("-exp", "fig2", "-system", "ford", "-coords", "7", "-trace", "x.json")
 	if !strings.Contains(stderr, "-coords only applies to -run") {
 		t.Fatalf("stderr lacks diagnosis:\n%s", stderr)
+	}
+	// Two modes at once are one usage error, whatever else is passed.
+	for _, args := range [][]string{
+		{"-list", "-run", "-coords", "3"}, {"-list", "-exp", "fig2"}, {"-exp", "fig2", "-run"},
+		append([]string{"-list"}, run...),
+	} {
+		code, stdout, stderr := dispatch(args...)
+		if code != 2 || stdout != "" || !strings.Contains(stderr, "-list, -exp and -run are exclusive") {
+			t.Fatalf("%v: exit code %d, stdout %q\n%s", args, code, stdout, stderr)
+		}
 	}
 }
 
@@ -226,6 +259,7 @@ func TestRunRejectsHostileValues(t *testing.T) {
 		{"-coords", "0"}, {"-coords", "-3"}, {"-duration", "1ms"}, {"-duration", "0"},
 		{"-workload", "ycsb", "-writes", "2"}, {"-theta", "-0.5"},
 		{"-big", "-duration", "2ms"}, // the preset's 2ms warmup
+		{"-workers", "0"}, {"-shards", "0"}, {"-system", "oracle"},
 	} {
 		code, stdout, stderr := dispatch(append([]string{"-run", "-quick"}, args...)...)
 		if code != 2 || stdout != "" {
@@ -266,15 +300,38 @@ func TestThetaZeroIsUniform(t *testing.T) {
 func TestBigPresetRoundTrips(t *testing.T) {
 	preset := bigRun()
 	fs := flag.NewFlagSet("", flag.ContinueOnError)
-	preset.Flags(fs, runKeys...)
+	preset.Flags(fs)
 	got := preset
-	for _, key := range runKeys {
-		if err := got.Set(key, fs.Lookup(key).DefValue); err != nil {
+	fs.VisitAll(func(f *flag.Flag) {
+		if err := got.Set(f.Name, f.DefValue); err != nil {
 			t.Fatal(err)
 		}
-	}
+	})
 	if got != preset {
 		t.Fatalf("round trip changed the preset:\n got %+v\nwant %+v", got, preset)
+	}
+}
+
+// -coords is the total coordinator count: a total that does not divide
+// the three compute nodes is not rounded up to the next multiple. The
+// span export (-trace .spans) names each coordinator that ran.
+func TestCoordsRunsExactTotal(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "x.spans")
+	code, _, stderr := dispatch("-run", "-quick", "-workload", "smallbank", "-coords", "10",
+		"-duration", "2ms", "-warmup", "200us", "-trace", path)
+	if code != 0 {
+		t.Fatalf("exit %d, stderr:\n%s", code, stderr)
+	}
+	spans, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	coords := map[string]bool{}
+	for _, m := range regexp.MustCompile(`(?m)^span \d+ (coord \d+) `).FindAllStringSubmatch(string(spans), -1) {
+		coords[m[1]] = true
+	}
+	if len(coords) != 10 {
+		t.Fatalf("-coords 10 ran %d coordinators", len(coords))
 	}
 }
 

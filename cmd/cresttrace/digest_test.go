@@ -2,38 +2,31 @@ package main
 
 import (
 	"io"
+	"path/filepath"
 	"testing"
 
 	"crest"
 	"crest/internal/pin"
 )
 
-// cliCases lists every subcommand fresh and from an export (-in),
-// in the invocation shapes of ci.yml, .github/determinism.sh, README.md
-// and EXPERIMENTS.md, plus each command's -h text.
+// cliCases lists every subcommand on a run's export (fresh) and on a
+// fixture (in), in the invocation shapes of ci.yml,
+// .github/determinism.sh, README.md and EXPERIMENTS.md, plus each
+// command's -h text.
 var cliCases = []pin.Case{
-	{Name: "trace/json", Files: []string{"trace.json"},
-		Args: "-system crest -workload smallbank -format json -o $T/trace.json"},
-	{Name: "trace/spans", Args: "-system ford -workload smallbank -format spans"},
-	{Name: "trace/hotkeys", Args: "-workload ycsb -theta 0.99 -format hotkeys"},
-	{Name: "trace/hotkeys-top", Args: "trace -system motor -workload ycsb -theta 0.99 -format hotkeys -top 10 -seed 3"},
-	{Name: "trace/tpcc", Args: "-workload tpcc -format spans -duration 1ms"},
-	{Name: "trace/metrics", Files: []string{"m.csv"},
-		Args: "trace -workload smallbank -format hotkeys -coords 24 -shards 2 -placement modulo -workers 2 -events 4096 -metrics $T/m.csv -metrics-window 200us"},
-	{Name: "why/fresh", Args: "why -workload smallbank -theta 0.99 41"},
+	{Name: "why/fresh", Args: "why -in $SB_WHY 41"},
 	{Name: "why/in", Args: "why -in $WHY 412"},
-	{Name: "graph/fresh-dot", Files: []string{"why.dot"}, Args: "graph -workload smallbank -theta 0.99 -o $T/why.dot"},
-	{Name: "graph/fresh-json", Args: "graph -workload ycsb -theta 0.99 -format json"},
+	{Name: "graph/fresh-dot", Files: []string{"why.dot"}, Args: "graph -in $SB_WHY -o $T/why.dot"},
+	{Name: "graph/fresh-json", Args: "graph -in $YCSB_WHY -format json"},
 	{Name: "graph/in-dot", Files: []string{"why.dot"}, Args: "graph -in $WHY -o $T/why.dot"},
 	{Name: "graph/in-json", Args: "graph -in $WHY -format json"},
-	{Name: "windows/fresh", Args: "windows -workload smallbank -shards 4 -workers 4"},
+	{Name: "windows/fresh", Args: "windows -in $SHARDED_RT"},
 	{Name: "windows/in", Args: "windows -in $RT"},
-	{Name: "tail/fresh", Args: "tail -workload smallbank -theta 0.99"},
+	{Name: "tail/fresh", Args: "tail -in $SB_FLIGHT"},
 	{Name: "tail/in", Args: "tail -in $FLIGHT -top 5"},
-	{Name: "critpath/fresh", Args: "critpath -workload smallbank -theta 0.99 2095"},
+	{Name: "critpath/fresh", Args: "critpath -in $SB_FLIGHT 2095"},
 	{Name: "critpath/in", Args: "critpath -in $FLIGHT 9"},
 	{Name: "help/trace", Args: "-h", Help: true},
-	{Name: "help/trace-explicit", Args: "trace -h", Help: true},
 	{Name: "help/why", Args: "why -h", Help: true},
 	{Name: "help/graph", Args: "graph -h", Help: true},
 	{Name: "help/windows", Args: "windows -h", Help: true},
@@ -63,12 +56,44 @@ func runtimeFixture(t *testing.T) string {
 	return export(t, "runtime.json", func(w io.Writer) error { return crest.WriteRuntimeStats(w, stats) })
 }
 
+// runExport runs smallRun with the key, value pairs of sets applied
+// and obs recording, as `crestbench -run` with smallRunFlags and those
+// flags would, and exports the view of it that pick returns to a
+// temporary file called name, whose path it returns.
+func runExport(t *testing.T, name string, obs crest.ObserverOptions, pick func(crest.BenchmarkResult) any, sets ...string) string {
+	t.Helper()
+	cfg := crest.BenchmarkConfig{RunSpec: smallRun(), ObserverOptions: obs}
+	for i := 0; i < len(sets); i += 2 {
+		if err := cfg.Set(sets[i], sets[i+1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	res, err := crest.RunBenchmark(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), name)
+	if _, err := crest.Export(path, pick(res)); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
 // TestCLIDigests holds cliCases to testdata/cli.digest. In an argument
 // "$WHY", "$FLIGHT" and "$RT" are the crest-why, crest-flight and
-// crest-runtime fixture exports. Its rows were generated at the commit
-// before the RunSpec key table replaced benchFlags; a refactor of that
-// plumbing must not edit them.
+// crest-runtime fixture exports, and the names with a prefix are
+// exports of smallRun runs: the runs cresttrace itself used to make for
+// the fresh rows, whose digests are unchanged from then. Its rows were
+// generated at the commit before the RunSpec key table replaced
+// benchFlags; a refactor of that plumbing must not edit them.
 func TestCLIDigests(t *testing.T) {
+	why := func(r crest.BenchmarkResult) any { return r.Why }
 	pin.CLI(t, "testdata/cli.digest", cliCases, run,
+		"$SB_WHY", runExport(t, "why.json", crest.ObserverOptions{Why: true}, why, "theta", "0.99"),
+		"$YCSB_WHY", runExport(t, "why.json", crest.ObserverOptions{Why: true}, why, "workload", "ycsb", "theta", "0.99"),
+		"$SB_FLIGHT", runExport(t, "flight.json", crest.ObserverOptions{Flight: true},
+			func(r crest.BenchmarkResult) any { return r.Flight }, "theta", "0.99"),
+		"$SHARDED_RT", runExport(t, "runtime.json", crest.ObserverOptions{},
+			func(r crest.BenchmarkResult) any { return r.Runtime }, "shards", "4"),
 		"$WHY", whyFixture(t), "$FLIGHT", flightFixture(t), "$RT", runtimeFixture(t))
 }

@@ -6,10 +6,11 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"regexp"
 	"strings"
 	"testing"
+	"time"
 
+	"crest"
 	"crest/internal/causality"
 	"crest/internal/flight"
 	"crest/internal/sim"
@@ -37,7 +38,7 @@ func TestUnknownSubcommandPrintsUsage(t *testing.T) {
 }
 
 func TestWhyRequiresTxnID(t *testing.T) {
-	code, _, stderr := dispatch("why")
+	code, _, stderr := dispatch("why", "-in", whyFixture(t))
 	if code == 0 {
 		t.Fatal("why without txnid exited 0")
 	}
@@ -45,7 +46,7 @@ func TestWhyRequiresTxnID(t *testing.T) {
 		t.Fatalf("stderr missing usage:\n%s", stderr)
 	}
 
-	code, _, stderr = dispatch("why", "notanumber")
+	code, _, stderr = dispatch("why", "-in", whyFixture(t), "notanumber")
 	if code == 0 {
 		t.Fatal("why with a non-numeric txnid exited 0")
 	}
@@ -77,14 +78,14 @@ func TestWhyUnreadableInputPrintsUsage(t *testing.T) {
 }
 
 func TestGraphRejectsBadFormatAndArgs(t *testing.T) {
-	code, _, stderr := dispatch("graph", "-format", "svg")
+	code, _, stderr := dispatch("graph", "-in", whyFixture(t), "-format", "svg")
 	if code == 0 {
 		t.Fatal("bad -format exited 0")
 	}
 	if !strings.Contains(stderr, "unknown format") {
 		t.Fatalf("stderr missing diagnosis:\n%s", stderr)
 	}
-	code, _, stderr = dispatch("graph", "stray")
+	code, _, stderr = dispatch("graph", "-in", whyFixture(t), "stray")
 	if code == 0 {
 		t.Fatal("stray positional arg exited 0")
 	}
@@ -254,7 +255,7 @@ func TestCritPathWalksAttemptsFromExport(t *testing.T) {
 	if !strings.Contains(stderr, "unknown txn") {
 		t.Fatalf("stderr missing diagnosis:\n%s", stderr)
 	}
-	code, _, stderr = dispatch("critpath", "notanumber")
+	code, _, stderr = dispatch("critpath", "-in", flightFixture(t), "notanumber")
 	if code != 2 {
 		t.Fatalf("non-numeric txnid exited %d, want 2", code)
 	}
@@ -284,28 +285,12 @@ func TestGraphRendersDOTFromExport(t *testing.T) {
 	}
 }
 
-// -coords is the total coordinator count, spread exactly as crestbench
-// spreads it: a total that does not divide the three compute nodes is
-// not rounded up to the next multiple.
-func TestCoordsRunsExactTotal(t *testing.T) {
-	code, stdout, stderr := dispatch("-coords", "10", "-format", "spans")
-	if code != 0 {
-		t.Fatalf("exit %d, stderr:\n%s", code, stderr)
-	}
-	coords := map[string]bool{}
-	for _, m := range regexp.MustCompile(`(?m)^span \d+ (coord \d+) `).FindAllStringSubmatch(stdout, -1) {
-		coords[m[1]] = true
-	}
-	if len(coords) != 10 {
-		t.Fatalf("-coords 10 ran %d coordinators", len(coords))
-	}
-}
-
-// Every subcommand rejects a hostile run value with exit 2 + usage
-// before running anything (internal/bench's
-// TestValidateRejectsHostileValues holds the full list of values).
+// Every subcommand rejects what used to be a run flag as an unknown
+// flag (a run value is crestbench's to validate, in
+// TestRunRejectsHostileValues) with exit 2 + its flags before reading
+// anything.
 func TestRunFlagsValidatedUpFront(t *testing.T) {
-	for _, sub := range []string{"trace", "why", "graph", "windows", "tail", "critpath"} {
+	for _, sub := range subcommands {
 		for _, args := range [][]string{
 			{"-coords", "0"}, {"-coords", "-3"}, {"-workload", "tpcc", "-warehouses", "0"}, {"-duration", "100us"},
 			{"-shards", "0"}, {"-system", "oracle"}, {"-workers", "0"},
@@ -314,28 +299,62 @@ func TestRunFlagsValidatedUpFront(t *testing.T) {
 			if code != 2 || stdout != "" {
 				t.Fatalf("%s %v: exit %d, stdout %q\n%s", sub, args, code, stdout, stderr)
 			}
-			if !strings.Contains(stderr, "usage: cresttrace") {
+			if !strings.Contains(stderr, "flag provided but not defined: "+args[0]) || !strings.Contains(stderr, "Usage of cresttrace "+sub) {
 				t.Fatalf("%s %v: stderr lacks usage:\n%s", sub, args, stderr)
 			}
 		}
 	}
 }
 
-// The small-run preset read back through its own flag defaults is
-// itself.
+var subcommands = []string{"why", "graph", "windows", "tail", "critpath"}
+
+// cresttrace only reads: every subcommand needs -in, and the bare
+// command and the old trace subcommand print usage.
+func TestSubcommandsOnlyRead(t *testing.T) {
+	for _, sub := range subcommands {
+		code, stdout, stderr := dispatch(sub, "7")
+		if code != 2 || stdout != "" {
+			t.Fatalf("%s without -in: exit %d, stdout %q\n%s", sub, code, stdout, stderr)
+		}
+		if !strings.Contains(stderr, "-in is required") || !strings.Contains(stderr, "usage: cresttrace") {
+			t.Fatalf("%s without -in: stderr lacks diagnosis and usage:\n%s", sub, stderr)
+		}
+	}
+	for _, args := range [][]string{{}, {"-system", "ford", "-format", "spans"}, {"trace", "-format", "spans"}} {
+		code, stdout, stderr := dispatch(args...)
+		if code != 2 || stdout != "" || !strings.Contains(stderr, "usage: cresttrace") {
+			t.Fatalf("%v: exit %d, stdout %q\n%s", args, code, stdout, stderr)
+		}
+	}
+}
+
+// smallRun is the preset cresttrace's run mode had, which the fresh
+// digest rows' exports are runs of: the runs `crestbench -run` spells
+// with smallRunFlags.
+func smallRun() crest.RunSpec {
+	s := crest.DefaultRun()
+	s.Workload.Kind, s.Workload.Warehouses = crest.WorkloadSmallBank, 8
+	s.Coordinators = 12
+	s.Duration, s.Warmup = 2*time.Millisecond, 200*time.Microsecond
+	s.Profile = "quick"
+	return s
+}
+
+var smallRunFlags = "-quick -workload smallbank -warehouses 8 -coords 12 -duration 2ms -warmup 200us"
+
+// The small-run preset is crestbench -run's defaults under
+// smallRunFlags, so every fresh export is one crestbench can write.
 func TestSmallRunPresetRoundTrips(t *testing.T) {
-	preset := smallRun()
-	fs, _ := command("cresttrace", 0, io.Discard)
-	got := preset
-	fs.VisitAll(func(f *flag.Flag) {
-		if f.Name == "workers" {
-			return
-		}
-		if err := got.Set(f.Name, f.DefValue); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if got != preset {
-		t.Fatalf("round trip changed the preset:\n got %+v\nwant %+v", got, preset)
+	fs := flag.NewFlagSet("", flag.ContinueOnError)
+	crest.DefaultRun().Flags(fs)
+	if err := fs.Parse(strings.Fields(smallRunFlags)); err != nil {
+		t.Fatal(err)
+	}
+	got := crest.DefaultRun()
+	if _, err := got.SetFlags(fs); err != nil {
+		t.Fatal(err)
+	}
+	if got != smallRun() {
+		t.Fatalf("crestbench -run %s is not the preset:\n got %+v\nwant %+v", smallRunFlags, got, smallRun())
 	}
 }

@@ -158,6 +158,9 @@ func (c Config) validate() error {
 	if c.RTT < 0 {
 		return fmt.Errorf("crest: fabric round-trip must not be negative, got %v", c.RTT)
 	}
+	if err := c.ObserverOptions.validate(); err != nil {
+		return err
+	}
 	if _, err := placement.New(c.Placement); err != nil {
 		return err
 	}

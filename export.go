@@ -12,7 +12,9 @@ import (
 // summary the CLIs print for it. The value's type picks the view and
 // the path's extension its format:
 //
-//	*TraceSnapshot    Chrome trace_event JSON
+//	*TraceSnapshot    .spans per-transaction span timelines, .hotkeys
+//	                  the top-20 hot-key profile, anything else Chrome
+//	                  trace_event JSON
 //	*MetricsSnapshot  .csv windowed time-series, .json crest-metrics
 //	                  document, anything else Prometheus text
 //	*WhySnapshot      .json crest-why document, anything else Graphviz DOT
@@ -28,6 +30,12 @@ func Export(path string, snapshot any) (summary string, err error) {
 		switch s := snapshot.(type) {
 		case *TraceSnapshot:
 			summary = fmt.Sprintf("[trace: %d events -> %s]", len(s.Events), path)
+			switch {
+			case strings.HasSuffix(path, ".spans"):
+				return WriteSpanSummary(w, s)
+			case strings.HasSuffix(path, ".hotkeys"):
+				return WriteHotKeys(w, s, 20)
+			}
 			return WriteChromeTrace(w, s)
 		case *MetricsSnapshot:
 			summary = fmt.Sprintf("[metrics: %d series, %d windows -> %s]", len(s.Series), len(s.Times), path)

@@ -317,11 +317,10 @@ func (s *RunSpec) Set(key, val string) error {
 	return nil
 }
 
-// Flags registers the named knobs on fs as ordinary typed flags whose
-// defaults are s's values — s is the preset the command shows in -h.
-func (s RunSpec) Flags(fs *flag.FlagSet, keys ...string) {
-	for _, name := range keys {
-		k := runKeys[name]
+// Flags registers every knob on fs as an ordinary typed flag whose
+// default is s's value — s is the preset the command shows in -h.
+func (s RunSpec) Flags(fs *flag.FlagSet) {
+	for name, k := range runKeys {
 		switch v := k.get(&s).(type) {
 		case string:
 			fs.String(name, v, k.usage)

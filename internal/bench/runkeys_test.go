@@ -66,13 +66,9 @@ func TestValidateRejectsHostileValues(t *testing.T) {
 func TestRunKeysRoundTrip(t *testing.T) {
 	preset := DefaultRun()
 	fs := flag.NewFlagSet("", flag.ContinueOnError)
-	var keys []string
-	for name := range runKeys {
-		keys = append(keys, name)
-	}
-	preset.Flags(fs, keys...)
+	preset.Flags(fs)
 	got := RunSpec{MemNodes: preset.MemNodes, CompNodes: preset.CompNodes}
-	for _, name := range keys {
+	for name := range runKeys {
 		if err := got.Set(name, fs.Lookup(name).DefValue); err != nil {
 			t.Fatal(err)
 		}

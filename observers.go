@@ -1,6 +1,7 @@
 package crest
 
 import (
+	"fmt"
 	"time"
 
 	"crest/internal/causality"
@@ -21,35 +22,39 @@ type ObserverOptions struct {
 	// Trace records a deterministic event trace of everything the run
 	// does (transaction spans, phases, RDMA verbs, lock traffic).
 	Trace bool
-	// TraceCapacity bounds the trace ring buffer (0 = default).
-	TraceCapacity int
 	// Metrics enables the windowed metrics plane (counters, gauges and
 	// histograms across the simulator, fabric and engine).
 	Metrics bool
 	// MetricsWindow is the time-series sampling period in virtual time
-	// (default 100µs; ignored unless Metrics is set).
+	// (0 = the default 100µs; negative is an error; ignored unless
+	// Metrics is set).
 	MetricsWindow time.Duration
 	// Why enables abort forensics: wait-for and conflict edges (who
 	// blocked on whom, who invalidated whose read) that explain any
 	// abort after the fact.
 	Why bool
-	// WhyCapacity bounds the causality edge ring buffer (0 = default).
-	WhyCapacity int
 	// Flight enables the per-transaction flight recorder: every
 	// transaction's virtual-time latency decomposed into an additive
 	// budget (queueing, per-verb wire time, lock waiting, backoff,
 	// per-phase compute), the slowest outliers keeping their full
 	// per-attempt timeline.
 	Flight bool
-	// FlightCapacity bounds the flight summary ring buffer (0 = default).
-	FlightCapacity int
 }
 
-// recorders builds the enabled recorders; the rest stay nil (disabled).
+// validate rejects an option no recorder can take.
+func (o ObserverOptions) validate() error {
+	if o.MetricsWindow < 0 {
+		return fmt.Errorf("crest: metrics window must not be negative, got %v", o.MetricsWindow)
+	}
+	return nil
+}
+
+// recorders builds the enabled recorders, each with its default ring;
+// the rest stay nil (disabled).
 func (o ObserverOptions) recorders() engine.Observers {
 	var obs engine.Observers
 	if o.Trace {
-		obs.Trace = trace.NewRecorder(o.TraceCapacity)
+		obs.Trace = trace.NewRecorder(0)
 	}
 	if o.Metrics {
 		window := metrics.DefaultWindow
@@ -59,10 +64,10 @@ func (o ObserverOptions) recorders() engine.Observers {
 		obs.Metrics = metrics.NewRegistry(metrics.Options{Window: window})
 	}
 	if o.Why {
-		obs.Why = causality.NewRecorder(causality.Options{Capacity: o.WhyCapacity})
+		obs.Why = causality.NewRecorder(causality.Options{})
 	}
 	if o.Flight {
-		obs.Flight = flight.NewRecorder(flight.Options{TxnCapacity: o.FlightCapacity})
+		obs.Flight = flight.NewRecorder(flight.Options{})
 	}
 	return obs
 }

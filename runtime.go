@@ -222,7 +222,7 @@ func WriteWindowTimeline(w io.Writer, s *RuntimeStats) error {
 
 // ValidateWorkers checks a -workers flag value: the scheduler needs at
 // least one worker (counts beyond the partition count are clamped, so
-// any positive value is fine). Shared by crestbench and cresttrace.
+// any positive value is fine).
 func ValidateWorkers(n int) error {
 	if n < 1 {
 		return fmt.Errorf("-workers must be >= 1 (got %d)", n)

@@ -3,6 +3,7 @@ package crest
 import (
 	"strings"
 	"testing"
+	"time"
 )
 
 // Satellite: every misconfiguration that used to surface as a panic
@@ -32,6 +33,8 @@ func TestConfigValidationMessages(t *testing.T) {
 			`unknown policy "round-robin"`},
 		{"negative RTT", Config{RTT: -1},
 			"fabric round-trip must not be negative, got -1ns"},
+		{"negative metrics window", Config{ObserverOptions: ObserverOptions{Metrics: true, MetricsWindow: -7 * time.Microsecond}},
+			"metrics window must not be negative, got -7µs"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -44,8 +47,13 @@ func TestConfigValidationMessages(t *testing.T) {
 			}
 		})
 	}
+	// RunBenchmark rejects a negative metrics window too, before it runs.
+	_, err := RunBenchmark(BenchmarkConfig{ObserverOptions: ObserverOptions{Metrics: true, MetricsWindow: -1}})
+	if err == nil || !strings.Contains(err.Error(), "metrics window must not be negative, got -1ns") {
+		t.Fatalf("RunBenchmark with a negative metrics window: %v", err)
+	}
 	// The unknown-placement error lists the valid policies.
-	_, err := NewCluster(Config{Placement: "nope"})
+	_, err = NewCluster(Config{Placement: "nope"})
 	for _, name := range PlacementPolicies() {
 		if !strings.Contains(err.Error(), name) {
 			t.Fatalf("error %q does not list policy %q", err, name)
