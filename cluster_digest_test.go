@@ -82,3 +82,56 @@ func TestClusterDigests(t *testing.T) {
 	}
 	pin.Rows(t, "testdata/cluster.digest", got)
 }
+
+// TestMidRunSnapshotsStayPut: a snapshot taken between two batches of
+// a cluster's transactions exports the same bytes after the second
+// batch ran as before it, although its recorders went on writing the
+// rings it views — on one shard group and on four.
+func TestMidRunSnapshotsStayPut(t *testing.T) {
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			cfg := Config{ObserverOptions: ObserverOptions{Trace: true, Why: true, Flight: true}}
+			if shards > 1 {
+				cfg.Shards, cfg.Placement = shards, "modulo"
+			}
+			c := newShardedBank(t, SystemCREST, 16, cfg)
+			batch := func() {
+				var txns []*Txn
+				for i := 0; i < 24; i++ {
+					txns = append(txns, transfer(Key(i%3), Key(3+i%13), 1))
+				}
+				if _, err := c.ExecuteAll(txns...); err != nil {
+					t.Fatal(err)
+				}
+			}
+			batch()
+			tr, why, fl := c.TraceSnapshot(), c.WhySnapshot(), c.FlightSnapshot()
+			exports := []func(io.Writer) error{
+				func(w io.Writer) error { return WriteChromeTrace(w, tr) },
+				func(w io.Writer) error { return WriteWhyJSON(w, why) },
+				func(w io.Writer) error { return WriteFlightJSON(w, fl) },
+			}
+			render := func() [][]byte {
+				var out [][]byte
+				for _, write := range exports {
+					var buf bytes.Buffer
+					if err := write(&buf); err != nil {
+						t.Fatal(err)
+					}
+					out = append(out, buf.Bytes())
+				}
+				return out
+			}
+			before := render()
+			batch()
+			for i, after := range render() {
+				if !bytes.Equal(before[i], after) {
+					t.Errorf("export %d of the first snapshot changed when the second batch ran: %d bytes, then %d", i, len(before[i]), len(after))
+				}
+			}
+			if n := len(c.TraceSnapshot().Events); n <= len(tr.Events) {
+				t.Errorf("the trace holds %d events after the second batch, %d before", n, len(tr.Events))
+			}
+		})
+	}
+}

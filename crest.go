@@ -457,11 +457,12 @@ func (c *Cluster) memoryNode(id int) (*memnode.Node, error) {
 	return c.dep.Pool.Nodes()[id], nil
 }
 
-// TraceSnapshot is an immutable copy of a cluster's recorded event
-// stream and hot-key contention profile.
+// TraceSnapshot is a cluster's recorded event stream and hot-key
+// contention profile as of one instant. It stays so while the cluster
+// runs on; its contents must not be modified.
 type TraceSnapshot = trace.Snapshot
 
-// TraceSnapshot copies the trace recorded so far (empty unless the
+// TraceSnapshot returns the trace recorded so far (empty unless the
 // cluster was built with Config.Trace). Render it with
 // WriteChromeTrace, WriteSpanSummary or WriteHotKeys.
 func (c *Cluster) TraceSnapshot() *TraceSnapshot { return c.obs.Trace.Snapshot() }
@@ -510,11 +511,13 @@ func WriteMetricsSparklines(w io.Writer, s *MetricsSnapshot) error {
 	return metrics.WriteSparklines(w, s)
 }
 
-// WhySnapshot is an immutable copy of a cluster's recorded wait-for
-// and conflict edges, with transaction nodes and per-abort causes.
+// WhySnapshot is a cluster's recorded wait-for and conflict edges,
+// with transaction nodes and per-abort causes, as of one instant. It
+// stays so while the cluster runs on; its contents must not be
+// modified.
 type WhySnapshot = causality.Snapshot
 
-// WhySnapshot copies the causality record so far (empty unless the
+// WhySnapshot returns the causality record so far (empty unless the
 // cluster was built with Config.Why). Explain a single abort with
 // WriteWhyBlame, or export the aggregate contention graph with
 // WriteWhyDOT / WriteWhyJSON.
@@ -538,11 +541,12 @@ func WriteWhyJSON(w io.Writer, s *WhySnapshot) error { return causality.WriteJSO
 // ReadWhyJSON parses a document written by WriteWhyJSON.
 func ReadWhyJSON(r io.Reader) (*WhySnapshot, error) { return causality.ReadJSON(r) }
 
-// FlightSnapshot is an immutable copy of a cluster's per-transaction
-// latency budgets and captured tail-outlier exemplars.
+// FlightSnapshot is a cluster's per-transaction latency budgets and
+// captured tail-outlier exemplars as of one instant. It stays so while
+// the cluster runs on; its contents must not be modified.
 type FlightSnapshot = flight.Snapshot
 
-// FlightSnapshot copies the flight record so far (empty unless the
+// FlightSnapshot returns the flight record so far (empty unless the
 // cluster was built with Config.Flight). Render the aggregate tail
 // decomposition with WriteFlightTail, one transaction's critical path
 // with WriteFlightCritPath, or export it with WriteFlightJSON.

@@ -36,7 +36,7 @@ func syntheticTxns(p *sim.Proc, r *Recorder, txns int) {
 }
 
 // BenchmarkEmit is the recording cost of one edge into a ring of the
-// default capacity, segment growth and wrap-around included.
+// default capacity, its first write and wrap-around included.
 func BenchmarkEmit(b *testing.B) {
 	r := NewRecorder(Options{})
 	inProc(b, func(p *sim.Proc) {

@@ -10,8 +10,8 @@
 // byte-identical to a plain run and same-seed runs produce byte-equal
 // exports. Every method is nil-safe — a disabled recorder is a nil
 // pointer and each emission point costs one pointer check — and
-// recording an edge allocates nothing but, once every 4096 edges until
-// the ring is full, the ring's next segment.
+// recording an edge allocates nothing but, on the first edge (or the
+// first after a snapshot), the ring's storage.
 //
 // On top of the edge stream sit two views (report.go): blame chains
 // ("T412 aborted at validation on (table 3, key 17, cell 2), updated
@@ -515,8 +515,10 @@ type CauseInfo struct {
 	Holder uint64         `json:"holder"`
 }
 
-// Snapshot is an immutable copy of the recorder's state, the input to
-// every view and exporter.
+// Snapshot is the recorder's state at one instant, the input to every
+// view and exporter. Edges may alias the recorder's edge ring
+// (trace.Ring.View), which never writes into it again: a snapshot stays
+// as it was taken while the run goes on, and must not be written to.
 type Snapshot struct {
 	Edges       []Edge    // emission order; merged: (at, partition, seq)
 	Txns        []TxnInfo // begin order; merged: (start, partition, id)
@@ -524,46 +526,45 @@ type Snapshot struct {
 	TxnsDropped uint64    // transaction nodes evicted
 }
 
-// Snapshot copies the rings (oldest to newest). A nil recorder yields
-// an empty snapshot. A partitioned recorder (see Shard) merges every
-// child deterministically (trace.MergeByTime): edges order by (virtual
-// time, partition, seq) and transaction nodes by (start time,
-// partition, id). Strided seqs and ids are kept as emitted so Cause
-// references remain valid.
+// Snapshot views the edge ring (oldest to newest) and renders the
+// transaction nodes. A nil recorder yields an empty snapshot. A
+// partitioned recorder (see Shard) merges every child deterministically
+// (trace.MergeByTime): edges order by (virtual time, partition, seq) and
+// transaction nodes by (start time, partition, id). Strided seqs and ids
+// are kept as emitted so Cause references remain valid.
 func (r *Recorder) Snapshot() *Snapshot {
 	if r == nil {
 		return &Snapshot{}
 	}
 	if !r.fam.Sharded() {
-		return &Snapshot{Edges: r.edges.AppendTo(nil), Txns: r.txnInfos(),
+		return &Snapshot{Edges: r.edges.View(), Txns: txnInfos(r.txns.View()),
 			Dropped: r.edges.Dropped(), TxnsDropped: r.txns.Dropped()}
 	}
 	members := r.fam.Members(r)
 	edges := make([][]Edge, len(members))
-	txns := make([][]TxnInfo, len(members))
+	txns := make([][]*Txn, len(members))
 	out := &Snapshot{}
 	for i, m := range members {
-		edges[i] = m.edges.AppendTo(nil)
-		txns[i] = m.txnInfos()
+		edges[i] = m.edges.View()
+		txns[i] = m.txns.View()
 		out.Dropped += m.edges.Dropped()
 		out.TxnsDropped += m.txns.Dropped()
 	}
-	out.Edges = trace.MergeByTime(edges, func(e *Edge) (sim.Time, uint64) { return e.At, e.Seq })
-	out.Txns = trace.MergeByTime(txns, func(t *TxnInfo) (sim.Time, uint64) { return t.Start, t.ID })
+	out.Edges = trace.MergeByTime(edges, func(e *Edge) (sim.Time, uint64) { return e.At, e.Seq }, nil)
+	out.Txns = txnInfos(trace.MergeByTime(txns, func(t **Txn) (sim.Time, uint64) { return (*t).Start, (*t).ID }, nil))
 	return out
 }
 
-// txnInfos copies one recorder's own transaction nodes, oldest to newest.
-func (r *Recorder) txnInfos() []TxnInfo {
-	out := make([]TxnInfo, 0, r.txns.Len())
-	for _, t := range r.txns.AppendTo(nil) {
-		ti := TxnInfo{ID: t.ID, Label: t.Label, Coord: t.Coord, Attempt: t.Attempt,
+// txnInfos renders transaction nodes, in the order given.
+func txnInfos(txns []*Txn) []TxnInfo {
+	out := make([]TxnInfo, len(txns))
+	for i, t := range txns {
+		out[i] = TxnInfo{ID: t.ID, Label: t.Label, Coord: t.Coord, Attempt: t.Attempt,
 			Start: t.Start, End: t.End, State: t.State, Reason: t.Reason, Aborts: t.Aborts}
 		if t.CauseSeq != 0 {
-			ti.Cause = &CauseInfo{Seq: t.CauseSeq, Kind: t.CauseKind,
+			out[i].Cause = &CauseInfo{Seq: t.CauseSeq, Kind: t.CauseKind,
 				Table: t.CauseTable, Key: t.CauseKey, Mask: t.CauseMask, Holder: t.Holder}
 		}
-		out = append(out, ti)
 	}
 	return out
 }

@@ -265,7 +265,7 @@ func (o *Observers) Posted(p *sim.Proc, batches []rdma.Batch) {
 	for _, b := range batches {
 		if o.Trace != nil {
 			for i := range b.Ops {
-				o.Trace.VerbIssue(p.Now(), s, b.Ops[i].Kind.String(), b.QP.ID(), b.QP.Region().ID(), b.Ops[i].Bytes())
+				o.Trace.VerbIssue(p.Now(), s, b.Ops[i].Kind, b.QP.ID(), b.QP.Region().ID(), b.Ops[i].Bytes())
 			}
 		}
 		if o.fab != nil {
@@ -286,7 +286,7 @@ func (o *Observers) Completed(p *sim.Proc, batches []rdma.Batch, lat sim.Duratio
 		if o.Trace != nil {
 			o.Trace.RTT(p.Now(), s, b.QP.ID(), b.QP.Region().ID(), len(b.Ops), b.Payload(), lat)
 			for i := range b.Ops {
-				o.Trace.VerbComplete(p.Now(), s, b.Ops[i].Kind.String(), b.QP.ID(), b.QP.Region().ID(), b.Ops[i].Bytes(), lat)
+				o.Trace.VerbComplete(p.Now(), s, b.Ops[i].Kind, b.QP.ID(), b.QP.Region().ID(), b.Ops[i].Bytes(), lat)
 			}
 		}
 		if o.fab != nil {

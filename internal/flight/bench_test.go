@@ -56,7 +56,7 @@ func BenchmarkEmit(b *testing.B) {
 
 // BenchmarkTxn is the recording cost of one whole transaction — begin,
 // two parks, a wait, commit — its summary entering a ring of the
-// default capacity, segment growth and wrap-around included.
+// default capacity, its first write and wrap-around included.
 func BenchmarkTxn(b *testing.B) {
 	r := NewRecorder(Options{})
 	inProc(b, func(p *sim.Proc) {

@@ -14,8 +14,9 @@
 // byte-identical to a plain run. Every method is nil-safe — a disabled
 // recorder is a nil pointer — and the per-transaction hot path
 // allocates nothing after warm-up: records are pooled, the summary
-// ring grows one segment per 4096 transactions until it is full, and
-// exemplar buckets hold fixed-size arrays.
+// ring allocates its storage on the first summary (and on the first
+// after a snapshot viewed it), and exemplar buckets hold fixed-size
+// arrays.
 //
 // Bounded memory comes from two tiers. Every finalized transaction
 // leaves a compact TxnBudget summary in a ring; only the top-K
@@ -634,10 +635,13 @@ type Exemplar struct {
 	Detail []AttemptInfo `json:"detail"`
 }
 
-// Snapshot is an immutable copy of the recorder's state, the input to
-// every view and exporter. Transactions still open at snapshot time
+// Snapshot is the recorder's state at one instant, the input to every
+// view and exporter. Transactions still open at snapshot time
 // (abandoned by the harness drain or mid-retry) appear with their
-// budget as of the last completed attempt and Committed false.
+// budget as of the last completed attempt and Committed false. Txns may
+// alias the recorder's ring (trace.Ring.View), which never writes into
+// it again: a snapshot stays as it was taken while the run goes on, and
+// must not be written to.
 type Snapshot struct {
 	Txns      []TxnBudget // begin order; merged: (begin, partition, id)
 	Exemplars []Exemplar  // bucket order: (shard, component), ranked within
@@ -660,36 +664,57 @@ func (x *Record) detail() []AttemptInfo {
 	return out
 }
 
-// Snapshot copies the rings and exemplar buckets (a nil recorder
-// yields an empty snapshot). A partitioned recorder merges every child
-// deterministically: summaries order by (begin, partition, id)
-// (trace.MergeByTime) and each bucket re-ranks the union of the
+// Snapshot puts the summaries in begin order and copies the exemplar
+// buckets (a nil recorder yields an empty snapshot). A partitioned
+// recorder merges every child deterministically: summaries order by
+// (begin, partition, id) and each bucket re-ranks the union of the
 // children's residents, keeping the global top K — byte-identical
 // output at any worker count, since partitioning is fixed by the shard
 // count, not the worker count.
+//
+// Summaries enter the ring when a transaction ends, so the ring is
+// rarely in begin order: the members' ring views, each followed by the
+// summaries of its open records, are sorted together and written once
+// (trace.SortByTime). A ring already in order, with no open record,
+// needs no sorting and an unsharded one is not copied at all.
 func (r *Recorder) Snapshot() *Snapshot {
 	out := &Snapshot{Txns: []TxnBudget{}, Exemplars: []Exemplar{}}
 	if r == nil {
 		return out
 	}
 	members := r.fam.Members(r)
-	txns := make([][]TxnBudget, len(members))
+	views := make([][]TxnBudget, len(members))
+	open := make([][]TxnBudget, len(members))
+	lens := make([]int, len(members))
+	anyOpen := false
 	byBucket := map[bucketKey][]*Record{}
 	for i, c := range members {
 		out.Dropped += c.ring.Dropped()
-		txns[i] = c.ring.AppendTo(nil)
+		views[i] = c.ring.View()
 		// Open records surface as aborted-so-far summaries (no
 		// mutation: the run may continue after the snapshot).
 		for _, x := range c.live {
 			if !x.skip {
-				txns[i] = append(txns[i], x.summary())
+				open[i] = append(open[i], x.summary())
 			}
 		}
+		lens[i] = len(views[i]) + len(open[i])
+		anyOpen = anyOpen || len(open[i]) > 0
 		for key, b := range c.buckets {
 			byBucket[key] = append(byBucket[key], b.recs[:b.n]...)
 		}
 	}
-	out.Txns = trace.MergeByTime(txns, func(t *TxnBudget) (sim.Time, uint64) { return t.Begin, t.ID })
+	key := func(t *TxnBudget) (sim.Time, uint64) { return t.Begin, t.ID }
+	if !anyOpen {
+		out.Txns = trace.MergeByTime(views, key, nil)
+	} else {
+		out.Txns = trace.SortByTime(lens, func(m, j int) *TxnBudget {
+			if v := views[m]; j < len(v) {
+				return &v[j]
+			}
+			return &open[m][j-len(views[m])]
+		}, key, nil)
+	}
 	keys := make([]bucketKey, 0, len(byBucket))
 	for key := range byBucket {
 		keys = append(keys, key)

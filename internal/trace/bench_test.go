@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"crest/internal/layout"
+	"crest/internal/rdma"
 	"crest/internal/sim"
 )
 
@@ -16,7 +17,7 @@ import (
 // this leaves.
 func syntheticTxns(p *sim.Proc, r *Recorder, txns int) {
 	labels := [...]string{"Amalgamate", "Balance", "DepositChecking", "SendPayment", "TransactSavings", "WriteCheck"}
-	verbs := [...]string{"READ", "masked-CAS", "WRITE"}
+	verbs := [...]rdma.OpKind{rdma.OpRead, rdma.OpMaskedCAS, rdma.OpWrite}
 	for i := 0; i < txns; i++ {
 		key := layout.Key(i % 97)
 		s := &Span{Coord: uint64(i%120 + 1), ID: uint64(i + 1), Label: labels[i%len(labels)], Txn: uint64(i + 1)}
@@ -60,7 +61,7 @@ func benchProc(b *testing.B, fn func(p *sim.Proc)) {
 }
 
 // BenchmarkEmit is the recording cost of one event into a ring of the
-// default capacity, segment growth and wrap-around included.
+// default capacity, its first write and wrap-around included.
 func BenchmarkEmit(b *testing.B) {
 	r := NewRecorder(0)
 	benchProc(b, func(p *sim.Proc) {
@@ -69,9 +70,9 @@ func BenchmarkEmit(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i += 4 {
-			r.VerbIssue(p.Now(), s, "READ", 17, 1, 64)
+			r.VerbIssue(p.Now(), s, rdma.OpRead, 17, 1, 64)
 			r.RTT(p.Now(), s, 17, 1, 3, 192, 2*sim.Microsecond)
-			r.VerbComplete(p.Now(), s, "READ", 17, 1, 64, 2*sim.Microsecond)
+			r.VerbComplete(p.Now(), s, rdma.OpRead, 17, 1, 64, 2*sim.Microsecond)
 			r.LockAcquire(p.Now(), s, 2, 9, 0b101)
 		}
 	})

@@ -16,46 +16,39 @@ import (
 // once.
 
 // Ring is a bounded FIFO: once capacity elements are buffered, every
-// new one evicts the oldest. Storage grows one fixed-size segment at a
-// time, on demand: growth never copies, nothing is committed before it
-// is written, and an element's address is stable, so a recorder fills
-// the slot Next returns in place. The zero Ring is unusable; build one
-// with NewRing.
+// new one evicts the oldest. Its storage is one slice of capacity
+// elements, allocated on the first write, so a ring nothing writes to
+// costs nothing; pages of it that are never written are never touched,
+// so a short run commits only what it wrote. An element's address is
+// stable: a recorder fills the slot Next returns in place. View hands
+// the buffered elements out without copying them; the ring copies its
+// storage once, on its next write, if there is one. The zero Ring is
+// unusable; build one with NewRing.
 type Ring[T any] struct {
-	segs    [][]T // element i lives at segs[i>>segShift][i&segMask]
+	buf     []T // capacity elements; nil before the first write and while viewed
+	view    []T // the buffered elements, oldest first, while viewed
 	cap     int
 	n       int // buffered elements
 	head    int // index of the oldest element once the ring has wrapped
 	dropped uint64
 }
 
-// A segment holds segLen elements (the last one of a ring whatever is
-// left of its capacity): 320 KB of trace events, enough that a full
-// default ring is 64 allocations and a short run commits only what it
-// wrote.
-const (
-	segShift = 12
-	segLen   = 1 << segShift
-	segMask  = segLen - 1
-)
-
-// NewRing returns a ring holding at most capacity elements. Only the
-// table of segments is allocated here, so a segment boundary costs
-// exactly one allocation: the segment.
+// NewRing returns a ring holding at most capacity elements. Nothing is
+// allocated until the first write.
 func NewRing[T any](capacity int) Ring[T] {
-	return Ring[T]{cap: capacity, segs: make([][]T, 0, (capacity+segMask)>>segShift)}
+	return Ring[T]{cap: capacity}
 }
 
 // Next returns the slot of the next element, evicting (and counting)
 // the oldest when the ring is full. The slot holds whatever was there
 // before; the caller overwrites all of it.
 func (r *Ring[T]) Next() *T {
+	if r.buf == nil {
+		r.own()
+	}
 	i := r.n
 	if i < r.cap {
 		r.n++
-		if i>>segShift == len(r.segs) {
-			r.segs = append(r.segs, make([]T, min(segLen, r.cap-i)))
-		}
 	} else {
 		i = r.head
 		if r.head++; r.head == r.cap {
@@ -63,7 +56,15 @@ func (r *Ring[T]) Next() *T {
 		}
 		r.dropped++
 	}
-	return &r.segs[i>>segShift][i&segMask]
+	return &r.buf[i]
+}
+
+// own gives the ring storage it may write: a fresh slice on the first
+// write, a copy of the viewed elements on the first after a View.
+func (r *Ring[T]) own() {
+	r.buf = make([]T, r.cap)
+	copy(r.buf, r.view)
+	r.view = nil
 }
 
 // Len reports the number of buffered elements.
@@ -75,27 +76,26 @@ func (r *Ring[T]) Cap() int { return r.cap }
 // Dropped reports how many elements were evicted.
 func (r *Ring[T]) Dropped() uint64 { return r.dropped }
 
-// AppendTo appends the buffered elements, oldest to newest, to dst.
-func (r *Ring[T]) AppendTo(dst []T) []T {
-	if cap(dst)-len(dst) < r.n {
-		// make, not slices.Grow: Grow clears what it adds, a second pass
-		// over tens of megabytes that are about to be overwritten.
-		dst = append(make([]T, 0, len(dst)+r.n), dst...)
+// View returns the buffered elements, oldest to newest, as one slice
+// that aliases the ring's storage: a wrapped ring is first rotated in
+// place so that its oldest element comes first. The ring never writes
+// into a slice it handed out — its next write copies the storage first —
+// so the view stays what it was when taken; its capacity is its length,
+// so appending to it copies too. The caller must not write into it.
+// View moves the storage, so it is a write like Next: whoever may call
+// Next, and only they, may call View.
+func (r *Ring[T]) View() []T {
+	if r.buf == nil {
+		return r.view // never written, or not written since the last View
 	}
-	dst = r.appendRange(dst, r.head, r.n)
-	return r.appendRange(dst, 0, r.head)
-}
-
-// appendRange appends elements [lo, hi) in index order.
-func (r *Ring[T]) appendRange(dst []T, lo, hi int) []T {
-	for lo < hi {
-		seg := r.segs[lo>>segShift]
-		off := lo & segMask
-		n := min(hi-lo, len(seg)-off)
-		dst = append(dst, seg[off:off+n]...)
-		lo += n
+	if r.head != 0 {
+		slices.Reverse(r.buf[:r.head])
+		slices.Reverse(r.buf[r.head:])
+		slices.Reverse(r.buf)
+		r.head = 0
 	}
-	return dst
+	r.view, r.buf = r.buf[:r.n:r.n], nil
+	return r.view
 }
 
 // Family is the partition-family state an observer of type T embeds by
@@ -174,26 +174,34 @@ func (f *Family[T]) Sum(self *T, fn func(*T) uint64) uint64 {
 // (an emission counter or a strided id). The order is a pure function
 // of the simulation, never of the worker count.
 //
+// The streams are ring views, so the merge never writes into them: fix,
+// when not nil, is applied to each element once it is in the output,
+// with the index of the stream it came from (trace rewrites its string
+// codes so). A lone stream in order that needs no fix is returned as it
+// is.
+//
 // A member that emits on its partition's clock arrives already in
 // (time, seq) order — every trace and causality stream does
-// (TestMemberStreamsArriveSorted) — and is merged as it stands; flight
-// summaries enter their ring when a transaction ends but merge by when
-// it began, so a stream found out of order is sorted first. Streams are
-// then merged k ways on (time, partition): k is the partition count, a
-// scan of the heads.
-func MergeByTime[T any](streams [][]T, key func(*T) (sim.Time, uint64)) []T {
-	total := 0
+// (TestMemberStreamsArriveSorted) — and the streams are merged k ways
+// on (time, partition): k is the partition count, a scan of the heads.
+// When a stream is found out of order the members are sorted together
+// instead (SortByTime). Either way the output is written once.
+func MergeByTime[T any](streams [][]T, key func(*T) (sim.Time, uint64), fix func(member int, e *T)) []T {
+	total, sorted := 0, true
+	lens := make([]int, len(streams))
 	heads := make([]sim.Time, len(streams))
-	for i := range streams {
-		streams[i] = inOrder(streams[i], key)
-		if s := streams[i]; len(s) > 0 {
-			total += len(s)
+	for i, s := range streams {
+		sorted = sorted && inOrder(s, key)
+		lens[i] = len(s)
+		total += len(s)
+		if len(s) > 0 {
 			heads[i], _ = key(&s[0])
 		}
 	}
-	if len(streams) == 1 && total > 0 {
-		// An unsharded observer: nothing to merge with. (An empty one
-		// falls through to the empty, non-nil result below.)
+	if !sorted {
+		return SortByTime(lens, func(m, j int) *T { return &streams[m][j] }, key, fix)
+	}
+	if len(streams) == 1 && total > 0 && fix == nil {
 		return streams[0]
 	}
 	out := make([]T, 0, total)
@@ -215,47 +223,64 @@ func MergeByTime[T any](streams [][]T, key func(*T) (sim.Time, uint64)) []T {
 			}
 			j++
 		}
+		from := len(out)
 		out = append(out, s[pos[best]:j]...)
+		if fix != nil {
+			for k := from; k < len(out); k++ {
+				fix(best, &out[k])
+			}
+		}
 		pos[best] = j
 	}
 	return out
 }
 
-// inOrder returns s in (time, seq) order, elements that tie keeping
-// their positions: s itself when it is already so, else a sorted copy.
-func inOrder[T any](s []T, key func(*T) (sim.Time, uint64)) []T {
-	sorted := true
-	var prevAt sim.Time
-	var prevSeq uint64
-	for i := range s {
+// inOrder reports whether s is in (time, seq) order.
+func inOrder[T any](s []T, key func(*T) (sim.Time, uint64)) bool {
+	for i := 1; i < len(s); i++ {
 		at, seq := key(&s[i])
-		if i > 0 && (at < prevAt || at == prevAt && seq < prevSeq) {
-			sorted = false
-			break
+		prevAt, prevSeq := key(&s[i-1])
+		if at < prevAt || at == prevAt && seq < prevSeq {
+			return false
 		}
-		prevAt, prevSeq = at, seq
 	}
-	if sorted {
-		return s
-	}
-	// Sort (time, seq, position) tags, not the elements: a flight
-	// summary is 216 bytes.
+	return true
+}
+
+// SortByTime writes the elements of a family's members into one new
+// slice in MergeByTime's order, for members that are not in (time, seq)
+// order or not in one slice: member m holds lens[m] elements, the jth
+// at elem(m, j), in the order it recorded them. Elements are ordered by
+// (time, member, seq, position) — what merging each member sorted by
+// (time, seq, position) would give — by sorting small tags, not the
+// elements (a flight summary is 216 bytes), and then gathered; fix is
+// MergeByTime's.
+func SortByTime[T any](lens []int, elem func(m, j int) *T, key func(*T) (sim.Time, uint64), fix func(member int, e *T)) []T {
 	type tag struct {
-		at  sim.Time
-		seq uint64
-		i   int
+		at   sim.Time
+		seq  uint64
+		m, j int32
 	}
-	tags := make([]tag, len(s))
-	for i := range s {
-		at, seq := key(&s[i])
-		tags[i] = tag{at, seq, i}
+	total := 0
+	for _, n := range lens {
+		total += n
+	}
+	tags := make([]tag, 0, total)
+	for m, n := range lens {
+		for j := 0; j < n; j++ {
+			at, seq := key(elem(m, j))
+			tags = append(tags, tag{at, seq, int32(m), int32(j)})
+		}
 	}
 	slices.SortFunc(tags, func(a, b tag) int {
-		return cmp.Or(cmp.Compare(a.at, b.at), cmp.Compare(a.seq, b.seq), cmp.Compare(a.i, b.i))
+		return cmp.Or(cmp.Compare(a.at, b.at), cmp.Compare(a.m, b.m), cmp.Compare(a.seq, b.seq), cmp.Compare(a.j, b.j))
 	})
-	out := make([]T, len(s))
+	out := make([]T, len(tags))
 	for i, t := range tags {
-		out[i] = s[t.i]
+		out[i] = *elem(int(t.m), int(t.j))
+		if fix != nil {
+			fix(int(t.m), &out[i])
+		}
 	}
 	return out
 }

@@ -1,9 +1,14 @@
 package trace_test
 
 import (
+	"bytes"
+	"fmt"
+	"io"
 	"reflect"
+	"runtime"
 	"runtime/debug"
 	"testing"
+	"unsafe"
 
 	"crest/internal/causality"
 	"crest/internal/engine"
@@ -194,7 +199,7 @@ func TestMergeByTimeOrder(t *testing.T) {
 		{{at: 1, seq: 1, from: "p1"}, {at: 5, seq: 0, from: "p1"}},                              // partition 1
 		nil,
 	}
-	got := trace.MergeByTime(streams, func(e *ev) (sim.Time, uint64) { return e.at, e.seq })
+	got := trace.MergeByTime(streams, func(e *ev) (sim.Time, uint64) { return e.at, e.seq }, nil)
 	want := []ev{
 		{0, 3, "p0"},
 		{1, 2, "root"}, {1, 1, "p1"},
@@ -208,67 +213,95 @@ func TestMergeByTimeOrder(t *testing.T) {
 			t.Errorf("position %d: got %+v, want %+v", i, got[i], want[i])
 		}
 	}
-	if out := trace.MergeByTime[ev](nil, nil); out == nil || len(out) != 0 {
+	if out := trace.MergeByTime[ev](nil, nil, nil); out == nil || len(out) != 0 {
 		t.Errorf("merge of no streams = %v, want empty non-nil", out)
 	}
 }
 
 // The ring keeps the newest capacity elements in push order and counts
-// evictions, whether its capacity is a fraction of a segment or several
-// segments and a remainder.
+// evictions; its view is oldest first whether or not the ring has
+// wrapped, and stays what it was while the ring is written on.
 func TestRingEvictsOldest(t *testing.T) {
-	for _, capacity := range []int{4, 4096, 2*4096 + 5} {
+	for _, capacity := range []int{1, 4, 4096, 2*4096 + 5} {
 		r := trace.NewRing[int](capacity)
+		if got := r.View(); got != nil {
+			t.Fatalf("cap %d: an unwritten ring views %v", capacity, got)
+		}
 		for i := 1; i < capacity; i++ {
 			*r.Next() = i
 		}
-		if got := r.AppendTo(nil); len(got) != capacity-1 || got[0] != 1 || got[capacity-2] != capacity-1 || r.Dropped() != 0 {
-			t.Fatalf("cap %d before wrap: %d elements, dropped %d", capacity, len(got), r.Dropped())
+		before := r.View()
+		if len(before) != capacity-1 || capacity > 1 && (before[0] != 1 || before[capacity-2] != capacity-1) || r.Dropped() != 0 {
+			t.Fatalf("cap %d before wrap: %d elements, dropped %d", capacity, len(before), r.Dropped())
 		}
 		for i := capacity; i <= 2*capacity+2; i++ {
 			*r.Next() = i
 		}
-		got := r.AppendTo([]int{0})
-		if len(got) != capacity+1 || r.Len() != capacity || r.Cap() != capacity || r.Dropped() != uint64(capacity+2) {
+		// A second view of the same state is the same slice.
+		got := r.View()
+		if again := r.View(); len(got) == 0 || &again[0] != &got[0] {
+			t.Fatalf("cap %d: two views of one state are different slices", capacity)
+		}
+		if len(got) != capacity || r.Len() != capacity || r.Cap() != capacity || r.Dropped() != uint64(capacity+2) {
 			t.Fatalf("cap %d after wrap: %d elements, len %d, dropped %d", capacity, len(got), r.Len(), r.Dropped())
 		}
-		for i, v := range got[1:] {
+		for i, v := range got {
 			if want := capacity + 3 + i; v != want {
 				t.Fatalf("cap %d after wrap: element %d = %d, want %d", capacity, i, v, want)
+			}
+		}
+		for i, v := range before {
+			if v != i+1 {
+				t.Fatalf("cap %d: element %d of a view taken before the wrap became %d", capacity, i, v)
+			}
+		}
+		// The view is the ring's: appending to it must not write the ring.
+		_ = append(got, -1)
+		for i := 0; i < capacity/2+1; i++ {
+			*r.Next() = -2
+		}
+		for i, v := range got {
+			if want := capacity + 3 + i; v != want {
+				t.Fatalf("cap %d: element %d of a view became %d once the ring moved on", capacity, i, v)
 			}
 		}
 	}
 }
 
-// TestEmitAllocs is the allocation contract of recording into a ring
-// that is still growing, for the three recorders built on it: an emit
-// inside a segment allocates nothing, and 4096 emits — one segment's
-// worth, so exactly one boundary — allocate exactly one thing, the next
-// segment. (That a full ring records in place is each recorder's own
+// TestEmitAllocs is the allocation contract of recording, for the three
+// recorders built on Ring: an emit allocates nothing but the ring's
+// storage, and that is counted exactly — none as the ring fills and
+// wraps once its first write allocated it, and one on the first write
+// after a snapshot viewed it (the copy that keeps the snapshot as it
+// was). (That a full ring records in place is each recorder's own
 // steady-state test.)
 func TestEmitAllocs(t *testing.T) {
-	// A collection the segments trigger would count its own start-up
+	// A collection the storage triggers would count its own start-up
 	// allocations against the emitter.
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	const segLen = 4096
+	const capacity = 1 << 16
 	span := trace.Span{Coord: 1, ID: 1, Label: "t", Attempt: 1}
+	type recorder struct {
+		emit     func() // records one ring element
+		snapshot func()
+	}
 	cases := []struct {
 		name string
-		emit func(p *sim.Proc) func() // returns the one-record emitter, warmed up
+		mk   func(p *sim.Proc) recorder
 	}{
-		{"trace", func(p *sim.Proc) func() {
-			r := trace.NewRecorder(16 * segLen)
+		{"trace", func(p *sim.Proc) recorder {
+			r := trace.NewRecorder(capacity)
 			r.Begin(p.Now(), &span)
-			return func() { r.LockAcquire(p.Now(), &span, 1, 7, 0b1) }
+			return recorder{func() { r.LockAcquire(p.Now(), &span, 1, 7, 0b1) }, func() { r.Snapshot() }}
 		}},
-		{"causality", func(p *sim.Proc) func() {
-			r := causality.NewRecorder(causality.Options{Capacity: 16 * segLen})
+		{"causality", func(p *sim.Proc) recorder {
+			r := causality.NewRecorder(causality.Options{Capacity: capacity})
 			tx := r.Begin(p.Now(), &span)
 			r.OnLock(tx, 1, 7, 0b1)
-			return func() { r.LockFail(p.Now(), tx, 1, 7, 0b1) }
+			return recorder{func() { r.LockFail(p.Now(), tx, 1, 7, 0b1) }, func() { r.Snapshot() }}
 		}},
-		{"flight", func(p *sim.Proc) func() {
-			r := flight.NewRecorder(flight.Options{TxnCapacity: 16 * segLen})
+		{"flight", func(p *sim.Proc) recorder {
+			r := flight.NewRecorder(flight.Options{TxnCapacity: capacity})
 			var dur [trace.NumPhases]sim.Duration
 			txn := func() {
 				x := r.Begin(p.Now(), &span, 0)
@@ -278,28 +311,39 @@ func TestEmitAllocs(t *testing.T) {
 			for i := 0; i < 16; i++ {
 				txn() // fill the record pool and the exemplar bucket
 			}
-			return txn
+			return recorder{txn, func() { r.Snapshot() }}
 		}},
+	}
+	// allocs counts what n emits allocate; AllocsPerRun's warm-up call
+	// is skipped, so the n are the only ones.
+	allocs := func(rec recorder, n int) float64 {
+		warm := true
+		return testing.AllocsPerRun(1, func() {
+			if warm {
+				warm = false
+				return
+			}
+			for i := 0; i < n; i++ {
+				rec.emit()
+			}
+		})
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			env := sim.NewEnv(1)
 			env.Spawn("emit", func(p *sim.Proc) {
-				emit := tc.emit(p)
-				emit()
-				if avg := testing.AllocsPerRun(segLen/2, emit); avg != 0 {
-					t.Errorf("an emit inside a segment allocates %v, want 0", avg)
+				rec := tc.mk(p)
+				rec.emit() // the ring's first write: its storage (TestRingAllocatesOnFirstWrite)
+				if n := allocs(rec, 3*capacity); n != 0 {
+					t.Errorf("%d emits, the ring filling and wrapping, allocate %v times, want 0", 3*capacity, n)
 				}
-				segment := func() {
-					for i := 0; i < segLen; i++ {
-						emit()
+				for run := 0; run < 3; run++ {
+					rec.snapshot()
+					if n := allocs(rec, 1); n != 1 {
+						t.Errorf("the first emit after a snapshot allocates %v times, want 1: the storage", n)
 					}
-				}
-				// One run at a time (each preceded by AllocsPerRun's warm-up
-				// call): AllocsPerRun averages in whole numbers.
-				for run := 0; run < 4; run++ {
-					if n := testing.AllocsPerRun(1, segment); n != 1 {
-						t.Errorf("%d emits allocate %v times, want 1: the next segment", segLen, n)
+					if n := allocs(rec, capacity); n != 0 {
+						t.Errorf("%d later emits allocate %v times, want 0", capacity, n)
 					}
 				}
 			})
@@ -307,5 +351,172 @@ func TestEmitAllocs(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
+	}
+}
+
+// A fresh ring allocates nothing before its first write and its
+// storage once, on it.
+func TestRingAllocatesOnFirstWrite(t *testing.T) {
+	for _, tc := range []struct{ capacity, want int }{{0, 0}, {100, 1}, {1 << 15, 1}} {
+		if n := testing.AllocsPerRun(10, func() {
+			r := trace.NewRing[[64]byte](tc.capacity)
+			for i := 0; i < 3*tc.capacity; i++ {
+				r.Next()[0] = byte(i)
+			}
+		}); n != float64(tc.want) {
+			t.Errorf("a ring of capacity %d written past it allocates %v times, want %d", tc.capacity, n, tc.want)
+		}
+	}
+}
+
+// observed is one recorder under TestSnapshotsAliasRings, unsharded or
+// sharded: record writes transaction i into partition part's member (the
+// recorder itself when unsharded); snapshot takes a snapshot and reports
+// what it holds.
+type observed struct {
+	record   func(part, i int)
+	snapshot func() snapshotted
+}
+
+// snapshotted is one snapshot: its export, the bytes of the family's
+// rings it covers, and the bytes of what it must build whatever the
+// rings' storage — the merged stream of a sharded family, causality's
+// rendered transaction nodes.
+type snapshotted struct {
+	export          func(io.Writer) error
+	ringBytes, made uint64
+}
+
+func sizeOf[T any](n int) uint64 {
+	var v T
+	return uint64(n) * uint64(unsafe.Sizeof(v))
+}
+
+// TestSnapshotsAliasRings: a snapshot copies no ring. Taken of a
+// recorder that records nothing more, it allocates less than an eighth
+// of the bytes its rings hold beyond what it must build anyway (nothing
+// for an unsharded trace or flight recorder whose summaries are in begin
+// order, the one merged stream of a sharded family), the rings having
+// wrapped before it. And it stays what it was while the recorder goes
+// on: its export is byte-equal after the rings wrapped again.
+func TestSnapshotsAliasRings(t *testing.T) {
+	const capacity = 1 << 12
+	cases := []struct {
+		name string
+		mk   func(parts int) observed
+	}{
+		{"trace", func(parts int) observed {
+			r := trace.NewRecorder(capacity)
+			return observed{
+				record: func(part, i int) {
+					m := r.Shard(part, parts)
+					at := sim.Time(i) * 1000
+					s := trace.Span{Coord: uint64(part + 1), ID: uint64(i*parts + part + 1), Label: "t", Attempt: 1}
+					m.Begin(at, &s)
+					m.LockAcquire(at+1, &s, 1, layout.Key(i%7), 0b1)
+					m.Commit(at+2, &s)
+				},
+				snapshot: func() snapshotted {
+					s := r.Snapshot()
+					made := uint64(0)
+					if parts > 1 {
+						made = sizeOf[trace.Event](len(s.Events))
+					}
+					return snapshotted{func(w io.Writer) error { return trace.WriteChromeTrace(w, s) },
+						sizeOf[trace.Event](r.Len()), made}
+				},
+			}
+		}},
+		{"causality", func(parts int) observed {
+			r := causality.NewRecorder(causality.Options{Capacity: capacity, TxnCapacity: capacity})
+			return observed{
+				record: func(part, i int) {
+					m := r.Shard(part, parts)
+					at := sim.Time(i) * 1000
+					s := trace.Span{Coord: uint64(part + 1), ID: uint64(i*parts + part + 1), Label: "t", Attempt: 1}
+					tx := m.Begin(at, &s)
+					for k := 0; k < 8; k++ {
+						m.LockFail(at+sim.Time(k), tx, 1, layout.Key(i%7), 0b1)
+					}
+					m.Commit(at+9, tx)
+				},
+				snapshot: func() snapshotted {
+					s := r.Snapshot()
+					made := sizeOf[causality.TxnInfo](len(s.Txns))
+					if parts > 1 {
+						made += sizeOf[causality.Edge](len(s.Edges))
+					}
+					return snapshotted{func(w io.Writer) error { return causality.WriteJSON(w, s) },
+						sizeOf[causality.Edge](r.Len()) + sizeOf[*causality.Txn](len(s.Txns)), made}
+				},
+			}
+		}},
+		{"flight", func(parts int) observed {
+			r := flight.NewRecorder(flight.Options{TxnCapacity: capacity})
+			var dur [trace.NumPhases]sim.Duration
+			return observed{
+				record: func(part, i int) {
+					m := r.Shard(part, parts)
+					at := sim.Time(i) * 1000
+					s := trace.Span{Coord: uint64(part + 1), ID: uint64(i*parts + part + 1), Label: "t", Attempt: 1}
+					x := m.Begin(at, &s, part)
+					m.Wire(x, trace.PhaseExec, flight.ClassRead, 500)
+					dur[trace.PhaseExec] = 500
+					m.Done(at+500, x, &dur, true)
+				},
+				snapshot: func() snapshotted {
+					s := r.Snapshot()
+					made := uint64(0)
+					if parts > 1 {
+						made = sizeOf[flight.TxnBudget](len(s.Txns))
+					}
+					return snapshotted{func(w io.Writer) error { return flight.WriteJSON(w, s) },
+						sizeOf[flight.TxnBudget](r.Len()), made}
+				},
+			}
+		}},
+	}
+	for _, tc := range cases {
+		for _, parts := range []int{1, 4} {
+			t.Run(fmt.Sprintf("%s/parts=%d", tc.name, parts), func(t *testing.T) {
+				rec := tc.mk(parts)
+				// Enough transactions to wrap every member's rings, then as
+				// many more.
+				txns := 2 * capacity * parts
+				for i := 0; i < txns; i++ {
+					rec.record(i%parts, i)
+				}
+				var m0, m1 runtime.MemStats
+				runtime.GC()
+				runtime.ReadMemStats(&m0)
+				snap := rec.snapshot()
+				runtime.ReadMemStats(&m1)
+				alloc := m1.TotalAlloc - m0.TotalAlloc
+				if alloc >= snap.made+snap.ringBytes/8 {
+					t.Errorf("the snapshot allocated %d bytes: %d beyond the %d it builds, want < %d (an eighth of its rings' %d)",
+						alloc, alloc-min(alloc, snap.made), snap.made, snap.ringBytes/8, snap.ringBytes)
+				}
+				var before, after bytes.Buffer
+				if err := snap.export(&before); err != nil {
+					t.Fatal(err)
+				}
+				for i := txns; i < 2*txns; i++ {
+					rec.record(i%parts, i)
+				}
+				if err := snap.export(&after); err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(before.Bytes(), after.Bytes()) {
+					t.Errorf("the snapshot's export changed once the recorder went on: %d bytes, then %d", before.Len(), after.Len())
+				}
+				var now bytes.Buffer
+				if err := rec.snapshot().export(&now); err != nil {
+					t.Fatal(err)
+				}
+				if bytes.Equal(before.Bytes(), now.Bytes()) {
+					t.Error("a snapshot taken after more transactions exports the same bytes")
+				}
+			})
+		}
 	}
 }

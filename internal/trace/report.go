@@ -61,113 +61,159 @@ type SpanView struct {
 	Committed bool
 }
 
-// spanBuild accumulates a SpanView while scanning the event stream.
-type spanBuild struct {
-	v       SpanView
+// spanState is one span's open phase while Spans scans the stream, and
+// the part of its slab region of phase slices no attempt has used yet.
+type spanState struct {
 	openPh  Phase
 	openAt  sim.Time
 	hasOpen bool
 	lastAt  sim.Time
+	free    []PhaseSlice
 }
 
-func (b *spanBuild) cur() *AttemptView {
-	if len(b.v.Attempts) == 0 {
-		b.v.Attempts = append(b.v.Attempts, AttemptView{N: 1})
+// attempt appends a to v's attempts. Phase slices are only ever
+// appended to the last attempt, so a's start in the span's slab region
+// where the previous attempt's end.
+func (st *spanState) attempt(v *SpanView, a AttemptView) {
+	if n := len(v.Attempts); n > 0 {
+		st.free = st.free[len(v.Attempts[n-1].Slices):]
 	}
-	return &b.v.Attempts[len(b.v.Attempts)-1]
+	a.Slices = st.free[:0]
+	v.Attempts = append(v.Attempts, a)
 }
 
 // closePhase ends the open phase slice at `at`, folding its length into
-// the attempt's per-phase duration.
-func (b *spanBuild) closePhase(at sim.Time) {
-	if !b.hasOpen {
+// the last attempt's per-phase duration.
+func (st *spanState) closePhase(v *SpanView, at sim.Time) {
+	if !st.hasOpen {
 		return
 	}
-	a := b.cur()
-	a.Slices = append(a.Slices, PhaseSlice{Phase: b.openPh, Start: b.openAt, End: at})
-	a.Dur[b.openPh] += at.Sub(b.openAt)
-	b.hasOpen = false
-}
-
-func (b *spanBuild) openPhase(ph Phase, at sim.Time) {
-	b.closePhase(at)
-	b.openPh, b.openAt, b.hasOpen = ph, at, true
+	a := &v.Attempts[len(v.Attempts)-1]
+	a.Slices = append(a.Slices, PhaseSlice{Phase: st.openPh, Start: st.openAt, End: at})
+	a.Dur[st.openPh] += at.Sub(st.openAt)
+	st.hasOpen = false
 }
 
 // Spans reconstructs per-transaction span timelines from the event
 // stream, in order of first appearance. Spans whose begin event was
 // evicted from the ring are reconstructed from their surviving tail.
+//
+// A first pass numbers the spans and counts what each holds — an
+// attempt per begin or retry, plus one resumed mid-flight when the
+// begin was evicted, and a phase slice per phase entered — so the
+// second builds every attempt and slice into two slabs that never grow.
 func (s *Snapshot) Spans() []SpanView {
 	type key struct {
 		coord uint32
 		id    uint64
 	}
-	idx := map[key]*spanBuild{}
-	var order []*spanBuild
-
-	get := func(e *Event) *spanBuild {
-		k := key{e.Coord, e.Span}
-		b := idx[k]
-		if b == nil {
-			b = &spanBuild{v: SpanView{Coord: uint64(e.Coord), ID: e.Span, Txn: e.Txn, Label: s.Str(e.Label)}}
-			if e.Kind != KindTxnBegin {
-				// Head of the span was evicted; resume mid-flight.
-				b.v.Attempts = append(b.v.Attempts, AttemptView{N: int(e.Attempt), Start: e.At})
-			}
-			idx[k] = b
-			order = append(order, b)
-		}
-		return b
-	}
-
+	type count struct{ attempts, slices int }
+	idx := map[key]int32{}
+	of := make([]int32, len(s.Events)) // each event's span; -1 for none
+	var counts []count
 	for i := range s.Events {
 		e := &s.Events[i]
 		if e.Span == 0 {
-			continue // proc events and other unattributed activity
+			of[i] = -1 // proc events and other unattributed activity
+			continue
 		}
-		b := get(e)
-		b.lastAt = e.At
+		k := key{e.Coord, e.Span}
+		j, ok := idx[k]
+		if !ok {
+			j = int32(len(counts))
+			idx[k] = j
+			counts = append(counts, count{})
+			if e.Kind != KindTxnBegin {
+				counts[j].attempts++ // head of the span was evicted
+			}
+		}
+		of[i] = j
+		switch e.Kind {
+		case KindTxnBegin, KindTxnRetry:
+			counts[j].attempts++
+		case KindPhase:
+			counts[j].slices++
+		}
+	}
+
+	var attempts, slices int
+	for _, c := range counts {
+		attempts += c.attempts
+		slices += c.slices
+	}
+	attSlab, sliceSlab := make([]AttemptView, attempts), make([]PhaseSlice, slices)
+	views := make([]SpanView, len(counts))
+	states := make([]spanState, len(counts))
+	for j, c := range counts {
+		views[j].Attempts = attSlab[:0:c.attempts]
+		attSlab = attSlab[c.attempts:]
+		states[j].free = sliceSlab[:c.slices:c.slices]
+		sliceSlab = sliceSlab[c.slices:]
+	}
+
+	for i := range s.Events {
+		j := of[i]
+		if j < 0 {
+			continue
+		}
+		e, v, st := &s.Events[i], &views[j], &states[j]
+		if v.ID == 0 {
+			v.Coord, v.ID, v.Txn, v.Label = uint64(e.Coord), e.Span, e.Txn, s.Str(e.Label)
+			if e.Kind != KindTxnBegin {
+				// Head of the span was evicted; resume mid-flight.
+				st.attempt(v, AttemptView{N: int(e.Attempt), Start: e.At})
+			}
+		}
+		st.lastAt = e.At
 		if e.Txn != 0 {
-			b.v.Txn = e.Txn
+			v.Txn = e.Txn
 		}
 		switch e.Kind {
 		case KindTxnBegin:
-			b.v.Attempts = append(b.v.Attempts, AttemptView{N: 1, Start: e.At})
-			b.v.Label = s.Str(e.Label)
+			st.attempt(v, AttemptView{N: 1, Start: e.At})
+			v.Label = s.Str(e.Label)
 		case KindTxnRetry:
-			b.closePhase(e.At)
-			b.v.Attempts = append(b.v.Attempts, AttemptView{N: int(e.Attempt), Start: e.At})
+			st.closePhase(v, e.At)
+			st.attempt(v, AttemptView{N: int(e.Attempt), Start: e.At})
 		case KindPhase:
-			b.openPhase(e.Phase, e.At)
+			st.closePhase(v, e.At)
+			st.openPh, st.openAt, st.hasOpen = e.Phase, e.At, true
 		case KindTxnCommit:
-			b.closePhase(e.At)
-			a := b.cur()
+			st.closePhase(v, e.At)
+			a := &v.Attempts[len(v.Attempts)-1]
 			a.End = e.At
 			a.Committed = true
-			b.v.Committed = true
+			v.Committed = true
 		case KindTxnAbort:
-			b.closePhase(e.At)
-			a := b.cur()
+			st.closePhase(v, e.At)
+			a := &v.Attempts[len(v.Attempts)-1]
 			a.End = e.At
 			a.Reason = s.Str(e.Reason)
 			a.False = e.False
 		case KindVerbComplete:
-			a := b.cur()
+			a := &v.Attempts[len(v.Attempts)-1]
 			a.Verbs[e.Phase]++
 			a.Bytes[e.Phase] += int(e.Bytes)
 		case KindRTT:
-			a := b.cur()
+			a := &v.Attempts[len(v.Attempts)-1]
 			a.RTT[e.Phase]++
 			a.Net[e.Phase] += sim.Duration(e.Latency)
 		case KindConflict:
-			b.cur().Conflicts++
+			v.Attempts[len(v.Attempts)-1].Conflicts++
 		}
 	}
 
-	views := make([]SpanView, len(order))
-	for i, b := range order {
-		b.closePhase(b.lastAt) // release slice of a final abort stays open
-		views[i] = b.v
+	for j := range views {
+		v := &views[j]
+		states[j].closePhase(v, states[j].lastAt) // release slice of a final abort stays open
+		for k := range v.Attempts {
+			// Each attempt's slices end where the next one's begin.
+			if a := &v.Attempts[k]; len(a.Slices) == 0 {
+				a.Slices = nil
+			} else {
+				a.Slices = a.Slices[:len(a.Slices):len(a.Slices)]
+			}
+		}
 	}
 	return views
 }

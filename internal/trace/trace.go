@@ -32,6 +32,7 @@ import (
 	"sort"
 
 	"crest/internal/layout"
+	"crest/internal/rdma"
 	"crest/internal/sim"
 )
 
@@ -286,7 +287,10 @@ type HotCell struct {
 type Recorder struct {
 	ring  Ring[Event]
 	strs  strTable // Event.Label and Event.Reason
-	verbs strTable // Event.Verb
+	verbs strTable // Event.Verb: verb names, in first-use order
+	// opVerb caches each rdma.OpKind's Event.Verb code (0 until the
+	// kind's first verb), so a verb event builds and looks up no name.
+	opVerb [math.MaxUint8 + 1]uint8
 
 	hot map[hotKey]*HotCell
 
@@ -431,33 +435,39 @@ func (r *Recorder) Abort(at sim.Time, s *Span, reason string, falseConflict bool
 	}
 }
 
-// verbID is verb's code. A fabric has four verbs; a recorder asked for
-// more names than a byte holds is being misused.
-func (r *Recorder) verbID(verb string) uint8 {
-	id := r.verbs.id(verb)
+// verbID is op's code: its name is interned on the kind's first use, so
+// codes follow first use and Snapshot.Verb reads the name back. A
+// fabric has four verbs; a recorder asked for more names than a byte
+// holds is being misused.
+func (r *Recorder) verbID(op rdma.OpKind) uint8 {
+	if id := r.opVerb[op]; id != 0 {
+		return id
+	}
+	id := r.verbs.id(op.String())
 	if id > math.MaxUint8 {
 		panic("trace: more than 255 distinct verb names")
 	}
+	r.opVerb[op] = uint8(id)
 	return uint8(id)
 }
 
 // VerbIssue records one verb posted to the fabric.
-func (r *Recorder) VerbIssue(at sim.Time, s *Span, verb string, qp, region, bytes int) {
+func (r *Recorder) VerbIssue(at sim.Time, s *Span, op rdma.OpKind, qp, region, bytes int) {
 	if r == nil {
 		return
 	}
 	e := r.emitIn(at, KindVerbIssue, s)
-	e.Verb, e.QP, e.Region, e.Bytes = r.verbID(verb), uint32(qp), uint16(region), uint32(bytes)
+	e.Verb, e.QP, e.Region, e.Bytes = r.verbID(op), uint32(qp), uint16(region), uint32(bytes)
 }
 
 // VerbComplete records one verb's completion with its charged latency
 // (the whole batch's round-trip; doorbell batching amortizes it).
-func (r *Recorder) VerbComplete(at sim.Time, s *Span, verb string, qp, region, bytes int, lat sim.Duration) {
+func (r *Recorder) VerbComplete(at sim.Time, s *Span, op rdma.OpKind, qp, region, bytes int, lat sim.Duration) {
 	if r == nil {
 		return
 	}
 	e := r.emitIn(at, KindVerbComplete, s)
-	e.Verb, e.QP, e.Region, e.Bytes, e.Latency = r.verbID(verb), uint32(qp), uint16(region), uint32(bytes), latency(lat)
+	e.Verb, e.QP, e.Region, e.Bytes, e.Latency = r.verbID(op), uint32(qp), uint16(region), uint32(bytes), latency(lat)
 }
 
 // RTT records one doorbell batch: the unit of round-trip attribution.
@@ -591,8 +601,10 @@ func (r *Recorder) ProcFinish(name string, at sim.Time) {
 	r.emitProc(at, KindProcFinish, name)
 }
 
-// Snapshot is an immutable copy of the recorder's state, the input to
-// every exporter.
+// Snapshot is the recorder's state at one instant, the input to every
+// exporter. Events may alias the recorder's ring (Ring.View), which
+// never writes into it again: a snapshot stays as it was taken while
+// the run goes on, and must not be written to.
 type Snapshot struct {
 	Events  []Event // oldest → newest
 	Dropped uint64
@@ -621,13 +633,15 @@ func (s *Snapshot) Verb(e *Event) string {
 	return s.verbs[e.Verb]
 }
 
-// Snapshot copies the ring (oldest to newest), the string tables and
-// the hot-key profile. A nil recorder yields an empty snapshot.
+// Snapshot views the ring (oldest to newest) and copies the string
+// tables and the hot-key profile. A nil recorder yields an empty
+// snapshot.
 //
 // On a sharded recorder the snapshot is the deterministic merge of the
 // root and every partition child (MergeByTime): each member's string
-// codes are first rewritten into one table merged by string, hot-cell
-// profiles sum per cell, and Dropped sums the family's evictions.
+// codes are rewritten, as the merge writes its events, into one table
+// merged by string; hot-cell profiles sum per cell, and Dropped sums
+// the family's evictions.
 func (r *Recorder) Snapshot() *Snapshot {
 	s := &Snapshot{}
 	if r == nil {
@@ -635,26 +649,25 @@ func (r *Recorder) Snapshot() *Snapshot {
 	}
 	s.Dropped = r.Dropped()
 	if !r.fam.Sharded() {
-		s.Events = r.ring.AppendTo(nil)
+		s.Events = r.ring.View()
 		s.strs, s.verbs = slices.Clone(r.strs.strs), slices.Clone(r.verbs.strs)
 		s.Hot = sortedHot(r.hot)
 		return s
 	}
 	members := r.fam.Members(r)
 	streams := make([][]Event, len(members))
+	strMaps, verbMaps := make([][]StrID, len(members)), make([][]StrID, len(members))
 	merged := make(map[hotKey]*HotCell, len(r.hot))
 	var strs, verbs strTable
 	for i, m := range members {
-		evs := m.ring.AppendTo(nil)
-		strMap, verbMap := strs.merge(&m.strs), verbs.merge(&m.verbs)
-		for j := range evs {
-			e := &evs[j]
-			e.Label, e.Reason, e.Verb = strMap[e.Label], strMap[e.Reason], uint8(verbMap[e.Verb])
-		}
-		streams[i] = evs
+		streams[i] = m.ring.View()
+		strMaps[i], verbMaps[i] = strs.merge(&m.strs), verbs.merge(&m.verbs)
 		foldHot(merged, m.hot)
 	}
-	s.Events = MergeByTime(streams, func(e *Event) (sim.Time, uint64) { return e.At, 0 })
+	s.Events = MergeByTime(streams, func(e *Event) (sim.Time, uint64) { return e.At, 0 }, func(m int, e *Event) {
+		strMap := strMaps[m]
+		e.Label, e.Reason, e.Verb = strMap[e.Label], strMap[e.Reason], uint8(verbMaps[m][e.Verb])
+	})
 	s.strs, s.verbs = strs.strs, verbs.strs
 	s.Hot = sortedHot(merged)
 	return s

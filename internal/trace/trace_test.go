@@ -8,6 +8,7 @@ import (
 	"unsafe"
 
 	"crest/internal/layout"
+	"crest/internal/rdma"
 	"crest/internal/sim"
 )
 
@@ -38,8 +39,8 @@ func TestNilRecorderIsSafe(t *testing.T) {
 		s := &Span{Coord: 1, ID: 1, Label: "txn", Attempt: 1}
 		r.Begin(p.Now(), s)
 		enter(r, p.Now(), s, PhaseLock)
-		r.VerbIssue(p.Now(), s, "READ", 1, 0, 8)
-		r.VerbComplete(p.Now(), s, "READ", 1, 0, 8, sim.Microsecond)
+		r.VerbIssue(p.Now(), s, rdma.OpRead, 1, 0, 8)
+		r.VerbComplete(p.Now(), s, rdma.OpRead, 1, 0, 8, sim.Microsecond)
 		r.RTT(p.Now(), s, 1, 0, 1, 8, sim.Microsecond)
 		r.Conflict(p.Now(), s, 1, 2, 0b11)
 		r.LockAcquire(p.Now(), s, 1, 2, 0b11)

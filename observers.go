@@ -72,7 +72,7 @@ func (o ObserverOptions) recorders() engine.Observers {
 	return obs
 }
 
-// snapshots copies each enabled recorder's state; a disabled recorder
+// snapshots takes each enabled recorder's snapshot; a disabled recorder
 // yields nil.
 func snapshots(obs engine.Observers) (t *TraceSnapshot, m *MetricsSnapshot, w *WhySnapshot, f *FlightSnapshot) {
 	if obs.Trace != nil {
