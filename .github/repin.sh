@@ -2,7 +2,8 @@
 # Rewrites every pinned byte in one command: the digest rows
 # (testdata/*.digest) and whole-file goldens the tests hold through
 # internal/pin, the quick-profile tables (quick_results.txt) and run
-# records (BENCH_quick.json), and the full-profile exp1 and exp6 tables
+# records (BENCH_quick.json) with the paper predicates evaluated over
+# them, and the full-profile exp1 and exp6 tables
 # (full_exp1.txt, full_exp6.txt). Everything it writes is a pure
 # function of the code, so on an unchanged tree `git diff` stays empty.
 # A refactor never runs it; a deliberate re-pin runs it once, in a
@@ -33,6 +34,8 @@ sed -n '/^KOPS vs /,$p' "$out/quick.txt"
 # The committed run records leave out the host-clock figures, which
 # differ on every run.
 jq 'del(.perf)' "$out/BENCH_quick.json" > BENCH_quick.json
+echo "== paper predicates over the new BENCH_quick.json (REPIN=1)"
+REPIN=1 go test -count=1 -run '^TestPaperPredicates$' ./internal/bench
 for exp in exp1 exp6; do
   echo "== crestbench -exp $exp -profile full"
   "$tmp/crestbench" -exp "$exp" -profile full > "full_$exp.txt"

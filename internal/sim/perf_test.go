@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -24,6 +25,52 @@ func BenchmarkDispatch(b *testing.B) {
 	b.ResetTimer()
 	if err := e.Run(); err != nil {
 		b.Fatal(err)
+	}
+}
+
+// BenchmarkWorldWindow measures one window of the partitioned
+// executor end to end — handoff, merge, dispatch and the wait for the
+// last partition — on 4 partitions. Each runs two processes that wake
+// every half lookahead and send to another partition, so a window
+// holds a few events and cross-partition sends per partition. One
+// RunUntil spans b.N windows, and ns/window and allocs/window divide
+// by the windows it ran.
+func BenchmarkWorldWindow(b *testing.B) {
+	const L = Microsecond
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			w := NewWorld(1, 4, L)
+			w.SetWorkers(workers)
+			nop := func() {}
+			for i := 0; i < 4; i++ {
+				e := w.Env(i)
+				for j := 1; j <= 2; j++ {
+					to := w.Env((i + j) % 4)
+					e.Spawn(fmt.Sprintf("p%d/%d", i, j), func(p *Proc) {
+						for {
+							p.Sleep(L / 2)
+							e.Send(to, p.Now().Add(L), nop)
+						}
+					})
+				}
+			}
+			warm := Time(100 * L)
+			if err := w.RunUntil(warm); err != nil {
+				b.Fatal(err)
+			}
+			var m0, m1 runtime.MemStats
+			runtime.ReadMemStats(&m0)
+			windows := w.Windows()
+			b.ResetTimer()
+			if err := w.RunUntil(warm + Time(b.N)*Time(L)); err != nil {
+				b.Fatal(err)
+			}
+			b.StopTimer()
+			runtime.ReadMemStats(&m1)
+			n := float64(w.Windows() - windows)
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/n, "ns/window")
+			b.ReportMetric(float64(m1.Mallocs-m0.Mallocs)/n, "allocs/window")
+		})
 	}
 }
 

@@ -8,14 +8,15 @@ package sim
 //     mailbox high-water marks are pure functions of the simulation
 //     state — identical at any worker count, safe to export through the
 //     deterministic metrics registry;
-//   - wall-clock: per-partition busy time, barrier wait and total
-//     window time are real time.Now measurements. They vary run to run
-//     and must only surface in invocation-level outputs (runtime-stats
-//     JSON, stderr summaries), never in byte-compared artifacts.
+//   - wall-clock: per-partition busy time (merge and dispatch), barrier
+//     wait and total window time are real time.Now measurements. They
+//     vary run to run and must only surface in invocation-level outputs
+//     (runtime-stats JSON, stderr summaries), never in byte-compared
+//     artifacts.
 //
-// All counters mutate either between windows (single-threaded) or from
-// the one worker that owns a partition during a window; the window
-// barrier orders the latter before any cross-thread read.
+// All counters mutate either between windows (on the main worker) or
+// from the one worker that claimed a partition for a window; the
+// window's last partition orders the latter before any cross-thread read.
 
 // windowLogCap bounds the per-run window log: enough to render a
 // timeline of the interesting prefix without letting a long run grow
@@ -29,15 +30,15 @@ type worldRuntime struct {
 	widthMin   Duration
 	widthMax   Duration
 	windowNS   int64    // wall time inside runWindow, all windows
-	barrierNS  int64    // wall time the main thread waited on the barrier
-	injected   []uint64 // per partition: messages injected at barriers
-	mailboxHWM []int    // per partition: largest single-barrier batch
-	busyNS     []int64  // per partition: wall time dispatching windows
+	barrierNS  int64    // wall time the main worker waited for last partitions
+	injected   []uint64 // per partition: messages merged into it
+	mailboxHWM []int    // per partition: largest single merge
+	busyNS     []int64  // per partition: wall time merging and dispatching
 	log        []WindowRec
 	logDropped uint64
 }
 
-// noteInject records one barrier's message batch for target partition t.
+// noteInject records one merge's message batch for target partition t.
 func (rt *worldRuntime) noteInject(t, n int) {
 	rt.injected[t] += uint64(n)
 	if n > rt.mailboxHWM[t] {
@@ -65,7 +66,7 @@ func (rt *worldRuntime) noteWindow(start, bound Time, events, injected uint64) {
 
 // WindowRec is one executed window in the log: its virtual-time span,
 // the events dispatched inside it (across all partitions) and the
-// cross-partition messages injected at the barrier that opened it.
+// cross-partition messages merged when it opened.
 type WindowRec struct {
 	Start    Time
 	Bound    Time
@@ -79,8 +80,8 @@ type PartRuntime struct {
 	Events     uint64 // events dispatched in this partition
 	Injected   uint64 // cross-partition messages delivered to it
 	Sent       uint64 // cross-partition messages it posted
-	MailboxHWM int    // largest single-barrier incoming batch
-	BusyNS     int64  // wall-clock: wall time spent dispatching (nondeterministic)
+	MailboxHWM int    // largest single incoming merge
+	BusyNS     int64  // wall-clock: wall time spent merging and dispatching (nondeterministic)
 }
 
 // RuntimeStats is a snapshot of the window executor's introspection
@@ -96,7 +97,7 @@ type RuntimeStats struct {
 	WidthMax  Duration
 
 	WindowWallNS  int64 // wall-clock: total time inside windows
-	BarrierWaitNS int64 // wall-clock: main-thread barrier waits
+	BarrierWaitNS int64 // wall-clock: main worker's waits for each window's last partition
 
 	PartStats []PartRuntime
 
@@ -165,6 +166,6 @@ func (w *World) WindowWidthAvg() float64 {
 // partition i so far (schedule-derived).
 func (w *World) PartInjected(i int) uint64 { return w.rt.injected[i] }
 
-// PartMailboxHWM returns partition i's largest single-barrier incoming
-// batch so far (schedule-derived).
+// PartMailboxHWM returns partition i's largest single incoming
+// merge so far (schedule-derived).
 func (w *World) PartMailboxHWM(i int) int { return w.rt.mailboxHWM[i] }

@@ -5,25 +5,31 @@
 // The synchronization protocol is classic conservative lookahead
 // (Chandy–Misra style, with a global window barrier instead of per-link
 // null messages). Let E_min be the earliest pending event across every
-// partition and L the lookahead — the minimum virtual delay of any
-// cross-partition interaction. Every partition may then dispatch all
-// events with time ≤ E_min + L − 1 without hearing from its peers:
-// anything a peer sends while executing this window carries a delivery
-// time ≥ (its current time) + L ≥ E_min + L, which lies strictly beyond
-// the window. Cross-partition sends travel through per-pair outboxes
-// and are injected into target heaps at the barrier between windows,
-// sorted by (delivery time, source partition, per-pair sequence), so
-// the merged order is a pure function of the simulation state — never
-// of the number of worker threads or their scheduling.
+// partition — heap heads and mail still in flight — and L the
+// lookahead, the minimum virtual delay of any cross-partition
+// interaction. Every partition may then dispatch all events with time
+// ≤ E_min + L − 1 without hearing from its peers: anything a peer sends
+// while executing this window carries a delivery time ≥ (its current
+// time) + L ≥ E_min + L, which lies strictly beyond the window.
+// Cross-partition sends travel through per-pair outboxes, double-buffered
+// by window parity, and each partition merges its own inbound mail when
+// its next window starts, sorted by (delivery time, source partition,
+// per-pair sequence), so the merged order is a pure function of the
+// simulation state — never of the number of worker threads or their
+// scheduling.
 //
 // Worker count therefore only selects how many partitions execute
 // concurrently inside one window; one thread or sixteen produce
 // bit-identical schedules, which is what lets golden tests pin the
-// output while the wall clock scales with shards × workers.
+// output while the wall clock scales with shards × workers. Workers
+// claim partitions by compare-and-swap, their own first and then any
+// left over, so a window costs one published generation and a wait
+// for its last partition.
 package sim
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -32,6 +38,10 @@ import (
 
 // maxTime is the sentinel deadline used by Run (drain to completion).
 const maxTime = Time(1<<62 - 1)
+
+// spinWait is how long an idle worker polls for the next window or the
+// window's last partition before it parks.
+const spinWait = 100 * time.Microsecond
 
 // xmsg is one cross-partition deferred call in flight: fn must execute
 // in the target partition at virtual time at. src and seq give the
@@ -43,17 +53,22 @@ type xmsg struct {
 	fn  func()
 }
 
-// outbox is one ordered source→target mailbox. seq counts every
+// outbox is one ordered source→target mailbox, double-buffered by
+// window parity: the source appends to the buffer of the window it is
+// running while the target merges the other one, filled in the window
+// before. min is each buffer's earliest delivery time (maxTime when
+// empty), so E_min needs no pass over the messages. seq counts every
 // message ever sent on the pair, so ties at one delivery instant merge
 // in send order.
 type outbox struct {
-	msgs []xmsg
+	msgs [2][]xmsg
+	min  [2]Time
 	seq  uint64
 }
 
 // inbatch is a target partition's reusable gather-and-sort buffer for
-// one barrier's incoming messages. It implements sort.Interface so the
-// barrier sorts without allocating.
+// one merge of incoming messages. It implements sort.Interface so the
+// merge sorts without allocating.
 type inbatch struct{ msgs []xmsg }
 
 func (b *inbatch) Len() int      { return len(b.msgs) }
@@ -79,22 +94,36 @@ type World struct {
 	lookahead Duration
 	workers   int
 	in        []inbatch
-	// bound is the inclusive end of the window currently executing;
-	// Send validates the lookahead contract against it. It is written
-	// only between windows.
+	// gen numbers the windows (the first is 1) and bound is the
+	// inclusive end of window gen. The main worker writes both only
+	// between windows; a window's sends fill outbox buffer gen&1, and
+	// Send validates the lookahead contract against bound.
+	gen   uint64
 	bound Time
 
-	// Persistent window-execution pool, alive only inside RunUntil:
-	// spawning goroutines per window would cost more than many windows
-	// contain. workC hands each helper one window bound; next is the
-	// shared partition cursor; wg is the window barrier.
-	workC chan Time
-	next  int64
-	wg    sync.WaitGroup
+	pool pool
 
 	// rt collects executor introspection (see runtime.go): window and
 	// mailbox counters plus wall-clock timings, exposed via RuntimeStats.
 	rt worldRuntime
+}
+
+// pool runs each window: the main worker publishes window g by storing
+// g in gen, and workers claim partitions by moving claim[j] from g−1 to
+// g, so a helper that wakes late claims nothing. With workers > 1 the
+// helpers are spawned when RunUntil starts and joined when it returns,
+// so none outlives the call.
+type pool struct {
+	gen      atomic.Uint64
+	stop     atomic.Bool
+	claim    []atomic.Uint64
+	left     atomic.Int32 // partitions of the current window still running
+	helpers  atomic.Int32 // helpers not yet exited
+	ids      atomic.Int32 // hands each helper its worker index
+	sleepers atomic.Int32 // workers parked on cond
+	mu       sync.Mutex
+	cond     sync.Cond
+	help     func() // w.help, bound once so that spawning allocates nothing
 }
 
 // NewWorld creates a world of parts partitions. Partition 0's random
@@ -116,6 +145,9 @@ func NewWorld(seed int64, parts int, lookahead Duration) *World {
 		workers:   1,
 		in:        make([]inbatch, parts),
 	}
+	w.pool.claim = make([]atomic.Uint64, parts)
+	w.pool.cond.L = &w.pool.mu
+	w.pool.help = w.help
 	w.rt.injected = make([]uint64, parts)
 	w.rt.mailboxHWM = make([]int, parts)
 	w.rt.busyNS = make([]int64, parts)
@@ -124,6 +156,9 @@ func NewWorld(seed int64, parts int, lookahead Duration) *World {
 		e.world = w
 		e.part = i
 		e.outs = make([]outbox, parts)
+		for t := range e.outs {
+			e.outs[t].min = [2]Time{maxTime, maxTime}
+		}
 		w.envs[i] = e
 	}
 	return w
@@ -202,31 +237,27 @@ func (w *World) RunUntil(deadline Time) error {
 	for _, e := range w.envs {
 		e.stopped = false
 	}
-	if k := w.workers; k > 1 {
-		w.startPool(k)
+	if w.workers > 1 {
+		w.startPool()
 		defer w.stopPool()
 	}
 	for {
-		injected := w.inject()
-		emin := maxTime
-		for _, e := range w.envs {
-			if len(e.events) > 0 && e.events[0].at < emin {
-				emin = e.events[0].at
-			}
-		}
+		emin, mail := w.horizon()
 		if emin == maxTime || emin > deadline {
+			// Mail in flight past the deadline is queued now, ahead of
+			// anything the caller schedules before the next call.
+			for t := range w.envs {
+				w.merge(t, w.gen&1)
+			}
 			break
 		}
-		bound := emin.Add(w.lookahead) - 1
-		if bound > deadline {
-			bound = deadline
-		}
-		w.bound = bound
+		w.bound = min(emin.Add(w.lookahead)-1, deadline)
+		w.gen++
 		d0 := w.Dispatched()
 		t0 := time.Now()
-		w.runWindow(bound)
+		w.runWindow()
 		w.rt.windowNS += int64(time.Since(t0))
-		w.rt.noteWindow(emin, bound, w.Dispatched()-d0, injected)
+		w.rt.noteWindow(emin, w.bound, w.Dispatched()-d0, mail)
 		if err := w.failure(); err != nil {
 			return err
 		}
@@ -245,7 +276,7 @@ func (w *World) RunUntil(deadline Time) error {
 	for _, e := range w.envs {
 		waiting += e.waiting
 	}
-	if waiting > 0 && !w.pendingEvents() {
+	if emin, _ := w.horizon(); waiting > 0 && emin == maxTime {
 		names := []string{}
 		for _, e := range w.envs {
 			names = append(names, e.waiterNames()...)
@@ -256,15 +287,23 @@ func (w *World) RunUntil(deadline Time) error {
 	return nil
 }
 
-// pendingEvents reports whether any partition still has queued events
-// (outboxes are empty whenever this is called, right after inject).
-func (w *World) pendingEvents() bool {
+// horizon returns E_min, the earliest of every heap head and every
+// outbox's running minimum, and the number of messages the next
+// window's merges will take in. It runs between windows.
+func (w *World) horizon() (emin Time, mail uint64) {
+	par := w.gen & 1
+	emin = maxTime
 	for _, e := range w.envs {
 		if len(e.events) > 0 {
-			return true
+			emin = min(emin, e.events[0].at)
+		}
+		for t := range e.outs {
+			box := &e.outs[t]
+			mail += uint64(len(box.msgs[par]))
+			emin = min(emin, box.min[par])
 		}
 	}
-	return false
+	return emin, mail
 }
 
 // failure returns the lowest-numbered partition's failure, so the
@@ -278,124 +317,158 @@ func (w *World) failure() error {
 	return nil
 }
 
-// inject drains every outbox into its target partition's event heap.
-// Each target gathers its incoming messages from all sources in source
-// order, sorts them by (delivery time, source partition, pair
-// sequence), and pushes them with fresh local sequence numbers — the
-// deterministic merge the byte-identity contract rests on. It runs
-// single-threaded, between windows, and returns the total number of
-// messages injected.
-func (w *World) inject() uint64 {
-	var total uint64
-	for t := range w.envs {
-		b := &w.in[t]
-		b.msgs = b.msgs[:0]
-		for s := range w.envs {
-			box := &w.envs[s].outs[t]
-			if len(box.msgs) == 0 {
-				continue
-			}
-			b.msgs = append(b.msgs, box.msgs...)
-			// Release the fn references so the pooled backing array
-			// does not pin dead closures.
-			for i := range box.msgs {
-				box.msgs[i].fn = nil
-			}
-			box.msgs = box.msgs[:0]
-		}
-		if len(b.msgs) == 0 {
+// merge drains buffer par of every outbox addressed to partition t
+// into t's event heap, sorted by (delivery time, source partition, pair
+// sequence) and pushed with fresh local sequence numbers: the
+// deterministic merge the byte-identity contract rests on.
+func (w *World) merge(t int, par uint64) {
+	b := &w.in[t]
+	b.msgs = b.msgs[:0]
+	for _, src := range w.envs {
+		box := &src.outs[t]
+		if len(box.msgs[par]) == 0 {
 			continue
 		}
-		sort.Sort(b)
-		w.rt.noteInject(t, len(b.msgs))
-		total += uint64(len(b.msgs))
-		e := w.envs[t]
-		for i := range b.msgs {
-			e.seq++
-			e.events.push(event{at: b.msgs[i].at, seq: e.seq, fn: b.msgs[i].fn})
-			b.msgs[i].fn = nil
-		}
+		b.msgs = append(b.msgs, box.msgs[par]...)
+		// Release the fn references so the pooled backing array does
+		// not pin dead closures.
+		clear(box.msgs[par])
+		box.msgs[par] = box.msgs[par][:0]
+		box.min[par] = maxTime
 	}
-	return total
-}
-
-// startPool spawns k−1 helper goroutines that park on workC between
-// windows (the caller of runWindow is the k-th thread). A persistent
-// pool amortizes goroutine startup across the run's many short
-// windows.
-func (w *World) startPool(k int) {
-	// The helpers range over the channel itself, not the field: a helper
-	// that first runs after a short RunUntil has already called stopPool
-	// must see the closed channel, not race with the field's reset.
-	workC := make(chan Time)
-	w.workC = workC
-	for i := 0; i < k-1; i++ {
-		go func() {
-			for bound := range workC {
-				w.drain(bound)
-				w.wg.Done()
-			}
-		}()
-	}
-}
-
-// stopPool releases the helpers.
-func (w *World) stopPool() {
-	close(w.workC)
-	w.workC = nil
-}
-
-// drain executes partitions' windows until none are left unclaimed.
-// Each claimed partition's busy time accrues to its own slot: exactly
-// one worker owns a partition per window, and the barrier orders the
-// write before any cross-thread read.
-func (w *World) drain(bound Time) {
-	n := len(w.envs)
-	for {
-		j := int(atomic.AddInt64(&w.next, 1)) - 1
-		if j >= n {
-			return
-		}
-		t0 := time.Now()
-		w.envs[j].runWindow(bound)
-		w.rt.busyNS[j] += int64(time.Since(t0))
-	}
-}
-
-// runWindow executes one window on up to workers threads. Partitions
-// share nothing during a window (the lookahead contract routes every
-// interaction through the next barrier — observers included: each
-// partition records into its own shard, merged at snapshot time), and
-// the WaitGroup gives the barrier its happens-before edge, so
-// cross-partition reads of state applied in earlier windows are
-// race-free.
-func (w *World) runWindow(bound Time) {
-	if w.workers <= 1 || w.workC == nil {
-		for _, e := range w.envs {
-			t0 := time.Now()
-			e.runWindow(bound)
-			w.rt.busyNS[e.part] += int64(time.Since(t0))
-		}
+	if len(b.msgs) == 0 {
 		return
 	}
-	k := w.workers
-	atomic.StoreInt64(&w.next, 0)
-	w.wg.Add(k - 1)
-	for i := 0; i < k-1; i++ {
-		w.workC <- bound
+	sort.Sort(b)
+	w.rt.noteInject(t, len(b.msgs))
+	e := w.envs[t]
+	for i := range b.msgs {
+		e.seq++
+		e.events.push(event{at: b.msgs[i].at, seq: e.seq, fn: b.msgs[i].fn})
+		b.msgs[i].fn = nil
 	}
-	w.drain(bound)
-	t0 := time.Now()
-	w.wg.Wait()
-	w.rt.barrierNS += int64(time.Since(t0))
+}
+
+// runWindow executes window gen. Partitions share nothing during a
+// window (the lookahead contract routes every interaction through an
+// outbox — observers included: each partition records into its own
+// shard, merged at snapshot time), and the pool's atomics order each
+// window's writes before the next window's reads, so cross-partition
+// reads of state applied in earlier windows are race-free.
+func (w *World) runWindow() {
+	p := &w.pool
+	p.left.Store(int32(len(w.envs)))
+	p.gen.Store(w.gen)
+	p.wake()
+	w.work(0, w.gen)
+	if w.workers > 1 {
+		t0 := time.Now()
+		p.await(func() bool { return p.left.Load() == 0 })
+		w.rt.barrierNS += int64(time.Since(t0))
+	}
+}
+
+// work runs worker i's share of window g: the partitions j with
+// j mod workers = i first, then any the other workers have not claimed.
+// A partition's window merges the mail sent to it in the window before,
+// then dispatches up to the bound; its busy time covers both.
+func (w *World) work(i int, g uint64) {
+	p := &w.pool
+	run := func(j int) {
+		if c := &p.claim[j]; c.Load() == g-1 && c.CompareAndSwap(g-1, g) {
+			t0 := time.Now()
+			w.merge(j, (g+1)&1)
+			w.envs[j].runWindow(w.bound)
+			w.rt.busyNS[j] += int64(time.Since(t0))
+			if p.left.Add(-1) == 0 {
+				p.wake()
+			}
+		}
+	}
+	for j := i; j < len(w.envs); j += w.workers {
+		run(j)
+	}
+	for j := range w.envs {
+		run(j)
+	}
+}
+
+// startPool spawns workers−1 helpers; the caller of runWindow is the
+// main worker.
+func (w *World) startPool() {
+	p := &w.pool
+	p.stop.Store(false)
+	p.ids.Store(0)
+	p.helpers.Store(int32(w.workers - 1))
+	for i := 1; i < w.workers; i++ {
+		go p.help()
+	}
+}
+
+// stopPool stops the helpers and waits until every one has exited.
+func (w *World) stopPool() {
+	p := &w.pool
+	p.stop.Store(true)
+	p.wake()
+	p.await(func() bool { return p.helpers.Load() == 0 })
+}
+
+// help is a helper's life: await a window, work it, repeat until the
+// pool stops.
+func (w *World) help() {
+	p := &w.pool
+	i, seen := int(p.ids.Add(1)), p.gen.Load()
+	for {
+		p.await(func() bool { return p.gen.Load() != seen || p.stop.Load() })
+		if p.stop.Load() {
+			break
+		}
+		seen = p.gen.Load()
+		w.work(i, seen)
+	}
+	p.helpers.Add(-1)
+	p.wake()
+}
+
+// await returns once done reports true. It polls for spinWait,
+// yielding the processor every 256 polls, then parks until a wake.
+func (p *pool) await(done func() bool) {
+	for t0, i := time.Now(), 1; !done(); i++ {
+		if i%256 != 0 {
+			continue
+		}
+		if time.Since(t0) < spinWait {
+			runtime.Gosched()
+			continue
+		}
+		p.mu.Lock()
+		p.sleepers.Add(1)
+		for !done() {
+			p.cond.Wait()
+		}
+		p.sleepers.Add(-1)
+		p.mu.Unlock()
+		return
+	}
+}
+
+// wake rouses parked workers after a change one may await. A worker
+// counts itself in sleepers before its last check, so no change is
+// missed.
+func (p *pool) wake() {
+	if p.sleepers.Load() > 0 {
+		p.mu.Lock()
+		p.cond.Broadcast()
+		p.mu.Unlock()
+	}
 }
 
 // runWindow dispatches this partition's events with time ≤ bound and
 // leaves the clock at bound. It is RunUntil without the deadlock check
 // (an idle partition here may simply be waiting for a cross-partition
-// message; the world checks for global deadlock at the barrier). The
-// worker that runs it resumes the partition's coroutines on its own
-// thread; a different worker may do so in the next window.
+// message; the world checks for global deadlock after the last
+// window). The worker that runs it resumes the partition's coroutines
+// on its own thread; a different worker may do so in the next window.
 func (e *Env) runWindow(bound Time) {
 	e.dispatch(bound)
 	if e.failure == nil && e.now < bound {
@@ -407,21 +480,24 @@ func (e *Env) runWindow(bound Time) {
 // Within one partition it is exactly CallAt. Across partitions at must
 // lie beyond the current window (the lookahead contract guarantees
 // this for any interaction delayed by ≥ Lookahead); the call is
-// buffered in the per-pair outbox and injected at the next barrier.
+// buffered in the per-pair outbox and merged into the target when its
+// next window starts.
 func (e *Env) Send(to *Env, at Time, fn func()) {
 	if to == e || e.world == nil {
 		e.CallAt(at, fn)
 		return
 	}
-	if to.world != e.world {
+	w := e.world
+	if to.world != w {
 		panic("sim: Send across worlds")
 	}
-	if at <= e.world.bound {
-		panic(fmt.Sprintf("sim: Send(%v) violates lookahead: window ends at %v", at, e.world.bound))
+	if at <= w.bound {
+		panic(fmt.Sprintf("sim: Send(%v) violates lookahead: window ends at %v", at, w.bound))
 	}
-	box := &e.outs[to.part]
+	box, par := &e.outs[to.part], w.gen&1
 	box.seq++
-	box.msgs = append(box.msgs, xmsg{at: at, seq: box.seq, src: int32(e.part), fn: fn})
+	box.msgs[par] = append(box.msgs[par], xmsg{at: at, seq: box.seq, src: int32(e.part), fn: fn})
+	box.min[par] = min(box.min[par], at)
 }
 
 // Part returns the environment's partition index (0 for a standalone

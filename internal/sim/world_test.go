@@ -186,11 +186,11 @@ func workerID() string {
 // run its coroutine is switched into from several goroutines. The
 // dispatch sequence must not depend on it. A per-window call in every
 // partition records the claiming worker; in window k partition k mod
-// parts also stalls its worker for a moment of real time, which hands
-// the remaining partitions to the other workers and so rotates the
-// assignment at any GOMAXPROCS.
+// parts also stalls its worker for a moment of real time. Each worker
+// owns two or more partitions, so the stall leaves one of its own
+// unclaimed for another worker to take, at any GOMAXPROCS.
 func TestWorldProcessesMigrateBetweenWorkers(t *testing.T) {
-	const parts, windows = 4, 60
+	const parts, windows = 8, 60
 	lookahead := 2 * Microsecond
 	run := func(workers int) (string, int) {
 		w, _ := ringWorld(7, parts, 3, windows/2, lookahead)
@@ -236,42 +236,172 @@ func TestWorldProcessesMigrateBetweenWorkers(t *testing.T) {
 	}
 }
 
-// TestMailboxZeroAlloc is the PR's AllocsPerRun guard for the
+// TestMailboxZeroAlloc is the AllocsPerRun guard for the
 // cross-partition mailbox hot path: once the outboxes, gather buffers
-// and heaps are warm, a full window cycle — enqueue via Send, barrier
-// gather, sort, and heap injection — must allocate nothing. Measured
-// at workers=1: the parallel path adds only the per-window worker
-// goroutines, which are not per-message costs.
+// and heaps are warm, a full window cycle — enqueue via Send, merge,
+// sort, and heap injection — must allocate nothing, at one worker and
+// with the pool: its state lives in the World, and the helpers it
+// spawns on each RunUntil reuse exited goroutines.
 func TestMailboxZeroAlloc(t *testing.T) {
-	w := NewWorld(11, 2, 2*Microsecond)
-	a, b := w.Env(0), w.Env(1)
-	hits := 0
-	onDeliver := func() { hits++ }
-	a.Spawn("sender", func(p *Proc) {
-		for {
-			for i := 0; i < 8; i++ {
-				a.Send(b, p.Now().Add(2*Microsecond), onDeliver)
+	for _, workers := range []int{1, 2} {
+		w := NewWorld(11, 2, 2*Microsecond)
+		w.SetWorkers(workers)
+		a, b := w.Env(0), w.Env(1)
+		hits := 0
+		onDeliver := func() { hits++ }
+		a.Spawn("sender", func(p *Proc) {
+			for {
+				for i := 0; i < 8; i++ {
+					a.Send(b, p.Now().Add(2*Microsecond), onDeliver)
+				}
+				p.Sleep(2 * Microsecond)
 			}
-			p.Sleep(2 * Microsecond)
+		})
+		deadline := Time(0)
+		step := func() {
+			deadline = deadline.Add(20 * Microsecond)
+			if err := w.RunUntil(deadline); err != nil {
+				t.Fatal(err)
+			}
 		}
-	})
-	deadline := Time(0)
-	step := func() {
-		deadline = deadline.Add(20 * Microsecond)
-		if err := w.RunUntil(deadline); err != nil {
+		// Warm-up: grow the outbox, gather buffer and heap to steady state.
+		for i := 0; i < 4; i++ {
+			step()
+		}
+		allocs := testing.AllocsPerRun(10, step)
+		if allocs != 0 {
+			t.Fatalf("workers=%d: mailbox window cycle allocates %v times per run, want 0", workers, allocs)
+		}
+		if hits == 0 {
+			t.Fatalf("workers=%d: no messages delivered", workers)
+		}
+	}
+}
+
+// TestWorldPoolLifecycle runs a world in many short RunUntil slices
+// whose deadlines cut windows short while mail is in flight across
+// every cut. Each slice starts and joins a pool, so a helper of one
+// slice must never run in the next: the sliced run must dispatch what
+// one Run at workers 1 does, event by event, and leave no goroutine
+// behind — after each slice, after Stop and after a process panic.
+// Mail lands at odd instants and processes wake at even ones, so a
+// cut, which merges mail earlier than a full window would, moves
+// sequence numbers but never the order of two events.
+func TestWorldPoolLifecycle(t *testing.T) {
+	const parts, L = 4, 2 * Microsecond
+	build := func(seed int64) (*World, func() string) {
+		w := NewWorld(seed, parts, L)
+		logs := make([]strings.Builder, parts)
+		for i := 0; i < parts; i++ {
+			src, dst := w.Env(i), w.Env((i+1)%parts)
+			src.dispatchHook = func(at Time, _ uint64, p *Proc) {
+				name := "mail"
+				if p != nil {
+					name = p.name
+				}
+				fmt.Fprintf(&logs[i], "%d@%d:%s\n", i, int64(at), name)
+			}
+			for j := 0; j < 3; j++ {
+				src.Spawn(fmt.Sprintf("p%d/%d", i, j), func(p *Proc) {
+					for r := 0; r < 40; r++ {
+						p.Sleep(2 * Duration(1+p.Rand().Int63n(int64(L))))
+						src.Send(dst, p.Now().Add(L+1), func() {})
+					}
+				})
+			}
+		}
+		return w, func() string {
+			var all strings.Builder
+			for i := range logs {
+				all.WriteString(logs[i].String())
+			}
+			return all.String()
+		}
+	}
+	// Live processes hold a coroutine each; Stop and a panic abandon
+	// theirs, so every world is counted from its own baseline. A joined
+	// helper may still be returning from its last unlock, so the count
+	// gets a moment to settle.
+	var base int
+	leaked := func(w *World) int {
+		n := 0
+		for end := time.Now().Add(time.Second); time.Now().Before(end); runtime.Gosched() {
+			if n = runtime.NumGoroutine() - base - w.Live(); n == 0 {
+				break
+			}
+		}
+		return n
+	}
+	mailQueued := func(w *World) bool {
+		for _, e := range w.envs {
+			for _, ev := range e.events {
+				if ev.fn != nil {
+					return true
+				}
+			}
+		}
+		return false
+	}
+
+	whole, wholeLog := build(3)
+	if err := whole.Run(); err != nil {
+		t.Fatal(err)
+	}
+	want := wholeLog()
+	for _, workers := range []int{2, 4} {
+		base = runtime.NumGoroutine()
+		w, log := build(3)
+		w.SetWorkers(workers)
+		slices, cutMail := 0, 0
+		for deadline := Time(0); w.Live() > 0; slices++ {
+			deadline = deadline.Add(L*3/2 + 7)
+			if err := w.RunUntil(deadline); err != nil {
+				t.Fatalf("workers=%d: %v", workers, err)
+			}
+			if n := leaked(w); n != 0 {
+				t.Fatalf("workers=%d: %d goroutines left after slice %d", workers, n, slices)
+			}
+			if mailQueued(w) {
+				cutMail++
+			}
+		}
+		if err := w.Run(); err != nil {
 			t.Fatal(err)
 		}
-	}
-	// Warm-up: grow the outbox, gather buffer and heap to steady state.
-	for i := 0; i < 4; i++ {
-		step()
-	}
-	allocs := testing.AllocsPerRun(10, step)
-	if allocs != 0 {
-		t.Fatalf("mailbox window cycle allocates %v times per run, want 0", allocs)
-	}
-	if hits == 0 {
-		t.Fatal("no messages delivered")
+		if got := log(); got != want {
+			t.Errorf("workers=%d: %d slices dispatch differently from one Run at workers=1", workers, slices)
+		}
+		if cutMail < slices*3/4 {
+			t.Errorf("workers=%d: mail in flight at %d of %d cuts", workers, cutMail, slices)
+		}
+
+		base = runtime.NumGoroutine()
+		w, _ = build(4)
+		w.SetWorkers(workers)
+		w.Env(2).Spawn("stopper", func(p *Proc) {
+			p.Sleep(7 * L)
+			w.Env(2).Stop()
+		})
+		if err := w.Run(); err != nil || !w.Env(2).Stopped() || w.Live() == 0 {
+			t.Fatalf("workers=%d: Run after Stop: %v, stopped %v, %d live", workers, err, w.Env(2).Stopped(), w.Live())
+		}
+		if n := leaked(w); n != 0 {
+			t.Fatalf("workers=%d: %d goroutines left after Stop", workers, n)
+		}
+
+		base = runtime.NumGoroutine()
+		w, _ = build(5)
+		w.SetWorkers(workers)
+		w.Env(1).Spawn("boom", func(p *Proc) {
+			p.Sleep(5 * L)
+			panic("kaboom")
+		})
+		if err := w.Run(); err == nil || !strings.Contains(err.Error(), "kaboom") {
+			t.Fatalf("workers=%d: want the panic, got %v", workers, err)
+		}
+		if n := leaked(w); n != 0 {
+			t.Fatalf("workers=%d: %d goroutines left after a panic", workers, n)
+		}
 	}
 }
 
