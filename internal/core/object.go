@@ -233,10 +233,6 @@ type object struct {
 	baseVer     []layout.CellVersion // cell versions matching base
 	cells       []cellState          // per-cell version lists
 	firstFetch  sim.Time             // when base was fetched (EN threshold)
-
-	// conf is the record's conflict-tracker state, looked up the first
-	// time the object needs it and kept while the object lives.
-	conf *engine.RecConflict
 }
 
 func newObject(table layout.TableID, key layout.Key, off uint64, lay *layout.Record, primary *memnode.Node) *object {
@@ -282,14 +278,6 @@ func (o *object) init(table layout.TableID, key layout.Key, off uint64, lay *lay
 	}
 	o.mu.SetLabel((*objMuLabel)(o))
 	o.stateQ.SetLabel((*objStateLabel)(o))
-}
-
-// conflict returns the record's state in the compute node's tracker.
-func (o *object) conflict(t *engine.ConflictTracker) *engine.RecConflict {
-	if o.conf == nil {
-		o.conf = t.Rec(o.table, o.off)
-	}
-	return o.conf
 }
 
 // install takes the cells of a fetched record image (data, its header

@@ -174,6 +174,9 @@ func TestIsFalseConflict(t *testing.T) {
 	if IsFalseConflict(0b011, 0b110) {
 		t.Fatal("overlapping masks false")
 	}
+	if IsFalseConflict(0b011, 0) {
+		t.Fatal("unattributed abort (no conflicting cells) false")
+	}
 }
 
 func TestRetryPolicyBackoffGrowsAndCaps(t *testing.T) {

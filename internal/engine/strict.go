@@ -492,7 +492,9 @@ func (c *Strict[X]) validate(p *sim.Proc, sc *strictScratch[X], elapsed sim.Dura
 }
 
 // release clears every lock the attempt holds, batched per node in one
-// round-trip.
+// round-trip. As in install, the tracker keeps each holding until its
+// unlock has completed: a lock verb that loses while the unlock is in
+// flight still finds its holder.
 func (c *Strict[X]) release(p *sim.Proc, sc *strictScratch[X]) {
 	db := c.DB
 	sc.Bat.Begin()
@@ -501,11 +503,15 @@ func (c *Strict[X]) release(p *sim.Proc, sc *strictScratch[X]) {
 			continue
 		}
 		sc.Bat.Append(sc.Bat.Batch(w.Primary.Region), c.fmt.UnlockOp(&c.Coord, w))
-		c.conflict(w).OnUnlock(w.Cells)
 		db.Obs.LockReleased(p, w.Table, w.Key, w.Lock)
-		w.Locked = false
 	}
 	post(p, sc.Bat.Batches())
+	for _, w := range sc.ws {
+		if w.Locked {
+			c.conflict(w).OnUnlock(w.Cells)
+			w.Locked = false
+		}
+	}
 }
 
 // writeLog persists the format's log entry for the attempt's locked

@@ -174,3 +174,43 @@ func TestReadersSeeConsistentPairs(t *testing.T) {
 		t.Fatalf("history not serializable: %v", err)
 	}
 }
+
+// TestLockLostToReleasingHolderIsAttributed: a lock CAS that loses to a
+// holder whose release is still in flight is attributed to that
+// holder's cells. H locks key 0 (cell 0) and aborts on key 1, which a
+// foreign lock holds, so its abort path releases key 0. B's lock CAS on
+// key 0 lands between H's lock and H's unlock and completes after H
+// issued the unlock. The tracker must still name H: B's abort is false
+// when B wants the other cell and true when it wants the same one.
+func TestLockLostToReleasingHolderIsAttributed(t *testing.T) {
+	for _, tc := range []struct {
+		cell      int
+		wantFalse bool
+	}{{cell: 1, wantFalse: true}, {cell: 0, wantFalse: false}} {
+		f := newFixture(t, 1, 1, 0, 2, false)
+		tab := f.sys.DB().Table(1)
+		off, _ := tab.AddrOf(1)
+		node := f.sys.DB().Pool.PrimaryOf(1, 1)
+		binary.LittleEndian.PutUint64(node.Region.Bytes()[off+layout.BOffLock:], 999)
+		holder, loser := f.cns[0].NewCoordinator(0), f.cns[0].NewCoordinator(1)
+		var h, b engine.Attempt
+		f.env.Spawn("holder", func(p *sim.Proc) {
+			txn := incTxn(0, 0, 1)
+			txn.Blocks[0].Ops = append(txn.Blocks[0].Ops, incTxn(1, 0, 1).Blocks[0].Ops...)
+			h = holder.Execute(p, txn)
+		})
+		f.env.Spawn("loser", func(p *sim.Proc) {
+			p.Sleep(sim.Microsecond) // H's lock applied, H's unlock not yet
+			b = loser.Execute(p, incTxn(0, tc.cell, 1))
+		})
+		if err := f.env.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if h.Committed || b.Committed || h.Reason != engine.AbortLockFail || b.Reason != engine.AbortLockFail {
+			t.Fatalf("cell %d: holder %+v, loser %+v; want both to lose a lock", tc.cell, h, b)
+		}
+		if b.FalseConflict != tc.wantFalse {
+			t.Errorf("cell %d: loser's false conflict = %v, want %v (holder covers cell 0)", tc.cell, b.FalseConflict, tc.wantFalse)
+		}
+	}
+}
