@@ -319,6 +319,11 @@ func PoolBytes(defs []workload.TableDef, coordinators int) int {
 	return total
 }
 
+// quiesced, when set, is handed each run's deployment once the run has
+// drained, before Run gives its pool back: the state a run leaves
+// behind is read through it. Only tests set it.
+var quiesced func(*Deployment)
+
 // Run executes one benchmark configuration and returns its metrics.
 func Run(cfg Config) (Result, error) {
 	cfg = cfg.WithDefaults()
@@ -447,6 +452,9 @@ func Run(cfg Config) (Result, error) {
 		return res, err
 	}
 	res.Events = d.sched.Dispatched()
+	if quiesced != nil {
+		quiesced(d)
+	}
 	// The run is over and nothing below reads a region: the pool goes
 	// back now, on the loop's clock. Unmapping what the run touched is
 	// part of running it, not of setting it up (crestperf reads set-up

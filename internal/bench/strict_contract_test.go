@@ -3,6 +3,7 @@ package bench
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"testing"
 
 	"crest/internal/engine"
@@ -106,9 +107,20 @@ func (f *strictFixture) record(node *memnode.Node, key layout.Key) []byte {
 	return node.Region.Bytes()[off : off+uint64(tab.Heap.RecSize)]
 }
 
-// lockWord reads key's lock word on its primary.
-func (f *strictFixture) lockWord(key layout.Key, lockOff uint64) uint64 {
-	return binary.LittleEndian.Uint64(f.record(f.db.Pool.PrimaryOf(1, key), key)[lockOff:])
+// lockWord returns the lock word at lockOff of key's record in table,
+// OR-ed over every replica: zero exactly when no replica holds a lock
+// bit. Full CREST and its ablations keep one bit per cell there; FORD
+// and Motor the owner of the whole record.
+func lockWord(db *engine.DB, table layout.TableID, key layout.Key, lockOff uint64) uint64 {
+	off, ok := db.Table(table).AddrOf(key)
+	if !ok {
+		panic(fmt.Sprintf("key %d of table %d not loaded", key, table))
+	}
+	var w uint64
+	for _, n := range db.Pool.ReplicaNodes(table, key) {
+		w |= binary.LittleEndian.Uint64(n.Region.Bytes()[off+lockOff:])
+	}
+	return w
 }
 
 func word(v uint64) []byte {
@@ -219,7 +231,7 @@ func TestStrictEngineContract(t *testing.T) {
 				f.env.Spawn("victim", func(p *sim.Proc) {
 					p.Sleep(10 * sim.Microsecond)
 					att = victim.Execute(p, txnOf("two", incOp(0, 0, 1), incOp(1, 0, 1)))
-					midLock = f.lockWord(0, eng.lockOff)
+					midLock = lockWord(f.db, 1, 0, eng.lockOff)
 				})
 				f.run()
 				if att.Committed || att.Reason != engine.AbortLockFail {
@@ -232,7 +244,7 @@ func TestStrictEngineContract(t *testing.T) {
 					t.Fatalf("aborted attempt left key 0 locked (%#x)", midLock)
 				}
 				for k := layout.Key(0); k < 2; k++ {
-					if w := f.lockWord(k, eng.lockOff); w != 0 {
+					if w := lockWord(f.db, 1, k, eng.lockOff); w != 0 {
 						t.Fatalf("key %d lock word %#x at quiescence", k, w)
 					}
 				}
@@ -262,7 +274,7 @@ func TestStrictEngineContract(t *testing.T) {
 				if att.Committed || att.Reason != engine.AbortValidation {
 					t.Fatalf("reader: committed=%v reason=%v, want a validation abort", att.Committed, att.Reason)
 				}
-				if w := f.lockWord(1, eng.lockOff); w != 0 {
+				if w := lockWord(f.db, 1, 1, eng.lockOff); w != 0 {
 					t.Fatalf("validation abort left key 1 locked (%#x)", w)
 				}
 			})

@@ -156,10 +156,34 @@ func (t *Txn) WhyID() uint64 {
 	return t.ID
 }
 
-// recKey identifies one record in the holder/updater tables.
-type recKey struct {
-	table layout.TableID
-	key   layout.Key
+// recIndex maps records to uint32 values: one map per table, keyed
+// by the record key alone, so that a probe hashes one word and the
+// maps hold no pointers. A run has a few tables; the scan for one
+// finds it before a hash of the table id would have.
+type recIndex struct {
+	tables []layout.TableID
+	keys   []map[layout.Key]uint32
+}
+
+func (x *recIndex) get(table layout.TableID, key layout.Key) (uint32, bool) {
+	for i, t := range x.tables {
+		if t == table {
+			v, ok := x.keys[i][key]
+			return v, ok
+		}
+	}
+	return 0, false
+}
+
+func (x *recIndex) put(table layout.TableID, key layout.Key, v uint32) {
+	for i, t := range x.tables {
+		if t == table {
+			x.keys[i][key] = v
+			return
+		}
+	}
+	x.tables = append(x.tables, table)
+	x.keys = append(x.keys, map[layout.Key]uint32{key: v})
 }
 
 // holderEntry is one live lock holding: the acquiring transaction and
@@ -181,13 +205,54 @@ type updEntry struct {
 	cells   uint64
 }
 
-// recState is the per-record attribution state.
+// updRing holds a record's updater history past its first two
+// entries, once it has a third: slots 2..15 of the 16-entry ring.
+type updRing [updaterHistoryLen - 2]updEntry
+
+// recState is the per-record attribution state. It holds no pointer:
+// the first two live holders and the first two slots of the updater
+// ring sit inline, and what outgrows them lives in the recorder's side
+// tables, named here by 1-based index (0 = none yet). A third
+// concurrent holder spills the rest of the holder list into
+// spills[spill-1]; a third update cuts the ring's other 14 slots from
+// the recorder's ring slab. Slots keep their order, so the ring fills
+// and wraps exactly as one 16-entry array would.
 type recState struct {
-	holders []holderEntry
-	ring    [updaterHistoryLen]updEntry
-	ringLen int
-	ringPos int // next slot to overwrite once the ring is full
+	hold  [2]holderEntry
+	upd   [2]updEntry
+	nHold uint32 // live holders, oldest first: hold, then the spill
+	spill uint32
+	ring  uint32
+	nUpd  uint8 // recorded updates, at most updaterHistoryLen
+	pos   uint8 // next slot to overwrite once the ring is full
 }
+
+// slabShift sizes the record table's chunks: 1<<slabShift elements each.
+const slabShift = 8
+
+// slab is append-only storage addressed by index, cut in chunks of
+// 1<<slabShift elements so that an element never moves and a new one
+// costs an allocation only once a chunk.
+type slab[T any] struct {
+	chunks [][]T
+	n      uint32
+}
+
+// add appends a zero element and returns its index.
+func (s *slab[T]) add() uint32 {
+	if s.n&(1<<slabShift-1) == 0 {
+		s.chunks = append(s.chunks, make([]T, 1<<slabShift))
+	}
+	s.n++
+	return s.n - 1
+}
+
+// at returns element i.
+func (s *slab[T]) at(i uint32) *T { return &s.chunks[i>>slabShift][i&(1<<slabShift-1)] }
+
+// txnSlabLen is how many transaction nodes Begin cuts from one slab. A
+// slab lives while the ring or an engine still holds one of its nodes.
+const txnSlabLen = 256
 
 // Recorder collects edges and transaction nodes into bounded rings.
 // It is owned by one simulation environment; the cooperative scheduler
@@ -198,9 +263,17 @@ type Recorder struct {
 	edges trace.Ring[Edge]
 	seq   uint64
 
-	txns trace.Ring[*Txn]
+	txns    trace.Ring[*Txn]
+	txnSlab []Txn // the nodes Begin has yet to hand out
 
-	recs map[recKey]*recState
+	// The record table: recs maps each record ever touched to its
+	// state's index in states (a map the collector never scans), rings
+	// holds the updater rings of records updated three times or more,
+	// and spills the holders past a record's second.
+	recs   recIndex
+	states slab[recState]
+	rings  slab[updRing]
+	spills [][]holderEntry
 
 	// Partitioned mode (Shard, see trace.Family). Children are each
 	// written by exactly one partition; edge seqs stride by the
@@ -240,7 +313,7 @@ func (r *Recorder) Enabled() bool { return r != nil }
 
 func newRecorder(edgeCap, txnCap int, fam trace.Family[Recorder]) *Recorder {
 	return &Recorder{edges: trace.NewRing[Edge](edgeCap), txns: trace.NewRing[*Txn](txnCap),
-		recs: map[recKey]*recState{}, fam: fam}
+		fam: fam}
 }
 
 // Shard returns the per-partition child recorder for part out of parts
@@ -277,14 +350,20 @@ func (r *Recorder) Len() int {
 }
 
 // Begin opens the node of the transaction s identifies, at its first
-// attempt, and returns it (nil from a nil recorder). It allocates the
-// node, which the ring keeps after the transaction ends; the per-edge
-// hot path stays allocation-free.
+// attempt, and returns it (nil from a nil recorder). The node is cut
+// from the recorder's slab, one allocation every txnSlabLen nodes, and
+// the ring keeps it after the transaction ends; the per-edge hot path
+// stays allocation-free.
 func (r *Recorder) Begin(at sim.Time, s *trace.Span) *Txn {
 	if r == nil {
 		return nil
 	}
-	t := &Txn{ID: s.ID, Label: s.Label, Coord: s.Coord, Attempt: 1, Start: at}
+	if len(r.txnSlab) == 0 {
+		r.txnSlab = make([]Txn, txnSlabLen)
+	}
+	t := &r.txnSlab[0]
+	r.txnSlab = r.txnSlab[1:]
+	*t = Txn{ID: s.ID, Label: s.Label, Coord: s.Coord, Attempt: 1, Start: at}
 	*r.txns.Next() = t
 	return t
 }
@@ -349,7 +428,7 @@ func (r *Recorder) LockFail(at sim.Time, t *Txn, table layout.TableID, key layou
 	if r == nil {
 		return
 	}
-	r.edge(at, t, KindLockFail, r.holderOf(table, key, mask), table, key, mask, 0)
+	r.edge(at, t, KindLockFail, r.holderOf(r.lookup(table, key), mask), table, key, mask, 0)
 }
 
 // ValidationFail records a validation failure: a cell t read at
@@ -362,9 +441,10 @@ func (r *Recorder) ValidationFail(at sim.Time, t *Txn, table layout.TableID, key
 	if r == nil {
 		return
 	}
-	holder := r.updaterSince(table, key, since)
+	rs := r.lookup(table, key)
+	holder := r.updaterSince(rs, since)
 	if holder == 0 {
-		holder = r.holderOf(table, key, mask)
+		holder = r.holderOf(rs, mask)
 	}
 	r.edge(at, t, KindValidation, holder, table, key, mask, 0)
 }
@@ -391,13 +471,39 @@ func (r *Recorder) LocalWait(at sim.Time, t *Txn, table layout.TableID, key layo
 // rec returns the attribution state for a record, creating it on first
 // touch (warm-up; steady state only looks up).
 func (r *Recorder) rec(table layout.TableID, key layout.Key) *recState {
-	k := recKey{table, key}
-	rs := r.recs[k]
-	if rs == nil {
-		rs = &recState{}
-		r.recs[k] = rs
+	i, ok := r.recs.get(table, key)
+	if !ok {
+		i = r.states.add()
+		r.recs.put(table, key, i)
 	}
-	return rs
+	return r.states.at(i)
+}
+
+// lookup returns a record's attribution state, nil when it was never
+// touched.
+func (r *Recorder) lookup(table layout.TableID, key layout.Key) *recState {
+	i, ok := r.recs.get(table, key)
+	if !ok {
+		return nil
+	}
+	return r.states.at(i)
+}
+
+// holder returns rs's i-th live holder, oldest first.
+func (r *Recorder) holder(rs *recState, i uint32) *holderEntry {
+	if i < uint32(len(rs.hold)) {
+		return &rs.hold[i]
+	}
+	return &r.spills[rs.spill-1][i-uint32(len(rs.hold))]
+}
+
+// setHolders truncates rs's holder list to n, keeping its spill's
+// array for the next holder past the second.
+func (r *Recorder) setHolders(rs *recState, n uint32) {
+	rs.nHold = n
+	if rs.spill != 0 {
+		r.spills[rs.spill-1] = r.spills[rs.spill-1][:max(n, uint32(len(rs.hold)))-uint32(len(rs.hold))]
+	}
 }
 
 // OnLock registers t as a live holder of the given cell bits (0 = the
@@ -407,13 +513,23 @@ func (r *Recorder) OnLock(t *Txn, table layout.TableID, key layout.Key, mask uin
 		return
 	}
 	rs := r.rec(table, key)
-	for i := range rs.holders {
-		if rs.holders[i].id == t.ID {
-			rs.holders[i].mask |= mask
+	for i := uint32(0); i < rs.nHold; i++ {
+		if h := r.holder(rs, i); h.id == t.ID {
+			h.mask |= mask
 			return
 		}
 	}
-	rs.holders = append(rs.holders, holderEntry{id: t.ID, mask: mask})
+	e := holderEntry{id: t.ID, mask: mask}
+	switch {
+	case rs.nHold < uint32(len(rs.hold)):
+		rs.hold[rs.nHold] = e
+	case rs.spill == 0:
+		r.spills = append(r.spills, []holderEntry{e})
+		rs.spill = uint32(len(r.spills))
+	default:
+		r.spills[rs.spill-1] = append(r.spills[rs.spill-1], e)
+	}
+	rs.nHold++
 }
 
 // OnUnlock drops the given cell bits from the record's live holders.
@@ -422,32 +538,33 @@ func (r *Recorder) OnUnlock(table layout.TableID, key layout.Key, mask uint64) {
 	if r == nil {
 		return
 	}
-	rs := r.recs[recKey{table, key}]
+	rs := r.lookup(table, key)
 	if rs == nil {
 		return
 	}
 	if mask == 0 {
-		rs.holders = rs.holders[:0]
+		r.setHolders(rs, 0)
 		return
 	}
-	kept := rs.holders[:0]
-	for _, h := range rs.holders {
+	kept := uint32(0)
+	for i := uint32(0); i < rs.nHold; i++ {
+		h := *r.holder(rs, i)
 		if h.mask &= ^mask; h.mask != 0 {
-			kept = append(kept, h)
+			*r.holder(rs, kept) = h
+			kept++
 		}
 	}
-	rs.holders = kept
+	r.setHolders(rs, kept)
 }
 
-// holderOf resolves the oldest live holder overlapping mask (any
+// holderOf resolves the oldest live holder of rs overlapping mask (any
 // holder when mask is 0); 0 when none is known.
-func (r *Recorder) holderOf(table layout.TableID, key layout.Key, mask uint64) uint64 {
-	rs := r.recs[recKey{table, key}]
+func (r *Recorder) holderOf(rs *recState, mask uint64) uint64 {
 	if rs == nil {
 		return 0
 	}
-	for _, h := range rs.holders {
-		if mask == 0 || h.mask == 0 || h.mask&mask != 0 {
+	for i := uint32(0); i < rs.nHold; i++ {
+		if h := r.holder(rs, i); mask == 0 || h.mask == 0 || h.mask&mask != 0 {
 			return h.id
 		}
 	}
@@ -463,30 +580,41 @@ func (r *Recorder) OnUpdate(id uint64, table layout.TableID, key layout.Key, ver
 		return
 	}
 	rs := r.rec(table, key)
+	slot := rs.nUpd
+	if rs.nUpd < updaterHistoryLen {
+		rs.nUpd++
+	} else {
+		slot = rs.pos
+		rs.pos = (rs.pos + 1) % updaterHistoryLen
+	}
 	e := updEntry{version: version, id: id, cells: cells}
-	if rs.ringLen < updaterHistoryLen {
-		rs.ring[rs.ringLen] = e
-		rs.ringLen++
+	if int(slot) < len(rs.upd) {
+		rs.upd[slot] = e
 		return
 	}
-	rs.ring[rs.ringPos] = e
-	rs.ringPos = (rs.ringPos + 1) % updaterHistoryLen
+	if rs.ring == 0 {
+		rs.ring = r.rings.add() + 1
+	}
+	r.rings.at(rs.ring - 1)[int(slot)-len(rs.upd)] = e
 }
 
-// updaterSince resolves the newest recorded updater whose version is
-// past since; 0 when the window no longer covers it.
-func (r *Recorder) updaterSince(table layout.TableID, key layout.Key, since uint64) uint64 {
-	rs := r.recs[recKey{table, key}]
+// updaterSince resolves the newest recorded updater of rs whose version
+// is past since; 0 when the window no longer covers it.
+func (r *Recorder) updaterSince(rs *recState, since uint64) uint64 {
 	if rs == nil {
 		return 0
 	}
-	var best uint64
-	var bestVer uint64
-	for i := 0; i < rs.ringLen; i++ {
-		e := &rs.ring[i]
-		if e.version > since && e.version >= bestVer && e.id != 0 {
-			best, bestVer = e.id, e.version
+	var best, bestVer uint64
+	newer := func(slots []updEntry) {
+		for _, e := range slots {
+			if e.version > since && e.version >= bestVer && e.id != 0 {
+				best, bestVer = e.id, e.version
+			}
 		}
+	}
+	newer(rs.upd[:min(int(rs.nUpd), len(rs.upd))])
+	if rs.ring != 0 {
+		newer(r.rings.at(rs.ring - 1)[:int(rs.nUpd)-len(rs.upd)])
 	}
 	return best
 }

@@ -134,31 +134,31 @@ func TestHolderAttributionMaskSemantics(t *testing.T) {
 		b := begin(r, 2, 2, "b")
 		r.OnLock(b, 3, 10, 0b100)
 
-		if got := r.holderOf(3, 10, 0b010); got != a.ID {
+		if got := r.holderOf(r.lookup(3, 10), 0b010); got != a.ID {
 			t.Fatalf("holder of cell 1 = %d, want %d", got, a.ID)
 		}
-		if got := r.holderOf(3, 10, 0b100); got != b.ID {
+		if got := r.holderOf(r.lookup(3, 10), 0b100); got != b.ID {
 			t.Fatalf("holder of cell 2 = %d, want %d", got, b.ID)
 		}
-		if got := r.holderOf(3, 10, 0b1000); got != 0 {
+		if got := r.holderOf(r.lookup(3, 10), 0b1000); got != 0 {
 			t.Fatalf("holder of free cell = %d, want 0", got)
 		}
 		// mask 0 queries (record-level conflict) match any holder;
 		// oldest wins.
-		if got := r.holderOf(3, 10, 0); got != a.ID {
+		if got := r.holderOf(r.lookup(3, 10), 0); got != a.ID {
 			t.Fatalf("record-level holder = %d, want oldest %d", got, a.ID)
 		}
 
 		// Partial unlock subtracts bits; the holder survives on the rest.
 		r.OnUnlock(3, 10, 0b001)
-		if got := r.holderOf(3, 10, 0b010); got != a.ID {
+		if got := r.holderOf(r.lookup(3, 10), 0b010); got != a.ID {
 			t.Fatalf("holder lost after partial unlock: %d", got)
 		}
 		r.OnUnlock(3, 10, 0b010)
-		if got := r.holderOf(3, 10, 0b011); got != 0 {
+		if got := r.holderOf(r.lookup(3, 10), 0b011); got != 0 {
 			t.Fatalf("holder survived full unlock: %d", got)
 		}
-		if got := r.holderOf(3, 10, 0b100); got != b.ID {
+		if got := r.holderOf(r.lookup(3, 10), 0b100); got != b.ID {
 			t.Fatalf("unlock of a dropped the other holder: %d", got)
 		}
 
@@ -166,11 +166,11 @@ func TestHolderAttributionMaskSemantics(t *testing.T) {
 		// record-level unlock clears everyone.
 		c := begin(r, 3, 3, "c")
 		r.OnLock(c, 9, 1, 0)
-		if got := r.holderOf(9, 1, 0b1000); got != c.ID {
+		if got := r.holderOf(r.lookup(9, 1), 0b1000); got != c.ID {
 			t.Fatalf("record-level holding missed: %d", got)
 		}
 		r.OnUnlock(9, 1, 0)
-		if got := r.holderOf(9, 1, 0); got != 0 {
+		if got := r.holderOf(r.lookup(9, 1), 0); got != 0 {
 			t.Fatalf("record-level unlock left holder %d", got)
 		}
 	})
@@ -188,14 +188,14 @@ func TestUpdaterRingAgesOut(t *testing.T) {
 		for v := uint64(1); v <= 20; v++ {
 			r.OnUpdate(100+v, 2, 8, v, 0b1)
 		}
-		if got := r.updaterSince(2, 8, 10); got != 120 {
+		if got := r.updaterSince(r.lookup(2, 8), 10); got != 120 {
 			t.Fatalf("updater past v10 = %d, want newest 120", got)
 		}
-		if got := r.updaterSince(2, 8, 19); got != 120 {
+		if got := r.updaterSince(r.lookup(2, 8), 19); got != 120 {
 			t.Fatalf("updater past v19 = %d, want 120", got)
 		}
 		// Everything recorded is <= 20: nothing newer exists.
-		if got := r.updaterSince(2, 8, 20); got != 0 {
+		if got := r.updaterSince(r.lookup(2, 8), 20); got != 0 {
 			t.Fatalf("updater past v20 = %d, want 0", got)
 		}
 

@@ -1,10 +1,13 @@
 package causality
 
 import (
+	"cmp"
 	"fmt"
 	"io"
 	"math/bits"
+	"slices"
 	"sort"
+	"strings"
 
 	"crest/internal/layout"
 	"crest/internal/sim"
@@ -251,129 +254,199 @@ type Graph struct {
 // recorder could not identify.
 const unattributedLabel = "?"
 
-// Graph aggregates the snapshot. All orderings are deterministic.
+// Graph aggregates the snapshot in one pass over its transactions and
+// one over its edges. Labels are interned once, and a transaction id
+// maps to its label's index; edges aggregate into a dense (from, to,
+// kind) table of those indices, and hotspots behind one map probe per
+// edge, for its record. All orderings are deterministic.
 func (s *Snapshot) Graph() *Graph {
-	label := map[uint64]string{}
-	nodes := map[string]*GraphNode{}
+	var names []string // interned labels; the first len(g.Nodes) are the nodes'
+	index := map[string]int32{}
+	intern := func(l string) int32 {
+		i, ok := index[l]
+		if !ok {
+			i = int32(len(names))
+			index[l] = i
+			names = append(names, l)
+		}
+		return i
+	}
+	var base, top uint64 // the smallest and largest transaction id
+	for i := range s.Txns {
+		if id := s.Txns[i].ID; i == 0 || id < base {
+			base = id
+		}
+		top = max(top, s.Txns[i].ID)
+	}
+	g := &Graph{}
+	ids := newKeyIndex(top-base, len(s.Txns)) // id - base -> label
 	for i := range s.Txns {
 		t := &s.Txns[i]
-		label[t.ID] = t.Label
-		n := nodes[t.Label]
-		if n == nil {
-			n = &GraphNode{Label: t.Label}
-			nodes[t.Label] = n
+		l := intern(t.Label)
+		if int(l) == len(g.Nodes) {
+			g.Nodes = append(g.Nodes, GraphNode{Label: t.Label})
 		}
+		ids.put(t.ID-base, l)
+		n := &g.Nodes[l]
 		n.Txns++
 		if t.State == StateCommitted {
 			n.Commits++
 		}
 		n.Aborts += t.Aborts
 	}
-	labelOf := func(id uint64) string {
-		if id == 0 {
-			return unattributedLabel
+	unattributed := intern(unattributedLabel)
+	labelOf := func(id uint64) uint64 {
+		if id != 0 && id >= base {
+			if l, ok := ids.get(id - base); ok {
+				return uint64(l)
+			}
 		}
-		if l, ok := label[id]; ok {
-			return l
-		}
-		return unattributedLabel
+		return uint64(unattributed)
 	}
 
-	type edgeKey struct {
-		from, to string
-		kind     Kind
-	}
-	edges := map[edgeKey]*GraphEdge{}
-	type hotKey struct {
-		table layout.TableID
-		key   layout.Key
-		cell  int
-	}
-	hots := map[hotKey]*Hotspot{}
-	bump := func(k hotKey) *Hotspot {
-		h := hots[k]
-		if h == nil {
-			h = &Hotspot{Table: k.table, Key: k.key, Cell: k.cell}
-			hots[k] = h
-		}
-		return h
-	}
+	n := uint64(len(names))
+	edges := newKeyIndex(n*n<<8-1, len(s.Edges)) // (from, to, kind) -> index in g.Edges
+	hs := hotspots{wide: map[uint64]int32{}}
 	for i := range s.Edges {
 		e := &s.Edges[i]
-		k := edgeKey{labelOf(e.Waiter), labelOf(e.Holder), e.Kind}
-		ge := edges[k]
-		if ge == nil {
-			ge = &GraphEdge{From: k.from, To: k.to, Kind: k.kind}
-			edges[k] = ge
+		from, to := labelOf(e.Waiter), labelOf(e.Holder)
+		k := (from*n+to)<<8 | uint64(e.Kind)
+		j, ok := edges.get(k)
+		if !ok {
+			j = int32(len(g.Edges))
+			edges.put(k, j)
+			g.Edges = append(g.Edges, GraphEdge{From: names[from], To: names[to], Kind: e.Kind})
 		}
+		ge := &g.Edges[j]
 		ge.Count++
 		ge.TotalWait += e.Wait
-		if e.Kind == KindDependency {
-			continue // no record identity on dependency edges
-		}
-		if e.Mask == 0 {
-			bump(hotKey{e.Table, e.Key, -1}).bumpCount(e.Wait)
-			continue
-		}
-		for m := e.Mask; m != 0; m &= m - 1 {
-			bump(hotKey{e.Table, e.Key, bits.TrailingZeros64(m)}).bumpCount(e.Wait)
+		if e.Kind != KindDependency { // no record identity on dependency edges
+			hs.add(e.Table, e.Key, e.Mask, 1, 0, e.Wait)
 		}
 	}
 	for i := range s.Txns {
-		t := &s.Txns[i]
-		if t.Cause == nil {
-			continue
-		}
-		if t.Cause.Mask == 0 {
-			bump(hotKey{t.Cause.Table, t.Cause.Key, -1}).Aborts++
-			continue
-		}
-		for m := t.Cause.Mask; m != 0; m &= m - 1 {
-			bump(hotKey{t.Cause.Table, t.Cause.Key, bits.TrailingZeros64(m)}).Aborts++
+		if c := s.Txns[i].Cause; c != nil {
+			hs.add(c.Table, c.Key, c.Mask, 0, 1, 0)
 		}
 	}
 
-	g := &Graph{}
-	for _, n := range nodes {
-		g.Nodes = append(g.Nodes, *n)
-	}
-	sort.Slice(g.Nodes, func(i, j int) bool { return g.Nodes[i].Label < g.Nodes[j].Label })
-	for _, e := range edges {
-		g.Edges = append(g.Edges, *e)
-	}
-	sort.Slice(g.Edges, func(i, j int) bool {
-		a, b := &g.Edges[i], &g.Edges[j]
-		if a.From != b.From {
-			return a.From < b.From
+	slices.SortFunc(g.Nodes, func(a, b GraphNode) int { return strings.Compare(a.Label, b.Label) })
+	slices.SortFunc(g.Edges, func(a, b GraphEdge) int {
+		if c := strings.Compare(a.From, b.From); c != 0 {
+			return c
 		}
-		if a.To != b.To {
-			return a.To < b.To
+		if c := strings.Compare(a.To, b.To); c != 0 {
+			return c
 		}
-		return a.Kind < b.Kind
+		return cmp.Compare(a.Kind, b.Kind)
 	})
-	for _, h := range hots {
-		g.Hotspots = append(g.Hotspots, *h)
-	}
-	sort.Slice(g.Hotspots, func(i, j int) bool {
-		a, b := &g.Hotspots[i], &g.Hotspots[j]
-		if a.Count+a.Aborts != b.Count+b.Aborts {
-			return a.Count+a.Aborts > b.Count+b.Aborts
+	g.Hotspots = hs.list
+	slices.SortFunc(g.Hotspots, func(a, b Hotspot) int {
+		if c := cmp.Compare(b.Count+b.Aborts, a.Count+a.Aborts); c != 0 {
+			return c
 		}
-		if a.Table != b.Table {
-			return a.Table < b.Table
+		if c := cmp.Compare(a.Table, b.Table); c != 0 {
+			return c
 		}
-		if a.Key != b.Key {
-			return a.Key < b.Key
+		if c := cmp.Compare(a.Key, b.Key); c != 0 {
+			return c
 		}
-		return a.Cell < b.Cell
+		return cmp.Compare(a.Cell, b.Cell)
 	})
 	g.Cycles = findCycles(g.Edges)
 	return g
 }
 
-func (h *Hotspot) bumpCount(wait sim.Duration) {
-	h.Count++
-	h.TotalWait += wait
+// keyIndex maps integer keys up to a known largest to int32 values: a
+// dense table while that key is within a few times the entries
+// expected, a map past it.
+type keyIndex struct {
+	dense  []int32 // 1 + value; 0 = absent
+	sparse map[uint64]int32
+}
+
+func newKeyIndex(largest uint64, entries int) keyIndex {
+	if largest < uint64(4*entries+1024) {
+		return keyIndex{dense: make([]int32, largest+1)}
+	}
+	return keyIndex{sparse: make(map[uint64]int32, min(entries, 1<<16))}
+}
+
+func (x *keyIndex) get(k uint64) (int32, bool) {
+	if x.sparse == nil {
+		if k < uint64(len(x.dense)) && x.dense[k] != 0 {
+			return x.dense[k] - 1, true
+		}
+		return 0, false
+	}
+	v, ok := x.sparse[k]
+	return v, ok
+}
+
+func (x *keyIndex) put(k uint64, v int32) {
+	if x.sparse == nil {
+		x.dense[k] = v + 1
+		return
+	}
+	x.sparse[k] = v
+}
+
+// hotspots aggregates contention per cell, one map probe per call of
+// add: index maps a record to its hotRec, which holds the positions in
+// list of the hotspots of its first cells; wide holds those of the
+// rest.
+type hotspots struct {
+	index recIndex
+	recs  []hotRec
+	wide  map[uint64]int32 // record index << 8 | 1 + cell -> 1 + position in list
+	list  []Hotspot
+}
+
+// hotRec is one contended record: 1 + the position in list of its
+// record-level hotspot (slot 0) and of cell c's (slot 1 + c); 0 while
+// it has none.
+type hotRec [8]int32
+
+// add counts count edges, aborts abort causes and wait against every
+// cell of mask on the record (its record-level hotspot for mask 0),
+// creating each hotspot on first touch.
+func (hs *hotspots) add(table layout.TableID, key layout.Key, mask, count, aborts uint64, wait sim.Duration) {
+	r, ok := hs.index.get(table, key)
+	if !ok {
+		r = uint32(len(hs.recs))
+		hs.index.put(table, key, r)
+		hs.recs = append(hs.recs, hotRec{})
+	}
+	for m := mask; ; m &= m - 1 {
+		slot := 0 // record level
+		if mask != 0 {
+			slot = 1 + bits.TrailingZeros64(m)
+		}
+		var at int32
+		if slot < len(hotRec{}) {
+			if at = hs.recs[r][slot]; at == 0 {
+				at = hs.place(table, key, slot)
+				hs.recs[r][slot] = at
+			}
+		} else if at = hs.wide[uint64(r)<<8|uint64(slot)]; at == 0 {
+			at = hs.place(table, key, slot)
+			hs.wide[uint64(r)<<8|uint64(slot)] = at
+		}
+		h := &hs.list[at-1]
+		h.Count += count
+		h.Aborts += aborts
+		h.TotalWait += wait
+		if m&(m-1) == 0 {
+			return
+		}
+	}
+}
+
+// place appends the hotspot of the record's slot and returns 1 + its
+// position.
+func (hs *hotspots) place(table layout.TableID, key layout.Key, slot int) int32 {
+	hs.list = append(hs.list, Hotspot{Table: table, Key: key, Cell: slot - 1})
+	return int32(len(hs.list))
 }
 
 // maxCycles bounds the wait-cycle report.

@@ -175,16 +175,16 @@ func TestTxnObjectSizeClasses(t *testing.T) {
 }
 
 // observedAttemptAllocs is TestObservedAttemptAllocs' ceiling, as
-// measured when the observers came to share one context per process (6
-// while the trace allocated a span per transaction, 5 while the version
-// slab was an object of its own).
-const observedAttemptAllocs = 4
+// measured when the why recorder came to cut its nodes from a slab: the
+// unobserved attempt's (6 while the trace allocated a span per
+// transaction, 5 while the version slab was an object of its own, 4
+// while the why node was).
+const observedAttemptAllocs = 3
 
 // TestObservedAttemptAllocs is TestLocalizedAttemptAllocs' attempt with
 // the trace, why and flight recorders attached. Each attempt is a new
-// transaction to them; what observing it adds is the why node, which
-// the recorder's ring keeps, and a ring segment every few thousand
-// events.
+// transaction to them; observing it adds nothing per attempt: the why
+// node comes from a slab, and rings allocate their storage once.
 func TestObservedAttemptAllocs(t *testing.T) {
 	f := newFixture(t, DefaultOptions(), 2, 1, 1, 4, false)
 	f.sys.db.Attach(engine.Observers{Trace: trace.NewRecorder(0), Why: causality.NewRecorder(causality.Options{}),
