@@ -44,7 +44,7 @@ type refChromeDoc struct {
 }
 
 func refChromeTrace(w io.Writer, s *trace.Snapshot) error {
-	const pidCluster, pidSim = 1, 2
+	const pidCluster = 1
 	usTime := func(t sim.Time) float64 { return float64(t) / 1e3 }
 	usDur := func(d sim.Duration) float64 { return float64(d) / 1e3 }
 	cellKey := func(e *trace.Event) map[string]any {
@@ -148,15 +148,6 @@ func refChromeTrace(w io.Writer, s *trace.Snapshot) error {
 				Name: "abort:" + s.Str(e.Reason), Cat: "txn", Ph: "i", S: "t",
 				Ts: usTime(e.At), Pid: pidCluster, Tid: tid,
 				Args: map[string]any{"span": e.Span, "attempt": e.Attempt, "falseConflict": e.False},
-			})
-		case trace.KindProcSpawn, trace.KindProcBlock, trace.KindProcWake, trace.KindProcFinish:
-			args := map[string]any{"proc": s.Str(e.Label)}
-			if e.Reason != 0 {
-				args["queue"] = s.Str(e.Reason)
-			}
-			evs = append(evs, refChromeEvent{
-				Name: e.Kind.String(), Cat: "sim", Ph: "i", S: "t",
-				Ts: usTime(e.At), Pid: pidSim, Args: args,
 			})
 		}
 	}
@@ -270,7 +261,6 @@ func TestExportsMatchEncodingJSONOnEdgeCases(t *testing.T) {
 	// 0.001), on the shortest-decimal cases, and past 2^53.
 	times := []sim.Time{0, 1, 999, 1000, 1001, 123456789, 1 << 53, 1<<53 + 1, math.MaxInt64}
 	rec := trace.NewRecorder(0)
-	rec.ProcEvents = true
 	env := sim.NewEnv(1)
 	env.Spawn("edge", func(p *sim.Proc) {
 		for i, label := range hostileStrings {
@@ -296,10 +286,6 @@ func TestExportsMatchEncodingJSONOnEdgeCases(t *testing.T) {
 			fresh := &trace.Span{Coord: uint64(i + 1), ID: uint64(2*i + 2), Label: label, Attempt: 1}
 			rec.Begin(p.Now(), fresh)
 			rec.Commit(at+3, fresh)
-			rec.ProcSpawn(label, at)
-			rec.ProcBlock(label, sim.NewWaitQueue(label), at)
-			rec.ProcWake(label, at)
-			rec.ProcFinish(label, at)
 		}
 	})
 	if err := env.Run(); err != nil {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"crest/internal/engine"
 	"crest/internal/layout"
 )
 
@@ -41,6 +42,63 @@ func TestLocksFreeAtQuiescence(t *testing.T) {
 					}
 					if res.Committed == 0 || res.Aborted == 0 || records == 0 {
 						t.Fatalf("%d commits, %d aborts, %d records read: the run tests nothing", res.Committed, res.Aborted, records)
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestFinalStateMatchesPoolAtQuiescence: what a drained run leaves in
+// the pool is what its committed transactions wrote. Replaying the
+// checked history serially (History.FinalState) gives every cell's
+// value hash; every cell of every record must hash to it on every
+// replica — on each engine, sequential and sharded, at three seeds of
+// skewed SmallBank. The pool is read before Run gives it back.
+func TestFinalStateMatchesPoolAtQuiescence(t *testing.T) {
+	for _, system := range []SystemKind{CREST, CRESTCell, CRESTBase, FORD, Motor} {
+		for _, shards := range []int{1, 4} {
+			for _, seed := range []int64{1, 2, 3} {
+				t.Run(fmt.Sprintf("%s/smallbank/shards%d/seed%d", system, shards, seed), func(t *testing.T) {
+					cfg := shardedCfg(system, shards, "modulo")
+					cfg.Seed = seed
+					cfg.CheckHistory = true
+					pool := map[engine.CellID][]uint64{} // each replica's value hash, in replica order
+					quiesced = func(d *Deployment) {
+						for _, def := range cfg.Workload().Tables() {
+							tab := d.db.Table(def.Schema.ID)
+							tab.Keys(func(key layout.Key, off uint64) {
+								for _, n := range d.db.Pool.ReplicaNodes(def.Schema.ID, key) {
+									rec := n.Region.Bytes()[off : off+uint64(tab.Heap.RecSize)]
+									for c := range def.Schema.CellSizes {
+										id := engine.CellID{Table: def.Schema.ID, Key: key, Cell: c}
+										pool[id] = append(pool[id], engine.HashValue(cellValue(system, def.Schema, rec, c)))
+									}
+								}
+							})
+						}
+					}
+					defer func() { quiesced = nil }()
+					res, err := Run(cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if res.HistoryErr != nil {
+						t.Fatal(res.HistoryErr)
+					}
+					want := res.History.FinalState()
+					if res.Committed == 0 || len(pool) == 0 || len(pool) != len(want) {
+						t.Fatalf("%d commits, %d cells in the pool, %d in the history: the run tests nothing", res.Committed, len(pool), len(want))
+					}
+					bad := 0
+					for id, hashes := range pool {
+						for r, h := range hashes {
+							if h != want[id] && bad < 5 {
+								bad++
+								t.Errorf("table %d key %d cell %d, replica %d: value hash %#x, history's final state %#x",
+									id.Table, id.Key, id.Cell, r, h, want[id])
+							}
+						}
 					}
 				})
 			}

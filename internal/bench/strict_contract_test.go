@@ -123,6 +123,33 @@ func lockWord(db *engine.DB, table layout.TableID, key layout.Key, lockOff uint6
 	return w
 }
 
+// cellValue returns cell's current value in rec, one replica's bytes
+// of a record of schema sc in system's format: for full CREST and its
+// ablations the cell's value after its version, for FORD the raw cell,
+// for Motor the cell's copy in the newest valid version slot.
+func cellValue(system SystemKind, sc layout.Schema, rec []byte, cell int) []byte {
+	var off int
+	switch system {
+	case FORD:
+		off = layout.NewFORDRecord(sc).CellValueOff(cell)
+	case Motor:
+		m := layout.NewMotorRecord(sc)
+		newest, newestTS := -1, uint64(0)
+		for i := 0; i < layout.MotorSlots; i++ {
+			if valid, ts := layout.UnpackSlotMeta(layout.ReadWord(rec, m.SlotMetaOff(i))); valid && (newest < 0 || ts > newestTS) {
+				newest, newestTS = i, ts
+			}
+		}
+		if newest < 0 {
+			panic("motor record with no valid version slot")
+		}
+		off = m.SlotCellOff(newest, cell)
+	default:
+		off = layout.NewRecord(sc).CellValueOff(cell)
+	}
+	return rec[off : off+sc.CellSizes[cell]]
+}
+
 func word(v uint64) []byte {
 	b := make([]byte, 8)
 	binary.LittleEndian.PutUint64(b, v)

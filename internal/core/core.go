@@ -150,9 +150,6 @@ func (s *System) DB() *engine.DB { return s.db }
 // Options returns the system's configuration.
 func (s *System) Options() Options { return s.opts }
 
-// Layout returns the CREST record layout of a table.
-func (s *System) Layout(table layout.TableID) *layout.Record { return s.layouts[table] }
-
 // CreateTable registers a table with the CREST record structure.
 func (s *System) CreateTable(sc layout.Schema, capacity int) {
 	s.db.CreateTableAs(format{s}, sc, capacity)
@@ -444,27 +441,4 @@ func decodeLogEntry(buf []byte) (txnID, ts uint64, deps []uint64, recs []logReco
 		recs = append(recs, r)
 	}
 	return txnID, ts, deps, recs, total, nil
-}
-
-// Diag reports record-cache state across compute nodes (debugging aid
-// for tests and tools).
-func (s *System) Diag() string {
-	out := ""
-	for _, cn := range s.cns {
-		objs, drains, writers, readers, locked := 0, 0, 0, 0, 0
-		for _, o := range cn.objs {
-			objs++
-			if o.drainPending {
-				drains++
-			}
-			writers += o.writers
-			readers += o.readers
-			if o.remoteLocks != 0 {
-				locked++
-			}
-		}
-		out += fmt.Sprintf("cn%d: objs=%d drainPending=%d writers=%d readers=%d lockedObjs=%d\n",
-			cn.id, objs, drains, writers, readers, locked)
-	}
-	return out
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"strings"
 	"testing"
 
@@ -9,20 +8,10 @@ import (
 	"crest/internal/sim"
 )
 
-// blockLog is a sim.Observer that keeps what ProcBlock reports.
-type blockLog struct{ blocks []string }
-
-func (*blockLog) ProcSpawn(string, sim.Time)  {}
-func (*blockLog) ProcWake(string, sim.Time)   {}
-func (*blockLog) ProcFinish(string, sim.Time) {}
-func (o *blockLog) ProcBlock(name string, queue fmt.Stringer, _ sim.Time) {
-	o.blocks = append(o.blocks, name+" @ "+queue.String())
-}
-
 // TestWaitLabels pins the three wait labels the core hands the
 // simulator lazily — admission queue, dependency wait, object mutex —
-// to the strings the eager Sprintfs used to store on every wait: an
-// attached observer and the deadlock report both read exactly these.
+// to the strings the eager Sprintfs used to store on every wait: the
+// deadlock report reads exactly these.
 func TestWaitLabels(t *testing.T) {
 	lay := layout.NewRecord(layout.Schema{ID: 3, Name: "t", CellSizes: []int{8, 8}})
 	o := newObject(3, 17, 0, lay, nil)
@@ -34,8 +23,6 @@ func TestWaitLabels(t *testing.T) {
 	}
 
 	env := sim.NewEnv(1)
-	obs := &blockLog{}
-	env.SetObserver(obs)
 	env.Spawn("admit", func(p *sim.Proc) { o.stateQ.Wait(p) })
 	env.Spawn("await", func(p *sim.Proc) { dep.await(p) })
 	env.Spawn("lock", func(p *sim.Proc) { o.mu.Lock(p) })
@@ -45,9 +32,6 @@ func TestWaitLabels(t *testing.T) {
 		"admit @ obj 3/17 admitting=true flushing=false locks=101 w=1 r=2",
 		"await @ await txn5(tsExec=9,status=0)",
 		"lock @ mutex obj 3/17",
-	}
-	if got := strings.Join(obs.blocks, "\n"); got != strings.Join(want, "\n") {
-		t.Errorf("ProcBlock saw:\n%s\nwant:\n%s", got, strings.Join(want, "\n"))
 	}
 	report := "sim: deadlock at 0: 3 process(es) parked forever: [" + strings.Join(want, " ") + "]"
 	if err == nil || err.Error() != report {

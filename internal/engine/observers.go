@@ -109,15 +109,15 @@ func (db *DB) beginObserved(p *sim.Proc, coord uint64, home int, t *Txn) *txnCtx
 	return c
 }
 
-// Attach installs obs on every seam of a run: the scheduler of each
-// simulation partition (env's world, or env alone), the fabric's lanes
-// and db itself; warmup is the flight recorder's capture cutoff. The
-// fabric's per-node instruments cover the regions registered by now. On a
-// partitioned world each partition gets its own shard of every
-// recorder (Shard(i, parts)), written lock-free by the partition's
-// worker and merged deterministically at snapshot time. Attach after
-// the pool exists and before anything runs; it is the only place
-// observers are wired.
+// Attach installs obs on a run: the metrics registry on the scheduler
+// of each simulation partition (env's world, or env alone), the
+// recorders on the fabric's lanes and on db itself; warmup is the
+// flight recorder's capture cutoff. The fabric's per-node instruments
+// cover the regions registered by now. On a partitioned world each
+// partition gets its own shard of every recorder (Shard(i, parts)),
+// written lock-free by the partition's worker and merged
+// deterministically at snapshot time. Attach after the pool exists and
+// before anything runs; it is the only place observers are wired.
 func (db *DB) Attach(obs Observers, env *sim.Env, warmup sim.Duration) {
 	envs := []*sim.Env{env}
 	if w := env.World(); w != nil {
@@ -126,12 +126,9 @@ func (db *DB) Attach(obs Observers, env *sim.Env, warmup sim.Duration) {
 			envs = append(envs, w.Env(i))
 		}
 	}
+	// Each partition shard binds its own scheduler, so the sim
+	// instruments cover the whole world after the merge.
 	for i, e := range envs {
-		if obs.Trace != nil {
-			e.SetObserver(obs.Trace.Shard(i, len(envs)))
-		}
-		// Each partition shard binds its own scheduler, so the sim
-		// instruments cover the whole world after the merge.
 		obs.Metrics.Shard(i, len(envs)).BindEnv(e)
 	}
 	if obs.Trace != nil || obs.Metrics != nil || obs.Flight != nil {

@@ -9,15 +9,12 @@ import (
 // the improvement §4.4 of the paper sketches for wide tables:
 // "consolidate cells based on transactions' access patterns (e.g.,
 // grouping read-intensive cells) to mitigate conflicts". A Grouping
-// maps original cell indices to grouped ones so workloads written
-// against the original schema can be replayed against the grouped
-// layout.
+// is the consolidated schema and, for each of its cells, the original
+// cells it holds; crestinspect reports it, and no engine runs grouped
+// records.
 type Grouping struct {
-	original Schema
-	grouped  Schema
-	toGroup  []int   // original cell → grouped cell
-	members  [][]int // grouped cell → original cells (in layout order)
-	offsets  []int   // original cell → byte offset inside its group
+	grouped Schema
+	members [][]int // grouped cell → original cells (in layout order)
 }
 
 // NewGrouping builds a grouping from explicit groups of original cell
@@ -45,19 +42,12 @@ func NewGrouping(s Schema, groups [][]int) (*Grouping, error) {
 			return nil, fmt.Errorf("layout: cell %d appears in %d groups, want exactly 1", c, n)
 		}
 	}
-	g := &Grouping{
-		original: s.Normalize(),
-		toGroup:  make([]int, s.NumCells()),
-		offsets:  make([]int, s.NumCells()),
-	}
-	g.grouped = Schema{ID: s.ID, Name: s.Name}
-	for gi, group := range groups {
+	g := &Grouping{grouped: Schema{ID: s.ID, Name: s.Name}}
+	for _, group := range groups {
 		members := append([]int(nil), group...)
 		sort.Ints(members)
 		size := 0
 		for _, c := range members {
-			g.toGroup[c] = gi
-			g.offsets[c] = size
 			size += s.CellSizes[c]
 		}
 		g.members = append(g.members, members)
@@ -97,61 +87,9 @@ func GroupByAccess(s Schema, writtenCells []int) (*Grouping, error) {
 	return NewGrouping(s, groups)
 }
 
-// Original returns the pre-grouping schema.
-func (g *Grouping) Original() Schema { return g.original }
-
 // Grouped returns the consolidated schema.
 func (g *Grouping) Grouped() Schema { return g.grouped }
-
-// GroupOf maps an original cell index to its grouped cell index.
-func (g *Grouping) GroupOf(cell int) int { return g.toGroup[cell] }
-
-// OffsetOf returns the byte offset of an original cell's value inside
-// its grouped cell.
-func (g *Grouping) OffsetOf(cell int) int { return g.offsets[cell] }
 
 // Members returns the original cells inside grouped cell gi, in the
 // order their bytes are laid out.
 func (g *Grouping) Members(gi int) []int { return g.members[gi] }
-
-// MapCells translates a set of original cell indices into the grouped
-// schema, deduplicating cells that landed in the same group.
-func (g *Grouping) MapCells(cells []int) []int {
-	seen := map[int]bool{}
-	var out []int
-	for _, c := range cells {
-		gi := g.toGroup[c]
-		if !seen[gi] {
-			seen[gi] = true
-			out = append(out, gi)
-		}
-	}
-	sort.Ints(out)
-	return out
-}
-
-// PackRecord assembles grouped cell values from original ones.
-func (g *Grouping) PackRecord(cells [][]byte) ([][]byte, error) {
-	if len(cells) != g.original.NumCells() {
-		return nil, fmt.Errorf("layout: %d cells for schema with %d", len(cells), g.original.NumCells())
-	}
-	out := make([][]byte, g.grouped.NumCells())
-	for gi, members := range g.members {
-		buf := make([]byte, 0, g.grouped.CellSizes[gi])
-		for _, c := range members {
-			if len(cells[c]) != g.original.CellSizes[c] {
-				return nil, fmt.Errorf("layout: cell %d has %d bytes, want %d", c, len(cells[c]), g.original.CellSizes[c])
-			}
-			buf = append(buf, cells[c]...)
-		}
-		out[gi] = buf
-	}
-	return out, nil
-}
-
-// Extract pulls one original cell's bytes out of its grouped cell
-// value.
-func (g *Grouping) Extract(cell int, groupedValue []byte) []byte {
-	off := g.offsets[cell]
-	return groupedValue[off : off+g.original.CellSizes[cell]]
-}

@@ -1,9 +1,8 @@
 package layout
 
 import (
-	"bytes"
+	"slices"
 	"testing"
-	"testing/quick"
 )
 
 func groupingSchema() Schema {
@@ -24,12 +23,10 @@ func TestNewGroupingValid(t *testing.T) {
 	if g.Grouped().DataBytes() != groupingSchema().DataBytes() {
 		t.Fatal("grouping changed total data bytes")
 	}
-	if g.GroupOf(3) != 1 || g.GroupOf(4) != 2 {
-		t.Fatal("bad group mapping")
-	}
-	// Cell 3 sits after cell 1 inside group 1.
-	if g.OffsetOf(1) != 0 || g.OffsetOf(3) != 16 {
-		t.Fatalf("offsets %d %d", g.OffsetOf(1), g.OffsetOf(3))
+	for gi, want := range [][]int{{0}, {1, 3}, {2, 4}} {
+		if got := g.Members(gi); !slices.Equal(got, want) {
+			t.Fatalf("group %d holds %v, want %v", gi, got, want)
+		}
 	}
 }
 
@@ -58,113 +55,10 @@ func TestGroupByAccessSeparatesWrittenCells(t *testing.T) {
 	if g.Grouped().NumCells() != 2 {
 		t.Fatalf("grouped into %d cells", g.Grouped().NumCells())
 	}
-	if len(g.Members(g.GroupOf(2))) != 1 {
-		t.Fatal("written cell shares a group")
+	if got := g.Members(0); !slices.Equal(got, []int{2}) {
+		t.Fatalf("written cell's group holds %v, want [2]", got)
 	}
-	ro := g.GroupOf(0)
-	for _, c := range []int{1, 3, 4} {
-		if g.GroupOf(c) != ro {
-			t.Fatal("read-only cells not consolidated")
-		}
-	}
-}
-
-func TestMapCellsDedupes(t *testing.T) {
-	g, err := NewGrouping(groupingSchema(), [][]int{{0, 1}, {2, 3, 4}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := g.MapCells([]int{0, 1, 4})
-	if len(got) != 2 || got[0] != 0 || got[1] != 1 {
-		t.Fatalf("MapCells = %v", got)
-	}
-}
-
-func TestPackAndExtractRoundTrip(t *testing.T) {
-	s := groupingSchema()
-	g, err := NewGrouping(s, [][]int{{0, 2, 4}, {1, 3}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cells := make([][]byte, s.NumCells())
-	for c := range cells {
-		cells[c] = bytes.Repeat([]byte{byte(c + 1)}, s.CellSizes[c])
-	}
-	packed, err := g.PackRecord(cells)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for c := range cells {
-		got := g.Extract(c, packed[g.GroupOf(c)])
-		if !bytes.Equal(got, cells[c]) {
-			t.Fatalf("cell %d extract mismatch", c)
-		}
-	}
-}
-
-func TestPackRejectsBadShapes(t *testing.T) {
-	g, _ := NewGrouping(groupingSchema(), [][]int{{0, 1, 2, 3, 4}})
-	if _, err := g.PackRecord(make([][]byte, 2)); err == nil {
-		t.Fatal("wrong cell count accepted")
-	}
-	cells := make([][]byte, 5)
-	for c := range cells {
-		cells[c] = []byte{1}
-	}
-	if _, err := g.PackRecord(cells); err == nil {
-		t.Fatal("wrong cell sizes accepted")
-	}
-}
-
-// Property: any partition of cells yields a grouping that preserves
-// bytes through pack/extract and total data size.
-func TestQuickGroupingPreservesBytes(t *testing.T) {
-	f := func(sizesRaw []uint8, assignRaw []uint8) bool {
-		if len(sizesRaw) == 0 || len(sizesRaw) > MaxENCells {
-			return true
-		}
-		s := Schema{ID: 1, Name: "q", CellSizes: make([]int, len(sizesRaw))}
-		for i, b := range sizesRaw {
-			s.CellSizes[i] = int(b)%32 + 1
-		}
-		// Random partition: assign each cell to one of up to 4 buckets.
-		buckets := map[int][]int{}
-		for c := range s.CellSizes {
-			b := 0
-			if c < len(assignRaw) {
-				b = int(assignRaw[c]) % 4
-			}
-			buckets[b] = append(buckets[b], c)
-		}
-		var groups [][]int
-		for b := 0; b < 4; b++ {
-			if len(buckets[b]) > 0 {
-				groups = append(groups, buckets[b])
-			}
-		}
-		g, err := NewGrouping(s, groups)
-		if err != nil {
-			return false
-		}
-		if g.Grouped().DataBytes() != s.DataBytes() {
-			return false
-		}
-		cells := make([][]byte, s.NumCells())
-		for c := range cells {
-			cells[c] = bytes.Repeat([]byte{byte(c * 7)}, s.CellSizes[c])
-		}
-		packed, err := g.PackRecord(cells)
-		if err != nil {
-			return false
-		}
-		for c := range cells {
-			if !bytes.Equal(g.Extract(c, packed[g.GroupOf(c)]), cells[c]) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
+	if got := g.Members(1); !slices.Equal(got, []int{0, 1, 3, 4}) {
+		t.Fatalf("read-only cells grouped as %v, want [0 1 3 4]", got)
 	}
 }

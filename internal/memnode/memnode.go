@@ -136,9 +136,6 @@ func (p *Pool) Replicas() int { return p.replicas }
 // Shards returns the number of shard groups.
 func (p *Pool) Shards() int { return p.shards }
 
-// NodesPerShard returns the number of memory nodes in each group.
-func (p *Pool) NodesPerShard() int { return p.perGroup }
-
 // Policy returns the placement policy routing records to nodes.
 func (p *Pool) Policy() placement.Policy { return p.policy }
 

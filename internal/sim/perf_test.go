@@ -137,24 +137,12 @@ type dispatchRec struct {
 	name string
 }
 
-// nopObserver stands in for a tracing recorder: it receives every
-// lifecycle callback and must not perturb the schedule.
-type nopObserver struct{ calls int }
-
-func (o *nopObserver) ProcSpawn(string, Time)               { o.calls++ }
-func (o *nopObserver) ProcBlock(string, fmt.Stringer, Time) { o.calls++ }
-func (o *nopObserver) ProcWake(string, Time)                { o.calls++ }
-func (o *nopObserver) ProcFinish(string, Time)              { o.calls++ }
-
 // contendedRun drives a small contended workload — shared mutex,
 // shared wait queue, rng-jittered sleeps — and returns the complete
 // dispatch sequence the scheduler produced.
-func contendedRun(t *testing.T, seed int64, obs Observer) []dispatchRec {
+func contendedRun(t *testing.T, seed int64) []dispatchRec {
 	t.Helper()
 	e := NewEnv(seed)
-	if obs != nil {
-		e.SetObserver(obs)
-	}
 	var recs []dispatchRec
 	e.dispatchHook = func(at Time, seq uint64, p *Proc) {
 		name := ""
@@ -191,30 +179,22 @@ func contendedRun(t *testing.T, seed int64, obs Observer) []dispatchRec {
 
 // TestDispatchSequenceDeterminism is the property behind every golden
 // test in this repository: the same seed yields the exact same
-// (time, seq, process) dispatch sequence, and attaching an observer —
-// how tracing hooks in — does not move a single event.
+// (time, seq, process) dispatch sequence.
 func TestDispatchSequenceDeterminism(t *testing.T) {
-	base := contendedRun(t, 7, nil)
+	base := contendedRun(t, 7)
 	if len(base) == 0 {
 		t.Fatal("no dispatches recorded")
 	}
-	rerun := contendedRun(t, 7, nil)
-	obs := &nopObserver{}
-	observed := contendedRun(t, 7, obs)
-	if obs.calls == 0 {
-		t.Fatal("observer never invoked")
+	rerun := contendedRun(t, 7)
+	if len(rerun) != len(base) {
+		t.Fatalf("rerun dispatched %d events, base %d", len(rerun), len(base))
 	}
-	for name, got := range map[string][]dispatchRec{"rerun": rerun, "observed": observed} {
-		if len(got) != len(base) {
-			t.Fatalf("%s dispatched %d events, base %d", name, len(got), len(base))
-		}
-		for i := range base {
-			if got[i] != base[i] {
-				t.Fatalf("%s diverges at dispatch %d: %+v vs %+v", name, i, got[i], base[i])
-			}
+	for i := range base {
+		if rerun[i] != base[i] {
+			t.Fatalf("rerun diverges at dispatch %d: %+v vs %+v", i, rerun[i], base[i])
 		}
 	}
-	other := contendedRun(t, 8, nil)
+	other := contendedRun(t, 8)
 	if len(other) == len(base) {
 		same := true
 		for i := range base {
@@ -272,21 +252,9 @@ func (l *countingLabel) String() string {
 	return fmt.Sprintf("lazy label #%d", l.calls)
 }
 
-// blockLog is an Observer that keeps the ProcBlock queue strings.
-type blockLog struct {
-	nopObserver
-	queues []string
-}
-
-func (o *blockLog) ProcBlock(_ string, queue fmt.Stringer, _ Time) {
-	o.queues = append(o.queues, queue.String())
-}
-
-// TestLabelIsLazy pins the label contract. Unobserved, Wait and Lock
-// never build the label and a contended handoff allocates nothing;
-// observed, every Wait hands the observer the label, which reads as of
-// that instant when (and only when) the observer asks;
-// a deadlock report reads it when the report is built.
+// TestLabelIsLazy pins the label contract: Wait and Lock never build
+// the label and a contended handoff allocates nothing; a deadlock
+// report reads it when the report is built.
 func TestLabelIsLazy(t *testing.T) {
 	lbl := &countingLabel{}
 	e := NewEnv(1)
@@ -298,22 +266,9 @@ func TestLabelIsLazy(t *testing.T) {
 		t.Errorf("contended Mutex handoff allocates %.1f objects per 100 handoffs, want 0", avg)
 	}
 	if lbl.calls != 0 {
-		t.Errorf("labeler called %d times with no observer attached", lbl.calls)
+		t.Errorf("labeler called %d times on the Wait/Wake path", lbl.calls)
 	}
 
-	obs := &blockLog{}
-	e.SetObserver(obs)
-	step()
-	if len(obs.queues) == 0 || lbl.calls != len(obs.queues) {
-		t.Fatalf("observed: %d ProcBlock callbacks, %d labeler calls", len(obs.queues), lbl.calls)
-	}
-	for i, q := range obs.queues {
-		if want := fmt.Sprintf("lazy label #%d", i+1); q != want {
-			t.Fatalf("ProcBlock %d got queue %q, want %q", i, q, want)
-		}
-	}
-
-	lbl.calls = 0
 	d := NewEnv(1)
 	q := NewWaitQueue("replaced")
 	q.SetLabel(lbl)

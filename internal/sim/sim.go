@@ -24,7 +24,7 @@
 // coroutine (iter.Pull): dispatching one and parking it again are two
 // direct switches on the scheduler's own thread, with no run queue, no
 // channel and never a second runnable goroutine. Wait-queue labels are
-// built only when an attached Observer asks or for a deadlock report.
+// built only for a deadlock report.
 // Dispatched events are counted so harnesses can report events/sec.
 package sim
 
@@ -144,20 +144,6 @@ func (h *eventHeap) pop() event {
 	return top
 }
 
-// Observer receives scheduler lifecycle callbacks: process spawn,
-// parking on a wait queue, wakeup, and exit. Observers must not touch
-// the environment (no Spawn, no clock access beyond the at argument) —
-// they exist for tracing, and tracing must not perturb the schedule.
-// ProcBlock is handed the queue itself: its String builds the label as
-// it reads at that instant, so an observer that does not keep the
-// event never pays for the text.
-type Observer interface {
-	ProcSpawn(name string, at Time)
-	ProcBlock(name string, queue fmt.Stringer, at Time)
-	ProcWake(name string, at Time)
-	ProcFinish(name string, at Time)
-}
-
 // Env is a simulation environment: a virtual clock, an event queue and
 // a set of cooperative processes.
 type Env struct {
@@ -169,7 +155,6 @@ type Env struct {
 	waiting    int // processes parked with no pending wake event
 	stopped    bool
 	failure    error
-	obs        Observer
 	dispatched uint64 // events dispatched across all Run calls
 
 	// procs holds every distinct Proc shell ever spawned (live,
@@ -195,10 +180,6 @@ type Env struct {
 	part  int
 	outs  []outbox
 }
-
-// SetObserver installs obs to receive scheduler lifecycle events. A
-// nil obs disables observation.
-func (e *Env) SetObserver(obs Observer) { e.obs = obs }
 
 // NewEnv returns an empty environment whose random source is seeded
 // with seed.
@@ -306,9 +287,6 @@ func (e *Env) Spawn(name string, fn func(*Proc)) *Proc {
 	p := e.newProc(name, fn)
 	e.live++
 	e.schedule(p, e.now)
-	if e.obs != nil {
-		e.obs.ProcSpawn(name, e.now)
-	}
 	return p
 }
 
@@ -321,9 +299,6 @@ func (e *Env) SpawnAt(name string, at Time, fn func(*Proc)) *Proc {
 	p := e.newProc(name, fn)
 	e.live++
 	e.schedule(p, at)
-	if e.obs != nil {
-		e.obs.ProcSpawn(name, at)
-	}
 	return p
 }
 
@@ -390,9 +365,6 @@ func (p *Proc) run(yield func(struct{}) bool) {
 		}
 		p.done = true
 		p.env.live--
-		if p.env.obs != nil {
-			p.env.obs.ProcFinish(p.name, p.env.now)
-		}
 		// Return the shell to the pool before handing control back:
 		// the scheduler is suspended inside next, so no Spawn can race
 		// the reuse, and this coroutine touches p no further.
@@ -553,10 +525,9 @@ func NewWaitQueue(name string) *WaitQueue { return &WaitQueue{labeler: fixedLabe
 // SetName labels the queue for deadlock and diagnostic reports.
 func (q *WaitQueue) SetName(name string) { q.labeler = fixedLabel(name) }
 
-// SetLabel makes l the queue's label. l.String is called only when an
-// attached Observer asks for it (ProcBlock) or a deadlock or diagnostic
-// report is built, so a label that describes the owner's current state
-// costs nothing on the Wait/Wake path.
+// SetLabel makes l the queue's label. l.String is called only when a
+// deadlock or diagnostic report is built, so a label that describes the
+// owner's current state costs nothing on the Wait/Wake path.
 func (q *WaitQueue) SetLabel(l fmt.Stringer) { q.labeler = l }
 
 // String builds the queue's label.
@@ -576,9 +547,6 @@ func (q *WaitQueue) Wait(p *Proc) {
 	q.ps = append(q.ps, p)
 	p.waitQ = q
 	p.env.waiting++
-	if p.env.obs != nil {
-		p.env.obs.ProcBlock(p.name, q, p.env.now)
-	}
 	p.park()
 }
 
@@ -594,9 +562,6 @@ func (q *WaitQueue) Wake(n int) int {
 		p.waitQ = nil
 		p.env.waiting--
 		p.env.schedule(p, p.env.now)
-		if p.env.obs != nil {
-			p.env.obs.ProcWake(p.name, p.env.now)
-		}
 	}
 	q.ps = q.ps[:copy(q.ps, q.ps[n:])]
 	return n

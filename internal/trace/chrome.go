@@ -22,10 +22,7 @@ import (
 // left out when empty, and args' keys in alphabetical order — the bytes
 // json.Encoder made of a struct with omitempty tags and a map.
 
-const (
-	pidCluster = 1 // coordinator threads
-	pidSim     = 2 // simulator scheduling events (opt-in)
-)
+const pidCluster = 1 // coordinator threads
 
 func usTime(t sim.Time) float64    { return float64(t) / 1e3 }
 func usDur(d sim.Duration) float64 { return float64(d) / 1e3 }
@@ -184,14 +181,6 @@ func WriteChromeTrace(w io.Writer, s *Snapshot) error {
 			c.Key("attempt").Uint(uint64(e.Attempt))
 			c.Key("falseConflict").Bool(e.False)
 			c.Key("span").Uint(e.Span)
-			c.end()
-		case KindProcSpawn, KindProcBlock, KindProcWake, KindProcFinish:
-			c.name().String(e.Kind.String())
-			c.event("sim", "i", usTime(e.At), 0, pidSim, 0)
-			c.Key("proc").String(s.Str(e.Label))
-			if e.Reason != 0 {
-				c.Key("queue").String(s.Str(e.Reason))
-			}
 			c.end()
 		}
 	}

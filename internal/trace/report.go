@@ -114,7 +114,7 @@ func (s *Snapshot) Spans() []SpanView {
 	for i := range s.Events {
 		e := &s.Events[i]
 		if e.Span == 0 {
-			of[i] = -1 // proc events and other unattributed activity
+			of[i] = -1 // unattributed activity
 			continue
 		}
 		k := key{e.Coord, e.Span}

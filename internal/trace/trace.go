@@ -61,12 +61,6 @@ const (
 	KindLockPiggyback // a local txn reused already-held remote locks
 	KindLockRelease   // remote cell locks released (write-back)
 	KindENOverflow    // a cell's 16-bit epoch number wrapped
-
-	// Simulator scheduling.
-	KindProcSpawn
-	KindProcBlock
-	KindProcWake
-	KindProcFinish
 )
 
 // String names the kind.
@@ -98,14 +92,6 @@ func (k Kind) String() string {
 		return "lock-release"
 	case KindENOverflow:
 		return "en-overflow"
-	case KindProcSpawn:
-		return "proc-spawn"
-	case KindProcBlock:
-		return "proc-block"
-	case KindProcWake:
-		return "proc-wake"
-	case KindProcFinish:
-		return "proc-finish"
 	}
 	return fmt.Sprintf("Kind(%d)", uint8(k))
 }
@@ -181,8 +167,8 @@ type Event struct {
 	QP      uint32 // verb events: queue-pair id
 	Table   layout.TableID
 
-	Label  StrID // txn label or proc name
-	Reason StrID // KindTxnAbort: abort classification; KindProcBlock: wait-queue label
+	Label  StrID // txn label
+	Reason StrID // KindTxnAbort: abort classification
 
 	Region uint16 // verb events: target region id
 	Ops    uint16 // KindRTT: verbs in the batch
@@ -193,12 +179,10 @@ type Event struct {
 	Verb  uint8 // verb events: READ / WRITE / CAS / masked-CAS, by Snapshot.Verb
 }
 
-// strTable interns strings to StrIDs. The strings a run meets are few —
-// transaction labels, abort reasons — unless ProcEvents records process
-// names and wait-queue labels, so the first few are found by scanning
-// and the rest through a map built when they appear. A table only
-// grows: under ProcEvents it keeps every distinct wait-queue label the
-// run produced, not only those of events still in the ring.
+// strTable interns strings to StrIDs. It holds transaction labels,
+// abort reasons and verb names only, so the strings a run meets are
+// few: the first few are found by scanning and the rest through a map
+// built when they appear. A table only grows.
 type strTable struct {
 	strs []string // code → string; strs[0] is ""
 	idx  map[string]StrID
@@ -296,15 +280,8 @@ type Recorder struct {
 
 	// Partition-recorder mode (Shard, see Family): a root recorder
 	// hands each simulation partition its own child and merges the
-	// children deterministically at snapshot time. root points a child
-	// back at its parent for the ProcEvents flag.
-	fam  Family[Recorder]
-	root *Recorder
-
-	// ProcEvents enables simulator scheduling events (spawn / block /
-	// wake / finish). They are voluminous under contention, so they are
-	// opt-in.
-	ProcEvents bool
+	// children deterministically at snapshot time.
+	fam Family[Recorder]
 }
 
 // DefaultCapacity bounds the ring buffer when the caller does not.
@@ -332,17 +309,8 @@ func (r *Recorder) Shard(part, parts int) *Recorder {
 		return nil
 	}
 	return r.fam.Shard("trace", r, part, parts, func(f Family[Recorder]) *Recorder {
-		return &Recorder{ring: NewRing[Event](r.ring.Cap()), hot: map[hotKey]*HotCell{}, fam: f, root: r}
+		return &Recorder{ring: NewRing[Event](r.ring.Cap()), hot: map[hotKey]*HotCell{}, fam: f}
 	})
-}
-
-// procEvents resolves the ProcEvents flag: children defer to the root
-// so the flag can be toggled after sharding.
-func (r *Recorder) procEvents() bool {
-	if r.root != nil {
-		return r.root.ProcEvents
-	}
-	return r.ProcEvents
 }
 
 // emit claims the ring's next slot (evicting the oldest event on
@@ -556,49 +524,6 @@ func (r *Recorder) ENOverflow(at sim.Time, s *Span, table layout.TableID, key la
 		return
 	}
 	r.emitCC(at, KindENOverflow, s, table, key, 1<<uint(cell))
-}
-
-// The sim.Observer implementation: simulator scheduling events. Only
-// recorded when ProcEvents is set.
-
-// emitProc emits a scheduling event of the process called name.
-func (r *Recorder) emitProc(at sim.Time, k Kind, name string) *Event {
-	e := r.emit(at, k)
-	e.Label = r.strs.id(name)
-	return e
-}
-
-// ProcSpawn implements sim.Observer.
-func (r *Recorder) ProcSpawn(name string, at sim.Time) {
-	if r == nil || !r.procEvents() {
-		return
-	}
-	r.emitProc(at, KindProcSpawn, name)
-}
-
-// ProcBlock implements sim.Observer: a process parked on a wait queue.
-// The queue's label is built only here, for an event that is kept.
-func (r *Recorder) ProcBlock(name string, queue fmt.Stringer, at sim.Time) {
-	if r == nil || !r.procEvents() {
-		return
-	}
-	r.emitProc(at, KindProcBlock, name).Reason = r.strs.id(queue.String())
-}
-
-// ProcWake implements sim.Observer.
-func (r *Recorder) ProcWake(name string, at sim.Time) {
-	if r == nil || !r.procEvents() {
-		return
-	}
-	r.emitProc(at, KindProcWake, name)
-}
-
-// ProcFinish implements sim.Observer.
-func (r *Recorder) ProcFinish(name string, at sim.Time) {
-	if r == nil || !r.procEvents() {
-		return
-	}
-	r.emitProc(at, KindProcFinish, name)
 }
 
 // Snapshot is the recorder's state at one instant, the input to every

@@ -49,10 +49,6 @@ func TestNilRecorderIsSafe(t *testing.T) {
 		r.ENOverflow(p.Now(), s, 1, 2, 0)
 		r.Abort(p.Now(), s, "lock-conflict", false)
 		r.Commit(p.Now(), s)
-		r.ProcSpawn("x", p.Now())
-		r.ProcBlock("x", sim.NewWaitQueue("q"), p.Now())
-		r.ProcWake("x", p.Now())
-		r.ProcFinish("x", p.Now())
 	})
 	if r.Len() != 0 || r.Dropped() != 0 {
 		t.Fatalf("nil recorder has state: len=%d dropped=%d", r.Len(), r.Dropped())
