@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strings"
 	"testing"
 
 	"crest/internal/pin"
@@ -87,4 +88,34 @@ func TestLoadDigests(t *testing.T) {
 		}
 	}
 	pin.Rows(t, "testdata/load.digest", got)
+}
+
+// TestLoadedTablesAreDense: every quick-profile table loads its keys
+// 0, 1, 2, … in row order, so its directory holds them by arithmetic
+// and no table carries a key → offset map. A loader that changes its
+// key order shows up here as a changed list, not as a slower set-up.
+func TestLoadedTablesAreDense(t *testing.T) {
+	want := "smallbank: checking savings; tpcc: customer district history item neworder orderline orders stock warehouse; ycsb: usertable"
+	var got []string
+	for _, wl := range []string{"smallbank", "tpcc", "ycsb"} {
+		mk := loadWorkloads()[wl]
+		gen := mk()
+		d, err := Deploy(Config{System: CREST, Workload: mk}.WithDefaults(), gen.Tables(), 0, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gen.Load(d.Sys.Load)
+		var dense []string
+		for _, def := range gen.Tables() {
+			if d.db.Table(def.Schema.ID).Dense() {
+				dense = append(dense, def.Schema.Name)
+			}
+		}
+		d.Close()
+		sort.Strings(dense)
+		got = append(got, wl+": "+strings.Join(dense, " "))
+	}
+	if s := strings.Join(got, "; "); s != want {
+		t.Errorf("tables loaded dense:\n got %s\nwant %s", s, want)
+	}
 }

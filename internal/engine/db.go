@@ -19,35 +19,51 @@ type Table struct {
 	Index  *hashindex.Index
 	Heap   *memnode.Heap
 
-	// addr is the host-side key → offset of every loaded record,
-	// mirroring the index. WarmCache hands the map itself to the
-	// compute nodes' address caches, after which it is read-only
-	// (warmed): records claimed at run time go to claimed.
-	addr    map[layout.Key]uint64
+	// dir is the host-side key → offset of every loaded record,
+	// mirroring the index: arithmetic while keys were loaded as 0, 1,
+	// 2, … into rows 0, 1, 2, …, a map after. WarmCache hands the
+	// directory itself to the compute nodes' address caches, after
+	// which it is read-only (warmed): records claimed at run time go to
+	// claimed.
+	dir     *hashindex.Dir
 	warmed  bool
 	claimed map[layout.Key]uint64
 	nextRow int
-	pending []layout.Key // loaded keys not yet in the index, in load order
+	// indexed is how many of dir's prefix keys are in the index; pending
+	// holds the loaded keys past the prefix that are not, in load order.
+	// Every prefix key was loaded before any of them.
+	indexed int
+	pending []pendingRec
+}
+
+// pendingRec is a loaded record past the directory's prefix, waiting
+// for FinishLoad.
+type pendingRec struct {
+	key layout.Key
+	off uint64
 }
 
 // AddrOf returns the record's offset, for warming compute-node address
 // caches. It reflects host-side loads and claims only.
 func (t *Table) AddrOf(key layout.Key) (uint64, bool) {
-	off, ok := t.addr[key]
+	off, ok := t.dir.Get(key)
 	if !ok {
 		off, ok = t.claimed[key]
 	}
 	return off, ok
 }
 
+// Dense reports whether the table's directory holds every loaded key by
+// arithmetic, none in its map: the keys were loaded 0, 1, 2, … into
+// rows 0, 1, 2, ….
+func (t *Table) Dense() bool { return t.dir.Prefix() == t.dir.Len() }
+
 // NumLoaded reports how many records have been loaded.
 func (t *Table) NumLoaded() int { return t.nextRow }
 
 // Keys iterates the loaded keys (host-side, for verification tools).
 func (t *Table) Keys(fn func(layout.Key, uint64)) {
-	for k, off := range t.addr {
-		fn(k, off)
-	}
+	t.dir.Range(fn)
 	for k, off := range t.claimed {
 		fn(k, off)
 	}
@@ -189,13 +205,11 @@ func (db *DB) CreateTable(s layout.Schema, recSize, capacity int) *Table {
 	if cs, ok := db.Pool.Policy().(placement.CapacitySetter); ok {
 		cs.SetCapacity(s.ID, capacity)
 	}
-	t := &Table{
-		Schema:  s,
-		Index:   hashindex.New(db.Pool, s.ID, capacity),
-		Heap:    db.Pool.AllocHeap(recSize, capacity),
-		addr:    make(map[layout.Key]uint64, capacity),
-		pending: make([]layout.Key, 0, capacity),
-	}
+	// The index is allocated before the heap: the pool's layout, and so
+	// every loaded byte, depends on this order.
+	t := &Table{Schema: s, Index: hashindex.New(db.Pool, s.ID, capacity)}
+	t.Heap = db.Pool.AllocHeap(recSize, capacity)
+	t.dir = hashindex.NewDir(t.Heap.Base, t.Heap.RecSize, capacity)
 	db.Tables[s.ID] = t
 	return t
 }
@@ -248,9 +262,6 @@ func (db *DB) Table(id layout.TableID) *Table {
 // comes before anything else writes to the regions. FinishLoad must be
 // called before transactions run.
 func (db *DB) LoadRecord(t *Table, key layout.Key, encode func(buf []byte)) {
-	if _, dup := t.addr[key]; dup {
-		panic(fmt.Sprintf("engine: duplicate load of key %d in table %q", key, t.Schema.Name))
-	}
 	if t.nextRow >= t.Heap.Count {
 		panic(fmt.Sprintf("engine: table %q full at %d records", t.Schema.Name, t.Heap.Count))
 	}
@@ -258,6 +269,13 @@ func (db *DB) LoadRecord(t *Table, key layout.Key, encode func(buf []byte)) {
 		panic(fmt.Sprintf("engine: load into table %q after an address cache was warmed from it", t.Schema.Name))
 	}
 	off := t.Heap.SlotOff(t.nextRow)
+	prefix := t.dir.Prefix()
+	if !t.dir.Add(key, off) {
+		panic(fmt.Sprintf("engine: duplicate load of key %d in table %q", key, t.Schema.Name))
+	}
+	if t.dir.Prefix() == prefix {
+		t.pending = append(t.pending, pendingRec{key, off})
+	}
 	t.nextRow++
 	db.loadNodes = db.Pool.AppendReplicaNodes(db.loadNodes[:0], t.Schema.ID, key)
 	first := db.loadNodes[0].Region.Bytes()[off : off+uint64(t.Heap.RecSize)]
@@ -265,16 +283,20 @@ func (db *DB) LoadRecord(t *Table, key layout.Key, encode func(buf []byte)) {
 	for _, n := range db.loadNodes[1:] {
 		copy(n.Region.Bytes()[off:], first)
 	}
-	t.addr[key] = off
-	t.pending = append(t.pending, key)
 }
 
-// FinishLoad publishes pending records in the hash index, in the order
-// they were loaded.
+// FinishLoad publishes the records loaded since the last call in the
+// hash index, in the order they were loaded: the directory's prefix
+// keys, each at its own row, then the pending records.
 func (db *DB) FinishLoad() error {
 	for _, t := range db.Tables {
-		for _, key := range t.pending {
-			if err := t.Index.Load(db.Pool, key, t.addr[key]); err != nil {
+		for ; t.indexed < t.dir.Prefix(); t.indexed++ {
+			if err := t.Index.Load(db.Pool, layout.Key(t.indexed), t.Heap.SlotOff(t.indexed)); err != nil {
+				return err
+			}
+		}
+		for _, r := range t.pending {
+			if err := t.Index.Load(db.Pool, r.key, r.off); err != nil {
 				return err
 			}
 		}
@@ -286,12 +308,12 @@ func (db *DB) FinishLoad() error {
 // WarmCache fills a compute node's address cache with every loaded
 // record, the steady-state assumption all three systems are measured
 // under (Table 2 counts no index round-trips). The cache takes a view
-// of each table's own address map, not a copy, so no table may be
-// loaded into afterwards.
+// of each table's own directory, not a copy, so no table may be loaded
+// into afterwards.
 func (db *DB) WarmCache(c *hashindex.AddrCache) {
 	for id, t := range db.Tables {
 		t.warmed = true
-		c.Warm(id, t.addr)
+		c.Warm(id, t.dir)
 	}
 }
 

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"testing"
 
 	"crest/internal/hashindex"
@@ -67,16 +68,32 @@ func TestDBDuplicateTablePanics(t *testing.T) {
 	db.CreateTable(testSchema(), 64, 8)
 }
 
+// TestDBDuplicateLoadPanics: a key loaded twice panics with the same
+// message whether the table's directory holds it by arithmetic (keys
+// loaded 0, 1, … in row order) or in its map.
 func TestDBDuplicateLoadPanics(t *testing.T) {
-	_, db := newTestDB(t)
-	tab := db.CreateTable(testSchema(), 64, 8)
-	db.LoadRecord(tab, 1, func([]byte) {})
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic on duplicate key")
-		}
-	}()
-	db.LoadRecord(tab, 1, func([]byte) {})
+	for name, keys := range map[string][]layout.Key{"dense": {0, 1, 0}, "map": {1, 2, 1}} {
+		t.Run(name, func(t *testing.T) {
+			_, db := newTestDB(t)
+			tab := db.CreateTable(testSchema(), 64, 8)
+			for _, k := range keys[:len(keys)-1] {
+				db.LoadRecord(tab, k, func([]byte) {})
+			}
+			if dense := name == "dense"; tab.Dense() != dense {
+				t.Fatalf("Dense() = %v after loading %v", tab.Dense(), keys[:len(keys)-1])
+			}
+			defer func() {
+				want := fmt.Sprintf("engine: duplicate load of key %d in table %q", keys[0], "t")
+				if got := recover(); got != want {
+					t.Fatalf("panic %v, want %q", got, want)
+				}
+				if tab.NumLoaded() != len(keys)-1 {
+					t.Fatalf("NumLoaded = %d after a refused load", tab.NumLoaded())
+				}
+			}()
+			db.LoadRecord(tab, keys[len(keys)-1], func([]byte) {})
+		})
+	}
 }
 
 func TestDBFullTablePanics(t *testing.T) {
@@ -171,8 +188,9 @@ func (rawLayout) Encode(buf []byte, _ layout.TableID, _ layout.Key, cells [][]by
 }
 
 // TestLoadAllocatesNothingPerRecord: Load encodes into the first
-// replica's slot and copies it to the others; the slot, the replica
-// list, the address map and the pending list are all there already.
+// replica's slot and copies it to the others; the slot and the replica
+// list are there already, and keys loaded in row order take no room in
+// the table's directory.
 func TestLoadAllocatesNothingPerRecord(t *testing.T) {
 	_, db := newTestDB(t)
 	db.CreateTableAs(rawLayout{}, testSchema(), 512)
@@ -255,7 +273,8 @@ func TestWarmCacheIsAViewAndLearningIsPrivate(t *testing.T) {
 		if _, hit := nodeB.Get(7, 9); hit {
 			t.Error("node B sees what node A learned")
 		}
-		nodeA.Put(7, 0, tab.addr[0])
+		off0, _ := tab.AddrOf(0)
+		nodeA.Put(7, 0, off0)
 		if nodeA.Len() != 5 || nodeB.Len() != 4 {
 			t.Errorf("Len = %d and %d, want 5 and 4", nodeA.Len(), nodeB.Len())
 		}

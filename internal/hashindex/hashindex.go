@@ -254,12 +254,11 @@ func (ix *Index) Delete(p *sim.Proc, qp *rdma.QP, key layout.Key) error {
 }
 
 // AddrCache is the compute-node address cache in front of the index. It
-// has two layers. Warm views are the loaded tables' own key → offset
-// maps, shared with every other cache warmed from them and never
-// written once the load is over, so warming costs nothing per record
-// and the caches of concurrently running partitions may read them.
-// Addresses learned from an index lookup go to the cache's private
-// overlay.
+// has two layers. Warm views are the loaded tables' own directories,
+// shared with every other cache warmed from them and never written once
+// the load is over, so warming costs nothing per record and the caches
+// of concurrently running partitions may read them. Addresses learned
+// from an index lookup go to the cache's private overlay.
 type AddrCache struct {
 	warm    []warmTable
 	learned map[addrKey]uint64
@@ -267,7 +266,7 @@ type AddrCache struct {
 
 type warmTable struct {
 	table layout.TableID
-	addrs map[layout.Key]uint64
+	dir   *Dir
 }
 
 type addrKey struct {
@@ -280,27 +279,28 @@ func NewAddrCache() *AddrCache {
 	return &AddrCache{learned: map[addrKey]uint64{}}
 }
 
-// Warm makes addrs — table's loaded key → offset map, which nobody
-// writes from now on — part of the cache. A later view of the same
-// table replaces an earlier one.
-func (c *AddrCache) Warm(table layout.TableID, addrs map[layout.Key]uint64) {
+// Warm makes dir — table's loaded directory, which nobody writes from
+// now on — part of the cache. A later view of the same table replaces
+// an earlier one.
+func (c *AddrCache) Warm(table layout.TableID, dir *Dir) {
 	for i := range c.warm {
 		if c.warm[i].table == table {
-			c.warm[i].addrs = addrs
+			c.warm[i].dir = dir
 			return
 		}
 	}
-	c.warm = append(c.warm, warmTable{table, addrs})
+	c.warm = append(c.warm, warmTable{table, dir})
 }
 
-// view returns table's warm view, or nil: a scan, tables being few.
-func (c *AddrCache) view(table layout.TableID) map[layout.Key]uint64 {
+// warmGet returns key's offset from table's warm view: a scan for the
+// view, tables being few.
+func (c *AddrCache) warmGet(table layout.TableID, key layout.Key) (uint64, bool) {
 	for i := range c.warm {
 		if c.warm[i].table == table {
-			return c.warm[i].addrs
+			return c.warm[i].dir.Get(key)
 		}
 	}
-	return nil
+	return 0, false
 }
 
 // Get returns the cached offset for (table, key).
@@ -310,8 +310,7 @@ func (c *AddrCache) Get(table layout.TableID, key layout.Key) (uint64, bool) {
 			return off, true
 		}
 	}
-	off, ok := c.view(table)[key]
-	return off, ok
+	return c.warmGet(table, key)
 }
 
 // Put caches the offset for (table, key), privately.
@@ -324,10 +323,10 @@ func (c *AddrCache) Put(table layout.TableID, key layout.Key, off uint64) {
 func (c *AddrCache) Len() int {
 	n := 0
 	for _, w := range c.warm {
-		n += len(w.addrs)
+		n += w.dir.Len()
 	}
 	for k := range c.learned {
-		if _, dup := c.view(k.table)[k.key]; !dup {
+		if _, dup := c.warmGet(k.table, k.key); !dup {
 			n++
 		}
 	}

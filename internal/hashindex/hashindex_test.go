@@ -1,6 +1,7 @@
 package hashindex
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -246,56 +247,154 @@ func TestAddrCache(t *testing.T) {
 }
 
 // TestAddrCacheLayers: a warm view is shared and never written, what a
-// cache learns is its own, and an address in both layers counts once.
+// cache learns is its own, and an address in both layers counts once —
+// over a directory held by arithmetic and over one held in a map.
 func TestAddrCacheLayers(t *testing.T) {
-	loaded := map[layout.Key]uint64{1: 64, 2: 128, 3: 192}
-	a, b := NewAddrCache(), NewAddrCache()
-	a.Warm(7, loaded)
-	b.Warm(7, loaded)
-	if off, ok := a.Get(7, 2); !ok || off != 128 {
-		t.Fatalf("warm Get = (%d,%v)", off, ok)
-	}
-	if _, ok := a.Get(8, 2); ok {
-		t.Fatal("a warm view answered for another table")
-	}
-	a.Put(7, 9, 640) // learned from an index lookup
-	a.Put(7, 2, 128) // learned again what the view already holds
-	if off, ok := a.Get(7, 9); !ok || off != 640 {
-		t.Fatalf("learned Get = (%d,%v)", off, ok)
-	}
-	if _, ok := b.Get(7, 9); ok {
-		t.Fatal("one cache sees what another learned")
-	}
-	if len(loaded) != 3 {
-		t.Fatalf("Put wrote to the shared view: %v", loaded)
-	}
-	if a.Len() != 4 || b.Len() != 3 {
-		t.Fatalf("Len = %d and %d, want 4 and 3", a.Len(), b.Len())
-	}
-	a.Warm(7, map[layout.Key]uint64{1: 64})
-	if _, ok := a.Get(7, 3); ok || a.Len() != 3 {
-		t.Fatalf("a second view of a table did not replace the first (Len %d)", a.Len())
+	for name, first := range map[string]layout.Key{"dense": 0, "map": 1} {
+		t.Run(name, func(t *testing.T) {
+			off := func(k layout.Key) uint64 { return 64 + uint64(k)*64 }
+			loaded := NewDir(64, 64, 8)
+			for k := first; k < first+3; k++ {
+				loaded.Add(k, off(k))
+			}
+			if dense := loaded.Prefix() == 3; dense != (first == 0) {
+				t.Fatalf("prefix %d for keys from %d", loaded.Prefix(), first)
+			}
+			a, b := NewAddrCache(), NewAddrCache()
+			a.Warm(7, loaded)
+			b.Warm(7, loaded)
+			if got, ok := a.Get(7, first+1); !ok || got != off(first+1) {
+				t.Fatalf("warm Get = (%d,%v)", got, ok)
+			}
+			if _, ok := a.Get(8, first+1); ok {
+				t.Fatal("a warm view answered for another table")
+			}
+			a.Put(7, 9, 640)                // learned from an index lookup
+			a.Put(7, first+1, off(first+1)) // learned again what the view already holds
+			if got, ok := a.Get(7, 9); !ok || got != 640 {
+				t.Fatalf("learned Get = (%d,%v)", got, ok)
+			}
+			if _, ok := b.Get(7, 9); ok {
+				t.Fatal("one cache sees what another learned")
+			}
+			if loaded.Len() != 3 {
+				t.Fatalf("Put wrote to the shared view: Len %d", loaded.Len())
+			}
+			if a.Len() != 4 || b.Len() != 3 {
+				t.Fatalf("Len = %d and %d, want 4 and 3", a.Len(), b.Len())
+			}
+			again := NewDir(64, 64, 8)
+			again.Add(first, off(first))
+			a.Warm(7, again)
+			if _, ok := a.Get(7, first+2); ok || a.Len() != 3 {
+				t.Fatalf("a second view of a table did not replace the first (Len %d)", a.Len())
+			}
+		})
 	}
 }
 
-// BenchmarkAddrCacheGet times a hit in each layer: the warm view (a
-// table scan and a map of keys) and the overlay (a map of table-key
-// pairs, all there is to an unwarmed cache).
+// dirKinds are TestDirMatchesMap's load sequences: the key of the
+// i-th record a loader offers, and the prefix the sequence leaves (-1:
+// not fixed, the keys being random).
+var dirKinds = map[string]struct {
+	key    func(rng *rand.Rand, i int) layout.Key
+	prefix int
+}{
+	"dense":           {func(_ *rand.Rand, i int) layout.Key { return layout.Key(i) }, dirOffers},
+	"prefix-then-gap": {func(_ *rand.Rand, i int) layout.Key { return layout.Key(i + i/40*3) }, 40},
+	"gap-after-0":     {func(_ *rand.Rand, i int) layout.Key { return layout.Key(i + min(i, 1)) }, 1},
+	"first-key-not-0": {func(_ *rand.Rand, i int) layout.Key { return layout.Key(i + 1) }, 0},
+	"row-skipped":     {func(_ *rand.Rand, i int) layout.Key { return layout.Key(i) }, dirOffers / 2},
+	"random":          {func(rng *rand.Rand, _ int) layout.Key { return layout.Key(rng.Intn(4 * dirOffers)) }, -1},
+}
+
+const dirOffers = 120
+
+// TestDirMatchesMap loads random sequences into a Dir and a reference
+// map side by side. Offsets come from rows, as in a table's heap: each
+// accepted key takes the next row, and on "row-skipped" one row in the
+// middle is taken by something else (a claimed slot). Before about one
+// offer in eight, an earlier key, in the prefix or in the map, is
+// offered again and must be refused.
+func TestDirMatchesMap(t *testing.T) {
+	const base, stride = 4096, 48
+	for name, kind := range dirKinds {
+		for seed := int64(1); seed <= 8; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			d, ref := NewDir(base, stride, 2*dirOffers), map[layout.Key]uint64{}
+			var added []layout.Key
+			row := uint64(0)
+			offer := func(key layout.Key) {
+				off := base + row*stride
+				_, dup := ref[key]
+				if ok := d.Add(key, off); ok == dup {
+					t.Fatalf("%s/seed %d: Add(%d) = %v with the key present = %v", name, seed, key, ok, dup)
+				}
+				if !dup {
+					ref[key] = off
+					added = append(added, key)
+					row++
+				}
+			}
+			for i := 0; i < dirOffers; i++ {
+				if len(added) > 0 && rng.Intn(8) == 0 {
+					offer(added[rng.Intn(len(added))])
+				}
+				if name == "row-skipped" && i == dirOffers/2 {
+					row++
+				}
+				offer(kind.key(rng, i))
+			}
+			if kind.prefix >= 0 && d.Prefix() != kind.prefix {
+				t.Fatalf("%s/seed %d: prefix %d, want %d", name, seed, d.Prefix(), kind.prefix)
+			}
+			for k := layout.Key(0); k < 5*dirOffers; k++ {
+				want, in := ref[k]
+				if got, ok := d.Get(k); ok != in || got != want {
+					t.Fatalf("%s/seed %d: Get(%d) = (%d,%v), want (%d,%v)", name, seed, k, got, ok, want, in)
+				}
+			}
+			if d.Len() != len(ref) {
+				t.Fatalf("%s/seed %d: Len %d, want %d", name, seed, d.Len(), len(ref))
+			}
+			seen := map[layout.Key]bool{}
+			d.Range(func(k layout.Key, off uint64) {
+				if seen[k] || ref[k] != off {
+					t.Fatalf("%s/seed %d: Range gave %d at %d (seen before: %v), want %d", name, seed, k, off, seen[k], ref[k])
+				}
+				seen[k] = true
+			})
+			if len(seen) != len(ref) {
+				t.Fatalf("%s/seed %d: Range visited %d keys of %d", name, seed, len(seen), len(ref))
+			}
+		}
+	}
+}
+
+// BenchmarkAddrCacheGet times a hit in each layer: a warm view held by
+// arithmetic (keys loaded 0, 1, 2, … in row order), a warm view held in
+// a map, each behind a scan of nine tables, and the overlay (a map of
+// table-key pairs, all there is to an unwarmed cache).
 func BenchmarkAddrCacheGet(b *testing.B) {
 	const keys = 1 << 16
-	loaded := make(map[layout.Key]uint64, keys)
-	for k := 0; k < keys; k++ {
-		loaded[layout.Key(k)] = uint64(64 * (k + 1))
-	}
-	warm := NewAddrCache()
-	for table := layout.TableID(30); table < 39; table++ { // TPC-C's nine
-		warm.Warm(table, loaded)
-	}
+	dense, sparse := NewDir(64, 64, keys), NewDir(0, 64, keys)
 	overlay := NewAddrCache()
-	for k, off := range loaded {
-		overlay.Put(38, k, off)
+	for k := 0; k < keys; k++ {
+		dense.Add(layout.Key(k), uint64(64*(k+1)))
+		sparse.Add(layout.Key(k), uint64(64*(k+1)))
+		overlay.Put(38, layout.Key(k), uint64(64*(k+1)))
 	}
-	for name, c := range map[string]*AddrCache{"warm": warm, "overlay": overlay} {
+	if dense.Prefix() != keys || sparse.Prefix() != 0 {
+		b.Fatalf("prefixes %d and %d", dense.Prefix(), sparse.Prefix())
+	}
+	warm := func(d *Dir) *AddrCache {
+		c := NewAddrCache()
+		for table := layout.TableID(30); table < 39; table++ { // TPC-C's nine
+			c.Warm(table, d)
+		}
+		return c
+	}
+	for name, c := range map[string]*AddrCache{"dense": warm(dense), "warm": warm(sparse), "overlay": overlay} {
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			var sum uint64
