@@ -333,7 +333,7 @@ func Run(cfg Config) (Result, error) {
 		return Result{}, err
 	}
 	defer d.Close()
-	gen.Load(d.Sys.Load)
+	d.load(gen)
 	seats, err := d.Start()
 	if err != nil {
 		return Result{}, err

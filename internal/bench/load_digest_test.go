@@ -37,7 +37,7 @@ func loadDigest(t *testing.T, sys SystemKind, mk func() workload.Generator) stri
 	if err != nil {
 		t.Fatal(err)
 	}
-	gen.Load(d.Sys.Load)
+	d.load(gen)
 	if err := d.Sys.FinishLoad(); err != nil {
 		t.Fatal(err)
 	}

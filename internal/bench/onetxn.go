@@ -19,7 +19,7 @@ func oneTxnVerbs(cfg Config) (rdma.Stats, error) {
 		return rdma.Stats{}, err
 	}
 	defer d.Close()
-	gen.Load(d.Sys.Load)
+	d.load(gen)
 	seats, err := d.Start()
 	if err != nil {
 		return rdma.Stats{}, err

@@ -1,11 +1,13 @@
 package bench
 
 import (
+	"encoding/binary"
 	"fmt"
 	"testing"
 
 	"crest/internal/engine"
 	"crest/internal/layout"
+	"crest/internal/workload/tpcc"
 )
 
 // quiescenceCells runs check once per cell of the checks on what a
@@ -135,4 +137,64 @@ func TestTxnIDsUniqueAtQuiescence(t *testing.T) {
 			seen[txn.ID] = txn.Label
 		}
 	})
+}
+
+// TestTPCCConsistencyAtQuiescence: what a drained TPC-C run leaves
+// behind meets consistency condition 1 of the TPC-C specification —
+// every warehouse's W_YTD is the sum of its districts' D_YTD — and
+// the warehouses' W_YTD sum to the customers' C_YTD_PAYMENT. All three
+// columns load as 0 and a committed Payment adds one amount to each,
+// so a lost or doubled update to any of them breaks an equation. Each
+// engine, at three seeds of the tiny TPC-C; the primaries are read
+// before Run gives the pool back.
+func TestTPCCConsistencyAtQuiescence(t *testing.T) {
+	ytdCell := map[layout.TableID]int{tpcc.WarehouseTable: tpcc.WYtd, tpcc.DistrictTable: tpcc.DYtd, tpcc.CustomerTable: tpcc.CYtdPayment}
+	for _, system := range []SystemKind{CREST, CRESTCell, CRESTBase, FORD, Motor} {
+		for _, seed := range []int64{1, 2, 3} {
+			t.Run(fmt.Sprintf("%s/tpcc/seed%d", system, seed), func(t *testing.T) {
+				cfg := shortCfg(system, tinyTPCC)
+				cfg.Seed = seed
+				scale := tinyTPCC().(*tpcc.Generator).Config()
+				sum := map[layout.TableID]uint64{}
+				wYtd := make([]uint64, scale.Warehouses)
+				dYtd := make([]uint64, scale.Warehouses)
+				quiesced = func(d *Deployment) {
+					for _, def := range cfg.Workload().Tables() {
+						c, ok := ytdCell[def.Schema.ID]
+						if !ok {
+							continue
+						}
+						tab := d.db.Table(def.Schema.ID)
+						tab.Keys(func(key layout.Key, off uint64) {
+							rec := d.db.Pool.PrimaryOf(def.Schema.ID, key).Region.Bytes()[off : off+uint64(tab.Heap.RecSize)]
+							v := binary.LittleEndian.Uint64(cellValue(cfg.System, def.Schema, rec, c))
+							sum[def.Schema.ID] += v
+							switch def.Schema.ID {
+							case tpcc.WarehouseTable:
+								wYtd[key] = v
+							case tpcc.DistrictTable:
+								dYtd[int(key)/scale.Districts] += v
+							}
+						})
+					}
+				}
+				defer func() { quiesced = nil }()
+				res, err := Run(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.Committed == 0 || sum[tpcc.WarehouseTable] == 0 {
+					t.Fatalf("%d commits, W_YTD sums to %d: the run tests nothing", res.Committed, sum[tpcc.WarehouseTable])
+				}
+				for w := range wYtd {
+					if wYtd[w] != dYtd[w] {
+						t.Errorf("warehouse %d: W_YTD %d, its districts' D_YTD sum to %d", w, wYtd[w], dYtd[w])
+					}
+				}
+				if w, c := sum[tpcc.WarehouseTable], sum[tpcc.CustomerTable]; w != c {
+					t.Errorf("W_YTD sums to %d, C_YTD_PAYMENT to %d", w, c)
+				}
+			})
+		}
+	}
 }

@@ -385,6 +385,20 @@ func (r *Region) Close() {
 	}
 }
 
+// Populate faults in the pages under [off, off+n) ahead of a writer,
+// on a thread other than the writer's: the zero-fill the writer's first
+// store into each page would trap for is done here, in one call per
+// run. No byte changes, written or not. It does nothing where there is
+// no such call (off Linux, or when the kernel refuses), on a region on
+// the Go heap or closed, and for an empty or out-of-range span. It may
+// run beside stores into the same bytes, but not beside Close.
+func (r *Region) Populate(off uint64, n int) {
+	if r.mem == nil || n <= 0 || off > uint64(len(r.buf)) || uint64(n) > uint64(len(r.buf))-off {
+		return
+	}
+	populateBytes(r.buf, off, n)
+}
+
 // Part returns the partition owning the region.
 func (r *Region) Part() int { return r.part }
 

@@ -98,3 +98,26 @@ func TestFreshRegionReadsZero(t *testing.T) {
 		}
 	}
 }
+
+// TestPopulateChangesNoByte: on a region on the heap, a mapped one and
+// a closed one, Populate of any span, in range or not, leaves every
+// byte as it was and does not fault.
+func TestPopulateChangesNoByte(t *testing.T) {
+	for _, size := range regionSizes {
+		r := NewFabric(sim.NewEnv(1), noJitter()).Register("mn0", size)
+		b := r.Bytes()
+		for i := range b {
+			b[i] = byte(i)
+		}
+		for _, span := range [][2]int{{0, size}, {1, size - 2}, {0, 0}, {size, 1}, {0, size + 1}, {size / 2, -1}} {
+			r.Populate(uint64(span[0]), span[1])
+		}
+		for i := range b {
+			if b[i] != byte(i) {
+				t.Fatalf("size %d: byte %d reads %d after Populate, want %d", size, i, b[i], byte(i))
+			}
+		}
+		r.Close()
+		r.Populate(0, size)
+	}
+}

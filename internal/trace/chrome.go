@@ -1,7 +1,9 @@
 package trace
 
 import (
+	"bytes"
 	"io"
+	"math"
 	"math/bits"
 	"slices"
 	"strconv"
@@ -40,9 +42,11 @@ func (c *chromeWriter) event(cat, ph string, ts, dur float64, pid int, tid uint6
 		c.Key("cat").String(cat)
 	}
 	c.Key("ph").String(ph)
-	c.Key("ts").Float(ts)
+	c.Key("ts")
+	c.micros(ts)
 	if dur != 0 {
-		c.Key("dur").Float(dur)
+		c.Key("dur")
+		c.micros(dur)
 	}
 	c.Key("pid").Int(int64(pid))
 	c.Key("tid").Uint(tid)
@@ -50,6 +54,26 @@ func (c *chromeWriter) event(cat, ph string, ts, dur float64, pid int, tid uint6
 		c.Key("s").String("t")
 	}
 	c.Key("args").Object()
+}
+
+// micros writes a time or duration in microseconds as Float would.
+// Where v is a whole number of nanoseconds over 1e3 (it is, except for
+// some RTT starts, usTime(At)-lat) and under 2^40 µs, the shortest
+// decimal that round-trips is the nanoseconds' thousandths with the
+// trailing zeros cut, and integer formatting writes it far cheaper.
+func (c *chromeWriter) micros(v float64) {
+	ns := math.Round(v * 1e3)
+	if math.Signbit(v) || v >= 1<<40 || ns/1e3 != v {
+		c.Float(v)
+		return
+	}
+	c.sep()
+	n := uint64(ns)
+	c.buf = strconv.AppendUint(c.buf, n/1000, 10)
+	if frac := n % 1000; frac != 0 {
+		c.buf = append(c.buf, '.', byte('0'+frac/100), byte('0'+frac/10%10), byte('0'+frac%10))
+		c.buf = bytes.TrimRight(c.buf, "0")
+	}
 }
 
 // name opens an event object at its name, which the caller writes

@@ -54,10 +54,14 @@ func (j *JSONWriter) sep() {
 	}
 }
 
+// jsonIndent is the indentation of up to 32 levels, appended in one
+// slice.
+const jsonIndent = "                                                                "
+
 func (j *JSONWriter) newline() {
 	j.buf = append(j.buf, '\n')
-	for i := 0; i < j.depth; i++ {
-		j.buf = append(j.buf, ' ', ' ')
+	for n := 2 * j.depth; n > 0; n -= len(jsonIndent) {
+		j.buf = append(j.buf, jsonIndent[:min(n, len(jsonIndent))]...)
 	}
 }
 

@@ -5,7 +5,10 @@ import (
 	"encoding/json"
 	"errors"
 	"math"
+	"math/rand"
 	"testing"
+
+	"crest/internal/sim"
 )
 
 // FuzzJSONString holds AppendJSONString to encoding/json's bytes for
@@ -165,3 +168,70 @@ func TestJSONWriterFlushesAndKeepsTheFirstError(t *testing.T) {
 type writerFunc func([]byte) (int, error)
 
 func (f writerFunc) Write(p []byte) (int, error) { return f(p) }
+
+// TestMicrosWritesWhatFloatWrites: the Chrome export's integer path
+// for times writes the bytes Float writes — for every nanosecond count
+// up to 0.2 ms, for counts spread up to and past 2^40 µs, for RTT
+// starts computed as usTime(At)-lat, and for values that are no
+// nanosecond count's quotient at all.
+func TestMicrosWritesWhatFloatWrites(t *testing.T) {
+	var got, want bytes.Buffer
+	c := &chromeWriter{JSONWriter: NewJSONWriter(&got, false)}
+	ref := NewJSONWriter(&want, false)
+	check := func(v float64) {
+		t.Helper()
+		got.Reset()
+		want.Reset()
+		c.first, ref.first = true, true
+		c.micros(v)
+		ref.Float(v)
+		c.flush()
+		ref.flush()
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatalf("micros(%v) = %s, Float writes %s", v, got.Bytes(), want.Bytes())
+		}
+	}
+	for ns := int64(0); ns < 200_000; ns++ {
+		check(usTime(sim.Time(ns)))
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 200_000; i++ {
+		ns := rng.Int63n(1 << 40 * 1000 * 2)
+		check(usTime(sim.Time(ns)))
+		lat := rng.Int63n(100_000)
+		check(usTime(sim.Time(ns)) - usDur(sim.Duration(lat)))
+		check(float64(ns) / 1e6)
+	}
+	for _, v := range []float64{1 << 40, 1<<40 - 0.001, 1<<40 + 0.001, math.Copysign(0, -1), -0.001, -1.5, 0.0005, 1e-7, 1e21} {
+		check(v)
+	}
+}
+
+// TestJSONWriterIndentsDeepNesting: indentation past the levels one
+// slice holds is written as encoding/json writes it.
+func TestJSONWriterIndentsDeepNesting(t *testing.T) {
+	const depth = 70
+	var value any = []any{1}
+	for i := 1; i < depth; i++ {
+		value = []any{value}
+	}
+	want, err := json.MarshalIndent(value, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got bytes.Buffer
+	j := NewJSONWriter(&got, true)
+	for i := 0; i < depth; i++ {
+		j.Array()
+	}
+	j.Int(1)
+	for i := 0; i < depth; i++ {
+		j.EndArray()
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), append(want, '\n')) {
+		t.Errorf("got %s\nwant %s", got.Bytes(), want)
+	}
+}
