@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"testing"
 
+	"crest/internal/causality"
 	"crest/internal/engine"
 	"crest/internal/layout"
 	"crest/internal/memnode"
@@ -21,14 +22,25 @@ type fixture struct {
 
 func newFixture(t *testing.T, mns, cnCount, replicas, records int, history bool) *fixture {
 	t.Helper()
+	var obs engine.Observers
+	if history {
+		obs.History = engine.NewHistory()
+	}
+	return newObservedFixture(t, mns, cnCount, replicas, records, obs)
+}
+
+// newObservedFixture is newFixture with obs attached before the load
+// (none when obs has neither a history nor a why recorder).
+func newObservedFixture(t *testing.T, mns, cnCount, replicas, records int, obs engine.Observers) *fixture {
+	t.Helper()
 	env := sim.NewEnv(7)
 	params := rdma.DefaultParams()
 	params.JitterPct = 0
 	fabric := rdma.NewFabric(env, params)
 	pool := memnode.NewPool(fabric, mns, 16<<20, replicas)
 	db := engine.NewDB(pool)
-	if history {
-		db.Attach(engine.Observers{History: engine.NewHistory()}, env, 0)
+	if obs.History != nil || obs.Why != nil {
+		db.Attach(obs, env, 0)
 	}
 	sys := New(db)
 	sys.CreateTable(layout.Schema{ID: 1, Name: "kv", CellSizes: []int{8, 8}}, records+16)
@@ -212,5 +224,58 @@ func TestLockLostToReleasingHolderIsAttributed(t *testing.T) {
 		if b.FalseConflict != tc.wantFalse {
 			t.Errorf("cell %d: loser's false conflict = %v, want %v (holder covers cell 0)", tc.cell, b.FalseConflict, tc.wantFalse)
 		}
+	}
+}
+
+// TestWhyNamesReleasingHolder is the why recorder's side of
+// TestLockLostToReleasingHolderIsAttributed: B's lock CAS on key 0
+// loses to H and completes after H issued its unlock, and the edge it
+// records names H, not the unattributed holder 0. A holding ends when
+// its unlock completes, not when it is issued.
+func TestWhyNamesReleasingHolder(t *testing.T) {
+	why := causality.NewRecorder(causality.Options{})
+	f := newObservedFixture(t, 1, 1, 0, 2, engine.Observers{Why: why})
+	tab := f.sys.DB().Table(1)
+	off, _ := tab.AddrOf(1)
+	node := f.sys.DB().Pool.PrimaryOf(1, 1)
+	binary.LittleEndian.PutUint64(node.Region.Bytes()[off+layout.BOffLock:], 999)
+	holder, loser := f.cns[0].NewCoordinator(0), f.cns[0].NewCoordinator(1)
+	var h, b engine.Attempt
+	f.env.Spawn("holder", func(p *sim.Proc) {
+		txn := incTxn(0, 0, 1)
+		txn.Blocks[0].Ops = append(txn.Blocks[0].Ops, incTxn(1, 0, 1).Blocks[0].Ops...)
+		h = holder.Execute(p, txn)
+	})
+	f.env.Spawn("loser", func(p *sim.Proc) {
+		p.Sleep(sim.Microsecond) // H's lock applied, H's unlock not yet
+		b = loser.Execute(p, incTxn(0, 0, 1))
+	})
+	if err := f.env.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if h.Committed || b.Committed || h.Reason != engine.AbortLockFail || b.Reason != engine.AbortLockFail {
+		t.Fatalf("holder %+v, loser %+v; want both to lose a lock", h, b)
+	}
+	snap := why.Snapshot()
+	var hID, bID uint64 // H begins at 0, B a microsecond later
+	for _, x := range snap.Txns {
+		if x.Start == 0 {
+			hID = x.ID
+		} else {
+			bID = x.ID
+		}
+	}
+	found := false
+	for _, e := range snap.Edges {
+		if e.Waiter != bID || e.Kind != causality.KindLockFail || e.Key != 0 {
+			continue
+		}
+		found = true
+		if e.Holder != hID {
+			t.Errorf("B's lock-fail edge on key 0 names holder %d, want H (%d)", e.Holder, hID)
+		}
+	}
+	if !found || hID == 0 || bID == 0 {
+		t.Fatalf("no lock-fail edge of B (%d) on key 0 among %d edges (H is %d)", bID, len(snap.Edges), hID)
 	}
 }
