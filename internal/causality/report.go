@@ -396,10 +396,11 @@ func (x *keyIndex) put(k uint64, v int32) {
 // list of the hotspots of its first cells; wide holds those of the
 // rest.
 type hotspots struct {
-	index recIndex
-	recs  []hotRec
-	wide  map[uint64]int32 // record index << 8 | 1 + cell -> 1 + position in list
-	list  []Hotspot
+	tables []layout.TableID        // the tables seen; a run has a few, found by a scan
+	index  []map[layout.Key]uint32 // per table, a record's index in recs: a probe hashes one word
+	recs   []hotRec
+	wide   map[uint64]int32 // record index << 8 | 1 + cell -> 1 + position in list
+	list   []Hotspot
 }
 
 // hotRec is one contended record: 1 + the position in list of its
@@ -411,10 +412,17 @@ type hotRec [8]int32
 // cell of mask on the record (its record-level hotspot for mask 0),
 // creating each hotspot on first touch.
 func (hs *hotspots) add(table layout.TableID, key layout.Key, mask, count, aborts uint64, wait sim.Duration) {
-	r, ok := hs.index.get(table, key)
+	ti := slices.Index(hs.tables, table)
+	if ti < 0 {
+		ti = len(hs.tables)
+		hs.tables = append(hs.tables, table)
+		hs.index = append(hs.index, map[layout.Key]uint32{})
+	}
+	keys := hs.index[ti]
+	r, ok := keys[key]
 	if !ok {
 		r = uint32(len(hs.recs))
-		hs.index.put(table, key, r)
+		keys[key] = r
 		hs.recs = append(hs.recs, hotRec{})
 	}
 	for m := mask; ; m &= m - 1 {

@@ -121,48 +121,49 @@ func TestQuickHistoryIncrementChain(t *testing.T) {
 }
 
 func TestConflictTrackerHolders(t *testing.T) {
-	ct := newRecConflict()
-	ct.OnLock(0b011)
-	ct.OnLock(0b110) // second holder shares cell 1
-	if got := ct.HolderCells(); got != 0b111 {
+	r := newRow()
+	r.Acquire(1, 0, 0b011, 0b011)
+	r.Acquire(2, 0, 0b110, 0b110) // second holder shares cell 1
+	if got := r.HolderCells(); got != 0b111 {
 		t.Fatalf("holders = %b", got)
 	}
-	ct.OnUnlock(0b011)
-	if got := ct.HolderCells(); got != 0b110 {
+	r.Release(1)
+	if got := r.HolderCells(); got != 0b110 {
 		t.Fatalf("holders after one unlock = %b (cell 1 still held)", got)
 	}
-	ct.OnUnlock(0b110)
-	if got := ct.HolderCells(); got != 0 {
+	r.Release(2)
+	if got := r.HolderCells(); got != 0 {
 		t.Fatalf("holders after full unlock = %b", got)
 	}
 }
 
 func TestConflictTrackerUnbalancedUnlockPanics(t *testing.T) {
-	ct := newRecConflict()
+	r := newRow()
+	r.Acquire(1, 0, 1, 1)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("no panic on unbalanced unlock")
 		}
 	}()
-	ct.OnUnlock(1)
+	r.Release(2)
 }
 
 func TestConflictTrackerChangedSince(t *testing.T) {
-	ct := newRecConflict()
-	ct.OnUpdate(10, 0b001)
-	ct.OnUpdate(20, 0b010)
-	ct.OnUpdate(30, 0b100)
-	if got := ct.ChangedSince(10); got != 0b110 {
+	r := newRow()
+	r.Update(10, 0, 0b001)
+	r.Update(20, 0, 0b010)
+	r.Update(30, 0, 0b100)
+	if got := r.ChangedSince(10); got != 0b110 {
 		t.Fatalf("ChangedSince(10) = %b", got)
 	}
-	if got := ct.ChangedSince(30); got != 0 {
+	if got := r.ChangedSince(30); got != 0 {
 		t.Fatalf("ChangedSince(30) = %b", got)
 	}
 	// Overflowing the ring makes old queries conservative (all ones).
-	for i := 0; i < conflictHistoryLen+2; i++ {
-		ct.OnUpdate(uint64(100+i), 1)
+	for i := 0; i < historyLen+2; i++ {
+		r.Update(uint64(100+i), 0, 1)
 	}
-	if got := ct.ChangedSince(10); got != ^uint64(0) {
+	if got := r.ChangedSince(10); got != ^uint64(0) {
 		t.Fatalf("evicted history not conservative: %b", got)
 	}
 }
