@@ -376,8 +376,16 @@ func Run(cfg Config) (Result, error) {
 		phases = append(phases, slices.Clone(res.ScenarioPhases))
 	}
 
+	// Progress over the second half of the measured window, per
+	// partition: attempts and commits that end in [half, Duration),
+	// whenever their transaction began. Attempts there and no commit is
+	// a stall, not a result.
+	window := make([]struct{ attempts, commits uint64 }, len(d.views))
+	half := cfg.Warmup + (cfg.Duration-cfg.Warmup)/2
+	inWindow := func(t sim.Time) bool { return t >= sim.Time(half) && t < sim.Time(cfg.Duration) }
+
 	for rank, seat := range seats {
-		coord, prun, pph := seat.Coordinator, runs[seat.Part], phases[seat.Part]
+		coord, prun, pph, win := seat.Coordinator, runs[seat.Part], phases[seat.Part], &window[seat.Part]
 		seat.Env.Spawn(fmt.Sprintf("cn%d/coord%d", seat.Node, seat.Slot), func(p *sim.Proc) {
 			for !stop {
 				var txn *engine.Txn
@@ -408,6 +416,12 @@ func Run(cfg Config) (Result, error) {
 				attempt := 0
 				for {
 					a := coord.Execute(p, txn)
+					if inWindow(p.Now()) {
+						win.attempts++
+						if a.Committed {
+							win.commits++
+						}
+					}
 					if measured {
 						prun.RecordAttempt(a)
 						if ps != nil {
@@ -482,6 +496,14 @@ func Run(cfg Config) (Result, error) {
 	if cfg.CheckHistory {
 		res.History = d.db.Obs.History.Snapshot()
 		res.HistoryErr = res.History.Check()
+	}
+	var attempts, commits uint64
+	for _, w := range window {
+		attempts, commits = attempts+w.attempts, commits+w.commits
+	}
+	if attempts > 0 && commits == 0 {
+		return res, fmt.Errorf("bench: stalled: %d attempts, 0 commits in [%v, %v)",
+			attempts, time.Duration(half), time.Duration(cfg.Duration))
 	}
 	return res, nil
 }
