@@ -65,7 +65,7 @@ func main() {
 		}
 		fmt.Printf("  %7.0fµs  %8.0f  %6.0f  %5.1f%%  %s\n",
 			float64(start)/1e3, a, abortsPerWindow[w], 100*rate,
-			strings.Repeat("#", int(rate*40+0.5)))
+			strings.Repeat("#", int(float64(rate*40)+0.5)))
 	}
 
 	// The same snapshot renders as a terminal summary or exports to

@@ -25,7 +25,7 @@ func quantile(sorted []sim.Duration, q float64) sim.Duration {
 	if len(sorted) == 0 {
 		return 0
 	}
-	idx := int(q*float64(len(sorted))+0.5) - 1
+	idx := int(float64(q*float64(len(sorted)))+0.5) - 1 // rounded: no fused multiply-add
 	if idx < 0 {
 		idx = 0
 	}

@@ -80,11 +80,11 @@ func (ph *Phase) load(u sim.Duration) float64 {
 			return ph.To
 		}
 		frac := float64(u) / float64(ph.Duration)
-		return ph.From + (ph.To-ph.From)*frac
+		return ph.From + float64((ph.To-ph.From)*frac) // rounded: no fused multiply-add
 	case PhaseSine:
 		// Starts at the trough, crests at Period/2: a diurnal curve.
 		frac := float64(u%ph.Period) / float64(ph.Period)
-		return ph.Min + (ph.Max-ph.Min)*0.5*(1-math.Cos(2*math.Pi*frac))
+		return ph.Min + float64((ph.Max-ph.Min)*0.5*(1-math.Cos(2*math.Pi*frac)))
 	case PhaseBurst:
 		if u%ph.Every < ph.Burst {
 			return ph.Peak
@@ -334,7 +334,7 @@ func active(l float64, total int) int {
 	if l <= 0 {
 		return 0
 	}
-	n := int(math.Ceil(l*float64(total) - 1e-9))
+	n := int(math.Ceil(float64(l*float64(total)) - 1e-9))
 	if n > total {
 		n = total
 	}

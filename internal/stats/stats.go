@@ -62,7 +62,7 @@ func (l *Latencies) Percentile(p float64) float64 {
 		sort.Float64s(l.samples)
 		l.sorted = true
 	}
-	rank := int(p/100*float64(len(l.samples))+0.5) - 1
+	rank := int(float64(p/100*float64(len(l.samples)))+0.5) - 1 // rounded: no fused multiply-add
 	if rank < 0 {
 		rank = 0
 	}
