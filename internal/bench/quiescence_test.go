@@ -10,22 +10,75 @@ import (
 	"crest/internal/workload/tpcc"
 )
 
+// quiescent is what one drained run of a quiescence cell left behind,
+// read through the quiesced hook before Run gave the pool back: the
+// checks below share one simulation per cell.
+type quiescent struct {
+	res     Result // with its checked history
+	err     error
+	records int
+	locked  []string                   // every lock word not zero, described
+	pool    map[engine.CellID][]uint64 // each replica's value hash, in replica order
+}
+
+// quiescentRuns caches each cell's run for the tests after the first.
+var quiescentRuns = map[string]*quiescent{}
+
 // quiescenceCells runs check once per cell of the checks on what a
 // drained run leaves behind: each engine, sequential and over four
-// shard groups, at seeds 1–3 of skewed SmallBank. cfg is the cell's
-// configuration, not yet run.
-func quiescenceCells(t *testing.T, check func(t *testing.T, cfg Config)) {
+// shard groups, at seeds 1–3 of skewed SmallBank. The cell is simulated
+// once, with its history checked, for all of the checks.
+func quiescenceCells(t *testing.T, check func(t *testing.T, q *quiescent)) {
 	for _, system := range []SystemKind{CREST, CRESTCell, CRESTBase, FORD, Motor} {
 		for _, shards := range []int{1, 4} {
 			for _, seed := range []int64{1, 2, 3} {
-				t.Run(fmt.Sprintf("%s/smallbank/shards%d/seed%d", system, shards, seed), func(t *testing.T) {
-					cfg := shardedCfg(system, shards, "modulo")
-					cfg.Seed = seed
-					check(t, cfg)
+				name := fmt.Sprintf("%s/smallbank/shards%d/seed%d", system, shards, seed)
+				t.Run(name, func(t *testing.T) {
+					q := quiescentRuns[name]
+					if q == nil {
+						cfg := shardedCfg(system, shards, "modulo")
+						cfg.Seed = seed
+						q = runQuiescent(cfg)
+						quiescentRuns[name] = q
+					}
+					if q.err != nil {
+						t.Fatal(q.err)
+					}
+					check(t, q)
 				})
 			}
 		}
 	}
+}
+
+// runQuiescent runs cfg with its history checked and reads every lock
+// word and every cell of every replica once the run has drained.
+func runQuiescent(cfg Config) *quiescent {
+	lockOff := map[SystemKind]uint64{CREST: layout.OffLock, CRESTCell: layout.OffLock, CRESTBase: layout.OffLock,
+		FORD: layout.BOffLock, Motor: layout.BOffLock}
+	cfg.CheckHistory = true
+	q := &quiescent{pool: map[engine.CellID][]uint64{}}
+	quiesced = func(d *Deployment) {
+		for _, def := range cfg.Workload().Tables() {
+			tab := d.db.Table(def.Schema.ID)
+			tab.Keys(func(key layout.Key, off uint64) {
+				q.records++
+				if w := lockWord(d.db, def.Schema.ID, key, lockOff[cfg.System]); w != 0 {
+					q.locked = append(q.locked, fmt.Sprintf("table %d key %d: lock word %#x at quiescence", def.Schema.ID, key, w))
+				}
+				for _, n := range d.db.Pool.ReplicaNodes(def.Schema.ID, key) {
+					rec := n.Region.Bytes()[off : off+uint64(tab.Heap.RecSize)]
+					for c := range def.Schema.CellSizes {
+						id := engine.CellID{Table: def.Schema.ID, Key: key, Cell: c}
+						q.pool[id] = append(q.pool[id], engine.HashValue(cellValue(cfg.System, def.Schema, rec, c)))
+					}
+				}
+			})
+		}
+	}
+	defer func() { quiesced = nil }()
+	q.res, q.err = Run(cfg)
+	return q
 }
 
 // TestLocksFreeAtQuiescence: a run that has drained holds no lock.
@@ -35,28 +88,15 @@ func quiescenceCells(t *testing.T, check func(t *testing.T, cfg Config)) {
 // three seeds of skewed SmallBank. The pool is read before Run gives it
 // back.
 func TestLocksFreeAtQuiescence(t *testing.T) {
-	lockOff := map[SystemKind]uint64{CREST: layout.OffLock, CRESTCell: layout.OffLock, CRESTBase: layout.OffLock,
-		FORD: layout.BOffLock, Motor: layout.BOffLock}
-	quiescenceCells(t, func(t *testing.T, cfg Config) {
-		records, locked := 0, 0
-		quiesced = func(d *Deployment) {
-			for _, def := range cfg.Workload().Tables() {
-				d.db.Table(def.Schema.ID).Keys(func(key layout.Key, _ uint64) {
-					records++
-					if w := lockWord(d.db, def.Schema.ID, key, lockOff[cfg.System]); w != 0 && locked < 5 {
-						locked++
-						t.Errorf("table %d key %d: lock word %#x at quiescence", def.Schema.ID, key, w)
-					}
-				})
+	quiescenceCells(t, func(t *testing.T, q *quiescent) {
+		for i, l := range q.locked {
+			if i == 5 {
+				break
 			}
+			t.Error(l)
 		}
-		defer func() { quiesced = nil }()
-		res, err := Run(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Committed == 0 || res.Aborted == 0 || records == 0 {
-			t.Fatalf("%d commits, %d aborts, %d records read: the run tests nothing", res.Committed, res.Aborted, records)
+		if q.res.Committed == 0 || q.res.Aborted == 0 || q.records == 0 {
+			t.Fatalf("%d commits, %d aborts, %d records read: the run tests nothing", q.res.Committed, q.res.Aborted, q.records)
 		}
 	})
 }
@@ -68,37 +108,16 @@ func TestLocksFreeAtQuiescence(t *testing.T) {
 // replica — on each engine, sequential and sharded, at three seeds of
 // skewed SmallBank. The pool is read before Run gives it back.
 func TestFinalStateMatchesPoolAtQuiescence(t *testing.T) {
-	quiescenceCells(t, func(t *testing.T, cfg Config) {
-		cfg.CheckHistory = true
-		pool := map[engine.CellID][]uint64{} // each replica's value hash, in replica order
-		quiesced = func(d *Deployment) {
-			for _, def := range cfg.Workload().Tables() {
-				tab := d.db.Table(def.Schema.ID)
-				tab.Keys(func(key layout.Key, off uint64) {
-					for _, n := range d.db.Pool.ReplicaNodes(def.Schema.ID, key) {
-						rec := n.Region.Bytes()[off : off+uint64(tab.Heap.RecSize)]
-						for c := range def.Schema.CellSizes {
-							id := engine.CellID{Table: def.Schema.ID, Key: key, Cell: c}
-							pool[id] = append(pool[id], engine.HashValue(cellValue(cfg.System, def.Schema, rec, c)))
-						}
-					}
-				})
-			}
+	quiescenceCells(t, func(t *testing.T, q *quiescent) {
+		if q.res.HistoryErr != nil {
+			t.Fatal(q.res.HistoryErr)
 		}
-		defer func() { quiesced = nil }()
-		res, err := Run(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.HistoryErr != nil {
-			t.Fatal(res.HistoryErr)
-		}
-		want := res.History.FinalState()
-		if res.Committed == 0 || len(pool) == 0 || len(pool) != len(want) {
-			t.Fatalf("%d commits, %d cells in the pool, %d in the history: the run tests nothing", res.Committed, len(pool), len(want))
+		want := q.res.History.FinalState()
+		if q.res.Committed == 0 || len(q.pool) == 0 || len(q.pool) != len(want) {
+			t.Fatalf("%d commits, %d cells in the pool, %d in the history: the run tests nothing", q.res.Committed, len(q.pool), len(want))
 		}
 		bad := 0
-		for id, hashes := range pool {
+		for id, hashes := range q.pool {
 			for r, h := range hashes {
 				if h != want[id] && bad < 5 {
 					bad++
@@ -115,21 +134,16 @@ func TestFinalStateMatchesPoolAtQuiescence(t *testing.T) {
 // three seeds of skewed SmallBank. Partition views draw ids from
 // disjoint strides; the history is where a reused id would show.
 func TestTxnIDsUniqueAtQuiescence(t *testing.T) {
-	quiescenceCells(t, func(t *testing.T, cfg Config) {
-		cfg.CheckHistory = true
-		res, err := Run(cfg)
-		if err != nil {
-			t.Fatal(err)
+	quiescenceCells(t, func(t *testing.T, q *quiescent) {
+		if q.res.HistoryErr != nil {
+			t.Fatal(q.res.HistoryErr)
 		}
-		if res.HistoryErr != nil {
-			t.Fatal(res.HistoryErr)
+		if q.res.Committed == 0 || len(q.res.History.Txns) == 0 {
+			t.Fatalf("%d commits, %d transactions in the history: the run tests nothing", q.res.Committed, len(q.res.History.Txns))
 		}
-		if res.Committed == 0 || len(res.History.Txns) == 0 {
-			t.Fatalf("%d commits, %d transactions in the history: the run tests nothing", res.Committed, len(res.History.Txns))
-		}
-		seen := make(map[uint64]string, len(res.History.Txns))
+		seen := make(map[uint64]string, len(q.res.History.Txns))
 		dups := 0
-		for _, txn := range res.History.Txns {
+		for _, txn := range q.res.History.Txns {
 			if first, dup := seen[txn.ID]; dup && dups < 5 {
 				dups++
 				t.Errorf("id %d committed twice: %s and %s", txn.ID, first, txn.Label)
