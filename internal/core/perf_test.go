@@ -131,7 +131,8 @@ func BenchmarkCrossShardAttempt(b *testing.B) {
 // transaction state alone and with one to four versions inline (see
 // txnVersN), and the SmallBank and YCSB programs, which embed their
 // first Out entries and their ops. A program's size is what Next
-// allocates: that one object.
+// allocates: that one object. The record object is held too: a compute
+// node makes one per cached record.
 func TestTxnObjectSizeClasses(t *testing.T) {
 	for _, c := range []struct {
 		name        string
@@ -142,6 +143,7 @@ func TestTxnObjectSizeClasses(t *testing.T) {
 		{"txnVers2", unsafe.Sizeof(txnVers2{}), 192},
 		{"txnVers3", unsafe.Sizeof(txnVers3{}), 240},
 		{"txnVers4", unsafe.Sizeof(txnVers4{}), 288},
+		{"object", unsafe.Sizeof(object{}), 320},
 	} {
 		t.Logf("%s: %d bytes", c.name, c.size)
 		if c.size > c.class {
