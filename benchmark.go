@@ -39,11 +39,6 @@ type BenchmarkConfig struct {
 	// (so Theta 0 then means uniform). Same spec, byte-identical run.
 	RunSpec
 
-	// PlacementHotKeys seeds the "hotspot" placement policy. When none
-	// are given the policy seeds itself from a short deterministic
-	// contention probe of the same workload under modulo placement.
-	PlacementHotKeys []PlacementHotKey
-
 	// Workers is how many OS threads execute the simulation's
 	// shard-group partitions concurrently (sharded topologies with a
 	// partition-safe workload; other runs ignore it). It is an
@@ -128,10 +123,8 @@ func RunBenchmark(cfg BenchmarkConfig) (BenchmarkResult, error) {
 		return BenchmarkResult{}, err
 	}
 	obs := cfg.recorders()
-	rec, res, err := bench.Execute(spec, profile, bench.Config{
-		HotKeys: cfg.PlacementHotKeys, Workers: cfg.Workers,
-		Trace: obs.Trace, Metrics: obs.Metrics, Why: obs.Why, Flight: obs.Flight,
-	})
+	rec, res, err := bench.Execute(spec, profile, bench.Config{Workers: cfg.Workers,
+		Trace: obs.Trace, Metrics: obs.Metrics, Why: obs.Why, Flight: obs.Flight})
 	if err != nil {
 		return BenchmarkResult{}, err
 	}

@@ -71,31 +71,22 @@ const (
 	SystemMotor     System = "motor"
 )
 
-// Config describes a cluster. The zero value gives the paper's testbed
-// shape running full CREST: two memory nodes, three compute nodes,
-// f=1 primary-backup replication, a 2µs-RTT 100Gbps fabric.
+// Config describes a cluster: a deployment in RunSpec's fields, with
+// their meanings, defaults and validation, plus the cluster's hotspot
+// seed and observers. The zero value is DefaultRun's deployment running
+// full CREST: two memory nodes, three compute nodes sharing 240
+// coordinators (the paper's 3 × 80), the default 2µs-RTT 100Gbps
+// fabric, and f = 1 — unlike a run's, a cluster's Replicas 0 means 1
+// when there is more than one memory node.
 type Config struct {
-	System System
-	// MemoryNodes is the number of memory nodes per shard group (the
-	// whole pool with Shards == 1).
-	MemoryNodes         int
-	ComputeNodes        int
-	CoordinatorsPerNode int
-	Replicas            int           // f backup copies per record (0 ≤ f < MemoryNodes)
-	Seed                int64         // deterministic virtual-time seed
-	RTT                 time.Duration // fabric round-trip (default 2µs)
-	PoolBytes           int           // per-node region size (default sized from tables)
-	// Shards is the number of independent shard groups of MemoryNodes
-	// memory nodes each (default 1, the classic single-cluster
-	// topology; at 1 with hash placement every run is byte-identical
-	// to the pre-sharding cluster). Replication and recovery never
-	// cross groups; write transactions spanning groups pay a
-	// cross-shard prepare round at commit.
-	Shards int
-	// Placement names the data-placement policy routing records to
-	// shard groups and nodes: "hash" (default, the historical layout),
-	// "modulo", "range" or "hotspot". See PlacementPolicies.
-	Placement string
+	System       System
+	Coordinators int // total across the compute nodes
+	MemNodes     int // per shard group
+	CompNodes    int
+	Replicas     int // f backup copies per record (0 ≤ f < MemNodes)
+	Seed         int64
+	Shards       int    // independent shard groups, at most MaxShards
+	Placement    string // see PlacementPolicies; "" is "hash"
 	// PlacementHotKeys seeds the "hotspot" policy's override table
 	// (ignored by other policies): each entry pins one record to a
 	// shard group, typically derived from a causality hotspot ranking
@@ -103,68 +94,6 @@ type Config struct {
 	PlacementHotKeys []PlacementHotKey
 	// ObserverOptions selects the observers recording the cluster.
 	ObserverOptions
-}
-
-func (c Config) defaulted() Config {
-	if c.System == "" {
-		c.System = SystemCREST
-	}
-	if c.MemoryNodes == 0 {
-		c.MemoryNodes = 2
-	}
-	if c.ComputeNodes == 0 {
-		c.ComputeNodes = 3
-	}
-	if c.CoordinatorsPerNode == 0 {
-		c.CoordinatorsPerNode = 4
-	}
-	if c.Replicas == 0 && c.MemoryNodes > 1 {
-		c.Replicas = 1
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
-	if c.Shards == 0 {
-		c.Shards = 1
-	}
-	if c.Placement == "" {
-		c.Placement = "hash"
-	}
-	return c
-}
-
-// validate rejects impossible topologies with descriptive errors —
-// every misconfiguration that would otherwise surface as a panic deep
-// inside the memory pool is caught here instead.
-func (c Config) validate() error {
-	if c.MemoryNodes < 1 {
-		return fmt.Errorf("crest: need at least one memory node per shard group, got %d", c.MemoryNodes)
-	}
-	if c.ComputeNodes < 1 {
-		return fmt.Errorf("crest: need at least one compute node, got %d", c.ComputeNodes)
-	}
-	if c.CoordinatorsPerNode < 1 {
-		return fmt.Errorf("crest: need at least one coordinator per compute node, got %d", c.CoordinatorsPerNode)
-	}
-	if c.Shards < 1 {
-		return fmt.Errorf("crest: need at least one shard group, got %d", c.Shards)
-	}
-	if c.Shards > memnode.MaxShards {
-		return fmt.Errorf("crest: %d shard groups exceed the maximum of %d", c.Shards, memnode.MaxShards)
-	}
-	if c.Replicas < 0 || c.Replicas >= c.MemoryNodes {
-		return fmt.Errorf("crest: %d replicas needs more than %d memory nodes", c.Replicas, c.MemoryNodes)
-	}
-	if c.RTT < 0 {
-		return fmt.Errorf("crest: fabric round-trip must not be negative, got %v", c.RTT)
-	}
-	if err := c.ObserverOptions.validate(); err != nil {
-		return err
-	}
-	if _, err := placement.New(c.Placement); err != nil {
-		return err
-	}
-	return nil
 }
 
 // TableSpec declares a table: one size per cell (column), and the
@@ -181,7 +110,7 @@ type TableSpec struct {
 // the bench harness's deployment under the public names; what is its
 // own is Execute, the row operations and recovery.
 type Cluster struct {
-	cfg    Config
+	cfg    bench.Config // the resolved deployment, which Deploy takes literally
 	tables []workload.TableDef
 	dep    *bench.Deployment // nil until the first Load or Finalize
 	coords []bench.Seat      // empty until Finalize: a valid Config has a coordinator
@@ -192,11 +121,30 @@ type Cluster struct {
 // NewCluster builds a cluster. Tables must be created and loaded
 // before Finalize; transactions run after.
 func NewCluster(cfg Config) (*Cluster, error) {
-	cfg = cfg.defaulted()
-	if err := cfg.validate(); err != nil {
+	spec, err := bench.RunSpec{
+		System: cfg.System, Coordinators: cfg.Coordinators,
+		MemNodes: cfg.MemNodes, CompNodes: cfg.CompNodes, Replicas: cfg.Replicas,
+		Seed: cfg.Seed, Shards: cfg.Shards, Placement: cfg.Placement,
+	}.ResolveDeployment()
+	if err != nil {
+		return nil, fmt.Errorf("crest: %w", err)
+	}
+	if err := cfg.ObserverOptions.validate(); err != nil {
 		return nil, err
 	}
-	return &Cluster{cfg: cfg, obs: cfg.recorders()}, nil
+	// Deviation 7's other side: a run is unreplicated by default, a
+	// cluster is not.
+	if spec.Replicas == 0 && spec.MemNodes > 1 {
+		spec.Replicas = 1
+	}
+	obs := cfg.recorders()
+	// No bench.Config.WithDefaults: its 2 ms warmup would cut the head
+	// off the cluster's records.
+	return &Cluster{obs: obs, cfg: spec.Deployment(bench.Config{
+		HotKeys: cfg.PlacementHotKeys,
+		Params:  rdma.DefaultParams(),
+		Trace:   obs.Trace, Metrics: obs.Metrics, Why: obs.Why, Flight: obs.Flight,
+	})}, nil
 }
 
 // CreateTable declares a table. All tables must be created before the
@@ -224,28 +172,7 @@ func (c *Cluster) ensureSystem() error {
 	if len(c.tables) == 0 {
 		return fmt.Errorf("crest: no tables created")
 	}
-	params := rdma.DefaultParams()
-	if c.cfg.RTT > 0 {
-		params.RTT = sim.Duration(c.cfg.RTT)
-	}
-	// The deployment takes this literally: no bench.Config.WithDefaults,
-	// whose 2 ms warmup would cut the head off the cluster's records.
-	dep, err := bench.Deploy(bench.Config{
-		System:       c.cfg.System,
-		MemNodes:     c.cfg.MemoryNodes,
-		CompNodes:    c.cfg.ComputeNodes,
-		Shards:       c.cfg.Shards,
-		Placement:    c.cfg.Placement,
-		HotKeys:      c.cfg.PlacementHotKeys,
-		Coordinators: c.cfg.ComputeNodes * c.cfg.CoordinatorsPerNode,
-		Replicas:     c.cfg.Replicas,
-		Seed:         c.cfg.Seed,
-		Params:       params,
-		Trace:        c.obs.Trace,
-		Metrics:      c.obs.Metrics,
-		Why:          c.obs.Why,
-		Flight:       c.obs.Flight,
-	}, c.tables, c.cfg.PoolBytes, false)
+	dep, err := bench.Deploy(c.cfg, c.tables, false)
 	c.dep = dep
 	return err
 }

@@ -16,7 +16,7 @@ import (
 // with n accounts holding 100 in each table.
 func newBankCluster(t *testing.T, system System, n int) *Cluster {
 	t.Helper()
-	c, err := NewCluster(Config{System: system, CoordinatorsPerNode: 4})
+	c, err := NewCluster(Config{System: system, Coordinators: 12})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +230,7 @@ func TestMemoryNodeFailureSurfacesAndRecovers(t *testing.T) {
 }
 
 func TestConfigValidation(t *testing.T) {
-	if _, err := NewCluster(Config{MemoryNodes: 1, Replicas: 1}); err == nil {
+	if _, err := NewCluster(Config{MemNodes: 1, Replicas: 1}); err == nil {
 		t.Fatal("replicas >= nodes accepted")
 	}
 	c, _ := NewCluster(Config{})
@@ -412,7 +412,7 @@ func TestWithStateThreadsThroughHooks(t *testing.T) {
 func TestMemoryNodeFailureSurfacesAsError(t *testing.T) {
 	// With f=0 there is no backup: a transaction against the failed
 	// node surfaces the fabric error through the simulation.
-	c, err := NewCluster(Config{MemoryNodes: 1, Replicas: 0, ComputeNodes: 1})
+	c, err := NewCluster(Config{MemNodes: 1, Replicas: 0, CompNodes: 1, Coordinators: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -436,7 +436,7 @@ func TestMemoryNodeFailureSurfacesAsError(t *testing.T) {
 }
 
 func TestResyncMemoryNodeViaCluster(t *testing.T) {
-	c, err := NewCluster(Config{MemoryNodes: 3, Replicas: 1, ComputeNodes: 1})
+	c, err := NewCluster(Config{MemNodes: 3, Replicas: 1, CompNodes: 1, Coordinators: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,8 +22,8 @@ const warehouse = 1
 // Warehouse cells: 0 = name, 1 = tax rate, 2 = year-to-date balance.
 func buildCluster(system crest.System) *crest.Cluster {
 	cluster, err := crest.NewCluster(crest.Config{
-		System:              system,
-		CoordinatorsPerNode: 8,
+		System:       system,
+		Coordinators: 24, // 8 on each of the three compute nodes
 	})
 	if err != nil {
 		log.Fatal(err)

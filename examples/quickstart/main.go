@@ -12,8 +12,9 @@ import (
 const accounts = 1 // table id
 
 func main() {
-	// The zero config is the paper's testbed shape: 2 memory nodes,
-	// 3 compute nodes, f=1 replication, a 2µs-RTT simulated fabric.
+	// The zero config is the paper's testbed: 2 memory nodes, 3 compute
+	// nodes sharing 240 coordinators, one backup per record (f = 1), a
+	// 2µs-RTT simulated fabric.
 	cluster, err := crest.NewCluster(crest.Config{})
 	if err != nil {
 		log.Fatal(err)

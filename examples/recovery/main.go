@@ -17,8 +17,8 @@ const ledger = 1
 
 func main() {
 	cluster, err := crest.NewCluster(crest.Config{
-		MemoryNodes: 3,
-		Replicas:    1, // every record and log entry has one backup
+		MemNodes: 3,
+		Replicas: 1, // every record and log entry has one backup
 	})
 	if err != nil {
 		log.Fatal(err)

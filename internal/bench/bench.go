@@ -328,7 +328,7 @@ var quiesced func(*Deployment)
 func Run(cfg Config) (Result, error) {
 	cfg = cfg.WithDefaults()
 	gen := cfg.Workload()
-	d, err := Deploy(cfg, gen.Tables(), 0, cfg.Partitioned(gen))
+	d, err := Deploy(cfg, gen.Tables(), cfg.Partitioned(gen))
 	if err != nil {
 		return Result{}, err
 	}

@@ -90,7 +90,7 @@ func TestRunGivesItsPoolBack(t *testing.T) {
 // deployment, twice over.
 func TestDeploymentCloseIsIdempotent(t *testing.T) {
 	gen := tinySmallBank()
-	d, err := Deploy(shortCfg(CREST, tinySmallBank).WithDefaults(), gen.Tables(), 0, false)
+	d, err := Deploy(shortCfg(CREST, tinySmallBank).WithDefaults(), gen.Tables(), false)
 	if err != nil {
 		t.Fatal(err)
 	}

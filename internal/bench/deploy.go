@@ -45,12 +45,12 @@ type scheduler interface {
 
 // Deploy builds scheduler → fabric → pool → database → system → tables
 // for cfg, which it takes literally (Run applies WithDefaults first;
-// crest.Cluster must not, its observers record from time zero). The
-// pool holds poolBytes per node, or what the tables and logs need when
-// poolBytes is 0. partitioned selects the parallel scheduler, one
-// partition per shard group (see Config.Partitioned). The caller loads
-// the tables through Sys.Load and then calls Start.
-func Deploy(cfg Config, tables []workload.TableDef, poolBytes int, partitioned bool) (*Deployment, error) {
+// crest.Cluster must not, its observers record from time zero). Each
+// memory node holds what the tables and logs need (PoolBytes).
+// partitioned selects the parallel scheduler, one partition per shard
+// group (see Config.Partitioned). The caller loads the tables through
+// Sys.Load and then calls Start.
+func Deploy(cfg Config, tables []workload.TableDef, partitioned bool) (*Deployment, error) {
 	pol, err := placement.New(cfg.Placement)
 	if err != nil {
 		return nil, err
@@ -66,11 +66,6 @@ func Deploy(cfg Config, tables []workload.TableDef, poolBytes int, partitioned b
 		}
 		hs.Seed(keys)
 	}
-	if need := PoolBytes(tables, cfg.Coordinators); poolBytes == 0 {
-		poolBytes = need
-	} else if poolBytes < need {
-		return nil, fmt.Errorf("crest: pool of %d bytes per node cannot hold the declared tables and logs (need at least %d)", poolBytes, need)
-	}
 	d := &Deployment{cfg: cfg}
 	// A partitioned run builds one scheduler partition per shard group
 	// (conservative lookahead = the fabric's one-way minimum); any
@@ -84,7 +79,7 @@ func Deploy(cfg Config, tables []workload.TableDef, poolBytes int, partitioned b
 		d.sched = d.Env
 	}
 	d.fabric = rdma.NewFabric(d.Env, cfg.Params)
-	d.Pool, err = memnode.NewShardedPool(d.fabric, cfg.Shards, cfg.MemNodes, poolBytes, cfg.Replicas, pol)
+	d.Pool, err = memnode.NewShardedPool(d.fabric, cfg.Shards, cfg.MemNodes, PoolBytes(tables, cfg.Coordinators), cfg.Replicas, pol)
 	if err != nil {
 		return nil, err
 	}

@@ -33,7 +33,7 @@ func loadDigest(t *testing.T, sys SystemKind, mk func() workload.Generator) stri
 	t.Helper()
 	cfg := Config{System: sys, Workload: mk, Replicas: 1}.WithDefaults()
 	gen := mk()
-	d, err := Deploy(cfg, gen.Tables(), 0, false)
+	d, err := Deploy(cfg, gen.Tables(), false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestLoadedTablesAreDense(t *testing.T) {
 	for _, wl := range []string{"smallbank", "tpcc", "ycsb"} {
 		mk := loadWorkloads()[wl]
 		gen := mk()
-		d, err := Deploy(Config{System: CREST, Workload: mk}.WithDefaults(), gen.Tables(), 0, false)
+		d, err := Deploy(Config{System: CREST, Workload: mk}.WithDefaults(), gen.Tables(), false)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -355,23 +355,12 @@ func (s *RunSpec) SetFlags(fs *flag.FlagSet) (passed map[string]bool, err error)
 
 // Validate is the only validator of a run description: it rejects
 // every value that would otherwise panic deep in a generator, silently
-// fall back to a default, or measure an empty window.
+// fall back to a default, or measure an empty window. Its deployment
+// half is the whole of a crest.Cluster's validation (ResolveDeployment).
 func (s RunSpec) Validate() error {
-	check := func(ok bool, format string, args ...any) error {
-		if ok {
-			return nil
-		}
-		return fmt.Errorf(format, args...)
-	}
-	oneOf := func(what, v string, valid []string) error {
-		return check(slices.Contains(valid, v), "unknown %s %q (%s)", what, v, strings.Join(valid, ", "))
-	}
 	errs := []error{
-		oneOf("system", string(s.System), systemNames),
-		oneOf("placement", s.Placement, placement.Names()),
+		s.validateDeployment(),
 		oneOf("profile", s.Profile, []string{profileNames[true], profileNames[false]}),
-		check(s.Coordinators > 0, "coordinators must be positive, got %d", s.Coordinators),
-		check(s.Shards >= 1 && s.Shards <= memnode.MaxShards, "shards must be in 1..%d, got %d", memnode.MaxShards, s.Shards),
 		check(s.Duration > s.Warmup, "duration %v leaves nothing to measure after warmup %v (duration is the total virtual time, warmup included)", s.Duration, s.Warmup),
 	}
 	if w := s.Workload; s.Scenario == nil { // a scenario validates its own workload section
@@ -383,6 +372,32 @@ func (s RunSpec) Validate() error {
 			check(w.Theta >= 0, "theta must not be negative, got %v", w.Theta))
 	}
 	return errors.Join(errs...)
+}
+
+// validateDeployment checks what describes the deployment — system,
+// placement and topology — and nothing of the workload or the clock.
+func (s RunSpec) validateDeployment() error {
+	return errors.Join(
+		oneOf("system", string(s.System), systemNames),
+		oneOf("placement", s.Placement, placement.Names()),
+		check(s.Coordinators > 0, "coordinators must be positive, got %d", s.Coordinators),
+		check(s.MemNodes > 0, "memory nodes must be positive, got %d", s.MemNodes),
+		check(s.CompNodes > 0, "compute nodes must be positive, got %d", s.CompNodes),
+		check(s.MemNodes < 1 || (s.Replicas >= 0 && s.Replicas < s.MemNodes), "replicas must be in 0..%d, below the %d memory nodes, got %d", s.MemNodes-1, s.MemNodes, s.Replicas),
+		check(s.Shards >= 1 && s.Shards <= memnode.MaxShards, "shards must be in 1..%d, got %d", memnode.MaxShards, s.Shards))
+}
+
+// check is nil when ok, else the formatted error.
+func check(ok bool, format string, args ...any) error {
+	if ok {
+		return nil
+	}
+	return fmt.Errorf(format, args...)
+}
+
+// oneOf is nil when v is one of valid, else an error listing them.
+func oneOf(what, v string, valid []string) error {
+	return check(slices.Contains(valid, v), "unknown %s %q (%s)", what, v, strings.Join(valid, ", "))
 }
 
 // defaulted resolves the zero values a Go caller left to DefaultRun's
@@ -424,9 +439,31 @@ func (s RunSpec) Resolve() (RunSpec, Profile, error) {
 	return s, Full(), nil
 }
 
+// ResolveDeployment completes the deployment half of a spec for a
+// caller that runs no workload (crest.Cluster): zero fields take
+// DefaultRun's values, as Resolve gives them, and the deployment half
+// of Validate checks the result. The workload, clock and profile fields
+// come back defaulted and unchecked.
+func (s RunSpec) ResolveDeployment() (RunSpec, error) {
+	s = s.defaulted()
+	return s, s.validateDeployment()
+}
+
+// Deployment copies the spec's deployment half onto inv — the
+// invocation's share of a Config, what a spec may never hold (Workers,
+// HotKeys, the recorders).
+func (s RunSpec) Deployment(inv Config) Config {
+	inv.System = s.System
+	inv.MemNodes, inv.CompNodes = s.MemNodes, s.CompNodes
+	inv.Shards, inv.Placement = s.Shards, s.Placement
+	inv.Coordinators = s.Coordinators
+	inv.Replicas = s.Replicas
+	inv.Seed = s.Seed
+	return inv
+}
+
 // config materializes the bench.Config the spec describes under p's
-// table scales, on top of inv — the invocation's share of a Config,
-// what a spec may never hold (Workers, HotKeys, the recorders).
+// table scales, on top of inv (see Deployment).
 func (s RunSpec) config(p Profile, inv Config) (Config, error) {
 	var err error
 	if s.Scenario != nil {
@@ -434,12 +471,7 @@ func (s RunSpec) config(p Profile, inv Config) (Config, error) {
 	} else {
 		inv.Workload, err = s.Workload.generator(p)
 	}
-	inv.System = s.System
-	inv.MemNodes, inv.CompNodes = s.MemNodes, s.CompNodes
-	inv.Shards, inv.Placement = s.Shards, s.Placement
-	inv.Coordinators = s.Coordinators
-	inv.Replicas = s.Replicas
-	inv.Seed = s.Seed
+	inv = s.Deployment(inv)
 	inv.Duration, inv.Warmup = sim.Duration(s.Duration), sim.Duration(s.Warmup)
 	return inv, err
 }

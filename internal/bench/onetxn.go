@@ -14,7 +14,7 @@ func oneTxnVerbs(cfg Config) (rdma.Stats, error) {
 	cfg = cfg.WithDefaults()
 	cfg.CompNodes, cfg.Coordinators = 1, 1
 	gen := cfg.Workload()
-	d, err := Deploy(cfg, gen.Tables(), 0, false)
+	d, err := Deploy(cfg, gen.Tables(), false)
 	if err != nil {
 		return rdma.Stats{}, err
 	}

@@ -48,7 +48,7 @@ func TestLoadPopulatesOnlyWrittenPages(t *testing.T) {
 	populated := recordPopulate(t)
 	cfg := Config{System: CREST, Workload: tinySmallBank, Shards: 4, MemNodes: 3, Replicas: 1, Placement: "range"}.WithDefaults()
 	gen := cfg.Workload()
-	d, err := Deploy(cfg, gen.Tables(), 0, false)
+	d, err := Deploy(cfg, gen.Tables(), false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +142,7 @@ func TestLoadHelperEndsWithLoad(t *testing.T) {
 	base := runtime.NumGoroutine()
 	cfg := shortCfg(CREST, tinySmallBank).WithDefaults()
 	gen := strayGen{cfg.Workload()}
-	d, err := Deploy(cfg, gen.Tables(), 0, false)
+	d, err := Deploy(cfg, gen.Tables(), false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,33 +6,31 @@ import (
 	"time"
 )
 
-// Satellite: every misconfiguration that used to surface as a panic
-// deep inside the memory pool is a validated error at the Config
-// layer, each with a descriptive message.
+// Every bad deployment is rejected by both entry points, NewCluster
+// and RunBenchmark, with the same message: RunSpec's deployment
+// validator is the one both go through.
 func TestConfigValidationMessages(t *testing.T) {
 	cases := []struct {
 		name string
 		cfg  Config
 		want string
 	}{
-		{"negative memory nodes", Config{MemoryNodes: -1},
-			"need at least one memory node per shard group, got -1"},
-		{"negative compute nodes", Config{ComputeNodes: -1},
-			"need at least one compute node, got -1"},
-		{"negative coordinators", Config{CoordinatorsPerNode: -2},
-			"need at least one coordinator per compute node, got -2"},
-		{"replicas equal nodes", Config{MemoryNodes: 1, Replicas: 1},
-			"1 replicas needs more than 1 memory nodes"},
-		{"negative replicas", Config{MemoryNodes: 2, Replicas: -1},
-			"-1 replicas needs more than 2 memory nodes"},
+		{"negative memory nodes", Config{MemNodes: -1},
+			"memory nodes must be positive, got -1"},
+		{"negative compute nodes", Config{CompNodes: -1},
+			"compute nodes must be positive, got -1"},
+		{"negative coordinators", Config{Coordinators: -2},
+			"coordinators must be positive, got -2"},
+		{"replicas equal nodes", Config{MemNodes: 1, Replicas: 1},
+			"replicas must be in 0..0, below the 1 memory nodes, got 1"},
+		{"negative replicas", Config{MemNodes: 2, Replicas: -1},
+			"replicas must be in 0..1, below the 2 memory nodes, got -1"},
 		{"negative shards", Config{Shards: -2},
-			"need at least one shard group, got -2"},
+			"shards must be in 1..64, got -2"},
 		{"too many shards", Config{Shards: 65},
-			"65 shard groups exceed the maximum of 64"},
+			"shards must be in 1..64, got 65"},
 		{"unknown placement", Config{Placement: "round-robin"},
-			`unknown policy "round-robin"`},
-		{"negative RTT", Config{RTT: -1},
-			"fabric round-trip must not be negative, got -1ns"},
+			`unknown placement "round-robin"`},
 		{"negative metrics window", Config{ObserverOptions: ObserverOptions{Metrics: true, MetricsWindow: -7 * time.Microsecond}},
 			"metrics window must not be negative, got -7µs"},
 	}
@@ -40,20 +38,25 @@ func TestConfigValidationMessages(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			_, err := NewCluster(tc.cfg)
 			if err == nil {
-				t.Fatalf("config %+v accepted", tc.cfg)
+				t.Fatalf("NewCluster accepted %+v", tc.cfg)
 			}
 			if !strings.Contains(err.Error(), tc.want) {
-				t.Fatalf("error %q does not mention %q", err, tc.want)
+				t.Fatalf("NewCluster: error %q does not mention %q", err, tc.want)
+			}
+			c := tc.cfg
+			_, runErr := RunBenchmark(BenchmarkConfig{RunSpec: RunSpec{
+				System: c.System, Coordinators: c.Coordinators,
+				MemNodes: c.MemNodes, CompNodes: c.CompNodes, Replicas: c.Replicas,
+				Seed: c.Seed, Shards: c.Shards, Placement: c.Placement,
+				Profile: "quick", Workload: WorkloadSpec{Kind: WorkloadSmallBank},
+			}, ObserverOptions: c.ObserverOptions})
+			if runErr == nil || runErr.Error() != err.Error() {
+				t.Fatalf("RunBenchmark: error %q, NewCluster's %q", runErr, err)
 			}
 		})
 	}
-	// RunBenchmark rejects a negative metrics window too, before it runs.
-	_, err := RunBenchmark(BenchmarkConfig{ObserverOptions: ObserverOptions{Metrics: true, MetricsWindow: -1}})
-	if err == nil || !strings.Contains(err.Error(), "metrics window must not be negative, got -1ns") {
-		t.Fatalf("RunBenchmark with a negative metrics window: %v", err)
-	}
 	// The unknown-placement error lists the valid policies.
-	_, err = NewCluster(Config{Placement: "nope"})
+	_, err := NewCluster(Config{Placement: "nope"})
 	for _, name := range PlacementPolicies() {
 		if !strings.Contains(err.Error(), name) {
 			t.Fatalf("error %q does not list policy %q", err, name)
@@ -61,31 +64,12 @@ func TestConfigValidationMessages(t *testing.T) {
 	}
 }
 
-// Satellite: an explicitly undersized pool is rejected with an error
-// instead of the allocator's exhaustion panic.
-func TestUndersizedPoolValidated(t *testing.T) {
-	c, err := NewCluster(Config{PoolBytes: 1024})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.CreateTable(TableSpec{ID: 1, Name: "t", CellSizes: []int{8}, Capacity: 4096}); err != nil {
-		t.Fatal(err)
-	}
-	err = c.Load(1, 0, [][]byte{U64(1, 8)})
-	if err == nil {
-		t.Fatal("1 KiB pool accepted for a 4096-row table")
-	}
-	if !strings.Contains(err.Error(), "cannot hold the declared tables") {
-		t.Fatalf("error %q does not diagnose the undersized pool", err)
-	}
-}
-
 // newShardedBank is newBankCluster with an explicit topology.
 func newShardedBank(t *testing.T, system System, n int, cfg Config) *Cluster {
 	t.Helper()
 	cfg.System = system
-	if cfg.CoordinatorsPerNode == 0 {
-		cfg.CoordinatorsPerNode = 4
+	if cfg.Coordinators == 0 {
+		cfg.Coordinators = 12
 	}
 	c, err := NewCluster(cfg)
 	if err != nil {
@@ -120,7 +104,7 @@ func TestShardedClusterConservesMoney(t *testing.T) {
 	for _, system := range []System{SystemCREST, SystemFORD, SystemMotor} {
 		for _, pol := range PlacementPolicies() {
 			t.Run(string(system)+"/"+pol, func(t *testing.T) {
-				cfg := Config{Shards: 3, MemoryNodes: 2, Placement: pol}
+				cfg := Config{Shards: 3, MemNodes: 2, Placement: pol}
 				if pol == "hotspot" {
 					cfg.PlacementHotKeys = []PlacementHotKey{{Table: 2, Key: 0, Shard: 0}, {Table: 2, Key: 1, Shard: 0}}
 				}
@@ -158,7 +142,7 @@ func TestShardedClusterConservesMoney(t *testing.T) {
 // same virtual end time.
 func TestShardedClusterDeterminism(t *testing.T) {
 	run := func() int64 {
-		c := newShardedBank(t, SystemCREST, 8, Config{Shards: 2, MemoryNodes: 2, Placement: "modulo"})
+		c := newShardedBank(t, SystemCREST, 8, Config{Shards: 2, MemNodes: 2, Placement: "modulo"})
 		var txns []*Txn
 		for i := 0; i < 16; i++ {
 			txns = append(txns, transfer(Key(i%4), Key(4+(i%4)), 2))
@@ -176,7 +160,7 @@ func TestShardedClusterDeterminism(t *testing.T) {
 // PlacementSeedFromWhy turns a recorded contention snapshot into a
 // hotspot-policy seed pinning the hottest keys to shard group 0.
 func TestPlacementSeedFromWhy(t *testing.T) {
-	c := newShardedBank(t, SystemCREST, 8, Config{Shards: 2, MemoryNodes: 2, Placement: "modulo", ObserverOptions: ObserverOptions{Why: true}})
+	c := newShardedBank(t, SystemCREST, 8, Config{Shards: 2, MemNodes: 2, Placement: "modulo", ObserverOptions: ObserverOptions{Why: true}})
 	var txns []*Txn
 	for i := 0; i < 64; i++ {
 		txns = append(txns, transfer(Key(i%2), Key((i+1)%2), 1))
