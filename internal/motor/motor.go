@@ -86,7 +86,12 @@ func (f format) Encode(buf []byte, table layout.TableID, key layout.Key, cells [
 // MVCC reads.
 func (format) SnapshotRead(t *engine.Txn) bool { return t.ReadOnly }
 
-func (f format) Bind(w *work) { w.X.lay, w.Lock = f[w.Table], w.Cells }
+// Bind sets the lock mask to every cell: the lock is the record's one
+// lock word, so a holder of any cell blocks every other.
+func (f format) Bind(w *work) {
+	w.X.lay = f[w.Table]
+	w.Lock = layout.AllCellsMask(len(w.X.lay.Schema.CellSizes))
+}
 
 func (format) LockOp(c *engine.Coord, w *work) (rdma.Op, bool) {
 	return rdma.Op{Kind: rdma.OpCAS, Off: w.Off + layout.BOffLock, Compare: 0, Swap: c.GID}, w.Op.IsWrite()
