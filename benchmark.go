@@ -169,7 +169,7 @@ type (
 	RunSpec = bench.RunSpec
 	// RunRecord is one run's durable, machine-readable outcome.
 	RunRecord = bench.RunRecord
-	// MatrixOptions configure parallelism and the on-disk result cache.
+	// MatrixOptions configure a matrix invocation's parallelism.
 	MatrixOptions = bench.MatrixOptions
 	// MatrixResult is a matrix invocation's tables plus per-run records.
 	MatrixResult = bench.MatrixResult
@@ -187,9 +187,9 @@ const BenchSchemaVersion = bench.SchemaVersion
 
 // RunMatrix regenerates the named experiments (all of them when ids is
 // empty) over one shared result store: every unique RunSpec executes
-// exactly once — in parallel on opt.Workers simulations (GOMAXPROCS
-// when ≤ 0), reusing opt.CacheDir across invocations when set — and
-// the rendered tables are byte-identical for any worker count.
+// exactly once, in parallel on opt.Workers simulations (GOMAXPROCS
+// when ≤ 0), and the rendered tables are byte-identical for any worker
+// count.
 func RunMatrix(ids []string, quick bool, opt MatrixOptions) (*MatrixResult, error) {
 	profile := bench.Full()
 	if quick {

@@ -2,17 +2,17 @@
 // runs ad-hoc benchmark configurations.
 //
 // Regenerate artifacts (ids: fig2 fig3 fig4 table1 table2 exp1..exp8
-// scenario):
+// scenario crossover tailprof; -list prints them):
 //
 //	crestbench -exp exp1
 //	crestbench -exp all -profile quick -j 8
-//	crestbench -exp all -profile quick -json BENCH_quick.json -cache .benchcache
+//	crestbench -exp all -profile quick -json BENCH_quick.json
 //
 // The experiments run as one deduplicated matrix: every unique
-// configuration simulates exactly once, -j configurations in parallel
-// (default GOMAXPROCS), with byte-identical output for any -j. -json
-// writes every unique run as schema-versioned records; -cache reuses
-// results across invocations.
+// configuration simulates exactly once per invocation, -j
+// configurations in parallel (default GOMAXPROCS), with byte-identical
+// output for any -j. -json writes every unique run as schema-versioned
+// records.
 //
 // Run a single configuration:
 //
@@ -50,7 +50,7 @@ func main() {
 // consumes, and expOutputs the flags only -exp consumes.
 var (
 	runOutputs = []string{"spec", "big", "trace", "metrics", "why", "flight", "runtime-stats", "metrics-window"}
-	expOutputs = []string{"profile", "j", "json", "baseline", "cache"}
+	expOutputs = []string{"profile", "j", "json", "baseline"}
 )
 
 // bigRun is the -big preset, the million-transaction topology: 10³
@@ -85,7 +85,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		jobs     = fs.Int("j", 0, "parallel simulations for -exp (default GOMAXPROCS)")
 		jsonOut  = fs.String("json", "", "with -exp: write per-run JSON records to this file")
 		baseline = fs.String("baseline", "", "with -exp: compare per-run KOPS against this BENCH_*.json baseline")
-		cacheDir = fs.String("cache", "", "with -exp: on-disk result cache directory for incremental re-runs")
 		list     = fs.Bool("list", false, "list experiment ids and exit")
 		runOne   = fs.Bool("run", false, "run a single benchmark configuration")
 		specPath = fs.String("spec", "", "with -run: drive the run from a declarative scenario .spec file (overrides -workload and its knobs)")
@@ -233,7 +232,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		m, err := crest.RunMatrix(ids, quickProfile, crest.MatrixOptions{
 			Workers:    *jobs,
 			SimWorkers: *workers,
-			CacheDir:   *cacheDir,
 		})
 		if err != nil {
 			return fatalf("%v", err)
@@ -250,8 +248,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 			cmp := crest.CompareBenchResultSets(base, m.ResultSet())
 			fmt.Fprintf(stdout, "KOPS vs %s:\n%s", *baseline, cmp.Format())
 		}
-		fmt.Fprintf(stderr, "[%d experiment(s), %d unique runs (%d simulated, %d cached), %s profile, %v wall time]\n",
-			len(m.Experiments), len(m.Records), m.Simulated, m.CacheHits, *profile,
+		fmt.Fprintf(stderr, "[%d experiment(s), %d unique runs, %s profile, %v wall time]\n",
+			len(m.Experiments), len(m.Records), *profile,
 			time.Since(start).Round(time.Millisecond))
 		if p := m.Perf; p != nil {
 			fmt.Fprintf(stderr, "[sim: %d events in %.0f ms event-loop time, %.2fM events/sec]\n",

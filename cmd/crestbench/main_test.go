@@ -211,7 +211,7 @@ func TestExpAndListRejectRunFlags(t *testing.T) {
 			runFlags = append(runFlags, []string{"-" + key, "1"})
 		}
 	}
-	expFlags := [][]string{{"-profile", "quick"}, {"-j", "2"}, {"-json", "x.json"}, {"-baseline", "b.json"}, {"-cache", "c"}}
+	expFlags := [][]string{{"-profile", "quick"}, {"-j", "2"}, {"-json", "x.json"}, {"-baseline", "b.json"}}
 	run := []string{"-run", "-quick", "-workload", "smallbank", "-coords", "12", "-duration", "2ms", "-warmup", "200us"}
 	for _, tc := range []struct {
 		mode  []string

@@ -3,7 +3,7 @@ package bench
 import (
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 	"strings"
 
 	"crest/internal/engine"
@@ -692,44 +692,41 @@ func ExpTailProf(p Profile, get Getter) ([]Table, error) {
 	return out, nil
 }
 
-// Experiments is the registry mapping experiment ids to their
-// implementations, in the paper's order.
-var Experiments = map[string]Experiment{
-	"fig2":      {ID: "fig2", Render: Fig2},
-	"fig3":      {ID: "fig3", Render: Fig3},
-	"fig4":      {ID: "fig4", Render: Fig4},
-	"table1":    {ID: "table1", Render: Table1},
-	"table2":    {ID: "table2", Render: Table2},
-	"exp1":      {ID: "exp1", Render: Exp1},
-	"exp2":      {ID: "exp2", Render: Exp2},
-	"exp3":      {ID: "exp3", Render: Exp3},
-	"exp4":      {ID: "exp4", Render: Exp4},
-	"exp5":      {ID: "exp5", Render: Exp5},
-	"exp6":      {ID: "exp6", Render: Exp6},
-	"exp7":      {ID: "exp7", Render: Exp7},
-	"exp8":      {ID: "exp8", Render: Exp8},
-	"scenario":  {ID: "scenario", Render: ExpScenario},
-	"crossover": {ID: "crossover", Render: ExpCrossover},
-	"tailprof":  {ID: "tailprof", Render: ExpTailProf},
+// Experiments lists every regenerable artifact once, in the paper's
+// order: the order -list prints and -exp all renders.
+var Experiments = []Experiment{
+	{ID: "fig2", Render: Fig2},
+	{ID: "fig3", Render: Fig3},
+	{ID: "fig4", Render: Fig4},
+	{ID: "table1", Render: Table1},
+	{ID: "table2", Render: Table2},
+	{ID: "exp1", Render: Exp1},
+	{ID: "exp2", Render: Exp2},
+	{ID: "exp3", Render: Exp3},
+	{ID: "exp4", Render: Exp4},
+	{ID: "exp5", Render: Exp5},
+	{ID: "exp6", Render: Exp6},
+	{ID: "exp7", Render: Exp7},
+	{ID: "exp8", Render: Exp8},
+	{ID: "scenario", Render: ExpScenario},
+	{ID: "crossover", Render: ExpCrossover},
+	{ID: "tailprof", Render: ExpTailProf},
 }
 
-// ExperimentIDs lists the registry in canonical order.
+// ExperimentIDs lists the experiment ids in the paper's order.
 func ExperimentIDs() []string {
-	ids := make([]string, 0, len(Experiments))
-	for id := range Experiments {
-		ids = append(ids, id)
+	ids := make([]string, len(Experiments))
+	for i, e := range Experiments {
+		ids[i] = e.ID
 	}
-	sort.Slice(ids, func(i, j int) bool { return expOrder(ids[i]) < expOrder(ids[j]) })
 	return ids
 }
 
-func expOrder(id string) string {
-	order := map[string]string{
-		"fig2": "01", "fig3": "02", "fig4": "03",
-		"table1": "04", "table2": "05",
-		"exp1": "06", "exp2": "07", "exp3": "08", "exp4": "09",
-		"exp5": "10", "exp6": "11", "exp7": "12", "exp8": "13",
-		"scenario": "14", "crossover": "15", "tailprof": "16",
+// experimentByID looks an experiment up by its id.
+func experimentByID(id string) (Experiment, bool) {
+	i := slices.IndexFunc(Experiments, func(e Experiment) bool { return e.ID == id })
+	if i < 0 {
+		return Experiment{}, false
 	}
-	return order[id]
+	return Experiments[i], true
 }

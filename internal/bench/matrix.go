@@ -3,23 +3,18 @@
 // that matrix a first-class representation. A RunSpec is a canonical
 // value that fully determines one deterministic DES run; experiments
 // declare the specs they need and a Runner executes the deduplicated
-// set — in parallel on a bounded worker pool, memoized in process and
-// optionally on disk — then renders tables from the shared result
-// store. Because every run is an independent single-scheduler
+// set — in parallel on a bounded worker pool, each once, memoized in
+// process — then renders tables from the shared result store. Because every run is an independent single-scheduler
 // simulation keyed by its spec, parallel execution is byte-identical
 // to sequential execution.
 package bench
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
 	"runtime"
 	"slices"
 	"sort"
@@ -37,12 +32,12 @@ import (
 )
 
 // SchemaVersion identifies the JSON record layout emitted by
-// ResultSet.Encode and accepted by DecodeResultSet and the on-disk
-// cache. Bump it whenever RunRecord changes incompatibly; stale cache
-// entries are then ignored rather than misread.
+// ResultSet.Encode and accepted by DecodeResultSet. Bump it whenever
+// RunRecord changes incompatibly; a stale document is then rejected
+// rather than misread.
 //
-// v2 added RunRecord.Events; v1 entries would decode with a zero
-// count, which is a misread, not a miss. v3 added the BenchPerf
+// v2 added RunRecord.Events; v1 records would decode with a zero
+// count, which is a misread. v3 added the BenchPerf
 // workers/per-partition fields emitted by parallel-capable invocations.
 const SchemaVersion = "crest-bench/v3"
 
@@ -119,8 +114,7 @@ func (w WorkloadSpec) generator(p Profile) (func() workload.Generator, error) {
 }
 
 // RunSpec is the declarative description of one run — the only one:
-// the matrix runner, the result cache, crest.RunBenchmark and both CLIs
-// all describe a run as a RunSpec, and Execute is the one function that
+// the matrix runner, crest.RunBenchmark and both CLIs all describe a run as a RunSpec, and Execute is the one function that
 // resolves it to the executable Config and runs it. It canonically
 // identifies the run:
 // everything that influences the schedule is in here, so equal keys
@@ -156,13 +150,13 @@ type RunSpec struct {
 	// each (0 and 1 both mean the classic single-group topology), and
 	// Placement names the data-placement policy ("" means "hash").
 	// Both join the run key only when non-default, so every
-	// pre-sharding key, cache entry and JSON record is unchanged.
+	// pre-sharding key and JSON record is unchanged.
 	Shards    int    `json:"shards,omitempty"`
 	Placement string `json:"placement,omitempty"`
 }
 
-// Key is the canonical identity of the run; it is the memoization and
-// cache key, and two specs with equal keys are interchangeable.
+// Key is the canonical identity of the run; it is the memoization key,
+// and two specs with equal keys are interchangeable.
 func (s RunSpec) Key() string {
 	key := fmt.Sprintf("%s|%s|c%d|mn%d|cn%d|r%d|d%d|w%d|s%d|p%s|once%t",
 		s.System, s.Workload.key(), s.Coordinators, s.MemNodes, s.CompNodes,
@@ -541,9 +535,7 @@ type PhaseSummaryUs struct {
 
 // RunRecord is the durable, machine-readable outcome of one run: the
 // spec that produced it plus every metric the paper's tables report.
-// It is what the in-process store memoizes, what the on-disk cache
-// persists, and what -json emits, so cached and fresh runs render
-// byte-identical tables.
+// It is what the in-process store memoizes and what -json emits.
 type RunRecord struct {
 	Key  string  `json:"key"`
 	Spec RunSpec `json:"spec"`
@@ -563,7 +555,7 @@ type RunRecord struct {
 
 	// Events is the number of scheduler dispatches the run consumed.
 	// It is as deterministic as every other field — same spec, same
-	// count — so it caches and reproduces bit-for-bit; wall-clock
+	// count — so it reproduces bit-for-bit; wall-clock
 	// measurements, which do not, live in BenchPerf instead.
 	Events uint64 `json:"events,omitempty"`
 	// ScenarioPhases is the per-phase breakdown of scenario-driven
@@ -589,11 +581,8 @@ type MatrixOptions struct {
 	// (Config.Workers): partitioned runs execute that many shard-group
 	// partitions concurrently. Like Workers it is invocation-level —
 	// results are byte-identical at any value — so it never enters a
-	// spec key or a cached record. ≤ 0 means 1.
+	// spec key or a record. ≤ 0 means 1.
 	SimWorkers int
-	// CacheDir, when non-empty, persists records as JSON files keyed
-	// by spec so later invocations skip already-simulated cells.
-	CacheDir string
 }
 
 // Runner executes run specs at most once each, keyed by RunSpec.Key,
@@ -602,14 +591,12 @@ type Runner struct {
 	profile    Profile
 	workers    int
 	simWorkers int
-	cache      string
 
 	mu        sync.Mutex
 	store     map[string]*RunRecord
 	simulated int
-	cacheHits int
-	// Wall-clock cost of the runs this runner actually simulated
-	// (cache hits excluded); nondeterministic, reported via BenchPerf.
+	// Wall-clock cost of the runs this runner simulated;
+	// nondeterministic, reported via BenchPerf.
 	simWallMS float64
 	simEvents uint64
 	// partEvents sums, per partition index, the events the executed
@@ -624,20 +611,17 @@ func NewRunner(p Profile, opt MatrixOptions) *Runner {
 		w = runtime.GOMAXPROCS(0)
 	}
 	return &Runner{profile: p, workers: w, simWorkers: opt.SimWorkers,
-		cache: opt.CacheDir, store: map[string]*RunRecord{}}
+		store: map[string]*RunRecord{}}
 }
 
 // Get returns the record for spec, executing the run if it is not
-// memoized (and not in the disk cache).
+// memoized.
 func (r *Runner) Get(spec RunSpec) (*RunRecord, error) {
 	key := spec.Key()
 	r.mu.Lock()
 	rec := r.store[key]
 	r.mu.Unlock()
 	if rec != nil {
-		return rec, nil
-	}
-	if rec := r.loadCached(spec, key); rec != nil {
 		return rec, nil
 	}
 	rec, res, err := Execute(spec, r.profile, Config{Workers: r.simWorkers})
@@ -658,7 +642,6 @@ func (r *Runner) Get(spec RunSpec) (*RunRecord, error) {
 		}
 	}
 	r.mu.Unlock()
-	r.saveCached(key, rec)
 	return rec, nil
 }
 
@@ -710,23 +693,16 @@ func (r *Runner) Records() []*RunRecord {
 	return recs
 }
 
-// Simulated reports how many simulations this runner actually
-// executed (memoization and cache hits excluded).
+// Simulated reports how many simulations this runner executed
+// (memoized repeats excluded).
 func (r *Runner) Simulated() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.simulated
 }
 
-// CacheHits reports how many records were served from the disk cache.
-func (r *Runner) CacheHits() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.cacheHits
-}
-
 // Perf reports the wall-clock cost of the simulations this runner
-// actually executed, or nil if everything came from memo or cache.
+// executed, or nil if it executed none.
 func (r *Runner) Perf() *BenchPerf {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -764,66 +740,11 @@ func EventsPerSec(events uint64, wallMS float64) float64 {
 	return float64(events) / (wallMS / 1e3)
 }
 
-// cacheEntry is the on-disk envelope; the embedded schema version and
-// key guard against stale or colliding files.
-type cacheEntry struct {
-	Schema string     `json:"schema"`
-	Record *RunRecord `json:"record"`
-}
-
-func (r *Runner) cachePath(key string) string {
-	sum := sha256.Sum256([]byte(key))
-	return filepath.Join(r.cache, hex.EncodeToString(sum[:12])+".json")
-}
-
-// loadCached consults the disk cache; on a hit the record is memoized
-// and counted. Unreadable or mismatched entries are treated as misses.
-func (r *Runner) loadCached(spec RunSpec, key string) *RunRecord {
-	if r.cache == "" {
-		return nil
-	}
-	data, err := os.ReadFile(r.cachePath(key))
-	if err != nil {
-		return nil
-	}
-	var ent cacheEntry
-	if json.Unmarshal(data, &ent) != nil || ent.Schema != SchemaVersion ||
-		ent.Record == nil || ent.Record.Key != key {
-		return nil
-	}
-	r.mu.Lock()
-	r.store[key] = ent.Record
-	r.cacheHits++
-	r.mu.Unlock()
-	return ent.Record
-}
-
-// saveCached persists one record; cache write failures are ignored
-// (the cache is an optimization, not a store of record).
-func (r *Runner) saveCached(key string, rec *RunRecord) {
-	if r.cache == "" {
-		return
-	}
-	if err := os.MkdirAll(r.cache, 0o755); err != nil {
-		return
-	}
-	data, err := json.Marshal(cacheEntry{Schema: SchemaVersion, Record: rec})
-	if err != nil {
-		return
-	}
-	tmp := r.cachePath(key) + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return
-	}
-	_ = os.Rename(tmp, r.cachePath(key))
-}
-
 // BenchPerf is the simulator's own wall-clock performance over one
 // matrix invocation's executed runs. Unlike everything else in a
 // ResultSet it is nondeterministic (it measures the machine, not the
-// simulated system), so it rides only in the measured encoding — never
-// in cache entries, and byte-identity tests use the canonical
-// encoding without it.
+// simulated system), so it rides only in the measured encoding, and
+// byte-identity tests use the canonical encoding without it.
 type BenchPerf struct {
 	// SimWallMS is the summed event-loop wall time of the executed
 	// runs, in milliseconds.
@@ -832,7 +753,7 @@ type BenchPerf struct {
 	Events uint64 `json:"events"`
 	// EventsPerSec is Events over SimWallMS.
 	EventsPerSec float64 `json:"events_per_sec"`
-	// Simulated counts the executed runs (cache hits excluded).
+	// Simulated counts the executed runs.
 	Simulated int `json:"simulated"`
 	// Workers is the scheduler worker count the invocation ran
 	// partitioned simulations with (invocation-level: results are
@@ -896,20 +817,15 @@ type ExperimentResult struct {
 type MatrixResult struct {
 	Profile     string
 	Experiments []ExperimentResult
-	// Records are the unique runs behind the tables, in key order.
+	// Records are the unique runs behind the tables, in key order; each
+	// was simulated once by this invocation.
 	Records []*RunRecord
-	// Simulated counts runs actually executed; CacheHits counts runs
-	// served from the disk cache.
-	Simulated int
-	CacheHits int
-	// Perf is the simulator's wall-clock cost over the executed runs,
-	// nil when every record came from memo or cache.
+	// Perf is the simulator's wall-clock cost over those runs.
 	Perf *BenchPerf
 }
 
 // ResultSet packages the records for JSON output in canonical form:
-// fully deterministic, byte-identical across worker counts and cache
-// states.
+// fully deterministic, byte-identical across worker counts.
 func (m *MatrixResult) ResultSet() *ResultSet {
 	return &ResultSet{Schema: SchemaVersion, Profile: m.Profile, Runs: m.Records}
 }
@@ -942,17 +858,19 @@ func (m *MatrixResult) FormatTables() string {
 // pool, and renders each experiment's tables from the memoized
 // records. Output is byte-identical for any worker count.
 func RunMatrix(ids []string, p Profile, opt MatrixOptions) (*MatrixResult, error) {
-	if len(ids) == 0 {
-		ids = ExperimentIDs()
-	}
-	exps := make([]Experiment, 0, len(ids))
-	var specs []RunSpec
-	for _, id := range ids {
-		exp, ok := Experiments[id]
-		if !ok {
-			return nil, fmt.Errorf("bench: unknown experiment %q (have %v)", id, ExperimentIDs())
+	exps := Experiments
+	if len(ids) > 0 {
+		exps = make([]Experiment, 0, len(ids))
+		for _, id := range ids {
+			exp, ok := experimentByID(id)
+			if !ok {
+				return nil, fmt.Errorf("bench: unknown experiment %q (have %v)", id, ExperimentIDs())
+			}
+			exps = append(exps, exp)
 		}
-		exps = append(exps, exp)
+	}
+	var specs []RunSpec
+	for _, exp := range exps {
 		specs = append(specs, exp.Specs(p)...)
 	}
 	runner := NewRunner(p, opt)
@@ -968,8 +886,6 @@ func RunMatrix(ids []string, p Profile, opt MatrixOptions) (*MatrixResult, error
 		out.Experiments = append(out.Experiments, ExperimentResult{ID: exp.ID, Tables: tables})
 	}
 	out.Records = runner.Records()
-	out.Simulated = runner.Simulated()
-	out.CacheHits = runner.CacheHits()
 	out.Perf = runner.Perf()
 	return out, nil
 }

@@ -2,8 +2,6 @@ package bench
 
 import (
 	"bytes"
-	"os"
-	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -79,7 +77,8 @@ func TestMatrixDedupesAcrossExperiments(t *testing.T) {
 	declared := 0
 	unique := map[string]bool{}
 	for _, id := range ids {
-		for _, spec := range Experiments[id].Specs(p) {
+		exp, _ := experimentByID(id)
+		for _, spec := range exp.Specs(p) {
 			declared++
 			unique[spec.Key()] = true
 		}
@@ -93,79 +92,11 @@ func TestMatrixDedupesAcrossExperiments(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Simulated != len(unique) {
-		t.Errorf("simulated %d runs, want exactly the %d unique specs", m.Simulated, len(unique))
+	if m.Perf == nil || m.Perf.Simulated != len(unique) {
+		t.Errorf("perf %+v, want exactly the %d unique specs simulated", m.Perf, len(unique))
 	}
 	if len(m.Records) != len(unique) {
 		t.Errorf("recorded %d runs, want %d", len(m.Records), len(unique))
-	}
-}
-
-// TestMatrixDiskCache asserts the incremental-re-run contract: a
-// second invocation against a warm cache performs zero simulations
-// and still renders byte-identical output.
-func TestMatrixDiskCache(t *testing.T) {
-	p := matrixProfile()
-	dir := t.TempDir()
-	ids := []string{"fig3", "exp3", "table2"}
-	opt := MatrixOptions{Workers: 4, CacheDir: dir}
-
-	first, firstTables, firstJSON := runMatrixJSON(t, ids, p, opt)
-	if first.Simulated == 0 {
-		t.Fatal("cold run simulated nothing")
-	}
-	second, secondTables, secondJSON := runMatrixJSON(t, ids, p, opt)
-	if second.Simulated != 0 {
-		t.Errorf("warm run simulated %d runs, want 0", second.Simulated)
-	}
-	if second.CacheHits != len(first.Records) {
-		t.Errorf("warm run hit cache %d times, want %d", second.CacheHits, len(first.Records))
-	}
-	if firstTables != secondTables {
-		t.Error("cached run rendered different tables")
-	}
-	if !bytes.Equal(firstJSON, secondJSON) {
-		t.Error("cached run produced different JSON")
-	}
-}
-
-// TestMatrixCacheRejectsStaleSchema: entries written under a different
-// schema version are misses, not misreads.
-func TestMatrixCacheRejectsStaleSchema(t *testing.T) {
-	p := matrixProfile()
-	dir := t.TempDir()
-	ids := []string{"table2"}
-	first, err := RunMatrix(ids, p, MatrixOptions{CacheDir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ents) != len(first.Records) {
-		t.Fatalf("%d cache files for %d records", len(ents), len(first.Records))
-	}
-	for _, ent := range ents {
-		path := filepath.Join(dir, ent.Name())
-		data, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		stale := bytes.Replace(data, []byte(SchemaVersion), []byte("crest-bench/v0"), 1)
-		if err := os.WriteFile(path, stale, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	second, err := RunMatrix(ids, p, MatrixOptions{CacheDir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if second.CacheHits != 0 {
-		t.Errorf("stale-schema entries served %d cache hits", second.CacheHits)
-	}
-	if second.Simulated != len(first.Records) {
-		t.Errorf("simulated %d, want %d after cache invalidation", second.Simulated, len(first.Records))
 	}
 }
 
@@ -214,7 +145,7 @@ func TestRunSpecKeyCanonical(t *testing.T) {
 func TestSpecsMatchRender(t *testing.T) {
 	p := matrixProfile()
 	for _, id := range []string{"fig4", "table1", "table2", "exp5"} {
-		exp := Experiments[id]
+		exp, _ := experimentByID(id)
 		runner := NewRunner(p, MatrixOptions{})
 		if err := runner.Prime(exp.Specs(p)); err != nil {
 			t.Fatal(err)

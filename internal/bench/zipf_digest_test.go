@@ -51,8 +51,8 @@ func zipfTable(p Profile, spec RunSpec) (n int, theta float64, ok bool) {
 func TestZipfCDFDigests(t *testing.T) {
 	got := map[string]string{}
 	for _, p := range []Profile{Quick(), Full()} {
-		for _, id := range ExperimentIDs() {
-			for _, spec := range Experiments[id].Specs(p) {
+		for _, exp := range Experiments {
+			for _, spec := range exp.Specs(p) {
 				n, theta, ok := zipfTable(p, spec)
 				name := fmt.Sprintf("n%d/theta%.4f", n, theta)
 				if !ok || got[name] != "" {
