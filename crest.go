@@ -507,7 +507,7 @@ const MaxShards = memnode.MaxShards
 // seeds the "hotspot" placement policy (Config.PlacementHotKeys).
 type PlacementHotKey = placement.HotKey
 
-// PlacementPolicies lists the registered placement policy names, in
+// PlacementPolicies lists the placement policy names, in
 // sorted order, for Config.Placement.
 func PlacementPolicies() []string { return placement.Names() }
 

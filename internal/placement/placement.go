@@ -38,7 +38,7 @@ import (
 // setup and routing and must never consume virtual time or
 // randomness.
 type Policy interface {
-	// Name is the registered policy name.
+	// Name is the policy's name in the registry (New, Names).
 	Name() string
 	// Shard returns the owning shard group in [0, shards).
 	Shard(table layout.TableID, key layout.Key, shards int) int
@@ -67,7 +67,8 @@ func Mix(a, b uint64) uint64 {
 	return x
 }
 
-// registry maps policy names to fresh-instance factories.
+// registry is the fixed table of policy names and their fresh-instance
+// factories.
 var registry = map[string]func() Policy{
 	"hash":    func() Policy { return Hash{} },
 	"modulo":  func() Policy { return Modulo{} },
@@ -75,13 +76,7 @@ var registry = map[string]func() Policy{
 	"hotspot": func() Policy { return NewHotspot(nil) },
 }
 
-// Register adds a policy factory under name. Registering an existing
-// name replaces it.
-func Register(name string, factory func() Policy) {
-	registry[name] = factory
-}
-
-// Names lists the registered policy names, sorted.
+// Names lists the policy names, sorted.
 func Names() []string {
 	out := make([]string, 0, len(registry))
 	for name := range registry {
