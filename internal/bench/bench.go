@@ -106,7 +106,7 @@ type Config struct {
 	// Workers is how many OS threads execute shard-group partitions
 	// concurrently when the run is partitioned (see Partitioned). It is
 	// an invocation-level performance knob: every worker count produces
-	// byte-identical results, so it must never enter a cache key or a
+	// byte-identical results, so it must never enter a run key or a
 	// canonical record. 0 means 1.
 	Workers int
 }
@@ -376,16 +376,20 @@ func Run(cfg Config) (Result, error) {
 		phases = append(phases, slices.Clone(res.ScenarioPhases))
 	}
 
-	// Progress over the second half of the measured window, per
-	// partition: attempts and commits that end in [half, Duration),
-	// whenever their transaction began. Attempts there and no commit is
-	// a stall, not a result.
-	window := make([]struct{ attempts, commits uint64 }, len(d.views))
-	half := cfg.Warmup + (cfg.Duration-cfg.Warmup)/2
-	inWindow := func(t sim.Time) bool { return t >= sim.Time(half) && t < sim.Time(cfg.Duration) }
+	// Progress per measured millisecond, per partition: attempts and
+	// commits by the 1 ms bucket of [Warmup, Duration) they end in,
+	// whenever their transaction began; the last bucket absorbs a
+	// remainder under 1 ms. A bucket with attempts and no commit is a
+	// stall, not a result.
+	type progress struct{ attempts, commits uint64 }
+	buckets := max(1, int((cfg.Duration-cfg.Warmup)/sim.Millisecond))
+	window := make([][]progress, len(d.views))
+	for i := range window {
+		window[i] = make([]progress, buckets)
+	}
 
 	for rank, seat := range seats {
-		coord, prun, pph, win := seat.Coordinator, runs[seat.Part], phases[seat.Part], &window[seat.Part]
+		coord, prun, pph, win := seat.Coordinator, runs[seat.Part], phases[seat.Part], window[seat.Part]
 		seat.Env.Spawn(fmt.Sprintf("cn%d/coord%d", seat.Node, seat.Slot), func(p *sim.Proc) {
 			for !stop {
 				var txn *engine.Txn
@@ -416,10 +420,11 @@ func Run(cfg Config) (Result, error) {
 				attempt := 0
 				for {
 					a := coord.Execute(p, txn)
-					if inWindow(p.Now()) {
-						win.attempts++
+					if end := p.Now(); end >= sim.Time(cfg.Warmup) && end < sim.Time(cfg.Duration) {
+						b := &win[min(int(end.Sub(sim.Time(cfg.Warmup))/sim.Millisecond), buckets-1)]
+						b.attempts++
 						if a.Committed {
-							win.commits++
+							b.commits++
 						}
 					}
 					if measured {
@@ -497,13 +502,20 @@ func Run(cfg Config) (Result, error) {
 		res.History = d.db.Obs.History.Snapshot()
 		res.HistoryErr = res.History.Check()
 	}
-	var attempts, commits uint64
-	for _, w := range window {
-		attempts, commits = attempts+w.attempts, commits+w.commits
-	}
-	if attempts > 0 && commits == 0 {
-		return res, fmt.Errorf("bench: stalled: %d attempts, 0 commits in [%v, %v)",
-			attempts, time.Duration(half), time.Duration(cfg.Duration))
+	for i := range buckets {
+		var sum progress
+		for _, w := range window {
+			sum.attempts, sum.commits = sum.attempts+w[i].attempts, sum.commits+w[i].commits
+		}
+		if sum.attempts > 0 && sum.commits == 0 {
+			from := cfg.Warmup + sim.Duration(i)*sim.Millisecond
+			to := from + sim.Millisecond
+			if i == buckets-1 {
+				to = cfg.Duration
+			}
+			return res, fmt.Errorf("bench: stalled: %d attempts, 0 commits in [%v, %v)",
+				sum.attempts, time.Duration(from), time.Duration(to))
+		}
 	}
 	return res, nil
 }
