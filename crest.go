@@ -514,9 +514,9 @@ func PlacementPolicies() []string { return placement.Names() }
 // PlacementSeedFromWhy converts a causality snapshot's hotspot ranking
 // (a live WhySnapshot or a prior run's -why JSON export read back with
 // ReadWhyJSON) into a seed for the "hotspot" placement policy: the
-// limit most-contended keys are pinned to shard group 0, colocating
-// the hot set so transactions over it stay single-shard. A limit ≤ 0
-// keeps every ranked hotspot. It is the conversion a hotspot run with
+// limit most-contended records, one entry each, are pinned to shard
+// group 0, colocating the hot set so transactions over it stay
+// single-shard. A limit ≤ 0 keeps every ranked record. It is the conversion a hotspot run with
 // no seed applies to its own probe.
 func PlacementSeedFromWhy(s *WhySnapshot, limit int) []PlacementHotKey {
 	return bench.HotKeysFrom(s, limit)

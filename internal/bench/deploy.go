@@ -220,17 +220,22 @@ func probeHotKeys(cfg Config) ([]placement.HotKey, error) {
 
 // HotKeysFrom converts a causality snapshot's hotspot ranking into a
 // seed for the "hotspot" placement policy: the limit most-contended
-// keys are pinned to shard group 0, colocating the hot set so
-// transactions over it stay single-shard. A limit ≤ 0 keeps every
-// ranked hotspot.
+// records are pinned to shard group 0, colocating the hot set so
+// transactions over it stay single-shard. The ranking is per cell, so
+// a record keeps the place of its first-ranked cell and its other cells
+// are skipped. A limit ≤ 0 keeps every ranked record.
 func HotKeysFrom(s *causality.Snapshot, limit int) []placement.HotKey {
-	hs := s.Graph().Hotspots
-	if limit <= 0 || limit > len(hs) {
-		limit = len(hs)
-	}
-	keys := make([]placement.HotKey, 0, limit)
-	for _, h := range hs[:limit] {
-		keys = append(keys, placement.HotKey{Table: h.Table, Key: h.Key, Shard: 0})
+	var keys []placement.HotKey
+	seen := map[placement.HotKey]bool{}
+	for _, h := range s.Graph().Hotspots {
+		if limit > 0 && len(keys) == limit {
+			break
+		}
+		k := placement.HotKey{Table: h.Table, Key: h.Key, Shard: 0}
+		if !seen[k] {
+			seen[k] = true
+			keys = append(keys, k)
+		}
 	}
 	return keys
 }

@@ -1,10 +1,14 @@
 package bench
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
+	"crest/internal/causality"
+	"crest/internal/layout"
 	"crest/internal/metrics"
+	"crest/internal/placement"
 	"crest/internal/sim"
 	"crest/internal/trace"
 )
@@ -116,8 +120,34 @@ func TestHotspotPlacementReducesCrossShardShare(t *testing.T) {
 	}
 }
 
+// TestHotKeysFromOneEntryPerRecord: the why graph ranks hotspots per
+// cell, so a record contended on two cells ranks twice. The hotspot
+// seed pins records, so it keeps the record once, at its first rank,
+// and the limit counts records.
+func TestHotKeysFromOneEntryPerRecord(t *testing.T) {
+	edge := func(table layout.TableID, key layout.Key, mask uint64) causality.Edge {
+		return causality.Edge{Kind: causality.KindLockFail, Table: table, Key: key, Mask: mask}
+	}
+	s := &causality.Snapshot{Edges: []causality.Edge{
+		edge(1, 5, 0b11), edge(1, 5, 0b11), edge(1, 5, 0b11), // cells 0 and 1 rank first and second
+		edge(1, 7, 0b1), edge(1, 7, 0b1),
+		edge(2, 3, 0b1),
+	}}
+	if hs := s.Graph().Hotspots; len(hs) < 2 || hs[0].Key != 5 || hs[1].Key != 5 {
+		t.Fatalf("ranking %+v: want record (1, 5) in the first two places", hs)
+	}
+	want := []placement.HotKey{{Table: 1, Key: 5}, {Table: 1, Key: 7}}
+	if got := HotKeysFrom(s, 2); !slices.Equal(got, want) {
+		t.Errorf("HotKeysFrom(2) = %v, want %v", got, want)
+	}
+	want = append(want, placement.HotKey{Table: 2, Key: 3})
+	if got := HotKeysFrom(s, 0); !slices.Equal(got, want) {
+		t.Errorf("HotKeysFrom(0) = %v, want %v", got, want)
+	}
+}
+
 // RunSpec keys: pre-sharding specs keep their exact historical keys
-// (cache and golden compatibility), sharded specs append the topology
+// (golden compatibility), sharded specs append the topology
 // segments.
 func TestRunSpecKeyTopologySegments(t *testing.T) {
 	p := Quick()
