@@ -516,8 +516,8 @@ func PlacementPolicies() []string { return placement.Names() }
 // ReadWhyJSON) into a seed for the "hotspot" placement policy: the
 // limit most-contended records, one entry each, are pinned to shard
 // group 0, colocating the hot set so transactions over it stay
-// single-shard. A limit ≤ 0 keeps every ranked record. It is the conversion a hotspot run with
-// no seed applies to its own probe.
+// single-shard. A limit ≤ 0 keeps every ranked record. It is the
+// conversion a hotspot run with no seed applies to its own probe.
 func PlacementSeedFromWhy(s *WhySnapshot, limit int) []PlacementHotKey {
 	return bench.HotKeysFrom(s, limit)
 }

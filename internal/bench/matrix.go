@@ -3,10 +3,11 @@
 // that matrix a first-class representation. A RunSpec is a canonical
 // value that fully determines one deterministic DES run; experiments
 // declare the specs they need and a Runner executes the deduplicated
-// set — in parallel on a bounded worker pool, each once, memoized in
-// process — then renders tables from the shared result store. Because every run is an independent single-scheduler
-// simulation keyed by its spec, parallel execution is byte-identical
-// to sequential execution.
+// set — in parallel on a bounded worker pool, each run once, memoized
+// in process — then renders tables from the shared result store.
+// Because every run is an independent single-scheduler simulation
+// keyed by its spec, parallel execution is byte-identical to
+// sequential execution.
 package bench
 
 import (
@@ -37,8 +38,8 @@ import (
 // rather than misread.
 //
 // v2 added RunRecord.Events; v1 records would decode with a zero
-// count, which is a misread. v3 added the BenchPerf
-// workers/per-partition fields emitted by parallel-capable invocations.
+// count, which is a misread. v3 added the BenchPerf workers and
+// per-partition fields emitted by parallel-capable invocations.
 const SchemaVersion = "crest-bench/v3"
 
 // Workload kinds a WorkloadSpec can name.
@@ -114,10 +115,10 @@ func (w WorkloadSpec) generator(p Profile) (func() workload.Generator, error) {
 }
 
 // RunSpec is the declarative description of one run — the only one:
-// the matrix runner, crest.RunBenchmark and both CLIs all describe a run as a RunSpec, and Execute is the one function that
-// resolves it to the executable Config and runs it. It canonically
-// identifies the run:
-// everything that influences the schedule is in here, so equal keys
+// the matrix runner, crest.RunBenchmark and both CLIs all describe a
+// run as a RunSpec, and Execute is the one function that resolves it
+// to the executable Config and runs it. It canonically identifies the
+// run: everything that influences the schedule is in here, so equal keys
 // mean equal results and a result may be reused wherever its spec
 // reappears.
 type RunSpec struct {

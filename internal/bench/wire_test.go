@@ -11,8 +11,7 @@ import (
 // baseline: every record of BENCH_quick.json must decode into a spec
 // whose recomputed Key() is the recorded key and whose re-encoding is
 // byte-equal to the recorded "spec" object. A RunSpec field, tag or key
-// change that would orphan the baseline (and every result cache) fails
-// here.
+// change that would orphan the baseline fails here.
 func TestBenchQuickKeysRoundTrip(t *testing.T) {
 	data, err := os.ReadFile("../../BENCH_quick.json")
 	if err != nil {

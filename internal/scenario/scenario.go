@@ -409,8 +409,8 @@ func (s *Spec) Canonical() string {
 
 // Key is the scenario's hash-stable identity: the (sanitized) name
 // plus a digest of the canonical form. Two specs with equal keys
-// describe the same scenario, so matrix memoization and the on-disk
-// result cache dedupe across them.
+// describe the same scenario, so matrix memoization dedupes across
+// them.
 func (s *Spec) Key() string {
 	sum := sha256.Sum256([]byte(s.Canonical()))
 	name := s.Name
