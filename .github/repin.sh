@@ -25,9 +25,9 @@ echo "== pins held by the tests (REPIN=1)"
 REPIN=1 go test -count=1 -run 'Digests$|^TestDriftDemoMatchesExampleFile$' ./...
 
 go build -o "$tmp/crestbench" ./cmd/crestbench
-echo "== crestbench -exp all -profile quick"
+echo "== crestbench -exp all -quick"
 cp BENCH_quick.json "$tmp/baseline.json"
-"$tmp/crestbench" -exp all -profile quick -json "$out/BENCH_quick.json" \
+"$tmp/crestbench" -exp all -quick -json "$out/BENCH_quick.json" \
   -baseline "$tmp/baseline.json" > "$out/quick.txt"
 sed '/^KOPS vs /,$d' "$out/quick.txt" > quick_results.txt
 sed -n '/^KOPS vs /,$p' "$out/quick.txt"
@@ -37,7 +37,7 @@ jq 'del(.perf)' "$out/BENCH_quick.json" > BENCH_quick.json
 echo "== paper predicates over the new BENCH_quick.json (REPIN=1)"
 REPIN=1 go test -count=1 -run '^TestPaperPredicates$' ./internal/bench
 for exp in exp1 exp6; do
-  echo "== crestbench -exp $exp -profile full"
-  "$tmp/crestbench" -exp "$exp" -profile full > "full_$exp.txt"
+  echo "== crestbench -exp $exp"
+  "$tmp/crestbench" -exp "$exp" > "full_$exp.txt"
 done
 echo "[repin: $((SECONDS - start)) s wall time]"

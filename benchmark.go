@@ -5,9 +5,6 @@ import (
 	"io"
 
 	"crest/internal/bench"
-	"crest/internal/workload/smallbank"
-	"crest/internal/workload/tpcc"
-	"crest/internal/workload/ycsb"
 )
 
 // Workload kinds a WorkloadSpec can name.
@@ -73,24 +70,23 @@ type BenchmarkResult struct {
 	WallMS float64
 
 	// Trace is the run's event trace when BenchmarkConfig.Trace was
-	// set (render with WriteChromeTrace / WriteSpanSummary /
-	// WriteHotKeys), nil otherwise.
+	// set (write it out with Export), nil otherwise.
 	Trace *TraceSnapshot
 
 	// Metrics is the run's windowed metrics snapshot when
-	// BenchmarkConfig.Metrics was set (render with
-	// WriteMetricsPrometheus / WriteMetricsCSV / WriteMetricsJSON /
-	// WriteMetricsSparklines), nil otherwise.
+	// BenchmarkConfig.Metrics was set (write it out with Export, or
+	// render it with WriteMetricsSparklines), nil otherwise.
 	Metrics *MetricsSnapshot
 
 	// Why is the run's causality snapshot when BenchmarkConfig.Why was
-	// set (render with WriteWhyBlame / WriteWhyDOT / WriteWhyJSON),
-	// nil otherwise.
+	// set (write it out with Export, or render it with WriteWhyBlame /
+	// WriteWhyDOT), nil otherwise.
 	Why *WhySnapshot
 
 	// Flight is the run's latency-budget snapshot when
-	// BenchmarkConfig.Flight was set (render with WriteFlightTail /
-	// WriteFlightCritPath / WriteFlightJSON), nil otherwise.
+	// BenchmarkConfig.Flight was set (write it out with Export, or
+	// render it with WriteFlightTail / WriteFlightCritPath), nil
+	// otherwise.
 	Flight *FlightSnapshot
 
 	// Runtime is the window executor's introspection when the run was
@@ -138,27 +134,10 @@ func RunBenchmark(cfg BenchmarkConfig) (BenchmarkResult, error) {
 	return out, nil
 }
 
-// ExperimentTable is one regenerated artifact of the paper (a table or
-// a figure's data series).
-type ExperimentTable = bench.Table
-
 // ExperimentIDs lists the reproducible artifacts in the paper's order:
 // fig2–fig4 (motivation), table1–table2 (analysis), exp1–exp8
 // (evaluation).
 func ExperimentIDs() []string { return bench.ExperimentIDs() }
-
-// RunExperiment regenerates one paper artifact: RunMatrix over the one
-// id. quick selects the CI-sized profile; otherwise the near-paper-scale
-// profile runs (see EXPERIMENTS.md for expected output and timings).
-// Use RunMatrix to share runs across several experiments and to collect
-// machine-readable records.
-func RunExperiment(id string, quick bool) ([]ExperimentTable, error) {
-	m, err := RunMatrix([]string{id}, quick, MatrixOptions{})
-	if err != nil {
-		return nil, err
-	}
-	return m.Experiments[0].Tables, nil
-}
 
 // The experiment-matrix surface: a RunSpec canonically identifies one
 // deterministic run, a RunRecord is its schema-versioned outcome, and
@@ -176,20 +155,17 @@ type (
 	// BenchResultSet is the schema-versioned JSON document of a matrix
 	// invocation's unique runs.
 	BenchResultSet = bench.ResultSet
-	// BenchPerf is an invocation's simulator wall-clock summary (the
-	// nondeterministic "perf" object of a measured BenchResultSet).
-	BenchPerf = bench.BenchPerf
 )
-
-// BenchSchemaVersion identifies the JSON layout of RunRecord /
-// BenchResultSet (the BENCH_*.json artifacts).
-const BenchSchemaVersion = bench.SchemaVersion
 
 // RunMatrix regenerates the named experiments (all of them when ids is
 // empty) over one shared result store: every unique RunSpec executes
 // exactly once, in parallel on opt.Workers simulations (GOMAXPROCS
 // when ≤ 0), and the rendered tables are byte-identical for any worker
-// count.
+// count. Export writes the per-run records as crest-bench JSON (the
+// BENCH_*.json format), whose top-level "perf" object, the
+// invocation's wall-clock simulator measurements, is the one
+// nondeterministic part: strip it (or compare ResultSet().Encode
+// output) when diffing artifacts.
 func RunMatrix(ids []string, quick bool, opt MatrixOptions) (*MatrixResult, error) {
 	profile := bench.Full()
 	if quick {
@@ -198,17 +174,7 @@ func RunMatrix(ids []string, quick bool, opt MatrixOptions) (*MatrixResult, erro
 	return bench.RunMatrix(ids, profile, opt)
 }
 
-// WriteBenchJSON emits a matrix invocation's per-run records as
-// schema-versioned JSON (the BENCH_*.json format). The records are
-// deterministic; the optional top-level "perf" object carries the
-// invocation's wall-clock simulator measurements and is the one
-// nondeterministic part — strip it (or compare ResultSet().Encode
-// output) when diffing artifacts.
-func WriteBenchJSON(w io.Writer, m *MatrixResult) error {
-	return m.MeasuredResultSet().Encode(w)
-}
-
-// ReadBenchJSON parses a document written by WriteBenchJSON and
+// ReadBenchJSON parses a crest-bench document written by Export and
 // verifies its schema version.
 func ReadBenchJSON(r io.Reader) (*BenchResultSet, error) {
 	return bench.DecodeResultSet(r)
@@ -225,13 +191,3 @@ type BenchComparison = bench.Comparison
 func CompareBenchResultSets(base, cur *BenchResultSet) *BenchComparison {
 	return bench.CompareResultSets(base, cur)
 }
-
-// Workload generator re-exports for custom harnesses.
-var (
-	// NewTPCC builds the TPC-C-style generator.
-	NewTPCC = tpcc.New
-	// NewSmallBank builds the SmallBank generator.
-	NewSmallBank = smallbank.New
-	// NewYCSB builds the transactional YCSB generator.
-	NewYCSB = ycsb.New
-)

@@ -10,7 +10,11 @@ import (
 	"testing"
 	"time"
 
+	"crest/internal/causality"
+	"crest/internal/flight"
+	"crest/internal/metrics"
 	"crest/internal/pin"
+	"crest/internal/trace"
 )
 
 // clusterDigest runs the fixed bank load and ExecuteAll batch on one
@@ -56,10 +60,10 @@ func clusterDigest(t *testing.T, system System, shards int) string {
 		_, err := fmt.Fprintf(w, "now %d\n", c.Now())
 		return err
 	})
-	part(func(w io.Writer) error { return WriteChromeTrace(w, c.TraceSnapshot()) })
-	part(func(w io.Writer) error { return WriteMetricsCSV(w, c.MetricsSnapshot()) })
-	part(func(w io.Writer) error { return WriteWhyJSON(w, c.WhySnapshot()) })
-	part(func(w io.Writer) error { return WriteFlightJSON(w, c.FlightSnapshot()) })
+	part(func(w io.Writer) error { return trace.WriteChromeTrace(w, c.TraceSnapshot()) })
+	part(func(w io.Writer) error { return metrics.WriteCSV(w, c.MetricsSnapshot()) })
+	part(func(w io.Writer) error { return causality.WriteJSON(w, c.WhySnapshot()) })
+	part(func(w io.Writer) error { return flight.WriteJSON(w, c.FlightSnapshot()) })
 	return strings.Join(parts, " ")
 }
 
@@ -107,9 +111,9 @@ func TestMidRunSnapshotsStayPut(t *testing.T) {
 			batch()
 			tr, why, fl := c.TraceSnapshot(), c.WhySnapshot(), c.FlightSnapshot()
 			exports := []func(io.Writer) error{
-				func(w io.Writer) error { return WriteChromeTrace(w, tr) },
-				func(w io.Writer) error { return WriteWhyJSON(w, why) },
-				func(w io.Writer) error { return WriteFlightJSON(w, fl) },
+				func(w io.Writer) error { return trace.WriteChromeTrace(w, tr) },
+				func(w io.Writer) error { return causality.WriteJSON(w, why) },
+				func(w io.Writer) error { return flight.WriteJSON(w, fl) },
 			}
 			render := func() [][]byte {
 				var out [][]byte

@@ -5,14 +5,15 @@
 // scenario crossover tailprof; -list prints them):
 //
 //	crestbench -exp exp1
-//	crestbench -exp all -profile quick -j 8
-//	crestbench -exp all -profile quick -json BENCH_quick.json
+//	crestbench -exp all -quick -j 8
+//	crestbench -exp all -quick -json BENCH_quick.json
 //
 // The experiments run as one deduplicated matrix: every unique
 // configuration simulates exactly once per invocation, -j
 // configurations in parallel (default GOMAXPROCS), with byte-identical
-// output for any -j. -json writes every unique run as schema-versioned
-// records.
+// output for any -j. -quick selects the CI-scale tables, as it does
+// for -run; without it the near-paper-scale profile runs. -json writes
+// every unique run as schema-versioned records.
 //
 // Run a single configuration:
 //
@@ -47,10 +48,11 @@ func main() {
 }
 
 // runOutputs are the flags beside the RunSpec key table's that only -run
-// consumes, and expOutputs the flags only -exp consumes.
+// consumes, and expOutputs the flags only -exp consumes. Of the table's
+// keys -exp takes quick, its table scale.
 var (
 	runOutputs = []string{"spec", "big", "trace", "metrics", "why", "flight", "runtime-stats", "metrics-window"}
-	expOutputs = []string{"profile", "j", "json", "baseline"}
+	expOutputs = []string{"j", "json", "baseline"}
 )
 
 // bigRun is the -big preset, the million-transaction topology: 10³
@@ -81,7 +83,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	var (
 		expID    = fs.String("exp", "", "experiment id to regenerate, or 'all'")
-		profile  = fs.String("profile", "full", "experiment profile: quick or full")
 		jobs     = fs.Int("j", 0, "parallel simulations for -exp (default GOMAXPROCS)")
 		jsonOut  = fs.String("json", "", "with -exp: write per-run JSON records to this file")
 		baseline = fs.String("baseline", "", "with -exp: compare per-run KOPS against this BENCH_*.json baseline")
@@ -128,8 +129,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	if err := crest.ValidateWorkers(*workers); err != nil {
-		return usageErr("%v", err)
+	// The scheduler needs a worker; counts beyond the partition count
+	// are clamped.
+	if *workers < 1 {
+		return usageErr("-workers must be >= 1 (got %d)", *workers)
 	}
 	modes := 0
 	for _, on := range []bool{*list, *expID != "", *runOne} {
@@ -147,12 +150,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// passed names the run keys given; specErr is only -run's to report.
 	passed, specErr := spec.SetFlags(fs)
 	// -exp and -list take their run descriptions from the experiment
-	// definitions, and -run and -list write no matrix: a flag of another
-	// mode would be silently ignored.
+	// definitions (-exp its table scale from -quick), and -run and -list
+	// write no matrix: a flag of another mode would be silently ignored.
 	stray, owner := "", ""
 	fs.Visit(func(f *flag.Flag) {
 		switch {
-		case stray != "":
+		case stray != "", *expID != "" && f.Name == "quick":
 		case !*runOne && (passed[f.Name] || slices.Contains(runOutputs, f.Name)):
 			stray, owner = f.Name, "-run"
 		case *expID == "" && slices.Contains(expOutputs, f.Name):
@@ -224,12 +227,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if *expID != "all" {
 			ids = []string{*expID}
 		}
-		quickProfile := *profile == "quick"
-		if !quickProfile && *profile != "full" {
-			return usageErr("unknown profile %q (quick or full)", *profile)
-		}
 		start := time.Now()
-		m, err := crest.RunMatrix(ids, quickProfile, crest.MatrixOptions{
+		m, err := crest.RunMatrix(ids, spec.Profile == "quick", crest.MatrixOptions{
 			Workers:    *jobs,
 			SimWorkers: *workers,
 		})
@@ -249,7 +248,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stdout, "KOPS vs %s:\n%s", *baseline, cmp.Format())
 		}
 		fmt.Fprintf(stderr, "[%d experiment(s), %d unique runs, %s profile, %v wall time]\n",
-			len(m.Experiments), len(m.Records), *profile,
+			len(m.Experiments), len(m.Records), m.Profile,
 			time.Since(start).Round(time.Millisecond))
 		if p := m.Perf; p != nil {
 			fmt.Fprintf(stderr, "[sim: %d events in %.0f ms event-loop time, %.2fM events/sec]\n",

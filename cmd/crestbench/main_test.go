@@ -196,11 +196,11 @@ func runKeys() []string {
 
 // The three modes are exclusive, and each rejects the flags of another
 // rather than silently ignoring them: -exp and -list take their run
-// descriptions from the experiment definitions, so every run key and
-// every -run-only output flag is rejected there, and the matrix flags
-// are rejected under -run and -list.
+// descriptions from the experiment definitions, so every run key but
+// -exp's -quick and every -run-only output flag is rejected there, and
+// the matrix flags are rejected under -run and -list.
 func TestExpAndListRejectRunFlags(t *testing.T) {
-	runFlags := [][]string{{"-spec", "x.spec"}, {"-big"}, {"-quick"}, {"-runtime-stats", "rt.json"},
+	runFlags := [][]string{{"-spec", "x.spec"}, {"-big"}, {"-runtime-stats", "rt.json"},
 		{"-trace", "x.json"}, {"-metrics", "m.csv"}, {"-metrics-window", "50us"}, {"-why", "w.json"}, {"-flight", "f.json"}}
 	for _, key := range runKeys() {
 		switch key {
@@ -211,7 +211,7 @@ func TestExpAndListRejectRunFlags(t *testing.T) {
 			runFlags = append(runFlags, []string{"-" + key, "1"})
 		}
 	}
-	expFlags := [][]string{{"-profile", "quick"}, {"-j", "2"}, {"-json", "x.json"}, {"-baseline", "b.json"}}
+	expFlags := [][]string{{"-j", "2"}, {"-json", "x.json"}, {"-baseline", "b.json"}}
 	run := []string{"-run", "-quick", "-workload", "smallbank", "-coords", "12", "-duration", "2ms", "-warmup", "200us"}
 	for _, tc := range []struct {
 		mode  []string
@@ -219,7 +219,7 @@ func TestExpAndListRejectRunFlags(t *testing.T) {
 		owner string
 	}{
 		{[]string{"-exp", "fig2"}, runFlags, "-run"},
-		{[]string{"-list"}, runFlags, "-run"},
+		{[]string{"-list"}, append(runFlags, []string{"-quick"}), "-run"},
 		{run, expFlags, "-exp"},
 		{[]string{"-list"}, expFlags, "-exp"},
 	} {
@@ -332,16 +332,6 @@ func TestCoordsRunsExactTotal(t *testing.T) {
 	}
 	if len(coords) != 10 {
 		t.Fatalf("-coords 10 ran %d coordinators", len(coords))
-	}
-}
-
-func TestExpRejectsBadProfile(t *testing.T) {
-	code, _, stderr := dispatch("-exp", "exp1", "-profile", "huge")
-	if code != 2 {
-		t.Fatalf("exit code %d, want 2", code)
-	}
-	if !strings.Contains(stderr, `unknown profile "huge"`) {
-		t.Fatalf("stderr lacks diagnosis:\n%s", stderr)
 	}
 }
 

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"io"
 	"path/filepath"
 	"testing"
 
@@ -16,10 +15,8 @@ import (
 var cliCases = []pin.Case{
 	{Name: "why/fresh", Args: "why -in $SB_WHY 41"},
 	{Name: "why/in", Args: "why -in $WHY 412"},
-	{Name: "graph/fresh-dot", Files: []string{"why.dot"}, Args: "graph -in $SB_WHY -o $T/why.dot"},
-	{Name: "graph/fresh-json", Args: "graph -in $YCSB_WHY -format json"},
-	{Name: "graph/in-dot", Files: []string{"why.dot"}, Args: "graph -in $WHY -o $T/why.dot"},
-	{Name: "graph/in-json", Args: "graph -in $WHY -format json"},
+	{Name: "graph/fresh-dot", Args: "graph -in $SB_WHY"},
+	{Name: "graph/in-dot", Args: "graph -in $WHY"},
 	{Name: "windows/fresh", Args: "windows -in $SHARDED_RT"},
 	{Name: "windows/in", Args: "windows -in $RT"},
 	{Name: "tail/fresh", Args: "tail -in $SB_FLIGHT"},
@@ -53,7 +50,11 @@ func runtimeFixture(t *testing.T) string {
 		},
 		WindowLogDropped: 1,
 	}
-	return export(t, "runtime.json", func(w io.Writer) error { return crest.WriteRuntimeStats(w, stats) })
+	path := filepath.Join(t.TempDir(), "runtime.json")
+	if _, err := crest.Export(path, stats); err != nil {
+		t.Fatal(err)
+	}
+	return path
 }
 
 // runExport runs smallRun with the key, value pairs of sets applied

@@ -8,11 +8,10 @@
 //	crestbench -run -workload smallbank -theta 0.99 -why why.json
 //	cresttrace why -in why.json 412
 //
-// Export the aggregated contention dependency graph (hotspots and
-// wait cycles) as Graphviz DOT or crest-why JSON:
+// Render the aggregated contention dependency graph (hotspots and
+// wait cycles) as Graphviz DOT:
 //
-//	cresttrace graph -in why.json -o why.dot
-//	cresttrace graph -in why.json -format json
+//	cresttrace graph -in why.json > why.dot
 //
 // Render the window executor's window/barrier timeline of a
 // partitioned run from a crest-runtime export:
@@ -33,9 +32,9 @@
 // Chrome trace JSON, per-transaction span timelines (f.spans) or the
 // hot-key profile (f.hotkeys) directly.
 //
-// Output is deterministic: an export of the same seed and configuration
-// renders byte-identical blame chains, graphs and timelines, whatever
-// -workers count the run used.
+// Every subcommand writes to stdout. Output is deterministic: an export
+// of the same seed and configuration renders byte-identical blame
+// chains, graphs and timelines, whatever -workers count the run used.
 package main
 
 import (
@@ -52,12 +51,18 @@ import (
 )
 
 func main() {
-	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+	stdout := bufio.NewWriter(os.Stdout)
+	code := run(os.Args[1:], stdout, os.Stderr)
+	if err := stdout.Flush(); err != nil && code == 0 {
+		fmt.Fprintf(os.Stderr, "cresttrace: %v\n", err)
+		code = 1
+	}
+	os.Exit(code)
 }
 
 const usageText = `usage: cresttrace why -in f <txnid>        explain one transaction's abort
-       cresttrace graph -in f [flags]      export the contention graph (DOT or JSON)
-       cresttrace windows -in f [flags]    render the window executor timeline (partitioned runs)
+       cresttrace graph -in f              render the contention graph as Graphviz DOT
+       cresttrace windows -in f            render the window executor timeline (partitioned runs)
        cresttrace tail -in f [flags]       decompose tail latency into per-component budgets
        cresttrace critpath -in f <txnid>   walk one transaction's critical path across retries
 
@@ -145,18 +150,6 @@ func command[T any](name, export string, txn bool, read func(io.Reader) (*T, err
 	}
 }
 
-// output renders to the -o file, or to stdout when there is none.
-func output(path string, stdout io.Writer, render func(io.Writer) error) error {
-	if path != "" {
-		return crest.WriteFile(path, render)
-	}
-	bw := bufio.NewWriter(stdout)
-	if err := render(bw); err != nil {
-		return err
-	}
-	return bw.Flush()
-}
-
 // runTail prints the aggregate latency budget report: the p50/p99/
 // p99.9 component decomposition, the tail-vs-median attribution, and
 // the slowest exemplars' critical paths.
@@ -203,27 +196,15 @@ func runWhy(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// runGraph exports the aggregated contention dependency graph.
+// runGraph renders the aggregated contention dependency graph as
+// Graphviz DOT.
 func runGraph(args []string, stdout, stderr io.Writer) int {
-	fs, parse := command("cresttrace graph", whyExport, false, crest.ReadWhyJSON, stderr)
-	format := fs.String("format", "dot", "output: dot (Graphviz) or json (crest-why/v1)")
-	out := fs.String("o", "", "output file (default stdout)")
+	_, parse := command("cresttrace graph", whyExport, false, crest.ReadWhyJSON, stderr)
 	snap, _, code := parse(args)
 	if code != 0 {
 		return code
 	}
-	if *format != "dot" && *format != "json" {
-		fmt.Fprintf(stderr, "cresttrace graph: unknown format %q (dot or json)\n", *format)
-		usage(stderr)
-		return 2
-	}
-	err := output(*out, stdout, func(w io.Writer) error {
-		if *format == "json" {
-			return crest.WriteWhyJSON(w, snap)
-		}
-		return crest.WriteWhyDOT(w, snap)
-	})
-	if err != nil {
+	if err := crest.WriteWhyDOT(stdout, snap); err != nil {
 		fmt.Fprintf(stderr, "cresttrace graph: %v\n", err)
 		return 1
 	}
@@ -237,14 +218,12 @@ func runGraph(args []string, stdout, stderr io.Writer) int {
 // export at any -workers count; the export's wall-clock summary goes to
 // stderr.
 func runWindows(args []string, stdout, stderr io.Writer) int {
-	fs, parse := command("cresttrace windows", "crest-runtime JSON export (crestbench -run -runtime-stats f)", false, crest.ReadRuntimeStats, stderr)
-	out := fs.String("o", "", "output file (default stdout)")
+	_, parse := command("cresttrace windows", "crest-runtime JSON export (crestbench -run -runtime-stats f)", false, crest.ReadRuntimeStats, stderr)
 	stats, _, code := parse(args)
 	if code != 0 {
 		return code
 	}
-	err := output(*out, stdout, func(w io.Writer) error { return crest.WriteWindowTimeline(w, stats) })
-	if err != nil {
+	if err := crest.WriteWindowTimeline(stdout, stats); err != nil {
 		fmt.Fprintf(stderr, "cresttrace windows: %v\n", err)
 		return 1
 	}

@@ -28,8 +28,8 @@
 //	})
 //	res, _ := cluster.Execute(txn)
 //
-// Package-level workload and experiment runners regenerate every table
-// and figure of the paper's evaluation; see RunExperiment and
+// Package-level benchmark and experiment runners regenerate every table
+// and figure of the paper's evaluation; see RunMatrix and
 // cmd/crestbench.
 package crest
 
@@ -85,7 +85,7 @@ type Config struct {
 	CompNodes    int
 	Replicas     int // f backup copies per record (0 ≤ f < MemNodes)
 	Seed         int64
-	Shards       int    // independent shard groups, at most MaxShards
+	Shards       int    // independent shard groups, at most 64
 	Placement    string // see PlacementPolicies; "" is "hash"
 	// PlacementHotKeys seeds the "hotspot" policy's override table
 	// (ignored by other policies): each entry pins one record to a
@@ -390,47 +390,17 @@ func (c *Cluster) memoryNode(id int) (*memnode.Node, error) {
 type TraceSnapshot = trace.Snapshot
 
 // TraceSnapshot returns the trace recorded so far (empty unless the
-// cluster was built with Config.Trace). Render it with
-// WriteChromeTrace, WriteSpanSummary or WriteHotKeys.
+// cluster was built with Config.Trace). Write it out with Export.
 func (c *Cluster) TraceSnapshot() *TraceSnapshot { return c.obs.Trace.Snapshot() }
-
-// WriteChromeTrace renders a trace snapshot as Chrome trace_event JSON
-// (opens directly in Perfetto or chrome://tracing).
-func WriteChromeTrace(w io.Writer, s *TraceSnapshot) error { return trace.WriteChromeTrace(w, s) }
-
-// WriteSpanSummary renders per-transaction span timelines with exact
-// virtual-time phase durations and round-trip attribution.
-func WriteSpanSummary(w io.Writer, s *TraceSnapshot) error { return trace.WriteSpanSummary(w, s) }
-
-// WriteHotKeys renders the top-k hot-key contention profile.
-func WriteHotKeys(w io.Writer, s *TraceSnapshot, k int) error { return trace.WriteHotKeys(w, s, k) }
 
 // MetricsSnapshot is an immutable copy of a cluster's instruments and
 // windowed time-series.
 type MetricsSnapshot = metrics.Snapshot
 
 // MetricsSnapshot copies the metrics recorded so far (empty unless the
-// cluster was built with Config.Metrics). Render it with
-// WriteMetricsPrometheus, WriteMetricsCSV, WriteMetricsJSON or
-// WriteMetricsSparklines.
+// cluster was built with Config.Metrics). Write it out with Export, or
+// render it with WriteMetricsSparklines.
 func (c *Cluster) MetricsSnapshot() *MetricsSnapshot { return c.obs.Metrics.Snapshot() }
-
-// WriteMetricsPrometheus renders end-of-run instrument values in the
-// Prometheus text exposition format (a valid scrape file).
-func WriteMetricsPrometheus(w io.Writer, s *MetricsSnapshot) error {
-	return metrics.WritePrometheus(w, s)
-}
-
-// WriteMetricsCSV renders the windowed time-series as CSV, one row per
-// virtual-time window.
-func WriteMetricsCSV(w io.Writer, s *MetricsSnapshot) error { return metrics.WriteCSV(w, s) }
-
-// WriteMetricsJSON renders the snapshot as a schema-versioned JSON
-// document; ReadMetricsJSON parses it back.
-func WriteMetricsJSON(w io.Writer, s *MetricsSnapshot) error { return metrics.WriteJSON(w, s) }
-
-// ReadMetricsJSON parses a document written by WriteMetricsJSON.
-func ReadMetricsJSON(r io.Reader) (*MetricsSnapshot, error) { return metrics.ReadJSON(r) }
 
 // WriteMetricsSparklines renders a terminal-friendly per-series
 // sparkline summary of the windowed time-series.
@@ -446,8 +416,8 @@ type WhySnapshot = causality.Snapshot
 
 // WhySnapshot returns the causality record so far (empty unless the
 // cluster was built with Config.Why). Explain a single abort with
-// WriteWhyBlame, or export the aggregate contention graph with
-// WriteWhyDOT / WriteWhyJSON.
+// WriteWhyBlame, render the aggregate contention graph with
+// WriteWhyDOT, or write it out with Export.
 func (c *Cluster) WhySnapshot() *WhySnapshot { return c.obs.Why.Snapshot() }
 
 // WriteWhyBlame renders the blame chain for one transaction: the
@@ -461,11 +431,7 @@ func WriteWhyBlame(w io.Writer, s *WhySnapshot, txn uint64) error {
 // Graphviz DOT, with hotspot and wait-cycle annotations.
 func WriteWhyDOT(w io.Writer, s *WhySnapshot) error { return causality.WriteDOT(w, s) }
 
-// WriteWhyJSON renders the snapshot as a schema-versioned JSON
-// document ("crest-why/v1"); ReadWhyJSON parses it back.
-func WriteWhyJSON(w io.Writer, s *WhySnapshot) error { return causality.WriteJSON(w, s) }
-
-// ReadWhyJSON parses a document written by WriteWhyJSON.
+// ReadWhyJSON parses a crest-why/v1 document written by Export.
 func ReadWhyJSON(r io.Reader) (*WhySnapshot, error) { return causality.ReadJSON(r) }
 
 // FlightSnapshot is a cluster's per-transaction latency budgets and
@@ -476,7 +442,7 @@ type FlightSnapshot = flight.Snapshot
 // FlightSnapshot returns the flight record so far (empty unless the
 // cluster was built with Config.Flight). Render the aggregate tail
 // decomposition with WriteFlightTail, one transaction's critical path
-// with WriteFlightCritPath, or export it with WriteFlightJSON.
+// with WriteFlightCritPath, or write it out with Export.
 func (c *Cluster) FlightSnapshot() *FlightSnapshot { return c.obs.Flight.Snapshot() }
 
 // WriteFlightTail renders the aggregate latency budget report: p50,
@@ -492,16 +458,8 @@ func WriteFlightCritPath(w io.Writer, s *FlightSnapshot, txn uint64) error {
 	return flight.WriteCritPath(w, s, txn)
 }
 
-// WriteFlightJSON renders the snapshot as a schema-versioned JSON
-// document ("crest-flight/v1"); ReadFlightJSON parses it back.
-func WriteFlightJSON(w io.Writer, s *FlightSnapshot) error { return flight.WriteJSON(w, s) }
-
-// ReadFlightJSON parses a document written by WriteFlightJSON.
+// ReadFlightJSON parses a crest-flight/v1 document written by Export.
 func ReadFlightJSON(r io.Reader) (*FlightSnapshot, error) { return flight.ReadJSON(r) }
-
-// MaxShards bounds Config.Shards (shard-group membership travels as a
-// 64-bit set through the commit path).
-const MaxShards = memnode.MaxShards
 
 // PlacementHotKey pins one record to a shard group; a slice of them
 // seeds the "hotspot" placement policy (Config.PlacementHotKeys).

@@ -334,14 +334,14 @@ func TestExperimentRegistry(t *testing.T) {
 	if ids[0] != "fig2" || ids[len(ids)-1] != "tailprof" {
 		t.Fatalf("order: %v", ids)
 	}
-	if _, err := RunExperiment("nope", true); err == nil {
+	if _, err := RunMatrix([]string{"nope"}, true, MatrixOptions{}); err == nil {
 		t.Fatal("unknown experiment accepted")
 	}
-	tabs, err := RunExperiment("table1", true)
+	m, err := RunMatrix([]string{"table1"}, true, MatrixOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tabs) != 2 || len(tabs[0].Rows) != 3 {
+	if tabs := m.Experiments[0].Tables; len(tabs) != 2 || len(tabs[0].Rows) != 3 {
 		t.Fatalf("table1 shape: %d tables", len(tabs))
 	}
 }

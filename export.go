@@ -6,6 +6,11 @@ import (
 	"io"
 	"os"
 	"strings"
+
+	"crest/internal/causality"
+	"crest/internal/flight"
+	"crest/internal/metrics"
+	"crest/internal/trace"
 )
 
 // Export writes one of a run's outputs to path and returns the one-line
@@ -14,65 +19,65 @@ import (
 //
 //	*TraceSnapshot    .spans per-transaction span timelines, .hotkeys
 //	                  the top-20 hot-key profile, anything else Chrome
-//	                  trace_event JSON
+//	                  trace_event JSON (opens in Perfetto)
 //	*MetricsSnapshot  .csv windowed time-series, .json crest-metrics
 //	                  document, anything else Prometheus text
 //	*WhySnapshot      .json crest-why document, anything else Graphviz DOT
 //	*FlightSnapshot   .json crest-flight document, anything else the
 //	                  rendered tail report (5 exemplars)
 //	*RuntimeStats     crest-runtime JSON
-//	*MatrixResult     crest-bench JSON (WriteBenchJSON)
+//	*MatrixResult     crest-bench JSON (the BENCH_*.json format)
 //
 // A new view is one more row here; both CLIs then export it.
 func Export(path string, snapshot any) (summary string, err error) {
 	isJSON := strings.HasSuffix(path, ".json")
-	err = WriteFile(path, func(w io.Writer) error {
+	err = writeFile(path, func(w io.Writer) error {
 		switch s := snapshot.(type) {
 		case *TraceSnapshot:
 			summary = fmt.Sprintf("[trace: %d events -> %s]", len(s.Events), path)
 			switch {
 			case strings.HasSuffix(path, ".spans"):
-				return WriteSpanSummary(w, s)
+				return trace.WriteSpanSummary(w, s)
 			case strings.HasSuffix(path, ".hotkeys"):
-				return WriteHotKeys(w, s, 20)
+				return trace.WriteHotKeys(w, s, 20)
 			}
-			return WriteChromeTrace(w, s)
+			return trace.WriteChromeTrace(w, s)
 		case *MetricsSnapshot:
 			summary = fmt.Sprintf("[metrics: %d series, %d windows -> %s]", len(s.Series), len(s.Times), path)
 			switch {
 			case strings.HasSuffix(path, ".csv"):
-				return WriteMetricsCSV(w, s)
+				return metrics.WriteCSV(w, s)
 			case isJSON:
-				return WriteMetricsJSON(w, s)
+				return metrics.WriteJSON(w, s)
 			}
-			return WriteMetricsPrometheus(w, s)
+			return metrics.WritePrometheus(w, s)
 		case *WhySnapshot:
 			summary = fmt.Sprintf("[why: %d txns, %d edges -> %s]", len(s.Txns), len(s.Edges), path)
 			if isJSON {
-				return WriteWhyJSON(w, s)
+				return causality.WriteJSON(w, s)
 			}
-			return WriteWhyDOT(w, s)
+			return causality.WriteDOT(w, s)
 		case *FlightSnapshot:
 			summary = fmt.Sprintf("[flight: %d txns, %d exemplars -> %s]", len(s.Txns), len(s.Exemplars), path)
 			if isJSON {
-				return WriteFlightJSON(w, s)
+				return flight.WriteJSON(w, s)
 			}
-			return WriteFlightTail(w, s, 5)
+			return flight.WriteTail(w, s, 5)
 		case *RuntimeStats:
 			summary = fmt.Sprintf("[runtime: %d windows, %d partitions, %d workers -> %s]", s.Windows, s.Parts, s.Workers, path)
-			return WriteRuntimeStats(w, s)
+			return writeRuntimeStats(w, s)
 		case *MatrixResult:
 			summary = fmt.Sprintf("[json: %d run records -> %s]", len(s.Records), path)
-			return WriteBenchJSON(w, s)
+			return s.MeasuredResultSet().Encode(w)
 		}
 		return fmt.Errorf("crest: no export for %T", snapshot)
 	})
 	return summary, err
 }
 
-// ReadFile opens path and parses it with read — ReadMetricsJSON,
-// ReadWhyJSON, ReadFlightJSON, ReadRuntimeStats or ReadBenchJSON — and
-// names the file when the document is rejected.
+// ReadFile opens path and parses it with read — ReadWhyJSON,
+// ReadFlightJSON, ReadRuntimeStats or ReadBenchJSON — and names the
+// file when the document is rejected.
 func ReadFile[T any](path string, read func(io.Reader) (*T, error)) (*T, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -86,10 +91,10 @@ func ReadFile[T any](path string, read func(io.Reader) (*T, error)) (*T, error) 
 	return s, nil
 }
 
-// WriteFile creates path, hands write a buffered writer on it, flushes
+// writeFile creates path, hands write a buffered writer on it, flushes
 // and closes it, and reports the first thing that failed — a failed
 // close included, which is where a full disk shows up.
-func WriteFile(path string, write func(io.Writer) error) error {
+func writeFile(path string, write func(io.Writer) error) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err

@@ -18,7 +18,7 @@ func FuzzReadRuntimeStats(f *testing.F) {
 	// the fuzzer spend its time mutating instead of copying.
 	res.Runtime.WindowLog = res.Runtime.WindowLog[:8]
 	var doc bytes.Buffer
-	if err := WriteRuntimeStats(&doc, res.Runtime); err != nil {
+	if err := writeRuntimeStats(&doc, res.Runtime); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(doc.Bytes())
@@ -29,7 +29,7 @@ func FuzzReadRuntimeStats(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if err := WriteRuntimeStats(io.Discard, s); err != nil {
+		if err := writeRuntimeStats(io.Discard, s); err != nil {
 			t.Fatalf("accepted document does not re-encode: %v", err)
 		}
 		if err := WriteWindowTimeline(io.Discard, s); err != nil {

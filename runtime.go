@@ -140,10 +140,10 @@ func newRuntimeStats(ri *bench.RuntimeInfo, wallMS float64, events uint64) *Runt
 	return s
 }
 
-// WriteRuntimeStats emits the stats as indented JSON. The wall-clock
+// writeRuntimeStats emits the stats as indented JSON. The wall-clock
 // fields are the only nondeterministic part; strip them (they are
 // omitempty) when diffing artifacts.
-func WriteRuntimeStats(w io.Writer, s *RuntimeStats) error {
+func writeRuntimeStats(w io.Writer, s *RuntimeStats) error {
 	data, err := json.MarshalIndent(s, "", "  ")
 	if err != nil {
 		return err
@@ -153,8 +153,8 @@ func WriteRuntimeStats(w io.Writer, s *RuntimeStats) error {
 	return err
 }
 
-// ReadRuntimeStats parses a document written by WriteRuntimeStats and
-// verifies its schema version.
+// ReadRuntimeStats parses a crest-runtime document written by Export
+// and verifies its schema version.
 func ReadRuntimeStats(r io.Reader) (*RuntimeStats, error) {
 	var s RuntimeStats
 	if err := json.NewDecoder(r).Decode(&s); err != nil {
@@ -216,16 +216,6 @@ func WriteWindowTimeline(w io.Writer, s *RuntimeStats) error {
 		if _, err := fmt.Fprintf(w, "... %d later windows not logged\n", s.WindowLogDropped); err != nil {
 			return err
 		}
-	}
-	return nil
-}
-
-// ValidateWorkers checks a -workers flag value: the scheduler needs at
-// least one worker (counts beyond the partition count are clamped, so
-// any positive value is fine).
-func ValidateWorkers(n int) error {
-	if n < 1 {
-		return fmt.Errorf("-workers must be >= 1 (got %d)", n)
 	}
 	return nil
 }

@@ -76,7 +76,7 @@ func TestRuntimeStatsJSONRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := WriteRuntimeStats(&buf, res.Runtime); err != nil {
+	if err := writeRuntimeStats(&buf, res.Runtime); err != nil {
 		t.Fatal(err)
 	}
 	got, err := ReadRuntimeStats(bytes.NewReader(buf.Bytes()))
@@ -115,19 +115,6 @@ func TestWindowTimelineByteIdenticalAcrossWorkers(t *testing.T) {
 	for _, want := range []string{"windows ", "partition 0:", "start_ns"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("timeline lacks %q:\n%s", want, out)
-		}
-	}
-}
-
-func TestValidateWorkers(t *testing.T) {
-	for _, n := range []int{1, 2, 64} {
-		if err := ValidateWorkers(n); err != nil {
-			t.Errorf("ValidateWorkers(%d) = %v", n, err)
-		}
-	}
-	for _, n := range []int{0, -1} {
-		if ValidateWorkers(n) == nil {
-			t.Errorf("ValidateWorkers(%d) accepted", n)
 		}
 	}
 }

@@ -1,41 +1,20 @@
 package crest
 
 import (
-	"io"
-
-	"crest/internal/bench"
 	"crest/internal/scenario"
 )
 
-// The declarative scenario surface: a ScenarioSpec is the parsed form
-// of a .spec workload file — godb-bench/YCSB-compatible workload keys
-// plus a virtual-time traffic timeline of phases (constant load,
-// ramps, diurnal sine curves, bursts, and hotspot drift). Feed one to
-// BenchmarkConfig.Scenario, or run it from the CLI with
-// `crestbench -run -spec file.spec`. See DESIGN.md §9 for the
-// grammar and examples/scenarios/ for ready-made specs.
-type (
-	// ScenarioSpec is a parsed scenario: workload section + timeline.
-	ScenarioSpec = scenario.Spec
-	// ScenarioPhase is one segment of a scenario's traffic timeline.
-	ScenarioPhase = scenario.Phase
-	// ScenarioPhaseStat is the per-phase outcome of a scenario run.
-	ScenarioPhaseStat = bench.PhaseStat
-)
-
-// ParseScenario reads a .spec document; name seeds the scenario's
-// name when the document has no name= property.
-func ParseScenario(r io.Reader, name string) (*ScenarioSpec, error) {
-	return scenario.Parse(r, name)
-}
+// ScenarioSpec is the parsed form of a .spec workload file:
+// godb-bench/YCSB-compatible workload keys plus a virtual-time traffic
+// timeline of phases (constant load, ramps, diurnal sine curves,
+// bursts, and hotspot drift). Feed one to BenchmarkConfig.Scenario, or
+// run it from the CLI with `crestbench -run -spec file.spec`. See
+// DESIGN.md §9 for the grammar and examples/scenarios/ for ready-made
+// specs.
+type ScenarioSpec = scenario.Spec
 
 // ParseScenarioFile reads a .spec file, naming the scenario after the
 // file when it has no name= property.
 func ParseScenarioFile(path string) (*ScenarioSpec, error) {
 	return scenario.ParseFile(path)
 }
-
-// DriftDemoScenario returns the canonical hotspot-drift demo scenario
-// (the same spec as examples/scenarios/drift-demo.spec and the
-// "scenario" experiment).
-func DriftDemoScenario() *ScenarioSpec { return scenario.DriftDemo() }
