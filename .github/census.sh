@@ -1,11 +1,12 @@
 #!/usr/bin/env bash
 # The size census CHANGES.md and ROADMAP.md quote: non-test Go lines per
 # layer and in total, total test lines, markdown bytes per file with the
-# live-docs and results/ totals, and how many flags each CLI surface
-# has. Counted one way, here, so two PRs' numbers can be compared. Lines are `wc -l` of every .go file that is
-# not a _test.go (of every _test.go for the test total); benchmarks/ is
-# its own module and is left out of the Go counts. Run from the
-# repository root.
+# live-docs and results/ totals, how many flags each CLI surface has,
+# and the public surface rows of testdata/surface.digest. Counted one
+# way, here, so two PRs' numbers can be compared. Lines are `wc -l` of
+# every .go file that is not a _test.go (of every _test.go for the test
+# total); benchmarks/ is its own module and is left out of the Go
+# counts. Run from the repository root.
 set -euo pipefail
 
 lines() { if [ $# -gt 0 ]; then cat "$@" | wc -l; else echo 0; fi; }
@@ -67,3 +68,10 @@ for sub in why graph windows tail critpath; do
   printf '%-28s %7d\n' "cresttrace $sub" "$n"
 done
 printf '%-28s %7d\n' "cresttrace (all subcommands)" "$total"
+
+# The public API's size as TestSurfaceDigests pins it: settable fields
+# of each configuration struct, and package crest's exported
+# package-level identifiers (exports).
+echo
+echo "public surface (testdata/surface.digest)"
+while read -r name value; do printf '%-28s %7d\n' "$name" "$value"; done < testdata/surface.digest
