@@ -3,6 +3,7 @@ package crest
 import (
 	"errors"
 	"os"
+	"path/filepath"
 	"slices"
 	"strings"
 	"syscall"
@@ -492,5 +493,32 @@ func TestExportReportsAStreamedWriteError(t *testing.T) {
 		if err == nil || !strings.HasPrefix(err.Error(), "writing "+path+": ") || !errors.Is(err, syscall.ENOSPC) {
 			t.Errorf("Export(%q, %T) = %v, want a wrapped ENOSPC", path, snapshot, err)
 		}
+	}
+}
+
+// The snapshot of an observer that was off is nil: Export names the
+// view it cannot write and leaves no file behind.
+func TestExportRejectsNilSnapshot(t *testing.T) {
+	for _, tc := range []struct {
+		view     string
+		snapshot any
+	}{
+		{"trace", (*TraceSnapshot)(nil)},
+		{"metrics", (*MetricsSnapshot)(nil)},
+		{"why", (*WhySnapshot)(nil)},
+		{"flight", (*FlightSnapshot)(nil)},
+		{"runtime", (*RuntimeStats)(nil)},
+		{"matrix", (*MatrixResult)(nil)},
+	} {
+		t.Run(tc.view, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "out.json")
+			_, err := Export(path, tc.snapshot)
+			if err == nil || !strings.Contains(err.Error(), "no "+tc.view+" snapshot") {
+				t.Errorf("Export(%T(nil)) = %v, want an error naming the %s view", tc.snapshot, err, tc.view)
+			}
+			if _, err := os.Stat(path); !os.IsNotExist(err) {
+				t.Errorf("Export(%T(nil)) left %s behind (stat: %v)", tc.snapshot, path, err)
+			}
+		})
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"reflect"
 	"strings"
 
 	"crest/internal/causality"
@@ -28,12 +29,18 @@ import (
 //	*RuntimeStats     crest-runtime JSON
 //	*MatrixResult     crest-bench JSON (the BENCH_*.json format)
 //
-// A new view is one more row here; both CLIs then export it.
+// A nil value (the snapshot of an observer that was off) is an error,
+// and no file is created. A new view is one more row here; both CLIs
+// then export it.
 func Export(path string, snapshot any) (summary string, err error) {
 	isJSON := strings.HasSuffix(path, ".json")
-	err = writeFile(path, func(w io.Writer) error {
-		switch s := snapshot.(type) {
-		case *TraceSnapshot:
+	var (
+		view  string
+		write func(io.Writer) error
+	)
+	switch s := snapshot.(type) {
+	case *TraceSnapshot:
+		view, write = "trace", func(w io.Writer) error {
 			summary = fmt.Sprintf("[trace: %d events -> %s]", len(s.Events), path)
 			switch {
 			case strings.HasSuffix(path, ".spans"):
@@ -42,7 +49,9 @@ func Export(path string, snapshot any) (summary string, err error) {
 				return trace.WriteHotKeys(w, s, 20)
 			}
 			return trace.WriteChromeTrace(w, s)
-		case *MetricsSnapshot:
+		}
+	case *MetricsSnapshot:
+		view, write = "metrics", func(w io.Writer) error {
 			summary = fmt.Sprintf("[metrics: %d series, %d windows -> %s]", len(s.Series), len(s.Times), path)
 			switch {
 			case strings.HasSuffix(path, ".csv"):
@@ -51,27 +60,40 @@ func Export(path string, snapshot any) (summary string, err error) {
 				return metrics.WriteJSON(w, s)
 			}
 			return metrics.WritePrometheus(w, s)
-		case *WhySnapshot:
+		}
+	case *WhySnapshot:
+		view, write = "why", func(w io.Writer) error {
 			summary = fmt.Sprintf("[why: %d txns, %d edges -> %s]", len(s.Txns), len(s.Edges), path)
 			if isJSON {
 				return causality.WriteJSON(w, s)
 			}
 			return causality.WriteDOT(w, s)
-		case *FlightSnapshot:
+		}
+	case *FlightSnapshot:
+		view, write = "flight", func(w io.Writer) error {
 			summary = fmt.Sprintf("[flight: %d txns, %d exemplars -> %s]", len(s.Txns), len(s.Exemplars), path)
 			if isJSON {
 				return flight.WriteJSON(w, s)
 			}
 			return flight.WriteTail(w, s, 5)
-		case *RuntimeStats:
+		}
+	case *RuntimeStats:
+		view, write = "runtime", func(w io.Writer) error {
 			summary = fmt.Sprintf("[runtime: %d windows, %d partitions, %d workers -> %s]", s.Windows, s.Parts, s.Workers, path)
 			return writeRuntimeStats(w, s)
-		case *MatrixResult:
+		}
+	case *MatrixResult:
+		view, write = "matrix", func(w io.Writer) error {
 			summary = fmt.Sprintf("[json: %d run records -> %s]", len(s.Records), path)
 			return s.MeasuredResultSet().Encode(w)
 		}
-		return fmt.Errorf("crest: no export for %T", snapshot)
-	})
+	default:
+		return "", fmt.Errorf("crest: no export for %T", snapshot)
+	}
+	if reflect.ValueOf(snapshot).IsNil() {
+		return "", fmt.Errorf("crest: no %s snapshot to write to %s", view, path)
+	}
+	err = writeFile(path, write)
 	return summary, err
 }
 
