@@ -228,29 +228,22 @@ type bucketKey struct {
 	comp  Component
 }
 
-// bucket holds the top-K outlier records for one key.
+// exemplarK is the full records kept per (shard, component) bucket.
+const exemplarK = 4
+
+// bucket holds the top-exemplarK outlier records for one key.
 type bucket struct {
-	recs [MaxExemplarK]*Record
+	recs [exemplarK]*Record
 	n    int
 }
 
-// Default sizes.
-const (
-	// DefaultTxnCapacity bounds the summary ring.
-	DefaultTxnCapacity = 1 << 16
-	// DefaultExemplarK is the outliers kept per bucket.
-	DefaultExemplarK = 4
-	// MaxExemplarK bounds the per-bucket array.
-	MaxExemplarK = 8
-)
+// DefaultTxnCapacity bounds the summary ring.
+const DefaultTxnCapacity = 1 << 16
 
 // Options size a recorder.
 type Options struct {
 	// TxnCapacity bounds the summary ring (DefaultTxnCapacity when <= 0).
 	TxnCapacity int
-	// ExemplarK is the full records kept per (shard, component) bucket
-	// (DefaultExemplarK when <= 0, clamped to MaxExemplarK).
-	ExemplarK int
 }
 
 // Recorder collects flight records. It is owned by one simulation
@@ -258,7 +251,6 @@ type Options struct {
 // no locking is needed. The zero Recorder is unusable; a nil *Recorder
 // is the disabled state and every method tolerates it.
 type Recorder struct {
-	k      int
 	warmup sim.Time
 	ring   trace.Ring[TxnBudget]
 
@@ -275,14 +267,7 @@ func NewRecorder(opt Options) *Recorder {
 	if opt.TxnCapacity <= 0 {
 		opt.TxnCapacity = DefaultTxnCapacity
 	}
-	if opt.ExemplarK <= 0 {
-		opt.ExemplarK = DefaultExemplarK
-	}
-	if opt.ExemplarK > MaxExemplarK {
-		opt.ExemplarK = MaxExemplarK
-	}
 	return &Recorder{
-		k:       opt.ExemplarK,
 		ring:    trace.NewRing[TxnBudget](opt.TxnCapacity),
 		buckets: map[bucketKey]*bucket{},
 	}
@@ -313,7 +298,7 @@ func (r *Recorder) Shard(part, parts int) *Recorder {
 		return nil
 	}
 	return r.fam.Shard("flight", r, part, parts, func(f trace.Family[Recorder]) *Recorder {
-		return &Recorder{k: r.k, warmup: r.warmup, ring: trace.NewRing[TxnBudget](r.ring.Cap()),
+		return &Recorder{warmup: r.warmup, ring: trace.NewRing[TxnBudget](r.ring.Cap()),
 			buckets: map[bucketKey]*bucket{}, fam: f}
 	})
 }
@@ -568,7 +553,7 @@ func (r *Recorder) offer(x *Record) bool {
 		b = &bucket{}
 		r.buckets[key] = b
 	}
-	if b.n < r.k {
+	if b.n < exemplarK {
 		b.recs[b.n] = x
 		b.n++
 		return true
@@ -728,11 +713,7 @@ func (r *Recorder) Snapshot() *Snapshot {
 	for _, key := range keys {
 		cands := byBucket[key]
 		sort.Slice(cands, func(i, j int) bool { return better(cands[i], cands[j]) })
-		n := len(cands)
-		if n > r.k {
-			n = r.k
-		}
-		for i := 0; i < n; i++ {
+		for i := 0; i < min(len(cands), exemplarK); i++ {
 			x := cands[i]
 			out.Exemplars = append(out.Exemplars, Exemplar{
 				TxnBudget: x.summary(), Bucket: key.comp, Detail: x.detail(),

@@ -303,10 +303,11 @@ func TestAttemptFoldPastDetailBound(t *testing.T) {
 	}
 }
 
-// TestExemplarBucketsKeepTopK: buckets hold the K slowest transactions
-// per (shard, dominant component), evicting deterministically.
+// TestExemplarBucketsKeepTopK: buckets hold the exemplarK slowest
+// transactions per (shard, dominant component), evicting
+// deterministically.
 func TestExemplarBucketsKeepTopK(t *testing.T) {
-	r := NewRecorder(Options{ExemplarK: 2})
+	r := NewRecorder(Options{})
 	inProc(t, func(p *sim.Proc) {
 		for i := 0; i < 6; i++ {
 			tx := newTxn(r, p, uint64(i+1), 1, 0, "t")
@@ -319,13 +320,13 @@ func TestExemplarBucketsKeepTopK(t *testing.T) {
 	if len(snap.Txns) != 6 {
 		t.Fatalf("%d summaries, want 6", len(snap.Txns))
 	}
-	if len(snap.Exemplars) != 2 {
-		t.Fatalf("%d exemplars, want 2", len(snap.Exemplars))
+	if len(snap.Exemplars) != exemplarK {
+		t.Fatalf("%d exemplars, want %d", len(snap.Exemplars), exemplarK)
 	}
-	if snap.Exemplars[0].Total() != 6*sim.Microsecond ||
-		snap.Exemplars[1].Total() != 5*sim.Microsecond {
-		t.Fatalf("kept %v and %v, want the two slowest",
-			snap.Exemplars[0].Total(), snap.Exemplars[1].Total())
+	for i, ex := range snap.Exemplars {
+		if want := sim.Duration(6-i) * sim.Microsecond; ex.Total() != want {
+			t.Fatalf("exemplar %d is %v, want %v: the four slowest, slowest first", i, ex.Total(), want)
+		}
 	}
 	if snap.Exemplars[0].Bucket != CompExec {
 		t.Fatalf("bucket %v, want exec", snap.Exemplars[0].Bucket)
@@ -451,7 +452,7 @@ func TestEmptySnapshotExports(t *testing.T) {
 // guarantee: once the pool, ring and buckets are warm, a full
 // begin→fail→retry→commit cycle allocates nothing — live and nil.
 func TestHotPathAllocatesNothingSteadyState(t *testing.T) {
-	r := NewRecorder(Options{TxnCapacity: 32, ExemplarK: 2})
+	r := NewRecorder(Options{TxnCapacity: 32})
 	inProc(t, func(p *sim.Proc) {
 		tx := newTxn(nil, p, 1, 1, 0, "hot")
 		cycle := func(rec *Recorder) {
