@@ -27,7 +27,6 @@ func cliCases() []pin.Case {
 	cases = append(cases, []pin.Case{
 		{Name: "trace/json", Files: []string{"trace.json"}, Args: small + "-system crest -trace $T/trace.json"},
 		{Name: "trace/spans", Files: []string{"t.spans"}, Args: small + "-system ford -trace $T/t.spans"},
-		{Name: "trace/hotkeys", Files: []string{"t.hotkeys"}, Args: small + "-workload ycsb -theta 0.99 -trace $T/t.hotkeys"},
 		{Name: "trace/tpcc", Files: []string{"t.spans"}, Args: small + "-workload tpcc -duration 1ms -trace $T/t.spans"},
 		{Name: "trace/metrics", Files: []string{"m.csv"},
 			Args: small + "-coords 24 -shards 2 -placement modulo -workers 2 -metrics $T/m.csv -metrics-window 200us"},

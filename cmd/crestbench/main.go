@@ -91,7 +91,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		specPath = fs.String("spec", "", "with -run: drive the run from a declarative scenario .spec file (overrides -workload and its knobs)")
 		workers  = fs.Int("workers", 1, "scheduler threads executing shard-group partitions concurrently (results are byte-identical at any count; 1 = sequential)")
 		big      = fs.Bool("big", false, "with -run: the million-transaction profile (1000 coordinators, 4 shard groups, 8 compute nodes, smallbank θ=0.5; explicit flags override)")
-		traceOut = fs.String("trace", "", "with -run: write the run's event trace to this file (.spans per-txn span timelines, .hotkeys the top-20 contended cells, Chrome trace_event JSON for any other extension)")
+		traceOut = fs.String("trace", "", "with -run: write the run's event trace to this file (.spans per-txn span timelines, Chrome trace_event JSON for any other extension)")
 		metOut   = fs.String("metrics", "", "with -run: write the run's windowed metrics to this file (.csv, .json or .prom by extension)")
 		whyOut   = fs.String("why", "", "with -run: write the run's contention graph for abort forensics to this file (.dot or crest-why .json by extension)")
 		flOut    = fs.String("flight", "", "with -run: write the run's per-txn latency budgets and tail exemplars to this file (crest-flight .json, or the rendered tail report for any other extension)")

@@ -29,8 +29,9 @@
 //	cresttrace critpath -in flight.json 412
 //
 // The event trace needs no reader: `crestbench -run -trace f` writes
-// Chrome trace JSON, per-transaction span timelines (f.spans) or the
-// hot-key profile (f.hotkeys) directly.
+// Chrome trace JSON or per-transaction span timelines (f.spans)
+// directly. Which cells are contended is the graph's hotspot ranking:
+// its DOT comments list the top 10.
 //
 // Every subcommand writes to stdout. Output is deterministic: an export
 // of the same seed and configuration renders byte-identical blame

@@ -122,6 +122,10 @@ func whyFixture(t *testing.T) string {
 			{Seq: 2, At: 95, Kind: causality.KindValidation, Waiter: 412, Holder: 398,
 				Table: 3, Key: 17, Mask: 1 << 2},
 		},
+		Hotspots: []causality.Hotspot{
+			{Table: 3, Key: 17, Cell: 2, Count: 1, Aborts: 1},
+			{Table: 3, Key: 17, Cell: -1, Count: 1, TotalWait: 14 * sim.Microsecond},
+		},
 	}
 	return export(t, "why.json", func(w io.Writer) error { return causality.WriteJSON(w, snap) })
 }

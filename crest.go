@@ -384,8 +384,8 @@ func (c *Cluster) memoryNode(id int) (*memnode.Node, error) {
 	return c.dep.Pool.Nodes()[id], nil
 }
 
-// TraceSnapshot is a cluster's recorded event stream and hot-key
-// contention profile as of one instant. It stays so while the cluster
+// TraceSnapshot is a cluster's recorded event stream as of one
+// instant. It stays so while the cluster
 // runs on; its contents must not be modified.
 type TraceSnapshot = trace.Snapshot
 
@@ -409,7 +409,8 @@ func WriteMetricsSparklines(w io.Writer, s *MetricsSnapshot) error {
 }
 
 // WhySnapshot is a cluster's recorded wait-for and conflict edges,
-// with transaction nodes and per-abort causes, as of one instant. It
+// with transaction nodes, per-abort causes and the hotspot ranking of
+// the whole run so far, as of one instant. It
 // stays so while the cluster runs on; its contents must not be
 // modified.
 type WhySnapshot = causality.Snapshot

@@ -18,9 +18,8 @@ import (
 // summary the CLIs print for it. The value's type picks the view and
 // the path's extension its format:
 //
-//	*TraceSnapshot    .spans per-transaction span timelines, .hotkeys
-//	                  the top-20 hot-key profile, anything else Chrome
-//	                  trace_event JSON (opens in Perfetto)
+//	*TraceSnapshot    .spans per-transaction span timelines, anything
+//	                  else Chrome trace_event JSON (opens in Perfetto)
 //	*MetricsSnapshot  .csv windowed time-series, .json crest-metrics
 //	                  document, anything else Prometheus text
 //	*WhySnapshot      .json crest-why document, anything else Graphviz DOT
@@ -42,11 +41,8 @@ func Export(path string, snapshot any) (summary string, err error) {
 	case *TraceSnapshot:
 		view, write = "trace", func(w io.Writer) error {
 			summary = fmt.Sprintf("[trace: %d events -> %s]", len(s.Events), path)
-			switch {
-			case strings.HasSuffix(path, ".spans"):
+			if strings.HasSuffix(path, ".spans") {
 				return trace.WriteSpanSummary(w, s)
-			case strings.HasSuffix(path, ".hotkeys"):
-				return trace.WriteHotKeys(w, s, 20)
 			}
 			return trace.WriteChromeTrace(w, s)
 		}

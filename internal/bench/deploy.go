@@ -227,7 +227,7 @@ func probeHotKeys(cfg Config) ([]placement.HotKey, error) {
 func HotKeysFrom(s *causality.Snapshot, limit int) []placement.HotKey {
 	var keys []placement.HotKey
 	seen := map[placement.HotKey]bool{}
-	for _, h := range s.Graph().Hotspots {
+	for _, h := range s.Hotspots {
 		if limit > 0 && len(keys) == limit {
 			break
 		}

@@ -125,15 +125,21 @@ func TestHotspotPlacementReducesCrossShardShare(t *testing.T) {
 // seed pins records, so it keeps the record once, at its first rank,
 // and the limit counts records.
 func TestHotKeysFromOneEntryPerRecord(t *testing.T) {
-	edge := func(table layout.TableID, key layout.Key, mask uint64) causality.Edge {
-		return causality.Edge{Kind: causality.KindLockFail, Table: table, Key: key, Mask: mask}
+	r := causality.NewRecorder(causality.Options{})
+	tx := r.Begin(0, &trace.Span{ID: 1, Attempt: 1})
+	for _, e := range []struct {
+		table layout.TableID
+		key   layout.Key
+		mask  uint64
+	}{
+		{1, 5, 0b11}, {1, 5, 0b11}, {1, 5, 0b11}, // cells 0 and 1 rank first and second
+		{1, 7, 0b1}, {1, 7, 0b1},
+		{2, 3, 0b1},
+	} {
+		r.LockFail(0, tx, e.table, e.key, e.mask, 0)
 	}
-	s := &causality.Snapshot{Edges: []causality.Edge{
-		edge(1, 5, 0b11), edge(1, 5, 0b11), edge(1, 5, 0b11), // cells 0 and 1 rank first and second
-		edge(1, 7, 0b1), edge(1, 7, 0b1),
-		edge(2, 3, 0b1),
-	}}
-	if hs := s.Graph().Hotspots; len(hs) < 2 || hs[0].Key != 5 || hs[1].Key != 5 {
+	s := r.Snapshot()
+	if hs := s.Hotspots; len(hs) < 2 || hs[0].Key != 5 || hs[1].Key != 5 {
 		t.Fatalf("ranking %+v: want record (1, 5) in the first two places", hs)
 	}
 	want := []placement.HotKey{{Table: 1, Key: 5}, {Table: 1, Key: 7}}

@@ -13,10 +13,10 @@ import (
 // SchemaVersion identifies the JSON layout of a serialized snapshot.
 const SchemaVersion = "crest-why/v1"
 
-// jsonDoc is the schema-versioned document: the full edge stream and
-// transaction nodes (the round-tripping state) plus the aggregated
-// graph, which WriteJSON derives deterministically for human and
-// downstream consumers.
+// jsonDoc is the schema-versioned document: the edge stream and
+// transaction nodes plus the aggregated graph, whose hotspot ranking
+// also round-trips; the rest of the graph WriteJSON derives
+// deterministically for human and downstream consumers.
 type jsonDoc struct {
 	Schema      string    `json:"schema"`
 	Dropped     uint64    `json:"dropped_edges"`
@@ -147,8 +147,9 @@ func writeGraph(j *trace.JSONWriter, g *Graph) {
 }
 
 // ReadJSON parses a document written by WriteJSON, verifying its
-// schema version. The derived graph is dropped; callers recompute it
-// from the round-tripped edge stream.
+// schema version. Of the graph it keeps the hotspot ranking, which the
+// edges left in the ring cannot rebuild; the rest is recomputed from
+// the round-tripped edge stream.
 func ReadJSON(r io.Reader) (*Snapshot, error) {
 	var doc jsonDoc
 	if err := json.NewDecoder(r).Decode(&doc); err != nil {
@@ -158,6 +159,9 @@ func ReadJSON(r io.Reader) (*Snapshot, error) {
 		return nil, fmt.Errorf("causality: snapshot schema %q, want %q", doc.Schema, SchemaVersion)
 	}
 	s := &Snapshot{Edges: doc.Edges, Txns: doc.Txns, Dropped: doc.Dropped, TxnsDropped: doc.TxnsDropped}
+	if doc.Graph != nil {
+		s.Hotspots = doc.Graph.Hotspots
+	}
 	if s.Edges == nil {
 		s.Edges = []Edge{}
 	}

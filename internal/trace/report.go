@@ -255,17 +255,3 @@ func WriteSpanSummary(w io.Writer, s *Snapshot) error {
 	}
 	return nil
 }
-
-// WriteHotKeys renders the top-k hot-key contention profile: the cells
-// that lost the most lock CASes / validation checks, and how many
-// aborts each caused.
-func WriteHotKeys(w io.Writer, s *Snapshot, k int) error {
-	hot := s.HotKeys(k)
-	fmt.Fprintf(w, "%-4s %-6s %-12s %-4s %10s %10s\n", "rank", "table", "key", "cell", "conflicts", "aborts")
-	for i := range hot {
-		h := &hot[i]
-		fmt.Fprintf(w, "%-4d %-6d %-12d %-4d %10d %10d\n",
-			i+1, h.Table, h.Key, h.Cell, h.Conflicts, h.Aborts)
-	}
-	return nil
-}

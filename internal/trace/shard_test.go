@@ -63,35 +63,6 @@ func TestShardMergeOrdersByTimeThenPartition(t *testing.T) {
 	}
 }
 
-// Hot-cell profiles fold across partitions: the same cell bumped on two
-// shards reports summed conflict counts.
-func TestShardHotProfileFolds(t *testing.T) {
-	r := NewRecorder(64)
-	s0, s1 := r.Shard(0, 2), r.Shard(1, 2)
-	inProc(t, func(p *sim.Proc) {
-		sp0 := &Span{Coord: 1, ID: 1, Label: "a", Attempt: 1}
-		sp1 := &Span{Coord: 2, ID: 2, Label: "b", Attempt: 1}
-		s0.Begin(p.Now(), sp0)
-		s1.Begin(p.Now(), sp1)
-		s0.Conflict(p.Now(), sp0, 1, 7, 0b1)
-		s0.Conflict(p.Now(), sp0, 1, 7, 0b1)
-		s1.Conflict(p.Now(), sp1, 1, 7, 0b1)
-	})
-	snap := r.Snapshot()
-	var found bool
-	for _, h := range snap.Hot {
-		if h.Table == 1 && h.Key == 7 {
-			found = true
-			if h.Conflicts != 3 {
-				t.Fatalf("folded conflicts = %d, want 3", h.Conflicts)
-			}
-		}
-	}
-	if !found {
-		t.Fatal("hot cell missing from the merged profile")
-	}
-}
-
 // Two identical sharded runs export byte-identical Chrome traces.
 func TestShardMergeDeterministic(t *testing.T) {
 	build := func() *Snapshot {

@@ -17,19 +17,17 @@
 // in it — strings are codes into the recorder's table — straight into
 // the ring's next slot; text is built when a snapshot is rendered.
 //
-// On top of the raw stream sit three views (see chrome.go and
-// report.go): per-txn span timelines with exact virtual-time phase
-// durations and RTT attribution, a hot-key contention profile, and a
-// Chrome trace_event JSON export that opens directly in Perfetto or
-// chrome://tracing.
+// On top of the raw stream sit two views (see chrome.go and report.go):
+// per-txn span timelines with exact virtual-time phase durations and
+// RTT attribution, and a Chrome trace_event JSON export that opens
+// directly in Perfetto or chrome://tracing. Which cells are contended
+// is the why recorder's ranking (internal/causality), not this one's.
 package trace
 
 import (
 	"fmt"
 	"math"
-	"math/bits"
 	"slices"
-	"sort"
 
 	"crest/internal/layout"
 	"crest/internal/rdma"
@@ -223,8 +221,7 @@ func (t *strTable) id(s string) StrID {
 // fabric knowing about phase machines. The engine owns it: it lives by
 // value in the observer context of the process running the transaction
 // (engine.BeginAttempt), which issues the id and moves the attempt and
-// the phase; the recorders only read it, and this one keeps its
-// conflict site in it.
+// the phase; the recorders only read it.
 type Span struct {
 	Coord   uint64
 	ID      uint64
@@ -232,13 +229,6 @@ type Span struct {
 	Attempt int
 	Txn     uint64 // engine-assigned txn id, 0 until known
 	Phase   Phase
-
-	// Last conflict site of the current attempt, for attributing an
-	// abort to the cells that caused it in the hot-key profile.
-	cTable   layout.TableID
-	cKey     layout.Key
-	cMask    uint64
-	cAttempt int
 }
 
 // SetTxn records the engine's transaction id once drawn.
@@ -246,22 +236,6 @@ func (s *Span) SetTxn(id uint64) {
 	if s != nil {
 		s.Txn = id
 	}
-}
-
-// hotKey identifies one cell for the contention profile.
-type hotKey struct {
-	Table layout.TableID
-	Key   layout.Key
-	Cell  int
-}
-
-// HotCell is one entry of the hot-key contention profile.
-type HotCell struct {
-	Table     layout.TableID
-	Key       layout.Key
-	Cell      int
-	Conflicts uint64 // lock CASes lost + validation failures touching the cell
-	Aborts    uint64 // aborts attributed to the cell
 }
 
 // Recorder collects events into a bounded ring buffer. It is owned by
@@ -275,8 +249,6 @@ type Recorder struct {
 	// opVerb caches each rdma.OpKind's Event.Verb code (0 until the
 	// kind's first verb), so a verb event builds and looks up no name.
 	opVerb [math.MaxUint8 + 1]uint8
-
-	hot map[hotKey]*HotCell
 
 	// Partition-recorder mode (Shard, see Family): a root recorder
 	// hands each simulation partition its own child and merges the
@@ -293,11 +265,8 @@ func NewRecorder(capacity int) *Recorder {
 	if capacity <= 0 {
 		capacity = DefaultCapacity
 	}
-	return &Recorder{ring: NewRing[Event](capacity), hot: map[hotKey]*HotCell{}}
+	return &Recorder{ring: NewRing[Event](capacity)}
 }
-
-// Enabled reports whether the recorder collects events.
-func (r *Recorder) Enabled() bool { return r != nil }
 
 // Shard returns the child recorder owned by partition part of parts
 // (see Family.Shard). Each child is written only by its partition's
@@ -309,7 +278,7 @@ func (r *Recorder) Shard(part, parts int) *Recorder {
 		return nil
 	}
 	return r.fam.Shard("trace", r, part, parts, func(f Family[Recorder]) *Recorder {
-		return &Recorder{ring: NewRing[Event](r.ring.Cap()), hot: map[hotKey]*HotCell{}, fam: f}
+		return &Recorder{ring: NewRing[Event](r.ring.Cap()), fam: f}
 	})
 }
 
@@ -389,18 +358,13 @@ func (r *Recorder) Commit(at sim.Time, s *Span) {
 }
 
 // Abort records a failed attempt of s with its classification. The
-// span itself stays open for the retry. When the attempt recorded a
-// conflict, the abort is attributed to that conflict's cells in the
-// hot-key profile.
+// span itself stays open for the retry.
 func (r *Recorder) Abort(at sim.Time, s *Span, reason string, falseConflict bool) {
 	if r == nil || s == nil {
 		return
 	}
 	e := r.emitTxn(at, KindTxnAbort, s)
 	e.Reason, e.False = r.strs.id(reason), falseConflict
-	if s.cAttempt == s.Attempt && s.cMask != 0 {
-		r.bumpHot(s.cTable, s.cKey, s.cMask, true)
-	}
 }
 
 // verbID is op's code: its name is interned on the kind's first use, so
@@ -462,34 +426,12 @@ func (r *Recorder) emitCC(at sim.Time, k Kind, s *Span, table layout.TableID, ke
 }
 
 // Conflict records a concurrency-control conflict (a lock CAS lost to
-// another holder, or a validation check failure) on the given cells,
-// feeding the hot-key profile.
+// another holder, or a validation check failure) on the given cells.
 func (r *Recorder) Conflict(at sim.Time, s *Span, table layout.TableID, key layout.Key, mask uint64) {
 	if r == nil {
 		return
 	}
 	r.emitCC(at, KindConflict, s, table, key, mask)
-	r.bumpHot(table, key, mask, false)
-	if s != nil {
-		s.cTable, s.cKey, s.cMask, s.cAttempt = table, key, mask, s.Attempt
-	}
-}
-
-func (r *Recorder) bumpHot(table layout.TableID, key layout.Key, mask uint64, abort bool) {
-	for m := mask; m != 0; m &= m - 1 {
-		cell := bits.TrailingZeros64(m)
-		hk := hotKey{table, key, cell}
-		hc := r.hot[hk]
-		if hc == nil {
-			hc = &HotCell{Table: table, Key: key, Cell: cell}
-			r.hot[hk] = hc
-		}
-		if abort {
-			hc.Aborts++
-		} else {
-			hc.Conflicts++
-		}
-	}
 }
 
 // LockAcquire records remote cell locks won on a record.
@@ -533,7 +475,6 @@ func (r *Recorder) ENOverflow(at sim.Time, s *Span, table layout.TableID, key la
 type Snapshot struct {
 	Events  []Event // oldest → newest
 	Dropped uint64
-	Hot     []HotCell // sorted: most conflicted first
 
 	strs, verbs []string // what Event.Label/Reason and Event.Verb index
 }
@@ -559,14 +500,12 @@ func (s *Snapshot) Verb(e *Event) string {
 }
 
 // Snapshot views the ring (oldest to newest) and copies the string
-// tables and the hot-key profile. A nil recorder yields an empty
-// snapshot.
+// tables. A nil recorder yields an empty snapshot.
 //
 // On a sharded recorder the snapshot is the deterministic merge of the
 // root and every partition child (MergeByTime): each member's string
 // codes are rewritten, as the merge writes its events, into one table
-// merged by string; hot-cell profiles sum per cell, and Dropped sums
-// the family's evictions.
+// merged by string, and Dropped sums the family's evictions.
 func (r *Recorder) Snapshot() *Snapshot {
 	s := &Snapshot{}
 	if r == nil {
@@ -576,25 +515,21 @@ func (r *Recorder) Snapshot() *Snapshot {
 	if !r.fam.Sharded() {
 		s.Events = r.ring.View()
 		s.strs, s.verbs = slices.Clone(r.strs.strs), slices.Clone(r.verbs.strs)
-		s.Hot = sortedHot(r.hot)
 		return s
 	}
 	members := r.fam.Members(r)
 	streams := make([][]Event, len(members))
 	strMaps, verbMaps := make([][]StrID, len(members)), make([][]StrID, len(members))
-	merged := make(map[hotKey]*HotCell, len(r.hot))
 	var strs, verbs strTable
 	for i, m := range members {
 		streams[i] = m.ring.View()
 		strMaps[i], verbMaps[i] = strs.merge(&m.strs), verbs.merge(&m.verbs)
-		foldHot(merged, m.hot)
 	}
 	s.Events = MergeByTime(streams, func(e *Event) (sim.Time, uint64) { return e.At, 0 }, func(m int, e *Event) {
 		strMap := strMaps[m]
 		e.Label, e.Reason, e.Verb = strMap[e.Label], strMap[e.Reason], uint8(verbMaps[m][e.Verb])
 	})
 	s.strs, s.verbs = strs.strs, verbs.strs
-	s.Hot = sortedHot(merged)
 	return s
 }
 
@@ -606,49 +541,4 @@ func (t *strTable) merge(src *strTable) []StrID {
 		m[i] = t.id(s)
 	}
 	return m
-}
-
-// foldHot sums src's per-cell counters into dst.
-func foldHot(dst, src map[hotKey]*HotCell) {
-	for hk, hc := range src {
-		d := dst[hk]
-		if d == nil {
-			cp := *hc
-			dst[hk] = &cp
-			continue
-		}
-		d.Conflicts += hc.Conflicts
-		d.Aborts += hc.Aborts
-	}
-}
-
-// sortedHot flattens a hot-cell map into the canonical profile order:
-// most contended first, ties by (table, key, cell).
-func sortedHot(hot map[hotKey]*HotCell) []HotCell {
-	out := make([]HotCell, 0, len(hot))
-	for _, hc := range hot {
-		out = append(out, *hc)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := &out[i], &out[j]
-		if a.Conflicts+a.Aborts != b.Conflicts+b.Aborts {
-			return a.Conflicts+a.Aborts > b.Conflicts+b.Aborts
-		}
-		if a.Table != b.Table {
-			return a.Table < b.Table
-		}
-		if a.Key != b.Key {
-			return a.Key < b.Key
-		}
-		return a.Cell < b.Cell
-	})
-	return out
-}
-
-// HotKeys returns the top-k entries of the contention profile.
-func (s *Snapshot) HotKeys(k int) []HotCell {
-	if k < 0 || k > len(s.Hot) {
-		k = len(s.Hot)
-	}
-	return s.Hot[:k]
 }

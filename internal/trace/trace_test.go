@@ -32,9 +32,6 @@ func enter(r *Recorder, at sim.Time, s *Span, ph Phase) {
 
 func TestNilRecorderIsSafe(t *testing.T) {
 	var r *Recorder
-	if r.Enabled() {
-		t.Fatal("nil recorder reports enabled")
-	}
 	inProc(t, func(p *sim.Proc) {
 		s := &Span{Coord: 1, ID: 1, Label: "txn", Attempt: 1}
 		r.Begin(p.Now(), s)
@@ -54,7 +51,7 @@ func TestNilRecorderIsSafe(t *testing.T) {
 		t.Fatalf("nil recorder has state: len=%d dropped=%d", r.Len(), r.Dropped())
 	}
 	snap := r.Snapshot()
-	if len(snap.Events) != 0 || len(snap.Hot) != 0 {
+	if len(snap.Events) != 0 {
 		t.Fatalf("nil recorder snapshot not empty: %+v", snap)
 	}
 }
@@ -107,40 +104,6 @@ func TestRetryReusesSpanAndBumpsAttempt(t *testing.T) {
 		{KindPhase, 1, 2}, {KindTxnCommit, 1, 2}, {KindTxnBegin, 2, 1}, {KindPhase, 2, 1}}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("events = %v, want %v", got, want)
-	}
-}
-
-func TestHotProfileCountsCellsAndAttributesAborts(t *testing.T) {
-	r := NewRecorder(0)
-	inProc(t, func(p *sim.Proc) {
-		s := &Span{Coord: 1, ID: 1, Label: "t", Attempt: 1}
-		r.Begin(p.Now(), s)
-		r.Conflict(p.Now(), s, 3, 9, 0b101) // cells 0 and 2
-		r.Abort(p.Now(), s, "lock-conflict", false)
-
-		// The retry conflicts again but commits: no abort attribution.
-		s.Attempt++
-		r.Begin(p.Now(), s)
-		r.Conflict(p.Now(), s, 3, 9, 0b001)
-		r.Commit(p.Now(), s)
-	})
-	snap := r.Snapshot()
-	if len(snap.Hot) != 2 {
-		t.Fatalf("hot cells = %d, want 2", len(snap.Hot))
-	}
-	top := snap.Hot[0]
-	if top.Table != 3 || top.Key != 9 || top.Cell != 0 {
-		t.Fatalf("hottest cell = %+v, want table 3 key 9 cell 0", top)
-	}
-	if top.Conflicts != 2 || top.Aborts != 1 {
-		t.Fatalf("cell 0 counts = %d conflicts / %d aborts, want 2/1", top.Conflicts, top.Aborts)
-	}
-	other := snap.Hot[1]
-	if other.Cell != 2 || other.Conflicts != 1 || other.Aborts != 1 {
-		t.Fatalf("cell 2 counts = %+v, want 1 conflict / 1 abort", other)
-	}
-	if got := snap.HotKeys(1); len(got) != 1 || got[0].Cell != 0 {
-		t.Fatalf("HotKeys(1) = %+v", got)
 	}
 }
 
