@@ -273,9 +273,6 @@ func NewRecorder(opt Options) *Recorder {
 	}
 }
 
-// Enabled reports whether the recorder collects flight records.
-func (r *Recorder) Enabled() bool { return r != nil }
-
 // SetWarmup excludes transactions beginning before the cutoff from
 // capture, matching the benchmark's measurement window. Call before
 // the run (and before Shard) — children inherit the cutoff.
