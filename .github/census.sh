@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # The size census CHANGES.md and ROADMAP.md quote: non-test Go lines per
-# layer and in total, total test lines, markdown bytes per file with the
+# layer and in total, total test lines, exported declarations per
+# internal/ package, markdown bytes per file with the
 # live-docs and results/ totals, how many flags each CLI surface has,
 # and the public surface rows of testdata/surface.digest. Counted one
 # way, here, so two PRs' numbers can be compared. Lines are `wc -l` of
@@ -37,6 +38,20 @@ echo
 echo "test Go lines"
 printf '%-28s %7d\n' "total" \
   "$(find . -name '*_test.go' ! -path './benchmarks/*' -print0 | xargs -0 cat | wc -l)"
+
+# Exported declarations per internal/ package: lines of `go doc -all`
+# that declare a function, method, type, constant or variable (a
+# grouped const or var block counts once), so two PRs' internal
+# surfaces compare by one rule.
+echo
+echo "exported declarations (go doc -all)"
+total=0
+for pkg in $(go list ./internal/...); do
+  n=$(go doc -all "$pkg" | grep -cE '^func |^type |^    func |^const |^var ' || true)
+  total=$((total + n))
+  printf '%-28s %7d\n' "${pkg#crest/}" "$n"
+done
+printf '%-28s %7d\n' "total" "$total"
 
 echo
 echo "markdown bytes"

@@ -134,6 +134,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *workers < 1 {
 		return usageErr("-workers must be >= 1 (got %d)", *workers)
 	}
+	// -j 0 runs GOMAXPROCS simulations at once.
+	if *jobs < 0 {
+		return usageErr("-j must be >= 0 (got %d)", *jobs)
+	}
 	modes := 0
 	for _, on := range []bool{*list, *expID != "", *runOne} {
 		if on {

@@ -91,6 +91,10 @@ func TestTopologyFlagsValidatedUpFront(t *testing.T) {
 			"-workers must be >= 1 (got -4)"},
 		{"zero workers under exp", []string{"-exp", "exp1", "-workers", "0"},
 			"-workers must be >= 1 (got 0)"},
+		{"negative jobs", []string{"-exp", "table2", "-quick", "-j", "-3"},
+			"-j must be >= 0 (got -3)"},
+		{"minus one jobs", []string{"-exp", "table2", "-j", "-1"},
+			"-j must be >= 0 (got -1)"},
 		{"exp rejects big", []string{"-exp", "exp1", "-big"},
 			"-big only applies to -run"},
 	}
@@ -112,6 +116,35 @@ func TestTopologyFlagsValidatedUpFront(t *testing.T) {
 	_, _, stderr := dispatch("-run", "-placement", "nope")
 	if !strings.Contains(stderr, "hash, hotspot, modulo, range") {
 		t.Fatalf("stderr lacks the valid set:\n%s", stderr)
+	}
+}
+
+// A -json export reads back as a -baseline: the same experiment
+// compared against its own records shows no regression, and a baseline
+// of another schema is an error that names the file.
+func TestJSONExportIsABaseline(t *testing.T) {
+	dir := t.TempDir()
+	records := filepath.Join(dir, "table2.json")
+	if code, _, stderr := dispatch("-exp", "table2", "-quick", "-json", records); code != 0 {
+		t.Fatalf("-json exited %d:\n%s", code, stderr)
+	}
+	code, stdout, stderr := dispatch("-exp", "table2", "-quick", "-baseline", records)
+	if code != 0 {
+		t.Fatalf("-baseline exited %d:\n%s", code, stderr)
+	}
+	for _, want := range []string{"KOPS vs " + records, "no KOPS regression across 3 shared runs"} {
+		if !strings.Contains(stdout, want) {
+			t.Fatalf("stdout lacks %q:\n%s", want, stdout)
+		}
+	}
+
+	bad := filepath.Join(dir, "bad.json")
+	if err := os.WriteFile(bad, []byte(`{"schema":"bogus/v0"}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	code, _, stderr = dispatch("-exp", "table2", "-quick", "-baseline", bad)
+	if code != 1 || !strings.Contains(stderr, bad) || !strings.Contains(stderr, `schema "bogus/v0"`) {
+		t.Fatalf("bad baseline: exit %d, want 1 with the file and schema named:\n%s", code, stderr)
 	}
 }
 

@@ -92,10 +92,11 @@ func TestObserverExportDigests(t *testing.T) {
 			} {
 				got[name+"/"+col] = sha(t, write)
 			}
-			exportsMatchEncodingJSON(t, name, cfg.Trace.Snapshot(), cfg.Why.Snapshot(), cfg.Flight.Snapshot())
-			if !sharded && (cfg.Trace.Dropped() == 0 || cfg.Why.Dropped() == 0 || cfg.Flight.Dropped() == 0) {
+			ts, ws, fs := cfg.Trace.Snapshot(), cfg.Why.Snapshot(), cfg.Flight.Snapshot()
+			exportsMatchEncodingJSON(t, name, ts, ws, fs)
+			if !sharded && (ts.Dropped == 0 || ws.Dropped == 0 || fs.Dropped == 0) {
 				t.Errorf("%s: a ring did not evict (trace %d, why %d, flight %d dropped): the digests no longer cover the wrapped unroll",
-					name, cfg.Trace.Dropped(), cfg.Why.Dropped(), cfg.Flight.Dropped())
+					name, ts.Dropped, ws.Dropped, fs.Dropped)
 			}
 		}
 	}

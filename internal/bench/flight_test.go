@@ -72,8 +72,8 @@ func TestFlightBudgetSumsExactly(t *testing.T) {
 				t.Fatal(err)
 			}
 			snap := rec.Snapshot()
-			if rec.Dropped() != 0 {
-				t.Fatalf("ring overflowed (%d dropped); widen TxnCapacity for this test", rec.Dropped())
+			if snap.Dropped != 0 {
+				t.Fatalf("ring overflowed (%d dropped); widen TxnCapacity for this test", snap.Dropped)
 			}
 			committed, worst := 0, sim.Duration(0)
 			for i := range snap.Txns {

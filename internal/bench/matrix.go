@@ -694,14 +694,6 @@ func (r *Runner) Records() []*RunRecord {
 	return recs
 }
 
-// Simulated reports how many simulations this runner executed
-// (memoized repeats excluded).
-func (r *Runner) Simulated() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.simulated
-}
-
 // Perf reports the wall-clock cost of the simulations this runner
 // executed, or nil if it executed none.
 func (r *Runner) Perf() *BenchPerf {

@@ -27,11 +27,12 @@ func oneTxnVerbs(cfg Config) (rdma.Stats, error) {
 	var verbs rdma.Stats
 	var attemptErr error
 	d.Env.Spawn("one-txn", func(p *sim.Proc) {
+		verbs0 := d.fabric.Stats()
 		a := seats[0].Execute(p, gen.Next(p.Rand()))
 		if !a.Committed {
 			attemptErr = fmt.Errorf("bench: uncontended txn aborted: %v", a.Reason)
 		}
-		verbs = a.Verbs
+		verbs = d.fabric.Stats().Sub(verbs0)
 	})
 	if err := d.Env.Run(); err != nil {
 		return rdma.Stats{}, err

@@ -210,9 +210,11 @@ func TestPartitionedTxnIDsUniqueAcrossCoordinators(t *testing.T) {
 // partition's clock, which never runs backwards, so its ring unrolls in
 // (time, seq) order and needs no sorting — for every trace event,
 // causality edge and causality transaction node of a sharded run, on
-// every engine. (A child's Snapshot is its own ring, oldest first.) The
-// root of a family records nothing itself: the children account for
-// every event.
+// every engine. (A child's trace Snapshot is its own ring, oldest
+// first. A child's why Snapshot would come back sorted if its ring were
+// not, so edges and nodes are checked in emission order: seqs and ids
+// rise, and time never runs backwards.) The root of a family records
+// nothing itself: the children account for every event.
 func TestMemberStreamsArriveSorted(t *testing.T) {
 	for _, system := range []SystemKind{CREST, FORD, Motor} {
 		cfg := digestCfg(system, true)
@@ -232,19 +234,20 @@ func TestMemberStreamsArriveSorted(t *testing.T) {
 			edges += len(why.Edges)
 			for i := 1; i < len(why.Edges); i++ {
 				a, b := &why.Edges[i-1], &why.Edges[i]
-				if b.At < a.At || b.At == a.At && b.Seq <= a.Seq {
+				if b.At < a.At || b.Seq <= a.Seq {
 					t.Fatalf("%s partition %d: edge %d (at %v, seq %d) follows (at %v, seq %d)", system, part, i, b.At, b.Seq, a.At, a.Seq)
 				}
 			}
 			for i := 1; i < len(why.Txns); i++ {
 				a, b := &why.Txns[i-1], &why.Txns[i]
-				if b.Start < a.Start || b.Start == a.Start && b.ID <= a.ID {
+				if b.Start < a.Start || b.ID <= a.ID {
 					t.Fatalf("%s partition %d: txn %d (start %v, id %d) follows (start %v, id %d)", system, part, i, b.Start, b.ID, a.Start, a.ID)
 				}
 			}
 		}
-		if events == 0 || events != cfg.Trace.Len() || edges != cfg.Why.Len() {
-			t.Errorf("%s: children hold %d events and %d edges, the family %d and %d", system, events, edges, cfg.Trace.Len(), cfg.Why.Len())
+		famEvents, famEdges := len(cfg.Trace.Snapshot().Events), len(cfg.Why.Snapshot().Edges)
+		if events == 0 || events != famEvents || edges != famEdges {
+			t.Errorf("%s: children hold %d events and %d edges, the family %d and %d", system, events, edges, famEvents, famEdges)
 		}
 	}
 }

@@ -61,7 +61,7 @@ func BenchmarkSnapshot(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if s := r.Snapshot(); len(s.Edges) != r.Len() {
+		if s := r.Snapshot(); len(s.Edges) != r.edges.Len() {
 			b.Fatal("short snapshot")
 		}
 	}

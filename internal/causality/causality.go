@@ -235,24 +235,6 @@ func (r *Recorder) Shard(part, parts int) *Recorder {
 	})
 }
 
-// Dropped reports how many edges were evicted from the edge ring,
-// summed across partition children.
-func (r *Recorder) Dropped() uint64 {
-	if r == nil {
-		return 0
-	}
-	return r.fam.Sum(r, func(m *Recorder) uint64 { return m.edges.Dropped() })
-}
-
-// Len reports the number of buffered edges, summed across partition
-// children.
-func (r *Recorder) Len() int {
-	if r == nil {
-		return 0
-	}
-	return int(r.fam.Sum(r, func(m *Recorder) uint64 { return uint64(m.edges.Len()) }))
-}
-
 // Begin opens the node of the transaction s identifies, at its first
 // attempt, and returns it (nil from a nil recorder). The node is cut
 // from the recorder's slab, one allocation every txnSlabLen nodes, and
@@ -407,18 +389,15 @@ type Snapshot struct {
 
 // Snapshot views the edge ring (oldest to newest), renders the
 // transaction nodes and copies the hotspot ranking. A nil recorder
-// yields an empty snapshot. A partitioned recorder (see Shard) merges
-// every child deterministically (trace.MergeByTime): edges order by
-// (virtual time, partition, seq) and transaction nodes by (start time,
-// partition, id), and hotspots add up per cell. Strided seqs and ids
-// are kept as emitted so Cause references remain valid.
+// yields an empty snapshot. The root and, on a partitioned recorder
+// (see Shard), every child merge deterministically (trace.MergeByTime):
+// edges order by (virtual time, partition, seq) and transaction nodes
+// by (start time, partition, id), and hotspots add up per cell. A lone
+// member's rings come back as they are. Strided seqs and ids are kept
+// as emitted so Cause references remain valid.
 func (r *Recorder) Snapshot() *Snapshot {
 	if r == nil {
 		return &Snapshot{}
-	}
-	if !r.fam.Sharded() {
-		return &Snapshot{Edges: r.edges.View(), Txns: txnInfos(r.txns.View()), Hotspots: r.hot.ranked(),
-			Dropped: r.edges.Dropped(), TxnsDropped: r.txns.Dropped()}
 	}
 	members := r.fam.Members(r)
 	edges := make([][]Edge, len(members))

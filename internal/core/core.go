@@ -144,12 +144,6 @@ func (s *System) Name() string {
 	}
 }
 
-// DB exposes the underlying database substrate.
-func (s *System) DB() *engine.DB { return s.db }
-
-// Options returns the system's configuration.
-func (s *System) Options() Options { return s.opts }
-
 // CreateTable registers a table with the CREST record structure.
 func (s *System) CreateTable(sc layout.Schema, capacity int) {
 	s.db.CreateTableAs(format{s}, sc, capacity)

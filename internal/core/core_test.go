@@ -161,19 +161,21 @@ func TestLocalizedVerbCountsMatchTable2(t *testing.T) {
 	f := newFixture(t, DefaultOptions(), 2, 1, 0, 4, false)
 	coord := f.cns[0].NewCoordinator(0)
 	var att engine.Attempt
+	var v rdma.Stats
 	f.env.Spawn("c", func(p *sim.Proc) {
 		txn := incTxn(0, 0, 1)
 		txn.Blocks[0].Ops = append(txn.Blocks[0].Ops, engine.Op{
 			Table: 1, Key: 1, ReadCells: []int{0},
 			Hook: func(_ any, _ [][]byte) [][]byte { return nil },
 		})
+		v0 := f.sys.db.Fabric.Stats()
 		att = coord.Execute(p, txn)
+		v = f.sys.db.Fabric.Stats().Sub(v0)
 	})
 	run(t, f)
 	if !att.Committed {
 		t.Fatalf("abort: %v", att.Reason)
 	}
-	v := att.Verbs
 	// Execution: masked-CAS (lock) + 2 READs (fetch both records).
 	// Validation: 1 READ (header of the read-only record).
 	// Commit: 1 log WRITE + cell WRITE + EN WRITE + masked-CAS unlock.
@@ -200,6 +202,7 @@ func TestCachedRecordSkipsFetch(t *testing.T) {
 	c1 := f.cns[0].NewCoordinator(0)
 	c2 := f.cns[0].NewCoordinator(1)
 	var v1, v2 engine.Attempt
+	var verbs2 rdma.Stats
 	f.env.Spawn("c1", func(p *sim.Proc) {
 		txn := incTxn(0, 0, 1)
 		txn.Blocks[0].Ops[0].Hook = func(_ any, read [][]byte) [][]byte {
@@ -210,7 +213,9 @@ func TestCachedRecordSkipsFetch(t *testing.T) {
 	})
 	f.env.Spawn("c2", func(p *sim.Proc) {
 		p.Sleep(10 * sim.Microsecond)
+		v0 := f.sys.db.Fabric.Stats()
 		v2 = c2.Execute(p, incTxn(0, 0, 1))
+		verbs2 = f.sys.db.Fabric.Stats().Sub(v0)
 	})
 	run(t, f)
 	if !v1.Committed || !v2.Committed {
@@ -220,11 +225,11 @@ func TestCachedRecordSkipsFetch(t *testing.T) {
 	// the record, no masked-CAS to lock. It still validates nothing
 	// (write cell covered) — its verbs are only commit-phase ones, and
 	// if it was the last writer it did the flush.
-	if v2.Verbs.MaskedCASes > 1 {
-		t.Errorf("second writer issued %d masked-CASes", v2.Verbs.MaskedCASes)
+	if verbs2.MaskedCASes > 1 {
+		t.Errorf("second writer issued %d masked-CASes", verbs2.MaskedCASes)
 	}
-	if v2.Verbs.Reads != 0 {
-		t.Errorf("second writer issued %d READs despite cache hit", v2.Verbs.Reads)
+	if verbs2.Reads != 0 {
+		t.Errorf("second writer issued %d READs despite cache hit", verbs2.Reads)
 	}
 	if got := f.poolCell(f.sys.db.Pool.PrimaryOf(1, 0), 0, 0); got != 2 {
 		t.Fatalf("final value %d, want 2", got)
@@ -544,13 +549,16 @@ func TestENThresholdFallback(t *testing.T) {
 	f := newFixture(t, opts, 1, 1, 0, 4, false)
 	coord := f.cns[0].NewCoordinator(0)
 	var att engine.Attempt
+	var v rdma.Stats
 	f.env.Spawn("c", func(p *sim.Proc) {
 		txn := incTxn(0, 0, 1)
 		txn.Blocks[0].Ops = append(txn.Blocks[0].Ops, engine.Op{
 			Table: 1, Key: 1, ReadCells: []int{0},
 			Hook: func(_ any, _ [][]byte) [][]byte { return nil },
 		})
+		v0 := f.sys.db.Fabric.Stats()
 		att = coord.Execute(p, txn)
+		v = f.sys.db.Fabric.Stats().Sub(v0)
 	})
 	run(t, f)
 	if !att.Committed {
@@ -559,9 +567,9 @@ func TestENThresholdFallback(t *testing.T) {
 	// The fallback validation read fetches the whole record (320
 	// bytes for 3 cells + header), visible in BytesRead.
 	lay := f.sys.layouts[1]
-	if att.Verbs.BytesRead < uint64(2*lay.Size()) {
+	if v.BytesRead < uint64(2*lay.Size()) {
 		t.Fatalf("read %d bytes; full-record fallback expected ≥ %d",
-			att.Verbs.BytesRead, 2*lay.Size())
+			v.BytesRead, 2*lay.Size())
 	}
 
 	// And a stale read still aborts under the fallback.

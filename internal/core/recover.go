@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"sort"
 
 	"crest/internal/layout"
@@ -146,7 +147,7 @@ func (s *System) rollForward(rec logRecord, ts uint64, rep *RecoveryReport) erro
 	}
 	vi := 0
 	for m := rec.Mask; m != 0; m &= m - 1 {
-		cell := trailingZeros(m)
+		cell := bits.TrailingZeros64(m)
 		val := rec.Vals[vi]
 		vi++
 		if cell >= lay.NumCells() || len(val) != lay.CellSize(cell) {
@@ -169,15 +170,6 @@ func (s *System) rollForward(rec logRecord, ts uint64, rep *RecoveryReport) erro
 		}
 	}
 	return nil
-}
-
-func trailingZeros(m uint64) int {
-	n := 0
-	for m&1 == 0 {
-		m >>= 1
-		n++
-	}
-	return n
 }
 
 // Resync rebuilds a recovered memory node's region from the surviving

@@ -36,7 +36,7 @@ func TestRetireByKeyLeavesTwoLiveObjects(t *testing.T) {
 	done := 0
 	commit := func(p *sim.Proc, c *Coordinator, txn *engine.Txn) {
 		if a := c.Execute(p, txn); !a.Committed {
-			t.Errorf("%s aborted: %v", p.Name(), a.Reason)
+			t.Errorf("aborted: %v", a.Reason)
 		}
 		done++
 	}

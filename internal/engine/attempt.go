@@ -1,25 +1,22 @@
 package engine
 
 import (
-	"crest/internal/rdma"
 	"crest/internal/sim"
 	"crest/internal/trace"
 )
 
 // AttemptTimer measures one transaction attempt: per-phase virtual
-// time, the fabric verbs attributable to the attempt, and — through the
-// process's observer context — every view of it. It replaces the
-// per-engine ad-hoc timers with one shared implementation so every
-// engine reports phases the same way, and its phase clock is the only
-// one: the trace records its transitions and flight charges its
-// durations.
+// time and — through the process's observer context — every view of
+// it. It replaces the per-engine ad-hoc timers with one shared
+// implementation so every engine reports phases the same way, and its
+// phase clock is the only one: the trace records its transitions and
+// flight charges its durations.
 //
 // Usage: BeginAttempt at the top of Execute, Phase at each protocol
 // phase boundary, Fail at an abort site (before any release/cleanup
 // work, so the failing phase's duration is frozen there), and Done as
-// the final statement of every return path (after cleanup, so the verb
-// diff includes release traffic — aborting attempts pay for their lock
-// releases).
+// the final statement of every return path (after cleanup, so the
+// release time reaches flight's budget).
 //
 // Attempt folds the phases the way the pre-existing timers did:
 // Exec = execute + lock, Commit = log + apply, and the release time
@@ -29,7 +26,6 @@ type AttemptTimer struct {
 	db     *DB
 	p      *sim.Proc
 	ctx    *txnCtx // p's observer context; nil when no view records
-	verbs0 rdma.Stats
 	start  sim.Time
 	mark   sim.Time
 	cur    trace.Phase
@@ -47,7 +43,7 @@ type AttemptTimer struct {
 // opens the attempt on the process's observer context: a retry of the
 // same *Txn resumes the transaction, anything else begins a new one.
 func BeginAttempt(db *DB, p *sim.Proc, coord uint64, home int, t *Txn) AttemptTimer {
-	at := AttemptTimer{db: db, p: p, verbs0: db.VerbStats(), start: p.Now(), mark: p.Now(), cur: trace.PhaseExec, shard: home}
+	at := AttemptTimer{db: db, p: p, start: p.Now(), mark: p.Now(), cur: trace.PhaseExec, shard: home}
 	o := &db.Obs
 	if o.Trace != nil || o.Why != nil || o.Flight != nil || o.History != nil {
 		at.ctx = db.beginObserved(p, coord, home, t)
@@ -66,9 +62,6 @@ func (at *AttemptTimer) MarkCrossShard() {
 	at.cross = true
 	at.db.Obs.met.crossShard()
 }
-
-// CrossShard reports whether MarkCrossShard was called this attempt.
-func (at *AttemptTimer) CrossShard() bool { return at.cross }
 
 // WhyID returns the attempt's causality txn id (0 when recording is
 // off), for engines that need to stamp holder identity onto shared
@@ -117,9 +110,7 @@ func (at *AttemptTimer) Fail(reason AbortReason, falseConflict bool) {
 	o.met.fail(reason, falseConflict, at.cross)
 }
 
-// Done closes the attempt and returns its outcome. The verb diff is
-// taken here — after any cleanup — matching how the engines have
-// always attributed release traffic to the attempt.
+// Done closes the attempt and returns its outcome.
 func (at *AttemptTimer) Done() Attempt {
 	now := at.p.Now()
 	at.dur[at.cur] += now.Sub(at.mark)
@@ -143,6 +134,5 @@ func (at *AttemptTimer) Done() Attempt {
 		Exec:          at.dur[trace.PhaseExec] + at.dur[trace.PhaseLock],
 		Validate:      at.dur[trace.PhaseValidate],
 		Commit:        at.dur[trace.PhaseLog] + at.dur[trace.PhaseApply],
-		Verbs:         at.db.VerbStats().Sub(at.verbs0),
 	}
 }

@@ -64,8 +64,5 @@ func (b *Batcher) Append(bi int, op rdma.Op) int {
 	return len(b.batches[bi].Ops) - 1
 }
 
-// Len returns the number of ops currently in batch bi.
-func (b *Batcher) Len(bi int) int { return len(b.batches[bi].Ops) }
-
 // Batches returns the active batches, ready for rdma.PostMulti.
 func (b *Batcher) Batches() []rdma.Batch { return b.batches[:b.n] }

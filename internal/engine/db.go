@@ -109,10 +109,6 @@ type DB struct {
 	// all disabled on the zero value. Install them with Attach.
 	Obs Observers
 
-	// lane is the fabric lane (simulation partition) this DB's verbs
-	// are counted in: 0 except on partition views.
-	lane int
-
 	// loadNodes is LoadRecord's replica list, kept between records.
 	loadNodes []*memnode.Node
 
@@ -150,15 +146,6 @@ func (db *DB) NextTxnID() uint64 {
 	return id
 }
 
-// VerbStats returns the fabric verb counters attributable to this DB's
-// partition: the whole fabric on the root DB of a single-partition
-// run, the partition's lane on a partition view. Attempt accounting
-// diffs it so per-attempt verb counts stay partition-local — and
-// therefore deterministic — when partitions execute in parallel.
-func (db *DB) VerbStats() rdma.Stats {
-	return db.Fabric.LaneStats(db.lane)
-}
-
 // PartitionView returns a shard-group-local view of the database for
 // partition part, whose coordinators run on env: shared immutable
 // placement (pool, fabric, tables, cost model) plus partition-private
@@ -183,7 +170,6 @@ func (db *DB) PartitionView(env *sim.Env, part int) *DB {
 		Tracker: tracker,
 		Cost:    db.Cost,
 		Obs:     db.Obs.shard(part, parts, db.Pool.Shards(), tracker),
-		lane:    part,
 
 		txnNext:   uint64(part) + 1,
 		txnStride: uint64(parts),

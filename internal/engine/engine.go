@@ -10,7 +10,6 @@ import (
 	"math/rand"
 
 	"crest/internal/layout"
-	"crest/internal/rdma"
 	"crest/internal/sim"
 )
 
@@ -189,9 +188,6 @@ type Attempt struct {
 	Exec     sim.Duration
 	Validate sim.Duration
 	Commit   sim.Duration
-
-	// Verbs is the fabric activity attributable to this attempt.
-	Verbs rdma.Stats
 }
 
 // Total returns the attempt's end-to-end duration.

@@ -91,7 +91,7 @@ func BenchmarkSnapshot(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if s := r.Snapshot(); len(s.Txns) != r.Len() {
+		if s := r.Snapshot(); len(s.Txns) != r.ring.Len() {
 			b.Fatal("short snapshot")
 		}
 	}

@@ -300,24 +300,6 @@ func (r *Recorder) Shard(part, parts int) *Recorder {
 	})
 }
 
-// Dropped reports how many summaries were evicted from the ring,
-// summed across partition children.
-func (r *Recorder) Dropped() uint64 {
-	if r == nil {
-		return 0
-	}
-	return r.fam.Sum(r, func(m *Recorder) uint64 { return m.ring.Dropped() })
-}
-
-// Len reports the number of buffered summaries, summed across
-// partition children.
-func (r *Recorder) Len() int {
-	if r == nil {
-		return 0
-	}
-	return int(r.fam.Sum(r, func(m *Recorder) uint64 { return uint64(m.ring.Len()) }))
-}
-
 // alloc returns a record shell from the pool (warm-up allocates).
 func (r *Recorder) alloc() *Record {
 	if n := len(r.free); n > 0 {

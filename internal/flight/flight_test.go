@@ -86,11 +86,8 @@ func TestNilRecorderIsSafe(t *testing.T) {
 		r.Abandon(tx.x)
 	})
 	snap := r.Snapshot()
-	if len(snap.Txns) != 0 || len(snap.Exemplars) != 0 {
+	if len(snap.Txns) != 0 || len(snap.Exemplars) != 0 || snap.Dropped != 0 {
 		t.Fatal("nil recorder produced data")
-	}
-	if r.Len() != 0 || r.Dropped() != 0 {
-		t.Fatal("nil recorder reports contents")
 	}
 }
 
@@ -478,7 +475,7 @@ func TestHotPathAllocatesNothingSteadyState(t *testing.T) {
 			t.Errorf("nil recorder allocates %.1f/op, want 0", allocs)
 		}
 	})
-	if r.Dropped() == 0 {
+	if r.Snapshot().Dropped == 0 {
 		t.Fatal("warm-up never overflowed the ring; the steady-state claim is untested")
 	}
 }

@@ -111,6 +111,7 @@ func TestVerbCountsMatchTable2(t *testing.T) {
 	f := newFixture(t, 2, 1, 0, 4, false)
 	coord := f.cns[0].NewCoordinator(0)
 	var att engine.Attempt
+	var v rdma.Stats
 	f.env.Spawn("c", func(p *sim.Proc) {
 		// One read-write record and one read-only record.
 		txn := incTxn(0, 0, 1)
@@ -120,7 +121,9 @@ func TestVerbCountsMatchTable2(t *testing.T) {
 			ReadCells: []int{0},
 			Hook:      func(_ any, _ [][]byte) [][]byte { return nil },
 		})
+		v0 := f.sys.DB().Fabric.Stats()
 		att = coord.Execute(p, txn)
+		v = f.sys.DB().Fabric.Stats().Sub(v0)
 	})
 	if err := f.env.Run(); err != nil {
 		t.Fatal(err)
@@ -128,7 +131,6 @@ func TestVerbCountsMatchTable2(t *testing.T) {
 	if !att.Committed {
 		t.Fatalf("abort: %v", att.Reason)
 	}
-	v := att.Verbs
 	// Execution: CAS+READ for the locked record, READ for the other.
 	// Validation: one READ. Commit: log WRITE + record WRITE + unlock
 	// CAS.

@@ -68,9 +68,6 @@ func nextPow2(v uint64) uint64 {
 	return n
 }
 
-// Buckets returns the number of buckets (for sizing diagnostics).
-func (ix *Index) Buckets() int { return int(ix.buckets) }
-
 // Base returns the index's pool-mirrored base offset.
 func (ix *Index) Base() uint64 { return ix.base }
 

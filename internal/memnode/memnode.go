@@ -166,9 +166,6 @@ func (p *Pool) Alloc(size int) uint64 {
 	return off
 }
 
-// Used reports the bytes allocated so far (per node).
-func (p *Pool) Used() uint64 { return p.allocOff }
-
 // PrimaryOf returns the memory node holding the primary copy of the
 // record identified by (table, key).
 func (p *Pool) PrimaryOf(table layout.TableID, key layout.Key) *Node {
@@ -297,6 +294,3 @@ func (s *LogSegment) Reserve(n int) uint64 {
 	s.tail += n
 	return off
 }
-
-// Tail reports the local tail position (bytes into the segment).
-func (s *LogSegment) Tail() int { return s.tail }

@@ -26,8 +26,8 @@ func TestAllocMirroredAndAligned(t *testing.T) {
 	if b != 64 {
 		t.Fatalf("second alloc at %d, want 64 (cacheline aligned)", b)
 	}
-	if p.Used() != 64+128 {
-		t.Fatalf("used %d", p.Used())
+	if c := p.Alloc(1); c != 64+128 {
+		t.Fatalf("third alloc at %d, want %d (after 64+128 used)", c, 64+128)
 	}
 }
 
@@ -115,8 +115,8 @@ func TestLogSegmentReserveWraps(t *testing.T) {
 	if off := s.Reserve(100); off != s.Base {
 		t.Fatalf("wrapped entry at %d, want base", off)
 	}
-	if s.Tail() != 100 {
-		t.Fatalf("tail %d", s.Tail())
+	if off := s.Reserve(1); off != s.Base+100 {
+		t.Fatalf("entry after the wrapped one at %d, want base+100", off)
 	}
 }
 

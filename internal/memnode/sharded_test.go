@@ -169,7 +169,7 @@ func TestShardedAllocSymmetric(t *testing.T) {
 			t.Fatalf("alloc(%d): %d on single group, %d sharded", size, offA, offB)
 		}
 	}
-	if a.Used() != b.Used() {
-		t.Fatalf("used %d vs %d", a.Used(), b.Used())
+	if a.allocOff != b.allocOff {
+		t.Fatalf("used %d vs %d", a.allocOff, b.allocOff)
 	}
 }

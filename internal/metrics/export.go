@@ -30,20 +30,6 @@ func WriteJSON(w io.Writer, s *Snapshot) error {
 	return enc.Encode(jsonDoc{Schema: SchemaVersion, Snapshot: s})
 }
 
-// ReadJSON parses a document written by WriteJSON and verifies its
-// schema version.
-func ReadJSON(r io.Reader) (*Snapshot, error) {
-	var doc jsonDoc
-	doc.Snapshot = &Snapshot{}
-	if err := json.NewDecoder(r).Decode(&doc); err != nil {
-		return nil, fmt.Errorf("metrics: parsing JSON: %w", err)
-	}
-	if doc.Schema != SchemaVersion {
-		return nil, fmt.Errorf("metrics: schema %q, want %q", doc.Schema, SchemaVersion)
-	}
-	return doc.Snapshot, nil
-}
-
 // formatValue renders a sample or total without float noise: integers
 // stay integers, everything else keeps shortest round-trip form.
 func formatValue(v float64) string {

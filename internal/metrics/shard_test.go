@@ -14,8 +14,8 @@ import (
 func TestShardMergeSumsAcrossPartitions(t *testing.T) {
 	r := NewRegistry(Options{Window: 10 * sim.Microsecond})
 	s0, s1 := r.Shard(0, 2), r.Shard(1, 2)
-	if s1.Window() != r.Window() {
-		t.Fatalf("child window %v != root %v", s1.Window(), r.Window())
+	if s1.window != r.window {
+		t.Fatalf("child window %v != root %v", s1.window, r.window)
 	}
 	now0, now1 := fakeClock(s0), fakeClock(s1)
 

@@ -160,9 +160,12 @@ func TestReadOnlySkipsValidationRTT(t *testing.T) {
 	f := newFixture(t, 1, 1, 0, 4, false)
 	coord := f.cns[0].NewCoordinator(0)
 	var att engine.Attempt
+	var v rdma.Stats
 	f.env.Spawn("c", func(p *sim.Proc) {
 		var out []uint64
+		v0 := f.sys.DB().Fabric.Stats()
 		att = coord.Execute(p, readTxn([]layout.Key{0, 1}, &out))
+		v = f.sys.DB().Fabric.Stats().Sub(v0)
 	})
 	if err := f.env.Run(); err != nil {
 		t.Fatal(err)
@@ -174,11 +177,11 @@ func TestReadOnlySkipsValidationRTT(t *testing.T) {
 		t.Fatalf("read-only txn spent %v validating", att.Validate)
 	}
 	// One whole-record READ per record.
-	if att.Verbs.Reads != 2 {
-		t.Fatalf("READs = %d, want 2", att.Verbs.Reads)
+	if v.Reads != 2 {
+		t.Fatalf("READs = %d, want 2", v.Reads)
 	}
-	if att.Verbs.CASes != 0 || att.Verbs.Writes != 0 {
-		t.Fatalf("read-only txn issued writes: %+v", att.Verbs)
+	if v.CASes != 0 || v.Writes != 0 {
+		t.Fatalf("read-only txn issued writes: %+v", v)
 	}
 }
 

@@ -125,7 +125,7 @@ func TestPostContract(t *testing.T) {
 			env := g.w.Env(0)
 			env.Spawn("issuer", func(p *sim.Proc) {
 				// 1. A clean post: slots, latency, events, counters.
-				before, d0, d1, start := g.f.LaneStats(0), env.Dispatched(), g.w.Env(1).Dispatched(), p.Now()
+				before, d0, d1, start := g.f.lanes[0].stats, env.Dispatched(), g.w.Env(1).Dispatched(), p.Now()
 				want := g.wantLatency(row.targets)
 				out, err := g.post(p, row.single, row.targets, 0)
 				if err != nil {
@@ -146,11 +146,11 @@ func TestPostContract(t *testing.T) {
 				for i, tg := range row.targets {
 					g.checkBatch(t, row.name, tg, out[i])
 				}
-				st := g.f.LaneStats(0).Sub(before)
+				st := g.f.lanes[0].stats.Sub(before)
 				if st.RTTs != n || st.CASes != n || st.Reads != 2*n || st.Writes != n || st.BytesRead != 64*n || st.BytesWrite != 3*n {
 					t.Errorf("issuing lane counted %+v for %d batches", st, n)
 				}
-				if got := g.f.LaneStats(1); got != (Stats{}) {
+				if got := g.f.lanes[1].stats; got != (Stats{}) {
 					t.Errorf("target lane counted %+v, want nothing: verbs count where they were posted", got)
 				}
 				c := row.crossed
@@ -180,15 +180,15 @@ func TestPostContract(t *testing.T) {
 
 				// 2. When the counters land: at the midpoint for a local post,
 				// at completion for a post that crosses.
-				before, start = g.f.LaneStats(0), p.Now()
+				before, start = g.f.lanes[0].stats, p.Now()
 				want = g.wantLatency(row.targets)
 				var early, late Stats
 				earlyAt, lateAt := start.Add(want/2-1), start.Add(want/2+1)
 				if cross {
 					lateAt = start.Add(want - 1)
 				}
-				env.CallAt(earlyAt, func() { early = g.f.LaneStats(0).Sub(before) })
-				env.CallAt(lateAt, func() { late = g.f.LaneStats(0).Sub(before) })
+				env.CallAt(earlyAt, func() { early = g.f.lanes[0].stats.Sub(before) })
+				env.CallAt(lateAt, func() { late = g.f.lanes[0].stats.Sub(before) })
 				if _, err := g.post(p, row.single, row.targets, 1); err != nil {
 					t.Fatal(err)
 				}
@@ -201,7 +201,7 @@ func TestPostContract(t *testing.T) {
 				if !cross && late != st {
 					t.Errorf("a local post's counters at the midpoint are %+v, want %+v", late, st)
 				}
-				if got := g.f.LaneStats(0).Sub(before); got != st {
+				if got := g.f.lanes[0].stats.Sub(before); got != st {
 					t.Errorf("second post counted %+v, want %+v", got, st)
 				}
 
@@ -212,7 +212,7 @@ func TestPostContract(t *testing.T) {
 				if last > 0 {
 					g.regions[row.targets[1]].Fail()
 				}
-				before = g.f.LaneStats(0)
+				before = g.f.lanes[0].stats
 				g.wantLatency(row.targets) // keep the shadow stream in step
 				out, err = g.post(p, row.single, row.targets, 2)
 				firstFailed := g.regions[row.targets[min(1, last)]]
@@ -228,7 +228,7 @@ func TestPostContract(t *testing.T) {
 					}
 					g.checkBatch(t, row.name+" beside a failed batch", tg, out[i])
 				}
-				if got := g.f.LaneStats(0).Sub(before).RTTs; got != n {
+				if got := g.f.lanes[0].stats.Sub(before).RTTs; got != n {
 					t.Errorf("failing post counted %d RTTs, want %d", got, n)
 				}
 			})

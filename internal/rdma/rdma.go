@@ -261,15 +261,8 @@ func (f *Fabric) Stats() Stats {
 	return s
 }
 
-// LaneStats returns partition part's verb counters: the verbs posted
-// by processes running in that partition. On a single-partition fabric
-// it equals Stats. Engines diff it per attempt so the measurement
-// stays partition-local (and therefore deterministic) under parallel
-// execution.
-func (f *Fabric) LaneStats(part int) Stats { return f.lanes[part].stats }
-
 // CrossLaneStats returns the verbs partition part posted that applied
-// in other partitions (already included in LaneStats): the traffic that
+// in other partitions (already counted in Stats): the traffic that
 // crossed the fabric's partition seam. Schedule-derived, so it is
 // identical at any worker count.
 func (f *Fabric) CrossLaneStats(part int) Stats { return f.lanes[part].cross }
@@ -282,9 +275,6 @@ func (f *Fabric) Lanes() int { return len(f.lanes) }
 
 // laneOf returns the lane of the partition that p runs in.
 func (f *Fabric) laneOf(p *sim.Proc) *lane { return f.lanes[p.Env().Part()] }
-
-// Params returns the fabric's latency parameters.
-func (f *Fabric) Params() Params { return f.params }
 
 // Region is a registered memory region on a memory node, addressed by
 // byte offset from compute nodes.
@@ -398,9 +388,6 @@ func (r *Region) Populate(off uint64, n int) {
 	}
 	populateBytes(r.buf, off, n)
 }
-
-// Part returns the partition owning the region.
-func (r *Region) Part() int { return r.part }
 
 // ID returns the region's registration index.
 func (r *Region) ID() int { return r.id }

@@ -258,22 +258,6 @@ func (s *Spec) resolution() sim.Duration {
 	return DefaultResolution
 }
 
-// Trivial reports whether the timeline never gates admission and
-// never drifts — the scenario adds no events and no key remapping, so
-// its runs are byte-equal to the equivalent static configuration.
-func (s *Spec) Trivial() bool {
-	for i := range s.Timeline {
-		ph := &s.Timeline[i]
-		if ph.Hotspot != 0 {
-			return false
-		}
-		if ph.Kind != PhaseConstant || ph.Load != 1 {
-			return false
-		}
-	}
-	return true
-}
-
 // PhaseAt maps a virtual time to its phase index. Beyond the last
 // boundary the final phase continues; an empty timeline returns -1.
 func (s *Spec) PhaseAt(t sim.Time) int {

@@ -100,36 +100,6 @@ func TestDispatchSteadyStateZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestStopOutsideProcPanics pins Stop's contract: calling it from
-// outside a running process (or CallAt function) would race the run
-// loop, so it must panic instead of silently corrupting state.
-func TestStopOutsideProcPanics(t *testing.T) {
-	e := NewEnv(1)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Stop from outside a running process did not panic")
-		}
-	}()
-	e.Stop()
-}
-
-// TestStopInsideProcAllowed is the positive half: from process context
-// Stop is the documented way to end a run.
-func TestStopInsideProcAllowed(t *testing.T) {
-	e := NewEnv(1)
-	e.Spawn("stopper", func(p *Proc) {
-		p.Sleep(Microsecond)
-		e.Stop()
-		p.Sleep(Second) // never dispatched
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if !e.Stopped() {
-		t.Fatal("Stopped() false after in-process Stop")
-	}
-}
-
 // dispatchRec is one observed scheduler dispatch.
 type dispatchRec struct {
 	at   Time
@@ -147,7 +117,7 @@ func contendedRun(t *testing.T, seed int64) []dispatchRec {
 	e.dispatchHook = func(at Time, seq uint64, p *Proc) {
 		name := ""
 		if p != nil {
-			name = p.Name()
+			name = p.name
 		}
 		recs = append(recs, dispatchRec{at, seq, name})
 	}

@@ -153,7 +153,6 @@ type Env struct {
 	rng        *rand.Rand
 	live       int // processes spawned and not yet finished
 	waiting    int // processes parked with no pending wake event
-	stopped    bool
 	failure    error
 	dispatched uint64 // events dispatched across all Run calls
 
@@ -162,12 +161,6 @@ type Env struct {
 	// reports. free is the pool of finished shells ready for reuse.
 	procs []*Proc
 	free  []*Proc
-
-	// current is the process the scheduler has handed control to, nil
-	// between dispatches; inCall is true while a deferred CallAt
-	// function runs. Together they enforce Stop's contract.
-	current *Proc
-	inCall  bool
 
 	// dispatchHook, when non-nil, observes every dispatched event
 	// (tests use it to assert full-sequence determinism).
@@ -251,9 +244,6 @@ func (p *Proc) SetCtx(ctx any) { p.ctx = ctx }
 // Env returns the environment the process runs in.
 func (p *Proc) Env() *Env { return p.env }
 
-// Name returns the process name given at Spawn.
-func (p *Proc) Name() string { return p.name }
-
 // Now returns the current virtual time.
 func (p *Proc) Now() Time { return p.env.now }
 
@@ -287,18 +277,6 @@ func (e *Env) Spawn(name string, fn func(*Proc)) *Proc {
 	p := e.newProc(name, fn)
 	e.live++
 	e.schedule(p, e.now)
-	return p
-}
-
-// SpawnAt is Spawn with an explicit start time, which must not be in
-// the past.
-func (e *Env) SpawnAt(name string, at Time, fn func(*Proc)) *Proc {
-	if at < e.now {
-		panic(fmt.Sprintf("sim: SpawnAt(%v) in the past (now %v)", at, e.now))
-	}
-	p := e.newProc(name, fn)
-	e.live++
-	e.schedule(p, at)
 	return p
 }
 
@@ -387,25 +365,20 @@ func (p *Proc) Sleep(d Duration) {
 	p.park()
 }
 
-// Yield reschedules the process at the current virtual time, letting
-// any other runnable process at this instant execute first.
-func (p *Proc) Yield() { p.Sleep(0) }
-
-// Run dispatches events until none remain or Stop is called. It
-// returns an error if a process panicked, or if processes remain
-// parked on wait queues with no pending event (a deadlock).
+// Run dispatches events until none remain. It returns an error if a
+// process panicked, or if processes remain parked on wait queues with
+// no pending event (a deadlock). A caller that wants to end a run early
+// steps RunUntil instead.
 func (e *Env) Run() error { return e.RunUntil(Time(1<<62 - 1)) }
 
 // RunUntil dispatches events with time ≤ deadline. Events beyond the
 // deadline stay queued; the clock is left at the last dispatched
 // event (or the deadline if nothing ran past it).
 func (e *Env) RunUntil(deadline Time) error {
-	e.stopped = false
 	e.dispatch(deadline)
 	switch {
 	case e.failure != nil:
 		return e.failure
-	case e.stopped: // clock and parked processes stay as Stop found them
 	case len(e.events) > 0: // the rest lies beyond the deadline
 		e.now = deadline
 	case e.waiting > 0:
@@ -417,9 +390,9 @@ func (e *Env) RunUntil(deadline Time) error {
 
 // dispatch is the scheduler's one event loop, shared by RunUntil and
 // the World's window executor: it runs queued events with time ≤ limit
-// until none remain, Stop is called or a process panics.
+// until none remain or a process panics.
 func (e *Env) dispatch(limit Time) {
-	for len(e.events) > 0 && !e.stopped && e.events[0].at <= limit {
+	for len(e.events) > 0 && e.events[0].at <= limit {
 		ev := e.events.pop()
 		if ev.fn == nil && (ev.proc.done || ev.proc.gen != ev.gen) {
 			continue // stale wakeup for a finished or reused process
@@ -432,14 +405,10 @@ func (e *Env) dispatch(limit Time) {
 			e.dispatchHook(ev.at, ev.seq, ev.proc)
 		}
 		if ev.fn != nil {
-			e.inCall = true
 			ev.fn()
-			e.inCall = false
 			continue
 		}
-		e.current = ev.proc
 		ev.proc.next() // returns when the process parks or finishes
-		e.current = nil
 		if e.failure != nil {
 			return
 		}
@@ -482,25 +451,6 @@ func (e *Env) waiterNames() []string {
 	return names
 }
 
-// Stop makes Run return after the current event completes. Parked
-// processes are abandoned: their coroutines stay suspended where they
-// parked, never resumed or unwound (none of their deferred calls run),
-// stacks held until the OS process exits — fine for one-shot runs.
-//
-// Stop must be called from inside a running process (or a CallAt
-// function); calling it from outside the scheduler would race the run
-// loop, so it panics instead.
-func (e *Env) Stop() {
-	if e.current == nil && !e.inCall {
-		panic("sim: Stop called from outside a running process; " +
-			"call it from process or CallAt context so the run loop observes it safely")
-	}
-	e.stopped = true
-}
-
-// Stopped reports whether Stop has been called during the current Run.
-func (e *Env) Stopped() bool { return e.stopped }
-
 // WaitQueue is a FIFO queue of parked processes. Processes enter with
 // Wait and are released, in order, by Wake or WakeAll. It is the
 // primitive beneath Mutex and Cond.
@@ -522,9 +472,6 @@ var suspendedQ = NewWaitQueue("suspended")
 // reports).
 func NewWaitQueue(name string) *WaitQueue { return &WaitQueue{labeler: fixedLabel(name)} }
 
-// SetName labels the queue for deadlock and diagnostic reports.
-func (q *WaitQueue) SetName(name string) { q.labeler = fixedLabel(name) }
-
 // SetLabel makes l the queue's label. l.String is called only when a
 // deadlock or diagnostic report is built, so a label that describes the
 // owner's current state costs nothing on the Wait/Wake path.
@@ -537,9 +484,6 @@ func (q *WaitQueue) String() string {
 	}
 	return q.labeler.String()
 }
-
-// Len reports the number of parked processes.
-func (q *WaitQueue) Len() int { return len(q.ps) }
 
 // Wait parks p until another process wakes it. The wakeup happens at
 // the waker's current virtual time.
@@ -632,7 +576,3 @@ func (m *Mutex) Reset() {
 	}
 	m.q.Reset()
 }
-
-// WaitingProcs lists processes parked on wait queues right now, with
-// their queue labels (diagnostics).
-func (e *Env) WaitingProcs() []string { return e.waiterNames() }

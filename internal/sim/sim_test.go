@@ -74,12 +74,12 @@ func TestYieldInterleaves(t *testing.T) {
 	var order []string
 	e.Spawn("a", func(p *Proc) {
 		order = append(order, "a1")
-		p.Yield()
+		p.Sleep(0)
 		order = append(order, "a2")
 	})
 	e.Spawn("b", func(p *Proc) {
 		order = append(order, "b1")
-		p.Yield()
+		p.Sleep(0)
 		order = append(order, "b2")
 	})
 	if err := e.Run(); err != nil {
@@ -142,8 +142,8 @@ func TestResetKeepsTheArray(t *testing.T) {
 	}
 	grown := cap(q.ps)
 	q.Reset()
-	if q.Len() != 0 || cap(q.ps) != grown || grown < 3 {
-		t.Fatalf("reset queue: %d parked, capacity %d, was %d", q.Len(), cap(q.ps), grown)
+	if len(q.ps) != 0 || cap(q.ps) != grown || grown < 3 {
+		t.Fatalf("reset queue: %d parked, capacity %d, was %d", len(q.ps), cap(q.ps), grown)
 	}
 	for i, p := range q.ps[:cap(q.ps)] {
 		if p != nil {
@@ -238,7 +238,10 @@ func TestSpawnFromProcessAndCallAt(t *testing.T) {
 			c.Sleep(Microsecond)
 			mark("child-resumed")(c)
 		})
-		e.SpawnAt("late", p.Now().Add(3*Microsecond), mark("late"))
+		e.Spawn("late", func(l *Proc) {
+			l.Sleep(3 * Microsecond)
+			mark("late")(l)
+		})
 		mark("parent")(p)
 	})
 	e.CallAt(Time(2*Microsecond), func() { e.Spawn("from-call", mark("from-call")) })
@@ -299,7 +302,7 @@ func TestNoGoroutineLeftAfterRun(t *testing.T) {
 			m.Lock(p)
 			p.Sleep(Microsecond)
 			m.Unlock()
-			e.Spawn("child", func(c *Proc) { c.Yield() })
+			e.Spawn("child", func(c *Proc) { c.Sleep(0) })
 		})
 	}
 	spawned := runtime.NumGoroutine()
@@ -383,32 +386,6 @@ func TestRunUntilStopsAtDeadline(t *testing.T) {
 	}
 }
 
-func TestStopEndsRun(t *testing.T) {
-	e := NewEnv(1)
-	ticks := 0
-	e.Spawn("ticker", func(p *Proc) {
-		for {
-			p.Sleep(Microsecond)
-			ticks++
-			if ticks == 3 {
-				p.Env().Stop()
-				return
-			}
-		}
-	})
-	e.Spawn("other", func(p *Proc) {
-		for i := 0; i < 1000; i++ {
-			p.Sleep(Microsecond)
-		}
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if ticks != 3 {
-		t.Fatalf("ticks = %d, want 3", ticks)
-	}
-}
-
 func TestDeterminismSameSeed(t *testing.T) {
 	trace := func(seed int64) []int64 {
 		e := NewEnv(seed)
@@ -437,10 +414,12 @@ func TestDeterminismSameSeed(t *testing.T) {
 	}
 }
 
+// TestSpawnAtFuture: a process spawned from a deferred call starts at
+// the call's instant, not at the time the call was scheduled.
 func TestSpawnAtFuture(t *testing.T) {
 	e := NewEnv(1)
 	var started Time
-	e.SpawnAt("late", Time(40*Microsecond), func(p *Proc) { started = p.Now() })
+	e.CallAt(Time(40*Microsecond), func() { e.Spawn("late", func(p *Proc) { started = p.Now() }) })
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -560,16 +539,18 @@ func BenchmarkEventDispatch(b *testing.B) {
 	}
 }
 
+// TestWaitQueueSetNameAppearsInDeadlockReport: a name set on a queue
+// after it was made (SetLabel) is the one a deadlock report shows.
 func TestWaitQueueSetNameAppearsInDeadlockReport(t *testing.T) {
 	e := NewEnv(1)
 	q := NewWaitQueue("anon")
-	q.SetName("descriptive-name")
+	q.SetLabel(fixedLabel("descriptive-name"))
 	e.Spawn("stuck", func(p *Proc) { q.Wait(p) })
 	err := e.Run()
 	if err == nil {
 		t.Fatal("expected deadlock")
 	}
-	if !strings.Contains(err.Error(), "descriptive-name") {
+	if !strings.Contains(err.Error(), "descriptive-name") || strings.Contains(err.Error(), "anon") {
 		t.Fatalf("deadlock report %q misses queue name", err)
 	}
 }
@@ -580,15 +561,15 @@ func TestWaitingProcsSnapshot(t *testing.T) {
 	e.Spawn("a", func(p *Proc) { q.Wait(p) })
 	e.Spawn("b", func(p *Proc) {
 		p.Sleep(Microsecond)
-		if got := len(p.Env().WaitingProcs()); got != 1 {
-			t.Errorf("WaitingProcs = %d, want 1", got)
+		if got := len(p.Env().waiterNames()); got != 1 {
+			t.Errorf("waiterNames = %d, want 1", got)
 		}
 		q.WakeAll()
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if got := len(e.WaitingProcs()); got != 0 {
-		t.Fatalf("WaitingProcs after run = %d", got)
+	if got := len(e.waiterNames()); got != 0 {
+		t.Fatalf("waiterNames after run = %d", got)
 	}
 }

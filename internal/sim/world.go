@@ -214,17 +214,8 @@ func (w *World) Dispatched() uint64 {
 	return n
 }
 
-// Live sums the partitions' live-process counts.
-func (w *World) Live() int {
-	n := 0
-	for _, e := range w.envs {
-		n += e.live
-	}
-	return n
-}
-
-// Run dispatches events until none remain anywhere or a partition
-// stops, like Env.Run for a single environment.
+// Run dispatches events until none remain anywhere, like Env.Run for
+// a single environment.
 func (w *World) Run() error { return w.RunUntil(maxTime) }
 
 // RunUntil advances every partition through conservative windows until
@@ -234,9 +225,6 @@ func (w *World) Run() error { return w.RunUntil(maxTime) }
 // process panic, or a global deadlock (every partition idle with
 // processes parked and no cross-partition message in flight).
 func (w *World) RunUntil(deadline Time) error {
-	for _, e := range w.envs {
-		e.stopped = false
-	}
 	if w.workers > 1 {
 		w.startPool()
 		defer w.stopPool()
@@ -260,11 +248,6 @@ func (w *World) RunUntil(deadline Time) error {
 		w.rt.noteWindow(emin, w.bound, w.Dispatched()-d0, mail)
 		if err := w.failure(); err != nil {
 			return err
-		}
-		for _, e := range w.envs {
-			if e.stopped {
-				return nil
-			}
 		}
 	}
 	for _, e := range w.envs {

@@ -283,7 +283,8 @@ func TestMailboxZeroAlloc(t *testing.T) {
 // every cut. Each slice starts and joins a pool, so a helper of one
 // slice must never run in the next: the sliced run must dispatch what
 // one Run at workers 1 does, event by event, and leave no goroutine
-// behind — after each slice, after Stop and after a process panic.
+// behind — after each slice and after a process panic ends a slice
+// early.
 // Mail lands at odd instants and processes wake at even ones, so a
 // cut, which merges mail earlier than a full window would, moves
 // sequence numbers but never the order of two events.
@@ -318,15 +319,22 @@ func TestWorldPoolLifecycle(t *testing.T) {
 			return all.String()
 		}
 	}
-	// Live processes hold a coroutine each; Stop and a panic abandon
-	// theirs, so every world is counted from its own baseline. A joined
-	// helper may still be returning from its last unlock, so the count
-	// gets a moment to settle.
+	// Live processes hold a coroutine each; a panic abandons theirs, so
+	// every world is counted from its own baseline. A joined helper may
+	// still be returning from its last unlock, so the count gets a
+	// moment to settle.
 	var base int
+	live := func(w *World) int {
+		n := 0
+		for _, e := range w.envs {
+			n += e.live
+		}
+		return n
+	}
 	leaked := func(w *World) int {
 		n := 0
 		for end := time.Now().Add(time.Second); time.Now().Before(end); runtime.Gosched() {
-			if n = runtime.NumGoroutine() - base - w.Live(); n == 0 {
+			if n = runtime.NumGoroutine() - base - live(w); n == 0 {
 				break
 			}
 		}
@@ -353,7 +361,7 @@ func TestWorldPoolLifecycle(t *testing.T) {
 		w, log := build(3)
 		w.SetWorkers(workers)
 		slices, cutMail := 0, 0
-		for deadline := Time(0); w.Live() > 0; slices++ {
+		for deadline := Time(0); live(w) > 0; slices++ {
 			deadline = deadline.Add(L*3/2 + 7)
 			if err := w.RunUntil(deadline); err != nil {
 				t.Fatalf("workers=%d: %v", workers, err)
@@ -375,20 +383,8 @@ func TestWorldPoolLifecycle(t *testing.T) {
 			t.Errorf("workers=%d: mail in flight at %d of %d cuts", workers, cutMail, slices)
 		}
 
-		base = runtime.NumGoroutine()
-		w, _ = build(4)
-		w.SetWorkers(workers)
-		w.Env(2).Spawn("stopper", func(p *Proc) {
-			p.Sleep(7 * L)
-			w.Env(2).Stop()
-		})
-		if err := w.Run(); err != nil || !w.Env(2).Stopped() || w.Live() == 0 {
-			t.Fatalf("workers=%d: Run after Stop: %v, stopped %v, %d live", workers, err, w.Env(2).Stopped(), w.Live())
-		}
-		if n := leaked(w); n != 0 {
-			t.Fatalf("workers=%d: %d goroutines left after Stop", workers, n)
-		}
-
+		// A panic ends RunUntil early, well before its deadline, with
+		// the other partitions' processes still live.
 		base = runtime.NumGoroutine()
 		w, _ = build(5)
 		w.SetWorkers(workers)
@@ -396,8 +392,8 @@ func TestWorldPoolLifecycle(t *testing.T) {
 			p.Sleep(5 * L)
 			panic("kaboom")
 		})
-		if err := w.Run(); err == nil || !strings.Contains(err.Error(), "kaboom") {
-			t.Fatalf("workers=%d: want the panic, got %v", workers, err)
+		if err := w.RunUntil(Time(1000 * L)); err == nil || !strings.Contains(err.Error(), "kaboom") || live(w) == 0 {
+			t.Fatalf("workers=%d: want the panic with processes left, got %v and %d live", workers, err, live(w))
 		}
 		if n := leaked(w); n != 0 {
 			t.Fatalf("workers=%d: %d goroutines left after a panic", workers, n)

@@ -422,7 +422,7 @@ func TestSnapshotsAliasRings(t *testing.T) {
 						made = sizeOf[trace.Event](len(s.Events))
 					}
 					return snapshotted{func(w io.Writer) error { return trace.WriteChromeTrace(w, s) },
-						sizeOf[trace.Event](r.Len()), made}
+						sizeOf[trace.Event](len(s.Events)), made}
 				},
 			}
 		}},
@@ -446,7 +446,7 @@ func TestSnapshotsAliasRings(t *testing.T) {
 						made += sizeOf[causality.Edge](len(s.Edges))
 					}
 					return snapshotted{func(w io.Writer) error { return causality.WriteJSON(w, s) },
-						sizeOf[causality.Edge](r.Len()) + sizeOf[*causality.Txn](len(s.Txns)), made}
+						sizeOf[causality.Edge](len(s.Edges)) + sizeOf[*causality.Txn](len(s.Txns)), made}
 				},
 			}
 		}},
@@ -470,7 +470,7 @@ func TestSnapshotsAliasRings(t *testing.T) {
 						made = sizeOf[flight.TxnBudget](len(s.Txns))
 					}
 					return snapshotted{func(w io.Writer) error { return flight.WriteJSON(w, s) },
-						sizeOf[flight.TxnBudget](r.Len()), made}
+						sizeOf[flight.TxnBudget](len(s.Txns)), made}
 				},
 			}
 		}},

@@ -301,24 +301,6 @@ func (r *Recorder) emitIn(at sim.Time, k Kind, s *Span) *Event {
 	return e
 }
 
-// Dropped reports how many events were evicted from the ring (summed
-// over the partition children on a sharded recorder).
-func (r *Recorder) Dropped() uint64 {
-	if r == nil {
-		return 0
-	}
-	return r.fam.Sum(r, func(m *Recorder) uint64 { return m.ring.Dropped() })
-}
-
-// Len reports the number of buffered events (summed over the partition
-// children on a sharded recorder).
-func (r *Recorder) Len() int {
-	if r == nil {
-		return 0
-	}
-	return int(r.fam.Sum(r, func(m *Recorder) uint64 { return uint64(m.ring.Len()) }))
-}
-
 // Begin records attempt s.Attempt of s beginning in phase s.Phase: the
 // transaction's begin event on its first attempt, a retry event on any
 // later one.
@@ -511,8 +493,8 @@ func (r *Recorder) Snapshot() *Snapshot {
 	if r == nil {
 		return s
 	}
-	s.Dropped = r.Dropped()
 	if !r.fam.Sharded() {
+		s.Dropped = r.ring.Dropped()
 		s.Events = r.ring.View()
 		s.strs, s.verbs = slices.Clone(r.strs.strs), slices.Clone(r.verbs.strs)
 		return s
@@ -522,6 +504,7 @@ func (r *Recorder) Snapshot() *Snapshot {
 	strMaps, verbMaps := make([][]StrID, len(members)), make([][]StrID, len(members))
 	var strs, verbs strTable
 	for i, m := range members {
+		s.Dropped += m.ring.Dropped()
 		streams[i] = m.ring.View()
 		strMaps[i], verbMaps[i] = strs.merge(&m.strs), verbs.merge(&m.verbs)
 	}
