@@ -13,7 +13,6 @@ import (
 	"crest/internal/causality"
 	"crest/internal/flight"
 	"crest/internal/metrics"
-	"crest/internal/rdma"
 	"crest/internal/sim"
 	"crest/internal/trace"
 )
@@ -270,11 +269,9 @@ func TestExportsMatchEncodingJSONOnEdgeCases(t *testing.T) {
 			s.SetTxn(uint64(i) << 40)
 			s.Phase = trace.PhaseLock
 			rec.EnterPhase(at, s)
-			rec.VerbIssue(at, s, rdma.OpKind(i), i, i, i)
 			// Latency > At puts the slice's start before time zero.
 			rec.RTT(at, s, i, i, i, i, sim.Duration(at)+sim.Duration(i)*7)
 			rec.RTT(at, s, 1<<31, 1<<15, 1<<15, 1<<31, math.MaxInt64)
-			rec.VerbComplete(at, s, rdma.OpKind(i), i, i, i, sim.Microsecond)
 			rec.Conflict(at, s, 1<<31, 1<<63, 1<<63|1)
 			rec.LockAcquire(at, s, 0, 0, 0)
 			rec.LockPiggyback(at, s, 3, 9, 0b101)

@@ -258,36 +258,28 @@ func (o *Observers) BackedOff(p *sim.Proc, d sim.Duration) {
 	}
 }
 
-// Posted implements rdma.Observer for a fabric lane: an issue event per
-// verb, and the fabric's post counters, batch by batch.
+// Posted implements rdma.Observer for a fabric lane: the fabric's post
+// counters, batch by batch.
 func (o *Observers) Posted(p *sim.Proc, batches []rdma.Batch) {
-	s := ctxOf(p).spanOf()
+	if o.fab == nil {
+		return
+	}
 	for _, b := range batches {
-		if o.Trace != nil {
-			for i := range b.Ops {
-				o.Trace.VerbIssue(p.Now(), s, b.Ops[i].Kind, b.QP.ID(), b.QP.Region().ID(), b.Ops[i].Bytes())
-			}
-		}
-		if o.fab != nil {
-			o.fab.post(b)
-		}
+		o.fab.post(b)
 	}
 }
 
 // Completed implements rdma.Observer for a fabric lane, after a post
-// parked for lat: each batch's round-trip and per-verb completions, each
-// charged the whole latency (doorbell batching amortizes the round-trip
-// across the verbs, not the other way around), and one flight wire
-// charge — one park, one charge.
+// parked for lat: each batch's round trip, which carries its verbs and
+// bytes and is charged the whole latency (doorbell batching amortizes
+// the round trip across the verbs, not the other way around), and one
+// flight wire charge — one park, one charge.
 func (o *Observers) Completed(p *sim.Proc, batches []rdma.Batch, lat sim.Duration) {
 	c := ctxOf(p)
 	s := c.spanOf()
 	for _, b := range batches {
 		if o.Trace != nil {
 			o.Trace.RTT(p.Now(), s, b.QP.ID(), b.QP.Region().ID(), len(b.Ops), b.Payload(), lat)
-			for i := range b.Ops {
-				o.Trace.VerbComplete(p.Now(), s, b.Ops[i].Kind, b.QP.ID(), b.QP.Region().ID(), b.Ops[i].Bytes(), lat)
-			}
 		}
 		if o.fab != nil {
 			o.fab.complete(b)

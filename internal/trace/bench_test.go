@@ -6,18 +6,16 @@ import (
 	"testing"
 
 	"crest/internal/layout"
-	"crest/internal/rdma"
 	"crest/internal/sim"
 )
 
 // syntheticTxns records txns transactions shaped like a contended
 // CREST run's — two round-trips of three verbs, lock traffic, every
-// fourth one a conflict, an abort and a retry — about 30 events each,
+// fourth one a conflict, an abort and a retry — about 12 events each,
 // one virtual microsecond apart. The benchmarks below run over the ring
 // this leaves.
 func syntheticTxns(p *sim.Proc, r *Recorder, txns int) {
 	labels := [...]string{"Amalgamate", "Balance", "DepositChecking", "SendPayment", "TransactSavings", "WriteCheck"}
-	verbs := [...]rdma.OpKind{rdma.OpRead, rdma.OpMaskedCAS, rdma.OpWrite}
 	for i := 0; i < txns; i++ {
 		key := layout.Key(i % 97)
 		s := &Span{Coord: uint64(i%120 + 1), ID: uint64(i + 1), Label: labels[i%len(labels)], Txn: uint64(i + 1)}
@@ -26,13 +24,7 @@ func syntheticTxns(p *sim.Proc, r *Recorder, txns int) {
 			s.Attempt, s.Phase = a+1, PhaseExec
 			r.Begin(p.Now(), s)
 			for rt := 0; rt < 2; rt++ {
-				for _, v := range verbs {
-					r.VerbIssue(p.Now(), s, v, i%240, i%4, 64)
-				}
-				r.RTT(p.Now(), s, i%240, i%4, len(verbs), 192, 2*sim.Microsecond)
-				for _, v := range verbs {
-					r.VerbComplete(p.Now(), s, v, i%240, i%4, 64, 2*sim.Microsecond)
-				}
+				r.RTT(p.Now(), s, i%240, i%4, 3, 192, 2*sim.Microsecond)
 			}
 			enter(r, p.Now(), s, PhaseLock)
 			if a < attempts-1 {
@@ -69,20 +61,18 @@ func BenchmarkEmit(b *testing.B) {
 		r.Begin(p.Now(), s)
 		b.ReportAllocs()
 		b.ResetTimer()
-		for i := 0; i < b.N; i += 4 {
-			r.VerbIssue(p.Now(), s, rdma.OpRead, 17, 1, 64)
+		for i := 0; i < b.N; i += 2 {
 			r.RTT(p.Now(), s, 17, 1, 3, 192, 2*sim.Microsecond)
-			r.VerbComplete(p.Now(), s, rdma.OpRead, 17, 1, 64, 2*sim.Microsecond)
 			r.LockAcquire(p.Now(), s, 2, 9, 0b101)
 		}
 	})
 }
 
-// syntheticRing is a recorder holding 8192 synthetic transactions'
-// events (about 240 000: nearly a full default ring).
+// syntheticRing is a recorder holding 11 000 synthetic transactions'
+// events (about 129 000: nearly a full default ring).
 func syntheticRing(b *testing.B) *Recorder {
 	r := NewRecorder(0)
-	benchProc(b, func(p *sim.Proc) { syntheticTxns(p, r, 8192) })
+	benchProc(b, func(p *sim.Proc) { syntheticTxns(p, r, 11000) })
 	return r
 }
 

@@ -32,7 +32,7 @@ type AttemptView struct {
 
 	Dur       [NumPhases]sim.Duration // virtual time per phase
 	RTT       [NumPhases]int          // doorbell batches per phase
-	Verbs     [NumPhases]int          // verbs completed per phase
+	Verbs     [NumPhases]int          // verbs posted per phase
 	Bytes     [NumPhases]int          // payload bytes per phase
 	Net       [NumPhases]sim.Duration // round-trip latency per phase
 	Conflicts int
@@ -190,13 +190,11 @@ func (s *Snapshot) Spans() []SpanView {
 			a.End = e.At
 			a.Reason = s.Str(e.Reason)
 			a.False = e.False
-		case KindVerbComplete:
-			a := &v.Attempts[len(v.Attempts)-1]
-			a.Verbs[e.Phase]++
-			a.Bytes[e.Phase] += int(e.Bytes)
 		case KindRTT:
 			a := &v.Attempts[len(v.Attempts)-1]
 			a.RTT[e.Phase]++
+			a.Verbs[e.Phase] += int(e.Ops)
+			a.Bytes[e.Phase] += int(e.Bytes)
 			a.Net[e.Phase] += sim.Duration(e.Latency)
 		case KindConflict:
 			v.Attempts[len(v.Attempts)-1].Conflicts++

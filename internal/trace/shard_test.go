@@ -2,10 +2,8 @@ package trace
 
 import (
 	"bytes"
-	"slices"
 	"testing"
 
-	"crest/internal/rdma"
 	"crest/internal/sim"
 )
 
@@ -110,56 +108,4 @@ func TestShardHotPathZeroAlloc(t *testing.T) {
 			t.Errorf("sharded emit path allocates %v/op, want 0", avg)
 		}
 	})
-}
-
-// A verb event names its verb through Snapshot.Verb: each rdma.OpKind
-// is resolved to a code once, on its first use, and the codes of a
-// sharded family's members — each in its own first-use order — are
-// rewritten into one table as the merge writes their events.
-func TestVerbNamesSurviveCodesAndMerge(t *testing.T) {
-	ops := []rdma.OpKind{rdma.OpWrite, rdma.OpRead, rdma.OpWrite, rdma.OpMaskedCAS, rdma.OpCAS, rdma.OpRead}
-	verbs := func(s *Snapshot) []string {
-		var out []string
-		for i := range s.Events {
-			if e := &s.Events[i]; e.Kind == KindVerbIssue {
-				out = append(out, s.Verb(e))
-			}
-		}
-		return out
-	}
-	want := make([]string, len(ops))
-	for i, op := range ops {
-		want[i] = op.String()
-	}
-	r := NewRecorder(64)
-	s := &Span{Coord: 1, ID: 1, Label: "t", Attempt: 1}
-	for i, op := range ops {
-		r.VerbIssue(sim.Time(i), s, op, 1, 0, 8)
-	}
-	snap := r.Snapshot()
-	if got := verbs(snap); !slices.Equal(got, want) {
-		t.Errorf("unsharded verbs %v, want %v", got, want)
-	}
-	if snap.Verb(&snap.Events[0]) != "WRITE" || snap.Events[0].Verb != 1 || snap.Events[1].Verb != 2 {
-		t.Errorf("codes are not in first-use order: WRITE %d, READ %d", snap.Events[0].Verb, snap.Events[1].Verb)
-	}
-
-	// Partition 1 meets the verbs in reverse order.
-	r = NewRecorder(64)
-	for part := 0; part < 2; part++ {
-		for i := range ops {
-			j := i
-			if part == 1 {
-				j = len(ops) - 1 - i
-			}
-			r.Shard(part, 2).VerbIssue(sim.Time(j), s, ops[j], 1, 0, 8)
-		}
-	}
-	var both []string
-	for i := range ops {
-		both = append(both, want[i], want[i]) // one per partition at each instant
-	}
-	if got := verbs(r.Snapshot()); !slices.Equal(got, both) {
-		t.Errorf("merged verbs %v, want %v", got, both)
-	}
 }
