@@ -206,9 +206,10 @@ func TestPartitionedTxnIDsUniqueAcrossCoordinators(t *testing.T) {
 }
 
 // TestMemberStreamsArriveSorted is the premise of trace.MergeByTime's
-// k-way merge: a partition's child recorder is written on that
-// partition's clock, which never runs backwards, so its ring unrolls in
-// (time, seq) order and needs no sorting — for every trace event,
+// k-way merge, which trusts its streams' order unchecked: a partition's
+// child recorder is written on that partition's clock, which never runs
+// backwards, so its ring unrolls in (time, seq) order and needs no
+// sorting — for every trace event,
 // causality edge and causality transaction node of a sharded run, on
 // every engine. (A child's trace Snapshot is its own ring, oldest
 // first. A child's why Snapshot would come back sorted if its ring were

@@ -637,10 +637,9 @@ func (x *Record) detail() []AttemptInfo {
 // count, not the worker count.
 //
 // Summaries enter the ring when a transaction ends, so the ring is
-// rarely in begin order: the members' ring views, each followed by the
+// not in begin order: the members' ring views, each followed by the
 // summaries of its open records, are sorted together and written once
-// (trace.SortByTime). A ring already in order, with no open record,
-// needs no sorting and an unsharded one is not copied at all.
+// (trace.SortByTime).
 func (r *Recorder) Snapshot() *Snapshot {
 	out := &Snapshot{Txns: []TxnBudget{}, Exemplars: []Exemplar{}}
 	if r == nil {
@@ -650,7 +649,6 @@ func (r *Recorder) Snapshot() *Snapshot {
 	views := make([][]TxnBudget, len(members))
 	open := make([][]TxnBudget, len(members))
 	lens := make([]int, len(members))
-	anyOpen := false
 	byBucket := map[bucketKey][]*Record{}
 	for i, c := range members {
 		out.Dropped += c.ring.Dropped()
@@ -663,22 +661,16 @@ func (r *Recorder) Snapshot() *Snapshot {
 			}
 		}
 		lens[i] = len(views[i]) + len(open[i])
-		anyOpen = anyOpen || len(open[i]) > 0
 		for key, b := range c.buckets {
 			byBucket[key] = append(byBucket[key], b.recs[:b.n]...)
 		}
 	}
-	key := func(t *TxnBudget) (sim.Time, uint64) { return t.Begin, t.ID }
-	if !anyOpen {
-		out.Txns = trace.MergeByTime(views, key, nil)
-	} else {
-		out.Txns = trace.SortByTime(lens, func(m, j int) *TxnBudget {
-			if v := views[m]; j < len(v) {
-				return &v[j]
-			}
-			return &open[m][j-len(views[m])]
-		}, key, nil)
-	}
+	out.Txns = trace.SortByTime(lens, func(m, j int) *TxnBudget {
+		if v := views[m]; j < len(v) {
+			return &v[j]
+		}
+		return &open[m][j-len(views[m])]
+	}, func(t *TxnBudget) (sim.Time, uint64) { return t.Begin, t.ID }, nil)
 	keys := make([]bucketKey, 0, len(byBucket))
 	for key := range byBucket {
 		keys = append(keys, key)
