@@ -448,7 +448,8 @@ func (c *Cluster) FlightSnapshot() *FlightSnapshot { return c.obs.Flight.Snapsho
 
 // WriteFlightTail renders the aggregate latency budget report: p50,
 // p99 and p99.9 cohort decompositions per component, the tail-vs-
-// median delta attribution, and the slowest exemplars' critical paths.
+// median delta attribution, and the topN slowest exemplars' critical
+// paths (topN >= 1).
 func WriteFlightTail(w io.Writer, s *FlightSnapshot, topN int) error {
 	return flight.WriteTail(w, s, topN)
 }

@@ -2,6 +2,7 @@ package flight
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"crest/internal/sim"
@@ -324,6 +325,36 @@ func TestExemplarBucketsKeepTopK(t *testing.T) {
 	}
 	if snap.Exemplars[0].Bucket != CompExec {
 		t.Fatalf("bucket %v, want exec", snap.Exemplars[0].Bucket)
+	}
+}
+
+// WriteTail prints the topN slowest exemplars, and rejects a topN below
+// 1 before writing anything.
+func TestWriteTailTopN(t *testing.T) {
+	r := NewRecorder(Options{})
+	inProc(t, func(p *sim.Proc) {
+		for i := 0; i < 6; i++ {
+			tx := newTxn(r, p, uint64(i+1), 1, 0, "t")
+			tx.begin()
+			p.Sleep(sim.Duration(i+1) * sim.Microsecond)
+			tx.done(true)
+		}
+	})
+	snap := r.Snapshot()
+	for _, topN := range []int{0, -1} {
+		var b bytes.Buffer
+		if err := WriteTail(&b, snap, topN); err == nil || b.Len() != 0 {
+			t.Errorf("topN %d: error %v after %d bytes, want an error and nothing written", topN, err, b.Len())
+		}
+	}
+	for _, topN := range []int{1, 2, 10} {
+		var b bytes.Buffer
+		if err := WriteTail(&b, snap, topN); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := strings.Count(b.String(), "└─"), min(topN, exemplarK); got != want {
+			t.Errorf("topN %d: %d exemplars printed, want %d", topN, got, want)
+		}
 	}
 }
 

@@ -63,8 +63,12 @@ func cohortMean(txns []*TxnBudget, floor sim.Duration) (Budget, int) {
 // paths. Cohorts are committed transactions at or above each latency
 // quantile, so the p999 column reads "where the slowest 0.1% spend
 // their time" and the delta column shows which component grows fastest
-// from the median to the tail.
+// from the median to the tail. A topN below 1 is an error, and
+// nothing is written.
 func WriteTail(w io.Writer, s *Snapshot, topN int) error {
+	if topN < 1 {
+		return fmt.Errorf("flight: tail report of %d exemplars, want at least 1", topN)
+	}
 	var committed []*TxnBudget
 	other := 0
 	for i := range s.Txns {
@@ -114,9 +118,6 @@ func WriteTail(w io.Writer, s *Snapshot, topN int) error {
 			100*float64(delta[fastest])/float64(growth))
 	}
 
-	if topN <= 0 {
-		topN = 5
-	}
 	ex := make([]*Exemplar, len(s.Exemplars))
 	for i := range s.Exemplars {
 		ex[i] = &s.Exemplars[i]
