@@ -3,10 +3,12 @@ package bench
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"testing"
 
 	"crest/internal/sim"
 	"crest/internal/trace"
+	"crest/internal/workload"
 )
 
 // tracedRun executes a short contended run with tracing on and
@@ -117,5 +119,62 @@ func TestTraceReconcilesWithTable2(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestRTTEventsCarryEveryVerb: the trace records one event per doorbell
+// batch, and Spans() counts a phase's verbs and bytes from those events
+// alone, so the batches of a run whose ring does not wrap must add up
+// to the fabric's own counters — one event per round trip, every verb
+// in some event's Ops, and every payload byte (8 per CAS) in some
+// event's Bytes — on every engine and workload, unsharded and on four
+// shard groups run by two workers.
+func TestRTTEventsCarryEveryVerb(t *testing.T) {
+	workloads := []struct {
+		name string
+		gen  func() workload.Generator
+	}{{"smallbank", tinySmallBank}, {"ycsb", tinyYCSB}, {"tpcc", tinyTPCC}}
+	for _, system := range []SystemKind{CREST, CRESTCell, CRESTBase, FORD, Motor} {
+		for _, wl := range workloads {
+			for _, sharded := range []bool{false, true} {
+				t.Run(fmt.Sprintf("%s/%s/sharded=%v", system, wl.name, sharded), func(t *testing.T) {
+					rec := trace.NewRecorder(0)
+					cfg := shortCfg(system, wl.gen)
+					cfg.Seed = 7
+					cfg.Duration = 2 * sim.Millisecond
+					cfg.Warmup = 200 * sim.Microsecond
+					cfg.Trace = rec
+					if sharded {
+						cfg.MemNodes, cfg.Shards, cfg.Placement, cfg.Workers = 2, 4, "modulo", 2
+					}
+					res, err := Run(cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					snap := rec.Snapshot()
+					if snap.Dropped != 0 {
+						t.Fatalf("the ring dropped %d events", snap.Dropped)
+					}
+					var rtts, ops, payload uint64
+					for i := range snap.Events {
+						if e := &snap.Events[i]; e.Kind == trace.KindRTT {
+							rtts++
+							ops += uint64(e.Ops)
+							payload += uint64(e.Bytes)
+						}
+					}
+					v := res.Verbs
+					if rtts == 0 || rtts != v.RTTs {
+						t.Errorf("%d RTT events, the fabric counted %d round trips", rtts, v.RTTs)
+					}
+					if ops != v.Total() {
+						t.Errorf("RTT events carry %d verbs, the fabric counted %d", ops, v.Total())
+					}
+					if want := v.BytesRead + v.BytesWrite + 8*(v.CASes+v.MaskedCASes); payload != want {
+						t.Errorf("RTT events carry %d bytes, the fabric counted %d", payload, want)
+					}
+				})
+			}
+		}
 	}
 }

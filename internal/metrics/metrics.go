@@ -271,14 +271,6 @@ func (c *Counter) Add(n uint64) {
 	c.in.count += n
 }
 
-// Value reports the counter's running total.
-func (c *Counter) Value() uint64 {
-	if c == nil {
-		return 0
-	}
-	return c.in.count
-}
-
 // Gauge is an instantaneous value that can move both ways. The nil
 // *Gauge is the disabled state.
 type Gauge struct{ in *instrument }
@@ -305,23 +297,6 @@ func (g *Gauge) Add(d int64) {
 	}
 	g.in.r.tick()
 	g.in.gauge += d
-}
-
-// Set pins the gauge to v.
-func (g *Gauge) Set(v int64) {
-	if g == nil {
-		return
-	}
-	g.in.r.tick()
-	g.in.gauge = v
-}
-
-// Value reports the gauge's current value.
-func (g *Gauge) Value() int64 {
-	if g == nil {
-		return 0
-	}
-	return g.in.gauge
 }
 
 // CounterFunc registers a probe counter: its running total is read from
@@ -422,14 +397,6 @@ func (h *Histogram) Observe(v int64) {
 		}
 	}
 	in.bucket[lo]++
-}
-
-// Count reports the number of observations.
-func (h *Histogram) Count() uint64 {
-	if h == nil {
-		return 0
-	}
-	return h.in.count
 }
 
 // Bucket is one histogram bucket in a snapshot: the cumulative count of

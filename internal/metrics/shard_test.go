@@ -24,7 +24,7 @@ func TestShardMergeSumsAcrossPartitions(t *testing.T) {
 	only1 := s1.Gauge("depth", `partition="1"`, "")
 	c0.Add(3)
 	c1.Add(4)
-	only1.Set(7)
+	only1.Add(7)
 
 	// Both partitions advance in lock step (as aligned windows do in a
 	// partitioned run); shard 0 then mutates in the second window, and
@@ -97,11 +97,11 @@ func TestShardHotPathZeroAlloc(t *testing.T) {
 	g := s.Gauge("g", "", "")
 	h := s.Histogram("h", "", "", LogLinearBounds(1, 1<<20, 2))
 	c.Inc()
-	g.Set(1)
+	g.Inc()
 	h.Observe(17)
 	if avg := testing.AllocsPerRun(1000, func() {
 		c.Inc()
-		g.Set(5)
+		g.Add(5)
 		h.Observe(123)
 	}); avg != 0 {
 		t.Fatalf("sharded hot path allocates %v/op", avg)
