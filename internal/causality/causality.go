@@ -413,8 +413,8 @@ func (r *Recorder) Snapshot() *Snapshot {
 		out.Dropped += m.edges.Dropped()
 		out.TxnsDropped += m.txns.Dropped()
 	}
-	out.Edges = trace.MergeByTime(edges, func(e *Edge) (sim.Time, uint64) { return e.At, e.Seq }, nil)
-	out.Txns = txnInfos(trace.MergeByTime(txns, func(t **Txn) (sim.Time, uint64) { return (*t).Start, (*t).ID }, nil))
+	out.Edges = trace.MergeByTime(edges, func(e *Edge) sim.Time { return e.At }, nil)
+	out.Txns = txnInfos(trace.MergeByTime(txns, func(t **Txn) sim.Time { return (*t).Start }, nil))
 	out.Hotspots = hot.ranked()
 	return out
 }
