@@ -5,7 +5,7 @@
 # the schedule; the worker count never enters it), and every export
 # must byte-match its -workers 1 sibling (per-partition recorder shards
 # and the deterministic merge, DESIGN.md §12, may not leak worker
-# interleaving). Run from the repository root; leaves everything under
+# interleaving), and the all-observer cell's exports at GOMAXPROCS 1. Run from the repository root; leaves everything under
 # the directory named by $1 (default: determinism/).
 set -euo pipefail
 
@@ -39,10 +39,24 @@ for set in none trace-metrics-why flight all; do
   done
 done
 
+# The exporters encode long arrays on two goroutines when two
+# processors run them (trace.JSONWriter.Elements): the all-observer
+# cell's exports at GOMAXPROCS 1 must be the same bytes.
+flags=(-workers 1)
+for o in ${observers[all]}; do
+  flags+=("-$o" "$out/all.$o.gomaxprocs1.$(ext "$o")")
+done
+echo "== observers: all, workers: 1, GOMAXPROCS 1 =="
+GOMAXPROCS=1 "$out/crestbench_race" "${run[@]}" "${flags[@]}" > "$out/all.stdout.gomaxprocs1.txt" 2> "$out/all.stderr.gomaxprocs1.txt"
+diff -u "$out/none.stdout.1.txt" "$out/all.stdout.gomaxprocs1.txt"
+for o in ${observers[all]}; do
+  cmp "$out/all.$o.1.$(ext "$o")" "$out/all.$o.gomaxprocs1.$(ext "$o")"
+done
+
 # The window timeline (schedule-derived runtime introspection) is
 # worker-invariant too.
 for w in "${workers[@]}"; do
   go run ./cmd/cresttrace windows -in "$out/all.runtime.$w.json" > "$out/timeline.$w.txt"
   diff -u "$out/timeline.1.txt" "$out/timeline.$w.txt"
 done
-echo "determinism table: ${#observers[@]} observer sets x ${#workers[@]} worker counts byte-identical"
+echo "determinism table: ${#observers[@]} observer sets x ${#workers[@]} worker counts, and GOMAXPROCS 1, byte-identical"

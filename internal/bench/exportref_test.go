@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"runtime"
 	"sort"
 	"testing"
 
@@ -234,6 +235,32 @@ func exportsMatchEncodingJSON(t *testing.T, name string, tr *trace.Snapshot, why
 	sameExport(t, name+" crest-flight/v1",
 		func(w io.Writer) error { return flight.WriteJSON(w, fl) },
 		func(w io.Writer) error { return refFlightJSON(w, fl) })
+}
+
+// TestChunkedExportsMatchEncodingJSON runs the sharded digest
+// configuration long enough that every array the three exporters write
+// element by element (trace spans and events, why transactions and
+// edges, flight transactions) is long enough to be encoded on two
+// goroutines, and compares the documents, written at GOMAXPROCS 1 and
+// 2, with encoding/json's.
+func TestChunkedExportsMatchEncodingJSON(t *testing.T) {
+	cfg := digestCfg(CREST, true)
+	cfg.Duration = 8 * sim.Millisecond
+	if _, err := Run(cfg); err != nil {
+		t.Fatal(err)
+	}
+	tr, why, fl := cfg.Trace.Snapshot(), cfg.Why.Snapshot(), cfg.Flight.Snapshot()
+	for name, n := range map[string]int{"trace spans": len(tr.Spans()), "trace events": len(tr.Events),
+		"why txns": len(why.Txns), "why edges": len(why.Edges), "flight txns": len(fl.Txns)} {
+		if n < 4*1024 {
+			t.Errorf("%s: %d, too few for the exporters to encode them in chunks of 1024 on two goroutines", name, n)
+		}
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2} {
+		runtime.GOMAXPROCS(procs)
+		exportsMatchEncodingJSON(t, fmt.Sprintf("GOMAXPROCS %d", procs), tr, why, fl)
+	}
 }
 
 // hostileStrings hit every branch of the string escaper: quotes and

@@ -37,23 +37,10 @@ func WriteJSON(w io.Writer, s *Snapshot) error {
 	j.Key("dropped_edges").Uint(s.Dropped)
 	j.Key("dropped_txns").Uint(s.TxnsDropped)
 	j.Key("txns").Array()
-	for i := range s.Txns {
-		writeTxn(j, &s.Txns[i])
-	}
+	j.Elements(len(s.Txns), func(w *trace.JSONWriter, i int) { writeTxn(w, &s.Txns[i]) })
 	j.EndArray()
 	j.Key("edges").Array()
-	for i := range s.Edges {
-		e := &s.Edges[i]
-		j.Object()
-		j.Key("seq").Uint(e.Seq)
-		j.Key("at").Int(int64(e.At))
-		j.Key("kind").Uint(uint64(e.Kind))
-		j.Key("waiter").Uint(e.Waiter)
-		j.Key("holder").Uint(e.Holder)
-		writeCells(j, e.Table, e.Key, e.Mask)
-		j.Key("wait").Int(int64(e.Wait))
-		j.EndObject()
-	}
+	j.Elements(len(s.Edges), func(w *trace.JSONWriter, i int) { writeEdge(w, &s.Edges[i]) })
 	j.EndArray()
 	j.Key("graph")
 	writeGraph(j, s.Graph())
@@ -65,6 +52,18 @@ func writeCells(j *trace.JSONWriter, table layout.TableID, key layout.Key, mask 
 	j.Key("table").Uint(uint64(table))
 	j.Key("key").Uint(uint64(key))
 	j.Key("mask").Uint(mask)
+}
+
+func writeEdge(j *trace.JSONWriter, e *Edge) {
+	j.Object()
+	j.Key("seq").Uint(e.Seq)
+	j.Key("at").Int(int64(e.At))
+	j.Key("kind").Uint(uint64(e.Kind))
+	j.Key("waiter").Uint(e.Waiter)
+	j.Key("holder").Uint(e.Holder)
+	writeCells(j, e.Table, e.Key, e.Mask)
+	j.Key("wait").Int(int64(e.Wait))
+	j.EndObject()
 }
 
 func writeTxn(j *trace.JSONWriter, t *TxnInfo) {

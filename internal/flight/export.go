@@ -33,11 +33,11 @@ func WriteJSON(w io.Writer, s *Snapshot) error {
 	j.Key("schema").String(SchemaVersion)
 	j.Key("dropped").Uint(s.Dropped)
 	j.Key("txns").Array()
-	for i := range s.Txns {
-		j.Object()
-		writeSummary(j, &s.Txns[i])
-		j.EndObject()
-	}
+	j.Elements(len(s.Txns), func(w *trace.JSONWriter, i int) {
+		w.Object()
+		writeSummary(w, &s.Txns[i])
+		w.EndObject()
+	})
 	j.EndArray()
 	j.Key("exemplars").Array()
 	for i := range s.Exemplars {

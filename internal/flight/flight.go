@@ -670,7 +670,7 @@ func (r *Recorder) Snapshot() *Snapshot {
 			return &v[j]
 		}
 		return &open[m][j-len(views[m])]
-	}, func(t *TxnBudget) (sim.Time, uint64) { return t.Begin, t.ID }, nil)
+	}, func(t *TxnBudget) (sim.Time, uint64) { return t.Begin, t.ID })
 	keys := make([]bucketKey, 0, len(byBucket))
 	for key := range byBucket {
 		keys = append(keys, key)

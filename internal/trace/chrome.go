@@ -29,15 +29,24 @@ const pidCluster = 1 // coordinator threads
 func usTime(t sim.Time) float64    { return float64(t) / 1e3 }
 func usDur(d sim.Duration) float64 { return float64(d) / 1e3 }
 
-// chromeWriter streams trace events through the shared JSON writer.
+// chromeWriter streams trace events through the shared JSON writer,
+// assembling names and hex masks in the writer's scratch, so each of
+// Elements' goroutines has its own.
 type chromeWriter struct {
 	*JSONWriter
-	scratch []byte // names and hex masks, assembled without allocating
+}
+
+// text returns the writer's scratch, emptied.
+func (c chromeWriter) text() []byte {
+	if c.scratch == nil {
+		c.scratch = make([]byte, 0, 64)
+	}
+	return c.scratch[:0]
 }
 
 // event writes one event up to and including the opening of its args
 // object; the caller writes the args and calls end.
-func (c *chromeWriter) event(cat, ph string, ts, dur float64, pid int, tid uint64) {
+func (c chromeWriter) event(cat, ph string, ts, dur float64, pid int, tid uint64) {
 	if cat != "" {
 		c.Key("cat").String(cat)
 	}
@@ -61,7 +70,7 @@ func (c *chromeWriter) event(cat, ph string, ts, dur float64, pid int, tid uint6
 // some RTT starts, usTime(At)-lat) and under 2^40 µs, the shortest
 // decimal that round-trips is the nanoseconds' thousandths with the
 // trailing zeros cut, and integer formatting writes it far cheaper.
-func (c *chromeWriter) micros(v float64) {
+func (c chromeWriter) micros(v float64) {
 	ns := math.Round(v * 1e3)
 	if math.Signbit(v) || v >= 1<<40 || ns/1e3 != v {
 		c.Float(v)
@@ -78,25 +87,25 @@ func (c *chromeWriter) micros(v float64) {
 
 // name opens an event object at its name, which the caller writes
 // before calling event.
-func (c *chromeWriter) name() *JSONWriter {
+func (c chromeWriter) name() *JSONWriter {
 	c.Object()
 	return c.Key("name")
 }
 
-func (c *chromeWriter) end() {
+func (c chromeWriter) end() {
 	c.EndObject()
 	c.EndObject()
 }
 
 // maskArg writes the "mask" arg, in hex.
-func (c *chromeWriter) maskArg(mask uint64) {
-	c.Key("mask").StringBytes(strconv.AppendUint(append(c.scratch[:0], "0x"...), mask, 16))
+func (c chromeWriter) maskArg(mask uint64) {
+	c.Key("mask").StringBytes(strconv.AppendUint(append(c.text(), "0x"...), mask, 16))
 }
 
 // WriteChromeTrace renders the snapshot as Chrome trace_event JSON,
 // event by event. Output is deterministic: same snapshot, same bytes.
 func WriteChromeTrace(w io.Writer, s *Snapshot) error {
-	c := &chromeWriter{JSONWriter: NewJSONWriter(w, false), scratch: make([]byte, 0, 64)}
+	c := chromeWriter{NewJSONWriter(w, false)}
 	c.Object()
 	c.Key("traceEvents").Array()
 
@@ -120,97 +129,101 @@ func WriteChromeTrace(w io.Writer, s *Snapshot) error {
 	for _, id := range ids {
 		c.name().String("thread_name")
 		c.event("", "M", 0, 0, pidCluster, id)
-		c.Key("name").StringBytes(strconv.AppendUint(append(c.scratch[:0], "coordinator "...), id, 10))
+		c.Key("name").StringBytes(strconv.AppendUint(append(c.text(), "coordinator "...), id, 10))
 		c.end()
 	}
 
-	// Transaction attempts and their phase slices.
-	for i := range spans {
-		sv := &spans[i]
-		for j := range sv.Attempts {
-			a := &sv.Attempts[j]
-			end := a.End
-			for _, ps := range a.Slices {
-				if ps.End > end {
-					end = ps.End // abort cleanup extends past the measured end
-				}
-			}
-			c.name().StringBytes(strconv.AppendInt(append(append(c.scratch[:0], sv.Label...), " #"...), int64(a.N), 10))
-			c.event("txn", "X", usTime(a.Start), usDur(end.Sub(a.Start)), pidCluster, sv.Coord)
-			c.Key("attempt").Int(int64(a.N))
-			c.Key("falseConflict").Bool(a.False)
-			c.Key("outcome")
-			if a.Committed {
-				c.String("commit")
-			} else {
-				c.StringBytes(append(append(c.scratch[:0], "abort:"...), a.Reason...))
-			}
-			c.Key("rtts").Int(int64(a.TotalRTTs()))
-			c.Key("span").Uint(sv.ID)
-			c.Key("txn").Uint(sv.Txn)
-			c.end()
-			for _, ps := range a.Slices {
-				if ps.Dur() == 0 {
-					continue
-				}
-				c.name().String(ps.Phase.String())
-				c.event("phase", "X", usTime(ps.Start), usDur(ps.Dur()), pidCluster, sv.Coord)
-				c.Key("attempt").Int(int64(a.N))
-				c.Key("span").Uint(sv.ID)
-				c.end()
-			}
-		}
-	}
-
-	// Raw stream: round-trips as nested slices, CC events as instants.
-	for i := range s.Events {
-		e := &s.Events[i]
-		tid := uint64(e.Coord)
-		switch e.Kind {
-		case KindRTT:
-			lat := usDur(sim.Duration(e.Latency))
-			c.name().StringBytes(strconv.AppendUint(append(c.scratch[:0], "RTT x"...), uint64(e.Ops), 10))
-			c.event("rdma", "X", usTime(e.At)-lat, lat, pidCluster, tid)
-			c.Key("attempt").Uint(uint64(e.Attempt))
-			c.Key("bytes").Uint(uint64(e.Bytes))
-			c.Key("ops").Uint(uint64(e.Ops))
-			c.Key("phase").String(e.Phase.String())
-			c.Key("qp").Uint(uint64(e.QP))
-			c.Key("region").Uint(uint64(e.Region))
-			c.Key("span").Uint(e.Span)
-			c.end()
-		case KindConflict, KindLockAcquire, KindLockPiggyback, KindLockRelease:
-			cat := "lock"
-			if e.Kind == KindConflict {
-				cat = "cc"
-			}
-			c.name().String(e.Kind.String())
-			c.event(cat, "i", usTime(e.At), 0, pidCluster, tid)
-			c.Key("key").Uint(uint64(e.Key))
-			c.maskArg(e.Mask)
-			c.Key("span").Uint(e.Span)
-			c.Key("table").Uint(uint64(e.Table))
-			c.end()
-		case KindENOverflow:
-			c.name().String("en-overflow")
-			c.event("cc", "i", usTime(e.At), 0, pidCluster, tid)
-			c.Key("cell").Uint(uint64(bits.TrailingZeros64(e.Mask)))
-			c.Key("key").Uint(uint64(e.Key))
-			c.Key("span").Uint(e.Span)
-			c.Key("table").Uint(uint64(e.Table))
-			c.end()
-		case KindTxnAbort:
-			c.name().StringBytes(append(append(c.scratch[:0], "abort:"...), s.Str(e.Reason)...))
-			c.event("txn", "i", usTime(e.At), 0, pidCluster, tid)
-			c.Key("attempt").Uint(uint64(e.Attempt))
-			c.Key("falseConflict").Bool(e.False)
-			c.Key("span").Uint(e.Span)
-			c.end()
-		}
-	}
+	// Transaction attempts and their phase slices, then the raw stream.
+	c.Elements(len(spans), func(w *JSONWriter, i int) { chromeWriter{w}.span(&spans[i]) })
+	c.Elements(len(s.Events), func(w *JSONWriter, i int) { chromeWriter{w}.raw(s, &s.Events[i]) })
 
 	c.EndArray()
 	c.Key("displayTimeUnit").String("ms")
 	c.EndObject()
 	return c.Close()
+}
+
+// span writes a transaction's attempts, each followed by its phase
+// slices.
+func (c chromeWriter) span(sv *SpanView) {
+	for j := range sv.Attempts {
+		a := &sv.Attempts[j]
+		end := a.End
+		for _, ps := range a.Slices {
+			if ps.End > end {
+				end = ps.End // abort cleanup extends past the measured end
+			}
+		}
+		c.name().StringBytes(strconv.AppendInt(append(append(c.text(), sv.Label...), " #"...), int64(a.N), 10))
+		c.event("txn", "X", usTime(a.Start), usDur(end.Sub(a.Start)), pidCluster, sv.Coord)
+		c.Key("attempt").Int(int64(a.N))
+		c.Key("falseConflict").Bool(a.False)
+		c.Key("outcome")
+		if a.Committed {
+			c.String("commit")
+		} else {
+			c.StringBytes(append(append(c.text(), "abort:"...), a.Reason...))
+		}
+		c.Key("rtts").Int(int64(a.TotalRTTs()))
+		c.Key("span").Uint(sv.ID)
+		c.Key("txn").Uint(sv.Txn)
+		c.end()
+		for _, ps := range a.Slices {
+			if ps.Dur() == 0 {
+				continue
+			}
+			c.name().String(ps.Phase.String())
+			c.event("phase", "X", usTime(ps.Start), usDur(ps.Dur()), pidCluster, sv.Coord)
+			c.Key("attempt").Int(int64(a.N))
+			c.Key("span").Uint(sv.ID)
+			c.end()
+		}
+	}
+}
+
+// raw writes one event of the raw stream: a round-trip as a nested
+// slice, a CC event as an instant, nothing for the other kinds.
+func (c chromeWriter) raw(s *Snapshot, e *Event) {
+	tid := uint64(e.Coord)
+	switch e.Kind {
+	case KindRTT:
+		lat := usDur(sim.Duration(e.Latency))
+		c.name().StringBytes(strconv.AppendUint(append(c.text(), "RTT x"...), uint64(e.Ops), 10))
+		c.event("rdma", "X", usTime(e.At)-lat, lat, pidCluster, tid)
+		c.Key("attempt").Uint(uint64(e.Attempt))
+		c.Key("bytes").Uint(uint64(e.Bytes))
+		c.Key("ops").Uint(uint64(e.Ops))
+		c.Key("phase").String(e.Phase.String())
+		c.Key("qp").Uint(uint64(e.QP))
+		c.Key("region").Uint(uint64(e.Region))
+		c.Key("span").Uint(e.Span)
+		c.end()
+	case KindConflict, KindLockAcquire, KindLockPiggyback, KindLockRelease:
+		cat := "lock"
+		if e.Kind == KindConflict {
+			cat = "cc"
+		}
+		c.name().String(e.Kind.String())
+		c.event(cat, "i", usTime(e.At), 0, pidCluster, tid)
+		c.Key("key").Uint(uint64(e.Key))
+		c.maskArg(e.Mask)
+		c.Key("span").Uint(e.Span)
+		c.Key("table").Uint(uint64(e.Table))
+		c.end()
+	case KindENOverflow:
+		c.name().String("en-overflow")
+		c.event("cc", "i", usTime(e.At), 0, pidCluster, tid)
+		c.Key("cell").Uint(uint64(bits.TrailingZeros64(e.Mask)))
+		c.Key("key").Uint(uint64(e.Key))
+		c.Key("span").Uint(e.Span)
+		c.Key("table").Uint(uint64(e.Table))
+		c.end()
+	case KindTxnAbort:
+		c.name().StringBytes(append(append(c.text(), "abort:"...), s.Str(e.Reason)...))
+		c.event("txn", "i", usTime(e.At), 0, pidCluster, tid)
+		c.Key("attempt").Uint(uint64(e.Attempt))
+		c.Key("falseConflict").Bool(e.False)
+		c.Key("span").Uint(e.Span)
+		c.end()
+	}
 }

@@ -3,6 +3,8 @@ package trace
 import (
 	"cmp"
 	"fmt"
+	"math"
+	"runtime"
 	"slices"
 
 	"crest/internal/sim"
@@ -226,34 +228,132 @@ func MergeByTime[T any](streams [][]T, timeOf func(*T) sim.Time, fix func(member
 // at elem(m, j), in the order it recorded them. Elements are ordered by
 // (time, member, seq, position) — what merging each member sorted by
 // (time, seq, position) would give — by sorting small tags, not the
-// elements (a flight summary is 216 bytes), and then gathered; fix is
-// MergeByTime's.
-func SortByTime[T any](lens []int, elem func(m, j int) *T, key func(*T) (sim.Time, uint64), fix func(member int, e *T)) []T {
-	type tag struct {
-		at   sim.Time
-		seq  uint64
-		m, j int32
-	}
+// elements (a flight summary is 216 bytes), and then gathered; elem
+// may be called from two goroutines at once.
+//
+// The tags are first placed by time into buckets of equal spans of
+// time, about one per tag, so only the tags that share a bucket are
+// compared, and a seq is read only when two times tie. Elements
+// recorded in an order close to their time order — flight summaries
+// enter their ring as their transactions end, a few transactions'
+// lengths away from begin order — spread evenly, and the sort is
+// linear; however they bunch, it is no worse than one comparison sort.
+func SortByTime[T any](lens []int, elem func(m, j int) *T, key func(*T) (sim.Time, uint64)) []T {
 	total := 0
 	for _, n := range lens {
 		total += n
 	}
-	tags := make([]tag, 0, total)
+	// The output is the largest allocation of a drain, and taking fresh
+	// pages for it costs more than sorting: with a second core, it is
+	// allocated there while the tags are sorted, and then each core
+	// gathers half of it.
+	helped := total >= sortHelpAt && runtime.GOMAXPROCS(0) > 1
+	var made chan []T
+	if helped {
+		made = make(chan []T, 1)
+		go func() { made <- make([]T, total) }()
+	}
+	tags := make([]timeTag, 0, total)
+	lo, hi := sim.Time(math.MaxInt64), sim.Time(math.MinInt64)
 	for m, n := range lens {
 		for j := 0; j < n; j++ {
-			at, seq := key(elem(m, j))
-			tags = append(tags, tag{at, seq, int32(m), int32(j)})
+			at, _ := key(elem(m, j))
+			tags = append(tags, timeTag{at, int32(m), int32(j)})
+			lo, hi = min(lo, at), max(hi, at)
 		}
 	}
-	slices.SortFunc(tags, func(a, b tag) int {
-		return cmp.Or(cmp.Compare(a.at, b.at), cmp.Compare(a.m, b.m), cmp.Compare(a.seq, b.seq), cmp.Compare(a.j, b.j))
-	})
-	out := make([]T, len(tags))
-	for i, t := range tags {
-		out[i] = *elem(int(t.m), int(t.j))
-		if fix != nil {
-			fix(int(t.m), &out[i])
+	if total > 1 {
+		sortTimeTags(tags, lo, hi, func(a, b timeTag) int {
+			if a.at != b.at {
+				return cmp.Compare(a.at, b.at)
+			}
+			if a.m != b.m {
+				return cmp.Compare(a.m, b.m)
+			}
+			_, aseq := key(elem(int(a.m), int(a.j)))
+			_, bseq := key(elem(int(b.m), int(b.j)))
+			if aseq != bseq {
+				return cmp.Compare(aseq, bseq)
+			}
+			return cmp.Compare(a.j, b.j)
+		})
+	}
+	var out []T
+	gather := func(from, to int) {
+		for i := from; i < to; i++ {
+			out[i] = *elem(int(tags[i].m), int(tags[i].j))
 		}
 	}
+	if !helped {
+		out = make([]T, total)
+		gather(0, total)
+		return out
+	}
+	out = <-made
+	half := total / 2
+	gathered := make(chan struct{})
+	go func() {
+		gather(half, total)
+		close(gathered)
+	}()
+	gather(0, half)
+	<-gathered
 	return out
+}
+
+// sortHelpAt is the fewest elements SortByTime uses a second core for.
+const sortHelpAt = 1 << 12
+
+// timeTag is SortByTime's sort key for the jth element of member m:
+// its time, and where to find its seq when two times tie.
+type timeTag struct {
+	at   sim.Time
+	m, j int32
+}
+
+// sortTimeTags sorts tags whose times lie in [lo, hi] by compare, which
+// orders by time first: an in-place counting sort into buckets of
+// equal spans of time, about one per tag, then a comparison sort of
+// each bucket.
+func sortTimeTags(tags []timeTag, lo, hi sim.Time, compare func(a, b timeTag) int) {
+	shift := 0
+	for (uint64(hi)-uint64(lo))>>shift >= uint64(len(tags)) {
+		shift++
+	}
+	bucket := func(t *timeTag) uint64 { return (uint64(t.at) - uint64(lo)) >> shift }
+	// Bucket b is tags[ends[b-1]:ends[b]], ends[-1] being 0; next[b] is
+	// its first slot not yet holding one of its own tags.
+	n := (uint64(hi)-uint64(lo))>>shift + 1
+	ends := make([]int32, n)
+	for i := range tags {
+		ends[bucket(&tags[i])]++
+	}
+	next := make([]int32, n)
+	for b, sum := range ends {
+		if b > 0 {
+			sum += ends[b-1]
+			next[b] = ends[b-1]
+		}
+		ends[b] = sum
+	}
+	// Each tag moves straight to a free slot of its bucket, displacing
+	// the tag there, which moves on in turn.
+	for b := range ends {
+		for next[b] < ends[b] {
+			t := tags[next[b]]
+			for c := bucket(&t); c != uint64(b); c = bucket(&t) {
+				tags[next[c]], t = t, tags[next[c]]
+				next[c]++
+			}
+			tags[next[b]] = t
+			next[b]++
+		}
+	}
+	from := int32(0)
+	for _, to := range ends {
+		if to-from > 1 {
+			slices.SortFunc(tags[from:to], compare)
+		}
+		from = to
+	}
 }

@@ -2,11 +2,15 @@ package trace_test
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
 	"io"
+	"math"
+	"math/rand"
 	"reflect"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"testing"
 	"unsafe"
 
@@ -228,9 +232,66 @@ func TestMergeByTimeOrder(t *testing.T) {
 	for i, s := range unsorted {
 		lens[i] = len(s)
 	}
-	check("SortByTime", trace.SortByTime(lens, func(m, j int) *ev { return &unsorted[m][j] }, key, nil))
+	check("SortByTime", trace.SortByTime(lens, func(m, j int) *ev { return &unsorted[m][j] }, key))
 	if out := trace.MergeByTime[ev](nil, nil, nil); out == nil || len(out) != 0 {
 		t.Errorf("merge of no streams = %v, want empty non-nil", out)
+	}
+}
+
+// SortByTime orders as a comparison sort on (time, member, seq,
+// position) does, however the times spread: a little out of order (as
+// flight summaries are), all on one instant, in two clusters far apart,
+// on the extremes of the range, uniformly at random; on one core and
+// on two.
+func TestSortByTimeMatchesComparisonSort(t *testing.T) {
+	type ev struct {
+		at   sim.Time
+		seq  uint64
+		m, j int
+	}
+	rng := rand.New(rand.NewSource(1))
+	spreads := []struct {
+		name string
+		at   func(j int) sim.Time
+	}{
+		{"nearly sorted", func(j int) sim.Time { return sim.Time(j*1000 - rng.Intn(50_000)) }},
+		{"one instant", func(int) sim.Time { return 7 }},
+		{"two clusters", func(j int) sim.Time {
+			if j%2 == 0 {
+				return sim.Time(rng.Intn(100))
+			}
+			return math.MaxInt64 - sim.Time(rng.Intn(100))
+		}},
+		{"extremes", func(int) sim.Time { return []sim.Time{math.MinInt64, -1, 0, math.MaxInt64}[rng.Intn(4)] }},
+		{"random", func(int) sim.Time { return sim.Time(rng.Int63n(1 << 20)) }},
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, spread := range spreads {
+		for k, lens := range [][]int{{0}, {1}, {2}, {5000}, {5000}, {0, 1200, 0, 3000, 7}} {
+			runtime.GOMAXPROCS(1 + k%2)
+			streams := make([][]ev, len(lens))
+			var want []ev
+			for m, n := range lens {
+				for j := range n {
+					e := ev{spread.at(j), uint64(rng.Intn(64)), m, j}
+					streams[m] = append(streams[m], e)
+					want = append(want, e)
+				}
+			}
+			slices.SortFunc(want, func(a, b ev) int {
+				return cmp.Or(cmp.Compare(a.at, b.at), cmp.Compare(a.m, b.m), cmp.Compare(a.seq, b.seq), cmp.Compare(a.j, b.j))
+			})
+			got := trace.SortByTime(lens, func(m, j int) *ev { return &streams[m][j] },
+				func(e *ev) (sim.Time, uint64) { return e.at, e.seq })
+			if len(got) != len(want) {
+				t.Fatalf("%s, lengths %v: %d elements, want %d", spread.name, lens, len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("%s, lengths %v: position %d holds %+v, want %+v", spread.name, lens, i, got[i], want[i])
+				}
+			}
+		}
 	}
 }
 
@@ -400,6 +461,7 @@ type observed struct {
 type snapshotted struct {
 	export          func(io.Writer) error
 	ringBytes, made uint64
+	arrays          func() []int // the lengths of the arrays the export writes with Elements
 }
 
 func sizeOf[T any](n int) uint64 {
@@ -416,78 +478,7 @@ func sizeOf[T any](n int) uint64 {
 // on: its export is byte-equal after the rings wrapped again.
 func TestSnapshotsAliasRings(t *testing.T) {
 	const capacity = 1 << 12
-	cases := []struct {
-		name string
-		mk   func(parts int) observed
-	}{
-		{"trace", func(parts int) observed {
-			r := trace.NewRecorder(capacity)
-			return observed{
-				record: func(part, i int) {
-					m := r.Shard(part, parts)
-					at := sim.Time(i) * 1000
-					s := trace.Span{Coord: uint64(part + 1), ID: uint64(i*parts + part + 1), Label: "t", Attempt: 1}
-					m.Begin(at, &s)
-					m.LockAcquire(at+1, &s, 1, layout.Key(i%7), 0b1)
-					m.Commit(at+2, &s)
-				},
-				snapshot: func() snapshotted {
-					s := r.Snapshot()
-					made := uint64(0)
-					if parts > 1 {
-						made = sizeOf[trace.Event](len(s.Events))
-					}
-					return snapshotted{func(w io.Writer) error { return trace.WriteChromeTrace(w, s) },
-						sizeOf[trace.Event](len(s.Events)), made}
-				},
-			}
-		}},
-		{"causality", func(parts int) observed {
-			r := causality.NewRecorder(causality.Options{Capacity: capacity, TxnCapacity: capacity})
-			return observed{
-				record: func(part, i int) {
-					m := r.Shard(part, parts)
-					at := sim.Time(i) * 1000
-					s := trace.Span{Coord: uint64(part + 1), ID: uint64(i*parts + part + 1), Label: "t", Attempt: 1}
-					tx := m.Begin(at, &s)
-					for k := 0; k < 8; k++ {
-						m.LockFail(at+sim.Time(k), tx, 1, layout.Key(i%7), 0b1, 0)
-					}
-					m.Commit(at+9, tx)
-				},
-				snapshot: func() snapshotted {
-					s := r.Snapshot()
-					made := sizeOf[causality.TxnInfo](len(s.Txns))
-					if parts > 1 {
-						made += sizeOf[causality.Edge](len(s.Edges))
-					}
-					return snapshotted{func(w io.Writer) error { return causality.WriteJSON(w, s) },
-						sizeOf[causality.Edge](len(s.Edges)) + sizeOf[*causality.Txn](len(s.Txns)), made}
-				},
-			}
-		}},
-		{"flight", func(parts int) observed {
-			r := flight.NewRecorder(flight.Options{TxnCapacity: capacity})
-			var dur [trace.NumPhases]sim.Duration
-			return observed{
-				record: func(part, i int) {
-					m := r.Shard(part, parts)
-					at := sim.Time(i) * 1000
-					s := trace.Span{Coord: uint64(part + 1), ID: uint64(i*parts + part + 1), Label: "t", Attempt: 1}
-					x := m.Begin(at, &s, part)
-					m.Wire(x, trace.PhaseExec, flight.ClassRead, 500)
-					dur[trace.PhaseExec] = 500
-					m.Done(at+500, x, &dur, true)
-				},
-				snapshot: func() snapshotted {
-					s := r.Snapshot()
-					return snapshotted{func(w io.Writer) error { return flight.WriteJSON(w, s) },
-						sizeOf[flight.TxnBudget](len(s.Txns)), sizeOf[flight.TxnBudget](len(s.Txns))}
-				},
-			}
-		}},
-	}
-	for _, tc := range cases {
+	for _, tc := range observedCases(capacity) {
 		for _, parts := range []int{1, 4} {
 			t.Run(fmt.Sprintf("%s/parts=%d", tc.name, parts), func(t *testing.T) {
 				rec := tc.mk(parts)
@@ -529,5 +520,122 @@ func TestSnapshotsAliasRings(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestExportsIgnoreGOMAXPROCS: the Chrome, crest-why and crest-flight
+// exports of one snapshot, unsharded and sharded, with every array
+// long enough for Elements to hand chunks to its helper, are the same
+// bytes at GOMAXPROCS 1 and 2.
+func TestExportsIgnoreGOMAXPROCS(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	const capacity = 1 << 14
+	for _, tc := range observedCases(capacity) {
+		for _, parts := range []int{1, 4} {
+			rec := tc.mk(parts)
+			for i := 0; i < capacity*parts; i++ {
+				rec.record(i%parts, i)
+			}
+			snap := rec.snapshot()
+			for _, n := range snap.arrays() {
+				if n < trace.MinChunkedElements {
+					t.Fatalf("%s/parts=%d: an array of %d elements, too short to chunk", tc.name, parts, n)
+				}
+			}
+			var docs [2]bytes.Buffer
+			for i, procs := range []int{1, 2} {
+				runtime.GOMAXPROCS(procs)
+				if err := snap.export(&docs[i]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if !bytes.Equal(docs[0].Bytes(), docs[1].Bytes()) {
+				t.Errorf("%s/parts=%d: %d bytes at GOMAXPROCS 1, %d at 2", tc.name, parts, docs[0].Len(), docs[1].Len())
+			}
+		}
+	}
+}
+
+// observedCase is one recorder type under TestSnapshotsAliasRings and
+// TestExportsIgnoreGOMAXPROCS.
+type observedCase struct {
+	name string
+	mk   func(parts int) observed
+}
+
+// observedCases records into each recorder type with rings of the given
+// capacity: per transaction three trace events and one span, eight why
+// edges and one why node, one flight summary.
+func observedCases(capacity int) []observedCase {
+	return []observedCase{
+		{"trace", func(parts int) observed {
+			r := trace.NewRecorder(capacity)
+			return observed{
+				record: func(part, i int) {
+					m := r.Shard(part, parts)
+					at := sim.Time(i) * 1000
+					s := trace.Span{Coord: uint64(part + 1), ID: uint64(i*parts + part + 1), Label: "t", Attempt: 1}
+					m.Begin(at, &s)
+					m.LockAcquire(at+1, &s, 1, layout.Key(i%7), 0b1)
+					m.Commit(at+2, &s)
+				},
+				snapshot: func() snapshotted {
+					s := r.Snapshot()
+					made := uint64(0)
+					if parts > 1 {
+						made = sizeOf[trace.Event](len(s.Events))
+					}
+					return snapshotted{func(w io.Writer) error { return trace.WriteChromeTrace(w, s) },
+						sizeOf[trace.Event](len(s.Events)), made,
+						func() []int { return []int{len(s.Spans()), len(s.Events)} }}
+				},
+			}
+		}},
+		{"causality", func(parts int) observed {
+			r := causality.NewRecorder(causality.Options{Capacity: capacity, TxnCapacity: capacity})
+			return observed{
+				record: func(part, i int) {
+					m := r.Shard(part, parts)
+					at := sim.Time(i) * 1000
+					s := trace.Span{Coord: uint64(part + 1), ID: uint64(i*parts + part + 1), Label: "t", Attempt: 1}
+					tx := m.Begin(at, &s)
+					for k := 0; k < 8; k++ {
+						m.LockFail(at+sim.Time(k), tx, 1, layout.Key(i%7), 0b1, 0)
+					}
+					m.Commit(at+9, tx)
+				},
+				snapshot: func() snapshotted {
+					s := r.Snapshot()
+					made := sizeOf[causality.TxnInfo](len(s.Txns))
+					if parts > 1 {
+						made += sizeOf[causality.Edge](len(s.Edges))
+					}
+					return snapshotted{func(w io.Writer) error { return causality.WriteJSON(w, s) },
+						sizeOf[causality.Edge](len(s.Edges)) + sizeOf[*causality.Txn](len(s.Txns)), made,
+						func() []int { return []int{len(s.Txns), len(s.Edges)} }}
+				},
+			}
+		}},
+		{"flight", func(parts int) observed {
+			r := flight.NewRecorder(flight.Options{TxnCapacity: capacity})
+			var dur [trace.NumPhases]sim.Duration
+			return observed{
+				record: func(part, i int) {
+					m := r.Shard(part, parts)
+					at := sim.Time(i) * 1000
+					s := trace.Span{Coord: uint64(part + 1), ID: uint64(i*parts + part + 1), Label: "t", Attempt: 1}
+					x := m.Begin(at, &s, part)
+					m.Wire(x, trace.PhaseExec, flight.ClassRead, 500)
+					dur[trace.PhaseExec] = 500
+					m.Done(at+500, x, &dur, true)
+				},
+				snapshot: func() snapshotted {
+					s := r.Snapshot()
+					return snapshotted{func(w io.Writer) error { return flight.WriteJSON(w, s) },
+						sizeOf[flight.TxnBudget](len(s.Txns)), sizeOf[flight.TxnBudget](len(s.Txns)),
+						func() []int { return []int{len(s.Txns)} }}
+				},
+			}
+		}},
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"runtime"
 	"strconv"
 	"unicode/utf8"
 )
@@ -17,14 +18,22 @@ import (
 // underlying writer whenever a container closes on a full buffer. The
 // first write error sticks; Close reports it. Readers keep
 // encoding/json, and the export tests compare the two byte for byte.
+// Elements encodes a long array on two goroutines.
 type JSONWriter struct {
-	w      io.Writer
-	buf    []byte
-	err    error
-	indent bool
-	depth  int
-	first  bool // nothing written yet inside the innermost open container
-	keyed  bool // a key was just written: the next value follows it inline
+	w       io.Writer // nil on Elements' helper writer, which never drains
+	buf     []byte
+	drained int // bytes drained from buf so far: what Elements sizes its chunks by
+	err     error
+	indent  bool
+	depth   int
+	first   bool   // nothing written yet inside the innermost open container
+	keyed   bool   // a key was just written: the next value follows it inline
+	scratch []byte // text an exporter assembles before writing it (StringBytes)
+
+	// Elements' helper writer and the two chunk buffers it encodes
+	// into, kept for the writer's next long array.
+	aux    *JSONWriter
+	chunks [2][]byte
 }
 
 // jsonFlushAt is the buffer fill at which a closing container drains
@@ -79,12 +88,13 @@ func (j *JSONWriter) close(c byte) {
 	}
 	j.buf = append(j.buf, c)
 	j.first = false
-	if len(j.buf) >= jsonFlushAt {
+	if len(j.buf) >= jsonFlushAt && j.w != nil {
 		j.flush()
 	}
 }
 
 func (j *JSONWriter) flush() {
+	j.drained += len(j.buf)
 	if j.err == nil {
 		_, j.err = j.w.Write(j.buf)
 	}
@@ -162,6 +172,149 @@ func (j *JSONWriter) Bool(v bool) {
 func (j *JSONWriter) Null() {
 	j.sep()
 	j.buf = append(j.buf, "null"...)
+}
+
+// Elements' chunks: at most jsonChunk elements, fewer where the
+// elements are large, so that a chunk is about jsonChunkBytes — long
+// enough that handing it between goroutines costs little beside its
+// encoding, short enough that its two buffers stay small. The first
+// jsonProbe elements, encoded in place, size the chunks; an array of
+// fewer than jsonMinChunks chunks is not worth a second goroutine.
+const (
+	jsonChunk      = 1024
+	jsonChunkBytes = 256 << 10
+	jsonProbe      = 64
+	jsonMinChunks  = 4
+)
+
+// jsonChunkOut is one chunk Elements' helper encoded, the first error
+// it met included, or what the helper panicked with.
+type jsonChunkOut struct {
+	buf      []byte
+	err      error
+	panicked any
+}
+
+// Elements writes n elements into the open array, write(w, i) writing
+// the ith through w, and leaves exactly the bytes of
+//
+//	for i := range n {
+//		write(j, i)
+//	}
+//
+// With two processors to run them, an array of at least jsonMinChunks
+// chunks is encoded on two goroutines: a helper encodes every other
+// chunk into one of two buffers that the writer recycles, while the
+// caller encodes the rest in place and writes each of the helper's
+// chunks out after the chunk before it. So write must write only
+// through w, may be called from two goroutines at once, and may write
+// any number of balanced values, none included. The helper has exited
+// when Elements returns, and a panic in write, on either goroutine,
+// surfaces in the caller.
+func (j *JSONWriter) Elements(n int, write func(w *JSONWriter, i int)) {
+	if n < jsonMinChunks*jsonProbe || runtime.GOMAXPROCS(0) < 2 {
+		for i := range n {
+			write(j, i)
+		}
+		return
+	}
+	from := j.drained + len(j.buf)
+	for i := range jsonProbe {
+		write(j, i)
+	}
+	per := max(1, (j.drained+len(j.buf)-from)/jsonProbe)
+	size := min(max(jsonChunkBytes/per, jsonProbe), jsonChunk)
+	chunks := (n + size - 1) / size
+	if chunks < jsonMinChunks {
+		for i := jsonProbe; i < n; i++ {
+			write(j, i)
+		}
+		return
+	}
+	// The helper's writer takes j's state now and never reads j: it
+	// encodes each chunk as if a sibling came before it, and splice
+	// drops the comma that leads a chunk no sibling came before.
+	if j.aux == nil {
+		j.aux = &JSONWriter{}
+		for i := range j.chunks {
+			j.chunks[i] = make([]byte, 0, jsonChunkBytes+jsonChunkBytes/2)
+		}
+	}
+	h := j.aux
+	h.indent, h.depth = j.indent, j.depth
+	// A chunk waits in done only while its buffer is out of free, so
+	// done has room for the panic too.
+	free := make(chan []byte, len(j.chunks))
+	done := make(chan jsonChunkOut, len(j.chunks))
+	quit, exited := make(chan struct{}), make(chan struct{})
+	for _, b := range j.chunks {
+		free <- b
+	}
+	go func() {
+		defer close(exited)
+		defer func() {
+			if r := recover(); r != nil {
+				done <- jsonChunkOut{panicked: r}
+			}
+		}()
+		for c := 1; c < chunks; c += 2 {
+			var buf []byte
+			select {
+			case buf = <-free:
+			case <-quit:
+				return
+			}
+			h.buf, h.first, h.err = buf[:0], false, nil
+			for i := c * size; i < min(n, (c+1)*size); i++ {
+				write(h, i)
+			}
+			done <- jsonChunkOut{buf: h.buf, err: h.err}
+		}
+	}()
+	defer func() {
+		close(quit)
+		<-exited
+	}()
+	for c := 0; c < chunks; c++ {
+		if c%2 == 0 {
+			for i := max(c*size, jsonProbe); i < min(n, (c+1)*size); i++ {
+				write(j, i)
+			}
+			continue
+		}
+		out := <-done
+		if out.panicked != nil {
+			panic(out.panicked)
+		}
+		j.splice(out)
+		free <- out.buf
+	}
+	for i := range j.chunks {
+		j.chunks[i] = <-free
+	}
+}
+
+// splice writes out a chunk Elements' helper encoded, after whatever
+// j holds: the chunk's first error becomes j's if j has none, and its
+// leading comma goes if nothing came before it in the array.
+func (j *JSONWriter) splice(c jsonChunkOut) {
+	if j.err == nil {
+		j.err = c.err
+	}
+	b := c.buf
+	if len(b) == 0 {
+		return
+	}
+	if j.first {
+		b = b[1:]
+	}
+	j.first = false
+	if len(j.buf) > 0 {
+		j.flush()
+	}
+	if j.err == nil {
+		_, j.err = j.w.Write(b)
+	}
 }
 
 // Close ends the document with the newline every export ends in,

@@ -4,9 +4,15 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"io"
 	"math"
 	"math/rand"
+	"runtime"
+	"strconv"
+	"strings"
 	"testing"
+	"time"
 
 	"crest/internal/sim"
 )
@@ -233,5 +239,221 @@ func TestJSONWriterIndentsDeepNesting(t *testing.T) {
 	}
 	if !bytes.Equal(got.Bytes(), append(want, '\n')) {
 		t.Errorf("got %s\nwant %s", got.Bytes(), want)
+	}
+}
+
+// elementWriters are Elements callbacks of the shapes the exporters
+// write: an object with nested containers per element; nothing for
+// most elements (the Chrome export's raw stream skips event kinds);
+// several values per element (its spans write each attempt and its
+// phase slices); nothing for the first chunk and more, so that a chunk
+// of the helper's comes first; and kilobytes per element, so that a
+// chunk holds fewer elements than jsonChunk.
+var elementWriters = map[string]func(w *JSONWriter, i int){
+	"nested": func(w *JSONWriter, i int) {
+		w.Object()
+		w.Key("i").Int(int64(i))
+		w.Key("s").String(strconv.Itoa(i) + "<&")
+		w.Key("a").Array()
+		for k := 0; k < i%3; k++ {
+			w.Object()
+			w.Key("k").Float(float64(k) / 4)
+			w.EndObject()
+		}
+		w.EndArray()
+		w.EndObject()
+	},
+	"sparse": func(w *JSONWriter, i int) {
+		if i%5 == 2 {
+			w.Int(int64(i))
+		}
+	},
+	"several": func(w *JSONWriter, i int) {
+		for k := 0; k <= i%3; k++ {
+			w.Array()
+			w.Uint(uint64(k))
+			w.EndArray()
+		}
+	},
+	"late": func(w *JSONWriter, i int) {
+		if i > jsonChunk+7 {
+			w.Bool(i%2 == 0)
+		}
+	},
+	"large": func(w *JSONWriter, i int) {
+		w.Object()
+		w.Key("i").Int(int64(i))
+		w.Key("text").String(strings.Repeat("x", 300+i%600))
+		w.EndObject()
+	},
+}
+
+// elementsDoc writes a document holding write's n elements twice, in
+// two arrays at different depths, through Elements or through the
+// plain loop, to w. It reports whether Elements handed chunks to its
+// helper, and the writer's Close error.
+func elementsDoc(w io.Writer, indent bool, n int, write func(*JSONWriter, int), chunked bool) (helped bool, err error) {
+	j := NewJSONWriter(w, indent)
+	elements := func() {
+		if chunked {
+			j.Elements(n, write)
+			return
+		}
+		for i := range n {
+			write(j, i)
+		}
+	}
+	j.Object()
+	j.Key("before").Int(1)
+	j.Key("items").Array()
+	elements()
+	j.EndArray()
+	j.Key("nested").Array()
+	j.Array()
+	elements()
+	j.EndArray()
+	j.EndArray()
+	j.EndObject()
+	return j.aux != nil, j.Close()
+}
+
+// TestElementsWritesTheLoopsBytes: Elements writes exactly the bytes
+// of the plain loop, compact and indented, at GOMAXPROCS 1 and 2, for
+// arrays below, at and past a chunk, and long enough for the helper —
+// which takes part in those at GOMAXPROCS 2, and never at 1 or in
+// arrays too short to probe.
+func TestElementsWritesTheLoopsBytes(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2} {
+		runtime.GOMAXPROCS(procs)
+		for _, n := range []int{0, 1, jsonChunk - 1, jsonChunk, jsonChunk + 1, 4*jsonChunk + 3, 9*jsonChunk + 5} {
+			for _, indent := range []bool{false, true} {
+				for name, write := range elementWriters {
+					what := fmt.Sprintf("GOMAXPROCS %d, %d %s elements, indent %v", procs, n, name, indent)
+					var want, got bytes.Buffer
+					if _, err := elementsDoc(&want, indent, n, write, false); err != nil {
+						t.Fatalf("%s: loop: %v", what, err)
+					}
+					helped, err := elementsDoc(&got, indent, n, write, true)
+					if err != nil {
+						t.Fatalf("%s: Elements: %v", what, err)
+					}
+					if procs == 1 || n < jsonMinChunks*jsonProbe {
+						if helped {
+							t.Errorf("%s: the helper took part", what)
+						}
+					} else if n >= jsonMinChunks*jsonChunk && !helped {
+						t.Errorf("%s: the helper took no part", what)
+					}
+					if !bytes.Equal(got.Bytes(), want.Bytes()) {
+						t.Errorf("%s: Elements wrote %d bytes, the loop %d; first difference at byte %d",
+							what, got.Len(), want.Len(), firstDiff(got.Bytes(), want.Bytes()))
+					}
+					if !json.Valid(got.Bytes()) {
+						t.Errorf("%s: not valid JSON", what)
+					}
+				}
+			}
+		}
+	}
+}
+
+func firstDiff(a, b []byte) int {
+	for i := range min(len(a), len(b)) {
+		if a[i] != b[i] {
+			return i
+		}
+	}
+	return min(len(a), len(b))
+}
+
+// settleGoroutines waits until no more than want goroutines run and
+// returns how many do: a helper that has signalled its end may still be
+// on its way out.
+func settleGoroutines(want int) int {
+	n := runtime.NumGoroutine()
+	for i := 0; i < 1000 && n > want; i++ {
+		time.Sleep(time.Millisecond)
+		n = runtime.NumGoroutine()
+	}
+	return n
+}
+
+// TestElementsFailsCleanly: with the helper taking part, a writer that
+// fails after k bytes, for k swept over the document, makes Close
+// return its error; of two unencodable floats, in the caller's and the
+// helper's chunks, the first in the document is the error reported;
+// a panic in write, on either goroutine, reaches the caller. None of
+// it deadlocks, and no helper outlives its Elements call.
+func TestElementsFailsCleanly(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	base := runtime.NumGoroutine()
+	const n = 4*jsonChunk + 3
+	write := elementWriters["nested"]
+	var whole bytes.Buffer
+	if helped, err := elementsDoc(&whole, true, n, write, true); err != nil || !helped {
+		t.Fatalf("whole document: error %v, helper took part: %v", err, helped)
+	}
+	errFull := errors.New("full")
+	for k := 0; k < whole.Len(); k += 1 + k/3 {
+		left := k
+		w := writerFunc(func(p []byte) (int, error) {
+			if len(p) > left {
+				n := left
+				left = 0
+				return n, errFull
+			}
+			left -= len(p)
+			return len(p), nil
+		})
+		if _, err := elementsDoc(w, true, n, write, true); !errors.Is(err, errFull) {
+			t.Fatalf("writer failing after %d of %d bytes: Close returned %v", k, whole.Len(), err)
+		}
+	}
+	if got := settleGoroutines(base); got > base {
+		t.Errorf("%d goroutines after the failed writes, %d before", got, base)
+	}
+
+	for _, tc := range []struct {
+		first, second int     // elements writing an unencodable float
+		v             float64 // the first one's; the second writes -Inf
+		want          string
+	}{
+		{jsonChunk + 1, 2*jsonChunk + 1, math.NaN(), "NaN"}, // the helper's chunk, then the caller's
+		{1, jsonChunk + 1, math.Inf(1), "+Inf"},             // the caller's chunk, then the helper's
+	} {
+		bad := func(w *JSONWriter, i int) {
+			switch i {
+			case tc.first:
+				w.Float(tc.v)
+			case tc.second:
+				w.Float(math.Inf(-1))
+			default:
+				write(w, i)
+			}
+		}
+		_, err := elementsDoc(io.Discard, false, n, bad, true)
+		if err == nil || !strings.HasSuffix(err.Error(), " "+tc.want) {
+			t.Errorf("floats at elements %d and %d: Close returned %v, want the error about %s", tc.first, tc.second, err, tc.want)
+		}
+	}
+
+	for _, at := range []int{jsonChunk + 1, 2*jsonChunk + 1, n - 1} {
+		func() {
+			defer func() {
+				if r := recover(); r != at {
+					t.Errorf("write panicking at element %d: Elements panicked with %v", at, r)
+				}
+			}()
+			elementsDoc(io.Discard, false, n, func(w *JSONWriter, i int) {
+				if i == at {
+					panic(at)
+				}
+				write(w, i)
+			}, true)
+		}()
+	}
+	if got := settleGoroutines(base); got > base {
+		t.Errorf("%d goroutines after the panics, %d before", got, base)
 	}
 }
