@@ -122,6 +122,12 @@ func whyFixture(t *testing.T) string {
 			{Seq: 2, At: 95, Kind: causality.KindValidation, Waiter: 412, Holder: 398,
 				Table: 3, Key: 17, Mask: 1 << 2},
 		},
+		Labels: []causality.GraphNode{{Label: "Audit", Txns: 1, Commits: 1},
+			{Label: "Deposit", Txns: 1, Commits: 1}, {Label: "Pay", Txns: 1, Aborts: 1}},
+		LabelEdges: []causality.GraphEdge{
+			{From: "Deposit", To: "Audit", Kind: causality.KindLocalWait, Count: 1, TotalWait: 14 * sim.Microsecond},
+			{From: "Pay", To: "Deposit", Kind: causality.KindValidation, Count: 1},
+		},
 		Hotspots: []causality.Hotspot{
 			{Table: 3, Key: 17, Cell: 2, Count: 1, Aborts: 1},
 			{Table: 3, Key: 17, Cell: -1, Count: 1, TotalWait: 14 * sim.Microsecond},

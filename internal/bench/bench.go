@@ -517,6 +517,12 @@ func Run(cfg Config) (Result, error) {
 				sum.attempts, time.Duration(from), time.Duration(to))
 		}
 	}
+	// The buckets count attempts by when they end, the result by when
+	// their transaction began: a window whose commits all began before
+	// it passes the buckets while the result measured none.
+	if res.Aborted > 0 && res.Committed == 0 {
+		return res, fmt.Errorf("bench: stalled: %d measured attempts, 0 commits", res.Aborted)
+	}
 	return res, nil
 }
 

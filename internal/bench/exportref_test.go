@@ -328,6 +328,9 @@ func TestExportsMatchEncodingJSONOnEdgeCases(t *testing.T) {
 		why.Txns = append(why.Txns, ti)
 		why.Edges = append(why.Edges, causality.Edge{Seq: uint64(i + 1), At: at, Kind: causality.Kind(i % 4), Waiter: uint64(i + 1),
 			Holder: uint64(i), Table: 3, Key: 9, Mask: uint64(i), Wait: sim.Duration(at)})
+		why.Labels = append(why.Labels, causality.GraphNode{Label: label, Txns: i, Commits: -i, Aborts: i})
+		why.LabelEdges = append(why.LabelEdges, causality.GraphEdge{From: label, To: hostileStrings[(i+1)%len(hostileStrings)],
+			Kind: causality.Kind(i % 4), Count: math.MaxUint64 - uint64(i), TotalWait: sim.Duration(at)})
 
 		tb := flight.TxnBudget{ID: uint64(i + 1), Label: label, Coord: uint64(i), Shard: -i, Begin: at, End: at + 5, Attempts: i,
 			Committed: i%2 == 0, Reason: label, WaitHolder: uint64(i), WaitMax: sim.Duration(-i)}

@@ -3,7 +3,6 @@ package causality
 import (
 	"bytes"
 	"io"
-	"math/rand"
 	"testing"
 
 	"crest/internal/layout"
@@ -79,53 +78,6 @@ func BenchmarkWriteJSON(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if err := WriteJSON(io.Discard, s); err != nil {
 			b.Fatal(err)
-		}
-	}
-}
-
-// syntheticSnapshot is a drained snapshot the size of a contended
-// run's: 50 000 transactions over six labels, one in eight aborted at
-// least once, and 180 000 edges of every kind among them, one in
-// sixteen unattributed, on a thousand records of up to four cells.
-func syntheticSnapshot() *Snapshot {
-	labels := [...]string{"Amalgamate", "Balance", "DepositChecking", "SendPayment", "TransactSavings", "WriteCheck"}
-	const txns, edges = 50000, 180000
-	rng := rand.New(rand.NewSource(1))
-	s := &Snapshot{Txns: make([]TxnInfo, txns), Edges: make([]Edge, edges)}
-	for i := range s.Txns {
-		t := &s.Txns[i]
-		*t = TxnInfo{ID: uint64(i + 1), Label: labels[rng.Intn(len(labels))], Coord: uint64(i%120 + 1),
-			Attempt: 1, Start: sim.Time(i), End: sim.Time(i + 5), State: StateCommitted}
-		if i%8 == 0 {
-			t.Attempt, t.Aborts, t.Reason = 2, 1, "validation"
-			t.Cause = &CauseInfo{Seq: uint64(i), Kind: KindValidation, Table: 2,
-				Key: layout.Key(rng.Intn(1000)), Mask: uint64(rng.Intn(16)), Holder: uint64(rng.Intn(txns))}
-		}
-	}
-	for i := range s.Edges {
-		e := &s.Edges[i]
-		*e = Edge{Seq: uint64(i + 1), At: sim.Time(i), Kind: Kind(rng.Intn(int(numKinds))),
-			Waiter: uint64(rng.Intn(txns) + 1), Holder: uint64(rng.Intn(txns) + 1),
-			Table: 2, Key: layout.Key(rng.Intn(1000)), Mask: uint64(rng.Intn(16))}
-		if i%16 == 0 {
-			e.Holder = 0
-		}
-		if e.Kind == KindDependency || e.Kind == KindLocalWait {
-			e.Wait = sim.Duration(rng.Intn(5000))
-		}
-	}
-	return s
-}
-
-// BenchmarkSnapshotGraph is the aggregation WriteJSON and the DOT
-// export run over every drained snapshot.
-func BenchmarkSnapshotGraph(b *testing.B) {
-	s := syntheticSnapshot()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if g := s.Graph(); len(g.Nodes) != 6 {
-			b.Fatalf("%d graph nodes, want 6", len(g.Nodes))
 		}
 	}
 }

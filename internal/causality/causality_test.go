@@ -155,6 +155,12 @@ func chainSnapshot() *Snapshot {
 			{Seq: 2, At: 95, Kind: KindValidation, Waiter: 412, Holder: 398,
 				Table: 3, Key: 17, Mask: 1 << 2},
 		},
+		Labels: []GraphNode{{Label: "Audit", Txns: 1, Commits: 1}, {Label: "Deposit", Txns: 1, Commits: 1},
+			{Label: "Pay", Txns: 1, Aborts: 1}},
+		LabelEdges: []GraphEdge{
+			{From: "Deposit", To: "Audit", Kind: KindLocalWait, Count: 1, TotalWait: 14 * sim.Microsecond},
+			{From: "Pay", To: "Deposit", Kind: KindValidation, Count: 1},
+		},
 		Hotspots: []Hotspot{
 			{Table: 3, Key: 17, Cell: 2, Count: 1, Aborts: 1},
 			{Table: 3, Key: 17, Cell: -1, Count: 1, TotalWait: 14 * sim.Microsecond},
@@ -221,21 +227,22 @@ func TestBlameChainStopsOnCycle(t *testing.T) {
 }
 
 func TestGraphAggregatesAndFindsCycles(t *testing.T) {
-	s := &Snapshot{
-		Txns: []TxnInfo{
-			{ID: 1, Label: "A", State: StateCommitted, Aborts: 1,
-				Cause: &CauseInfo{Seq: 1, Kind: KindLockFail, Table: 1, Key: 5, Mask: 0b1, Holder: 2}},
-			{ID: 2, Label: "B", State: StateCommitted},
-			{ID: 3, Label: "A", State: StateAborted, Reason: "lock-conflict", Aborts: 2},
-		},
-		Edges: []Edge{
-			{Seq: 1, Kind: KindLockFail, Waiter: 1, Holder: 2, Table: 1, Key: 5, Mask: 0b1},
-			{Seq: 2, Kind: KindLockFail, Waiter: 1, Holder: 2, Table: 1, Key: 5, Mask: 0b1},
-			{Seq: 3, Kind: KindLocalWait, Waiter: 2, Holder: 1, Table: 1, Key: 5, Wait: sim.Microsecond},
-			{Seq: 4, Kind: KindValidation, Waiter: 3, Holder: 0, Table: 1, Key: 5, Mask: 0b10},
-		},
-	}
-	g := s.Graph()
+	r := NewRecorder(Options{})
+	inProc(t, func(p *sim.Proc) {
+		a1, b, a3 := begin(r, 1, 1, "A"), begin(r, 2, 2, "B"), begin(r, 3, 3, "A")
+		r.LockFail(p.Now(), a1, 1, 5, 0b1, b.ID)
+		r.LockFail(p.Now(), a1, 1, 5, 0b1, b.ID)
+		r.Abort(p.Now(), a1, "lock-conflict")
+		r.Retry(a1)
+		r.Commit(p.Now(), a1)
+		r.LocalWait(p.Now(), b, 1, 5, a1.ID, sim.Microsecond)
+		r.Commit(p.Now(), b)
+		r.ValidationFail(p.Now(), a3, 1, 5, 0b10, 0)
+		r.Abort(p.Now(), a3, "validation")
+		r.Retry(a3)
+		r.Abort(p.Now(), a3, "lock-conflict")
+	})
+	g := r.Snapshot().Graph()
 
 	if len(g.Nodes) != 2 || g.Nodes[0].Label != "A" || g.Nodes[1].Label != "B" {
 		t.Fatalf("nodes = %+v", g.Nodes)
@@ -353,14 +360,13 @@ func tinySnapshot(t testing.TB) *Snapshot {
 }
 
 // TestJSONRoundTripsByteEqual: ReadJSON then WriteJSON gives the same
-// bytes, also for a snapshot whose ring dropped edges, whose hotspot
-// ranking its edges can no longer rebuild.
+// bytes, also for a snapshot whose ring dropped edges, whose graph its
+// edges can no longer rebuild.
 func TestJSONRoundTripsByteEqual(t *testing.T) {
-	small := NewRecorder(Options{Capacity: 64})
-	recordStream([]*Recorder{small}, 1)
-	dropped := small.Snapshot()
-	if dropped.Dropped == 0 || reflect.DeepEqual(graphRef(dropped).Hotspots, dropped.Hotspots) {
-		t.Fatalf("the ring kept enough edges (%d dropped) to rebuild the ranking", dropped.Dropped)
+	dropped := recorded(1, 1, 64)
+	if dropped.Dropped == 0 || reflect.DeepEqual(graphRef(dropped).Edges, dropped.Graph().Edges) ||
+		reflect.DeepEqual(graphRef(dropped).Hotspots, dropped.Hotspots) {
+		t.Fatalf("the ring kept enough edges (%d dropped) to rebuild the graph", dropped.Dropped)
 	}
 	for name, snap := range map[string]*Snapshot{"tiny": tinySnapshot(t), "dropped": dropped} {
 		var first bytes.Buffer
@@ -431,27 +437,41 @@ func TestDOTOutputIsStructurallyValid(t *testing.T) {
 
 // TestEdgePathAllocatesNothingSteadyState is the hot-path guarantee:
 // once the rings are warm and the cells ranked, recording an edge or
-// an abort (or running with the recorder disabled) allocates nothing.
+// an abort (or running with the recorder disabled) allocates nothing;
+// nor does the first edge between two labels the graph knows, whether
+// the stride or a binary search finds its holder in the ring.
 func TestEdgePathAllocatesNothingSteadyState(t *testing.T) {
 	r := NewRecorder(Options{Capacity: 64})
 	inProc(t, func(p *sim.Proc) {
 		tx := begin(r, 1, 1, "warm")
+		h := begin(r, 3, 2, "holder") // id 2 never began: the stride misses 3
+		firsts := []*Txn{begin(r, 4, 3, "first0"), begin(r, 5, 4, "first1")}
 		// Warm-up: fill the edge ring so emit overwrites in place, and
 		// rank the cell and the record the loop counts against.
-		r.LocalWait(p.Now(), tx, 1, 7, 3, sim.Microsecond)
+		r.LocalWait(p.Now(), tx, 1, 7, h.ID, sim.Microsecond)
 		for i := 0; i < 80; i++ {
-			r.LockFail(p.Now(), tx, 1, 7, 0b1, 3)
+			r.LockFail(p.Now(), tx, 1, 7, 0b1, h.ID)
 		}
 		allocs := testing.AllocsPerRun(200, func() {
-			r.LockFail(p.Now(), tx, 1, 7, 0b1, 3)
-			r.ValidationFail(p.Now(), tx, 1, 7, 0b1, 3)
+			r.LockFail(p.Now(), tx, 1, 7, 0b1, h.ID)
+			r.ValidationFail(p.Now(), tx, 1, 7, 0b1, 0)
 			r.Abort(p.Now(), tx, "validation")
 			r.Retry(tx)
-			r.LocalWait(p.Now(), tx, 1, 7, 3, sim.Microsecond)
-			r.DependencyWait(p.Now(), tx, 3, sim.Microsecond)
+			r.LocalWait(p.Now(), tx, 1, 7, h.ID, sim.Microsecond)
+			r.DependencyWait(p.Now(), tx, h.ID, sim.Microsecond)
 		})
 		if allocs != 0 {
 			t.Errorf("live recorder steady state allocates %.1f/op, want 0", allocs)
+		}
+		// AllocsPerRun calls twice: each call is the first edge to
+		// its holder's label.
+		next := 0
+		allocs = testing.AllocsPerRun(1, func() {
+			r.LockFail(p.Now(), tx, 1, 7, 0b1, firsts[next].ID)
+			next++
+		})
+		if g := r.Snapshot().Graph(); allocs != 0 || len(g.Edges) != 6 {
+			t.Errorf("a first edge between two labels allocates %.1f/op, want 0 (graph edges %+v)", allocs, g.Edges)
 		}
 
 		var nilRec *Recorder

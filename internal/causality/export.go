@@ -14,9 +14,8 @@ import (
 const SchemaVersion = "crest-why/v1"
 
 // jsonDoc is the schema-versioned document: the edge stream and
-// transaction nodes plus the aggregated graph, whose hotspot ranking
-// also round-trips; the rest of the graph WriteJSON derives
-// deterministically for human and downstream consumers.
+// transaction nodes the rings held, plus the graph the recorder
+// counted over the whole run.
 type jsonDoc struct {
 	Schema      string    `json:"schema"`
 	Dropped     uint64    `json:"dropped_edges"`
@@ -146,9 +145,9 @@ func writeGraph(j *trace.JSONWriter, g *Graph) {
 }
 
 // ReadJSON parses a document written by WriteJSON, verifying its
-// schema version. Of the graph it keeps the hotspot ranking, which the
-// edges left in the ring cannot rebuild; the rest is recomputed from
-// the round-tripped edge stream.
+// schema version. It keeps the graph's nodes, edges and hotspots, which
+// the rings' edges and transactions cannot rebuild once they evicted;
+// Graph finds the cycles again.
 func ReadJSON(r io.Reader) (*Snapshot, error) {
 	var doc jsonDoc
 	if err := json.NewDecoder(r).Decode(&doc); err != nil {
@@ -158,8 +157,8 @@ func ReadJSON(r io.Reader) (*Snapshot, error) {
 		return nil, fmt.Errorf("causality: snapshot schema %q, want %q", doc.Schema, SchemaVersion)
 	}
 	s := &Snapshot{Edges: doc.Edges, Txns: doc.Txns, Dropped: doc.Dropped, TxnsDropped: doc.TxnsDropped}
-	if doc.Graph != nil {
-		s.Hotspots = doc.Graph.Hotspots
+	if g := doc.Graph; g != nil {
+		s.Labels, s.LabelEdges, s.Hotspots = g.Nodes, g.Edges, g.Hotspots
 	}
 	if s.Edges == nil {
 		s.Edges = []Edge{}

@@ -4,6 +4,7 @@ import (
 	"math/bits"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -12,39 +13,20 @@ import (
 	"crest/internal/trace"
 )
 
-// TestGraphMatchesReference: the one-pass Graph equals graphRef on
-// recorded streams, one recorder's and a two-way partitioned one's,
-// whose hotspot ranking the recorder counted as it recorded and
-// graphRef rebuilds from the whole stream; and, but for the ranking,
-// which a snapshot built by hand does not carry, on the benchmark's
-// snapshot and on an empty one.
+// TestGraphMatchesReference: the graph the recorder counts as it
+// records equals graphRef, which rebuilds it from the edges and
+// transactions the rings hold, on streams the rings keep whole: one
+// recorder's, a two- and a four-way partitioned one's, a tiny one and
+// an empty one.
 func TestGraphMatchesReference(t *testing.T) {
-	recorded := func(parts int, seed int64) *Snapshot {
-		r := NewRecorder(Options{})
-		rs := []*Recorder{r}
-		if parts > 1 {
-			rs = rs[:0]
-			for i := 0; i < parts; i++ {
-				rs = append(rs, r.Shard(i, parts))
-			}
-		}
-		recordStream(rs, seed)
-		return r.Snapshot()
-	}
-	for name, s := range map[string]*Snapshot{"recorded1": recorded(1, 1), "recorded2": recorded(1, 2),
-		"partitioned": recorded(2, 3), "tiny": tinySnapshot(t)} {
+	for name, s := range map[string]*Snapshot{"recorded1": recorded(1, 1, 0), "recorded2": recorded(1, 2, 0),
+		"partitioned2": recorded(2, 3, 0), "partitioned4": recorded(4, 4, 0), "tiny": tinySnapshot(t),
+		"empty": NewRecorder(Options{}).Snapshot()} {
 		if s.Dropped != 0 || s.TxnsDropped != 0 {
 			t.Fatalf("%s: the snapshot dropped part of the stream", name)
 		}
 		if got, want := s.Graph(), graphRef(s); !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: Graph differs from the reference", name)
-		}
-	}
-	for name, s := range map[string]*Snapshot{"synthetic": syntheticSnapshot(), "empty": {}} {
-		want := graphRef(s)
-		want.Hotspots = nil
-		if got := s.Graph(); !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: Graph differs from the reference", name)
+			t.Errorf("%s: Graph differs from the reference:\n got %+v\nwant %+v", name, got, want)
 		}
 	}
 }
@@ -53,10 +35,7 @@ func TestGraphMatchesReference(t *testing.T) {
 // recorded, so a recorder whose ring holds 64 edges ranks a stream as
 // one that keeps it all.
 func TestHotspotsOutliveTheRing(t *testing.T) {
-	full, small := NewRecorder(Options{}), NewRecorder(Options{Capacity: 64})
-	recordStream([]*Recorder{full}, 1)
-	recordStream([]*Recorder{small}, 1)
-	fs, ss := full.Snapshot(), small.Snapshot()
+	fs, ss := recorded(1, 1, 0), recorded(1, 1, 64)
 	if ss.Dropped == 0 {
 		t.Fatal("the small ring dropped no edge")
 	}
@@ -65,24 +44,57 @@ func TestHotspotsOutliveTheRing(t *testing.T) {
 	}
 }
 
+// TestGraphOutlivesTheRing: the whole graph — nodes, label edges and
+// hotspots — is counted as recorded, so a recorder whose edge ring
+// holds 64 edges has the graph of one that keeps the stream whole,
+// unsharded and on four partitions.
+func TestGraphOutlivesTheRing(t *testing.T) {
+	for _, parts := range []int{1, 4} {
+		full, small := recorded(parts, 5, 0), recorded(parts, 5, 64)
+		if small.Dropped == 0 || full.Dropped != 0 {
+			t.Fatalf("parts=%d: the rings dropped %d and %d edges, want some and none", parts, small.Dropped, full.Dropped)
+		}
+		if got, want := small.Graph(), full.Graph(); len(want.Edges) == 0 || !reflect.DeepEqual(got, want) {
+			t.Errorf("parts=%d: a 64-edge ring's graph differs from the whole stream's:\n got %+v\nwant %+v", parts, got, want)
+		}
+	}
+}
+
+// recorded is the snapshot of recordStream's stream on a recorder of
+// parts partitions whose edge ring holds edgeCap edges (the default
+// when 0).
+func recorded(parts int, seed int64, edgeCap int) *Snapshot {
+	r := NewRecorder(Options{Capacity: edgeCap})
+	rs := []*Recorder{r}
+	if parts > 1 {
+		rs = rs[:0]
+		for i := 0; i < parts; i++ {
+			rs = append(rs, r.Shard(i, parts))
+		}
+	}
+	recordStream(rs, seed)
+	return r.Snapshot()
+}
+
 // recordStream records a random stream into the recorders (one, or the
 // children of a partitioned one; transaction i runs on rs[i%len(rs)]):
-// 300 transactions with sparse ids, the extreme ones included, and 27
-// labels, one the unattributed node's; 3000 edges of every kind, the
-// kinds no recorder method emits too, on cells past the inline ones,
-// with random holders; and along the way aborts that freeze a cause,
-// aborts of edge-free attempts, retries and commits.
+// 300 transactions with sparse ids, rising in begin order as the
+// engines' do, the extreme ones included, and 27 labels, one the
+// unattributed node's; 3000 edges of every kind, on cells past the
+// inline ones, with random holders, a third of them transactions of
+// the waiter's partition; and along the way aborts that freeze a
+// cause, aborts of edge-free attempts, retries, commits, and aborts
+// after a commit.
 func recordStream(rs []*Recorder, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
-	txns := make([]*Txn, 300)
-	for i := range txns {
-		id := uint64(rng.Intn(1 << 40))
-		switch i {
-		case 0:
-			id = 0
-		case 1:
-			id = ^uint64(0)
-		}
+	ids := make([]uint64, 300)
+	for i := range ids {
+		ids[i] = uint64(rng.Intn(1 << 40))
+	}
+	ids[0], ids[1] = 0, ^uint64(0)
+	slices.Sort(ids)
+	txns := make([]*Txn, len(ids))
+	for i, id := range ids {
 		label := string(rune('a' + rng.Intn(26)))
 		if i%50 == 0 {
 			label = unattributedLabel
@@ -94,9 +106,9 @@ func recordStream(rs []*Recorder, seed int64) {
 		r, tx, at := rs[j%len(rs)], txns[j], sim.Time(i)
 		holder := uint64(rng.Intn(1 << 40))
 		if i%3 == 0 {
-			holder = txns[rng.Intn(len(txns))].ID
+			holder = txns[rng.Intn(len(txns)/len(rs))*len(rs)+j%len(rs)].ID
 		}
-		r.edge(at, tx, Kind(rng.Intn(6)), holder, layout.TableID(rng.Intn(3)), layout.Key(rng.Intn(20)),
+		r.edge(at, tx, Kind(rng.Intn(int(numKinds))), holder, layout.TableID(rng.Intn(3)), layout.Key(rng.Intn(20)),
 			rng.Uint64()>>rng.Intn(64), sim.Duration(rng.Intn(100)))
 		switch rng.Intn(8) {
 		case 0:
@@ -112,8 +124,9 @@ func recordStream(rs []*Recorder, seed int64) {
 }
 
 // graphRef is Graph as it was written first, a map per aggregate
-// keyed by strings and structs: the reference the one-pass Graph must
-// equal.
+// keyed by strings and structs, over the edges and transactions the
+// rings hold: the reference the counted graph must equal where the
+// rings kept the whole stream.
 func graphRef(s *Snapshot) *Graph {
 	label := map[uint64]string{}
 	nodes := map[string]*GraphNode{}

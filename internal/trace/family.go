@@ -78,6 +78,18 @@ func (r *Ring[T]) Cap() int { return r.cap }
 // Dropped reports how many elements were evicted.
 func (r *Ring[T]) Dropped() uint64 { return r.dropped }
 
+// At returns the i-th oldest buffered element, 0 <= i < Len(). It
+// reads the ring as it is, viewed or not, and moves nothing.
+func (r *Ring[T]) At(i int) T {
+	if r.buf == nil {
+		return r.view[i]
+	}
+	if i += r.head; i >= r.cap {
+		i -= r.cap
+	}
+	return r.buf[i]
+}
+
 // View returns the buffered elements, oldest to newest, as one slice
 // that aliases the ring's storage: a wrapped ring is first rotated in
 // place so that its oldest element comes first. The ring never writes

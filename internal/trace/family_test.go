@@ -314,8 +314,18 @@ func TestRingEvictsOldest(t *testing.T) {
 		for i := capacity; i <= 2*capacity+2; i++ {
 			*r.Next() = i
 		}
+		// At reads the wrapped ring in place, and again once viewed.
+		at := func(when string) {
+			for i := 0; i < r.Len(); i++ {
+				if want := capacity + 3 + i; r.At(i) != want {
+					t.Fatalf("cap %d %s: At(%d) = %d, want %d", capacity, when, i, r.At(i), want)
+				}
+			}
+		}
+		at("wrapped")
 		// A second view of the same state is the same slice.
 		got := r.View()
+		at("viewed")
 		if again := r.View(); len(got) == 0 || &again[0] != &got[0] {
 			t.Fatalf("cap %d: two views of one state are different slices", capacity)
 		}
