@@ -292,6 +292,7 @@ func TestRunRejectsHostileValues(t *testing.T) {
 		{"-coords", "0"}, {"-coords", "-3"}, {"-duration", "1ms"}, {"-duration", "0"},
 		{"-workload", "ycsb", "-writes", "2"}, {"-theta", "-0.5"},
 		{"-big", "-duration", "2ms"}, // the preset's 2ms warmup
+		{"-duration", "3ms", "-warmup", "-2ms"}, {"-warmup", "0s"}, {"-seed", "0"},
 		{"-workers", "0"}, {"-shards", "0"}, {"-system", "oracle"},
 	} {
 		code, stdout, stderr := dispatch(append([]string{"-run", "-quick"}, args...)...)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"strconv"
 	"strings"
 
 	"crest/internal/engine"
@@ -153,117 +154,104 @@ func f1(v float64) string  { return fmt.Sprintf("%.1f", v) }
 func f2(v float64) string  { return fmt.Sprintf("%.2f", v) }
 func pct(v float64) string { return fmt.Sprintf("%.1f%%", 100*v) }
 
-// systems under comparison in the main experiments.
-var mainSystems = []SystemKind{CREST, FORD, Motor}
+// The systems each experiment compares: the paper's three, and the
+// two baselines of its motivating figures.
+var (
+	mainSystems     = []SystemKind{CREST, FORD, Motor}
+	baselineSystems = []SystemKind{FORD, Motor}
+)
 
-// Experiment is one regenerable artifact: an id plus a renderer that
-// asks the Getter for every run it needs and formats the tables. The
-// spec list is derived from the renderer itself (see Specs), so the
+// mainHeader is the header of a table with one column per main system.
+func mainHeader(x string) []string { return []string{x, "CREST", "FORD", "Motor"} }
+
+// experiment is one regenerable artifact: an id plus a renderer that
+// asks the getter for every run it needs and formats the tables. The
+// spec list is derived from the renderer itself (see specs), so the
 // declared matrix and the rendered cells cannot drift apart.
-type Experiment struct {
-	ID     string
-	Render func(Profile, Getter) ([]Table, error)
+type experiment struct {
+	id     string
+	render func(Profile, getter) []Table
 }
 
-// Specs enumerates every run the experiment needs, by dry-running the
+// specs enumerates every run the experiment needs, by dry-running the
 // renderer with a probe getter that records specs and returns empty
 // records.
-func (e Experiment) Specs(p Profile) []RunSpec {
+func (e experiment) specs(p Profile) []RunSpec {
 	var specs []RunSpec
-	probe := func(s RunSpec) (*RunRecord, error) {
+	e.render(p, func(s RunSpec) *RunRecord {
 		specs = append(specs, s)
-		return &RunRecord{Key: s.Key(), Spec: s}, nil
-	}
-	// The probe never fails, and renderers only format the records'
-	// numeric fields, so a dry render cannot error.
-	_, _ = e.Render(p, probe)
+		return &RunRecord{Key: s.Key(), Spec: s}
+	})
 	return specs
 }
 
-// Fig2 reproduces the motivating experiment: FORD and Motor throughput
-// versus contention level (§2.3).
-func Fig2(p Profile, get Getter) ([]Table, error) {
-	warehouseSweep := []int{80, 60, 40, 20}
-	thetaSweep := []float64{0.1, 0.5, 0.9, 0.99, 1.22}
-	tpccTab := Table{ID: "fig2a", Title: "FORD/Motor throughput (KOPS) vs TPC-C warehouses",
-		Header: []string{"warehouses", "FORD", "Motor"}}
-	for _, wh := range warehouseSweep {
-		row := []string{fmt.Sprint(wh)}
-		for _, system := range []SystemKind{FORD, Motor} {
-			rec, err := get(p.Spec(system, TPCCSpec(wh), p.MaxCoords/2*2))
-			if err != nil {
-				return nil, err
-			}
-			row = append(row, f1(rec.KOPS))
-		}
-		tpccTab.Rows = append(tpccTab.Rows, row)
-	}
-	sbTab := Table{ID: "fig2b", Title: "FORD/Motor throughput (KOPS) vs SmallBank skew",
-		Header: []string{"theta", "FORD", "Motor"}}
-	for _, theta := range thetaSweep {
-		row := []string{f2(theta)}
-		for _, system := range []SystemKind{FORD, Motor} {
-			rec, err := get(p.Spec(system, SmallBankSpec(theta), p.MaxCoords/2*2))
-			if err != nil {
-				return nil, err
-			}
-			row = append(row, f1(rec.KOPS))
-		}
-		sbTab.Rows = append(sbTab.Rows, row)
-	}
-	return []Table{tpccTab, sbTab}, nil
-}
-
-// Fig3 reproduces the abort-rate analysis: total abort rate and the
-// fraction caused by false conflicts, under TPC-C.
-func Fig3(p Profile, get Getter) ([]Table, error) {
-	tab := Table{ID: "fig3", Title: "Abort rate and false-abort rate vs TPC-C warehouses",
-		Header: []string{"warehouses", "FORD abort", "FORD false", "Motor abort", "Motor false"}}
-	for _, wh := range []int{80, 60, 40, 20} {
-		row := []string{fmt.Sprint(wh)}
-		for _, system := range []SystemKind{FORD, Motor} {
-			rec, err := get(p.Spec(system, TPCCSpec(wh), p.MaxCoords))
-			if err != nil {
-				return nil, err
-			}
-			row = append(row, pct(rec.AbortRate), pct(rec.FalseAbortRate))
+// sweep fills tab with one row per x: label(x), then the cells of the
+// record of spec(system, x) for each system in turn.
+func sweep[X any](get getter, tab Table, xs []X, label func(X) string, systems []SystemKind,
+	spec func(SystemKind, X) RunSpec, cells func(*RunRecord) []string) Table {
+	for _, x := range xs {
+		row := []string{label(x)}
+		for _, system := range systems {
+			row = append(row, cells(get(spec(system, x)))...)
 		}
 		tab.Rows = append(tab.Rows, row)
 	}
-	tab.Notes = append(tab.Notes,
-		"paper: at 20 warehouses FORD/Motor abort 75.9%/85.2%, false-abort 40.7%/44.1%")
-	return []Table{tab}, nil
+	return tab
 }
 
-// Fig4 reproduces Motor's latency breakdown under varying contention.
-func Fig4(p Profile, get Getter) ([]Table, error) {
-	tpccTab := Table{ID: "fig4a", Title: "Motor latency breakdown (µs) vs TPC-C warehouses",
-		Header: []string{"warehouses", "execution", "validation", "commit"}}
-	for _, wh := range []int{80, 40, 20} {
-		rec, err := get(p.Spec(Motor, TPCCSpec(wh), p.MaxCoords))
-		if err != nil {
-			return nil, err
-		}
-		tpccTab.Rows = append(tpccTab.Rows, []string{fmt.Sprint(wh),
-			f1(rec.Phases.Exec), f1(rec.Phases.Validate), f1(rec.Phases.Commit)})
-	}
-	sbTab := Table{ID: "fig4b", Title: "Motor latency breakdown (µs) vs SmallBank skew",
-		Header: []string{"theta", "execution", "validation", "commit"}}
-	for _, theta := range []float64{0.1, 0.99, 1.22} {
-		rec, err := get(p.Spec(Motor, SmallBankSpec(theta), p.MaxCoords))
-		if err != nil {
-			return nil, err
-		}
-		sbTab.Rows = append(sbTab.Rows, []string{f2(theta),
-			f1(rec.Phases.Exec), f1(rec.Phases.Validate), f1(rec.Phases.Commit)})
-	}
-	return []Table{tpccTab, sbTab}, nil
+// specAt specs each system on the workload wl(x) at coords coordinators.
+func specAt[X any](p Profile, coords int, wl func(X) WorkloadSpec) func(SystemKind, X) RunSpec {
+	return func(system SystemKind, x X) RunSpec { return p.Spec(system, wl(x), coords) }
 }
 
-// Table1 reproduces the space-overhead analysis from the workload
+// The cells most sweeps render.
+func kops(rec *RunRecord) []string { return []string{f1(rec.KOPS)} }
+
+func phases(rec *RunRecord) []string {
+	return []string{f1(rec.Phases.Exec), f1(rec.Phases.Validate), f1(rec.Phases.Commit)}
+}
+
+// fig2 reproduces the motivating experiment: FORD and Motor throughput
+// versus contention level (§2.3).
+func fig2(p Profile, get getter) []Table {
+	coords := p.MaxCoords / 2 * 2
+	return []Table{
+		sweep(get, Table{ID: "fig2a", Title: "FORD/Motor throughput (KOPS) vs TPC-C warehouses",
+			Header: []string{"warehouses", "FORD", "Motor"}},
+			[]int{80, 60, 40, 20}, strconv.Itoa, baselineSystems, specAt(p, coords, TPCCSpec), kops),
+		sweep(get, Table{ID: "fig2b", Title: "FORD/Motor throughput (KOPS) vs SmallBank skew",
+			Header: []string{"theta", "FORD", "Motor"}},
+			[]float64{0.1, 0.5, 0.9, 0.99, 1.22}, f2, baselineSystems, specAt(p, coords, SmallBankSpec), kops),
+	}
+}
+
+// fig3 reproduces the abort-rate analysis: total abort rate and the
+// fraction caused by false conflicts, under TPC-C.
+func fig3(p Profile, get getter) []Table {
+	return []Table{sweep(get, Table{ID: "fig3", Title: "Abort rate and false-abort rate vs TPC-C warehouses",
+		Header: []string{"warehouses", "FORD abort", "FORD false", "Motor abort", "Motor false"},
+		Notes:  []string{"paper: at 20 warehouses FORD/Motor abort 75.9%/85.2%, false-abort 40.7%/44.1%"}},
+		[]int{80, 60, 40, 20}, strconv.Itoa, baselineSystems, specAt(p, p.MaxCoords, TPCCSpec),
+		func(rec *RunRecord) []string { return []string{pct(rec.AbortRate), pct(rec.FalseAbortRate)} })}
+}
+
+// fig4 reproduces Motor's latency breakdown under varying contention.
+func fig4(p Profile, get getter) []Table {
+	motor := []SystemKind{Motor}
+	return []Table{
+		sweep(get, Table{ID: "fig4a", Title: "Motor latency breakdown (µs) vs TPC-C warehouses",
+			Header: []string{"warehouses", "execution", "validation", "commit"}},
+			[]int{80, 40, 20}, strconv.Itoa, motor, specAt(p, p.MaxCoords, TPCCSpec), phases),
+		sweep(get, Table{ID: "fig4b", Title: "Motor latency breakdown (µs) vs SmallBank skew",
+			Header: []string{"theta", "execution", "validation", "commit"}},
+			[]float64{0.1, 0.99, 1.22}, f2, motor, specAt(p, p.MaxCoords, SmallBankSpec), phases),
+	}
+}
+
+// table1 reproduces the space-overhead analysis from the workload
 // schemas, weighting each table by its record count. It runs no
 // simulations — the numbers are pure layout arithmetic.
-func Table1(p Profile, _ Getter) ([]Table, error) {
+func table1(p Profile, _ getter) []Table {
 	workloads := []struct {
 		name string
 		defs []workload.TableDef
@@ -297,7 +285,7 @@ func Table1(p Profile, _ Getter) ([]Table, error) {
 			"expected ordering (paper Table 1): FORD < CREST < Motor on multi-cell tables")
 		out = append(out, tab)
 	}
-	return out, nil
+	return out
 }
 
 // twoRecordGen is the Table 2 micro-workload: each transaction updates
@@ -334,163 +322,120 @@ func (twoRecordGen) Next(_ *rand.Rand) *engine.Txn {
 	}}}}
 }
 
-// Table2 reproduces the per-transaction verb profile: one uncontended
+// table2 reproduces the per-transaction verb profile: one uncontended
 // transaction (one read-write record + one read-only record) per
 // system.
-func Table2(p Profile, get Getter) ([]Table, error) {
+func table2(p Profile, get getter) []Table {
 	tab := Table{ID: "table2", Title: "RDMA verbs for one uncontended txn (1 RW + 1 RO record)",
 		Header: []string{"system", "READ", "WRITE", "CAS", "masked-CAS", "round-trips"}}
 	for _, system := range []SystemKind{FORD, Motor, CREST} {
 		spec := p.Spec(system, TwoRecordSpec(), 1)
 		spec.CompNodes = 1
 		spec.OneTxn = true
-		rec, err := get(spec)
-		if err != nil {
-			return nil, err
-		}
+		v := get(spec).Verbs
 		tab.Rows = append(tab.Rows, []string{string(system),
-			fmt.Sprint(rec.Verbs.Reads), fmt.Sprint(rec.Verbs.Writes),
-			fmt.Sprint(rec.Verbs.CASes), fmt.Sprint(rec.Verbs.MaskedCASes), fmt.Sprint(rec.Verbs.RTTs)})
+			fmt.Sprint(v.Reads), fmt.Sprint(v.Writes), fmt.Sprint(v.CASes), fmt.Sprint(v.MaskedCASes), fmt.Sprint(v.RTTs)})
 	}
 	tab.Notes = append(tab.Notes,
 		"paper Table 2: FORD/Motor use CAS+READ / READ / WRITE+CAS; CREST masked-CAS+READ / READ / WRITE+masked-CAS",
 		"Motor reads whole version tables: same round-trips as FORD but larger payloads")
-	return []Table{tab}, nil
-}
-
-// Exp1 is Fig 11: throughput versus coordinator count.
-func Exp1(p Profile, get Getter) ([]Table, error) {
-	return sweepCoords(p, get, "exp1", "Throughput (KOPS) vs coordinators",
-		func(rec *RunRecord) string { return f1(rec.KOPS) })
-}
-
-// Exp2 is Fig 12: average and median latency versus coordinator count.
-// Its sweep is the exact spec set Exp1 runs, so under a shared runner
-// it re-renders Exp1's records without a single new simulation.
-func Exp2(p Profile, get Getter) ([]Table, error) {
-	avg, err := sweepCoords(p, get, "exp2-avg", "Average latency (µs) vs coordinators",
-		func(rec *RunRecord) string { return f1(rec.Latency.Avg) })
-	if err != nil {
-		return nil, err
-	}
-	med, err := sweepCoords(p, get, "exp2-p50", "Median latency (µs) vs coordinators",
-		func(rec *RunRecord) string { return f1(rec.Latency.P50) })
-	if err != nil {
-		return nil, err
-	}
-	return append(avg, med...), nil
+	return []Table{tab}
 }
 
 // workloadsUnderTest are the three benchmark configurations of §8.3.
-func workloadsUnderTest(p Profile) []struct {
+var workloadsUnderTest = []struct {
 	name string
 	wl   WorkloadSpec
-} {
-	return []struct {
-		name string
-		wl   WorkloadSpec
-	}{
-		{"tpcc", TPCCSpec(40)},
-		{"smallbank", SmallBankSpec(0.99)},
-		{"ycsb", YCSBSpec(0.99, 0.5, 4)},
-	}
+}{
+	{"tpcc", TPCCSpec(40)},
+	{"smallbank", SmallBankSpec(0.99)},
+	{"ycsb", YCSBSpec(0.99, 0.5, 4)},
 }
 
-func sweepCoords(p Profile, get Getter, id, title string, metric func(*RunRecord) string) ([]Table, error) {
-	var out []Table
-	for _, wl := range workloadsUnderTest(p) {
-		tab := Table{ID: id + "-" + wl.name, Title: title + " — " + wl.name,
-			Header: []string{"coordinators", "CREST", "FORD", "Motor"}}
-		for _, coords := range p.CoordSweep {
-			row := []string{fmt.Sprint(coords)}
-			for _, system := range mainSystems {
-				rec, err := get(p.Spec(system, wl.wl, coords))
-				if err != nil {
-					return nil, err
-				}
-				row = append(row, metric(rec))
-			}
-			tab.Rows = append(tab.Rows, row)
-		}
-		out = append(out, tab)
-	}
-	return out, nil
+// exp1 is Fig 11: throughput versus coordinator count.
+func exp1(p Profile, get getter) []Table {
+	return sweepCoords(p, get, "exp1", "Throughput (KOPS) vs coordinators", kops)
 }
 
-// Exp3 is Fig 13: tail latencies at the maximum coordinator count.
-func Exp3(p Profile, get Getter) ([]Table, error) {
+// exp2 is Fig 12: average and median latency versus coordinator count.
+// Its sweep is the exact spec set exp1 runs, so under a shared runner
+// it re-renders exp1's records without a single new simulation.
+func exp2(p Profile, get getter) []Table {
+	return append(
+		sweepCoords(p, get, "exp2-avg", "Average latency (µs) vs coordinators",
+			func(rec *RunRecord) []string { return []string{f1(rec.Latency.Avg)} }),
+		sweepCoords(p, get, "exp2-p50", "Median latency (µs) vs coordinators",
+			func(rec *RunRecord) []string { return []string{f1(rec.Latency.P50)} })...)
+}
+
+// sweepCoords is one table per workload under test: the main systems
+// across the profile's coordinator sweep.
+func sweepCoords(p Profile, get getter, id, title string, cells func(*RunRecord) []string) []Table {
 	var out []Table
-	for _, wl := range workloadsUnderTest(p) {
+	for _, wl := range workloadsUnderTest {
+		out = append(out, sweep(get, Table{ID: id + "-" + wl.name, Title: title + " — " + wl.name,
+			Header: mainHeader("coordinators")}, p.CoordSweep, strconv.Itoa, mainSystems,
+			func(system SystemKind, coords int) RunSpec { return p.Spec(system, wl.wl, coords) }, cells))
+	}
+	return out
+}
+
+// exp3 is Fig 13: tail latencies at the maximum coordinator count.
+func exp3(p Profile, get getter) []Table {
+	var out []Table
+	for _, wl := range workloadsUnderTest {
 		tab := Table{ID: "exp3-" + wl.name, Title: fmt.Sprintf("Tail latency (µs) at %d coordinators — %s", p.MaxCoords, wl.name),
 			Header: []string{"system", "P99", "P999"}}
 		for _, system := range mainSystems {
-			rec, err := get(p.Spec(system, wl.wl, p.MaxCoords))
-			if err != nil {
-				return nil, err
-			}
-			tab.Rows = append(tab.Rows, []string{string(system), f1(rec.Latency.P99), f1(rec.Latency.P999)})
+			l := get(p.Spec(system, wl.wl, p.MaxCoords)).Latency
+			tab.Rows = append(tab.Rows, []string{string(system), f1(l.P99), f1(l.P999)})
 		}
 		out = append(out, tab)
 	}
-	return out, nil
+	return out
 }
 
 // skewSettings reproduce §8.4's high/low skew pairs. The id keys the
 // table ids structurally — spec-level deduplication makes any repeat
 // of a setting share its runs, so no display-level dedupe is needed.
-func skewSettings(p Profile) []struct {
+var skewSettings = []struct {
 	id   string
 	name string
 	wl   WorkloadSpec
-} {
-	return []struct {
-		id   string
-		name string
-		wl   WorkloadSpec
-	}{
-		{"tpcc-high", "tpcc-high (40wh)", TPCCSpec(40)},
-		{"tpcc-low", "tpcc-low (100wh)", TPCCSpec(100)},
-		{"smallbank-high", "smallbank-high (θ.99)", SmallBankSpec(0.99)},
-		{"smallbank-low", "smallbank-low (θ.1)", SmallBankSpec(0.1)},
-		{"ycsb-high", "ycsb-high (θ.99)", YCSBSpec(0.99, 0.5, 4)},
-		{"ycsb-low", "ycsb-low (θ.1)", YCSBSpec(0.1, 0.5, 4)},
-	}
+}{
+	{"tpcc-high", "tpcc-high (40wh)", TPCCSpec(40)},
+	{"tpcc-low", "tpcc-low (100wh)", TPCCSpec(100)},
+	{"smallbank-high", "smallbank-high (θ.99)", SmallBankSpec(0.99)},
+	{"smallbank-low", "smallbank-low (θ.1)", SmallBankSpec(0.1)},
+	{"ycsb-high", "ycsb-high (θ.99)", YCSBSpec(0.99, 0.5, 4)},
+	{"ycsb-low", "ycsb-low (θ.1)", YCSBSpec(0.1, 0.5, 4)},
 }
 
-// Exp4 is Fig 14: per-phase latency breakdown for all three systems
+// exp4 is Fig 14: per-phase latency breakdown for all three systems
 // under high and low skew.
-func Exp4(p Profile, get Getter) ([]Table, error) {
+func exp4(p Profile, get getter) []Table {
 	var out []Table
-	for _, setting := range skewSettings(p) {
+	for _, setting := range skewSettings {
 		tab := Table{ID: "exp4-" + setting.id, Title: "Latency breakdown (µs) — " + setting.name,
 			Header: []string{"system", "execution", "validation", "commit"}}
 		for _, system := range mainSystems {
-			rec, err := get(p.Spec(system, setting.wl, p.MaxCoords))
-			if err != nil {
-				return nil, err
-			}
-			tab.Rows = append(tab.Rows, []string{string(system),
-				f1(rec.Phases.Exec), f1(rec.Phases.Validate), f1(rec.Phases.Commit)})
+			tab.Rows = append(tab.Rows, append([]string{string(system)}, phases(get(p.Spec(system, setting.wl, p.MaxCoords)))...))
 		}
 		out = append(out, tab)
 	}
-	return out, nil
+	return out
 }
 
-// Exp5 is Fig 15: factor analysis — Base, +cell-level CC, then full
+// exp5 is Fig 15: factor analysis — Base, +cell-level CC, then full
 // CREST (localized execution + parallel commits), normalized to Base.
-func Exp5(p Profile, get Getter) ([]Table, error) {
+func exp5(p Profile, get getter) []Table {
 	var out []Table
-	for _, setting := range skewSettings(p) {
+	for _, setting := range skewSettings {
 		tab := Table{ID: "exp5-" + setting.id, Title: "Factor analysis (normalized throughput) — " + setting.name,
 			Header: []string{"variant", "KOPS", "vs Base"}}
 		var base float64
 		for _, system := range []SystemKind{CRESTBase, CRESTCell, CREST} {
-			rec, err := get(p.Spec(system, setting.wl, p.MaxCoords))
-			if err != nil {
-				return nil, err
-			}
-			k := rec.KOPS
+			k := get(p.Spec(system, setting.wl, p.MaxCoords)).KOPS
 			if system == CRESTBase {
 				base = k
 			}
@@ -502,104 +447,67 @@ func Exp5(p Profile, get Getter) ([]Table, error) {
 		}
 		out = append(out, tab)
 	}
-	return out, nil
+	return out
 }
 
-// Exp6 is Fig 16: throughput versus skewness for all three systems.
-func Exp6(p Profile, get Getter) ([]Table, error) {
-	tpccTab := Table{ID: "exp6-tpcc", Title: "Throughput (KOPS) vs TPC-C warehouses",
-		Header: []string{"warehouses", "CREST", "FORD", "Motor"}}
-	for _, wh := range []int{100, 80, 60, 40, 20} {
-		row := []string{fmt.Sprint(wh)}
-		for _, system := range mainSystems {
-			rec, err := get(p.Spec(system, TPCCSpec(wh), p.MaxCoords))
-			if err != nil {
-				return nil, err
-			}
-			row = append(row, f1(rec.KOPS))
-		}
-		tpccTab.Rows = append(tpccTab.Rows, row)
-	}
-	out := []Table{tpccTab}
-	for _, wl := range []struct {
+// The Zipf θ sweep exp6 and tailprof share, and the workloads they
+// sweep it on.
+var (
+	thetaSweep      = []float64{0.1, 0.5, 0.9, 0.99, 1.11}
+	skewedWorkloads = []struct {
 		name string
 		spec func(theta float64) WorkloadSpec
 	}{
 		{"smallbank", SmallBankSpec},
 		{"ycsb", func(theta float64) WorkloadSpec { return YCSBSpec(theta, 0.5, 4) }},
-	} {
-		tab := Table{ID: "exp6-" + wl.name, Title: "Throughput (KOPS) vs Zipf theta — " + wl.name,
-			Header: []string{"theta", "CREST", "FORD", "Motor"}}
-		for _, theta := range []float64{0.1, 0.5, 0.9, 0.99, 1.11} {
-			row := []string{f2(theta)}
-			for _, system := range mainSystems {
-				rec, err := get(p.Spec(system, wl.spec(theta), p.MaxCoords))
-				if err != nil {
-					return nil, err
-				}
-				row = append(row, f1(rec.KOPS))
-			}
-			tab.Rows = append(tab.Rows, row)
-		}
-		out = append(out, tab)
 	}
-	return out, nil
+)
+
+// exp6 is Fig 16: throughput versus skewness for all three systems.
+func exp6(p Profile, get getter) []Table {
+	out := []Table{sweep(get, Table{ID: "exp6-tpcc", Title: "Throughput (KOPS) vs TPC-C warehouses",
+		Header: mainHeader("warehouses")},
+		[]int{100, 80, 60, 40, 20}, strconv.Itoa, mainSystems, specAt(p, p.MaxCoords, TPCCSpec), kops)}
+	for _, wl := range skewedWorkloads {
+		out = append(out, sweep(get, Table{ID: "exp6-" + wl.name, Title: "Throughput (KOPS) vs Zipf theta — " + wl.name,
+			Header: mainHeader("theta")}, thetaSweep, f2, mainSystems, specAt(p, p.MaxCoords, wl.spec), kops))
+	}
+	return out
 }
 
-// Exp7 is Fig 17: YCSB throughput and average latency versus the
+// exp7 is Fig 17: YCSB throughput and average latency versus the
 // number of records accessed per transaction.
-func Exp7(p Profile, get Getter) ([]Table, error) {
+func exp7(p Profile, get getter) []Table {
 	var out []Table
 	for _, theta := range []float64{0.99, 0.1} {
-		tput := Table{ID: fmt.Sprintf("exp7-tput-θ%.2f", theta),
-			Title:  fmt.Sprintf("YCSB throughput (KOPS) vs records per txn (θ=%.2f)", theta),
-			Header: []string{"N", "CREST", "FORD", "Motor"}}
-		lat := Table{ID: fmt.Sprintf("exp7-lat-θ%.2f", theta),
-			Title:  fmt.Sprintf("YCSB average latency (µs) vs records per txn (θ=%.2f)", theta),
-			Header: []string{"N", "CREST", "FORD", "Motor"}}
-		for _, n := range []int{1, 2, 3, 4} {
-			trow := []string{fmt.Sprint(n)}
-			lrow := []string{fmt.Sprint(n)}
-			for _, system := range mainSystems {
-				rec, err := get(p.Spec(system, YCSBSpec(theta, 0.5, n), p.MaxCoords))
-				if err != nil {
-					return nil, err
-				}
-				trow = append(trow, f1(rec.KOPS))
-				lrow = append(lrow, f1(rec.Latency.Avg))
-			}
-			tput.Rows = append(tput.Rows, trow)
-			lat.Rows = append(lat.Rows, lrow)
-		}
-		out = append(out, tput, lat)
+		ns := []int{1, 2, 3, 4}
+		spec := specAt(p, p.MaxCoords, func(n int) WorkloadSpec { return YCSBSpec(theta, 0.5, n) })
+		out = append(out,
+			sweep(get, Table{ID: fmt.Sprintf("exp7-tput-θ%.2f", theta),
+				Title:  fmt.Sprintf("YCSB throughput (KOPS) vs records per txn (θ=%.2f)", theta),
+				Header: mainHeader("N")}, ns, strconv.Itoa, mainSystems, spec, kops),
+			sweep(get, Table{ID: fmt.Sprintf("exp7-lat-θ%.2f", theta),
+				Title:  fmt.Sprintf("YCSB average latency (µs) vs records per txn (θ=%.2f)", theta),
+				Header: mainHeader("N")}, ns, strconv.Itoa, mainSystems, spec,
+				func(rec *RunRecord) []string { return []string{f1(rec.Latency.Avg)} }))
 	}
-	return out, nil
+	return out
 }
 
-// Exp8 is Fig 18: YCSB throughput versus write ratio.
-func Exp8(p Profile, get Getter) ([]Table, error) {
+// exp8 is Fig 18: YCSB throughput versus write ratio.
+func exp8(p Profile, get getter) []Table {
 	var out []Table
 	for _, theta := range []float64{0.99, 0.1} {
-		tab := Table{ID: fmt.Sprintf("exp8-θ%.2f", theta),
+		out = append(out, sweep(get, Table{ID: fmt.Sprintf("exp8-θ%.2f", theta),
 			Title:  fmt.Sprintf("YCSB throughput (KOPS) vs write ratio (θ=%.2f)", theta),
-			Header: []string{"write%", "CREST", "FORD", "Motor"}}
-		for _, ratio := range []float64{1.0, 0.75, 0.5, 0.25, 0.0} {
-			row := []string{fmt.Sprintf("%.0f", 100*ratio)}
-			for _, system := range mainSystems {
-				rec, err := get(p.Spec(system, YCSBSpec(theta, ratio, 4), p.MaxCoords))
-				if err != nil {
-					return nil, err
-				}
-				row = append(row, f1(rec.KOPS))
-			}
-			tab.Rows = append(tab.Rows, row)
-		}
-		out = append(out, tab)
+			Header: mainHeader("write%")},
+			[]float64{1.0, 0.75, 0.5, 0.25, 0.0}, func(ratio float64) string { return fmt.Sprintf("%.0f", 100*ratio) },
+			mainSystems, specAt(p, p.MaxCoords, func(ratio float64) WorkloadSpec { return YCSBSpec(theta, ratio, 4) }), kops))
 	}
-	return out, nil
+	return out
 }
 
-// ExpCrossover is the sharding crossover study (not in the paper; it
+// expCrossover is the sharding crossover study (not in the paper; it
 // exercises the topology layer): a hot Zipfian YCSB mix (θ=1.22, 50%
 // writes, 4 records per transaction) swept over shard-group counts
 // under modulo versus hotspot-aware placement, per engine. Modulo
@@ -609,7 +517,7 @@ func Exp8(p Profile, get Getter) ([]Table, error) {
 // the hot keys on one group and recovers most of the loss. The
 // shards=1 row is the classic single-group spec (hash placement),
 // shared by both placement columns as the common baseline.
-func ExpCrossover(p Profile, get Getter) ([]Table, error) {
+func expCrossover(p Profile, get getter) []Table {
 	wl := YCSBSpec(1.22, 0.5, 4)
 	var out []Table
 	for _, system := range mainSystems {
@@ -624,10 +532,7 @@ func ExpCrossover(p Profile, get Getter) ([]Table, error) {
 					spec.Shards = shards
 					spec.Placement = policy
 				}
-				rec, err := get(spec)
-				if err != nil {
-					return nil, err
-				}
+				rec := get(spec)
 				share := 0.0
 				if attempts := rec.Committed + rec.Aborted; attempts > 0 {
 					share = float64(rec.CrossShard) / float64(attempts)
@@ -640,10 +545,10 @@ func ExpCrossover(p Profile, get Getter) ([]Table, error) {
 			"shards=1 is the single-group baseline; hotspot seeds itself from a modulo-placement contention probe")
 		out = append(out, tab)
 	}
-	return out, nil
+	return out
 }
 
-// ExpTailProf is the tail-latency profile (not in the paper; it feeds
+// expTailProf is the tail-latency profile (not in the paper; it feeds
 // the flight recorder's aggregate story): the exp6 skew sweep re-read
 // for its latency quantiles instead of throughput. For each workload
 // and engine it reports p50/p99/p99.9 across θ plus the tail
@@ -651,82 +556,68 @@ func ExpCrossover(p Profile, get Getter) ([]Table, error) {
 // the typical transaction as contention concentrates. The specs are
 // exactly exp6's, so a shared matrix run renders this experiment
 // without a single new simulation.
-func ExpTailProf(p Profile, get Getter) ([]Table, error) {
+func expTailProf(p Profile, get getter) []Table {
 	var out []Table
-	for _, wl := range []struct {
-		name string
-		spec func(theta float64) WorkloadSpec
-	}{
-		{"smallbank", SmallBankSpec},
-		{"ycsb", func(theta float64) WorkloadSpec { return YCSBSpec(theta, 0.5, 4) }},
-	} {
-		tab := Table{ID: "tailprof-" + wl.name,
-			Title:  "Latency quantiles (µs) vs Zipf theta — " + wl.name,
-			Header: []string{"theta", "CREST p50", "CREST p99", "CREST p999", "FORD p50", "FORD p99", "FORD p999", "Motor p50", "Motor p99", "Motor p999"}}
-		amp := Table{ID: "tailprof-" + wl.name + "-amp",
-			Title:  "Tail amplification (p99.9 / p50) vs Zipf theta — " + wl.name,
-			Header: []string{"theta", "CREST", "FORD", "Motor"}}
-		for _, theta := range []float64{0.1, 0.5, 0.9, 0.99, 1.11} {
-			row := []string{f2(theta)}
-			arow := []string{f2(theta)}
-			for _, system := range mainSystems {
-				rec, err := get(p.Spec(system, wl.spec(theta), p.MaxCoords))
-				if err != nil {
-					return nil, err
-				}
-				l := rec.Latency
-				row = append(row, f1(l.P50), f1(l.P99), f1(l.P999))
-				ratio := 0.0
-				if l.P50 > 0 {
-					ratio = l.P999 / l.P50
-				}
-				arow = append(arow, f1(ratio))
-			}
-			tab.Rows = append(tab.Rows, row)
-			amp.Rows = append(amp.Rows, arow)
-		}
-		amp.Notes = append(amp.Notes,
-			"same runs as exp6; drill into one point with crestbench -run -flight and cresttrace tail")
-		out = append(out, tab, amp)
+	for _, wl := range skewedWorkloads {
+		spec := specAt(p, p.MaxCoords, wl.spec)
+		out = append(out,
+			sweep(get, Table{ID: "tailprof-" + wl.name,
+				Title:  "Latency quantiles (µs) vs Zipf theta — " + wl.name,
+				Header: []string{"theta", "CREST p50", "CREST p99", "CREST p999", "FORD p50", "FORD p99", "FORD p999", "Motor p50", "Motor p99", "Motor p999"}},
+				thetaSweep, f2, mainSystems, spec, func(rec *RunRecord) []string {
+					l := rec.Latency
+					return []string{f1(l.P50), f1(l.P99), f1(l.P999)}
+				}),
+			sweep(get, Table{ID: "tailprof-" + wl.name + "-amp",
+				Title:  "Tail amplification (p99.9 / p50) vs Zipf theta — " + wl.name,
+				Header: mainHeader("theta"),
+				Notes:  []string{"same runs as exp6; drill into one point with crestbench -run -flight and cresttrace tail"}},
+				thetaSweep, f2, mainSystems, spec, func(rec *RunRecord) []string {
+					ratio := 0.0
+					if l := rec.Latency; l.P50 > 0 {
+						ratio = l.P999 / l.P50
+					}
+					return []string{f1(ratio)}
+				}))
 	}
-	return out, nil
+	return out
 }
 
-// Experiments lists every regenerable artifact once, in the paper's
+// experiments lists every regenerable artifact once, in the paper's
 // order: the order -list prints and -exp all renders.
-var Experiments = []Experiment{
-	{ID: "fig2", Render: Fig2},
-	{ID: "fig3", Render: Fig3},
-	{ID: "fig4", Render: Fig4},
-	{ID: "table1", Render: Table1},
-	{ID: "table2", Render: Table2},
-	{ID: "exp1", Render: Exp1},
-	{ID: "exp2", Render: Exp2},
-	{ID: "exp3", Render: Exp3},
-	{ID: "exp4", Render: Exp4},
-	{ID: "exp5", Render: Exp5},
-	{ID: "exp6", Render: Exp6},
-	{ID: "exp7", Render: Exp7},
-	{ID: "exp8", Render: Exp8},
-	{ID: "scenario", Render: ExpScenario},
-	{ID: "crossover", Render: ExpCrossover},
-	{ID: "tailprof", Render: ExpTailProf},
+var experiments = []experiment{
+	{id: "fig2", render: fig2},
+	{id: "fig3", render: fig3},
+	{id: "fig4", render: fig4},
+	{id: "table1", render: table1},
+	{id: "table2", render: table2},
+	{id: "exp1", render: exp1},
+	{id: "exp2", render: exp2},
+	{id: "exp3", render: exp3},
+	{id: "exp4", render: exp4},
+	{id: "exp5", render: exp5},
+	{id: "exp6", render: exp6},
+	{id: "exp7", render: exp7},
+	{id: "exp8", render: exp8},
+	{id: "scenario", render: expScenario},
+	{id: "crossover", render: expCrossover},
+	{id: "tailprof", render: expTailProf},
 }
 
 // ExperimentIDs lists the experiment ids in the paper's order.
 func ExperimentIDs() []string {
-	ids := make([]string, len(Experiments))
-	for i, e := range Experiments {
-		ids[i] = e.ID
+	ids := make([]string, len(experiments))
+	for i, e := range experiments {
+		ids[i] = e.id
 	}
 	return ids
 }
 
 // experimentByID looks an experiment up by its id.
-func experimentByID(id string) (Experiment, bool) {
-	i := slices.IndexFunc(Experiments, func(e Experiment) bool { return e.ID == id })
+func experimentByID(id string) (experiment, bool) {
+	i := slices.IndexFunc(experiments, func(e experiment) bool { return e.id == id })
 	if i < 0 {
-		return Experiment{}, false
+		return experiment{}, false
 	}
-	return Experiments[i], true
+	return experiments[i], true
 }

@@ -11,12 +11,12 @@ import (
 // itself (the -baseline path) — never a panic.
 func FuzzDecodeResultSet(f *testing.F) {
 	p := matrixProfile()
-	r := NewRunner(p, MatrixOptions{})
-	if _, err := r.Get(p.Spec(FORD, SmallBankSpec(0.9), 6)); err != nil {
+	r := newRunner(p, MatrixOptions{})
+	if err := r.run(p.Spec(FORD, SmallBankSpec(0.9), 6)); err != nil {
 		f.Fatal(err)
 	}
 	var doc bytes.Buffer
-	if err := (&ResultSet{Schema: SchemaVersion, Profile: p.Name, Runs: r.Records(), Perf: r.Perf()}).Encode(&doc); err != nil {
+	if err := (&ResultSet{Schema: SchemaVersion, Profile: p.Name, Runs: r.records(), Perf: r.perf()}).Encode(&doc); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(doc.Bytes())

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -78,7 +79,7 @@ func TestMatrixDedupesAcrossExperiments(t *testing.T) {
 	unique := map[string]bool{}
 	for _, id := range ids {
 		exp, _ := experimentByID(id)
-		for _, spec := range exp.Specs(p) {
+		for _, spec := range exp.specs(p) {
 			declared++
 			unique[spec.Key()] = true
 		}
@@ -139,25 +140,28 @@ func TestRunSpecKeyCanonical(t *testing.T) {
 	}
 }
 
-// TestSpecsMatchRender: the dry-run spec discovery declares exactly
-// the specs rendering consumes — for every experiment, rendering after
-// Prime triggers no extra simulations.
-func TestSpecsMatchRender(t *testing.T) {
+// TestRenderOfUndeclaredSpecPanics: rendering reads a primed store and
+// never simulates, so a renderer that asks for a spec its dry run did
+// not declare panics with that spec's key.
+func TestRenderOfUndeclaredSpecPanics(t *testing.T) {
 	p := matrixProfile()
-	for _, id := range []string{"fig4", "table1", "table2", "exp5"} {
-		exp, _ := experimentByID(id)
-		runner := NewRunner(p, MatrixOptions{})
-		if err := runner.Prime(exp.Specs(p)); err != nil {
-			t.Fatal(err)
+	declared := p.Spec(FORD, SmallBankSpec(0.9), 6)
+	undeclared := p.Spec(FORD, SmallBankSpec(0.5), 6)
+	dry := true
+	exp := experiment{id: "drift", render: func(p Profile, get getter) []Table {
+		spec := undeclared
+		if dry {
+			spec, dry = declared, false
 		}
-		primed := len(runner.Records())
-		if _, err := exp.Render(p, runner.Get); err != nil {
-			t.Fatalf("%s: %v", id, err)
+		get(spec)
+		return nil
+	}}
+	defer func() {
+		if msg := fmt.Sprint(recover()); !strings.Contains(msg, undeclared.Key()) {
+			t.Fatalf("render of an undeclared spec: recovered %q, want a panic naming %s", msg, undeclared.Key())
 		}
-		if n := len(runner.Records()); n != primed {
-			t.Errorf("%s: render simulated %d runs beyond its declared specs", id, n-primed)
-		}
-	}
+	}()
+	runMatrix([]experiment{exp}, p, MatrixOptions{})
 }
 
 func TestResultSetRoundTrip(t *testing.T) {

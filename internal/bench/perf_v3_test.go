@@ -68,11 +68,11 @@ func TestMatrixPerfCollectsPartitionEvents(t *testing.T) {
 	spec := p.Spec(CREST, SmallBankSpec(0.5), 12)
 	spec.Shards = 3
 	spec.Placement = "modulo"
-	r := NewRunner(p, MatrixOptions{SimWorkers: 2})
-	if _, err := r.Get(spec); err != nil {
+	r := newRunner(p, MatrixOptions{SimWorkers: 2})
+	if err := r.run(spec); err != nil {
 		t.Fatal(err)
 	}
-	perf := r.Perf()
+	perf := r.perf()
 	if perf == nil {
 		t.Fatal("no perf collected")
 	}

@@ -48,7 +48,7 @@ func TestPaperPredicates(t *testing.T) {
 
 	// CREST ≥ FORD and Motor per workload from 72 coordinators up
 	// (Fig 11); numbers are CREST/FORD/Motor KOPS.
-	for _, wl := range workloadsUnderTest(p) {
+	for _, wl := range workloadsUnderTest {
 		ok, nums := true, ""
 		for _, coords := range []int{72, 120} {
 			crest, ford, motor := kops(CREST, wl.wl, coords), kops(FORD, wl.wl, coords), kops(Motor, wl.wl, coords)

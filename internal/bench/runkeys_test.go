@@ -23,6 +23,10 @@ func TestValidateRejectsHostileValues(t *testing.T) {
 		{[]string{"duration", "1ms"}, "duration 1ms leaves nothing to measure after warmup 4ms"},
 		{[]string{"duration", "0"}, "duration 0s leaves nothing to measure"},
 		{[]string{"duration", "3ms", "warmup", "3ms"}, "leaves nothing to measure"},
+		{[]string{"duration", "3ms", "warmup", "-2ms"}, "warmup must not be negative, got -2ms"},
+		{[]string{"warmup", "0s"}, "warmup 0 means unset and takes DefaultRun's 4ms"},
+		{[]string{"warmup", "0s", "duration", "2ms"}, "warmup 0 means unset and takes DefaultRun's 4ms"},
+		{[]string{"seed", "0"}, "seed 0 means unset and takes DefaultRun's 1"},
 		{[]string{"workload", "ycsb", "writes", "1.5"}, "write ratio must be in [0, 1], got 1.5"},
 		{[]string{"workload", "ycsb", "writes", "-0.1"}, "write ratio must be in [0, 1], got -0.1"},
 		{[]string{"workload", "smallbank", "theta", "-1"}, "theta must not be negative, got -1"},

@@ -87,7 +87,7 @@ func (s RunSpec) WithScenario(sc *scenario.Spec) RunSpec {
 }
 
 // phaseStat looks up one phase's stats, tolerating records without
-// them (probe getters and stale caches return empty records).
+// them (the dry run's probe getter returns empty records).
 func phaseStat(rec *RunRecord, i int) PhaseStat {
 	if i < len(rec.ScenarioPhases) {
 		return rec.ScenarioPhases[i]
@@ -95,20 +95,16 @@ func phaseStat(rec *RunRecord, i int) PhaseStat {
 	return PhaseStat{Phase: i + 1}
 }
 
-// ExpScenario is the scenario experiment: the hotspot-drift demo
+// expScenario is the scenario experiment: the hotspot-drift demo
 // (examples/scenarios/drift-demo.spec) on every engine, reported per
 // phase. The hot key set migrates at each phase boundary while the
 // offered load changes shape, so the per-phase abort rates show each
 // system's response to drifting contention.
-func ExpScenario(p Profile, get Getter) ([]Table, error) {
+func expScenario(p Profile, get getter) []Table {
 	demo := scenario.DriftDemo()
 	recs := make(map[SystemKind]*RunRecord, len(mainSystems))
 	for _, system := range mainSystems {
-		rec, err := get(p.ScenarioSpec(system, demo, p.MaxCoords))
-		if err != nil {
-			return nil, err
-		}
-		recs[system] = rec
+		recs[system] = get(p.ScenarioSpec(system, demo, p.MaxCoords))
 	}
 	tab := Table{ID: "scenario-drift",
 		Title:  fmt.Sprintf("Per-phase commits and abort rate under hotspot drift — %s, %d coordinators", demo.Name, p.MaxCoords),
@@ -129,7 +125,7 @@ func ExpScenario(p Profile, get Getter) ([]Table, error) {
 	tab.Notes = append(tab.Notes,
 		"the hot key set rotates by the hotspot fraction of the key space at each phase boundary",
 		"phase 1 overlaps the warmup window, so its measured span is shorter than its duration")
-	return []Table{tab}, nil
+	return []Table{tab}
 }
 
 // totalScenarioRow sums the per-phase stats into a footer row.

@@ -95,7 +95,7 @@ func TestExperimentIDsOrdered(t *testing.T) {
 		}
 	}
 	for _, id := range ids {
-		if exp, ok := experimentByID(id); !ok || exp.Render == nil {
+		if exp, ok := experimentByID(id); !ok || exp.render == nil {
 			t.Fatalf("experiment %s has no renderer", id)
 		}
 	}

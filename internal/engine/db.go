@@ -322,14 +322,3 @@ func (db *DB) ResolveAddr(p *sim.Proc, cache *hashindex.AddrCache, qp *rdma.QP,
 	cache.Put(table, key, off)
 	return off, nil
 }
-
-// ReplicaQPs connects queue pairs to every replica node of (table,
-// key), primary first.
-func (db *DB) ReplicaQPs(table layout.TableID, key layout.Key) []*rdma.QP {
-	nodes := db.Pool.ReplicaNodes(table, key)
-	qps := make([]*rdma.QP, len(nodes))
-	for i, n := range nodes {
-		qps[i] = db.Fabric.Connect(n.Region)
-	}
-	return qps
-}

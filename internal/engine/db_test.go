@@ -284,17 +284,6 @@ func TestWarmCacheIsAViewAndLearningIsPrivate(t *testing.T) {
 	}
 }
 
-func TestReplicaQPs(t *testing.T) {
-	_, db := newTestDB(t)
-	qps := db.ReplicaQPs(7, 3)
-	if len(qps) != 2 { // f=1 → primary + one backup
-		t.Fatalf("%d QPs", len(qps))
-	}
-	if qps[0].Region() != db.Pool.PrimaryOf(7, 3).Region {
-		t.Fatal("first QP is not the primary")
-	}
-}
-
 func TestQPCacheReuses(t *testing.T) {
 	_, db := newTestDB(t)
 	c := NewQPCache(db.Fabric)
@@ -304,18 +293,6 @@ func TestQPCacheReuses(t *testing.T) {
 	}
 	if c.Get(r) == c.Get(db.Pool.Nodes()[1].Region) {
 		t.Fatal("distinct regions share a QP")
-	}
-}
-
-func TestHistoryDebugCell(t *testing.T) {
-	h := NewHistory()
-	c := CellID{Table: 1, Key: 2, Cell: 0}
-	h.SetInitial(c, []byte{1})
-	h.Commit(HTxn{TS: 1, Label: "w", Writes: []HWrite{{Cell: c, Hash: 42}}})
-	h.Commit(HTxn{TS: 2, Label: "r", Reads: []HRead{{Cell: c, Hash: 42}}})
-	lines := h.DebugCell(c)
-	if len(lines) != 3 {
-		t.Fatalf("DebugCell lines: %v", lines)
 	}
 }
 

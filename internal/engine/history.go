@@ -236,26 +236,3 @@ func (h *History) FinalState() map[CellID]uint64 {
 	}
 	return state
 }
-
-// DebugCell returns, in serial order, every committed transaction that
-// touched cell c, with its serial position and value hashes — a
-// debugging aid for serializability violations.
-func (h *History) DebugCell(c CellID) []string {
-	var out []string
-	if v, ok := h.Init[c]; ok {
-		out = append(out, fmt.Sprintf("init value=%x", v))
-	}
-	for _, t := range h.serial() {
-		for _, r := range t.Reads {
-			if r.Cell == c {
-				out = append(out, fmt.Sprintf("ts=%d snap=%v READ %x (%d %s)", t.TS, t.Snapshot, r.Hash, t.ID, t.Label))
-			}
-		}
-		for _, w := range t.Writes {
-			if w.Cell == c {
-				out = append(out, fmt.Sprintf("ts=%d snap=%v WRITE %x (%d %s)", t.TS, t.Snapshot, w.Hash, t.ID, t.Label))
-			}
-		}
-	}
-	return out
-}

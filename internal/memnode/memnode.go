@@ -209,12 +209,6 @@ func (p *Pool) AppendReplicaNodes(dst []*Node, table layout.TableID, key layout.
 // group's nodes.
 func (p *Pool) LogNodes(id, count int) []*Node {
 	out := make([]*Node, count)
-	if p.shards == 1 {
-		for i := range out {
-			out[i] = p.nodes[(id+i)%len(p.nodes)]
-		}
-		return out
-	}
 	g := id % p.shards
 	gn := p.GroupNodes(g)
 	for i := range out {

@@ -7,11 +7,20 @@ import (
 	"testing/quick"
 )
 
+// prob is the probability of rank i, read off the sampler's CDF.
+func prob(z *Zipf, i uint64) float64 {
+	cdf := z.CDF()
+	if i == 0 {
+		return cdf[0]
+	}
+	return cdf[i] - cdf[i-1]
+}
+
 func TestZipfProbabilitiesSumToOne(t *testing.T) {
 	z := NewZipf(1000, 0.99)
 	sum := 0.0
 	for i := uint64(0); i < 1000; i++ {
-		sum += z.P(i)
+		sum += prob(z, i)
 	}
 	if math.Abs(sum-1) > 1e-9 {
 		t.Fatalf("sum = %v", sum)
@@ -22,7 +31,7 @@ func TestZipfRankZeroHottest(t *testing.T) {
 	for _, theta := range []float64{0.1, 0.99, 1.11, 1.22} {
 		z := NewZipf(10000, theta)
 		for i := uint64(1); i < 100; i++ {
-			if z.P(i) > z.P(i-1)+1e-12 {
+			if prob(z, i) > prob(z, i-1)+1e-12 {
 				t.Fatalf("theta=%v: P(%d) > P(%d)", theta, i, i-1)
 			}
 		}
@@ -60,7 +69,7 @@ func TestZipfMatchesAnalyticalFrequency(t *testing.T) {
 		counts[z.Next(rng)]++
 	}
 	for _, rank := range []uint64{0, 1, 10, 100} {
-		want := z.P(rank)
+		want := prob(z, rank)
 		got := float64(counts[rank]) / draws
 		if math.Abs(got-want) > 0.2*want+0.001 {
 			t.Errorf("rank %d: empirical %.4f vs analytical %.4f", rank, got, want)

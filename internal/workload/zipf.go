@@ -55,11 +55,3 @@ func (z *Zipf) Next(rng *rand.Rand) uint64 {
 // CDF returns the cumulative probability of each rank. The slice is the
 // sampler's own: callers must not write to it.
 func (z *Zipf) CDF() []float64 { return z.cdf }
-
-// P returns the probability of rank i (diagnostics and tests).
-func (z *Zipf) P(i uint64) float64 {
-	if i == 0 {
-		return z.cdf[0]
-	}
-	return z.cdf[i] - z.cdf[i-1]
-}

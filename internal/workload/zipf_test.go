@@ -45,7 +45,7 @@ func TestZipfHighThetaProperties(t *testing.T) {
 		}
 		// With theta ≥ 1 the head holds a large share (P(0) ≥ 1/H_n),
 		// so 20k draws estimate it tightly; allow ±25% relative slack.
-		want := z.P(0)
+		want := prob(z, 0)
 		got := float64(head) / draws
 		if got < 0.75*want || got > 1.25*want {
 			t.Logf("n=%d theta=%.2f: head mass %.4f, want ≈ %.4f", n, theta, got, want)
